@@ -1,15 +1,20 @@
 //! Algorithm 1: adaptive compile-time mapping of FC layers.
 //!
-//! For every FC command the compiler estimates, from analytic unit models,
-//! the completion time on the NPU matrix unit (pipelined weight loading +
-//! systolic compute, minus any prefetch hidden behind a preceding vector
-//! op) and on PIM (token-sequential GEMV), and assigns the FC to whichever
-//! finishes sooner — the paper's Algorithm 1. Figure 12 evaluates exactly
-//! this decision for 4/8/16 input tokens across the GPT-2 family.
+//! For every FC command the compiler estimates the completion time on
+//! the NPU matrix unit (pipelined weight loading + systolic compute, minus
+//! any prefetch hidden behind a preceding vector op) and on PIM
+//! (token-sequential GEMV), and assigns the FC to whichever finishes
+//! sooner — the paper's Algorithm 1. Figure 12 evaluates exactly this
+//! decision for 4/8/16 input tokens across the GPT-2 family.
+//!
+//! The planner prices the matrix unit itself from analytic unit models.
+//! The PIM estimate is the caller's: the compiler reads it from the same
+//! per-compile GEMV cost table its PIM commands are priced from, so each
+//! distinct [`GemvShape`] is simulated once per compile.
 
 use ianus_model::FcShape;
 use ianus_npu::{DmaEngine, MatrixUnit};
-use ianus_pim::{GemvShape, PimModel};
+use ianus_pim::GemvShape;
 use ianus_sim::Duration;
 
 /// Execution unit chosen for an FC layer.
@@ -29,20 +34,25 @@ pub enum FcUnit {
 /// use ianus_core::adaptive::{AdaptivePlanner, FcUnit};
 /// use ianus_core::SystemConfig;
 /// use ianus_model::FcShape;
+/// use ianus_pim::PimModel;
 /// use ianus_sim::Duration;
 ///
 /// let cfg = SystemConfig::ianus();
 /// let planner = AdaptivePlanner::new(&cfg);
+/// let pim = PimModel::new(cfg.pim_group_config());
 /// let fc = FcShape::new(1024, 1024); // one core's slice of a GPT-2 M FC
+/// let pim_time = |tokens| Some(pim.gemv(AdaptivePlanner::pim_shape(tokens, fc)).total);
 /// // Single-token FCs belong on PIM, large batches on the matrix unit.
-/// assert_eq!(planner.choose(1, fc, Duration::ZERO), FcUnit::Pim);
-/// assert_eq!(planner.choose(512, fc, Duration::ZERO), FcUnit::MatrixUnit);
+/// assert_eq!(planner.choose(1, fc, Duration::ZERO, pim_time(1)), FcUnit::Pim);
+/// assert_eq!(
+///     planner.choose(512, fc, Duration::ZERO, pim_time(512)),
+///     FcUnit::MatrixUnit
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct AdaptivePlanner {
     mu: MatrixUnit,
     dma: DmaEngine,
-    pim: Option<PimModel>,
     /// Weight-streaming bandwidth one core sees when all cores load their
     /// slices concurrently (the striped bus is shared).
     per_core_load_gbps: f64,
@@ -53,15 +63,9 @@ pub struct AdaptivePlanner {
 impl AdaptivePlanner {
     /// Builds the planner from a system configuration.
     pub fn new(cfg: &crate::SystemConfig) -> Self {
-        let pim = if cfg.pim_channels() > 0 {
-            Some(PimModel::new(cfg.pim_group_config()))
-        } else {
-            None
-        };
         AdaptivePlanner {
             mu: MatrixUnit::new(&cfg.npu),
             dma: DmaEngine::new(&cfg.npu),
-            pim,
             per_core_load_gbps: cfg.striped_bandwidth_gbps() / cfg.npu.cores as f64,
             wm_chunk_bytes: cfg.npu.wm_bytes / 3,
         }
@@ -82,21 +86,25 @@ impl AdaptivePlanner {
         piped.saturating_sub(prefetch.min(load_total))
     }
 
-    /// Estimated completion time on PIM (`tokens` sequential GEMVs).
-    ///
-    /// Returns `None` when the system has no PIM compute.
-    pub fn pim_time(&self, tokens: u64, fc: FcShape) -> Option<Duration> {
-        let pim = self.pim.as_ref()?;
-        let shape = GemvShape::new(fc.out_dim, fc.in_dim).with_batch(tokens as u32);
-        Some(pim.gemv(shape).total)
+    /// The GEMV whose total time is Algorithm 1's PIM estimate for `fc`
+    /// over `tokens` input rows: the whole FC, one GEMV per token.
+    pub fn pim_shape(tokens: u64, fc: FcShape) -> GemvShape {
+        GemvShape::new(fc.out_dim, fc.in_dim).with_batch(tokens as u32)
     }
 
-    /// Algorithm 1's decision (lines 13–15).
-    pub fn choose(&self, tokens: u64, fc: FcShape, prefetch: Duration) -> FcUnit {
-        match self.pim_time(tokens, fc) {
+    /// Algorithm 1's decision (lines 13–15), given the PIM estimate for
+    /// [`pim_shape`](Self::pim_shape)`(tokens, fc)`, or `None` when the
+    /// system has no PIM compute.
+    pub fn choose(
+        &self,
+        tokens: u64,
+        fc: FcShape,
+        prefetch: Duration,
+        pim: Option<Duration>,
+    ) -> FcUnit {
+        match pim {
             Some(pim) if pim < self.mu_time(tokens, fc, prefetch) => FcUnit::Pim,
-            Some(_) => FcUnit::MatrixUnit,
-            None => FcUnit::MatrixUnit,
+            _ => FcUnit::MatrixUnit,
         }
     }
 
@@ -110,22 +118,33 @@ impl AdaptivePlanner {
 mod tests {
     use super::*;
     use crate::SystemConfig;
+    use ianus_pim::PimModel;
 
     fn planner() -> AdaptivePlanner {
         AdaptivePlanner::new(&SystemConfig::ianus())
+    }
+
+    /// Algorithm 1's PIM estimate on the IANUS configuration.
+    fn pim_time(tokens: u64, fc: FcShape) -> Option<Duration> {
+        let pim = PimModel::new(SystemConfig::ianus().pim_group_config());
+        Some(pim.gemv(AdaptivePlanner::pim_shape(tokens, fc)).total)
+    }
+
+    fn choose(p: &AdaptivePlanner, tokens: u64, fc: FcShape) -> FcUnit {
+        p.choose(tokens, fc, Duration::ZERO, pim_time(tokens, fc))
     }
 
     #[test]
     fn crossover_exists_between_1_and_128_tokens() {
         let p = planner();
         let fc = FcShape::new(1024, 1024);
-        assert_eq!(p.choose(1, fc, Duration::ZERO), FcUnit::Pim);
-        assert_eq!(p.choose(128, fc, Duration::ZERO), FcUnit::MatrixUnit);
+        assert_eq!(choose(&p, 1, fc), FcUnit::Pim);
+        assert_eq!(choose(&p, 128, fc), FcUnit::MatrixUnit);
         // The crossover is monotone: once MU wins it keeps winning.
         let mut pim_then_mu = true;
         let mut seen_mu = false;
         for t in 1..=128u64 {
-            match p.choose(t, fc, Duration::ZERO) {
+            match choose(&p, t, fc) {
                 FcUnit::MatrixUnit => seen_mu = true,
                 FcUnit::Pim => {
                     if seen_mu {
@@ -151,10 +170,9 @@ mod tests {
 
     #[test]
     fn pim_time_linear_in_tokens() {
-        let p = planner();
         let fc = FcShape::new(1024, 1024);
-        let t1 = p.pim_time(1, fc).unwrap();
-        let t8 = p.pim_time(8, fc).unwrap();
+        let t1 = pim_time(1, fc).unwrap();
+        let t8 = pim_time(8, fc).unwrap();
         let ratio = t8.as_ns_f64() / t1.as_ns_f64();
         assert!(ratio > 7.0 && ratio < 9.0, "ratio {ratio}");
     }
@@ -172,7 +190,7 @@ mod tests {
     fn no_pim_always_matrix_unit() {
         let p = AdaptivePlanner::new(&SystemConfig::npu_mem());
         assert_eq!(
-            p.choose(1, FcShape::new(4096, 4096), Duration::ZERO),
+            p.choose(1, FcShape::new(4096, 4096), Duration::ZERO, None),
             FcUnit::MatrixUnit
         );
     }

@@ -69,6 +69,8 @@ pub struct Compiler<'a> {
     pim: Option<PimModel>,
     planner: AdaptivePlanner,
     xfer: TransferModel,
+    /// Every GEMV this compiler has priced, for both PIM commands and
+    /// Algorithm 1's PIM estimates; lives as long as the compiler.
     pim_cache: HashMap<GemvShape, PimOpCost>,
     // --- per-compilation state ---
     prog: Program,
@@ -581,7 +583,13 @@ impl<'a> Compiler<'a> {
             FcMapping::MatrixUnit => FcUnit::MatrixUnit,
             FcMapping::Pim if self.pim.is_some() => FcUnit::Pim,
             FcMapping::Pim => FcUnit::MatrixUnit,
-            FcMapping::Adaptive => self.planner.choose(tokens, fc, prefetch),
+            FcMapping::Adaptive => {
+                let pim = self
+                    .pim
+                    .is_some()
+                    .then(|| self.pim_cost(AdaptivePlanner::pim_shape(tokens, fc)).total);
+                self.planner.choose(tokens, fc, prefetch, pim)
+            }
         };
         match unit {
             FcUnit::Pim => {
@@ -830,12 +838,18 @@ impl<'a> Compiler<'a> {
         self.emit(core, cmd)
     }
 
-    fn pim_gemv(&mut self, core: u32, shape: GemvShape, class: OpClass, deps: Vec<CmdId>) -> CmdId {
-        let pim = self.pim.as_ref().expect("pim_gemv without PIM compute");
-        let cost = *self
+    /// The cost of one GEMV, simulated on the first request for its
+    /// shape and read from `pim_cache` after that.
+    fn pim_cost(&mut self, shape: GemvShape) -> PimOpCost {
+        let pim = self.pim.as_ref().expect("PIM GEMV without PIM compute");
+        *self
             .pim_cache
             .entry(shape)
-            .or_insert_with(|| pim.gemv(shape));
+            .or_insert_with(|| pim.gemv(shape))
+    }
+
+    fn pim_gemv(&mut self, core: u32, shape: GemvShape, class: OpClass, deps: Vec<CmdId>) -> CmdId {
+        let cost = self.pim_cost(shape);
         self.activity.pim_internal_bytes += cost.internal_bytes;
         self.activity.pim_activations += cost.activations;
         self.activity.pim_gb_bytes += cost.gb_bytes;

@@ -50,6 +50,7 @@ pub mod compiler;
 mod config;
 mod energy;
 pub mod functional;
+mod memo;
 pub mod multi_device;
 mod report;
 pub mod serving;

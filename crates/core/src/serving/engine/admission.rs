@@ -105,7 +105,7 @@ impl super::ServingSim {
                     let mut best = 0usize;
                     let mut best_done = f64::INFINITY;
                     for (i, (&f, r)) in free.iter().zip(&self.replicas).enumerate() {
-                        let done = f.max(now) + r.service[&(model.name, shape)].as_secs_f64();
+                        let done = f.max(now) + r.service[&(*model, shape)].as_secs_f64();
                         if done < best_done {
                             best_done = done;
                             best = i;
@@ -115,8 +115,8 @@ impl super::ServingSim {
                 }
             };
 
-            let s = self.replicas[replica].service[&(model.name, shape)].as_secs_f64();
-            let prefill = self.replicas[replica].prefill[&(model.name, shape.input)];
+            let s = self.replicas[replica].service[&(*model, shape)].as_secs_f64();
+            let prefill = self.replicas[replica].prefill[&(*model, shape.input)];
             let start = now.max(free[replica]);
             let finish = start + s;
             free[replica] = finish;

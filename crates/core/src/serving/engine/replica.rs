@@ -2,14 +2,14 @@
 //!
 //! Every device simulation the engine prices — request service, prefill
 //! chunks, decode iterations, recompute estimates — funnels through
-//! [`Replica`], which memoizes results keyed by model identity so the
-//! iteration loops stay cheap. No other layer talks to a [`Backend`]
-//! directly.
+//! [`Replica`], which memoizes results keyed by the full
+//! [`ModelConfig`] so the iteration loops stay cheap. No other layer
+//! talks to a [`Backend`] directly.
 
 use crate::backend::Backend;
+use crate::memo::Memo;
 use ianus_model::{ModelConfig, RequestShape};
 use ianus_sim::Duration;
-use std::collections::HashMap;
 
 /// Past-lengths below this are always priced exactly; above it, decode
 /// times are sampled on a geometric grid and interpolated.
@@ -32,26 +32,25 @@ fn decode_grid_bracket(past: u64) -> (u64, u64) {
 pub(super) struct Replica {
     pub(super) backend: Box<dyn Backend>,
     /// Memoized service times, keyed by model and shape so one engine
-    /// can serve different models across runs. `ModelConfig::name` is
-    /// the model's identity here: two configs sharing a name are
-    /// assumed to be the same model (true for the built-in zoo; callers
-    /// mutating a config's fields must also rename it).
+    /// can serve different models across runs. Every table keys on the
+    /// whole `ModelConfig`, so two configs differing in any field (even
+    /// under one name) are priced separately.
     /// (Exposed to the request-level path, which pre-memoizes every
     /// (model, shape) pair and then reads the tables directly in its
     /// dispatch loop.)
-    pub(super) service: HashMap<(&'static str, RequestShape), Duration>,
+    pub(super) service: Memo<(ModelConfig, RequestShape), Duration>,
     /// Memoized prefill times in seconds, keyed by (model, tokens).
-    pub(super) prefill: HashMap<(&'static str, u64), f64>,
+    pub(super) prefill: Memo<(ModelConfig, u64), f64>,
     /// Memoized decode-iteration times in seconds at grid past-lengths,
     /// keyed by (model, batch, past). Queries between grid points are
     /// piecewise-linearly interpolated — decode latency varies smoothly
     /// with past length (linearly growing KV traffic), so the geometric
     /// grid keeps per-(model, batch) device simulations to a few dozen
     /// while staying accurate to well under a percent.
-    decode: HashMap<(&'static str, u32, u64), f64>,
+    decode: Memo<(ModelConfig, u32, u64), f64>,
     /// Memoized unloaded batch-1 service (prefill + all decode steps) in
     /// seconds, keyed by (model, shape) — iteration-level `mean_service`.
-    ideal: HashMap<(&'static str, RequestShape), f64>,
+    ideal: Memo<(ModelConfig, RequestShape), f64>,
 }
 
 impl Replica {
@@ -59,10 +58,10 @@ impl Replica {
     pub(super) fn new(backend: Box<dyn Backend>) -> Self {
         Replica {
             backend,
-            service: HashMap::new(),
-            prefill: HashMap::new(),
-            decode: HashMap::new(),
-            ideal: HashMap::new(),
+            service: Memo::default(),
+            prefill: Memo::default(),
+            decode: Memo::default(),
+            ideal: Memo::default(),
         }
     }
 
@@ -79,7 +78,7 @@ impl Replica {
     }
 
     pub(super) fn service_time(&mut self, model: &ModelConfig, shape: RequestShape) -> Duration {
-        let key = (model.name, shape);
+        let key = (*model, shape);
         if let Some(&d) = self.service.get(&key) {
             return d;
         }
@@ -89,7 +88,7 @@ impl Replica {
     }
 
     pub(super) fn prefill_secs(&mut self, model: &ModelConfig, tokens: u64) -> f64 {
-        let key = (model.name, tokens);
+        let key = (*model, tokens);
         if let Some(&s) = self.prefill.get(&key) {
             return s;
         }
@@ -100,7 +99,7 @@ impl Replica {
 
     /// Exact (memoized) decode-iteration time at a grid past-length.
     fn decode_exact_secs(&mut self, model: &ModelConfig, past: u64, batch: u32) -> f64 {
-        let key = (model.name, batch, past);
+        let key = (*model, batch, past);
         if let Some(&s) = self.decode.get(&key) {
             return s;
         }
@@ -167,7 +166,7 @@ impl Replica {
     ///
     /// [`ServingReport::stable`]: crate::serving::ServingReport::stable
     pub(super) fn ideal_service_secs(&mut self, model: &ModelConfig, shape: RequestShape) -> f64 {
-        let key = (model.name, shape);
+        let key = (*model, shape);
         if let Some(&s) = self.ideal.get(&key) {
             return s;
         }

@@ -177,7 +177,8 @@ fn least_loaded_differs_from_fcfs_on_heterogeneous_cluster() {
 #[test]
 fn memo_is_model_aware_across_runs() {
     // Re-running one engine with a different model must re-price
-    // service times, not reuse the previous model's memo.
+    // service times, not reuse the previous model's memo — also when the
+    // two configs share a name, as a config with edited fields does.
     let cfg = ServingConfig {
         arrival_rate_hz: 2.0,
         requests: 50,
@@ -186,15 +187,24 @@ fn memo_is_model_aware_across_runs() {
         workflows: vec![],
         arrivals: Default::default(),
     };
-    let mut sim = ServingSim::new(cfg.clone()).replica(IanusSystem::new(SystemConfig::ianus()));
-    let small = sim.run(&ModelConfig::gpt2_m());
-    let large = sim.run(&ModelConfig::gpt2_xl());
-    assert!(large.mean_service > small.mean_service);
-    // And each matches a cold engine for the same model.
-    let cold = ServingSim::new(cfg)
-        .replica(IanusSystem::new(SystemConfig::ianus()))
-        .run(&ModelConfig::gpt2_xl());
-    assert_eq!(large, cold);
+    let xl = ModelConfig::gpt2_xl();
+    let shallow_xl = ModelConfig { blocks: 24, ..xl };
+    for scheduling in [Scheduling::RequestLevel, Scheduling::iteration(4)] {
+        let engine = || {
+            ServingSim::new(cfg.clone())
+                .replica(IanusSystem::new(SystemConfig::ianus()))
+                .scheduling(scheduling)
+        };
+        let mut sim = engine();
+        let small = sim.run(&ModelConfig::gpt2_m());
+        let large = sim.run(&xl);
+        assert!(large.mean_service > small.mean_service, "{scheduling:?}");
+        let shallow = sim.run(&shallow_xl);
+        assert!(shallow.mean_service < large.mean_service, "{scheduling:?}");
+        // And each matches a cold engine for the same model.
+        assert_eq!(large, engine().run(&xl), "{scheduling:?}");
+        assert_eq!(shallow, engine().run(&shallow_xl), "{scheduling:?}");
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! End-to-end request execution on one IANUS device configuration.
 
 use crate::compiler::Compiler;
+use crate::memo::Memo;
 use crate::report::{Breakdown, OpClass, RunReport, StageReport};
 use crate::{EnergyModel, SystemConfig, UnitMap};
 use ianus_model::{ModelConfig, RequestShape, Stage};
@@ -18,8 +19,21 @@ const EXACT_STEP_LIMIT: u64 = 48;
 /// Sample points used when integrating long generation phases.
 const SAMPLE_POINTS: u64 = 25;
 
+/// Reports of the stages one system has simulated.
+type StageMemo = Memo<(ModelConfig, Stage), StageReport>;
+
 /// A configured IANUS (or NPU-MEM / partitioned) device that runs
 /// requests.
+///
+/// Every stage is simulated once per system: [`run_stage`] memoizes its
+/// report keyed by the full `(ModelConfig, Stage)`, so repeated stages —
+/// across requests, and the `batch` identical passes of a decode
+/// iteration — cost one lookup. The memo belongs to the system: a new
+/// system starts empty, a clone starts with its source's entries, and
+/// [`set_energy_model`] clears it.
+///
+/// [`run_stage`]: IanusSystem::run_stage
+/// [`set_energy_model`]: IanusSystem::set_energy_model
 ///
 /// # Examples
 ///
@@ -31,18 +45,30 @@ const SAMPLE_POINTS: u64 = 25;
 /// let stage = sys.run_stage(&ModelConfig::gpt2_m(), &Stage::Generation { past_tokens: 64 });
 /// assert!(stage.latency.as_us_f64() > 10.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct IanusSystem {
     cfg: SystemConfig,
     energy_model: EnergyModel,
+    stages: StageMemo,
+}
+
+impl std::fmt::Debug for IanusSystem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IanusSystem")
+            .field("cfg", &self.cfg)
+            .field("energy_model", &self.energy_model)
+            .field("memoized_stages", &self.stages.len())
+            .finish()
+    }
 }
 
 impl IanusSystem {
-    /// Creates a system for a configuration.
+    /// Creates a system for a configuration, with an empty stage memo.
     pub fn new(cfg: SystemConfig) -> Self {
         IanusSystem {
             cfg,
             energy_model: EnergyModel::default(),
+            stages: StageMemo::default(),
         }
     }
 
@@ -51,16 +77,25 @@ impl IanusSystem {
         &self.cfg
     }
 
-    /// Replaces the energy model (coefficient studies).
+    /// Replaces the energy model (coefficient studies) and forgets every
+    /// memoized stage, whose energies the old model priced.
     pub fn set_energy_model(&mut self, m: EnergyModel) {
         self.energy_model = m;
+        self.stages.clear();
     }
 
-    /// Simulates one stage and returns its report.
+    /// Simulates one stage and returns its report; a stage this system
+    /// has simulated before is read from its memo.
     pub fn run_stage(&mut self, model: &ModelConfig, stage: &Stage) -> StageReport {
+        let key = (*model, *stage);
+        if let Some(report) = self.stages.get(&key) {
+            return report.clone();
+        }
         let mut compiler = Compiler::new(&self.cfg, model);
         let compiled = compiler.compile(stage);
-        self.execute(compiler.unit_map(), compiled)
+        let report = self.execute(compiler.unit_map(), compiled);
+        self.stages.insert(key, report.clone());
+        report
     }
 
     /// Simulates the Figure 12 FC microbenchmark (all block FCs with a
@@ -168,6 +203,107 @@ impl IanusSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
+    use crate::multi_device::DeviceGroup;
+
+    fn debug<T: std::fmt::Debug>(value: &T) -> String {
+        format!("{value:?}")
+    }
+
+    /// Stages a `(64, 8)` request prices, plus one it does not.
+    const STAGES: [Stage; 4] = [
+        Stage::Summarization { tokens: 64 },
+        Stage::Generation { past_tokens: 64 },
+        Stage::Generation { past_tokens: 70 },
+        Stage::Generation { past_tokens: 71 },
+    ];
+
+    #[test]
+    fn warm_system_reproduces_fresh_reports() {
+        let model = ModelConfig::gpt2_m();
+        let request = RequestShape::new(64, 8);
+        for cfg in [
+            SystemConfig::ianus(),
+            SystemConfig::partitioned(),
+            SystemConfig::npu_mem(),
+        ] {
+            let mut warm = IanusSystem::new(cfg);
+            let first = warm.run_request(&model, request);
+            // One summarization plus seven generation steps memoized.
+            assert!(debug(&warm).contains("memoized_stages: 8"), "{warm:?}");
+            for stage in &STAGES {
+                let fresh = IanusSystem::new(cfg).run_stage(&model, stage);
+                assert_eq!(debug(&warm.run_stage(&model, stage)), debug(&fresh));
+            }
+            assert_eq!(debug(&warm.run_request(&model, request)), debug(&first));
+            let fresh = IanusSystem::new(cfg).run_request(&model, request);
+            assert_eq!(debug(&first), debug(&fresh));
+        }
+
+        let mut warm = DeviceGroup::new(SystemConfig::ianus(), 2);
+        let first = warm.run_request(&model, request);
+        for tokens in [1, 64] {
+            let fresh = DeviceGroup::new(SystemConfig::ianus(), 2).prefill_time(&model, tokens);
+            assert_eq!(warm.prefill_time(&model, tokens), fresh);
+        }
+        for (past, batch) in [(64, 1), (70, 3), (71, 2)] {
+            let fresh = DeviceGroup::new(SystemConfig::ianus(), 2).decode_time(&model, past, batch);
+            assert_eq!(warm.decode_time(&model, past, batch), fresh);
+        }
+        assert_eq!(debug(&warm.run_request(&model, request)), debug(&first));
+        let fresh = DeviceGroup::new(SystemConfig::ianus(), 2).run_request(&model, request);
+        assert_eq!(debug(&first), debug(&fresh));
+    }
+
+    #[test]
+    fn set_energy_model_reprices_memoized_stages() {
+        let model = ModelConfig::gpt2_m();
+        let request = RequestShape::new(64, 8);
+        let costly = EnergyModel {
+            dram_per_byte: 2.0 * EnergyModel::default().dram_per_byte,
+            mu_per_flop: 3.0 * EnergyModel::default().mu_per_flop,
+            ..EnergyModel::default()
+        };
+        let mut warm = IanusSystem::new(SystemConfig::ianus());
+        let default_energy = warm.run_request(&model, request).energy;
+        warm.set_energy_model(costly);
+        assert!(debug(&warm).contains("memoized_stages: 0"), "{warm:?}");
+
+        let mut fresh = IanusSystem::new(SystemConfig::ianus());
+        fresh.set_energy_model(costly);
+        let repriced = warm.run_request(&model, request).energy;
+        assert_ne!(repriced, default_energy);
+        assert_eq!(repriced, fresh.run_request(&model, request).energy);
+        for stage in &STAGES {
+            assert_eq!(
+                warm.run_stage(&model, stage).energy,
+                fresh.run_stage(&model, stage).energy
+            );
+        }
+    }
+
+    #[test]
+    fn clone_carries_the_memo_and_agrees_with_its_source() {
+        let model = ModelConfig::gpt2_m();
+        let request = RequestShape::new(64, 8);
+        let mut source = IanusSystem::new(SystemConfig::ianus());
+        source.run_request(&model, request);
+        let mut clone = source.clone();
+        assert_eq!(debug(&clone), debug(&source));
+        for stage in &STAGES {
+            assert_eq!(
+                debug(&clone.run_stage(&model, stage)),
+                debug(&source.run_stage(&model, stage))
+            );
+        }
+        assert_eq!(
+            debug(&clone.run_request(&model, request)),
+            debug(&source.run_request(&model, request))
+        );
+        // Each copy now memoizes independently.
+        clone.run_stage(&model, &Stage::Generation { past_tokens: 1 });
+        assert_ne!(debug(&clone), debug(&source));
+    }
 
     #[test]
     fn sampled_matches_exact_within_two_percent() {
