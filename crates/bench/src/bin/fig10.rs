@@ -12,7 +12,7 @@ use ianus_bench::{banner, paper};
 use ianus_core::compiler::Compiler;
 use ianus_core::{OpClass, SystemConfig};
 use ianus_model::{ModelConfig, Stage};
-use ianus_npu::scheduler::{Command, Engine, Program};
+use ianus_npu::scheduler::{Engine, Program};
 use ianus_sim::Duration;
 
 /// Makespan of `program` with every command of `zeroed` given zero
@@ -24,20 +24,13 @@ fn makespan(cfg: &SystemConfig, units: usize, program: &Program, zeroed: Option<
         Some(tag) => {
             let mut p = Program::new();
             for cmd in program.commands() {
-                let mut c = Command::new(
-                    cmd.unit,
-                    if cmd.tag == tag {
-                        Duration::ZERO
-                    } else {
-                        cmd.duration
-                    },
-                    cmd.tag,
-                )
-                .after_all(cmd.deps.iter().copied());
-                for &s in &cmd.shared {
-                    c = c.holding(s);
-                }
-                p.push(c);
+                let duration = if cmd.tag == tag {
+                    Duration::ZERO
+                } else {
+                    cmd.duration
+                };
+                let (deps, shared) = (cmd.deps.iter().copied(), cmd.shared.iter().copied());
+                p.emit(cmd.unit, duration, cmd.tag, deps, shared);
             }
             engine.run(&p).makespan().as_ns_f64()
         }

@@ -20,16 +20,16 @@
 
 use crate::adaptive::{AdaptivePlanner, FcUnit};
 use crate::energy::Activity;
+use crate::memo::Memo;
 use crate::pas::{AttnMapping, FcMapping, Schedule};
 use crate::report::OpClass;
 use crate::{SystemConfig, UnitMap};
 use ianus_dram::TransferModel;
 use ianus_model::{FcShape, ModelConfig, ModelFamily, Stage};
-use ianus_npu::scheduler::{CmdId, Command, Program};
+use ianus_npu::scheduler::{CmdId, Program, UnitId};
 use ianus_npu::{DmaEngine, MatrixUnit, VectorUnit, VuOp};
 use ianus_pim::{GemvShape, PimModel, PimOpCost};
 use ianus_sim::Duration;
-use std::collections::HashMap;
 
 /// A compiled stage: the command program plus its activity counters and
 /// FLOP total.
@@ -71,7 +71,10 @@ pub struct Compiler<'a> {
     xfer: TransferModel,
     /// Every GEMV this compiler has priced, for both PIM commands and
     /// Algorithm 1's PIM estimates; lives as long as the compiler.
-    pim_cache: HashMap<GemvShape, PimOpCost>,
+    pim_cache: Memo<GemvShape, PimOpCost>,
+    /// Scratch dependency list reused by multi-command emitters (the
+    /// weight-chunk pipeline, barriers), so emission allocates nothing.
+    dep_buf: Vec<CmdId>,
     // --- per-compilation state ---
     prog: Program,
     activity: Activity,
@@ -101,7 +104,8 @@ impl<'a> Compiler<'a> {
             pim,
             planner: AdaptivePlanner::new(cfg),
             xfer: cfg.transfer_model(),
-            pim_cache: HashMap::new(),
+            pim_cache: Memo::default(),
+            dep_buf: Vec::new(),
             prog: Program::new(),
             activity: Activity::new(),
             naive_last: Vec::new(),
@@ -141,13 +145,17 @@ impl<'a> Compiler<'a> {
         let cores = self.cfg.npu.cores;
         let mut frontier: Vec<Option<CmdId>> = vec![None; cores as usize];
         for block in 0..self.model.blocks {
-            frontier = self.compile_block(stage, frontier);
-            let _ = block;
+            frontier = self.compile_block(stage, &frontier);
+            if block == 0 {
+                // Every block emits the same command structure: size the
+                // program once for the rest, with one block of slack for
+                // the LM head.
+                self.prog.reserve_repeats(self.model.blocks as usize);
+            }
         }
         if self.model.family == ModelFamily::Gpt {
-            frontier = self.compile_lm_head(stage, frontier);
+            self.compile_lm_head(&frontier);
         }
-        let _ = frontier;
         CompiledStage {
             program: std::mem::take(&mut self.prog),
             activity: self.activity,
@@ -166,13 +174,12 @@ impl<'a> Compiler<'a> {
         let mut frontier: Vec<Option<CmdId>> = vec![None; cores as usize];
         for _ in 0..self.model.blocks {
             for c in 0..cores {
-                let deps: Vec<CmdId> = frontier[c as usize].into_iter().collect();
                 let ln = self.vu_cmd(
                     c,
                     VuOp::LayerNorm,
                     tokens * ops.embed_dim(),
                     OpClass::LayerNorm,
-                    deps,
+                    frontier[c as usize].as_slice(),
                 );
                 let qkv = self.fc(
                     c,
@@ -181,7 +188,7 @@ impl<'a> Compiler<'a> {
                     false,
                     mapping,
                     OpClass::FcQkv,
-                    vec![ln],
+                    &[ln],
                     self.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim()),
                 );
                 let proj = self.fc(
@@ -191,7 +198,7 @@ impl<'a> Compiler<'a> {
                     false,
                     mapping,
                     OpClass::FcAttnProjAdd,
-                    vec![qkv],
+                    &[qkv],
                     Duration::ZERO,
                 );
                 let ffn1 = self.fc(
@@ -201,7 +208,7 @@ impl<'a> Compiler<'a> {
                     true,
                     mapping,
                     OpClass::FfnAdd,
-                    vec![proj],
+                    &[proj],
                     Duration::ZERO,
                 );
                 let ffn2 = self.fc(
@@ -211,12 +218,12 @@ impl<'a> Compiler<'a> {
                     false,
                     mapping,
                     OpClass::FfnAdd,
-                    vec![ffn1],
+                    &[ffn1],
                     Duration::ZERO,
                 );
                 frontier[c as usize] = Some(ffn2);
             }
-            frontier = self.barrier(stage.batch_tokens(), frontier);
+            frontier = self.barrier(stage.batch_tokens(), &frontier);
         }
         CompiledStage {
             program: std::mem::take(&mut self.prog),
@@ -233,7 +240,7 @@ impl<'a> Compiler<'a> {
     // Block structure
     // ------------------------------------------------------------------
 
-    fn compile_block(&mut self, stage: &Stage, frontier: Vec<Option<CmdId>>) -> Vec<Option<CmdId>> {
+    fn compile_block(&mut self, stage: &Stage, frontier: &[Option<CmdId>]) -> Vec<Option<CmdId>> {
         let cores = self.cfg.npu.cores;
         let ops = self.model.block_ops();
         let tokens = stage.batch_tokens();
@@ -242,13 +249,12 @@ impl<'a> Compiler<'a> {
         // LayerNorm 1 + multi-head attention per core.
         let mut after_attn: Vec<Option<CmdId>> = vec![None; cores as usize];
         for c in 0..cores {
-            let deps: Vec<CmdId> = frontier[c as usize].into_iter().collect();
             let ln1 = self.vu_cmd(
                 c,
                 VuOp::LayerNorm,
                 tokens * ops.embed_dim(),
                 OpClass::LayerNorm,
-                deps,
+                frontier[c as usize].as_slice(),
             );
             let attn_last = match stage {
                 Stage::Summarization { .. } => self.summarization_attention(c, stage, ln1),
@@ -260,12 +266,11 @@ impl<'a> Compiler<'a> {
             after_attn[c as usize] = Some(attn_last);
         }
         // Sync 1: after multi-head attention.
-        let merged = self.barrier(tokens, after_attn);
+        let merged = self.barrier(tokens, &after_attn);
 
         // Attention output FC (column-parallel) + residual add.
         let mut after_res1: Vec<Option<CmdId>> = vec![None; cores as usize];
         for c in 0..cores {
-            let deps: Vec<CmdId> = merged[c as usize].into_iter().collect();
             let fc = self.fc(
                 c,
                 tokens,
@@ -273,7 +278,7 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FcAttnProjAdd,
-                deps,
+                merged[c as usize].as_slice(),
                 Duration::ZERO,
             );
             let res = self.vu_cmd(
@@ -281,23 +286,22 @@ impl<'a> Compiler<'a> {
                 VuOp::ResidualAdd,
                 tokens * ops.embed_dim().div_ceil(part),
                 OpClass::FcAttnProjAdd,
-                vec![fc],
+                &[fc],
             );
             after_res1[c as usize] = Some(res);
         }
         // Sync 2: after the residual addition.
-        let merged = self.barrier(tokens, after_res1);
+        let merged = self.barrier(tokens, &after_res1);
 
         // LayerNorm 2 + FFN1 (+GELU).
         let mut after_gelu: Vec<Option<CmdId>> = vec![None; cores as usize];
         for c in 0..cores {
-            let deps: Vec<CmdId> = merged[c as usize].into_iter().collect();
             let ln2 = self.vu_cmd(
                 c,
                 VuOp::LayerNorm,
                 tokens * ops.embed_dim(),
                 OpClass::LayerNorm,
-                deps,
+                merged[c as usize].as_slice(),
             );
             let ln2_time = self.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim());
             let ffn1 = self.fc(
@@ -307,18 +311,17 @@ impl<'a> Compiler<'a> {
                 true,
                 self.cfg.pas.fc,
                 OpClass::FfnAdd,
-                vec![ln2],
+                &[ln2],
                 ln2_time,
             );
             after_gelu[c as usize] = Some(ffn1);
         }
         // Sync 3: after GELU.
-        let merged = self.barrier(tokens, after_gelu);
+        let merged = self.barrier(tokens, &after_gelu);
 
         // FFN2 + residual add.
         let mut after_res2: Vec<Option<CmdId>> = vec![None; cores as usize];
         for c in 0..cores {
-            let deps: Vec<CmdId> = merged[c as usize].into_iter().collect();
             let fc = self.fc(
                 c,
                 tokens,
@@ -326,7 +329,7 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FfnAdd,
-                deps,
+                merged[c as usize].as_slice(),
                 Duration::ZERO,
             );
             let res = self.vu_cmd(
@@ -334,27 +337,28 @@ impl<'a> Compiler<'a> {
                 VuOp::ResidualAdd,
                 tokens * ops.embed_dim().div_ceil(part),
                 OpClass::FfnAdd,
-                vec![fc],
+                &[fc],
             );
             after_res2[c as usize] = Some(res);
         }
         // Sync 4: after the residual addition.
-        self.barrier(tokens, after_res2)
+        self.barrier(tokens, &after_res2)
     }
 
-    fn compile_lm_head(
-        &mut self,
-        stage: &Stage,
-        frontier: Vec<Option<CmdId>>,
-    ) -> Vec<Option<CmdId>> {
+    fn compile_lm_head(&mut self, frontier: &[Option<CmdId>]) {
         let cores = self.cfg.npu.cores;
         let ops = self.model.block_ops();
         let part = self.partitions();
         let mut last: Vec<Option<CmdId>> = vec![None; cores as usize];
         for c in 0..cores {
-            let deps: Vec<CmdId> = frontier[c as usize].into_iter().collect();
             // Final layer norm over the last token, then logits.
-            let ln = self.vu_cmd(c, VuOp::LayerNorm, ops.embed_dim(), OpClass::Other, deps);
+            let ln = self.vu_cmd(
+                c,
+                VuOp::LayerNorm,
+                ops.embed_dim(),
+                OpClass::Other,
+                frontier[c as usize].as_slice(),
+            );
             // Only the newest token needs logits in both stages.
             let fc = self.fc(
                 c,
@@ -363,13 +367,12 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::LmHead,
-                vec![ln],
+                &[ln],
                 Duration::ZERO,
             );
             last[c as usize] = Some(fc);
         }
-        let _ = stage;
-        self.barrier(1, last)
+        self.barrier(1, &last);
     }
 
     // ------------------------------------------------------------------
@@ -389,27 +392,27 @@ impl<'a> Compiler<'a> {
         let mut last_sv = ln;
         for _h in 0..heads {
             // Key first so its transpose overlaps Q/V generation.
-            let wk = self.striped_load(core, w_bytes, OpClass::FcQkv, vec![]);
-            let kg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, vec![wk, ln]);
-            let tr = self.onchip(core, m * dh * 2, OpClass::SelfAttention, vec![kg]);
-            let wq = self.striped_load(core, w_bytes, OpClass::FcQkv, vec![]);
-            let qg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, vec![wq, ln]);
-            let wv = self.striped_load(core, w_bytes, OpClass::FcQkv, vec![]);
-            let vg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, vec![wv, ln]);
+            let wk = self.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
+            let kg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wk, ln]);
+            let tr = self.onchip(core, m * dh * 2, OpClass::SelfAttention, &[kg]);
+            let wq = self.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
+            let qg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wq, ln]);
+            let wv = self.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
+            let vg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wv, ln]);
             // Scaling is fused into the matrix unit's output stage.
-            let qkt = self.mu_gemm(core, m, dh, m, OpClass::SelfAttention, vec![qg, tr]);
+            let qkt = self.mu_gemm(core, m, dh, m, OpClass::SelfAttention, &[qg, tr]);
             // Keys and values stored to the KV cache during computation.
-            let _kv = self.local_store(core, 2 * m * dh * 2, OpClass::SelfAttention, vec![kg, vg]);
+            let _kv = self.local_store(core, 2 * m * dh * 2, OpClass::SelfAttention, &[kg, vg]);
             let sm = self.vu_cmd(
                 core,
                 VuOp::MaskedSoftmax,
                 m * m,
                 OpClass::SelfAttention,
-                vec![qkt],
+                &[qkt],
             );
             // Values move to the weight scratchpad during softmax.
-            let vmv = self.onchip(core, m * dh * 2, OpClass::SelfAttention, vec![vg]);
-            last_sv = self.mu_gemm(core, m, m, dh, OpClass::SelfAttention, vec![sm, vmv]);
+            let vmv = self.onchip(core, m * dh * 2, OpClass::SelfAttention, &[vg]);
+            last_sv = self.mu_gemm(core, m, m, dh, OpClass::SelfAttention, &[sm, vmv]);
         }
         last_sv
     }
@@ -429,7 +432,7 @@ impl<'a> Compiler<'a> {
         for _h in 0..heads {
             // Kpre prefetch: no dependency, so it schedules behind the
             // previous head's SV on the load DMA (step 4 of Fig. 7c).
-            let kpre = self.local_load(core, p * dh * 2, OpClass::SelfAttention, vec![]);
+            let kpre = self.local_load(core, p * dh * 2, OpClass::SelfAttention, &[]);
             // Key generation first (PIM), then concat on the VU overlaps
             // query generation in PIM (step 1).
             let kgen = self.fc(
@@ -439,7 +442,7 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FcQkv,
-                vec![ln],
+                &[ln],
                 Duration::ZERO,
             );
             let cat = self.vu_cmd(
@@ -447,9 +450,9 @@ impl<'a> Compiler<'a> {
                 VuOp::Concat,
                 (p + 1) * dh,
                 OpClass::SelfAttention,
-                vec![kpre, kgen],
+                &[kpre, kgen],
             );
-            let tr = self.onchip(core, (p + 1) * dh * 2, OpClass::SelfAttention, vec![cat]);
+            let tr = self.onchip(core, (p + 1) * dh * 2, OpClass::SelfAttention, &[cat]);
             let qgen = self.fc(
                 core,
                 1,
@@ -457,12 +460,12 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FcQkv,
-                vec![ln],
+                &[ln],
                 Duration::ZERO,
             );
             // QK^T on the matrix unit in parallel with value generation
             // (step 2).
-            let qkt = self.mu_gemm(core, 1, dh, p + 1, OpClass::SelfAttention, vec![qgen, tr]);
+            let qkt = self.mu_gemm(core, 1, dh, p + 1, OpClass::SelfAttention, &[qgen, tr]);
             let vgen = self.fc(
                 core,
                 1,
@@ -470,7 +473,7 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FcQkv,
-                vec![ln],
+                &[ln],
                 Duration::ZERO,
             );
             let sm = self.vu_cmd(
@@ -478,12 +481,12 @@ impl<'a> Compiler<'a> {
                 VuOp::MaskedSoftmax,
                 p + 1,
                 OpClass::SelfAttention,
-                vec![qkt],
+                &[qkt],
             );
             // KV store + Vcat load during softmax (step 3).
-            let _kv = self.local_store(core, 2 * dh * 2, OpClass::SelfAttention, vec![kgen, vgen]);
-            let vcat = self.local_load(core, (p + 1) * dh * 2, OpClass::SelfAttention, vec![vgen]);
-            last_sv = self.mu_gemm(core, 1, p + 1, dh, OpClass::SelfAttention, vec![sm, vcat]);
+            let _kv = self.local_store(core, 2 * dh * 2, OpClass::SelfAttention, &[kgen, vgen]);
+            let vcat = self.local_load(core, (p + 1) * dh * 2, OpClass::SelfAttention, &[vgen]);
+            last_sv = self.mu_gemm(core, 1, p + 1, dh, OpClass::SelfAttention, &[sm, vcat]);
         }
         last_sv
     }
@@ -510,7 +513,7 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FcQkv,
-                vec![ln],
+                &[ln],
                 Duration::ZERO,
             );
             let qgen = self.fc(
@@ -520,7 +523,7 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FcQkv,
-                vec![ln],
+                &[ln],
                 Duration::ZERO,
             );
             let vgen = self.fc(
@@ -530,31 +533,31 @@ impl<'a> Compiler<'a> {
                 false,
                 self.cfg.pas.fc,
                 OpClass::FcQkv,
-                vec![ln],
+                &[ln],
                 Duration::ZERO,
             );
             // The new key/value must land in the PIM-resident cache before
             // the products run.
-            let kst = self.local_store(core, dh * 2, OpClass::SelfAttention, vec![kgen]);
-            let vst = self.local_store(core, dh * 2, OpClass::SelfAttention, vec![vgen]);
+            let kst = self.local_store(core, dh * 2, OpClass::SelfAttention, &[kgen]);
+            let vst = self.local_store(core, dh * 2, OpClass::SelfAttention, &[vgen]);
             let qkt = self.pim_gemv(
                 core,
                 GemvShape::new(p + 1, dh),
                 OpClass::SelfAttention,
-                vec![qgen, kst],
+                &[qgen, kst],
             );
             let sm = self.vu_cmd(
                 core,
                 VuOp::MaskedSoftmax,
                 p + 1,
                 OpClass::SelfAttention,
-                vec![qkt],
+                &[qkt],
             );
             last_sv = self.pim_gemv(
                 core,
                 GemvShape::new(dh, p + 1),
                 OpClass::SelfAttention,
-                vec![sm, vst],
+                &[sm, vst],
             );
         }
         last_sv
@@ -576,7 +579,7 @@ impl<'a> Compiler<'a> {
         gelu: bool,
         mapping: FcMapping,
         class: OpClass,
-        deps: Vec<CmdId>,
+        deps: &[CmdId],
         prefetch: Duration,
     ) -> CmdId {
         let unit = match mapping {
@@ -605,15 +608,13 @@ impl<'a> Compiler<'a> {
                 let shape = GemvShape::new(pim_rows, fc.in_dim)
                     .with_batch(tokens as u32)
                     .with_gelu(gelu);
-                let pim_cmd = self.pim_gemv(core, shape, class, deps.clone());
+                let pim_cmd = self.pim_gemv(core, shape, class, deps);
                 if pim_rows < fc.out_dim {
                     let rest = FcShape::new(fc.in_dim, fc.out_dim - pim_rows);
                     let mu_cmd = self.fc_mu_with_gelu(core, tokens, rest, gelu, class, deps);
                     // The FC completes when both halves do.
-                    let join = Command::new(self.units.vu(core), Duration::ZERO, class.tag())
-                        .after(pim_cmd)
-                        .after(mu_cmd);
-                    self.emit(core, join)
+                    let vu = self.units.vu(core);
+                    self.emit(core, vu, Duration::ZERO, class, &[pim_cmd, mu_cmd], None)
                 } else {
                     pim_cmd
                 }
@@ -641,11 +642,11 @@ impl<'a> Compiler<'a> {
         fc: FcShape,
         gelu: bool,
         class: OpClass,
-        deps: Vec<CmdId>,
+        deps: &[CmdId],
     ) -> CmdId {
         let last = self.fc_on_mu(core, tokens, fc, class, deps);
         if gelu {
-            self.vu_cmd(core, VuOp::Gelu, tokens * fc.out_dim, class, vec![last])
+            self.vu_cmd(core, VuOp::Gelu, tokens * fc.out_dim, class, &[last])
         } else {
             last
         }
@@ -663,18 +664,19 @@ impl<'a> Compiler<'a> {
         tokens: u64,
         fc: FcShape,
         class: OpClass,
-        deps: Vec<CmdId>,
+        deps: &[CmdId],
     ) -> CmdId {
-        let gate: Vec<CmdId> = if self.cfg.pas.schedule == Schedule::Naive {
-            // Naive scheduling: may not overlap a preceding PIM command.
-            self.naive_last_pim[core as usize].into_iter().collect()
+        // Naive scheduling: may not overlap a preceding PIM command.
+        let gate = if self.cfg.pas.schedule == Schedule::Naive {
+            self.naive_last_pim[core as usize]
         } else {
-            Vec::new()
+            None
         };
         let suspended = self.suspend_naive;
         self.suspend_naive = true;
         let chunks = self.planner.chunk_count(fc);
         let cols = fc.out_dim.div_ceil(chunks);
+        let mut buf = std::mem::take(&mut self.dep_buf);
         let mut prev_gemm: Option<CmdId> = None;
         let mut prev_load: Option<CmdId> = None;
         let mut remaining = fc.out_dim;
@@ -682,19 +684,22 @@ impl<'a> Compiler<'a> {
         while remaining > 0 {
             let n = cols.min(remaining);
             remaining -= n;
-            let mut load_deps = gate.clone();
-            load_deps.extend(prev_load);
-            let load = self.striped_load(core, fc.in_dim * n * 2, class, load_deps);
+            buf.clear();
+            buf.extend(gate);
+            buf.extend(prev_load);
+            let load = self.striped_load(core, fc.in_dim * n * 2, class, &buf);
             prev_load = Some(load);
-            let mut gemm_deps = vec![load];
-            gemm_deps.extend(prev_gemm);
+            buf.clear();
+            buf.push(load);
+            buf.extend(prev_gemm);
             if prev_gemm.is_none() {
-                gemm_deps.extend(deps.iter().copied());
-                gemm_deps.extend(gate.iter().copied());
+                buf.extend_from_slice(deps);
+                buf.extend(gate);
             }
-            last = self.mu_gemm(core, tokens, fc.in_dim, n, class, gemm_deps);
+            last = self.mu_gemm(core, tokens, fc.in_dim, n, class, &buf);
             prev_gemm = Some(last);
         }
+        self.dep_buf = buf;
         self.suspend_naive = suspended;
         self.naive_last[core as usize] = Some(last);
         last
@@ -723,8 +728,16 @@ impl<'a> Compiler<'a> {
     }
 
     /// Pushes a non-PIM command, applying naive-schedule chaining.
-    fn emit(&mut self, core: u32, cmd: Command) -> CmdId {
-        self.emit_inner(core, cmd, false)
+    fn emit(
+        &mut self,
+        core: u32,
+        unit: UnitId,
+        duration: Duration,
+        class: OpClass,
+        deps: &[CmdId],
+        shared: impl IntoIterator<Item = UnitId>,
+    ) -> CmdId {
+        self.emit_inner(core, unit, duration, class, deps, shared, false)
     }
 
     /// Pushes a command. The naive schedule of Figure 13 "fails to observe
@@ -733,19 +746,34 @@ impl<'a> Compiler<'a> {
     /// command of its core, and no later command may start before it —
     /// while NPU-internal dataflow (DMA/MU/VU pipelining) keeps its
     /// hardware overlap.
-    fn emit_inner(&mut self, core: u32, mut cmd: Command, is_pim: bool) -> CmdId {
+    #[allow(clippy::too_many_arguments)]
+    fn emit_inner(
+        &mut self,
+        core: u32,
+        unit: UnitId,
+        duration: Duration,
+        class: OpClass,
+        deps: &[CmdId],
+        shared: impl IntoIterator<Item = UnitId>,
+        is_pim: bool,
+    ) -> CmdId {
         let c = core as usize;
-        if self.cfg.pas.schedule == Schedule::Naive && !self.suspend_naive {
-            let gate = if is_pim {
+        let gate = if self.cfg.pas.schedule == Schedule::Naive && !self.suspend_naive {
+            if is_pim {
                 self.naive_last[c]
             } else {
                 self.naive_last_pim[c]
-            };
-            if let Some(prev) = gate {
-                cmd = cmd.after(prev);
             }
-        }
-        let id = self.prog.push(cmd);
+        } else {
+            None
+        };
+        let id = self.prog.emit(
+            unit,
+            duration,
+            class.tag(),
+            deps.iter().copied().chain(gate),
+            shared,
+        );
         if !self.suspend_naive {
             self.naive_last[c] = Some(id);
             if is_pim {
@@ -755,33 +783,25 @@ impl<'a> Compiler<'a> {
         id
     }
 
-    fn striped_load(&mut self, core: u32, bytes: u64, class: OpClass, deps: Vec<CmdId>) -> CmdId {
+    fn striped_load(&mut self, core: u32, bytes: u64, class: OpClass, deps: &[CmdId]) -> CmdId {
         self.activity.dram_read_bytes += bytes;
         let dur = self.dma.setup() + self.xfer.data_time(bytes, self.cfg.npu_channels());
-        let cmd = Command::new(self.units.dma_in(core), dur, class.tag())
-            .after_all(deps)
-            .holding_all(self.units.striped_dma_holds());
-        self.emit(core, cmd)
+        let unit = self.units.dma_in(core);
+        self.emit(core, unit, dur, class, deps, self.units.striped_dma_holds())
     }
 
-    fn local_load(&mut self, core: u32, bytes: u64, class: OpClass, deps: Vec<CmdId>) -> CmdId {
+    fn local_load(&mut self, core: u32, bytes: u64, class: OpClass, deps: &[CmdId]) -> CmdId {
         self.activity.dram_read_bytes += bytes;
-        let ch = self.local_channels();
-        let dur = self.dma.setup() + self.xfer.data_time(bytes, ch);
-        let cmd = Command::new(self.units.dma_in(core), dur, class.tag())
-            .after_all(deps)
-            .holding_all(self.units.local_dma_holds(core));
-        self.emit(core, cmd)
+        let dur = self.dma.setup() + self.xfer.data_time(bytes, self.local_channels());
+        let unit = self.units.dma_in(core);
+        self.emit(core, unit, dur, class, deps, self.units.channel_token(core))
     }
 
-    fn local_store(&mut self, core: u32, bytes: u64, class: OpClass, deps: Vec<CmdId>) -> CmdId {
+    fn local_store(&mut self, core: u32, bytes: u64, class: OpClass, deps: &[CmdId]) -> CmdId {
         self.activity.dram_write_bytes += bytes;
-        let ch = self.local_channels();
-        let dur = self.dma.setup() + self.xfer.data_time(bytes, ch);
-        let cmd = Command::new(self.units.dma_out(core), dur, class.tag())
-            .after_all(deps)
-            .holding_all(self.units.local_dma_holds(core));
-        self.emit(core, cmd)
+        let dur = self.dma.setup() + self.xfer.data_time(bytes, self.local_channels());
+        let unit = self.units.dma_out(core);
+        self.emit(core, unit, dur, class, deps, self.units.channel_token(core))
     }
 
     fn local_channels(&self) -> u32 {
@@ -798,15 +818,13 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn onchip(&mut self, core: u32, bytes: u64, class: OpClass, deps: Vec<CmdId>) -> CmdId {
+    fn onchip(&mut self, core: u32, bytes: u64, class: OpClass, deps: &[CmdId]) -> CmdId {
         self.activity.onchip_bytes += bytes;
         // The streaming transpose occupies both DMAs (Section 4.2.1), so
         // it blocks off-chip traffic from this core but not PIM.
         let dur = self.dma.onchip_transpose(bytes);
-        let cmd = Command::new(self.units.dma_out(core), dur, class.tag())
-            .after_all(deps)
-            .holding(self.units.dma_in(core));
-        self.emit(core, cmd)
+        let (unit, held) = (self.units.dma_out(core), self.units.dma_in(core));
+        self.emit(core, unit, dur, class, deps, Some(held))
     }
 
     fn mu_gemm(
@@ -816,26 +834,19 @@ impl<'a> Compiler<'a> {
         k: u64,
         n: u64,
         class: OpClass,
-        deps: Vec<CmdId>,
+        deps: &[CmdId],
     ) -> CmdId {
         self.activity.mu_flops += 2 * m * k * n;
         let dur = self.mu.gemm(m, k, n);
-        let cmd = Command::new(self.units.mu(core), dur, class.tag()).after_all(deps);
-        self.emit(core, cmd)
+        let unit = self.units.mu(core);
+        self.emit(core, unit, dur, class, deps, None)
     }
 
-    fn vu_cmd(
-        &mut self,
-        core: u32,
-        op: VuOp,
-        elems: u64,
-        class: OpClass,
-        deps: Vec<CmdId>,
-    ) -> CmdId {
+    fn vu_cmd(&mut self, core: u32, op: VuOp, elems: u64, class: OpClass, deps: &[CmdId]) -> CmdId {
         self.activity.vu_ops += elems;
         let dur = self.vu.op(op, elems);
-        let cmd = Command::new(self.units.vu(core), dur, class.tag()).after_all(deps);
-        self.emit(core, cmd)
+        let unit = self.units.vu(core);
+        self.emit(core, unit, dur, class, deps, None)
     }
 
     /// The cost of one GEMV, simulated on the first request for its
@@ -848,56 +859,51 @@ impl<'a> Compiler<'a> {
             .or_insert_with(|| pim.gemv(shape))
     }
 
-    fn pim_gemv(&mut self, core: u32, shape: GemvShape, class: OpClass, deps: Vec<CmdId>) -> CmdId {
+    fn pim_gemv(&mut self, core: u32, shape: GemvShape, class: OpClass, deps: &[CmdId]) -> CmdId {
         let cost = self.pim_cost(shape);
         self.activity.pim_internal_bytes += cost.internal_bytes;
         self.activity.pim_activations += cost.activations;
         self.activity.pim_gb_bytes += cost.gb_bytes;
         self.activity.pim_drain_bytes += cost.drain_bytes;
         let duration = cost.total + self.cfg.pim_macro_overhead;
-        let cmd = Command::new(
-            self.units.pim(self.units.group_of_core(core)),
-            duration,
-            class.tag(),
-        )
-        .after_all(deps)
-        .holding_all(
-            self.units
-                .pim_holds(core)
-                .into_iter()
-                .filter(|&u| u != self.units.pim(self.units.group_of_core(core))),
-        );
-        self.emit_inner(core, cmd, true)
+        // The command runs on its group's PIM pipeline and, in the
+        // unified system, also holds that group's channel token.
+        let unit = self.units.pim(self.units.group_of_core(core));
+        let token = self.units.channel_token(core);
+        self.emit_inner(core, unit, duration, class, deps, token, true)
     }
 
     /// Emits a full synchronization: every core's next command depends on
     /// every core's last command; multi-device configurations add a PCIe
     /// exchange of the activations.
-    fn barrier(&mut self, tokens: u64, last: Vec<Option<CmdId>>) -> Vec<Option<CmdId>> {
-        let cores = self.cfg.npu.cores;
-        let all: Vec<CmdId> = last.iter().filter_map(|&c| c).collect();
-        let mut gate: Vec<CmdId> = all.clone();
+    fn barrier(&mut self, tokens: u64, last: &[Option<CmdId>]) -> Vec<Option<CmdId>> {
+        let mut gate = std::mem::take(&mut self.dep_buf);
+        gate.clear();
+        gate.extend(last.iter().flatten());
         if self.cfg.devices > 1 {
             let d = u64::from(self.cfg.devices);
             let bytes = tokens * self.model.embed_dim * 2 * 2 * (d - 1) / d;
             let hops = u64::from(32 - (self.cfg.devices - 1).leading_zeros()); // ceil(log2 d)
             let dur = self.cfg.pcie_latency * hops.max(1)
                 + Duration::from_ns_f64(bytes as f64 / self.cfg.pcie_gbps);
-            let comm =
-                Command::new(self.units.pcie(), dur, OpClass::Sync.tag()).after_all(all.clone());
-            let comm_id = self.prog.push(comm);
-            gate = vec![comm_id];
-        }
-        let mut out: Vec<Option<CmdId>> = Vec::with_capacity(cores as usize);
-        for c in 0..cores {
-            let cmd = Command::new(
-                self.units.vu(c),
-                self.cfg.npu.dispatch_overhead,
+            let comm = self.prog.emit(
+                self.units.pcie(),
+                dur,
                 OpClass::Sync.tag(),
-            )
-            .after_all(gate.iter().copied());
-            out.push(Some(self.emit(c, cmd)));
+                gate.iter().copied(),
+                None,
+            );
+            gate.clear();
+            gate.push(comm);
         }
+        let dispatch = self.cfg.npu.dispatch_overhead;
+        let out = (0..self.cfg.npu.cores)
+            .map(|c| {
+                let vu = self.units.vu(c);
+                Some(self.emit(c, vu, dispatch, OpClass::Sync, &gate, None))
+            })
+            .collect();
+        self.dep_buf = gate;
         out
     }
 }
@@ -990,7 +996,6 @@ mod tests {
         let pcie_cmds = compiled
             .program
             .commands()
-            .iter()
             .filter(|cmd| cmd.unit == pcie)
             .count();
         assert_eq!(pcie_cmds as u64, 4 * model.blocks + 1);
@@ -1011,13 +1016,11 @@ mod tests {
         let pim_cmds = compiled
             .program
             .commands()
-            .iter()
             .filter(|cmd| pim_units.contains(&cmd.unit))
             .count();
         let mu_fc_cmds = compiled
             .program
             .commands()
-            .iter()
             .filter(|cmd| cmd.unit == units.mu(0) && cmd.tag == OpClass::FfnAdd.tag())
             .count();
         assert!(pim_cmds > 0, "no PIM commands in partitioned mode");
@@ -1033,7 +1036,6 @@ mod tests {
         let u_mu_fc = ucompiled
             .program
             .commands()
-            .iter()
             .filter(|cmd| cmd.unit == uunits.mu(0) && cmd.tag == OpClass::FfnAdd.tag())
             .count();
         assert_eq!(u_mu_fc, 0);
@@ -1053,7 +1055,6 @@ mod tests {
             compiled
                 .program
                 .commands()
-                .iter()
                 .filter(|cmd| {
                     cmd.tag == OpClass::SelfAttention.tag()
                         && if unit_is_mu {
@@ -1094,6 +1095,68 @@ mod tests {
         let pm = cm.compile_fc_microbench(8, FcMapping::Pim).program.len();
         let pl = cl.compile_fc_microbench(8, FcMapping::Pim).program.len();
         assert!(pl > pm);
+    }
+
+    #[test]
+    fn compiled_program_sizes_are_pinned() {
+        // (commands, dependency entries, shared-resource entries), pinned
+        // so an emission refactor cannot drop or duplicate commands,
+        // dependencies or resource holds.
+        let naive = SystemConfig::ianus().with_pas(crate::pas::PasPolicy {
+            schedule: Schedule::Naive,
+            ..crate::pas::PasPolicy::ianus()
+        });
+        let gen = Stage::Generation { past_tokens: 300 };
+        let cases = [
+            (
+                SystemConfig::ianus(),
+                ModelConfig::gpt2_m(),
+                gen,
+                (5_292, 7_604, 2_980),
+            ),
+            (
+                SystemConfig::ianus(),
+                ModelConfig::gpt2_xl(),
+                gen,
+                (14_796, 20_564, 8_644),
+            ),
+            (
+                SystemConfig::ianus(),
+                ModelConfig::gpt2_xl(),
+                Stage::Summarization { tokens: 128 },
+                (19_020, 25_940, 29_380),
+            ),
+            (
+                SystemConfig::ianus(),
+                ModelConfig::gpt2_2_5b(),
+                Stage::Summarization { tokens: 512 },
+                (20_964, 29_180, 34_564),
+            ),
+            (naive, ModelConfig::gpt2_xl(), gen, (14_796, 35_352, 8_644)),
+            (
+                SystemConfig::partitioned(),
+                ModelConfig::gpt2_2_5b(),
+                Stage::Summarization { tokens: 512 },
+                (21_008, 29_244, 8_444),
+            ),
+            (
+                SystemConfig::ianus().with_devices(4),
+                ModelConfig::gpt2_xl(),
+                gen,
+                (6_541, 8_268, 3_268),
+            ),
+        ];
+        for (cfg, model, stage, expected) in cases {
+            let program = Compiler::new(&cfg, &model).compile(&stage).program;
+            let deps: usize = program.commands().map(|c| c.deps.len()).sum();
+            let shared: usize = program.commands().map(|c| c.shared.len()).sum();
+            assert_eq!(
+                (program.len(), deps, shared),
+                expected,
+                "{} {stage:?}",
+                model.name
+            );
+        }
     }
 
     #[test]

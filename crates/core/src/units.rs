@@ -10,6 +10,7 @@
 
 use crate::{MemoryPolicy, SystemConfig};
 use ianus_npu::scheduler::UnitId;
+use std::ops::Range;
 
 /// Resolves unit indices for a system configuration.
 ///
@@ -103,37 +104,22 @@ impl UnitMap {
 
     /// Resources a striped DMA stream must hold: the NPU bus, plus — in
     /// the unified system only — every channel group token (the stream
-    /// touches all channels, so it conflicts with every PIM op).
-    pub fn striped_dma_holds(&self) -> Vec<UnitId> {
-        let mut v = vec![self.npu_mem()];
-        if self.unified {
-            v.extend((0..self.groups).map(|g| self.mem(g)));
-        }
-        v
+    /// touches all channels, so it conflicts with every PIM op). The
+    /// tokens sit right after the bus, so this is one contiguous range.
+    pub fn striped_dma_holds(&self) -> Range<UnitId> {
+        let tokens = if self.unified { self.groups } else { 0 };
+        self.npu_mem()..self.npu_mem() + 1 + tokens as UnitId
     }
 
-    /// Resources a core-local DMA stream (KV cache, PIM input/output under
-    /// head-wise placement) must hold.
-    pub fn local_dma_holds(&self, core: u32) -> Vec<UnitId> {
-        if self.unified {
-            vec![self.mem(self.group_of_core(core))]
-        } else {
-            // Partitioned / NPU-only systems also place per-head KV data
-            // on per-core channels: transfers are core-private and only
-            // occupy the core's own DMA engine.
-            Vec::new()
-        }
-    }
-
-    /// Resources a macro PIM command on core `c`'s group must hold: its
-    /// PIM pipeline plus — in the unified system — its channel token.
-    pub fn pim_holds(&self, core: u32) -> Vec<UnitId> {
-        let g = self.group_of_core(core);
-        if self.unified {
-            vec![self.pim(g), self.mem(g)]
-        } else {
-            vec![self.pim(g)]
-        }
+    /// The memory-channel token of core `c`'s group, held in the unified
+    /// system by core-local DMA streams (KV cache, PIM input/output under
+    /// head-wise placement) and by macro PIM commands on that group, so
+    /// the two serialize. Partitioned / NPU-only systems place per-head
+    /// data on per-core channels: their local transfers are core-private
+    /// and only occupy the core's own DMA engine, and PIM ops hold only
+    /// their pipeline.
+    pub fn channel_token(&self, core: u32) -> Option<UnitId> {
+        self.unified.then(|| self.mem(self.group_of_core(core)))
     }
 
     fn core_base(&self, c: u32) -> UnitId {
@@ -171,6 +157,7 @@ mod tests {
         let m = UnitMap::new(&SystemConfig::ianus());
         let holds = m.striped_dma_holds();
         assert_eq!(holds.len(), 1 + m.groups() as usize);
+        assert!(holds.contains(&m.npu_mem()));
         for g in 0..m.groups() {
             assert!(holds.contains(&m.mem(g)));
         }
@@ -179,16 +166,14 @@ mod tests {
     #[test]
     fn partitioned_dma_does_not_conflict_with_pim() {
         let m = UnitMap::new(&SystemConfig::partitioned());
-        assert_eq!(m.striped_dma_holds(), vec![m.npu_mem()]);
-        assert_eq!(m.pim_holds(0), vec![m.pim(0)]);
+        assert_eq!(m.striped_dma_holds(), m.npu_mem()..m.npu_mem() + 1);
+        assert_eq!(m.channel_token(0), None);
     }
 
     #[test]
     fn unified_pim_holds_channel_token() {
         let m = UnitMap::new(&SystemConfig::ianus());
-        let holds = m.pim_holds(2);
-        assert!(holds.contains(&m.mem(2)));
-        assert!(holds.contains(&m.pim(2)));
+        assert_eq!(m.channel_token(2), Some(m.mem(2)));
     }
 
     #[test]

@@ -29,7 +29,9 @@ use ianus_sim::Duration;
 pub struct TransferModel {
     org: GddrOrganization,
     timings: GddrTimings,
-    refresh: bool,
+    /// [`Self::stream_efficiency`], computed once per model: every DMA
+    /// command the compiler prices reads it.
+    efficiency: f64,
 }
 
 impl Default for TransferModel {
@@ -49,15 +51,17 @@ impl TransferModel {
         TransferModel {
             org,
             timings,
-            refresh: false,
+            efficiency: Self::efficiency(org, timings, false),
         }
     }
 
     /// Enables or disables refresh-overhead derating (tRFC per tREFI of
     /// lost bandwidth).
-    pub fn with_refresh(mut self, refresh: bool) -> Self {
-        self.refresh = refresh;
-        self
+    pub fn with_refresh(self, refresh: bool) -> Self {
+        TransferModel {
+            efficiency: Self::efficiency(self.org, self.timings, refresh),
+            ..self
+        }
     }
 
     /// Organization the model was built with.
@@ -75,13 +79,17 @@ impl TransferModel {
     /// saturates at 1.0 for the default organization. The model still
     /// de-rates streams too short to cover the first row activation.
     pub fn stream_efficiency(&self) -> f64 {
-        let row_transfer_ns = self.org.row_bytes as f64 / self.org.channel_bandwidth_bytes_per_ns();
-        let turnaround_ns = self.timings.row_cycle().as_ns_f64();
-        let banks = self.org.banks_per_channel as f64;
+        self.efficiency
+    }
+
+    fn efficiency(org: GddrOrganization, timings: GddrTimings, refresh: bool) -> f64 {
+        let row_transfer_ns = org.row_bytes as f64 / org.channel_bandwidth_bytes_per_ns();
+        let turnaround_ns = timings.row_cycle().as_ns_f64();
+        let banks = org.banks_per_channel as f64;
         // One bank must re-open its next row while the other banks stream.
         let eff = ((banks - 1.0) * row_transfer_ns / turnaround_ns).min(1.0);
-        if self.refresh {
-            eff * (1.0 - self.timings.refresh_overhead())
+        if refresh {
+            eff * (1.0 - timings.refresh_overhead())
         } else {
             eff
         }

@@ -4,9 +4,9 @@
 //! the status of every compute, DMA and PIM unit, issuing a command when
 //! its dependencies are resolved and its unit is free. This module is the
 //! execution engine for that microarchitecture: a [`Program`] is a list of
-//! [`Command`]s (emitted in compile order) over the units of an
-//! [`Engine`]; [`Engine::run`] performs in-order-per-unit list scheduling
-//! with cross-unit overlap, which is exactly what the paper's 4-slot
+//! commands (emitted in compile order) over the units of an [`Engine`];
+//! [`Engine::run`] performs in-order-per-unit list scheduling with
+//! cross-unit overlap, which is exactly what the paper's 4-slot
 //! issue queues + pending queue produce for compiler-ordered streams.
 //!
 //! A command may occupy a second, *shared* resource in addition to its
@@ -39,7 +39,12 @@ pub type CmdId = usize;
 /// Index of a hardware unit within its [`Engine`].
 pub type UnitId = usize;
 
-/// A schedulable command.
+/// A schedulable command, built by value.
+///
+/// A convenience for hand-written programs: [`Program::push`] flattens it
+/// into the program's records. Compilers emitting many commands use
+/// [`Program::emit`], which takes the parts directly and allocates
+/// nothing per command.
 #[derive(Debug, Clone)]
 pub struct Command {
     /// Unit that executes the command.
@@ -73,29 +78,53 @@ impl Command {
         self
     }
 
-    /// Adds all dependencies from an iterator.
-    pub fn after_all<I: IntoIterator<Item = CmdId>>(mut self, deps: I) -> Self {
-        self.deps.extend(deps);
-        self
-    }
-
     /// Holds `resource` for the command's duration in addition to its unit.
     pub fn holding(mut self, resource: UnitId) -> Self {
         self.shared.push(resource);
         self
     }
+}
 
-    /// Holds every resource in `resources` for the command's duration.
-    pub fn holding_all<I: IntoIterator<Item = UnitId>>(mut self, resources: I) -> Self {
-        self.shared.extend(resources);
-        self
-    }
+/// One command's fixed-size record inside a [`Program`]: its
+/// dependencies and shared resources live in the program-wide arrays, up
+/// to the recorded end offsets (each command's slice starts where the
+/// previous command's ends). Narrow fields keep a record at 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    duration: Duration,
+    unit: u32,
+    tag: u32,
+    deps_end: u32,
+    shared_end: u32,
+}
+
+/// A borrowed view of one command of a [`Program`], as yielded by
+/// [`Program::commands`].
+#[derive(Debug, Clone, Copy)]
+pub struct CommandView<'a> {
+    /// Unit that executes the command.
+    pub unit: UnitId,
+    /// Execution time on the unit.
+    pub duration: Duration,
+    /// Caller-defined class for busy-time attribution.
+    pub tag: usize,
+    /// Commands that must finish first.
+    pub deps: &'a [CmdId],
+    /// Additional resources held for the full duration.
+    pub shared: &'a [UnitId],
 }
 
 /// A compiler-ordered list of commands.
+///
+/// Commands are stored flat: one fixed-size record each, with every
+/// command's dependencies and shared resources packed into two
+/// program-wide arrays, so emitting a command allocates nothing beyond
+/// amortized growth of those three vectors.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    commands: Vec<Command>,
+    records: Vec<Record>,
+    deps: Vec<CmdId>,
+    shared: Vec<UnitId>,
 }
 
 impl Program {
@@ -106,28 +135,89 @@ impl Program {
 
     /// Appends a command, returning its id.
     pub fn push(&mut self, cmd: Command) -> CmdId {
-        self.commands.push(cmd);
-        self.commands.len() - 1
+        self.emit(cmd.unit, cmd.duration, cmd.tag, cmd.deps, cmd.shared)
+    }
+
+    /// Appends a command from its parts, returning its id. `deps` and
+    /// `shared` take any iterator of ids: arrays, `Option`s, ranges,
+    /// copied slices.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ianus_npu::scheduler::Program;
+    /// use ianus_sim::Duration;
+    ///
+    /// let mut p = Program::new();
+    /// let a = p.emit(0, Duration::from_ns(10), 0, [], 2..4);
+    /// let b = p.emit(1, Duration::from_ns(5), 1, [a], None);
+    /// let cmd = p.commands().nth(b).unwrap();
+    /// assert_eq!((cmd.deps, cmd.shared), (&[a][..], &[][..]));
+    /// assert_eq!(p.commands().next().unwrap().shared, &[2, 3]);
+    /// ```
+    pub fn emit(
+        &mut self,
+        unit: UnitId,
+        duration: Duration,
+        tag: usize,
+        deps: impl IntoIterator<Item = CmdId>,
+        shared: impl IntoIterator<Item = UnitId>,
+    ) -> CmdId {
+        self.deps.extend(deps);
+        self.shared.extend(shared);
+        let narrow = |n: usize| u32::try_from(n).expect("program exceeds u32 indices");
+        self.records.push(Record {
+            duration,
+            unit: narrow(unit),
+            tag: narrow(tag),
+            deps_end: narrow(self.deps.len()),
+            shared_end: narrow(self.shared.len()),
+        });
+        self.records.len() - 1
+    }
+
+    /// Reserves room for `times` more copies of the commands emitted so
+    /// far: a compiler emitting a repeated structure (one block per
+    /// layer) calls it after the first repeat, so the program grows by
+    /// one allocation instead of repeated doubling.
+    pub fn reserve_repeats(&mut self, times: usize) {
+        self.records.reserve(self.records.len() * times);
+        self.deps.reserve(self.deps.len() * times);
+        self.shared.reserve(self.shared.len() * times);
     }
 
     /// Number of commands.
     pub fn len(&self) -> usize {
-        self.commands.len()
+        self.records.len()
     }
 
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
+        self.records.is_empty()
     }
 
     /// The commands in emission order.
-    pub fn commands(&self) -> &[Command] {
-        &self.commands
+    pub fn commands(&self) -> impl ExactSizeIterator<Item = CommandView<'_>> + '_ {
+        let mut deps_start = 0;
+        let mut shared_start = 0;
+        self.records.iter().map(move |r| {
+            let (deps_end, shared_end) = (r.deps_end as usize, r.shared_end as usize);
+            let view = CommandView {
+                unit: r.unit as UnitId,
+                duration: r.duration,
+                tag: r.tag as usize,
+                deps: &self.deps[deps_start..deps_end],
+                shared: &self.shared[shared_start..shared_end],
+            };
+            deps_start = deps_end;
+            shared_start = shared_end;
+            view
+        })
     }
 
     /// Id the next pushed command will receive.
     pub fn next_id(&self) -> CmdId {
-        self.commands.len()
+        self.records.len()
     }
 }
 
@@ -172,8 +262,10 @@ pub fn chrome_trace(spans: &[Span], unit_names: &[&str], tag_names: &[&str]) -> 
         let ts = s.start.as_ps() as f64 / 1e6;
         let dur = (s.end.as_ps() - s.start.as_ps()) as f64 / 1e6;
         out.push_str(&format!(
-            "  {{\"name\": \"{name}\", \"ph\": \"X\", \"pid\": 0, \"tid\": \"{tid}\", \
+            "  {{\"name\": {}, \"ph\": \"X\", \"pid\": 0, \"tid\": {}, \
              \"ts\": {ts:.3}, \"dur\": {dur:.3}, \"args\": {{\"cmd\": {}}}}}{}\n",
+            json_string(&name),
+            json_string(&tid),
             s.cmd,
             if i + 1 == spans.len() { "" } else { "," }
         ));
@@ -182,8 +274,28 @@ pub fn chrome_trace(spans: &[Span], unit_names: &[&str], tag_names: &[&str]) -> 
     out
 }
 
+/// `s` as a quoted JSON string, with quotes, backslashes and control
+/// characters escaped.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Execution result of a program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionReport {
     finish: Vec<Time>,
     makespan: Time,
@@ -274,21 +386,21 @@ impl Engine {
         let mut finish = vec![Time::ZERO; n];
         let mut makespan = Time::ZERO;
         let mut tag_busy: Vec<Duration> = Vec::new();
-        for (id, cmd) in program.commands().iter().enumerate() {
+        for (id, cmd) in program.commands().enumerate() {
             let mut ready = Time::ZERO;
-            for &d in &cmd.deps {
+            for &d in cmd.deps {
                 assert!(d < id, "dependency {d} of command {id} is not earlier");
                 ready = ready.max(finish[d]);
             }
             ready += self.dispatch;
             // Start when the unit and every shared resource are free.
             let mut start = self.units[cmd.unit].next_start(ready);
-            for &s in &cmd.shared {
+            for &s in cmd.shared {
                 assert!(s != cmd.unit, "shared resource equals unit");
                 start = start.max(self.units[s].next_start(ready));
             }
             let done = self.units[cmd.unit].acquire(start, cmd.duration);
-            for &s in &cmd.shared {
+            for &s in cmd.shared {
                 self.units[s].acquire(start, cmd.duration);
             }
             finish[id] = done;
@@ -441,6 +553,79 @@ mod tests {
         assert!(json.contains("unit5") && json.contains("tag9"));
         // Two events, one trailing comma.
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 2);
+    }
+
+    #[test]
+    fn chrome_trace_escapes_names() {
+        let spans = [Span {
+            cmd: 0,
+            unit: 0,
+            tag: 0,
+            start: Time::ZERO,
+            end: Time::from_ns(10),
+        }];
+        let json = chrome_trace(&spans, &["dma \"in\"\\0"], &["gemm\n\u{1}"]);
+        assert!(json.contains(r#""tid": "dma \"in\"\\0""#), "{json}");
+        assert!(json.contains(r#""name": "gemm\n\u0001""#), "{json}");
+    }
+
+    /// A small program exercising every record field: several units,
+    /// tags, multi-dependency and multi-resource commands, and empty
+    /// dependency / resource lists.
+    fn sample_commands() -> Vec<Command> {
+        vec![
+            Command::new(1, NS(100), 0).holding(3).holding(4),
+            Command::new(0, NS(40), 2),
+            Command::new(0, NS(50), 1).after(0).after(1),
+            Command::new(2, NS(30), 0).after(0).holding(3),
+            Command::new(1, NS(20), 3)
+                .after(2)
+                .after(3)
+                .holding(3)
+                .holding(4),
+        ]
+    }
+
+    #[test]
+    fn pushed_commands_read_back_unchanged() {
+        let cmds = sample_commands();
+        let mut p = Program::new();
+        for cmd in &cmds {
+            p.push(cmd.clone());
+        }
+        assert_eq!(p.commands().len(), cmds.len());
+        for (view, cmd) in p.commands().zip(&cmds) {
+            assert_eq!(view.unit, cmd.unit);
+            assert_eq!(view.duration, cmd.duration);
+            assert_eq!(view.tag, cmd.tag);
+            assert_eq!(view.deps, cmd.deps.as_slice());
+            assert_eq!(view.shared, cmd.shared.as_slice());
+        }
+    }
+
+    #[test]
+    fn emit_and_push_programs_execute_identically() {
+        let mut pushed = Program::new();
+        let mut emitted = Program::new();
+        for cmd in sample_commands() {
+            let (deps, shared) = (cmd.deps.iter().copied(), cmd.shared.iter().copied());
+            emitted.emit(cmd.unit, cmd.duration, cmd.tag, deps, shared);
+            pushed.push(cmd);
+        }
+        let mut eng = Engine::new(5, NS(1));
+        let a = eng.run_traced(&pushed);
+        let b = eng.run_traced(&emitted);
+        assert_eq!(a, b);
+        assert_eq!(a.0.makespan(), Time::from_ns(173));
+    }
+
+    #[test]
+    #[should_panic(expected = "shared resource equals unit")]
+    fn shared_resource_on_own_unit_rejected() {
+        let mut eng = Engine::new(2, Duration::ZERO);
+        let mut p = Program::new();
+        p.emit(0, NS(1), 0, [], 0..1);
+        let _ = eng.run(&p);
     }
 
     #[test]

@@ -82,8 +82,8 @@ proptest! {
         let p = build(&cmds, 4);
         let mut eng = Engine::new(4, Duration::from_ns(1));
         let r = eng.run(&p);
-        for (i, cmd) in p.commands().iter().enumerate() {
-            for &d in &cmd.deps {
+        for (i, cmd) in p.commands().enumerate() {
+            for &d in cmd.deps {
                 prop_assert!(r.finish(i) > r.finish(d));
             }
         }
