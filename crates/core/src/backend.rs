@@ -40,6 +40,7 @@ use crate::multi_device::DeviceGroup;
 use crate::{IanusSystem, MemoryPolicy};
 use ianus_model::{ModelConfig, RequestShape, Stage};
 use ianus_sim::Duration;
+use std::any::Any;
 
 /// A device model that can serve whole requests — and, for
 /// iteration-level scheduling, individual prefill and decode steps.
@@ -75,8 +76,10 @@ use ianus_sim::Duration;
 ///
 /// Backends are `Send` (every implementation in this workspace is plain
 /// data) so a cloned [`crate::serving::ServingSim`] can move to a scoped
-/// thread during parallel rate sweeps.
-pub trait Backend: Send {
+/// thread during parallel rate sweeps, and `'static` ([`Any`]) so
+/// [`prices_like`](Self::prices_like) can recognise another backend of
+/// its own type behind a `&dyn Backend`.
+pub trait Backend: Send + Any {
     /// Human-readable platform name (stable across calls; used as the
     /// replica label in serving reports).
     fn name(&self) -> &str;
@@ -200,6 +203,28 @@ pub trait Backend: Send {
     fn clone_box(&self) -> Option<Box<dyn Backend>> {
         None
     }
+
+    /// Whether `other` prices every call exactly as this backend does —
+    /// the opt-in that lets a [`ServingSim`](crate::serving::ServingSim)
+    /// put identical replicas in one *price class*, which shares one set
+    /// of cost memos and sends every miss to one member.
+    ///
+    /// The contract is **exact equality**, not similarity: returning
+    /// `true` promises that [`service_time`](Self::service_time),
+    /// [`prefill_time`](Self::prefill_time) and
+    /// [`decode_time`](Self::decode_time) on `other` return bit-identical
+    /// durations to this backend's for every argument, now and after any
+    /// number of calls on either. Compare the whole state those costs
+    /// depend on (downcast `other` through [`Any`]); never a name, a
+    /// label or a hash of it, which two different devices can share.
+    /// When in doubt, return `false`: a false negative only prices the
+    /// same stage twice, a false positive changes results.
+    ///
+    /// Default: `false` — the backend is its own price class.
+    fn prices_like(&self, other: &dyn Backend) -> bool {
+        let _ = other;
+        false
+    }
 }
 
 impl Backend for IanusSystem {
@@ -274,6 +299,15 @@ impl Backend for IanusSystem {
     fn clone_box(&self) -> Option<Box<dyn Backend>> {
         Some(Box::new(self.clone()))
     }
+
+    /// Another `IanusSystem` with an equal [`SystemConfig`](crate::SystemConfig)
+    /// and, conservatively, an equal energy model (energy never reaches
+    /// a latency). The stage memo is a cache of those two, not state.
+    fn prices_like(&self, other: &dyn Backend) -> bool {
+        (other as &dyn Any)
+            .downcast_ref::<IanusSystem>()
+            .is_some_and(|o| o.config() == self.config() && o.energy_model() == self.energy_model())
+    }
 }
 
 impl Backend for DeviceGroup {
@@ -346,6 +380,14 @@ impl Backend for DeviceGroup {
 
     fn clone_box(&self) -> Option<Box<dyn Backend>> {
         Some(Box::new(self.clone()))
+    }
+
+    /// Another group of as many devices over a system that prices like
+    /// this one's (equal base config and energy model).
+    fn prices_like(&self, other: &dyn Backend) -> bool {
+        (other as &dyn Any)
+            .downcast_ref::<DeviceGroup>()
+            .is_some_and(|o| o.devices() == self.devices() && self.system().prices_like(o.system()))
     }
 }
 
@@ -481,6 +523,40 @@ mod tests {
     }
 
     #[test]
+    fn prices_like_is_exact_config_equality() {
+        let ianus = IanusSystem::new(SystemConfig::ianus());
+        assert!(ianus.prices_like(&IanusSystem::new(SystemConfig::ianus())));
+        // A warm stage memo is a cache, not a difference.
+        let mut warm = IanusSystem::new(SystemConfig::ianus());
+        warm.run_stage(
+            &ModelConfig::gpt2_m(),
+            &Stage::Generation { past_tokens: 8 },
+        );
+        assert!(ianus.prices_like(&warm));
+        // One changed field separates systems that share a name.
+        let variant = IanusSystem::new(SystemConfig {
+            pim_macro_overhead: Duration::from_ns(5000),
+            ..SystemConfig::ianus()
+        });
+        assert_eq!(variant.name(), ianus.name());
+        assert!(!ianus.prices_like(&variant));
+        assert!(!ianus.prices_like(&IanusSystem::new(SystemConfig::npu_mem())));
+        let mut costly = IanusSystem::new(SystemConfig::ianus());
+        costly.set_energy_model(crate::EnergyModel {
+            dram_per_byte: 1.0,
+            ..Default::default()
+        });
+        assert!(!ianus.prices_like(&costly));
+        // Groups match on base config and device count; a group never
+        // prices like a single system.
+        let group = DeviceGroup::new(SystemConfig::ianus(), 2);
+        assert!(group.prices_like(&DeviceGroup::new(SystemConfig::ianus(), 2)));
+        assert!(!group.prices_like(&DeviceGroup::new(SystemConfig::ianus(), 4)));
+        assert!(!group.prices_like(&ianus));
+        assert!(!ianus.prices_like(&group));
+    }
+
+    #[test]
     fn default_decode_time_is_marginal_service_cost() {
         // A backend using only the trait defaults decomposes consistently
         // too: default decode is the (past,2) − (past,1) marginal.
@@ -507,5 +583,7 @@ mod tests {
         // preemption in the first place.
         assert_eq!(b.kv_transfer_time(&model, 1024), Duration::ZERO);
         assert_eq!(b.host_kv_bytes(), None);
+        // Never opted in: not even alike to itself.
+        assert!(!b.prices_like(&Linear));
     }
 }

@@ -43,16 +43,17 @@ impl super::ServingSim {
     pub(super) fn run_request_level(&mut self, model: &ModelConfig) -> RunStats {
         // Memoize every (replica, shape) service and prefill time up
         // front: ShortestExpectedJob consults all replicas per arrival,
-        // and TTFT needs the prefill split.
-        let shapes: Vec<RequestShape> = self.cfg.mix.iter().map(|c| c.shape).collect();
-        for r in &mut self.replicas {
-            for &shape in &shapes {
-                r.service_time(model, shape);
-                r.prefill_secs(model, shape.input);
+        // and TTFT needs the prefill split. Replicas of one price class
+        // share their tables, so the loop prices each class once.
+        let n = self.replicas.len();
+        for r in 0..n {
+            let mut pricer = self.replicas.pricer(r);
+            for class in &self.cfg.mix {
+                pricer.service_time(model, class.shape);
+                pricer.prefill_secs(model, class.shape.input);
             }
         }
 
-        let n = self.replicas.len();
         let mut free = vec![0.0f64; n]; // per-replica next-free time
                                         // Outstanding finish times per replica (FIFO per replica, so the
                                         // front is always the earliest) — LeastLoaded's queue lengths.
@@ -104,8 +105,9 @@ impl super::ServingSim {
                 DispatchPolicy::ShortestExpectedJob => {
                     let mut best = 0usize;
                     let mut best_done = f64::INFINITY;
-                    for (i, (&f, r)) in free.iter().zip(&self.replicas).enumerate() {
-                        let done = f.max(now) + r.service[&(*model, shape)].as_secs_f64();
+                    for (i, &f) in free.iter().enumerate() {
+                        let service = self.replicas.class(i).service[&(*model, shape)];
+                        let done = f.max(now) + service.as_secs_f64();
                         if done < best_done {
                             best_done = done;
                             best = i;
@@ -115,8 +117,9 @@ impl super::ServingSim {
                 }
             };
 
-            let s = self.replicas[replica].service[&(*model, shape)].as_secs_f64();
-            let prefill = self.replicas[replica].prefill[&(*model, shape.input)];
+            let class = self.replicas.class(replica);
+            let s = class.service[&(*model, shape)].as_secs_f64();
+            let prefill = class.prefill[&(*model, shape.input)];
             let start = now.max(free[replica]);
             let finish = start + s;
             free[replica] = finish;
@@ -203,8 +206,8 @@ impl EngineCore<'_> {
             // admitted into an eviction storm that no swap can
             // resolve (preempt gates on current lengths, which
             // would miss the final-length violation).
-            if let Err(e) = replicas[r]
-                .backend
+            if let Err(e) = replicas
+                .backend(r)
                 .batch_fits(model, std::slice::from_ref(&cand.shape))
             {
                 assert!(
@@ -214,7 +217,7 @@ impl EngineCore<'_> {
                     "request {:?} can never be admitted on replica {} ({}): {}",
                     cand.shape,
                     r,
-                    replicas[r].backend.name(),
+                    replicas.backend(r).name(),
                     e
                 );
                 break;
@@ -290,7 +293,7 @@ impl EngineCore<'_> {
                     v.push(cand.shape);
                     v
                 };
-                match replicas[r].backend.batch_fits(model, &resident) {
+                match replicas.backend(r).batch_fits(model, &resident) {
                     Ok(occupancy) => {
                         stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(occupancy);
                         true
@@ -307,7 +310,7 @@ impl EngineCore<'_> {
             wait.untaken.remove(&(TimeKey(wait.arrivals[pi].at), pi));
             wait.admitted += 1;
             let arrival = wait.arrivals[pi];
-            let service = replicas[r].ideal_service_secs(model, arrival.shape);
+            let service = replicas.pricer(r).ideal_service_secs(model, arrival.shape);
             // Map the shared prefix (if the class opted in and the
             // cache holds it): the sequence starts with those
             // tokens already built and prefills only the suffix.

@@ -227,10 +227,13 @@ impl EngineCore<'_> {
         };
         let mut dt = 0.0f64;
         if let Some((_, tokens)) = chunk {
-            dt += self.replicas[r].prefill_secs(model, tokens);
+            dt += self.replicas.pricer(r).prefill_secs(model, tokens);
         }
         if decode_width > 0 {
-            dt += self.replicas[r].decode_secs(model, mean_past, decode_width);
+            dt += self
+                .replicas
+                .pricer(r)
+                .decode_secs(model, mean_past, decode_width);
         }
         batch.clock[r] += dt;
         stats.busy[r] += dt;

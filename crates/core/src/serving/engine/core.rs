@@ -16,7 +16,7 @@ use super::batch::BatchState;
 use super::dma_retire::LaneClocks;
 use super::kv_state::{build_paged_pools, KvLedger};
 use super::migrate::MigrationState;
-use super::replica::Replica;
+use super::replica::Replicas;
 use super::workflow_rt::WorkflowRt;
 use super::{CoreMode, ServingSim, TimeKey};
 use crate::serving::dma::DmaChannels;
@@ -71,7 +71,7 @@ pub(super) struct EngineCore<'a> {
     /// The model every replica serves this run.
     pub(super) model: &'a ModelConfig,
     /// The replicas (their memo tables persist across runs).
-    pub(super) replicas: &'a mut [Replica],
+    pub(super) replicas: &'a mut Replicas,
     /// Per-replica roles (disaggregation).
     pub(super) roles: &'a [ReplicaRole],
     /// The iteration-level policy bundle.
@@ -143,11 +143,8 @@ impl ServingSim {
         // Effective per-replica host KV pool (`None` = unbounded).
         let pools: Vec<Option<u64>> = self
             .replicas
-            .iter()
-            .map(|r| {
-                self.host_kv_override
-                    .unwrap_or_else(|| r.backend.host_kv_bytes())
-            })
+            .backends()
+            .map(|b| self.host_kv_override.unwrap_or_else(|| b.host_kv_bytes()))
             .collect();
         let mix = self.effective_mix();
         let wf_mode = !self.cfg.workflows.is_empty();

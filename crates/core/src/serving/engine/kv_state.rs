@@ -12,7 +12,7 @@
 
 use super::batch::ActiveSeq;
 use super::core::EngineCore;
-use super::replica::Replica;
+use super::replica::Replicas;
 use crate::serving::dma::DmaLane;
 use crate::serving::kv::PagedKv;
 use crate::serving::policy::{EvictionMechanism, SeqView};
@@ -47,16 +47,16 @@ pub(super) struct KvLedger {
 /// could never fit an empty replica's block budget (the paged analogue
 /// of the never-admittable admission guard).
 pub(super) fn build_paged_pools(
-    replicas: &[Replica],
+    replicas: &Replicas,
     kv_block: u64,
     model: &ModelConfig,
     mix: &[RequestClass],
 ) -> Vec<Option<PagedKv>> {
     let widest_input = mix.iter().map(|c| c.shape.input).max().unwrap_or(1);
     let mut paged: Vec<Option<PagedKv>> = Vec::with_capacity(replicas.len());
-    for (i, rep) in replicas.iter().enumerate() {
+    for (i, backend) in replicas.backends().enumerate() {
         let p = (kv_block > 0)
-            .then(|| rep.backend.kv_budget_bytes(model, widest_input))
+            .then(|| backend.kv_budget_bytes(model, widest_input))
             .flatten()
             .map(|budget| {
                 let block_bytes = crate::capacity::kv_swap_bytes(model, kv_block).max(1);
@@ -73,7 +73,7 @@ pub(super) fn build_paged_pools(
                     total_blocks >= need,
                     "kv_block {kv_block}: replica {i} ({}) holds {total_blocks} KV blocks but the \
                      largest mix sequence needs {need} — shrink the block size or the shapes",
-                    rep.backend.name(),
+                    backend.name(),
                 );
                 PagedKv::new(total_blocks, kv_block)
             });
@@ -87,20 +87,22 @@ pub(super) fn build_paged_pools(
 /// take the sequence's KV bytes) and the grid-estimated re-prefill
 /// cost. Both price only the *unshared* context — shared prefix blocks
 /// neither move nor recompute (everything is unshared under contiguous
-/// accounting). The headroom check charges whole blocks when
-/// `block_tokens` is nonzero (paged mode), matching the engine's
-/// block-granular pool debit; 0 keeps the exact contiguous charge.
-/// `kv_blocks` and `readmit_delay` pass through to the view for
+/// accounting). The headroom check charges whole blocks when replica
+/// `r` keeps `paged` KV, matching the engine's block-granular pool
+/// debit; contiguous accounting keeps the exact charge. The sequence's
+/// block count and `readmit_delay` pass through to the view for
 /// block-aware policies.
 pub(super) fn costed_view(
     seq: &ActiveSeq,
-    replica: &mut Replica,
+    replicas: &mut Replicas,
+    r: usize,
     model: &ModelConfig,
     headroom: Option<u64>,
-    block_tokens: u64,
-    kv_blocks: u64,
+    paged: Option<&PagedKv>,
     readmit_delay: f64,
 ) -> SeqView {
+    let kv_blocks = paged.map_or(0, |p| p.blocks_of(seq.idx));
+    let block_tokens = paged.map_or(0, |p| p.block_tokens());
     let moved = seq.past - seq.shared_tokens;
     let pool_tokens = if block_tokens > 0 {
         moved.div_ceil(block_tokens) * block_tokens
@@ -110,9 +112,9 @@ pub(super) fn costed_view(
     let bytes = crate::capacity::kv_swap_bytes(model, pool_tokens);
     let swap_secs = match headroom {
         Some(h) if bytes > h => f64::INFINITY,
-        _ => replica.kv_transfer_secs(model, moved),
+        _ => replicas.kv_transfer_secs(r, model, moved),
     };
-    let recompute_secs = replica.prefill_est_secs(model, moved);
+    let recompute_secs = replicas.pricer(r).prefill_est_secs(model, moved);
     seq.view(swap_secs, recompute_secs, kv_blocks, readmit_delay)
 }
 
@@ -163,17 +165,15 @@ impl EngineCore<'_> {
                     // itself (swapping *in* frees the pool).
                     let headroom = kv.pools[r]
                         .map(|p| p.saturating_sub(kv.host_used[r].saturating_sub(s.hosted_bytes)));
-                    let kv_blocks = kv.paged[r].as_ref().map_or(0, |p| p.blocks_of(s.idx));
-                    let block_tokens = kv.paged[r].as_ref().map_or(0, |p| p.block_tokens());
                     (
                         i,
                         costed_view(
                             s,
-                            &mut replicas[r],
+                            replicas,
+                            r,
                             model,
                             headroom,
-                            block_tokens,
-                            kv_blocks,
+                            kv.paged[r].as_ref(),
                             readmit_delay,
                         ),
                     )
@@ -253,7 +253,7 @@ impl EngineCore<'_> {
                             output: 1,
                         });
                     }
-                    match replicas[r].backend.batch_fits(model, &projected) {
+                    match replicas.backend(r).batch_fits(model, &projected) {
                         Ok(occupancy) => {
                             stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(occupancy);
                             true
@@ -286,7 +286,7 @@ impl EngineCore<'_> {
             }
             // Restore what the swap-out moved: the unshared
             // context (everything, under contiguous accounting).
-            let swap_in = replicas[r].kv_transfer_secs(model, seq.past - seq.shared_tokens);
+            let swap_in = replicas.kv_transfer_secs(r, model, seq.past - seq.shared_tokens);
             stats.dma[r] += swap_in;
             let ready = lanes.dma[r].issue(DmaLane::H2D, batch.clock[r], swap_in);
             if overlap && !force {
@@ -420,7 +420,7 @@ impl EngineCore<'_> {
                         .iter()
                         .map(|(_, s)| ActiveSeq::kv_shape(s.past)),
                 );
-                match replicas[r].backend.batch_fits(model, &eventual) {
+                match replicas.backend(r).batch_fits(model, &eventual) {
                     Ok(_) => {
                         // Enough memory once in-flight swap-outs
                         // drain; stall the iteration until the ones
@@ -432,7 +432,7 @@ impl EngineCore<'_> {
                                     .iter()
                                     .map(|&(_, tok, _)| ActiveSeq::kv_shape(tok)),
                             );
-                            match replicas[r].backend.batch_fits(model, &current) {
+                            match replicas.backend(r).batch_fits(model, &current) {
                                 Ok(occupancy) => {
                                     stats.peak_kv_occupancy =
                                         stats.peak_kv_occupancy.max(occupancy);
@@ -500,17 +500,15 @@ impl EngineCore<'_> {
                 .enumerate()
                 .filter(|(_, s)| s.decoding())
                 .map(|(i, s)| {
-                    let kv_blocks = kv.paged[r].as_ref().map_or(0, |p| p.blocks_of(s.idx));
-                    let block_tokens = kv.paged[r].as_ref().map_or(0, |p| p.block_tokens());
                     (
                         i,
                         costed_view(
                             s,
-                            &mut replicas[r],
+                            replicas,
+                            r,
                             model,
                             headroom,
-                            block_tokens,
-                            kv_blocks,
+                            kv.paged[r].as_ref(),
                             readmit_delay,
                         ),
                     )
@@ -572,7 +570,7 @@ impl EngineCore<'_> {
                         .host_peak_occupancy
                         .max(kv.host_used[r] as f64 / pool.max(1) as f64);
                 }
-                let swap_out = replicas[r].kv_transfer_secs(model, moved);
+                let swap_out = replicas.kv_transfer_secs(r, model, moved);
                 stats.dma[r] += swap_out;
                 let done_at = lanes.dma[r].issue(DmaLane::D2H, batch.clock[r], swap_out);
                 if overlap {

@@ -93,7 +93,7 @@ impl EngineCore<'_> {
                             .map(|&(_, tok, _)| ActiveSeq::kv_shape(tok)),
                     );
                     resident.push(ActiveSeq::kv_shape(cand.past));
-                    match replicas[r].backend.batch_fits(model, &resident) {
+                    match replicas.backend(r).batch_fits(model, &resident) {
                         Ok(occupancy) => {
                             stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(occupancy);
                             true
@@ -179,8 +179,8 @@ impl EngineCore<'_> {
         let ti = super::select_min(&targets, |t| *t, |a, b| self.migration.compare(a, b))
             .expect("decode pool is non-empty");
         let dst = targets[ti].replica;
-        let out_secs = self.replicas[r].kv_transfer_secs(model, moved);
-        let in_secs = self.replicas[dst].kv_transfer_secs(model, moved);
+        let out_secs = self.replicas.kv_transfer_secs(r, model, moved);
+        let in_secs = self.replicas.kv_transfer_secs(dst, model, moved);
         self.stats.dma[r] += out_secs;
         self.stats.dma[dst] += in_secs;
         let out_done = self.lanes.dma[r].issue(DmaLane::D2H, now, out_secs);

@@ -6,7 +6,7 @@
 //!
 //! | module        | layer struct       | owns                                        |
 //! |---------------|--------------------|---------------------------------------------|
-//! | `replica`     | `Replica`          | one backend + service-time memos            |
+//! | `replica`     | `Replicas`         | backends + per-price-class cost memos       |
 //! | `arrivals`    | [`ArrivalProcess`] | trace generation (Poisson/diurnal/MMPP/...) |
 //! | `admission`   | `WaitQueue`        | arrival vector, wait queue, admission       |
 //! | `batch`       | `BatchState`       | resident sequences, clocks, execute/advance |
@@ -35,7 +35,7 @@ pub use arrivals::{
     PoissonArrivals, TenantSpec,
 };
 
-use self::replica::Replica;
+use self::replica::Replicas;
 use super::policy::{LeastLoadedMigration, MigrationPolicy, SchedulerPolicy};
 use super::DispatchPolicy;
 use super::{
@@ -85,13 +85,14 @@ impl Ord for TimeKey {
 /// (iteration-level), then [`run`](Self::run). The engine owns its
 /// replicas; service-time memos survive across runs, so rate sweeps and
 /// [`sustainable_rate`](Self::sustainable_rate) searches re-simulate no
-/// device.
+/// device. Replicas whose backends [price alike](Backend::prices_like)
+/// share one set of memos, so identical devices price each stage once.
 pub struct ServingSim {
     cfg: ServingConfig,
     dispatch: DispatchPolicy,
     scheduling: Scheduling,
     scheduler: SchedulerPolicy,
-    replicas: Vec<Replica>,
+    replicas: Replicas,
     /// Host-pool override: `None` defers to each replica's
     /// [`Backend::host_kv_bytes`]; `Some(None)` forces unbounded;
     /// `Some(Some(b))` forces a `b`-byte pool on every replica.
@@ -138,7 +139,7 @@ impl ServingSim {
             dispatch: DispatchPolicy::FcfsSingleQueue,
             scheduling: Scheduling::RequestLevel,
             scheduler: SchedulerPolicy::default(),
-            replicas: Vec::new(),
+            replicas: Replicas::default(),
             host_kv_override: None,
             overlap_dma: false,
             kv_block: 0,
@@ -168,7 +169,7 @@ impl ServingSim {
 
     /// Adds an already-boxed replica (for heterogeneous `dyn` lists).
     pub fn boxed_replica(mut self, backend: Box<dyn Backend>) -> Self {
-        self.replicas.push(Replica::new(backend));
+        self.replicas.push(backend);
         self.roles.push(ReplicaRole::Unified);
         self
     }
@@ -402,7 +403,7 @@ impl ServingSim {
     }
 
     /// A deep copy of this engine — replicas (via
-    /// [`Backend::clone_box`]), their warm service memos, and every
+    /// [`Backend::clone_box`]), their warm price-class memos, and every
     /// knob — or `None` if any replica's backend does not support
     /// cloning. Clones are what [`sweep_rates`](Self::sweep_rates) and
     /// the parallel [`sustainable_rate_where`](Self::sustainable_rate_where)
@@ -410,16 +411,12 @@ impl ServingSim {
     /// report the original would (runs depend only on the config and
     /// the backends' deterministic costs, never on memo warmth).
     pub fn try_clone(&self) -> Option<ServingSim> {
-        let mut replicas = Vec::with_capacity(self.replicas.len());
-        for r in &self.replicas {
-            replicas.push(r.try_clone()?);
-        }
         Some(ServingSim {
             cfg: self.cfg.clone(),
             dispatch: self.dispatch,
             scheduling: self.scheduling,
             scheduler: self.scheduler.clone(),
-            replicas,
+            replicas: self.replicas.try_clone()?,
             host_kv_override: self.host_kv_override,
             overlap_dma: self.overlap_dma,
             kv_block: self.kv_block,
@@ -446,7 +443,7 @@ impl ServingSim {
     /// Changes the arrival rate in place, keeping replicas and their
     /// service memos. This is the canonical rate-sweep entry: the first
     /// [`run`](Self::run) prices every (model, shape/step) the mix
-    /// needs on each replica, after which every further rate is a
+    /// needs on each price class, after which every further rate is a
     /// queueing-only pass (no device simulation), each re-seeding the
     /// same arrival trace *shape* at the new rate.
     ///
@@ -481,8 +478,8 @@ impl ServingSim {
     /// The first replica's [`CapacityError`](crate::capacity::CapacityError),
     /// tagged with its index, if any replica cannot hold the model.
     pub fn fits(&self, model: &ModelConfig) -> Result<(), (usize, crate::capacity::CapacityError)> {
-        for (i, r) in self.replicas.iter().enumerate() {
-            r.backend.fits(model).map_err(|e| (i, e))?;
+        for (i, b) in self.replicas.backends().enumerate() {
+            b.fits(model).map_err(|e| (i, e))?;
         }
         Ok(())
     }
@@ -533,14 +530,15 @@ impl ServingSim {
         if self.cfg.requests == 0 {
             return ServingReport::empty(
                 self.replicas
-                    .iter()
+                    .backends()
                     .zip(&self.roles)
-                    .map(|(r, &role)| (r.backend.name().to_string(), role))
+                    .map(|(b, &role)| (b.name().to_string(), role))
                     .collect(),
                 &self.effective_mix(),
                 self.cfg.arrivals.tenant_count(),
             );
         }
+        self.replicas.group();
         let stats = match self.scheduling {
             Scheduling::RequestLevel => {
                 assert!(
@@ -570,9 +568,9 @@ impl ServingSim {
         stats.into_report(
             &self.effective_mix(),
             self.replicas
-                .iter()
+                .backends()
                 .zip(&self.roles)
-                .map(|(r, &role)| (r.backend.name().to_string(), role))
+                .map(|(b, &role)| (b.name().to_string(), role))
                 .collect(),
         )
     }

@@ -1,10 +1,17 @@
-//! Replica layer: one [`Backend`] plus its service-time memoization.
+//! Replica layer: the cluster's backends, grouped into price classes
+//! that own the service-time memoization.
 //!
 //! Every device simulation the engine prices — request service, prefill
 //! chunks, decode iterations, recompute estimates — funnels through
-//! [`Replica`], which memoizes results keyed by the full
+//! [`Replicas::pricer`], which memoizes results keyed by the full
 //! [`ModelConfig`] so the iteration loops stay cheap. No other layer
-//! talks to a [`Backend`] directly.
+//! asks a [`Backend`] for a device cost directly.
+//!
+//! Replicas whose backends [price alike](Backend::prices_like) form one
+//! *price class*: one set of memo tables, and one backend — the class's
+//! lowest-index member — that prices every miss. A cluster of identical
+//! devices therefore simulates each distinct stage once, not once per
+//! replica. Backends that do not opt in are each their own class.
 
 use crate::backend::Backend;
 use crate::memo::Memo;
@@ -29,8 +36,13 @@ fn decode_grid_bracket(past: u64) -> (u64, u64) {
     }
 }
 
-pub(super) struct Replica {
-    pub(super) backend: Box<dyn Backend>,
+/// The memo tables of one price class, and the member that prices its
+/// misses.
+#[derive(Clone)]
+pub(super) struct PriceClass {
+    /// Index of the replica whose backend prices every miss (the
+    /// class's lowest-index member).
+    pricer: usize,
     /// Memoized service times, keyed by model and shape so one engine
     /// can serve different models across runs. Every table keys on the
     /// whole `ModelConfig`, so two configs differing in any field (even
@@ -53,58 +65,155 @@ pub(super) struct Replica {
     ideal: Memo<(ModelConfig, RequestShape), f64>,
 }
 
-impl Replica {
-    /// Wraps a backend with empty memo tables.
-    pub(super) fn new(backend: Box<dyn Backend>) -> Self {
-        Replica {
-            backend,
+impl PriceClass {
+    fn new(pricer: usize) -> Self {
+        PriceClass {
+            pricer,
             service: Memo::default(),
             prefill: Memo::default(),
             decode: Memo::default(),
             ideal: Memo::default(),
         }
     }
+}
 
-    /// Deep copy — backend via [`Backend::clone_box`], memo tables by
-    /// value — or `None` if the backend does not support cloning.
-    pub(super) fn try_clone(&self) -> Option<Replica> {
-        Some(Replica {
-            backend: self.backend.clone_box()?,
-            service: self.service.clone(),
-            prefill: self.prefill.clone(),
-            decode: self.decode.clone(),
-            ideal: self.ideal.clone(),
+/// The cluster's replicas: one backend each, grouped into price
+/// classes.
+///
+/// Grouping is lazy: [`group`](Self::group) runs at the start of every
+/// run and only classifies replicas added since the last one, so
+/// building an engine does no grouping work and warm classes keep their
+/// memos when a replica joins later.
+#[derive(Default)]
+pub(super) struct Replicas {
+    backends: Vec<Box<dyn Backend>>,
+    /// Price class of each *grouped* replica; shorter than `backends`
+    /// while replicas added since the last [`group`](Self::group) wait.
+    class_of: Vec<usize>,
+    classes: Vec<PriceClass>,
+}
+
+impl Replicas {
+    /// Adds one replica (classified at the next [`group`](Self::group)).
+    pub(super) fn push(&mut self, backend: Box<dyn Backend>) {
+        self.backends.push(backend);
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.backends.len()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.backends.is_empty()
+    }
+
+    /// Replica `r`'s own backend — for residency, KV-budget and naming
+    /// queries, which are never shared across a class.
+    pub(super) fn backend(&self, r: usize) -> &dyn Backend {
+        &*self.backends[r]
+    }
+
+    /// Every replica's backend, in replica order.
+    pub(super) fn backends(&self) -> impl Iterator<Item = &dyn Backend> {
+        self.backends.iter().map(|b| &**b)
+    }
+
+    /// Deep copy — backends via [`Backend::clone_box`], classes and
+    /// their memo tables by value — or `None` if any backend does not
+    /// support cloning.
+    pub(super) fn try_clone(&self) -> Option<Replicas> {
+        let mut backends = Vec::with_capacity(self.backends.len());
+        for b in &self.backends {
+            backends.push(b.clone_box()?);
+        }
+        Some(Replicas {
+            backends,
+            class_of: self.class_of.clone(),
+            classes: self.classes.clone(),
         })
     }
 
+    /// Puts every replica added since the last call into the first
+    /// class whose pricer [prices like](Backend::prices_like) it, or
+    /// into a new class it prices itself. Existing classes, and the
+    /// memos they hold, are kept.
+    pub(super) fn group(&mut self) {
+        for r in self.class_of.len()..self.backends.len() {
+            let backend = &*self.backends[r];
+            let found = self
+                .classes
+                .iter()
+                .position(|c| self.backends[c.pricer].prices_like(backend));
+            let class = found.unwrap_or_else(|| {
+                self.classes.push(PriceClass::new(r));
+                self.classes.len() - 1
+            });
+            self.class_of.push(class);
+        }
+    }
+
+    /// The price class of replica `r` (grouped by [`group`](Self::group)).
+    pub(super) fn class(&self, r: usize) -> &PriceClass {
+        &self.classes[self.class_of[r]]
+    }
+
+    /// The memoized device-cost view of replica `r`: its class's tables
+    /// and the backend that prices their misses.
+    pub(super) fn pricer(&mut self, r: usize) -> Pricer<'_> {
+        let class = &mut self.classes[self.class_of[r]];
+        Pricer {
+            backend: &mut *self.backends[class.pricer],
+            class,
+        }
+    }
+
+    /// KV swap cost (one direction) for a sequence holding `tokens` of
+    /// context on replica `r` — charged once at swap-out and once at
+    /// swap-in. Not memoized and not shared: every backend prices it
+    /// with plain bandwidth arithmetic on its own host link.
+    pub(super) fn kv_transfer_secs(&mut self, r: usize, model: &ModelConfig, tokens: u64) -> f64 {
+        self.backends[r]
+            .kv_transfer_time(model, tokens)
+            .as_secs_f64()
+    }
+}
+
+/// One price class borrowed for pricing: its memo tables plus its
+/// pricer's backend.
+pub(super) struct Pricer<'a> {
+    class: &'a mut PriceClass,
+    backend: &'a mut dyn Backend,
+}
+
+impl Pricer<'_> {
     pub(super) fn service_time(&mut self, model: &ModelConfig, shape: RequestShape) -> Duration {
         let key = (*model, shape);
-        if let Some(&d) = self.service.get(&key) {
+        if let Some(&d) = self.class.service.get(&key) {
             return d;
         }
         let d = self.backend.service_time(model, shape);
-        self.service.insert(key, d);
+        self.class.service.insert(key, d);
         d
     }
 
     pub(super) fn prefill_secs(&mut self, model: &ModelConfig, tokens: u64) -> f64 {
         let key = (*model, tokens);
-        if let Some(&s) = self.prefill.get(&key) {
+        if let Some(&s) = self.class.prefill.get(&key) {
             return s;
         }
         let s = self.backend.prefill_time(model, tokens).as_secs_f64();
-        self.prefill.insert(key, s);
+        self.class.prefill.insert(key, s);
         s
     }
 
     /// Exact (memoized) decode-iteration time at a grid past-length.
     fn decode_exact_secs(&mut self, model: &ModelConfig, past: u64, batch: u32) -> f64 {
         let key = (*model, batch, past);
-        if let Some(&s) = self.decode.get(&key) {
+        if let Some(&s) = self.class.decode.get(&key) {
             return s;
         }
         let s = self.backend.decode_time(model, past, batch).as_secs_f64();
-        self.decode.insert(key, s);
+        self.class.decode.insert(key, s);
         s
     }
 
@@ -125,14 +234,6 @@ impl Replica {
         let a = self.decode_exact_secs(model, lo, batch);
         let b = self.decode_exact_secs(model, hi, batch);
         a + (b - a) * (past - lo) as f64 / (hi - lo) as f64
-    }
-
-    /// KV swap cost (one direction) for a sequence holding `tokens` of
-    /// context — charged once at swap-out and once at swap-in. Not
-    /// memoized: every backend prices it with plain bandwidth
-    /// arithmetic.
-    pub(super) fn kv_transfer_secs(&mut self, model: &ModelConfig, tokens: u64) -> f64 {
-        self.backend.kv_transfer_time(model, tokens).as_secs_f64()
     }
 
     /// Grid-interpolated prefill cost at an arbitrary token count:
@@ -167,14 +268,14 @@ impl Replica {
     /// [`ServingReport::stable`]: crate::serving::ServingReport::stable
     pub(super) fn ideal_service_secs(&mut self, model: &ModelConfig, shape: RequestShape) -> f64 {
         let key = (*model, shape);
-        if let Some(&s) = self.ideal.get(&key) {
+        if let Some(&s) = self.class.ideal.get(&key) {
             return s;
         }
         let mut s = self.prefill_secs(model, shape.input);
         for past in shape.input..shape.input + shape.generation_steps() {
             s += self.decode_secs(model, past, 1);
         }
-        self.ideal.insert(key, s);
+        self.class.ideal.insert(key, s);
         s
     }
 }

@@ -116,7 +116,10 @@
 //! modes.
 //!
 //! Device step costs come from the same simulations the figures use,
-//! memoized per replica: whole-request service times per `(model,
+//! memoized per *price class* — the replicas whose backends
+//! [price alike](crate::backend::Backend::prices_like), so a cluster of
+//! identical devices simulates each step once: whole-request service
+//! times per `(model,
 //! shape)`, prefill times per `(model, tokens)`, and decode-iteration
 //! times per `(model, batch)` on a geometric grid of past-lengths with
 //! piecewise-linear interpolation between grid points — so rate sweeps

@@ -1370,3 +1370,266 @@ fn zero_completion_tenant_is_zeroed_and_excluded_from_fairness() {
         "a single counted tenant leaves no ratio to take"
     );
 }
+
+/// Price-class tests: replicas whose backends price alike share one set
+/// of cost memos and one pricing backend, and no report may tell.
+mod price_classes {
+    use super::*;
+    use std::any::Any;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A forwarding wrapper around a simulated device that counts the
+    /// device-cost calls (`service_time`, `prefill_time`, `decode_time`)
+    /// it receives. With `share` it prices like another sharing `Probe`
+    /// over an alike system; without, it never opts in, so every replica
+    /// is its own price class — the unshared baseline.
+    struct Probe {
+        inner: IanusSystem,
+        name: String,
+        share: bool,
+        priced: Arc<AtomicU64>,
+    }
+
+    impl Backend for Probe {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn service_time(&mut self, model: &ModelConfig, shape: RequestShape) -> Duration {
+            self.priced.fetch_add(1, Ordering::Relaxed);
+            self.inner.service_time(model, shape)
+        }
+        fn fits(&self, model: &ModelConfig) -> Result<(), crate::capacity::CapacityError> {
+            self.inner.fits(model)
+        }
+        fn prefill_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
+            self.priced.fetch_add(1, Ordering::Relaxed);
+            self.inner.prefill_time(model, tokens)
+        }
+        fn decode_time(&mut self, model: &ModelConfig, past: u64, batch: u32) -> Duration {
+            self.priced.fetch_add(1, Ordering::Relaxed);
+            self.inner.decode_time(model, past, batch)
+        }
+        fn batch_fits(
+            &self,
+            model: &ModelConfig,
+            batch: &[RequestShape],
+        ) -> Result<f64, crate::capacity::CapacityError> {
+            self.inner.batch_fits(model, batch)
+        }
+        fn kv_transfer_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
+            self.inner.kv_transfer_time(model, tokens)
+        }
+        fn host_kv_bytes(&self) -> Option<u64> {
+            self.inner.host_kv_bytes()
+        }
+        fn kv_budget_bytes(&self, model: &ModelConfig, widest_input: u64) -> Option<u64> {
+            self.inner.kv_budget_bytes(model, widest_input)
+        }
+        fn clone_box(&self) -> Option<Box<dyn Backend>> {
+            Some(Box::new(Probe {
+                inner: self.inner.clone(),
+                name: self.name.clone(),
+                share: self.share,
+                priced: self.priced.clone(),
+            }))
+        }
+        fn prices_like(&self, other: &dyn Backend) -> bool {
+            self.share
+                && (other as &dyn Any)
+                    .downcast_ref::<Probe>()
+                    .is_some_and(|o| o.share && self.inner.prices_like(&o.inner))
+        }
+    }
+
+    /// A cluster of one `Probe` per system, plus each replica's call
+    /// counter. Unshared replicas are named apart (`"IANUS #3"`), so no
+    /// grouping keyed on names could merge the baseline's replicas.
+    fn probed(
+        cfg: ServingConfig,
+        systems: &[SystemConfig],
+        share: bool,
+    ) -> (ServingSim, Vec<Arc<AtomicU64>>) {
+        let mut sim = ServingSim::new(cfg);
+        let mut counters = Vec::new();
+        for (i, &system) in systems.iter().enumerate() {
+            let priced = Arc::new(AtomicU64::new(0));
+            counters.push(priced.clone());
+            let inner = IanusSystem::new(system);
+            let name = if share {
+                inner.name().to_string()
+            } else {
+                format!("{} #{i}", inner.name())
+            };
+            sim = sim.replica(Probe {
+                inner,
+                name,
+                share,
+                priced,
+            });
+        }
+        (sim, counters)
+    }
+
+    /// Asserts a shared cluster's report equals its unshared baseline's
+    /// in everything but the baseline's replica names.
+    fn assert_matches_baseline(shared: &ServingReport, mut baseline: ServingReport) {
+        for (b, s) in baseline.per_replica.iter_mut().zip(&shared.per_replica) {
+            b.name.clone_from(&s.name);
+        }
+        assert_eq!(shared, &baseline);
+    }
+
+    fn calls(counters: &[Arc<AtomicU64>]) -> Vec<u64> {
+        counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Iteration-level with chunked prefill, preemption and paged KV
+    /// behind a small host pool: every pricing call site runs.
+    fn paged_preemptive(sim: ServingSim) -> ServingSim {
+        sim.scheduling(Scheduling::IterationLevel {
+            max_batch: 32,
+            prefill_chunk: Some(128),
+            preempt: true,
+        })
+        .kv_block(16)
+        .host_kv_pool(Some(1 << 30))
+    }
+
+    /// A variant that still calls itself "IANUS" but prices PIM work
+    /// differently.
+    fn slow_macro_ianus() -> SystemConfig {
+        SystemConfig {
+            pim_macro_overhead: Duration::from_ns(5000),
+            ..SystemConfig::ianus()
+        }
+    }
+
+    #[test]
+    fn identical_replicas_price_once_per_class_and_bit_identically() {
+        let model = ModelConfig::gpt2_xl();
+        let systems = [SystemConfig::ianus(); 4];
+        let cfg = ServingConfig::shared_prefix(100.0, 160);
+        let (shared, counts) = probed(cfg.clone(), &systems, true);
+        let (unshared, _) = probed(cfg.clone(), &systems, false);
+        let iteration = paged_preemptive(shared).run(&model);
+        assert_matches_baseline(&iteration, paged_preemptive(unshared).run(&model));
+        assert_eq!(iteration.completed, 160);
+        assert!(iteration.preemptions > 0, "no KV pressure exercised");
+        assert!(iteration.prefix_cache_hits > 0);
+        let priced = calls(&counts);
+        assert!(priced[0] > 0);
+        assert_eq!(
+            &priced[1..],
+            &[0, 0, 0],
+            "only the class's lowest member prices"
+        );
+
+        for dispatch in [
+            DispatchPolicy::FcfsSingleQueue,
+            DispatchPolicy::ShortestExpectedJob,
+        ] {
+            let cfg = ServingConfig::interactive(30.0, 80);
+            let (shared, counts) = probed(cfg.clone(), &systems, true);
+            let (unshared, _) = probed(cfg, &systems, false);
+            let r = shared.dispatch(dispatch).run(&model);
+            assert_matches_baseline(&r, unshared.dispatch(dispatch).run(&model));
+            assert!(r.per_replica.iter().all(|p| p.completed > 0));
+            let priced = calls(&counts);
+            assert!(priced[0] > 0);
+            assert_eq!(&priced[1..], &[0, 0, 0], "{dispatch:?}");
+        }
+    }
+
+    #[test]
+    fn heterogeneous_classes_match_unshared_baseline() {
+        let model = ModelConfig::gpt2_m();
+        let variant = slow_macro_ianus();
+        let stage = ianus_model::Stage::Generation { past_tokens: 256 };
+        assert_eq!(IanusSystem::new(variant).name(), "IANUS");
+        assert_ne!(
+            IanusSystem::new(variant).run_stage(&model, &stage).latency,
+            IanusSystem::new(SystemConfig::ianus())
+                .run_stage(&model, &stage)
+                .latency,
+            "the variant must price differently under the same name"
+        );
+        let systems = [
+            SystemConfig::ianus(),
+            variant,
+            SystemConfig::npu_mem(),
+            SystemConfig::ianus(),
+            variant,
+            SystemConfig::npu_mem(),
+        ];
+        let cfg = ServingConfig::long_prompt(60.0, 90);
+        let (shared, counts) = probed(cfg.clone(), &systems, true);
+        let (unshared, _) = probed(cfg, &systems, false);
+        let build = |sim: ServingSim| {
+            sim.scheduling(Scheduling::IterationLevel {
+                max_batch: 8,
+                prefill_chunk: Some(128),
+                preempt: true,
+            })
+        };
+        let r = build(shared).run(&model);
+        assert_matches_baseline(&r, build(unshared).run(&model));
+        let priced = calls(&counts);
+        assert!(priced[..3].iter().all(|&c| c > 0), "{priced:?}");
+        assert_eq!(&priced[3..], &[0, 0, 0]);
+
+        let cfg = ServingConfig::interactive(40.0, 90);
+        let (shared, _) = probed(cfg.clone(), &systems, true);
+        let (unshared, _) = probed(cfg, &systems, false);
+        let sej = DispatchPolicy::ShortestExpectedJob;
+        assert_matches_baseline(
+            &shared.dispatch(sej).run(&model),
+            unshared.dispatch(sej).run(&model),
+        );
+    }
+
+    #[test]
+    fn late_replicas_clones_and_sweeps_match_cold_engines() {
+        let model = ModelConfig::gpt2_m();
+        let cfg = ServingConfig::long_prompt(40.0, 60);
+        let iteration = Scheduling::IterationLevel {
+            max_batch: 8,
+            prefill_chunk: Some(128),
+            preempt: false,
+        };
+        let cold = |systems: &[SystemConfig]| {
+            ServingSim::new(cfg.clone())
+                .cluster(systems.len(), |i| IanusSystem::new(systems[i]))
+                .scheduling(iteration)
+        };
+        let two = [SystemConfig::ianus(); 2];
+        let four = [
+            SystemConfig::ianus(),
+            SystemConfig::ianus(),
+            SystemConfig::ianus(),
+            slow_macro_ianus(),
+        ];
+
+        // Replicas added after a warm run join (or found) classes.
+        let mut warm = cold(&two);
+        warm.run(&model);
+        let mut grown = warm
+            .boxed_replica(Box::new(IanusSystem::new(four[2])))
+            .boxed_replica(Box::new(IanusSystem::new(four[3])));
+        assert_eq!(grown.run(&model), cold(&four).run(&model));
+
+        // A clone of a warm shared engine carries its classes.
+        let mut clone = grown.try_clone().expect("IANUS clones");
+        assert_eq!(clone.run(&model), cold(&four).run(&model));
+
+        // Parallel sweeps (one clone per extra rate) equal serial runs
+        // on one shared engine.
+        let rates = [10.0, 40.0, 160.0];
+        let parallel = cold(&four).sweep_rates(&model, &rates);
+        let mut serial = cold(&four);
+        for (rate, report) in rates.iter().zip(&parallel) {
+            serial.set_rate(*rate);
+            assert_eq!(&serial.run(&model), report, "rate {rate}");
+        }
+    }
+}

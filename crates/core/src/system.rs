@@ -77,6 +77,11 @@ impl IanusSystem {
         &self.cfg
     }
 
+    /// The energy model pricing each stage's activity.
+    pub fn energy_model(&self) -> &EnergyModel {
+        &self.energy_model
+    }
+
     /// Replaces the energy model (coefficient studies) and forgets every
     /// memoized stage, whose energies the old model priced.
     pub fn set_energy_model(&mut self, m: EnergyModel) {
