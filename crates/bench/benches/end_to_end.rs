@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ianus_baselines::{DfxModel, GpuModel};
-use ianus_core::multi_device::DeviceGroup;
 use ianus_core::{IanusSystem, SystemConfig};
 use ianus_model::{ModelConfig, RequestShape};
 use std::hint::black_box;
@@ -45,7 +44,7 @@ fn bench_bert(c: &mut Criterion) {
 fn bench_multi_device(c: &mut Criterion) {
     c.bench_function("e2e_gpt6_7b_2dev_256_8", |b| {
         b.iter(|| {
-            let mut group = DeviceGroup::new(SystemConfig::ianus(), 2);
+            let mut group = IanusSystem::new(SystemConfig::ianus().with_devices(2));
             black_box(group.run_request(&ModelConfig::gpt_6_7b(), RequestShape::new(256, 8)))
         })
     });

@@ -9,7 +9,6 @@
 //!    (the two options of Section 7.1)
 
 use ianus_bench::banner;
-use ianus_core::multi_device::DeviceGroup;
 use ianus_core::{IanusSystem, SystemConfig};
 use ianus_dram::{GddrOrganization, GddrTimings, TransferModel};
 use ianus_model::{ModelConfig, RequestShape, Stage};
@@ -97,7 +96,7 @@ fn main() {
     let mut clam = IanusSystem::new(clam_cfg);
     let one = clam.run_request(&model67, req);
     // Option 2 (the paper's choice): two standard devices.
-    let mut two_dev = DeviceGroup::new(SystemConfig::ianus(), 2);
+    let mut two_dev = IanusSystem::new(SystemConfig::ianus().with_devices(2));
     let two = two_dev.run_request(&model67, req);
     println!(
         "  1x clamshell device (16 GB):  {:>8.1} ms  ({:.1} ms/token)",

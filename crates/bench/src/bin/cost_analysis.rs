@@ -3,8 +3,10 @@
 
 use ianus_baselines::GpuModel;
 use ianus_bench::{banner, paper};
-use ianus_core::multi_device::{DeviceGroup, A100_TDP_WATTS, IANUS_TDP_WATTS};
-use ianus_core::SystemConfig;
+use ianus_core::multi_device::{
+    cost_efficiency_vs_gpu, devices_for, A100_TDP_WATTS, IANUS_TDP_WATTS,
+};
+use ianus_core::{IanusSystem, SystemConfig};
 use ianus_model::{ModelConfig, RequestShape};
 
 fn main() {
@@ -18,11 +20,11 @@ fn main() {
     );
     println!("{}", "-".repeat(68));
     for (mi, model) in ModelConfig::large_gpt_family().iter().enumerate() {
-        let devices = DeviceGroup::devices_for(model);
-        let mut group = DeviceGroup::new(SystemConfig::ianus(), devices);
+        let devices = devices_for(model);
+        let mut group = IanusSystem::new(SystemConfig::ianus().with_devices(devices));
         let g = gpu.request_latency(model, req).as_ms_f64();
         let i = group.run_request(model, req).total.as_ms_f64();
-        let eff = group.cost_efficiency_vs_gpu(g, i);
+        let eff = cost_efficiency_vs_gpu(devices, g, i);
         println!(
             "{:<10} {:>8} | {:>10.0} {:>10.1} | {:>9.1}x {:>7.1}x",
             model.name,

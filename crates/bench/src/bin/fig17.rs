@@ -3,8 +3,9 @@
 
 use ianus_baselines::GpuModel;
 use ianus_bench::{banner, mean, paper, req_label};
-use ianus_core::multi_device::DeviceGroup;
-use ianus_core::SystemConfig;
+use ianus_core::capacity::check_model;
+use ianus_core::multi_device::devices_for;
+use ianus_core::{IanusSystem, SystemConfig};
 use ianus_model::{ModelConfig, RequestShape};
 
 fn main() {
@@ -15,9 +16,10 @@ fn main() {
         .map(|&o| RequestShape::new(256, o))
         .collect();
     for (mi, model) in ModelConfig::large_gpt_family().iter().enumerate() {
-        let devices = DeviceGroup::devices_for(model);
-        let mut group = DeviceGroup::new(SystemConfig::ianus(), devices);
-        group.fits(model).expect("device count must fit the model");
+        let devices = devices_for(model);
+        let cfg = SystemConfig::ianus().with_devices(devices);
+        check_model(&cfg, model).expect("device count must fit the model");
+        let mut group = IanusSystem::new(cfg);
         println!(
             "\n{} on {} IANUS devices (paper: {}):",
             model.name,

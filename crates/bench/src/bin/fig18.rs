@@ -2,8 +2,7 @@
 //! devices, in generated tokens per second.
 
 use ianus_bench::{banner, paper};
-use ianus_core::multi_device::DeviceGroup;
-use ianus_core::SystemConfig;
+use ianus_core::{IanusSystem, SystemConfig};
 use ianus_model::{ModelConfig, RequestShape};
 
 fn main() {
@@ -17,8 +16,9 @@ fn main() {
     println!("{}", "-".repeat(52));
     let mut first = None;
     for (i, devices) in [2u32, 4, 8].iter().enumerate() {
-        let mut group = DeviceGroup::new(SystemConfig::ianus(), *devices);
-        let tps = group.tokens_per_second(&model, req);
+        let tps = IanusSystem::new(SystemConfig::ianus().with_devices(*devices))
+            .run_request(&model, req)
+            .tokens_per_second(req.output);
         let base = *first.get_or_insert(tps);
         println!(
             "{:>9} | {:>12.1} {:>12.1} | {:>8.2}x",

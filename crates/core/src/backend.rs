@@ -1,42 +1,43 @@
 //! The unified [`Backend`] trait: one serving interface over every device
 //! model in the workspace.
 //!
-//! The paper motivates IANUS with interactive batch-1 serving, and the
-//! repo grew four ways to ask "how long does this request take" —
-//! [`IanusSystem::run_request`], [`DeviceGroup::run_request`], and the
-//! baselines' ad-hoc `request_latency` methods. [`Backend`] collapses
-//! them into one trait so the serving engine ([`crate::serving`]), the
-//! examples, and any future scheduler can treat a single IANUS device, a
-//! PCIe-ganged device group, an A100, or a DFX appliance interchangeably
-//! — through `dyn Backend` or generics.
+//! The paper motivates IANUS with interactive batch-1 serving, and each
+//! device model has its own way to ask "how long does this request
+//! take" — [`IanusSystem::run_request`] and the baselines' ad-hoc
+//! `request_latency` methods. [`Backend`] collapses them into one trait
+//! so the serving engine ([`crate::serving`]), the examples, and any
+//! future scheduler can treat a single IANUS device, a PCIe-ganged
+//! device group (an [`IanusSystem`] over
+//! [`SystemConfig::with_devices`](crate::SystemConfig::with_devices)),
+//! an A100, or a DFX appliance interchangeably — through `dyn Backend`
+//! or generics.
 //!
-//! Implementations in this crate: [`IanusSystem`] and [`DeviceGroup`].
-//! The `ianus-baselines` crate implements it for `GpuModel` and
-//! `DfxModel`.
+//! Implementation in this crate: [`IanusSystem`], for one device and for
+//! ganged groups alike. The `ianus-baselines` crate implements it for
+//! `GpuModel` and `DfxModel`.
 //!
 //! # Examples
 //!
 //! ```
 //! use ianus_core::backend::Backend;
-//! use ianus_core::multi_device::DeviceGroup;
 //! use ianus_core::{IanusSystem, SystemConfig};
 //! use ianus_model::{ModelConfig, RequestShape};
 //!
 //! let mut backends: Vec<Box<dyn Backend>> = vec![
 //!     Box::new(IanusSystem::new(SystemConfig::ianus())),
-//!     Box::new(DeviceGroup::new(SystemConfig::ianus(), 2)),
+//!     Box::new(IanusSystem::new(SystemConfig::ianus().with_devices(2))),
 //! ];
 //! let model = ModelConfig::gpt2_m();
 //! for b in &mut backends {
 //!     assert!(b.fits(&model).is_ok());
 //!     assert!(b.service_time(&model, RequestShape::new(128, 8)).as_ms_f64() > 0.0);
 //! }
+//! assert_eq!(backends[1].name(), "IANUS x2");
 //! ```
 
 #![deny(missing_docs)]
 
 use crate::capacity::{check_batch, check_model, CapacityError};
-use crate::multi_device::DeviceGroup;
 use crate::{IanusSystem, MemoryPolicy};
 use ianus_model::{ModelConfig, RequestShape, Stage};
 use ianus_sim::Duration;
@@ -228,11 +229,12 @@ pub trait Backend: Send + Any {
 }
 
 impl Backend for IanusSystem {
+    /// `"IANUS"`, `"IANUS x{d}"` for a unified group of `d` devices, or
+    /// the memory policy's name.
     fn name(&self) -> &str {
-        let devices = self.config().devices;
-        match (self.config().memory, devices) {
+        match (self.config().memory, self.config().devices) {
             (MemoryPolicy::Unified, 1) => "IANUS",
-            (MemoryPolicy::Unified, _) => "IANUS group",
+            (MemoryPolicy::Unified, _) => self.group_name(),
             (MemoryPolicy::Partitioned, _) => "IANUS (partitioned)",
             (MemoryPolicy::NpuMemOnly, _) => "NPU-MEM",
         }
@@ -278,16 +280,25 @@ impl Backend for IanusSystem {
 
     /// KV swaps leave the device over PCIe (the GDDR6 side is an order
     /// of magnitude faster, so the host link binds), plus one
-    /// synchronization round-trip.
+    /// synchronization round-trip. A group's KV cache shards head-wise
+    /// with the attention partitioning and every device drains its shard
+    /// over its own link in parallel, so the per-link bytes divide by the
+    /// device count while the synchronization latency does not.
     fn kv_transfer_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
-        let bytes = crate::capacity::kv_swap_bytes(model, tokens);
-        self.config().pcie_latency + Duration::from_ns_f64(bytes as f64 / self.config().pcie_gbps)
+        let cfg = self.config();
+        let bytes =
+            crate::capacity::kv_swap_bytes(model, tokens).div_ceil(u64::from(cfg.devices.max(1)));
+        cfg.pcie_latency + Duration::from_ns_f64(bytes as f64 / cfg.pcie_gbps)
     }
 
+    /// Ganged devices hang off **one** host, so a group shares a single
+    /// host-DRAM pool — it does not scale with the device count.
     fn host_kv_bytes(&self) -> Option<u64> {
         Some(self.config().host_kv_bytes)
     }
 
+    /// KV blocks shard head-wise with the attention partitioning, so a
+    /// group's block budget aggregates every device's headroom.
     fn kv_budget_bytes(&self, model: &ModelConfig, widest_input: u64) -> Option<u64> {
         Some(crate::capacity::kv_budget_bytes(
             self.config(),
@@ -310,87 +321,6 @@ impl Backend for IanusSystem {
     }
 }
 
-impl Backend for DeviceGroup {
-    fn name(&self) -> &str {
-        self.label()
-    }
-
-    fn service_time(&mut self, model: &ModelConfig, shape: RequestShape) -> Duration {
-        self.run_request(model, shape).total
-    }
-
-    fn fits(&self, model: &ModelConfig) -> Result<(), CapacityError> {
-        check_model(self.system().config(), model)
-    }
-
-    fn prefill_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
-        self.system_mut()
-            .run_stage(
-                model,
-                &Stage::Summarization {
-                    tokens: tokens.max(1),
-                },
-            )
-            .latency
-    }
-
-    /// Serialized like the single device: the group's PIM GEMVs are
-    /// per-sequence passes too (see [`IanusSystem`]'s `decode_time`).
-    fn decode_time(&mut self, model: &ModelConfig, past_tokens: u64, batch: u32) -> Duration {
-        self.system_mut()
-            .run_stage(model, &Stage::Generation { past_tokens })
-            .latency
-            * u64::from(batch.max(1))
-    }
-
-    fn batch_fits(
-        &self,
-        model: &ModelConfig,
-        batch: &[RequestShape],
-    ) -> Result<f64, CapacityError> {
-        check_batch(self.system().config(), model, batch).map(|r| r.occupancy())
-    }
-
-    /// The KV cache shards head-wise with the attention partitioning,
-    /// and every device drains its shard over its own PCIe link in
-    /// parallel — so the per-link traffic divides by the device count
-    /// while the synchronization latency does not.
-    fn kv_transfer_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
-        let cfg = *self.system().config();
-        let bytes =
-            crate::capacity::kv_swap_bytes(model, tokens).div_ceil(u64::from(cfg.devices.max(1)));
-        cfg.pcie_latency + Duration::from_ns_f64(bytes as f64 / cfg.pcie_gbps)
-    }
-
-    /// The ganged devices hang off **one** host, so the group shares a
-    /// single host-DRAM pool — it does not scale with the device count.
-    fn host_kv_bytes(&self) -> Option<u64> {
-        Some(self.system().config().host_kv_bytes)
-    }
-
-    /// KV blocks shard head-wise with the attention partitioning, so
-    /// the group's block budget aggregates every device's headroom.
-    fn kv_budget_bytes(&self, model: &ModelConfig, widest_input: u64) -> Option<u64> {
-        Some(crate::capacity::kv_budget_bytes(
-            self.system().config(),
-            model,
-            widest_input,
-        ))
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Backend>> {
-        Some(Box::new(self.clone()))
-    }
-
-    /// Another group of as many devices over a system that prices like
-    /// this one's (equal base config and energy model).
-    fn prices_like(&self, other: &dyn Backend) -> bool {
-        (other as &dyn Any)
-            .downcast_ref::<DeviceGroup>()
-            .is_some_and(|o| o.devices() == self.devices() && self.system().prices_like(o.system()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,26 +328,21 @@ mod tests {
 
     #[test]
     fn ianus_system_backend_matches_direct_api() {
-        let model = ModelConfig::gpt2_m();
-        let shape = RequestShape::new(64, 4);
-        let direct = IanusSystem::new(SystemConfig::ianus())
-            .run_request(&model, shape)
-            .total;
-        let mut backend: Box<dyn Backend> = Box::new(IanusSystem::new(SystemConfig::ianus()));
-        assert_eq!(backend.service_time(&model, shape), direct);
-        assert_eq!(backend.name(), "IANUS");
-    }
-
-    #[test]
-    fn device_group_backend_matches_direct_api() {
-        let model = ModelConfig::gpt_6_7b();
-        let shape = RequestShape::new(64, 2);
-        let direct = DeviceGroup::new(SystemConfig::ianus(), 2)
-            .run_request(&model, shape)
-            .total;
-        let mut backend = DeviceGroup::new(SystemConfig::ianus(), 2);
-        assert_eq!(Backend::service_time(&mut backend, &model, shape), direct);
-        assert_eq!(Backend::name(&backend), "IANUS x2");
+        for (model, devices, shape, name) in [
+            (ModelConfig::gpt2_m(), 1, RequestShape::new(64, 4), "IANUS"),
+            (
+                ModelConfig::gpt_6_7b(),
+                2,
+                RequestShape::new(64, 2),
+                "IANUS x2",
+            ),
+        ] {
+            let cfg = SystemConfig::ianus().with_devices(devices);
+            let direct = IanusSystem::new(cfg).run_request(&model, shape).total;
+            let mut backend: Box<dyn Backend> = Box::new(IanusSystem::new(cfg));
+            assert_eq!(backend.service_time(&model, shape), direct);
+            assert_eq!(backend.name(), name);
+        }
     }
 
     #[test]
@@ -425,8 +350,8 @@ mod tests {
         let sys = IanusSystem::new(SystemConfig::ianus());
         assert!(sys.fits(&ModelConfig::gpt2_xl()).is_ok());
         assert!(sys.fits(&ModelConfig::gpt_13b()).is_err());
-        let group = DeviceGroup::new(SystemConfig::ianus(), 4);
-        assert!(Backend::fits(&group, &ModelConfig::gpt_13b()).is_ok());
+        let group = IanusSystem::new(SystemConfig::ianus().with_devices(4));
+        assert!(group.fits(&ModelConfig::gpt_13b()).is_ok());
     }
 
     #[test]
@@ -442,28 +367,18 @@ mod tests {
     fn prefill_plus_decode_steps_reproduce_service_time() {
         // For short outputs run_request sums its generation stages
         // exactly, so the step decomposition must reproduce it exactly.
-        let model = ModelConfig::gpt2_m();
-        let shape = RequestShape::new(64, 8);
-        let mut sys = IanusSystem::new(SystemConfig::ianus());
-        let service = Backend::service_time(&mut sys, &model, shape);
-        let mut steps = Backend::prefill_time(&mut sys, &model, shape.input);
-        for past in shape.input..shape.input + shape.generation_steps() {
-            steps += Backend::decode_time(&mut sys, &model, past, 1);
+        for (model, devices, shape) in [
+            (ModelConfig::gpt2_m(), 1, RequestShape::new(64, 8)),
+            (ModelConfig::gpt_6_7b(), 2, RequestShape::new(64, 4)),
+        ] {
+            let mut sys = IanusSystem::new(SystemConfig::ianus().with_devices(devices));
+            let service = Backend::service_time(&mut sys, &model, shape);
+            let mut steps = Backend::prefill_time(&mut sys, &model, shape.input);
+            for past in shape.input..shape.input + shape.generation_steps() {
+                steps += Backend::decode_time(&mut sys, &model, past, 1);
+            }
+            assert_eq!(steps, service, "{devices} devices");
         }
-        assert_eq!(steps, service);
-    }
-
-    #[test]
-    fn device_group_decomposition_matches_service_time() {
-        let model = ModelConfig::gpt_6_7b();
-        let shape = RequestShape::new(64, 4);
-        let mut group = DeviceGroup::new(SystemConfig::ianus(), 2);
-        let service = Backend::service_time(&mut group, &model, shape);
-        let mut steps = Backend::prefill_time(&mut group, &model, shape.input);
-        for past in shape.input..shape.input + shape.generation_steps() {
-            steps += Backend::decode_time(&mut group, &model, past, 1);
-        }
-        assert_eq!(steps, service);
     }
 
     #[test]
@@ -488,7 +403,7 @@ mod tests {
         // Enough sequences must be refused.
         assert!(Backend::batch_fits(&sys, &model, &[shape; 64]).is_err());
         // And the group spreads the same batch across more memory.
-        let group = DeviceGroup::new(SystemConfig::ianus(), 4);
+        let group = IanusSystem::new(SystemConfig::ianus().with_devices(4));
         let grouped = Backend::batch_fits(&group, &model, &[shape; 4]).unwrap();
         assert!(grouped < four);
     }
@@ -499,7 +414,7 @@ mod tests {
         // device group shares one host, so the pool does not scale.
         let sys = IanusSystem::new(SystemConfig::ianus());
         assert_eq!(Backend::host_kv_bytes(&sys), Some(32 << 30));
-        let group = DeviceGroup::new(SystemConfig::ianus(), 4);
+        let group = IanusSystem::new(SystemConfig::ianus().with_devices(4));
         assert_eq!(Backend::host_kv_bytes(&group), Some(32 << 30));
         let tuned = IanusSystem::new(SystemConfig::ianus().with_host_kv_bytes(1 << 30));
         assert_eq!(Backend::host_kv_bytes(&tuned), Some(1 << 30));
@@ -516,10 +431,20 @@ mod tests {
         // 1024 tokens of GPT-2 XL KV ≈ 302 MB over a 64 GB/s link plus
         // the sync latency: single-digit milliseconds.
         assert!(long.as_ms_f64() > 1.0 && long.as_ms_f64() < 20.0, "{long}");
-        // A group drains its head-wise KV shards over parallel links.
-        let mut group = DeviceGroup::new(SystemConfig::ianus(), 4);
-        let grouped = Backend::kv_transfer_time(&mut group, &model, 1024);
-        assert!(grouped < long, "group {grouped} vs single {long}");
+        assert!((long.as_ms_f64() - 4.720).abs() < 1e-3, "{long}");
+        // A group drains its head-wise KV shards over parallel links:
+        // the bytes divide by the device count, the sync latency does not.
+        let mut group: Box<dyn Backend> =
+            Box::new(IanusSystem::new(SystemConfig::ianus().with_devices(4)));
+        assert_eq!(group.name(), "IANUS x4");
+        let grouped = group.kv_transfer_time(&model, 1024);
+        assert!((grouped.as_ms_f64() - 1.181).abs() < 1e-3, "{grouped}");
+        let cfg = SystemConfig::ianus();
+        let shard = crate::capacity::kv_swap_bytes(&model, 1024).div_ceil(4);
+        assert_eq!(
+            grouped,
+            cfg.pcie_latency + Duration::from_ns_f64(shard as f64 / cfg.pcie_gbps)
+        );
     }
 
     #[test]
@@ -547,11 +472,11 @@ mod tests {
             ..Default::default()
         });
         assert!(!ianus.prices_like(&costly));
-        // Groups match on base config and device count; a group never
-        // prices like a single system.
-        let group = DeviceGroup::new(SystemConfig::ianus(), 2);
-        assert!(group.prices_like(&DeviceGroup::new(SystemConfig::ianus(), 2)));
-        assert!(!group.prices_like(&DeviceGroup::new(SystemConfig::ianus(), 4)));
+        // The device count is part of the config: groups of equal size
+        // price alike, and a group never prices like a single system.
+        let group = IanusSystem::new(SystemConfig::ianus().with_devices(2));
+        assert!(group.prices_like(&IanusSystem::new(SystemConfig::ianus().with_devices(2))));
+        assert!(!group.prices_like(&IanusSystem::new(SystemConfig::ianus().with_devices(4))));
         assert!(!group.prices_like(&ianus));
         assert!(!ianus.prices_like(&group));
     }

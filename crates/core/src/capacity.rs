@@ -88,7 +88,7 @@ pub const WORKING_BUFFER_BYTES: u64 = 1 << 30;
 /// the [`WORKING_BUFFER_BYTES`] activation/buffer margin. This is the
 /// one place the nominal-context convention is defined; the baselines'
 /// `Backend::fits` and
-/// [`DeviceGroup::devices_for`](crate::multi_device::DeviceGroup::devices_for)
+/// [`multi_device::devices_for`](crate::multi_device::devices_for)
 /// both build on it, while [`check_model`]/[`check_request`] apply the
 /// device-sharded variant.
 pub fn nominal_footprint_bytes(model: &ModelConfig) -> u64 {

@@ -2,14 +2,32 @@
 //!
 //! Larger LLMs need more memory than one device's 8 GB; the paper gangs
 //! 2/4/8 IANUS devices over PCIe 5.0 ×16, exploiting intra-layer and
-//! attention-head parallelism across devices. Compilation already divides
-//! per-core work by `cores × devices` and inserts PCIe exchanges at every
-//! synchronization, so this module is a thin orchestration layer: capacity
-//! checks, device-count selection and the perf/TDP cost metrics of
-//! Section 7.2.
+//! attention-head parallelism across devices. A ganged group is an
+//! ordinary [`IanusSystem`](crate::IanusSystem) over
+//! [`SystemConfig::with_devices`]: compilation divides per-core work by
+//! `cores × devices` and inserts PCIe exchanges at every synchronization,
+//! [`capacity::check_model`](crate::capacity::check_model) checks the
+//! per-device shard, and the system's
+//! [`Backend`](crate::backend::Backend) impl shards KV swaps across the
+//! devices' links. What is left here is Section 7.2's arithmetic:
+//! device-count selection and the perf/TDP cost metric.
+//!
+//! # Examples
+//!
+//! ```
+//! use ianus_core::capacity::check_model;
+//! use ianus_core::multi_device::devices_for;
+//! use ianus_core::SystemConfig;
+//! use ianus_model::ModelConfig;
+//!
+//! let model = ModelConfig::gpt_30b();
+//! assert_eq!(devices_for(&model), 8);
+//! assert!(check_model(&SystemConfig::ianus().with_devices(8), &model).is_ok());
+//! assert!(check_model(&SystemConfig::ianus().with_devices(2), &model).is_err());
+//! ```
 
-use crate::{IanusSystem, RunReport, SystemConfig};
-use ianus_model::{ModelConfig, RequestShape};
+use crate::SystemConfig;
+use ianus_model::ModelConfig;
 
 /// Thermal design power assumed for one IANUS device (Section 7.2).
 pub const IANUS_TDP_WATTS: f64 = 120.0;
@@ -17,155 +35,25 @@ pub const IANUS_TDP_WATTS: f64 = 120.0;
 /// Thermal design power of the A100 comparison GPU.
 pub const A100_TDP_WATTS: f64 = 400.0;
 
-/// Error for models that do not fit the requested device group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CapacityError {
-    /// Model name.
-    pub model: &'static str,
-    /// Bytes required per device.
-    pub required: u64,
-    /// Bytes available per device.
-    pub available: u64,
+/// Minimum power-of-two device count whose aggregate memory holds
+/// `model` (weights plus working set margin) — the paper's 2/4/8 for
+/// 6.7B/13B/30B.
+pub fn devices_for(model: &ModelConfig) -> u32 {
+    let per_device = SystemConfig::ianus().weight_capacity_bytes();
+    let needed = crate::capacity::nominal_footprint_bytes(model);
+    let mut d = 1u32;
+    while u64::from(d) * per_device < needed {
+        d *= 2;
+    }
+    d
 }
 
-impl std::fmt::Display for CapacityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} needs {} MiB per device but only {} MiB are available",
-            self.model,
-            self.required >> 20,
-            self.available >> 20
-        )
-    }
-}
-
-impl std::error::Error for CapacityError {}
-
-/// A group of identically configured IANUS devices.
-///
-/// # Examples
-///
-/// ```
-/// use ianus_core::multi_device::DeviceGroup;
-/// use ianus_core::SystemConfig;
-/// use ianus_model::ModelConfig;
-///
-/// let g = DeviceGroup::new(SystemConfig::ianus(), 2);
-/// assert!(g.fits(&ModelConfig::gpt_6_7b()).is_ok());
-/// assert!(g.fits(&ModelConfig::gpt_30b()).is_err());
-/// assert_eq!(DeviceGroup::devices_for(&ModelConfig::gpt_30b()), 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DeviceGroup {
-    system: IanusSystem,
-    devices: u32,
-    label: String,
-}
-
-impl DeviceGroup {
-    /// Creates a group of `devices` devices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is zero.
-    pub fn new(base: SystemConfig, devices: u32) -> Self {
-        DeviceGroup {
-            system: IanusSystem::new(base.with_devices(devices)),
-            devices,
-            label: format!("IANUS x{devices}"),
-        }
-    }
-
-    /// Device count.
-    pub fn devices(&self) -> u32 {
-        self.devices
-    }
-
-    /// Display label (e.g. `"IANUS x4"`), used as the group's
-    /// [`Backend`](crate::backend::Backend) name.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The underlying (device-count-adjusted) system.
-    pub fn system(&self) -> &IanusSystem {
-        &self.system
-    }
-
-    /// Mutable access to the underlying system (stage-level runs need
-    /// `&mut`; used by the group's [`Backend`](crate::backend::Backend)
-    /// prefill/decode costs).
-    pub fn system_mut(&mut self) -> &mut IanusSystem {
-        &mut self.system
-    }
-
-    /// Minimum device count whose aggregate memory holds `model` (weights
-    /// plus working set margin) — the paper's 2/4/8 for 6.7B/13B/30B.
-    pub fn devices_for(model: &ModelConfig) -> u32 {
-        let per_device = SystemConfig::ianus().weight_capacity_bytes();
-        let needed = crate::capacity::nominal_footprint_bytes(model);
-        let mut d = 1u32;
-        while u64::from(d) * per_device < needed {
-            d *= 2;
-        }
-        d
-    }
-
-    /// Checks that `model` is resident on each device of the group —
-    /// the same sharded weights + nominal-context KV + activations check
-    /// as [`capacity::check_model`](crate::capacity::check_model) and
-    /// the group's [`Backend::fits`](crate::backend::Backend::fits),
-    /// reported with this module's model-tagged error type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityError`] when the per-device footprint exceeds
-    /// device memory.
-    pub fn fits(&self, model: &ModelConfig) -> Result<(), CapacityError> {
-        match crate::capacity::check_model(self.system.config(), model) {
-            Ok(()) => Ok(()),
-            Err(crate::capacity::CapacityError::OutOfMemory {
-                required,
-                available,
-            }) => Err(CapacityError {
-                model: model.name,
-                required,
-                available,
-            }),
-            // check_model's nominal context is capped at the model's
-            // maximum sequence, so it can never be too long.
-            Err(crate::capacity::CapacityError::SequenceTooLong { .. }) => {
-                unreachable!("nominal context cannot exceed the model maximum")
-            }
-        }
-    }
-
-    /// Runs a request across the group (the compiled program already
-    /// models the per-device share and PCIe synchronization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not fit (call [`Self::fits`] first).
-    pub fn run_request(&mut self, model: &ModelConfig, request: RequestShape) -> RunReport {
-        assert!(self.fits(model).is_ok(), "model does not fit device group");
-        self.system.run_request(model, request)
-    }
-
-    /// Generated tokens per second for a request (Figure 18's strong
-    /// scaling metric).
-    pub fn tokens_per_second(&mut self, model: &ModelConfig, request: RequestShape) -> f64 {
-        let report = self.run_request(model, request);
-        report.tokens_per_second(request.output)
-    }
-
-    /// Performance per TDP watt relative to an A100 (Section 7.2):
-    /// `(t_gpu / t_group) / (group_tdp / gpu_tdp)`.
-    pub fn cost_efficiency_vs_gpu(&mut self, gpu_latency_ms: f64, group_latency_ms: f64) -> f64 {
-        let perf_ratio = gpu_latency_ms / group_latency_ms;
-        let tdp_ratio = (self.devices as f64 * IANUS_TDP_WATTS) / A100_TDP_WATTS;
-        perf_ratio / tdp_ratio
-    }
+/// Performance per TDP watt of a `devices`-device group relative to an
+/// A100 (Section 7.2): `(t_gpu / t_group) / (group_tdp / gpu_tdp)`.
+pub fn cost_efficiency_vs_gpu(devices: u32, gpu_latency_ms: f64, group_latency_ms: f64) -> f64 {
+    let perf_ratio = gpu_latency_ms / group_latency_ms;
+    let tdp_ratio = (devices as f64 * IANUS_TDP_WATTS) / A100_TDP_WATTS;
+    perf_ratio / tdp_ratio
 }
 
 #[cfg(test)]
@@ -174,37 +62,15 @@ mod tests {
 
     #[test]
     fn paper_device_counts() {
-        assert_eq!(DeviceGroup::devices_for(&ModelConfig::gpt_6_7b()), 2);
-        assert_eq!(DeviceGroup::devices_for(&ModelConfig::gpt_13b()), 4);
-        assert_eq!(DeviceGroup::devices_for(&ModelConfig::gpt_30b()), 8);
-    }
-
-    #[test]
-    fn more_devices_faster_but_sublinear() {
-        let model = ModelConfig::gpt_6_7b();
-        let req = RequestShape::new(256, 64);
-        let mut g2 = DeviceGroup::new(SystemConfig::ianus(), 2);
-        let mut g8 = DeviceGroup::new(SystemConfig::ianus(), 8);
-        let t2 = g2.tokens_per_second(&model, req);
-        let t8 = g8.tokens_per_second(&model, req);
-        let scaling = t8 / t2;
-        // Figure 18: 4× devices give ≈ 2.5× throughput.
-        assert!(scaling > 1.5 && scaling < 4.0, "scaling {scaling}");
-    }
-
-    #[test]
-    fn capacity_error_reports_sizes() {
-        let g = DeviceGroup::new(SystemConfig::ianus(), 1);
-        let err = g.fits(&ModelConfig::gpt_13b()).unwrap_err();
-        assert!(err.to_string().contains("GPT 13B"));
-        assert!(err.required > err.available);
+        assert_eq!(devices_for(&ModelConfig::gpt_6_7b()), 2);
+        assert_eq!(devices_for(&ModelConfig::gpt_13b()), 4);
+        assert_eq!(devices_for(&ModelConfig::gpt_30b()), 8);
     }
 
     #[test]
     fn cost_efficiency_formula() {
-        let mut g = DeviceGroup::new(SystemConfig::ianus(), 2);
         // 2 devices = 240 W vs 400 W; equal latency → efficiency 400/240.
-        let eff = g.cost_efficiency_vs_gpu(10.0, 10.0);
+        let eff = cost_efficiency_vs_gpu(2, 10.0, 10.0);
         assert!((eff - 400.0 / 240.0).abs() < 1e-9);
     }
 }

@@ -220,11 +220,6 @@ impl ServingSim {
         self
     }
 
-    /// In-place form of [`migration`](Self::migration) for warm engines.
-    pub fn set_migration(&mut self, policy: impl MigrationPolicy + Send + Sync + 'static) {
-        self.migration = std::sync::Arc::new(policy);
-    }
-
     /// Forces **two-channel DMA** (split H2D/D2H lanes — swap-ins never
     /// queue behind swap-outs; see [`super::dma`]) even in
     /// all-`Unified` clusters. Disaggregated clusters always run split
@@ -234,12 +229,6 @@ impl ServingSim {
     pub fn two_channel_dma(mut self, split: bool) -> Self {
         self.two_channel = split;
         self
-    }
-
-    /// In-place form of [`two_channel_dma`](Self::two_channel_dma) for
-    /// warm engines.
-    pub fn set_two_channel_dma(&mut self, split: bool) {
-        self.two_channel = split;
     }
 
     /// Enables (the default) or disables **workflow KV inheritance**:
@@ -256,13 +245,6 @@ impl ServingSim {
     pub fn workflow_inheritance(mut self, inherit: bool) -> Self {
         self.workflow_inheritance = inherit;
         self
-    }
-
-    /// In-place form of
-    /// [`workflow_inheritance`](Self::workflow_inheritance) for warm
-    /// engines.
-    pub fn set_workflow_inheritance(&mut self, inherit: bool) {
-        self.workflow_inheritance = inherit;
     }
 
     /// Sets the dispatch policy (request-level scheduling only).
@@ -313,12 +295,6 @@ impl ServingSim {
     pub fn host_kv_pool(mut self, bytes: Option<u64>) -> Self {
         self.host_kv_override = Some(bytes);
         self
-    }
-
-    /// In-place form of [`host_kv_pool`](Self::host_kv_pool) for warm
-    /// engines.
-    pub fn set_host_kv_pool(&mut self, bytes: Option<u64>) {
-        self.host_kv_override = Some(bytes);
     }
 
     /// Enables (or disables) **overlapped swap DMA**: each replica gets
@@ -372,11 +348,6 @@ impl ServingSim {
         self
     }
 
-    /// In-place form of [`core_mode`](Self::core_mode) for warm engines.
-    pub fn set_core_mode(&mut self, mode: CoreMode) {
-        self.core_mode = mode;
-    }
-
     /// Sets the **divergence guard** (builder style): `Some(d)` aborts
     /// an iteration-level run once more than `d` arrived requests are
     /// waiting unadmitted — the run is hopelessly overloaded, and its
@@ -394,12 +365,6 @@ impl ServingSim {
     pub fn divergence_depth(mut self, depth: Option<u64>) -> Self {
         self.divergence = Some(depth);
         self
-    }
-
-    /// In-place form of [`divergence_depth`](Self::divergence_depth)
-    /// for warm engines.
-    pub fn set_divergence_depth(&mut self, depth: Option<u64>) {
-        self.divergence = Some(depth);
     }
 
     /// A deep copy of this engine — replicas (via

@@ -7,7 +7,6 @@ use super::policy::{
 };
 use super::*;
 use crate::backend::Backend;
-use crate::multi_device::DeviceGroup;
 use crate::{IanusSystem, SystemConfig};
 use ianus_baselines_shim::*;
 use ianus_model::{ModelConfig, RequestShape};
@@ -284,7 +283,9 @@ fn cluster_of_device_groups_serves_large_model() {
         arrivals: Default::default(),
     };
     let mut sim = ServingSim::new(cfg)
-        .cluster(2, |_| DeviceGroup::new(SystemConfig::ianus(), 2))
+        .cluster(2, |_| {
+            IanusSystem::new(SystemConfig::ianus().with_devices(2))
+        })
         .dispatch(DispatchPolicy::ShortestExpectedJob);
     assert!(sim.fits(&model).is_ok());
     let r = sim.run(&model);

@@ -7,6 +7,7 @@ use crate::{EnergyModel, SystemConfig, UnitMap};
 use ianus_model::{ModelConfig, RequestShape, Stage};
 use ianus_npu::scheduler::Engine;
 use ianus_sim::Duration;
+use std::sync::OnceLock;
 
 /// Number of generation steps above which per-step latency is sampled and
 /// integrated instead of simulated step-by-step. Per-step latency varies
@@ -22,8 +23,9 @@ const SAMPLE_POINTS: u64 = 25;
 /// Reports of the stages one system has simulated.
 type StageMemo = Memo<(ModelConfig, Stage), StageReport>;
 
-/// A configured IANUS (or NPU-MEM / partitioned) device that runs
-/// requests.
+/// A configured IANUS (or NPU-MEM / partitioned) device — or a group of
+/// [`SystemConfig::devices`] ganged over PCIe (paper Section 7) — that
+/// runs requests.
 ///
 /// Every stage is simulated once per system: [`run_stage`] memoizes its
 /// report keyed by the full `(ModelConfig, Stage)`, so repeated stages —
@@ -50,6 +52,9 @@ pub struct IanusSystem {
     cfg: SystemConfig,
     energy_model: EnergyModel,
     stages: StageMemo,
+    /// `"IANUS x{d}"`, formatted on first use so construction allocates
+    /// nothing.
+    group_name: OnceLock<String>,
 }
 
 impl std::fmt::Debug for IanusSystem {
@@ -69,7 +74,15 @@ impl IanusSystem {
             cfg,
             energy_model: EnergyModel::default(),
             stages: StageMemo::default(),
+            group_name: OnceLock::new(),
         }
+    }
+
+    /// `"IANUS x{d}"` for this system's device count: the
+    /// [`Backend`](crate::backend::Backend) name of a unified group.
+    pub(crate) fn group_name(&self) -> &str {
+        self.group_name
+            .get_or_init(|| format!("IANUS x{}", self.cfg.devices))
     }
 
     /// The configuration.
@@ -208,8 +221,6 @@ impl IanusSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
-    use crate::multi_device::DeviceGroup;
 
     fn debug<T: std::fmt::Debug>(value: &T) -> String {
         format!("{value:?}")
@@ -231,6 +242,7 @@ mod tests {
             SystemConfig::ianus(),
             SystemConfig::partitioned(),
             SystemConfig::npu_mem(),
+            SystemConfig::ianus().with_devices(2),
         ] {
             let mut warm = IanusSystem::new(cfg);
             let first = warm.run_request(&model, request);
@@ -244,20 +256,6 @@ mod tests {
             let fresh = IanusSystem::new(cfg).run_request(&model, request);
             assert_eq!(debug(&first), debug(&fresh));
         }
-
-        let mut warm = DeviceGroup::new(SystemConfig::ianus(), 2);
-        let first = warm.run_request(&model, request);
-        for tokens in [1, 64] {
-            let fresh = DeviceGroup::new(SystemConfig::ianus(), 2).prefill_time(&model, tokens);
-            assert_eq!(warm.prefill_time(&model, tokens), fresh);
-        }
-        for (past, batch) in [(64, 1), (70, 3), (71, 2)] {
-            let fresh = DeviceGroup::new(SystemConfig::ianus(), 2).decode_time(&model, past, batch);
-            assert_eq!(warm.decode_time(&model, past, batch), fresh);
-        }
-        assert_eq!(debug(&warm.run_request(&model, request)), debug(&first));
-        let fresh = DeviceGroup::new(SystemConfig::ianus(), 2).run_request(&model, request);
-        assert_eq!(debug(&first), debug(&fresh));
     }
 
     #[test]

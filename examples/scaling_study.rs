@@ -2,20 +2,23 @@
 //! 13B and 30B on groups of IANUS devices, report scaling efficiency,
 //! tokens/second and perf/TDP against a single A100 — then put the
 //! device groups behind the [`ServingSim`] cluster engine and measure the
-//! request rate each cluster sustains.
+//! request rate each cluster sustains. A group of `d` devices is an
+//! ordinary [`IanusSystem`] over `SystemConfig::ianus().with_devices(d)`.
 //!
 //! ```text
 //! cargo run --release --example scaling_study
 //! ```
 
 use ianus::prelude::*;
-use ianus::system::multi_device::{DeviceGroup, A100_TDP_WATTS, IANUS_TDP_WATTS};
+use ianus::system::multi_device::{
+    cost_efficiency_vs_gpu, devices_for, A100_TDP_WATTS, IANUS_TDP_WATTS,
+};
 
 fn main() {
     let gpu = GpuModel::a100_megatron();
     let req = RequestShape::new(256, 64);
     for model in ModelConfig::large_gpt_family() {
-        let min_devices = DeviceGroup::devices_for(&model);
+        let min_devices = devices_for(&model);
         println!(
             "=== {} ({:.1}B params, {:.1} GB BF16) — needs >={} devices ===",
             model.name,
@@ -34,15 +37,14 @@ fn main() {
         while d <= min_devices * 4 && d <= 16 {
             // The group is driven through the same Backend trait the
             // serving engine uses.
-            let mut group = DeviceGroup::new(SystemConfig::ianus(), d);
-            if Backend::fits(&group, &model).is_err() {
+            let mut group = IanusSystem::new(SystemConfig::ianus().with_devices(d));
+            if group.fits(&model).is_err() {
                 d *= 2;
                 continue;
             }
             let ms = group.service_time(&model, req).as_ms_f64();
             let tps = req.output as f64 / (ms / 1e3);
             let base = *base_tps.get_or_insert(tps);
-            let perf_tdp = (gpu_ms / ms) / (d as f64 * IANUS_TDP_WATTS / A100_TDP_WATTS);
             println!(
                 "{:>8} | {:>10.1} {:>10.1} {:>9.2}x | {:>8.1}x {:>8.1}x",
                 d,
@@ -50,7 +52,7 @@ fn main() {
                 tps,
                 tps / base,
                 gpu_ms / ms,
-                perf_tdp
+                cost_efficiency_vs_gpu(d, gpu_ms, ms)
             );
             d *= 2;
         }
@@ -70,11 +72,11 @@ fn main() {
                 arrivals: Default::default(),
             })
             .cluster(replicas, |_| {
-                DeviceGroup::new(SystemConfig::ianus(), min_devices)
+                IanusSystem::new(SystemConfig::ianus().with_devices(min_devices))
             })
             .dispatch(DispatchPolicy::LeastLoaded);
             // The bisection probes run on cloned engines across scoped
-            // threads (DeviceGroup is cloneable), so each search costs
+            // threads (IanusSystem is cloneable), so each search costs
             // roughly its longest single probe of wall-clock.
             let rate = sim.sustainable_rate(&model, 0.05, 64.0);
             print!("  {replicas} x {min_devices}-device group: {rate:.1}");

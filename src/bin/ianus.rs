@@ -287,7 +287,6 @@ struct Args {
     model: ModelConfig,
     request: RequestShape,
     system: SystemConfig,
-    devices: u32,
     compare: bool,
     serve: Option<ServeArgs>,
 }
@@ -438,7 +437,13 @@ fn parse() -> Args {
             }
             "--input" => input = value().parse().unwrap_or_else(|_| usage()),
             "--output" => output = value().parse().unwrap_or_else(|_| usage()),
-            "--devices" => devices = value().parse().unwrap_or_else(|_| usage()),
+            "--devices" => {
+                devices = value().parse().unwrap_or_else(|_| usage());
+                if devices == 0 {
+                    eprintln!("--devices must be at least 1");
+                    usage()
+                }
+            }
             "--system" => {
                 system = match value().as_str() {
                     "ianus" => SystemConfig::ianus(),
@@ -494,7 +499,6 @@ fn parse() -> Args {
         model,
         request: RequestShape::new(input, output),
         system: system.with_pas(pas).with_devices(devices),
-        devices,
         compare,
         serve: serve.then_some(ServeArgs {
             replicas,
@@ -594,16 +598,6 @@ fn serving_config(serve: &ServeArgs, shape: RequestShape) -> ServingConfig {
     })
 }
 
-/// One replica of the configured `--system`/`--devices`, carrying the
-/// given role.
-fn system_replica(sim: ServingSim, args: &Args, role: ReplicaRole) -> ServingSim {
-    if args.devices > 1 {
-        sim.replica_with_role(DeviceGroup::new(args.system, args.devices), role)
-    } else {
-        sim.replica_with_role(IanusSystem::new(args.system), role)
-    }
-}
-
 fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> ServingSim {
     let mut sim = ServingSim::new(serving_config(serve, args.request))
         .scheduling(scheduling)
@@ -616,7 +610,9 @@ fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> Serv
     if let Some((prefill, decode)) = serve.disaggregate {
         for _ in 0..prefill {
             sim = match serve.prefill_system {
-                None => system_replica(sim, args, ReplicaRole::PrefillOnly),
+                None => {
+                    sim.replica_with_role(IanusSystem::new(args.system), ReplicaRole::PrefillOnly)
+                }
                 Some("a100") => sim.replica_with_role(GpuModel::a100(), ReplicaRole::PrefillOnly),
                 Some("dfx") => {
                     sim.replica_with_role(DfxModel::four_fpga(), ReplicaRole::PrefillOnly)
@@ -633,7 +629,7 @@ fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> Serv
             };
         }
         for _ in 0..decode {
-            sim = system_replica(sim, args, ReplicaRole::DecodeOnly);
+            sim = sim.replica_with_role(IanusSystem::new(args.system), ReplicaRole::DecodeOnly);
         }
         sim = match serve.migration {
             "least-loaded" => sim.migration(LeastLoadedMigration),
@@ -642,7 +638,7 @@ fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> Serv
         };
     } else {
         for _ in 0..serve.replicas.max(1) {
-            sim = system_replica(sim, args, ReplicaRole::Unified);
+            sim = sim.replica_with_role(IanusSystem::new(args.system), ReplicaRole::Unified);
         }
     }
     sim
@@ -910,7 +906,7 @@ fn serve_main(args: &Args, serve: &ServeArgs) {
     };
     println!(
         "serving {} | {mix_name} mix | {cluster_label} x {} device(s) | {} req at {} req/s\n",
-        args.model.name, args.devices, serve.requests, serve.rate
+        args.model.name, args.system.devices, serve.requests, serve.rate
     );
     if serve.compare_policies {
         compare_policies_main(args, serve);

@@ -122,7 +122,6 @@ pub mod prelude {
     pub use ianus_baselines::{DfxModel, GpuModel};
     pub use ianus_core::backend::Backend;
     pub use ianus_core::capacity::CapacityError;
-    pub use ianus_core::multi_device::DeviceGroup;
     pub use ianus_core::pas::{AttnMapping, FcMapping, PasPolicy, Schedule};
     pub use ianus_core::serving::kv::{BlockAllocator, BlockTable, PagedKv, PrefixCache};
     pub use ianus_core::serving::policy::{

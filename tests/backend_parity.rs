@@ -62,17 +62,16 @@ proptest! {
 #[test]
 fn device_group_parity() {
     // Multi-device runs are the most expensive; a fixed two-point grid
-    // keeps the check cheap while still crossing device counts.
+    // keeps the check cheap while still crossing device counts. A
+    // PCIe-ganged group is the same backend type as one device.
     for (devices, shape) in [
         (2u32, RequestShape::new(64, 2)),
         (4, RequestShape::new(128, 4)),
     ] {
         let model = ModelConfig::gpt_6_7b();
-        let direct = DeviceGroup::new(SystemConfig::ianus(), devices)
-            .run_request(&model, shape)
-            .total;
-        let mut backend: Box<dyn Backend> =
-            Box::new(DeviceGroup::new(SystemConfig::ianus(), devices));
+        let cfg = SystemConfig::ianus().with_devices(devices);
+        let direct = IanusSystem::new(cfg).run_request(&model, shape).total;
+        let mut backend: Box<dyn Backend> = Box::new(IanusSystem::new(cfg));
         assert_eq!(
             backend.service_time(&model, shape),
             direct,

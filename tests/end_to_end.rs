@@ -135,9 +135,12 @@ fn multi_device_strong_scaling_band() {
     // Paper Figure 18: 4x devices => ~2.5x throughput.
     let model = ModelConfig::gpt_6_7b();
     let req = RequestShape::new(256, 64);
-    let t2 = DeviceGroup::new(SystemConfig::ianus(), 2).tokens_per_second(&model, req);
-    let t8 = DeviceGroup::new(SystemConfig::ianus(), 8).tokens_per_second(&model, req);
-    let scaling = t8 / t2;
+    let tps = |devices| {
+        IanusSystem::new(SystemConfig::ianus().with_devices(devices))
+            .run_request(&model, req)
+            .tokens_per_second(req.output)
+    };
+    let scaling = tps(8) / tps(2);
     assert!(scaling > 1.8 && scaling < 3.5, "scaling {scaling}");
 }
 
@@ -170,4 +173,17 @@ fn facade_reexports_are_usable() {
     assert_eq!(cfg.total_pus(), 128);
     let npu = ianus::npu::NpuConfig::ianus_default();
     assert_eq!(npu.cores, 4);
+}
+
+#[test]
+fn cli_rejects_zero_devices_with_usage() {
+    // A zero device count is a usage error at parse time, not a panic.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ianus"))
+        .args(["--devices", "0"])
+        .output()
+        .expect("the ianus CLI runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--devices must be at least 1"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }

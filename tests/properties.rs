@@ -106,9 +106,9 @@ proptest! {
     ) {
         let model = ModelConfig::gpt_6_7b();
         let req = RequestShape::new(128, 8);
-        let base = DeviceGroup::new(SystemConfig::ianus(), devices)
+        let base = IanusSystem::new(SystemConfig::ianus().with_devices(devices))
             .run_request(&model, req).total;
-        let more = DeviceGroup::new(SystemConfig::ianus(), devices * 2)
+        let more = IanusSystem::new(SystemConfig::ianus().with_devices(devices * 2))
             .run_request(&model, req).total;
         prop_assert!(more < base);
     }

@@ -27,10 +27,10 @@ fn both_modes_run_on_all_four_backend_types() {
             Box::new(IanusSystem::new(SystemConfig::ianus()))
         }),
         ("IANUS x2", || {
-            Box::new(DeviceGroup::new(SystemConfig::ianus(), 2))
+            Box::new(IanusSystem::new(SystemConfig::ianus().with_devices(2)))
         }),
-        ("A100", || Box::new(GpuModel::a100())),
-        ("DFX", || Box::new(DfxModel::four_fpga())),
+        ("A100 (eager)", || Box::new(GpuModel::a100())),
+        ("DFX (4-FPGA)", || Box::new(DfxModel::four_fpga())),
     ];
     for (name, make) in factories {
         for scheduling in [
@@ -50,6 +50,7 @@ fn both_modes_run_on_all_four_backend_types() {
                 .scheduling(scheduling)
                 .run(&ModelConfig::gpt2_m());
             assert_eq!(r.completed, 40, "{name} {scheduling:?}");
+            assert_eq!(r.per_replica[0].name, name);
             assert!(
                 r.ttft.p50.as_ms_f64() > 0.0,
                 "{name} {scheduling:?}: TTFT not populated"
