@@ -1106,6 +1106,10 @@ mod tests {
             schedule: Schedule::Naive,
             ..crate::pas::PasPolicy::ianus()
         });
+        let pim_attention = SystemConfig::ianus().with_pas(crate::pas::PasPolicy {
+            attention: AttnMapping::Pim,
+            ..crate::pas::PasPolicy::ianus()
+        });
         let gen = Stage::Generation { past_tokens: 300 };
         let cases = [
             (
@@ -1133,6 +1137,12 @@ mod tests {
                 (20_964, 29_180, 34_564),
             ),
             (naive, ModelConfig::gpt2_xl(), gen, (14_796, 35_352, 8_644)),
+            (
+                pim_attention,
+                ModelConfig::gpt2_xl(),
+                gen,
+                (11_340, 15_956, 8_644),
+            ),
             (
                 SystemConfig::partitioned(),
                 ModelConfig::gpt2_2_5b(),

@@ -13,8 +13,9 @@
 //!   One system per model serves its 12 cells, so the later cells read
 //!   stages the earlier ones memoized;
 //! * Algorithm 1's Figure 12 microbenchmark at 4/8/16 tokens;
-//! * single stages on the NPU-MEM, partitioned, two-device, naive-PAS
-//!   and PIM-attention configurations.
+//! * single stages and `run_request` (one exact, one sampled request) on
+//!   the NPU-MEM, partitioned, two-device, naive-PAS and PIM-attention
+//!   configurations.
 
 use ianus::prelude::*;
 use std::fmt::Debug;
@@ -281,8 +282,8 @@ const STAGES: [(&str, u64); 30] = [
     ),
 ];
 
-#[test]
-fn ablation_config_stages_are_pinned() {
+/// The ablation configurations pinned beside the IANUS default.
+fn ablation_configs() -> [(&'static str, SystemConfig); 5] {
     let naive = SystemConfig::ianus().with_pas(PasPolicy {
         schedule: Schedule::Naive,
         ..PasPolicy::ianus()
@@ -291,20 +292,24 @@ fn ablation_config_stages_are_pinned() {
         attention: AttnMapping::Pim,
         ..PasPolicy::ianus()
     });
-    let configs = [
+    [
         ("NPU-MEM", SystemConfig::npu_mem()),
         ("partitioned", SystemConfig::partitioned()),
         ("2 devices", SystemConfig::ianus().with_devices(2)),
         ("naive PAS", naive),
         ("PIM attention", pim_attention),
-    ];
+    ]
+}
+
+#[test]
+fn ablation_config_stages_are_pinned() {
     let stages = [
         Stage::Summarization { tokens: 128 },
         Stage::Generation { past_tokens: 128 },
         Stage::Generation { past_tokens: 511 },
     ];
     let mut actual = Vec::new();
-    for (label, cfg) in configs {
+    for (label, cfg) in ablation_configs() {
         let mut sys = IanusSystem::new(cfg);
         for model in [ModelConfig::gpt2_xl(), ModelConfig::gpt2_2_5b()] {
             for stage in &stages {
@@ -317,4 +322,50 @@ fn ablation_config_stages_are_pinned() {
         }
     }
     check("ablation stages", &actual, &STAGES);
+}
+
+const REQUESTS: [(&str, u64); 20] = [
+    ("NPU-MEM GPT-2 XL 128/8", 0x5c7cfab7a491a01f),
+    ("NPU-MEM GPT-2 XL 128/64", 0xa883f2e280bc33d7),
+    ("NPU-MEM GPT-2 2.5B 128/8", 0xb513cb62b70699ce),
+    ("NPU-MEM GPT-2 2.5B 128/64", 0x17c401ac836af837),
+    ("partitioned GPT-2 XL 128/8", 0x91759ded3f98e7d7),
+    ("partitioned GPT-2 XL 128/64", 0xfcb9d068bc11adc3),
+    ("partitioned GPT-2 2.5B 128/8", 0x3f74bfa0c8c5c016),
+    ("partitioned GPT-2 2.5B 128/64", 0x284cb62a4db842c9),
+    ("2 devices GPT-2 XL 128/8", 0xfd61dce73e331e91),
+    ("2 devices GPT-2 XL 128/64", 0x49a2b4648c37b7c5),
+    ("2 devices GPT-2 2.5B 128/8", 0x54cbcf4f15fc1543),
+    ("2 devices GPT-2 2.5B 128/64", 0x472b35dabe1771a9),
+    ("naive PAS GPT-2 XL 128/8", 0x9edc33339e68471c),
+    ("naive PAS GPT-2 XL 128/64", 0xb2ce4bb8bcc42fd2),
+    ("naive PAS GPT-2 2.5B 128/8", 0xb037be40e2506826),
+    ("naive PAS GPT-2 2.5B 128/64", 0x7395adacb3a6c138),
+    ("PIM attention GPT-2 XL 128/8", 0x1367e0586ccc3d2e),
+    ("PIM attention GPT-2 XL 128/64", 0x1b663cec2c33d128),
+    ("PIM attention GPT-2 2.5B 128/8", 0x62b4a58ed2007cd7),
+    ("PIM attention GPT-2 2.5B 128/64", 0xf4791a10e5b97097),
+];
+
+#[test]
+fn ablation_config_run_requests_are_pinned() {
+    // 128/8 prices every generation step; 128/64 samples and integrates.
+    let requests = [RequestShape::new(128, 8), RequestShape::new(128, 64)];
+    let mut actual = Vec::new();
+    for (label, cfg) in ablation_configs() {
+        let mut sys = IanusSystem::new(cfg);
+        for model in [ModelConfig::gpt2_xl(), ModelConfig::gpt2_2_5b()] {
+            for request in requests {
+                let report = sys.run_request(&model, request);
+                actual.push((
+                    format!(
+                        "{label} {} {}/{}",
+                        model.name, request.input, request.output
+                    ),
+                    fingerprint(&report),
+                ));
+            }
+        }
+    }
+    check("ablation requests", &actual, &REQUESTS);
 }
