@@ -33,7 +33,7 @@ use ianus_sim::Duration;
 
 /// A compiled stage: the command program plus its activity counters and
 /// FLOP total.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledStage {
     /// Dependency-annotated command stream for the device engine.
     pub program: Program,
@@ -84,6 +84,10 @@ pub struct Compiler<'a> {
     /// Set while emitting the interior of one operation whose internal
     /// pipelining is a hardware property (naive chaining suspended).
     suspend_naive: bool,
+    /// First command of every generation attention head emitted.
+    head_starts: Vec<CmdId>,
+    /// Commands per generation attention head (all heads emit alike).
+    head_len: usize,
 }
 
 impl<'a> Compiler<'a> {
@@ -111,6 +115,8 @@ impl<'a> Compiler<'a> {
             naive_last: Vec::new(),
             naive_last_pim: Vec::new(),
             suspend_naive: false,
+            head_starts: Vec::new(),
+            head_len: 0,
         }
     }
 
@@ -258,10 +264,9 @@ impl<'a> Compiler<'a> {
             );
             let attn_last = match stage {
                 Stage::Summarization { .. } => self.summarization_attention(c, stage, ln1),
-                Stage::Generation { .. } => match self.cfg.pas.attention {
-                    AttnMapping::MatrixUnit => self.generation_attention_mu(c, stage, ln1),
-                    AttnMapping::Pim => self.generation_attention_pim(c, stage, ln1),
-                },
+                Stage::Generation { past_tokens } => {
+                    self.generation_attention(c, *past_tokens, ln1)
+                }
             };
             after_attn[c as usize] = Some(attn_last);
         }
@@ -417,150 +422,164 @@ impl<'a> Compiler<'a> {
         last_sv
     }
 
-    /// Figure 7c: generation with QKᵀ/SV on the matrix unit.
-    fn generation_attention_mu(&mut self, core: u32, stage: &Stage, ln: CmdId) -> CmdId {
-        let ops = self.model.block_ops();
-        let p = match stage {
-            Stage::Generation { past_tokens } => *past_tokens,
-            Stage::Summarization { .. } => unreachable!("generation schedule"),
-        };
-        let dh = ops.head_dim();
-        let e = ops.embed_dim();
-        let heads = self.heads_for_core(core);
-        let qkv_slice = FcShape::new(e, dh);
+    /// Generation attention of one core: its heads, one block each, all
+    /// depending on the layer norm `ln`. Each block's first command is
+    /// recorded in `head_starts` so a [`GenerationTemplate`] can re-time
+    /// it.
+    fn generation_attention(&mut self, core: u32, past: u64, ln: CmdId) -> CmdId {
         let mut last_sv = ln;
-        for _h in 0..heads {
-            // Kpre prefetch: no dependency, so it schedules behind the
-            // previous head's SV on the load DMA (step 4 of Fig. 7c).
-            let kpre = self.local_load(core, p * dh * 2, OpClass::SelfAttention, &[]);
-            // Key generation first (PIM), then concat on the VU overlaps
-            // query generation in PIM (step 1).
-            let kgen = self.fc(
-                core,
-                1,
-                qkv_slice,
-                false,
-                self.cfg.pas.fc,
-                OpClass::FcQkv,
-                &[ln],
-                Duration::ZERO,
-            );
-            let cat = self.vu_cmd(
-                core,
-                VuOp::Concat,
-                (p + 1) * dh,
-                OpClass::SelfAttention,
-                &[kpre, kgen],
-            );
-            let tr = self.onchip(core, (p + 1) * dh * 2, OpClass::SelfAttention, &[cat]);
-            let qgen = self.fc(
-                core,
-                1,
-                qkv_slice,
-                false,
-                self.cfg.pas.fc,
-                OpClass::FcQkv,
-                &[ln],
-                Duration::ZERO,
-            );
-            // QK^T on the matrix unit in parallel with value generation
-            // (step 2).
-            let qkt = self.mu_gemm(core, 1, dh, p + 1, OpClass::SelfAttention, &[qgen, tr]);
-            let vgen = self.fc(
-                core,
-                1,
-                qkv_slice,
-                false,
-                self.cfg.pas.fc,
-                OpClass::FcQkv,
-                &[ln],
-                Duration::ZERO,
-            );
-            let sm = self.vu_cmd(
-                core,
-                VuOp::MaskedSoftmax,
-                p + 1,
-                OpClass::SelfAttention,
-                &[qkt],
-            );
-            // KV store + Vcat load during softmax (step 3).
-            let _kv = self.local_store(core, 2 * dh * 2, OpClass::SelfAttention, &[kgen, vgen]);
-            let vcat = self.local_load(core, (p + 1) * dh * 2, OpClass::SelfAttention, &[vgen]);
-            last_sv = self.mu_gemm(core, 1, p + 1, dh, OpClass::SelfAttention, &[sm, vcat]);
+        for _h in 0..self.heads_for_core(core) {
+            let start = self.prog.next_id();
+            self.head_starts.push(start);
+            last_sv = self.generation_head(core, past, ln);
+            self.head_len = self.prog.next_id() - start;
         }
         last_sv
     }
 
-    /// Figure 7b: generation with QKᵀ/SV on PIM. Avoids Kpre/Vcat loads
-    /// but serializes nearly everything on the PIM group and wastes row
-    /// width (head dim 64 of 1024 elements).
-    fn generation_attention_pim(&mut self, core: u32, stage: &Stage, ln: CmdId) -> CmdId {
-        let ops = self.model.block_ops();
-        let p = match stage {
-            Stage::Generation { past_tokens } => *past_tokens,
-            Stage::Summarization { .. } => unreachable!("generation schedule"),
-        };
-        let dh = ops.head_dim();
-        let e = ops.embed_dim();
-        let heads = self.heads_for_core(core);
-        let qkv_slice = FcShape::new(e, dh);
-        let mut last_sv = ln;
-        for _h in 0..heads {
-            let kgen = self.fc(
-                core,
-                1,
-                qkv_slice,
-                false,
-                self.cfg.pas.fc,
-                OpClass::FcQkv,
-                &[ln],
-                Duration::ZERO,
-            );
-            let qgen = self.fc(
-                core,
-                1,
-                qkv_slice,
-                false,
-                self.cfg.pas.fc,
-                OpClass::FcQkv,
-                &[ln],
-                Duration::ZERO,
-            );
-            let vgen = self.fc(
-                core,
-                1,
-                qkv_slice,
-                false,
-                self.cfg.pas.fc,
-                OpClass::FcQkv,
-                &[ln],
-                Duration::ZERO,
-            );
-            // The new key/value must land in the PIM-resident cache before
-            // the products run.
-            let kst = self.local_store(core, dh * 2, OpClass::SelfAttention, &[kgen]);
-            let vst = self.local_store(core, dh * 2, OpClass::SelfAttention, &[vgen]);
-            let qkt = self.pim_gemv(
-                core,
-                GemvShape::new(p + 1, dh),
-                OpClass::SelfAttention,
-                &[qgen, kst],
-            );
-            let sm = self.vu_cmd(
-                core,
-                VuOp::MaskedSoftmax,
-                p + 1,
-                OpClass::SelfAttention,
-                &[qkt],
-            );
-            last_sv = self.pim_gemv(
-                core,
-                GemvShape::new(dh, p + 1),
-                OpClass::SelfAttention,
-                &[sm, vst],
-            );
+    /// One attention head of a generation step over a `past`-token KV
+    /// cache. Every command of a generation program that depends on
+    /// `past` is emitted here, so re-timing runs this emitter alone.
+    fn generation_head(&mut self, core: u32, past: u64, ln: CmdId) -> CmdId {
+        match self.cfg.pas.attention {
+            AttnMapping::MatrixUnit => self.generation_head_mu(core, past, ln),
+            AttnMapping::Pim => self.generation_head_pim(core, past, ln),
         }
-        last_sv
+    }
+
+    /// Figure 7c: one head of generation with QKᵀ/SV on the matrix unit.
+    fn generation_head_mu(&mut self, core: u32, p: u64, ln: CmdId) -> CmdId {
+        let ops = self.model.block_ops();
+        let dh = ops.head_dim();
+        let qkv_slice = FcShape::new(ops.embed_dim(), dh);
+        // Kpre prefetch: no dependency, so it schedules behind the
+        // previous head's SV on the load DMA (step 4 of Fig. 7c).
+        let kpre = self.local_load(core, p * dh * 2, OpClass::SelfAttention, &[]);
+        // Key generation first (PIM), then concat on the VU overlaps
+        // query generation in PIM (step 1).
+        let kgen = self.fc(
+            core,
+            1,
+            qkv_slice,
+            false,
+            self.cfg.pas.fc,
+            OpClass::FcQkv,
+            &[ln],
+            Duration::ZERO,
+        );
+        let cat = self.vu_cmd(
+            core,
+            VuOp::Concat,
+            (p + 1) * dh,
+            OpClass::SelfAttention,
+            &[kpre, kgen],
+        );
+        let tr = self.onchip(core, (p + 1) * dh * 2, OpClass::SelfAttention, &[cat]);
+        let qgen = self.fc(
+            core,
+            1,
+            qkv_slice,
+            false,
+            self.cfg.pas.fc,
+            OpClass::FcQkv,
+            &[ln],
+            Duration::ZERO,
+        );
+        // QK^T on the matrix unit in parallel with value generation
+        // (step 2).
+        let qkt = self.mu_gemm(core, 1, dh, p + 1, OpClass::SelfAttention, &[qgen, tr]);
+        let vgen = self.fc(
+            core,
+            1,
+            qkv_slice,
+            false,
+            self.cfg.pas.fc,
+            OpClass::FcQkv,
+            &[ln],
+            Duration::ZERO,
+        );
+        let sm = self.vu_cmd(
+            core,
+            VuOp::MaskedSoftmax,
+            p + 1,
+            OpClass::SelfAttention,
+            &[qkt],
+        );
+        // KV store + Vcat load during softmax (step 3).
+        let _kv = self.local_store(core, 2 * dh * 2, OpClass::SelfAttention, &[kgen, vgen]);
+        let vcat = self.local_load(core, (p + 1) * dh * 2, OpClass::SelfAttention, &[vgen]);
+        self.mu_gemm(core, 1, p + 1, dh, OpClass::SelfAttention, &[sm, vcat])
+    }
+
+    /// Figure 7b: one head of generation with QKᵀ/SV on PIM. Avoids
+    /// Kpre/Vcat loads but serializes nearly everything on the PIM group
+    /// and wastes row width (head dim 64 of 1024 elements).
+    fn generation_head_pim(&mut self, core: u32, p: u64, ln: CmdId) -> CmdId {
+        let ops = self.model.block_ops();
+        let dh = ops.head_dim();
+        let qkv_slice = FcShape::new(ops.embed_dim(), dh);
+        let kgen = self.fc(
+            core,
+            1,
+            qkv_slice,
+            false,
+            self.cfg.pas.fc,
+            OpClass::FcQkv,
+            &[ln],
+            Duration::ZERO,
+        );
+        let qgen = self.fc(
+            core,
+            1,
+            qkv_slice,
+            false,
+            self.cfg.pas.fc,
+            OpClass::FcQkv,
+            &[ln],
+            Duration::ZERO,
+        );
+        let vgen = self.fc(
+            core,
+            1,
+            qkv_slice,
+            false,
+            self.cfg.pas.fc,
+            OpClass::FcQkv,
+            &[ln],
+            Duration::ZERO,
+        );
+        // The new key/value must land in the PIM-resident cache before
+        // the products run.
+        let kst = self.local_store(core, dh * 2, OpClass::SelfAttention, &[kgen]);
+        let vst = self.local_store(core, dh * 2, OpClass::SelfAttention, &[vgen]);
+        let qkt = self.pim_gemv(
+            core,
+            GemvShape::new(p + 1, dh),
+            OpClass::SelfAttention,
+            &[qgen, kst],
+        );
+        let sm = self.vu_cmd(
+            core,
+            VuOp::MaskedSoftmax,
+            p + 1,
+            OpClass::SelfAttention,
+            &[qkt],
+        );
+        self.pim_gemv(
+            core,
+            GemvShape::new(dh, p + 1),
+            OpClass::SelfAttention,
+            &[sm, vst],
+        )
+    }
+
+    /// One generation head at `past` emitted alone into an empty
+    /// program, with the activity it adds. Its dependencies point into
+    /// no real program: only durations and activity are read.
+    fn lone_generation_head(&mut self, past: u64) -> (Program, Activity) {
+        self.reset();
+        self.generation_head(0, past, 0);
+        (std::mem::take(&mut self.prog), self.activity)
     }
 
     // ------------------------------------------------------------------
@@ -725,6 +744,7 @@ impl<'a> Compiler<'a> {
         self.naive_last = vec![None; self.cfg.npu.cores as usize];
         self.naive_last_pim = vec![None; self.cfg.npu.cores as usize];
         self.suspend_naive = false;
+        self.head_starts.clear();
     }
 
     /// Pushes a non-PIM command, applying naive-schedule chaining.
@@ -905,6 +925,94 @@ impl<'a> Compiler<'a> {
             .collect();
         self.dep_buf = gate;
         out
+    }
+}
+
+/// A generation stage compiled once and re-timed to other past lengths.
+///
+/// Each generation step runs the same PAS-mapped command stream over a KV
+/// cache one token longer (Figures 7b/7c): at every past length a model's
+/// generation program on one configuration has the same commands, units,
+/// tags, dependencies and resource holds. Only the attention heads depend
+/// on the past, and every head block of a program emits the same
+/// durations and activity. [`retime`](Self::retime) therefore re-emits
+/// one head at the new past through the compiler's own per-head emitter,
+/// copies its durations into every recorded head block and sets the
+/// stage's activity to the activity outside the heads plus heads × one
+/// head's — exact, as activity counts are integers. The result equals
+/// [`Compiler::compile`] at that past, which the equivalence test checks
+/// over every configuration and `run_request` asserts in debug builds.
+#[derive(Debug)]
+pub(crate) struct GenerationTemplate<'a> {
+    compiler: Compiler<'a>,
+    stage: CompiledStage,
+    /// First command of every head block of `stage.program`.
+    head_starts: Vec<CmdId>,
+    /// Durations of one head block at the past `stage` is timed for; its
+    /// length is the head blocks' stride.
+    head: Vec<Duration>,
+    /// Activity of `stage` outside its head blocks.
+    base: Activity,
+}
+
+impl<'a> GenerationTemplate<'a> {
+    /// Compiles the generation stage of `model` on `cfg` at
+    /// `past_tokens`.
+    pub(crate) fn new(cfg: &'a SystemConfig, model: &'a ModelConfig, past_tokens: u64) -> Self {
+        let mut compiler = Compiler::new(cfg, model);
+        let stage = compiler.compile(&Stage::Generation { past_tokens });
+        let head_starts = std::mem::take(&mut compiler.head_starts);
+        let (head, activity) = compiler.lone_generation_head(past_tokens);
+        assert_eq!(
+            head.len(),
+            compiler.head_len,
+            "a generation head changed length"
+        );
+        let heads = head_starts.len() as u64;
+        GenerationTemplate {
+            compiler,
+            base: stage.activity.zip(&activity, |s, h| s - heads * h),
+            stage,
+            head_starts,
+            head: head.commands().map(|cmd| cmd.duration).collect(),
+        }
+    }
+
+    /// The unit map the stage's program runs against.
+    pub(crate) fn unit_map(&self) -> UnitMap {
+        self.compiler.unit_map()
+    }
+
+    /// Re-times the stage to `past_tokens` and returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the re-emitted head is not as long as the recorded head
+    /// blocks.
+    pub(crate) fn retime(&mut self, past_tokens: u64) -> &CompiledStage {
+        let (head, activity) = self.compiler.lone_generation_head(past_tokens);
+        assert_eq!(
+            head.len(),
+            self.head.len(),
+            "a generation head changed length"
+        );
+        for (offset, cmd) in head.commands().enumerate() {
+            if cmd.duration != self.head[offset] {
+                self.head[offset] = cmd.duration;
+                for &start in &self.head_starts {
+                    self.stage
+                        .program
+                        .set_duration(start + offset, cmd.duration);
+                }
+            }
+        }
+        let heads = self.head_starts.len() as u64;
+        self.stage.activity = self.base.zip(&activity, |b, h| b + heads * h);
+        self.stage.flops = self
+            .compiler
+            .model
+            .stage_flops(&Stage::Generation { past_tokens });
+        &self.stage
     }
 }
 
@@ -1166,6 +1274,52 @@ mod tests {
                 "{} {stage:?}",
                 model.name
             );
+        }
+    }
+
+    #[test]
+    fn retimed_generation_matches_fresh_compile() {
+        let pas = |schedule, attention| {
+            SystemConfig::ianus().with_pas(crate::pas::PasPolicy {
+                schedule,
+                attention,
+                ..crate::pas::PasPolicy::ianus()
+            })
+        };
+        let configs = [
+            ("IANUS", SystemConfig::ianus()),
+            ("naive PAS", pas(Schedule::Naive, AttnMapping::MatrixUnit)),
+            ("PIM attention", pas(Schedule::Overlapped, AttnMapping::Pim)),
+            ("partitioned", SystemConfig::partitioned()),
+            ("NPU-MEM", SystemConfig::npu_mem()),
+            ("4 devices", SystemConfig::ianus().with_devices(4)),
+            ("3 cores", SystemConfig::ianus().with_cores(3)),
+        ];
+        let pasts = [0, 1, 63, 64, 127, 128, 511, 512, 1023];
+        for (label, cfg) in &configs {
+            for model in &ModelConfig::gpt2_family() {
+                let fresh: Vec<CompiledStage> = pasts
+                    .iter()
+                    .map(|&p| {
+                        Compiler::new(cfg, model).compile(&Stage::Generation { past_tokens: p })
+                    })
+                    .collect();
+                let mut template = GenerationTemplate::new(cfg, model, 300);
+                let ascending = (0..pasts.len()).chain((0..pasts.len()).rev());
+                for i in ascending {
+                    let retimed = template.retime(pasts[i]);
+                    let case = format!("{label} {} past {}", model.name, pasts[i]);
+                    assert_eq!(retimed.activity, fresh[i].activity, "{case}");
+                    assert_eq!(retimed.flops, fresh[i].flops, "{case}");
+                    assert_eq!(retimed.program.len(), fresh[i].program.len(), "{case}");
+                    let differing = retimed
+                        .program
+                        .commands()
+                        .zip(fresh[i].program.commands())
+                        .position(|(a, b)| a != b);
+                    assert_eq!(differing, None, "{case}: first differing command");
+                }
+            }
         }
     }
 

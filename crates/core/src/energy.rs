@@ -38,15 +38,22 @@ impl Activity {
 
     /// Element-wise accumulation.
     pub fn merge(&mut self, other: &Activity) {
-        self.dram_read_bytes += other.dram_read_bytes;
-        self.dram_write_bytes += other.dram_write_bytes;
-        self.pim_internal_bytes += other.pim_internal_bytes;
-        self.pim_activations += other.pim_activations;
-        self.pim_gb_bytes += other.pim_gb_bytes;
-        self.pim_drain_bytes += other.pim_drain_bytes;
-        self.mu_flops += other.mu_flops;
-        self.vu_ops += other.vu_ops;
-        self.onchip_bytes += other.onchip_bytes;
+        *self = self.zip(other, |a, b| a + b);
+    }
+
+    /// Counters combined pairwise by `f`.
+    pub(crate) fn zip(&self, other: &Activity, f: impl Fn(u64, u64) -> u64) -> Activity {
+        Activity {
+            dram_read_bytes: f(self.dram_read_bytes, other.dram_read_bytes),
+            dram_write_bytes: f(self.dram_write_bytes, other.dram_write_bytes),
+            pim_internal_bytes: f(self.pim_internal_bytes, other.pim_internal_bytes),
+            pim_activations: f(self.pim_activations, other.pim_activations),
+            pim_gb_bytes: f(self.pim_gb_bytes, other.pim_gb_bytes),
+            pim_drain_bytes: f(self.pim_drain_bytes, other.pim_drain_bytes),
+            mu_flops: f(self.mu_flops, other.mu_flops),
+            vu_ops: f(self.vu_ops, other.vu_ops),
+            onchip_bytes: f(self.onchip_bytes, other.onchip_bytes),
+        }
     }
 
     /// All counters scaled by an integer factor (identical repeated

@@ -601,7 +601,8 @@ impl RunStats {
         replicas: Vec<(String, ReplicaRole)>,
     ) -> ServingReport {
         let finite_sort = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+            assert!(v.iter().all(|x| x.is_finite()), "samples are finite");
+            v.sort_unstable_by(f64::total_cmp);
         };
         finite_sort(&mut self.sojourns);
         finite_sort(&mut self.ttfts);
@@ -793,8 +794,9 @@ pub(crate) fn request_attains(slo: Option<super::Slo>, ttft_secs: f64, gaps: &[f
     if gaps.is_empty() {
         return true;
     }
+    assert!(gaps.iter().all(|g| g.is_finite()), "gaps are finite");
     let mut sorted = gaps.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("gaps are finite"));
+    sorted.sort_unstable_by(f64::total_cmp);
     percentile(&sorted, 0.99).as_secs_f64() <= slo.itl_p99.as_secs_f64()
 }
 

@@ -89,7 +89,7 @@ impl Command {
 /// dependencies and shared resources live in the program-wide arrays, up
 /// to the recorded end offsets (each command's slice starts where the
 /// previous command's ends). Narrow fields keep a record at 24 bytes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Record {
     duration: Duration,
     unit: u32,
@@ -100,7 +100,7 @@ struct Record {
 
 /// A borrowed view of one command of a [`Program`], as yielded by
 /// [`Program::commands`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandView<'a> {
     /// Unit that executes the command.
     pub unit: UnitId,
@@ -119,8 +119,9 @@ pub struct CommandView<'a> {
 /// Commands are stored flat: one fixed-size record each, with every
 /// command's dependencies and shared resources packed into two
 /// program-wide arrays, so emitting a command allocates nothing beyond
-/// amortized growth of those three vectors.
-#[derive(Debug, Clone, Default)]
+/// amortized growth of those three vectors. Two programs are equal when
+/// every command is.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     records: Vec<Record>,
     deps: Vec<CmdId>,
@@ -184,6 +185,29 @@ impl Program {
         self.records.reserve(self.records.len() * times);
         self.deps.reserve(self.deps.len() * times);
         self.shared.reserve(self.shared.len() * times);
+    }
+
+    /// Re-times command `id`, leaving its unit, tag, dependencies and
+    /// shared resources as emitted: a compiler re-timing one program to
+    /// new operand sizes patches durations instead of emitting again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ianus_npu::scheduler::{Command, Program};
+    /// use ianus_sim::Duration;
+    ///
+    /// let mut p = Program::new();
+    /// let a = p.push(Command::new(0, Duration::from_ns(10), 0));
+    /// p.set_duration(a, Duration::from_ns(25));
+    /// assert_eq!(p.commands().next().unwrap().duration, Duration::from_ns(25));
+    /// ```
+    pub fn set_duration(&mut self, id: CmdId, duration: Duration) {
+        self.records[id].duration = duration;
     }
 
     /// Number of commands.
