@@ -151,6 +151,7 @@ impl<'a> Compiler<'a> {
         let cores = self.cfg.npu.cores;
         let mut frontier: Vec<Option<CmdId>> = vec![None; cores as usize];
         for block in 0..self.model.blocks {
+            self.prog.mark_block();
             frontier = self.compile_block(stage, &frontier);
             if block == 0 {
                 // Every block emits the same command structure: size the
@@ -159,6 +160,7 @@ impl<'a> Compiler<'a> {
                 self.prog.reserve_repeats(self.model.blocks as usize);
             }
         }
+        self.prog.mark_block();
         if self.model.family == ModelFamily::Gpt {
             self.compile_lm_head(&frontier);
         }
@@ -179,6 +181,7 @@ impl<'a> Compiler<'a> {
         let cores = self.cfg.npu.cores;
         let mut frontier: Vec<Option<CmdId>> = vec![None; cores as usize];
         for _ in 0..self.model.blocks {
+            self.prog.mark_block();
             for c in 0..cores {
                 let ln = self.vu_cmd(
                     c,
@@ -231,6 +234,7 @@ impl<'a> Compiler<'a> {
             }
             frontier = self.barrier(stage.batch_tokens(), &frontier);
         }
+        self.prog.mark_block();
         CompiledStage {
             program: std::mem::take(&mut self.prog),
             activity: self.activity,
@@ -1277,8 +1281,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn retimed_generation_matches_fresh_compile() {
+    /// The configurations the equivalence tests cover: the IANUS default
+    /// and one of each ablation.
+    fn equivalence_configs() -> [(&'static str, SystemConfig); 7] {
         let pas = |schedule, attention| {
             SystemConfig::ianus().with_pas(crate::pas::PasPolicy {
                 schedule,
@@ -1286,7 +1291,7 @@ mod tests {
                 ..crate::pas::PasPolicy::ianus()
             })
         };
-        let configs = [
+        [
             ("IANUS", SystemConfig::ianus()),
             ("naive PAS", pas(Schedule::Naive, AttnMapping::MatrixUnit)),
             ("PIM attention", pas(Schedule::Overlapped, AttnMapping::Pim)),
@@ -1294,7 +1299,12 @@ mod tests {
             ("NPU-MEM", SystemConfig::npu_mem()),
             ("4 devices", SystemConfig::ianus().with_devices(4)),
             ("3 cores", SystemConfig::ianus().with_cores(3)),
-        ];
+        ]
+    }
+
+    #[test]
+    fn retimed_generation_matches_fresh_compile() {
+        let configs = equivalence_configs();
         let pasts = [0, 1, 63, 64, 127, 128, 511, 512, 1023];
         for (label, cfg) in &configs {
             for model in &ModelConfig::gpt2_family() {
@@ -1321,6 +1331,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `program` re-emitted without its block marks.
+    fn unmarked(program: &Program) -> Program {
+        let mut plain = Program::new();
+        for cmd in program.commands() {
+            let (deps, shared) = (cmd.deps.iter().copied(), cmd.shared.iter().copied());
+            plain.emit(cmd.unit, cmd.duration, cmd.tag, deps, shared);
+        }
+        plain
+    }
+
+    #[test]
+    fn block_extrapolation_matches_full_schedule() {
+        let configs = equivalence_configs();
+        let summarization = [1, 128, 512].map(|tokens| Stage::Summarization { tokens });
+        let generation = [0, 1, 128, 1023].map(|past_tokens| Stage::Generation { past_tokens });
+        let gpt_stages: Vec<Stage> = summarization.iter().chain(&generation).copied().collect();
+        let models: Vec<(ModelConfig, &[Stage])> = ModelConfig::gpt2_family()
+            .into_iter()
+            .map(|m| (m, &gpt_stages[..]))
+            .chain([(ModelConfig::bert_b(), &summarization[..])])
+            .collect();
+        // Every configuration's compiled stages reach steady state. The FC
+        // microbench need not: on a partitioned GPT-2 2.5B its weight
+        // prefetches have no dependencies and drift ahead of the FCs at a
+        // rate of their own, so it runs fully.
+        let check = |case: String, cfg: &SystemConfig, c: &Compiler, stage: &CompiledStage| {
+            let mut engine = Engine::new(c.unit_map().unit_count(), cfg.npu.dispatch_overhead);
+            let marked = engine.run(&stage.program);
+            let full = engine.run(&unmarked(&stage.program));
+            assert_eq!(marked, full, "{case}");
+            assert_eq!(full.scheduled(), stage.program.len(), "{case}");
+            marked.scheduled() < full.scheduled()
+        };
+        for (label, cfg) in &configs {
+            for &(model, stages) in &models {
+                for stage in stages {
+                    let mut c = Compiler::new(cfg, &model);
+                    let compiled = c.compile(stage);
+                    let case = format!("{label} {} {stage:?}", model.name);
+                    assert!(check(case, cfg, &c, &compiled), "no block repeated");
+                }
+                let mut c = Compiler::new(cfg, &model);
+                let compiled = c.compile_fc_microbench(8, FcMapping::Pim);
+                check(
+                    format!("{label} {} FC microbench", model.name),
+                    cfg,
+                    &c,
+                    &compiled,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn steady_state_schedules_three_blocks() {
+        // GPT-2 XL generation: 48 blocks of 308 commands, then a
+        // 12-command LM head. Blocks 1 and 2 settle into a constant shift,
+        // so blocks 3-47 are written in closed form.
+        let cfg = SystemConfig::ianus();
+        let model = ModelConfig::gpt2_xl();
+        let mut c = Compiler::new(&cfg, &model);
+        let program = c.compile(&Stage::Generation { past_tokens: 300 }).program;
+        assert_eq!(program.len(), 48 * 308 + 12);
+        let mut engine = Engine::new(c.unit_map().unit_count(), cfg.npu.dispatch_overhead);
+        assert_eq!(engine.run(&program).scheduled(), 3 * 308 + 12);
     }
 
     #[test]

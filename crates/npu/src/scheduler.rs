@@ -15,6 +15,36 @@
 //! so they serialize; in a partitioned system they hold different
 //! resources and overlap.
 //!
+//! # Repeated blocks
+//!
+//! A transformer compiles to the same command stream once per block, and
+//! the sync that ends each block makes the schedule periodic. A compiler
+//! marks block boundaries with [`Program::mark_block`]; the engine then
+//! schedules command by command only until the schedule reaches steady
+//! state, and writes the remaining blocks in closed form.
+//!
+//! Every start time is a max-plus expression: the latest of its
+//! dependencies' finishes plus `dispatch`, the dispatch-only ready time
+//! of a dependency-free command, and the free times of its unit and
+//! shared resources (the finish of their last earlier user). Suppose
+//! block `k` repeats the `L` commands before it — the same units,
+//! durations, tags and holds, every dependency `L` ids later — and its
+//! dependencies all point into itself or into those commands. Suppose
+//! also that every finish of block `k` is the matching finish of the
+//! block before plus one δ > 0. Each start of block `k` then exceeds the
+//! one before by δ, so it is at least `dispatch` + δ and no constant
+//! binds it: it is the latest of its finish and free-time terms. If block
+//! `k + 1` repeats block `k`, every such term of block `k + 1` is the
+//! matching term of block `k` plus δ, so block `k + 1` is block `k`
+//! shifted by δ, exactly, and by induction so is every later repeating
+//! block: finishes and unit free times move by δ per block, and each
+//! block adds the same busy time to every unit and tag. The marks are
+//! only a hint. A block that does not repeat its predecessor, or a
+//! program that never reaches a constant shift, is scheduled command by
+//! command as if it had no marks, and the result is the same either way.
+//! [`ExecutionReport::scheduled`] counts the commands scheduled one by
+//! one.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,7 +61,8 @@
 //! assert_eq!(report.finish(gemm2).as_ns_f64(), 250.0);
 //! ```
 
-use ianus_sim::{Duration, Resource, Time};
+use ianus_sim::{Duration, Time};
+use std::ops::Range;
 
 /// Identifier of a command within its [`Program`].
 pub type CmdId = usize;
@@ -120,12 +151,14 @@ pub struct CommandView<'a> {
 /// command's dependencies and shared resources packed into two
 /// program-wide arrays, so emitting a command allocates nothing beyond
 /// amortized growth of those three vectors. Two programs are equal when
-/// every command is.
+/// every command and every block mark is.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     records: Vec<Record>,
     deps: Vec<CmdId>,
     shared: Vec<UnitId>,
+    /// Block boundaries set by [`mark_block`](Self::mark_block), ascending.
+    marks: Vec<CmdId>,
 }
 
 impl Program {
@@ -210,6 +243,36 @@ impl Program {
         self.records[id].duration = duration;
     }
 
+    /// Marks a block boundary before the next command: a compiler
+    /// emitting one repeated structure per layer marks the start of every
+    /// block and the end of the last, so that the engine can write the
+    /// blocks after steady state in closed form (see the
+    /// [module docs](self)). The marks are only a hint: they never change
+    /// the schedule an [`ExecutionReport`] describes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ianus_npu::scheduler::{Engine, Program};
+    /// use ianus_sim::Duration;
+    ///
+    /// let mut p = Program::new();
+    /// let mut last = None;
+    /// for _ in 0..10 {
+    ///     p.mark_block();
+    ///     let load = p.emit(1, Duration::from_ns(100), 0, last, None);
+    ///     last = Some(p.emit(0, Duration::from_ns(50), 1, [load], None));
+    /// }
+    /// p.mark_block();
+    /// let report = Engine::new(2, Duration::ZERO).run(&p);
+    /// assert_eq!(report.makespan().as_ns_f64(), 1500.0);
+    /// // Blocks 0-2 are scheduled; the shift they settle into fills 3-9.
+    /// assert_eq!(report.scheduled(), 6);
+    /// ```
+    pub fn mark_block(&mut self) {
+        self.marks.push(self.records.len());
+    }
+
     /// Number of commands.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -222,9 +285,14 @@ impl Program {
 
     /// The commands in emission order.
     pub fn commands(&self) -> impl ExactSizeIterator<Item = CommandView<'_>> + '_ {
-        let mut deps_start = 0;
-        let mut shared_start = 0;
-        self.records.iter().map(move |r| {
+        self.commands_in(0..self.len())
+    }
+
+    /// Commands `ids`, in emission order.
+    fn commands_in(&self, ids: Range<CmdId>) -> impl ExactSizeIterator<Item = CommandView<'_>> {
+        let mut deps_start = self.deps_start(ids.start);
+        let mut shared_start = self.shared_start(ids.start);
+        self.records[ids].iter().map(move |r| {
             let (deps_end, shared_end) = (r.deps_end as usize, r.shared_end as usize);
             let view = CommandView {
                 unit: r.unit as UnitId,
@@ -242,6 +310,64 @@ impl Program {
     /// Id the next pushed command will receive.
     pub fn next_id(&self) -> CmdId {
         self.records.len()
+    }
+
+    /// Offset in `deps` of command `id`'s first dependency (`deps.len()`
+    /// for `id == len()`).
+    fn deps_start(&self, id: CmdId) -> usize {
+        id.checked_sub(1)
+            .map_or(0, |prev| self.records[prev].deps_end as usize)
+    }
+
+    /// Offset in `shared` of command `id`'s first held resource.
+    fn shared_start(&self, id: CmdId) -> usize {
+        id.checked_sub(1)
+            .map_or(0, |prev| self.records[prev].shared_end as usize)
+    }
+
+    /// Whether commands `block` repeat the `block.len()` commands just
+    /// before them: the same units, durations, tags and holds, with every
+    /// dependency `block.len()` ids later.
+    fn repeats_previous(&self, block: &Range<CmdId>) -> bool {
+        let len = block.len();
+        let Some(prev_start) = block.start.checked_sub(len) else {
+            return false;
+        };
+        let prev = prev_start..block.start;
+        let (deps, prev_deps) = (self.deps_range(block), self.deps_range(&prev));
+        let (shared, prev_shared) = (self.shared_range(block), self.shared_range(&prev));
+        let (dep_shift, shared_shift) = (prev_deps.len(), prev_shared.len());
+        if deps.len() != dep_shift || shared.len() != shared_shift {
+            return false;
+        }
+        // Folds without short-circuit: a repeating block is read whole
+        // anyway, and branch-free comparisons vectorize.
+        let (dep_shift, shared_shift) = (dep_shift as u32, shared_shift as u32);
+        let records = self.records[prev.clone()]
+            .iter()
+            .zip(&self.records[block.clone()])
+            .fold(true, |same, (p, r)| {
+                same & (r.duration == p.duration)
+                    & (r.unit == p.unit)
+                    & (r.tag == p.tag)
+                    & (r.deps_end.wrapping_sub(p.deps_end) == dep_shift)
+                    & (r.shared_end.wrapping_sub(p.shared_end) == shared_shift)
+            });
+        let deps = self.deps[deps]
+            .iter()
+            .zip(&self.deps[prev_deps])
+            .fold(true, |same, (&d, &p)| same & (d.wrapping_sub(p) == len));
+        records && deps && self.shared[shared] == self.shared[prev_shared]
+    }
+
+    /// The `deps` entries of commands `ids`.
+    fn deps_range(&self, ids: &Range<CmdId>) -> Range<usize> {
+        self.deps_start(ids.start)..self.deps_start(ids.end)
+    }
+
+    /// The `shared` entries of commands `ids`.
+    fn shared_range(&self, ids: &Range<CmdId>) -> Range<usize> {
+        self.shared_start(ids.start)..self.shared_start(ids.end)
     }
 }
 
@@ -319,12 +445,26 @@ fn json_string(s: &str) -> String {
 }
 
 /// Execution result of a program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two reports are equal when they describe the same schedule:
+/// [`scheduled`](Self::scheduled) counts the engine's work, not the
+/// schedule, and is not compared.
+#[derive(Debug, Clone, Eq)]
 pub struct ExecutionReport {
     finish: Vec<Time>,
     makespan: Time,
     tag_busy: Vec<Duration>,
     unit_busy: Vec<Duration>,
+    scheduled: usize,
+}
+
+impl PartialEq for ExecutionReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.finish == other.finish
+            && self.makespan == other.makespan
+            && self.tag_busy == other.tag_busy
+            && self.unit_busy == other.unit_busy
+    }
 }
 
 impl ExecutionReport {
@@ -351,6 +491,14 @@ impl ExecutionReport {
     pub fn unit_busy(&self, unit: UnitId) -> Duration {
         self.unit_busy.get(unit).copied().unwrap_or(Duration::ZERO)
     }
+
+    /// Number of commands the engine scheduled one by one; the rest of
+    /// the program's commands were repeated blocks written in closed form
+    /// (see the [module docs](self)). A deterministic work counter: it
+    /// depends only on the program and the engine, never on the host.
+    pub fn scheduled(&self) -> usize {
+        self.scheduled
+    }
 }
 
 /// The unit pool a program executes against.
@@ -359,7 +507,10 @@ impl ExecutionReport {
 /// index is a core's matrix unit, which is the shared memory bus, …).
 #[derive(Debug, Clone)]
 pub struct Engine {
-    units: Vec<Resource>,
+    /// Earliest time each unit may start new work.
+    free_at: Vec<Time>,
+    /// Busy time accumulated by each unit.
+    busy: Vec<Duration>,
     dispatch: Duration,
 }
 
@@ -368,16 +519,15 @@ impl Engine {
     /// dispatch overhead (the command scheduler's issue cost).
     pub fn new(units: usize, dispatch: Duration) -> Self {
         Engine {
-            units: (0..units)
-                .map(|i| Resource::new(format!("unit{i}")))
-                .collect(),
+            free_at: vec![Time::ZERO; units],
+            busy: vec![Duration::ZERO; units],
             dispatch,
         }
     }
 
     /// Number of units.
     pub fn unit_count(&self) -> usize {
-        self.units.len()
+        self.free_at.len()
     }
 
     /// Executes `program`, resetting all units first.
@@ -398,42 +548,76 @@ impl Engine {
         (report, spans)
     }
 
-    fn run_inner(
-        &mut self,
-        program: &Program,
-        mut trace: Option<&mut Vec<Span>>,
-    ) -> ExecutionReport {
-        for u in &mut self.units {
-            u.reset();
+    fn run_inner(&mut self, program: &Program, spans: Option<&mut Vec<Span>>) -> ExecutionReport {
+        self.free_at.fill(Time::ZERO);
+        self.busy.fill(Duration::ZERO);
+        let mut run = Run {
+            finish: vec![Time::ZERO; program.len()],
+            makespan: Time::ZERO,
+            tag_busy: Vec::new(),
+            scheduled: 0,
+            spans,
+        };
+        // Commands before `timed` have their finish times.
+        let mut timed = 0;
+        let mut steady: Option<Steady> = None;
+        for bounds in program.marks.windows(2) {
+            let block = bounds[0]..bounds[1];
+            if let Some(s) = steady.take() {
+                if block.len() == s.block.len() && program.repeats_previous(&block) {
+                    run.shift(program, &block, s.delta);
+                    timed = block.end;
+                    steady = Some(Steady {
+                        block,
+                        repeats: s.repeats + 1,
+                        ..s
+                    });
+                    continue;
+                }
+                self.settle(program, &mut run, s);
+            }
+            self.schedule(program, timed..block.end, &mut run);
+            timed = block.end;
+            steady = Steady::reached(program, &run.finish, block);
         }
-        let n = program.len();
-        let mut finish = vec![Time::ZERO; n];
-        let mut makespan = Time::ZERO;
-        let mut tag_busy: Vec<Duration> = Vec::new();
-        for (id, cmd) in program.commands().enumerate() {
+        if let Some(s) = steady {
+            self.settle(program, &mut run, s);
+        }
+        self.schedule(program, timed..program.len(), &mut run);
+        ExecutionReport {
+            finish: run.finish,
+            makespan: run.makespan,
+            tag_busy: run.tag_busy,
+            unit_busy: self.busy.clone(),
+            scheduled: run.scheduled,
+        }
+    }
+
+    /// Schedules commands `ids` one by one.
+    fn schedule(&mut self, program: &Program, ids: Range<CmdId>, run: &mut Run<'_>) {
+        run.scheduled += ids.len();
+        for (id, cmd) in ids.clone().zip(program.commands_in(ids)) {
             let mut ready = Time::ZERO;
             for &d in cmd.deps {
                 assert!(d < id, "dependency {d} of command {id} is not earlier");
-                ready = ready.max(finish[d]);
+                ready = ready.max(run.finish[d]);
             }
             ready += self.dispatch;
             // Start when the unit and every shared resource are free.
-            let mut start = self.units[cmd.unit].next_start(ready);
+            let mut start = ready.max(self.free_at[cmd.unit]);
             for &s in cmd.shared {
                 assert!(s != cmd.unit, "shared resource equals unit");
-                start = start.max(self.units[s].next_start(ready));
+                start = start.max(self.free_at[s]);
             }
-            let done = self.units[cmd.unit].acquire(start, cmd.duration);
-            for &s in cmd.shared {
-                self.units[s].acquire(start, cmd.duration);
+            self.occupy(&cmd, start, 1);
+            let done = start + cmd.duration;
+            run.finish[id] = done;
+            run.makespan = run.makespan.max(done);
+            if cmd.tag >= run.tag_busy.len() {
+                run.tag_busy.resize(cmd.tag + 1, Duration::ZERO);
             }
-            finish[id] = done;
-            makespan = makespan.max(done);
-            if cmd.tag >= tag_busy.len() {
-                tag_busy.resize(cmd.tag + 1, Duration::ZERO);
-            }
-            tag_busy[cmd.tag] += cmd.duration;
-            if let Some(spans) = trace.as_deref_mut() {
+            run.tag_busy[cmd.tag] += cmd.duration;
+            if let Some(spans) = run.spans.as_deref_mut() {
                 spans.push(Span {
                     cmd: id,
                     unit: cmd.unit,
@@ -443,12 +627,98 @@ impl Engine {
                 });
             }
         }
-        ExecutionReport {
-            finish,
-            makespan,
-            tag_busy,
-            unit_busy: self.units.iter().map(|u| u.busy_time()).collect(),
+    }
+
+    /// Occupies the unit and held resources of `cmd` from `start`,
+    /// charging each `times` × its duration of busy time.
+    fn occupy(&mut self, cmd: &CommandView<'_>, start: Time, times: u64) {
+        for &u in std::iter::once(&cmd.unit).chain(cmd.shared) {
+            self.free_at[u] = start.max(self.free_at[u]) + cmd.duration;
+            self.busy[u] += cmd.duration * times;
         }
+    }
+
+    /// Leaves steady state after its last repeated block: charges the
+    /// repeats' busy time and re-occupies every resource of the block
+    /// from the times it was shifted to, as scheduling would have. The
+    /// free times left over from before the repeats are earlier than any
+    /// of those starts, so they bind nothing.
+    fn settle(&mut self, program: &Program, run: &mut Run<'_>, steady: Steady) {
+        if steady.repeats == 0 {
+            return;
+        }
+        for (id, cmd) in steady.block.clone().zip(program.commands_in(steady.block)) {
+            let done = run.finish[id];
+            let start = Time::from_ps(done.as_ps() - cmd.duration.as_ps());
+            self.occupy(&cmd, start, steady.repeats);
+            run.tag_busy[cmd.tag] += cmd.duration * steady.repeats;
+            run.makespan = run.makespan.max(done);
+        }
+    }
+}
+
+/// The schedule under construction by one [`Engine::run`].
+struct Run<'a> {
+    finish: Vec<Time>,
+    makespan: Time,
+    tag_busy: Vec<Duration>,
+    scheduled: usize,
+    spans: Option<&'a mut Vec<Span>>,
+}
+
+impl Run<'_> {
+    /// Times `block` as the block before it shifted by `delta`.
+    fn shift(&mut self, program: &Program, block: &Range<CmdId>, delta: Duration) {
+        let period = block.len();
+        for id in block.clone() {
+            self.finish[id] = self.finish[id - period] + delta;
+        }
+        if let Some(spans) = self.spans.as_deref_mut() {
+            for (id, cmd) in block.clone().zip(program.commands_in(block.clone())) {
+                spans.push(Span {
+                    cmd: id,
+                    unit: cmd.unit,
+                    tag: cmd.tag,
+                    start: spans[id - period].start + delta,
+                    end: self.finish[id],
+                });
+            }
+        }
+    }
+}
+
+/// A schedule that has settled into a constant per-block shift.
+struct Steady {
+    /// The last block timed.
+    block: Range<CmdId>,
+    /// Shift between consecutive blocks.
+    delta: Duration,
+    /// Blocks shifted from their predecessor since steady state began.
+    repeats: u64,
+}
+
+impl Steady {
+    /// Steady state after scheduling `block`: it repeats the block before
+    /// it, every dependency points into one of the two, and every finish
+    /// is the previous block's plus one shift δ > 0.
+    fn reached(program: &Program, finish: &[Time], block: Range<CmdId>) -> Option<Steady> {
+        let period = block.len();
+        let prev_start = block.start.checked_sub(period)?;
+        let first = finish.get(block.start)?.as_ps();
+        let delta = first.checked_sub(finish[prev_start].as_ps())?;
+        let shifted = delta > 0
+            && (prev_start..block.start)
+                .zip(block.clone())
+                .all(|(p, b)| finish[b].as_ps() == finish[p].as_ps() + delta)
+            && program.repeats_previous(&block)
+            && program.deps[program.deps_range(&block)]
+                .iter()
+                .all(|&d| d >= prev_start);
+        shifted.then_some(Steady {
+            block,
+            delta: Duration::from_ps(delta),
+            repeats: 0,
+        })
     }
 }
 
@@ -641,6 +911,98 @@ mod tests {
         let b = eng.run_traced(&emitted);
         assert_eq!(a, b);
         assert_eq!(a.0.makespan(), Time::from_ns(173));
+    }
+
+    /// `blocks` marked (if `marked`) blocks of three commands, each
+    /// depending on the block before and on the block two before; block
+    /// `slow`'s last command runs longer.
+    fn far_dependency_program(marked: bool, blocks: usize, slow: usize) -> Program {
+        let mut p = Program::new();
+        let mut starts: Vec<CmdId> = Vec::new();
+        for b in 0..blocks {
+            if marked {
+                p.mark_block();
+            }
+            let start = p.next_id();
+            let prev = starts.last().copied();
+            let far = b.checked_sub(2).map(|f| starts[f]);
+            let last = NS(if b == slow { 210 } else { 203 });
+            p.emit(
+                0,
+                NS(72),
+                0,
+                prev.into_iter().flat_map(|q| [q + 2, q]),
+                None,
+            );
+            p.emit(
+                1,
+                NS(104),
+                1,
+                prev.map(|q| q + 1).into_iter().chain(far),
+                None,
+            );
+            let deps = [start + 1]
+                .into_iter()
+                .chain(prev.map(|q| q + 1))
+                .chain(far);
+            p.emit(2, last, 0, deps, Some(3));
+            starts.push(start);
+        }
+        if marked {
+            p.mark_block();
+        }
+        p
+    }
+
+    #[test]
+    fn dependency_two_blocks_back_is_not_extrapolated() {
+        // After the slow block, consecutive blocks settle into one shift
+        // while their dependencies still reach the slow block's
+        // aftermath: extrapolating from that shift would be wrong.
+        let mut eng = Engine::new(4, Duration::ZERO);
+        for slow in 0..12 {
+            let marked = eng.run_traced(&far_dependency_program(true, 12, slow));
+            let plain = eng.run_traced(&far_dependency_program(false, 12, slow));
+            assert_eq!(marked, plain, "slow block {slow}");
+        }
+    }
+
+    #[test]
+    fn moving_a_dependency_or_hold_to_the_next_command_breaks_repetition() {
+        // Block b: command 0 (unit 0) waits for block b - 1's command 1
+        // (unit 1) and holds unit 2. In block 5 the dependency, or the
+        // hold, moves to command 1, leaving the block's dependency and
+        // hold lists as they were.
+        for moved in ["dependency", "hold"] {
+            let program = |marked: bool| {
+                let mut p = Program::new();
+                for b in 0..10usize {
+                    if marked {
+                        p.mark_block();
+                    }
+                    let dep = (b > 0).then(|| p.next_id() - 1);
+                    let (dep0, dep1) = match (b, moved) {
+                        (5, "dependency") => (None, dep),
+                        _ => (dep, None),
+                    };
+                    let (hold0, hold1) = if (b, moved) == (5, "hold") {
+                        (None, Some(2))
+                    } else {
+                        (Some(2), None)
+                    };
+                    p.emit(0, NS(10), 0, dep0, hold0);
+                    p.emit(1, NS(50), 1, dep1, hold1);
+                }
+                if marked {
+                    p.mark_block();
+                }
+                p
+            };
+            let mut eng = Engine::new(3, Duration::ZERO);
+            let marked = eng.run_traced(&program(true));
+            assert_eq!(marked, eng.run_traced(&program(false)), "{moved} moved");
+            assert!(marked.0.scheduled() < 20, "{moved} moved");
+        }
     }
 
     #[test]

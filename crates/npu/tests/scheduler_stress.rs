@@ -1,10 +1,12 @@
 //! Property tests stressing the command-scheduler engine with random
 //! programs: the schedule must respect fundamental bounds regardless of
-//! structure.
+//! structure, and block-marked programs must schedule exactly as their
+//! unmarked copies.
 
 use ianus_npu::scheduler::{Command, Engine, Program};
 use ianus_sim::{Duration, Time};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 #[derive(Debug, Clone)]
 struct RandCmd {
@@ -113,4 +115,246 @@ proptest! {
         let b = eng.run(&p).makespan();
         prop_assert_eq!(a, b);
     }
+}
+
+/// One command of a repeated block.
+#[derive(Debug, Clone)]
+struct BlockCmd {
+    unit: usize,
+    dur_ns: u64,
+    tag: usize,
+    /// Earlier commands of the same block, by offset back.
+    own: Vec<usize>,
+    /// Commands of the previous block, by index (none in the first block).
+    prev: Vec<usize>,
+    /// A command of the block before the previous, by index: a program
+    /// with one never repeats in closed form.
+    far: Option<usize>,
+    /// Held resources other than the unit; repeats are allowed.
+    shared: Vec<usize>,
+}
+
+const UNITS: usize = 5;
+
+fn block_cmd() -> impl Strategy<Value = BlockCmd> {
+    (
+        0..UNITS,
+        1u64..300,
+        0usize..4,
+        prop::collection::vec(1usize..6, 0..3),
+        prop::collection::vec(0usize..8, 0..3),
+        (prop::collection::vec(0..UNITS, 0..3), 0usize..128),
+    )
+        .prop_map(|(unit, dur_ns, tag, own, prev, (shared, far))| BlockCmd {
+            unit,
+            dur_ns,
+            tag,
+            own,
+            prev,
+            // One command in 16 reaches two blocks back.
+            far: (far < 8).then_some(far),
+            shared: shared.into_iter().filter(|&s| s != unit).collect(),
+        })
+}
+
+/// A change to one command of one block.
+#[derive(Debug, Clone, Copy)]
+enum Perturb {
+    Duration,
+    Dependency,
+    Unit,
+    Hold,
+    Tag,
+}
+
+/// A prologue, a block repeated `blocks` times and an epilogue reading
+/// the last block.
+#[derive(Debug, Clone)]
+struct BlockProgram {
+    prologue: Vec<RandCmd>,
+    block: Vec<BlockCmd>,
+    blocks: usize,
+    /// Epilogue commands: own earlier dependencies as in [`build`], plus
+    /// indices into the last block.
+    epilogue: Vec<(RandCmd, Vec<usize>)>,
+    dispatch_ns: u64,
+    /// Block, command within it, and change of the perturbed variant.
+    perturb: (usize, usize, Perturb),
+}
+
+fn block_program() -> impl Strategy<Value = BlockProgram> {
+    let perturb = (
+        2usize..16,
+        0usize..8,
+        prop::sample::select(vec![
+            Perturb::Duration,
+            Perturb::Dependency,
+            Perturb::Unit,
+            Perturb::Hold,
+            Perturb::Tag,
+        ]),
+    );
+    (
+        prop::collection::vec(rand_cmd(UNITS), 0..5),
+        prop::collection::vec(block_cmd(), 1..8),
+        0usize..16,
+        prop::collection::vec(
+            (rand_cmd(UNITS), prop::collection::vec(0usize..8, 0..3)),
+            0..4,
+        ),
+        0u64..3,
+        perturb,
+    )
+        .prop_map(
+            |(prologue, block, blocks, epilogue, dispatch_ns, perturb)| BlockProgram {
+                prologue,
+                block,
+                blocks,
+                epilogue,
+                dispatch_ns,
+                perturb,
+            },
+        )
+}
+
+impl BlockProgram {
+    /// Emits the program, with block marks if `marked` and with the
+    /// perturbation if `perturbed`.
+    fn emit(&self, marked: bool, perturbed: bool) -> Program {
+        let mut p = build(&self.prologue, UNITS);
+        let len = self.block.len();
+        let mut starts: Vec<usize> = Vec::new();
+        for b in 0..self.blocks {
+            if marked {
+                p.mark_block();
+            }
+            let start = p.next_id();
+            for (i, cmd) in self.block.iter().enumerate() {
+                let mut cmd = cmd.clone();
+                let (pb, pi, change) = self.perturb;
+                if perturbed && (pb, pi % len) == (b, i) {
+                    match change {
+                        Perturb::Duration => cmd.dur_ns += 7,
+                        // Retarget a dependency, or add or drop some.
+                        Perturb::Dependency => match cmd.prev.first_mut() {
+                            Some(j) => *j = (*j % len + 1) % len,
+                            None if cmd.own.is_empty() => cmd.prev.push(len - 1),
+                            None => cmd.own.clear(),
+                        },
+                        Perturb::Unit => {
+                            cmd.unit = (cmd.unit + 1) % UNITS;
+                            cmd.shared.retain(|&s| s != cmd.unit);
+                        }
+                        Perturb::Tag => cmd.tag += 1,
+                        Perturb::Hold => {
+                            let other = (cmd.unit + 1 + cmd.shared.len()) % UNITS;
+                            match cmd.shared.first_mut() {
+                                Some(s) if *s != other => *s = other,
+                                _ => cmd.shared = vec![(cmd.unit + 1) % UNITS],
+                            }
+                        }
+                    }
+                }
+                let own = cmd
+                    .own
+                    .iter()
+                    .filter(|&&off| off <= i)
+                    .map(|off| start + i - off);
+                let prev = starts
+                    .last()
+                    .into_iter()
+                    .flat_map(|&ps| cmd.prev.iter().map(move |&j| ps + j % len));
+                let far = starts
+                    .len()
+                    .checked_sub(2)
+                    .and_then(|b| cmd.far.map(|j| starts[b] + j % len));
+                let deps = own.chain(prev).chain(far);
+                p.emit(
+                    cmd.unit,
+                    Duration::from_ns(cmd.dur_ns),
+                    cmd.tag,
+                    deps,
+                    cmd.shared,
+                );
+            }
+            starts.push(start);
+        }
+        if marked {
+            p.mark_block();
+        }
+        let epilogue_start = p.next_id();
+        for (i, (cmd, last)) in self.epilogue.iter().enumerate() {
+            let id = epilogue_start + i;
+            let own = cmd
+                .dep_offsets
+                .iter()
+                .filter(|&&off| off <= i)
+                .map(|off| id - off);
+            let last = starts
+                .last()
+                .into_iter()
+                .flat_map(|&ps| last.iter().map(move |&j| ps + j % len));
+            let shared = cmd.shared.filter(|&s| s != cmd.unit);
+            p.emit(
+                cmd.unit,
+                Duration::from_ns(cmd.dur_ns),
+                cmd.unit,
+                own.chain(last),
+                shared,
+            );
+        }
+        p
+    }
+
+    fn engine(&self) -> Engine {
+        Engine::new(UNITS, Duration::from_ns(self.dispatch_ns))
+    }
+}
+
+/// `program` re-emitted without its block marks.
+fn unmarked(program: &Program) -> Program {
+    let mut plain = Program::new();
+    for cmd in program.commands() {
+        let (deps, shared) = (cmd.deps.iter().copied(), cmd.shared.iter().copied());
+        plain.emit(cmd.unit, cmd.duration, cmd.tag, deps, shared);
+    }
+    plain
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn marked_blocks_schedule_as_unmarked(bp in block_program()) {
+        for perturbed in [false, true] {
+            let marked = bp.emit(true, perturbed);
+            let plain = unmarked(&marked);
+            prop_assert_eq!(plain, bp.emit(false, perturbed));
+            let fast = bp.engine().run_traced(&marked);
+            let full = bp.engine().run_traced(&plain);
+            prop_assert_eq!(full.0.scheduled(), plain.len());
+            prop_assert_eq!(fast, full);
+        }
+    }
+}
+
+#[test]
+fn random_block_programs_mostly_reach_steady_state() {
+    // Guards the property above against testing only the fallback: most
+    // generated programs with enough blocks must skip some.
+    let strategy = block_program();
+    let mut rng = TestRng::from_name("random_block_programs_mostly_reach_steady_state");
+    let (mut long, mut shortcut) = (0, 0);
+    for _ in 0..512 {
+        let bp = strategy.generate(&mut rng);
+        if bp.blocks >= 8 {
+            long += 1;
+            let p = bp.emit(true, false);
+            shortcut += usize::from(bp.engine().run(&p).scheduled() < p.len());
+        }
+    }
+    assert!(
+        2 * shortcut > long,
+        "{shortcut} of {long} programs reached steady state"
+    );
 }

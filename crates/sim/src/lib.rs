@@ -2,35 +2,30 @@
 //!
 //! The IANUS reproduction is a *command-level* simulator with
 //! cycle-resolution timestamps: every hardware unit (matrix unit, vector
-//! unit, DMA engine, PIM channel, …) is a [`Resource`] whose occupancy is
-//! tracked in integer picoseconds, and the system schedulers advance a
-//! shared clock by executing commands against those resources.
+//! unit, DMA engine, PIM channel, …) has its occupancy tracked in integer
+//! picoseconds, and the system schedulers advance a shared clock by
+//! executing commands against those units.
 //!
 //! This crate deliberately contains no IANUS-specific policy — only the
-//! time base ([`Time`], [`Duration`]), an ordered [`EventQueue`], busy-until
-//! [`Resource`] accounting, and [`Stats`] counters used for reports.
+//! time base ([`Time`], [`Duration`]), an ordered [`EventQueue`], and
+//! [`Stats`] counters used for reports.
 //!
 //! # Examples
 //!
 //! ```
-//! use ianus_sim::{Duration, EventQueue, Resource, Time};
+//! use ianus_sim::{Duration, EventQueue, Time};
 //!
 //! let mut q = EventQueue::new();
 //! q.push(Time::from_ns(10), "b");
 //! q.push(Time::from_ns(5), "a");
 //! assert_eq!(q.pop(), Some((Time::from_ns(5), "a")));
-//!
-//! let mut mu = Resource::new("matrix-unit");
-//! let done = mu.acquire(Time::ZERO, Duration::from_ns(100));
-//! assert_eq!(done, Time::from_ns(100));
+//! assert_eq!(Time::from_ns(5) + Duration::from_ns(5), Time::from_ns(10));
 //! ```
 
 mod event;
-mod resource;
 mod stats;
 mod time;
 
 pub use event::{EventQueue, SlotQueue};
-pub use resource::Resource;
 pub use stats::Stats;
 pub use time::{Duration, Frequency, Time};
