@@ -1,16 +1,13 @@
-//! Two-channel DMA lane clocks for swap and KV-migration traffic.
+//! Two-lane DMA clocks for swap and KV-migration traffic.
 //!
-//! Each replica owns a pair of DMA lane clocks: an **H2D** lane
-//! (host-to-device: swap-ins and inbound KV migrations) and a **D2H**
-//! lane (device-to-host: swap-outs and outbound migration legs). With
-//! `split == true` the lanes advance independently, which is what
-//! "swap-in priority" means operationally: an H2D transfer never
+//! Each replica owns a pair of DMA lane clocks modelling a full-duplex
+//! host link: an **H2D** lane (host-to-device: swap-ins and inbound KV
+//! migrations) and a **D2H** lane (device-to-host: swap-outs and
+//! outbound migration legs). The lanes advance independently, which is
+//! what "swap-in priority" means operationally: an H2D transfer never
 //! queues behind D2H traffic, so a preempted sequence's swap-in (or a
 //! migrant's arrival) is never delayed by eviction writebacks sharing
-//! the link. With `split == false` both directions share one clock —
-//! the single-channel model every pre-disaggregation report was
-//! pinned against, kept as the default so existing fingerprints hold
-//! bit-identically.
+//! the link.
 //!
 //! Within a lane, transfers never reorder: `issue` starts each
 //! transfer at `max(now, lane_free)` and advances the lane clock
@@ -28,33 +25,22 @@ pub enum DmaLane {
     D2H = 1,
 }
 
-/// Per-replica DMA channel clocks: one lane per direction when
-/// `split`, one shared clock otherwise (the legacy single-channel
-/// model). Times are seconds on the replica's simulation clock.
-#[derive(Debug, Clone)]
+/// Per-replica DMA channel clocks, one independent lane per direction.
+/// Times are seconds on the replica's simulation clock.
+#[derive(Debug, Clone, Default)]
 pub struct DmaChannels {
     lanes: [f64; 2],
-    split: bool,
 }
 
 impl DmaChannels {
     /// A fresh channel pair with both lanes free at time zero.
-    pub fn new(split: bool) -> Self {
-        DmaChannels {
-            lanes: [0.0; 2],
-            split,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Whether H2D and D2H advance on independent clocks.
-    pub fn split(&self) -> bool {
-        self.split
-    }
-
-    /// When the given lane next becomes free. With `split == false`
-    /// both lanes report the single shared clock.
+    /// When the given lane next becomes free.
     pub fn free_at(&self, lane: DmaLane) -> f64 {
-        self.lanes[self.index(lane)]
+        self.lanes[lane as usize]
     }
 
     /// Issues a transfer of `secs` seconds on `lane`, starting no
@@ -62,24 +48,14 @@ impl DmaChannels {
     /// clock advances monotonically — transfers within a lane never
     /// reorder.
     pub fn issue(&mut self, lane: DmaLane, now: f64, secs: f64) -> f64 {
-        let i = self.index(lane);
-        let start = now.max(self.lanes[i]);
-        let done = start + secs;
+        let clock = &mut self.lanes[lane as usize];
+        let done = now.max(*clock) + secs;
         debug_assert!(
-            done >= self.lanes[i],
-            "DMA lane clock must be monotone: {done} < {}",
-            self.lanes[i]
+            done >= *clock,
+            "DMA lane clock must be monotone: {done} < {clock}"
         );
-        self.lanes[i] = done;
+        *clock = done;
         done
-    }
-
-    fn index(&self, lane: DmaLane) -> usize {
-        if self.split {
-            lane as usize
-        } else {
-            0
-        }
     }
 }
 
@@ -88,42 +64,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unsplit_shares_one_clock() {
-        let mut ch = DmaChannels::new(false);
-        let out = ch.issue(DmaLane::D2H, 1.0, 2.0);
-        assert_eq!(out, 3.0);
-        // H2D queues behind the D2H transfer on the shared clock.
-        let inn = ch.issue(DmaLane::H2D, 1.0, 1.0);
-        assert_eq!(inn, 4.0);
-        assert_eq!(ch.free_at(DmaLane::H2D), ch.free_at(DmaLane::D2H));
-    }
-
-    #[test]
-    fn split_h2d_never_waits_on_d2h() {
-        let mut ch = DmaChannels::new(true);
-        let out = ch.issue(DmaLane::D2H, 1.0, 5.0);
-        assert_eq!(out, 6.0);
-        // Swap-in priority: the H2D lane is still free at time 1.
-        let inn = ch.issue(DmaLane::H2D, 1.0, 1.0);
-        assert_eq!(inn, 2.0);
-        assert_eq!(ch.free_at(DmaLane::D2H), 6.0);
-        assert_eq!(ch.free_at(DmaLane::H2D), 2.0);
-    }
-
-    #[test]
-    fn lanes_never_reorder_within_a_channel() {
-        let mut ch = DmaChannels::new(true);
-        let mut last = 0.0;
-        for (now, secs) in [(0.5, 1.0), (0.2, 0.5), (3.0, 0.25), (2.0, 4.0)] {
-            let done = ch.issue(DmaLane::H2D, now, secs);
-            assert!(done >= last, "H2D completions must be non-decreasing");
-            last = done;
-        }
-    }
-
-    #[test]
     fn issue_starts_no_earlier_than_now() {
-        let mut ch = DmaChannels::new(true);
+        let mut ch = DmaChannels::new();
         assert_eq!(ch.issue(DmaLane::D2H, 10.0, 1.0), 11.0);
         // Lane free at 11, but now is 20: starts at 20.
         assert_eq!(ch.issue(DmaLane::D2H, 20.0, 1.0), 21.0);

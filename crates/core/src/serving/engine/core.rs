@@ -179,13 +179,6 @@ impl ServingSim {
             .map(|(i, c)| (c.prefix_tokens > 0).then(|| prefix_key(i, c.prefix_tokens)))
             .collect();
         let paged = build_paged_pools(&self.replicas, self.kv_block, model, &mix);
-        // Per-replica DMA channel clocks. Disaggregated clusters always
-        // run split H2D/D2H lanes (migration traffic must not reorder
-        // against swap traffic on one clock); all-`Unified` clusters
-        // share one clock per replica unless `two_channel_dma` forces
-        // the split — the unsplit arithmetic is bit-identical to the
-        // historical single `dma_free` scalar.
-        let split_dma = self.two_channel || self.roles.iter().any(|&ro| ro != ReplicaRole::Unified);
         // Decode pool for prefill→decode migrations (empty outside
         // disaggregated runs — prefill replicas then decode locally).
         let decode_pool: Vec<usize> = (0..n)
@@ -249,7 +242,7 @@ impl ServingSim {
                 swap_count: 0,
             },
             lanes: LaneClocks {
-                dma: (0..n).map(|_| DmaChannels::new(split_dma)).collect(),
+                dma: vec![DmaChannels::new(); n],
                 outgoing: vec![VecDeque::new(); n],
                 incoming: vec![VecDeque::new(); n],
             },

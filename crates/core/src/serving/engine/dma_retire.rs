@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 /// swap deques, both kept sorted by completion time (the lanes are
 /// monotone, so pushes append in order).
 pub(super) struct LaneClocks {
-    /// Per-replica DMA lane clocks (unified or split per direction).
+    /// Per-replica DMA lane clocks, one per direction.
     pub(super) dma: Vec<DmaChannels>,
     /// In-flight swap-outs per replica: `(completes_at, tokens,
     /// seq_idx)` — device KV is freed (paged: unshared blocks dropped)

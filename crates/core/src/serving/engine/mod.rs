@@ -11,7 +11,7 @@
 //! | `admission`   | `WaitQueue`        | arrival vector, wait queue, admission       |
 //! | `batch`       | `BatchState`       | resident sequences, clocks, execute/advance |
 //! | `kv_state`    | `KvLedger`         | paged pools, swap queues, pressure/eviction |
-//! | `dma_retire`  | `LaneClocks`       | DMA lanes, in-flight swaps, retirement      |
+//! | `dma_retire`  | `LaneClocks`       | H2D/D2H lanes, in-flight swaps, retirement  |
 //! | `migrate`     | `MigrationState`   | decode pool, prefill→decode handoff         |
 //! | `workflow_rt` | `WorkflowRt`       | workflow instances, completion fan-out      |
 //! | `core`        | `EngineCore`       | layer composition + the turn loop           |
@@ -119,10 +119,6 @@ pub struct ServingSim {
     roles: Vec<ReplicaRole>,
     /// Destination choice for prefill→decode KV migrations.
     migration: std::sync::Arc<dyn MigrationPolicy + Send + Sync>,
-    /// Whether swap/migration DMA runs on split H2D/D2H lanes even in
-    /// all-`Unified` clusters (disaggregated runs always split). Off by
-    /// default — the single-channel model every pin was captured on.
-    two_channel: bool,
     /// Whether workflow children inherit their parent's registered KV
     /// blocks as a shared prefix in paged mode (on by default; the
     /// off switch exists so experiments can measure the cold
@@ -148,7 +144,6 @@ impl ServingSim {
             probe_divergence: false,
             roles: Vec::new(),
             migration: std::sync::Arc::new(LeastLoadedMigration),
-            two_channel: false,
             workflow_inheritance: true,
         }
     }
@@ -220,17 +215,6 @@ impl ServingSim {
         self
     }
 
-    /// Forces **two-channel DMA** (split H2D/D2H lanes — swap-ins never
-    /// queue behind swap-outs; see [`super::dma`]) even in
-    /// all-`Unified` clusters. Disaggregated clusters always run split
-    /// lanes; off by default otherwise, where both directions share one
-    /// channel clock (the historical single-channel model, preserved
-    /// bit-identically).
-    pub fn two_channel_dma(mut self, split: bool) -> Self {
-        self.two_channel = split;
-        self
-    }
-
     /// Enables (the default) or disables **workflow KV inheritance**:
     /// in paged mode ([`kv_block`](Self::kv_block)), a completing
     /// workflow node registers its KV under a per-(instance, node)
@@ -281,11 +265,6 @@ impl ServingSim {
         self.scheduler = scheduler;
     }
 
-    /// The installed policy bundle.
-    pub fn scheduler_policy(&self) -> &SchedulerPolicy {
-        &self.scheduler
-    }
-
     /// Overrides every replica's host-side KV swap pool: `Some(bytes)`
     /// forces a finite pool of that size, `None` forces an unbounded
     /// pool. Without this override each replica uses its backend's own
@@ -298,11 +277,12 @@ impl ServingSim {
     }
 
     /// Enables (or disables) **overlapped swap DMA**: each replica gets
-    /// a DMA-channel clock, swap transfers run on it concurrently with
-    /// compute, and the batch only stalls when it actually needs the
-    /// data or the memory — a swap-out frees device KV at DMA
-    /// *completion* (the iteration waits if it needs those bytes
-    /// sooner) and a swap-in's completion gates the sequence's
+    /// independent H2D and D2H lane clocks ([`super::dma`]; swap-ins
+    /// never queue behind swap-outs), swap transfers run on them
+    /// concurrently with compute, and the batch only stalls when it
+    /// actually needs the data or the memory — a swap-out frees device
+    /// KV at DMA *completion* (the iteration waits if it needs those
+    /// bytes sooner) and a swap-in's completion gates the sequence's
     /// re-entry into the batch while decode continues around it. Off by
     /// default: transfers serialize with compute on the replica clock,
     /// the historical behavior.
@@ -390,14 +370,8 @@ impl ServingSim {
             probe_divergence: self.probe_divergence,
             roles: self.roles.clone(),
             migration: self.migration.clone(),
-            two_channel: self.two_channel,
             workflow_inheritance: self.workflow_inheritance,
         })
-    }
-
-    /// Number of replicas added so far.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
     }
 
     /// The current configuration.

@@ -251,11 +251,6 @@ impl BlockTable {
         self.tokens
     }
 
-    /// Number of leading blocks shared with the prefix cache.
-    pub fn shared_blocks(&self) -> usize {
-        self.shared
-    }
-
     /// Number of privately held (unshared) blocks — what an eviction
     /// actually frees, and what a swap actually moves.
     pub fn unshared_blocks(&self) -> u64 {

@@ -56,8 +56,9 @@
 //! [`EvictionMechanism`] on the policy bundle, and the
 //! [`CheapestEviction`](policy::CheapestEviction) policy picks victims
 //! by eviction cost per KV token freed. With
-//! [`ServingSim::overlap_dma`], swap traffic runs on a per-replica DMA
-//! channel that overlaps decode: transfers only stall the batch when
+//! [`ServingSim::overlap_dma`], swap traffic runs on per-replica
+//! H2D/D2H DMA lanes (see [`dma`]; a swap-in never queues behind a
+//! swap-out) that overlap decode: transfers only stall the batch when
 //! the memory or the sequence is actually needed, and the report
 //! splits [`kv_dma`](ServingReport::kv_dma) from
 //! [`swap_stall`](ServingReport::swap_stall) —
@@ -69,7 +70,7 @@
 //! [`PrefillOnly`](ReplicaRole::PrefillOnly) replica admits arrivals,
 //! runs their prefill, then hands each sequence off to a
 //! [`DecodeOnly`](ReplicaRole::DecodeOnly) replica — the KV migrates
-//! over a two-channel DMA link (see [`dma`]) priced by
+//! over the same H2D/D2H DMA lanes (see [`dma`]) priced by
 //! [`Backend::kv_transfer_time`](crate::backend::Backend::kv_transfer_time)
 //! on both legs, and the destination applies its own admission gate
 //! and paged-KV block accounting on arrival. The destination is chosen

@@ -114,11 +114,6 @@ impl AddressMapping {
             * u64::from(self.org.banks_per_channel)
             * u64::from(self.org.channels)
     }
-
-    /// The tile (row) index that a byte address belongs to.
-    pub fn tile_of(&self, addr: u64) -> u64 {
-        self.decode(addr).row
-    }
 }
 
 #[cfg(test)]

@@ -100,11 +100,6 @@ impl TransferModel {
         self.timings.t_rcd_rd + self.timings.t_ck * 2
     }
 
-    /// Fixed latency before the first data beat of a write stream.
-    pub fn write_latency(&self) -> Duration {
-        self.timings.t_rcd_wr + self.timings.t_ck * 2
-    }
-
     /// Duration of a sequential read of `bytes` striped across `channels`
     /// channels.
     ///
@@ -113,15 +108,6 @@ impl TransferModel {
     /// Panics if `channels` is zero or exceeds the organization's channels.
     pub fn bulk_read(&self, bytes: u64, channels: u32) -> Duration {
         self.read_latency() + self.data_time(bytes, channels)
-    }
-
-    /// Duration of a sequential write of `bytes` striped across `channels`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels` is zero or exceeds the organization's channels.
-    pub fn bulk_write(&self, bytes: u64, channels: u32) -> Duration {
-        self.write_latency() + self.data_time(bytes, channels)
     }
 
     /// Pure data-beat time (no fixed latency), used when modelling streams

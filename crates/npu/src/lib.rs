@@ -35,11 +35,9 @@ mod dma;
 pub mod functional;
 mod matrix;
 pub mod scheduler;
-mod scratchpad;
 mod vector;
 
 pub use config::NpuConfig;
 pub use dma::DmaEngine;
 pub use matrix::MatrixUnit;
-pub use scratchpad::{Scratchpad, ScratchpadError};
 pub use vector::{VectorUnit, VuOp};

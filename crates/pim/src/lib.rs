@@ -40,7 +40,6 @@
 //! assert_eq!(model.rows_per_tile(), 128);
 //! ```
 
-mod alloc;
 mod command;
 mod config;
 mod executor;
@@ -49,7 +48,6 @@ mod pcu;
 mod tiling;
 mod timing;
 
-pub use alloc::{AllocError, WeightAllocator, WeightHandle};
 pub use command::{MacroCommand, MicroCommand};
 pub use config::PimConfig;
 pub use executor::MicroExecutor;

@@ -313,12 +313,6 @@ impl Frequency {
         Duration::from_ps((n as f64 * 1e12 / self.hz).round() as u64)
     }
 
-    /// Duration of a fractional number of cycles (e.g. pipelined averages).
-    pub fn cycles_f64(self, n: f64) -> Duration {
-        debug_assert!(n >= 0.0);
-        Duration::from_ps((n * 1e12 / self.hz).round() as u64)
-    }
-
     /// Period of one clock cycle.
     pub fn period(self) -> Duration {
         self.cycles(1)

@@ -3,8 +3,8 @@
 //! decode, GPUs win compute-dense prefill — turned into a *cluster
 //! architecture* and priced. A100 `PrefillOnly` replicas absorb the
 //! long prompts, IANUS `DecodeOnly` replicas stream the tokens, and
-//! each sequence's KV migrates between them over the two-channel DMA
-//! queue at prefill completion (`Backend::kv_transfer_time` prices both
+//! each sequence's KV migrates between them over the replicas' H2D/D2H
+//! DMA lanes at prefill completion (`Backend::kv_transfer_time` prices both
 //! legs).
 //!
 //! ```text

@@ -33,9 +33,9 @@
 //! for IANUS devices) — swap-outs past the pool fall back to
 //! recompute-based eviction. `--eviction-mechanism` picks how victims
 //! leave device memory (swap to host, drop-and-re-prefill, or
-//! per-victim cheapest), and `--overlap-dma` runs swap traffic on a
-//! per-replica DMA channel that overlaps decode instead of stalling
-//! the batch.
+//! per-victim cheapest), and `--overlap-dma` runs swap traffic on
+//! each replica's H2D/D2H DMA lanes concurrently with decode instead
+//! of stalling the batch (swap-ins never queue behind swap-outs).
 //!
 //! `--disaggregate P:D` replaces `--replicas` with a disaggregated
 //! cluster: P prefill-only replicas hand every sequence off to one of
@@ -264,6 +264,7 @@ struct ServeArgs {
     /// `--host-kv-gb`: `Some(None)` forces an unbounded pool (0),
     /// `Some(Some(b))` a finite one; `None` keeps the backend default.
     host_kv: Option<Option<u64>>,
+    /// `--overlap-dma`: swap DMA overlaps decode on split H2D/D2H lanes.
     overlap_dma: bool,
     /// `--kv-block`: paged-KV block size in tokens (0 = contiguous).
     kv_block: u64,

@@ -19,7 +19,6 @@
 //! | [`sim`] | `ianus-sim` | time base, event queue, resources |
 //! | [`dram`] | `ianus-dram` | GDDR6 timing, Figure 5 address mapping |
 //! | [`pim`] | `ianus-pim` | AiM device: commands, tiling, functional BF16 |
-//! | [`noc`] | `ianus-noc` | all-to-all crossbar, PIM command broadcast |
 //! | [`npu`] | `ianus-npu` | matrix/vector units, DMA, command scheduler |
 //! | [`model`] | `ianus-model` | Table 3/4 model zoo, stages, shapes |
 //! | [`system`] | `ianus-core` | IANUS system, PAS, energy, multi-device, `Backend`, `ServingSim` |
@@ -112,7 +111,6 @@ pub use ianus_baselines as baselines;
 pub use ianus_core as system;
 pub use ianus_dram as dram;
 pub use ianus_model as model;
-pub use ianus_noc as noc;
 pub use ianus_npu as npu;
 pub use ianus_pim as pim;
 pub use ianus_sim as sim;

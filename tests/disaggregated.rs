@@ -1,10 +1,9 @@
 //! Disaggregated-cluster regression net.
 //!
-//! PR 8 teaches the engine replica roles, prefill→decode KV migration,
-//! and two-channel DMA. The hard compatibility contract is that none
-//! of it exists until asked for: an all-[`ReplicaRole::Unified`]
-//! cluster must reproduce the pre-disaggregation engine **bit for
-//! bit**, on both cores. This suite pins five whole-report
+//! Replica roles and prefill→decode KV migration carry a hard
+//! compatibility contract: none of it exists until asked for, and an
+//! all-[`ReplicaRole::Unified`] cluster must reproduce the
+//! pre-disaggregation engine **bit for bit**, on both cores. This suite pins five whole-report
 //! fingerprints captured on the PR 7 engine (request-level FCFS with
 //! tie-breaks, a heterogeneous cluster, and an iteration-level grid
 //! exercising chunked prefill, preemption, paged KV, and overlapped
@@ -12,84 +11,11 @@
 //! closes with the liveness property: every sequence that migrates
 //! completes, exactly once per request, identically on both cores.
 
+use common::MemNode;
 use ianus::prelude::*;
 use proptest::prelude::*;
 
-// ---------------------------------------------------------------------
-// The pinned backend (identical to tests/event_core.rs)
-// ---------------------------------------------------------------------
-
-/// Analytic node with real capacity pressure — the same backend the
-/// fingerprints below were captured with. Do not retune it: every
-/// constant participates in the pins.
-#[derive(Debug, Clone, Copy)]
-struct MemNode {
-    kv_bytes: u64,
-    host_bytes: u64,
-    host_gbps: f64,
-}
-
-impl MemNode {
-    fn tight() -> Self {
-        MemNode {
-            kv_bytes: 256 << 20,
-            host_bytes: 128 << 20,
-            host_gbps: 8.0,
-        }
-    }
-}
-
-impl Backend for MemNode {
-    fn name(&self) -> &str {
-        "mem node"
-    }
-    fn service_time(&mut self, _model: &ModelConfig, shape: RequestShape) -> Duration {
-        Duration::from_us(20) * shape.input
-            + Duration::from_us(150) * shape.output.saturating_sub(1)
-    }
-    fn fits(&self, _model: &ModelConfig) -> Result<(), CapacityError> {
-        Ok(())
-    }
-    fn prefill_time(&mut self, _model: &ModelConfig, tokens: u64) -> Duration {
-        Duration::from_us(20) * tokens.max(1)
-    }
-    fn decode_time(&mut self, _model: &ModelConfig, past_tokens: u64, batch: u32) -> Duration {
-        Duration::from_us(100)
-            + Duration::from_us(8) * u64::from(batch.max(1))
-            + Duration::from_ns(50) * past_tokens
-    }
-    fn batch_fits(
-        &self,
-        model: &ModelConfig,
-        batch: &[RequestShape],
-    ) -> Result<f64, CapacityError> {
-        let kv: u64 = batch
-            .iter()
-            .map(|r| model.kv_bytes_per_token() * r.total_tokens())
-            .sum();
-        if kv > self.kv_bytes {
-            Err(CapacityError::OutOfMemory {
-                required: kv,
-                available: self.kv_bytes,
-            })
-        } else {
-            Ok(kv as f64 / self.kv_bytes as f64)
-        }
-    }
-    fn kv_transfer_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
-        let bytes = ianus::system::capacity::kv_swap_bytes(model, tokens);
-        Duration::from_ns_f64(bytes as f64 / self.host_gbps)
-    }
-    fn host_kv_bytes(&self) -> Option<u64> {
-        Some(self.host_bytes)
-    }
-    fn kv_budget_bytes(&self, _model: &ModelConfig, _widest_input: u64) -> Option<u64> {
-        Some(self.kv_bytes)
-    }
-    fn clone_box(&self) -> Option<Box<dyn Backend>> {
-        Some(Box::new(*self))
-    }
-}
+mod common;
 
 // ---------------------------------------------------------------------
 // Fingerprints
@@ -205,8 +131,8 @@ fn request_level_heterogeneous_pinned() {
 /// Iteration-level grid pins, replayed on both cores: chunked prefill
 /// with preemption, paged KV, and overlapped DMA (C); whole-prompt
 /// prefill with recompute-fallback preemptions (D); and a no-preempt
-/// decode-heavy spread (E). The two-channel DMA plumbing must collapse
-/// to the historical single-lane arithmetic everywhere here.
+/// decode-heavy spread (E). Split H2D/D2H lanes leave every pin here
+/// unchanged.
 #[test]
 fn iteration_level_pins_hold_on_both_cores() {
     let model = ModelConfig::gpt2_xl();
