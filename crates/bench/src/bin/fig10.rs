@@ -22,15 +22,10 @@ fn makespan(cfg: &SystemConfig, units: usize, program: &Program, zeroed: Option<
     match zeroed {
         None => engine.run(program).makespan().as_ns_f64(),
         Some(tag) => {
-            let mut p = Program::new();
-            for cmd in program.commands() {
-                let duration = if cmd.tag == tag {
-                    Duration::ZERO
-                } else {
-                    cmd.duration
-                };
-                let (deps, shared) = (cmd.deps.iter().copied(), cmd.shared.iter().copied());
-                p.emit(cmd.unit, duration, cmd.tag, deps, shared);
+            // Zeroing a repeated block's command zeroes it in every copy.
+            let mut p = program.clone();
+            for cmd in program.commands().filter(|cmd| cmd.tag == tag) {
+                p.set_duration(cmd.id, Duration::ZERO);
             }
             engine.run(&p).makespan().as_ns_f64()
         }

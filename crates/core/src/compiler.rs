@@ -31,6 +31,11 @@ use ianus_npu::{DmaEngine, MatrixUnit, VectorUnit, VuOp};
 use ianus_pim::{GemvShape, PimModel, PimOpCost};
 use ianus_sim::Duration;
 
+/// Blocks a compiled stage stores before the rest repeat as copies: block
+/// 0 follows no block, so block 2 is the first that can repeat the block
+/// before it.
+const STORED_BLOCKS: usize = 3;
+
 /// A compiled stage: the command program plus its activity counters and
 /// FLOP total.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +89,8 @@ pub struct Compiler<'a> {
     /// Set while emitting the interior of one operation whose internal
     /// pipelining is a hardware property (naive chaining suspended).
     suspend_naive: bool,
-    /// First command of every generation attention head emitted.
+    /// First command of every generation attention head emitted (the
+    /// stored blocks' heads; copies of a block re-time with it).
     head_starts: Vec<CmdId>,
     /// Commands per generation attention head (all heads emit alike).
     head_len: usize,
@@ -148,19 +154,7 @@ impl<'a> Compiler<'a> {
             );
         }
         self.reset();
-        let cores = self.cfg.npu.cores;
-        let mut frontier: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for block in 0..self.model.blocks {
-            self.prog.mark_block();
-            frontier = self.compile_block(stage, &frontier);
-            if block == 0 {
-                // Every block emits the same command structure: size the
-                // program once for the rest, with one block of slack for
-                // the LM head.
-                self.prog.reserve_repeats(self.model.blocks as usize);
-            }
-        }
-        self.prog.mark_block();
+        let frontier = self.emit_blocks(|this, frontier| this.compile_block(stage, frontier));
         if self.model.family == ModelFamily::Gpt {
             self.compile_lm_head(&frontier);
         }
@@ -175,66 +169,8 @@ impl<'a> Compiler<'a> {
     /// interleaving norms) with a forced mapping — the Figure 12 harness.
     pub fn compile_fc_microbench(&mut self, tokens: u64, mapping: FcMapping) -> CompiledStage {
         self.reset();
-        let stage = Stage::Summarization { tokens };
         let ops = self.model.block_ops();
-        let part = self.partitions();
-        let cores = self.cfg.npu.cores;
-        let mut frontier: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for _ in 0..self.model.blocks {
-            self.prog.mark_block();
-            for c in 0..cores {
-                let ln = self.vu_cmd(
-                    c,
-                    VuOp::LayerNorm,
-                    tokens * ops.embed_dim(),
-                    OpClass::LayerNorm,
-                    frontier[c as usize].as_slice(),
-                );
-                let qkv = self.fc(
-                    c,
-                    tokens,
-                    ops.qkv_fc().column_slice(part),
-                    false,
-                    mapping,
-                    OpClass::FcQkv,
-                    &[ln],
-                    self.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim()),
-                );
-                let proj = self.fc(
-                    c,
-                    tokens,
-                    ops.attn_out_fc().column_slice(part),
-                    false,
-                    mapping,
-                    OpClass::FcAttnProjAdd,
-                    &[qkv],
-                    Duration::ZERO,
-                );
-                let ffn1 = self.fc(
-                    c,
-                    tokens,
-                    ops.ffn1_fc().column_slice(part),
-                    true,
-                    mapping,
-                    OpClass::FfnAdd,
-                    &[proj],
-                    Duration::ZERO,
-                );
-                let ffn2 = self.fc(
-                    c,
-                    tokens,
-                    ops.ffn2_fc().column_slice(part),
-                    false,
-                    mapping,
-                    OpClass::FfnAdd,
-                    &[ffn1],
-                    Duration::ZERO,
-                );
-                frontier[c as usize] = Some(ffn2);
-            }
-            frontier = self.barrier(stage.batch_tokens(), &frontier);
-        }
-        self.prog.mark_block();
+        self.emit_blocks(|this, frontier| this.fc_microbench_block(tokens, mapping, frontier));
         CompiledStage {
             program: std::mem::take(&mut self.prog),
             activity: self.activity,
@@ -249,6 +185,108 @@ impl<'a> Compiler<'a> {
     // ------------------------------------------------------------------
     // Block structure
     // ------------------------------------------------------------------
+
+    /// Emits the model's blocks through `block`, which emits one block
+    /// after `frontier` and returns the next frontier; returns the last
+    /// block's frontier. Block 0 follows no block, but from block 1 on
+    /// every block emits the same commands shifted by one block, so once
+    /// the last of the first [`STORED_BLOCKS`] is checked to repeat the
+    /// block before it, the rest are [`Program::repeat_block`] copies of
+    /// it, which add its activity each. Should the check fail, every
+    /// block is emitted.
+    fn emit_blocks(
+        &mut self,
+        mut block: impl FnMut(&mut Self, &[Option<CmdId>]) -> Vec<Option<CmdId>>,
+    ) -> Vec<Option<CmdId>> {
+        let blocks = self.model.blocks as usize;
+        let mut frontier = vec![None; self.cfg.npu.cores as usize];
+        for emitted in 1..=blocks {
+            let (start, before) = (self.prog.next_id(), self.activity);
+            frontier = block(self, &frontier);
+            let end = self.prog.next_id();
+            if emitted == STORED_BLOCKS && self.prog.repeats_previous(start..end) {
+                let times = blocks - emitted;
+                self.prog.repeat_block(start..end, times);
+                let one = self.activity.zip(&before, |after, before| after - before);
+                self.activity = self.activity.zip(&one, |a, b| a + times as u64 * b);
+                // Ids the compiler holds into the block move to its last copy.
+                let shift = times * (end - start);
+                let held = frontier
+                    .iter_mut()
+                    .chain(&mut self.naive_last)
+                    .chain(&mut self.naive_last_pim);
+                for id in held.flatten().filter(|id| **id >= start) {
+                    *id += shift;
+                }
+                break;
+            }
+        }
+        frontier
+    }
+
+    /// One block of the FC microbenchmark after `frontier`; returns the
+    /// next frontier.
+    fn fc_microbench_block(
+        &mut self,
+        tokens: u64,
+        mapping: FcMapping,
+        frontier: &[Option<CmdId>],
+    ) -> Vec<Option<CmdId>> {
+        let ops = self.model.block_ops();
+        let part = self.partitions();
+        let mut frontier = frontier.to_vec();
+        for c in 0..self.cfg.npu.cores {
+            let ln = self.vu_cmd(
+                c,
+                VuOp::LayerNorm,
+                tokens * ops.embed_dim(),
+                OpClass::LayerNorm,
+                frontier[c as usize].as_slice(),
+            );
+            let qkv = self.fc(
+                c,
+                tokens,
+                ops.qkv_fc().column_slice(part),
+                false,
+                mapping,
+                OpClass::FcQkv,
+                &[ln],
+                self.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim()),
+            );
+            let proj = self.fc(
+                c,
+                tokens,
+                ops.attn_out_fc().column_slice(part),
+                false,
+                mapping,
+                OpClass::FcAttnProjAdd,
+                &[qkv],
+                Duration::ZERO,
+            );
+            let ffn1 = self.fc(
+                c,
+                tokens,
+                ops.ffn1_fc().column_slice(part),
+                true,
+                mapping,
+                OpClass::FfnAdd,
+                &[proj],
+                Duration::ZERO,
+            );
+            let ffn2 = self.fc(
+                c,
+                tokens,
+                ops.ffn2_fc().column_slice(part),
+                false,
+                mapping,
+                OpClass::FfnAdd,
+                &[ffn1],
+                Duration::ZERO,
+            );
+            frontier[c as usize] = Some(ffn2);
+        }
+        self.barrier(tokens, &frontier)
+    }
 
     fn compile_block(&mut self, stage: &Stage, frontier: &[Option<CmdId>]) -> Vec<Option<CmdId>> {
         let cores = self.cfg.npu.cores;
@@ -941,20 +979,23 @@ impl<'a> Compiler<'a> {
 /// on the past, and every head block of a program emits the same
 /// durations and activity. [`retime`](Self::retime) therefore re-emits
 /// one head at the new past through the compiler's own per-head emitter,
-/// copies its durations into every recorded head block and sets the
-/// stage's activity to the activity outside the heads plus heads × one
-/// head's — exact, as activity counts are integers. The result equals
+/// copies its durations into every stored head block (which re-times the
+/// copies of a repeated transformer block with it) and sets the stage's
+/// activity to the activity outside the heads plus heads × one head's —
+/// exact, as activity counts are integers. The result equals
 /// [`Compiler::compile`] at that past, which the equivalence test checks
 /// over every configuration and `run_request` asserts in debug builds.
 #[derive(Debug)]
 pub(crate) struct GenerationTemplate<'a> {
     compiler: Compiler<'a>,
     stage: CompiledStage,
-    /// First command of every head block of `stage.program`.
+    /// First command of every stored head block of `stage.program`.
     head_starts: Vec<CmdId>,
     /// Durations of one head block at the past `stage` is timed for; its
     /// length is the head blocks' stride.
     head: Vec<Duration>,
+    /// Head blocks of the stage, copies included.
+    heads: u64,
     /// Activity of `stage` outside its head blocks.
     base: Activity,
 }
@@ -972,13 +1013,17 @@ impl<'a> GenerationTemplate<'a> {
             compiler.head_len,
             "a generation head changed length"
         );
-        let heads = head_starts.len() as u64;
+        let heads = (0..cfg.npu.cores)
+            .map(|core| compiler.heads_for_core(core))
+            .sum::<u64>()
+            * model.blocks;
         GenerationTemplate {
             compiler,
             base: stage.activity.zip(&activity, |s, h| s - heads * h),
             stage,
             head_starts,
             head: head.commands().map(|cmd| cmd.duration).collect(),
+            heads,
         }
     }
 
@@ -1010,7 +1055,7 @@ impl<'a> GenerationTemplate<'a> {
                 }
             }
         }
-        let heads = self.head_starts.len() as u64;
+        let heads = self.heads;
         self.stage.activity = self.base.zip(&activity, |b, h| b + heads * h);
         self.stage.flops = self
             .compiler
@@ -1107,6 +1152,7 @@ mod tests {
         let pcie = c.unit_map().pcie();
         let pcie_cmds = compiled
             .program
+            .expanded()
             .commands()
             .filter(|cmd| cmd.unit == pcie)
             .count();
@@ -1269,7 +1315,10 @@ mod tests {
             ),
         ];
         for (cfg, model, stage, expected) in cases {
-            let program = Compiler::new(&cfg, &model).compile(&stage).program;
+            let program = Compiler::new(&cfg, &model)
+                .compile(&stage)
+                .program
+                .expanded();
             let deps: usize = program.commands().map(|c| c.deps.len()).sum();
             let shared: usize = program.commands().map(|c| c.shared.len()).sum();
             assert_eq!(
@@ -1333,16 +1382,6 @@ mod tests {
         }
     }
 
-    /// `program` re-emitted without its block marks.
-    fn unmarked(program: &Program) -> Program {
-        let mut plain = Program::new();
-        for cmd in program.commands() {
-            let (deps, shared) = (cmd.deps.iter().copied(), cmd.shared.iter().copied());
-            plain.emit(cmd.unit, cmd.duration, cmd.tag, deps, shared);
-        }
-        plain
-    }
-
     #[test]
     fn block_extrapolation_matches_full_schedule() {
         let configs = equivalence_configs();
@@ -1357,14 +1396,15 @@ mod tests {
         // Every configuration's compiled stages reach steady state. The FC
         // microbench need not: on a partitioned GPT-2 2.5B its weight
         // prefetches have no dependencies and drift ahead of the FCs at a
-        // rate of their own, so it runs fully.
+        // rate of their own, so its copies are scheduled one by one.
         let check = |case: String, cfg: &SystemConfig, c: &Compiler, stage: &CompiledStage| {
             let mut engine = Engine::new(c.unit_map().unit_count(), cfg.npu.dispatch_overhead);
-            let marked = engine.run(&stage.program);
-            let full = engine.run(&unmarked(&stage.program));
-            assert_eq!(marked, full, "{case}");
-            assert_eq!(full.scheduled(), stage.program.len(), "{case}");
-            marked.scheduled() < full.scheduled()
+            let compact = engine.run(&stage.program);
+            let expanded = stage.program.expanded();
+            let full = engine.run(&expanded);
+            assert_eq!(compact, full, "{case}");
+            assert_eq!(full.scheduled(), expanded.len(), "{case}");
+            compact.scheduled() < full.scheduled()
         };
         for (label, cfg) in &configs {
             for &(model, stages) in &models {
@@ -1386,18 +1426,85 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every command's unit, duration, tag, dependencies and
+    /// held resources, in id order.
+    fn program_hash(program: &Program) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |value: u64| {
+            for byte in value.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for cmd in program.commands() {
+            feed(cmd.unit as u64);
+            feed(cmd.duration.as_ps());
+            feed(cmd.tag as u64);
+            feed(cmd.deps.len() as u64);
+            cmd.deps.iter().for_each(|&d| feed(d as u64));
+            feed(cmd.shared.len() as u64);
+            cmd.shared.iter().for_each(|&s| feed(s as u64));
+        }
+        hash
+    }
+
+    #[test]
+    fn expanded_programs_are_pinned() {
+        // Hashes of programs emitted block by block, taken before blocks
+        // were stored once: a compact program's expansion must reproduce
+        // full emission command for command.
+        let [ianus, naive, pim_attention, partitioned, _, four_devices, _] =
+            equivalence_configs().map(|(_, cfg)| cfg);
+        let gen = Some(Stage::Generation { past_tokens: 300 });
+        let xl = ModelConfig::gpt2_xl();
+        let cases = [
+            (ianus, xl, gen, 14_796, 0x510e_199d_bf30_fc2d),
+            (naive, xl, gen, 14_796, 0x8ef7_708f_6a04_b655),
+            (pim_attention, xl, gen, 11_340, 0x07af_4ea8_4336_5eef),
+            (four_devices, xl, gen, 6_541, 0x7f97_ddc9_ba45_f9fc),
+            (
+                ianus,
+                ModelConfig::gpt2_2_5b(),
+                Some(Stage::Summarization { tokens: 512 }),
+                20_964,
+                0x64a3_b293_55ac_fbc5,
+            ),
+            // The FC microbench (`None`), whose copies never settle.
+            (
+                partitioned,
+                ModelConfig::gpt2_2_5b(),
+                None,
+                4_104,
+                0x3dfa_a215_e244_b5c8,
+            ),
+        ];
+        for (cfg, model, stage, len, hash) in cases {
+            let mut c = Compiler::new(&cfg, &model);
+            let program = match stage {
+                Some(stage) => c.compile(&stage).program,
+                None => c.compile_fc_microbench(8, FcMapping::Pim).program,
+            };
+            let full = program.expanded();
+            let case = format!("{} {stage:?}", model.name);
+            assert_eq!((program.len(), full.len()), (len, len), "{case}");
+            assert_eq!(program_hash(&full), hash, "{case}");
+        }
+    }
+
     #[test]
     fn steady_state_schedules_three_blocks() {
         // GPT-2 XL generation: 48 blocks of 308 commands, then a
-        // 12-command LM head. Blocks 1 and 2 settle into a constant shift,
-        // so blocks 3-47 are written in closed form.
+        // 12-command LM head. Blocks 0-2 are stored and blocks 3-47 are
+        // copies of block 2; blocks 1 and 2 settle into a constant shift,
+        // so every copy is written in closed form.
         let cfg = SystemConfig::ianus();
         let model = ModelConfig::gpt2_xl();
         let mut c = Compiler::new(&cfg, &model);
         let program = c.compile(&Stage::Generation { past_tokens: 300 }).program;
         assert_eq!(program.len(), 48 * 308 + 12);
+        let stored = program.commands().count();
+        assert_eq!(stored, 3 * 308 + 12);
         let mut engine = Engine::new(c.unit_map().unit_count(), cfg.npu.dispatch_overhead);
-        assert_eq!(engine.run(&program).scheduled(), 3 * 308 + 12);
+        assert_eq!(engine.run(&program).scheduled(), stored);
     }
 
     #[test]

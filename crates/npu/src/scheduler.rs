@@ -19,31 +19,38 @@
 //!
 //! A transformer compiles to the same command stream once per block, and
 //! the sync that ends each block makes the schedule periodic. A compiler
-//! marks block boundaries with [`Program::mark_block`]; the engine then
-//! schedules command by command only until the schedule reaches steady
-//! state, and writes the remaining blocks in closed form.
+//! stores such a block once and repeats it with [`Program::repeat_block`]:
+//! copy `k` of an `L`-command block has ids `k·L` later than the block,
+//! and so does every dependency of each of its commands, while units,
+//! durations, tags and holds are the block's. Ids stay virtual: a program
+//! has [`len`](Program::len) commands, copies included, and
+//! [`Program::expanded`] materializes them. The engine schedules a
+//! repeat's copies command by command only until the schedule reaches
+//! steady state, and writes the remaining copies in closed form.
 //!
 //! Every start time is a max-plus expression: the latest of its
 //! dependencies' finishes plus `dispatch`, the dispatch-only ready time
 //! of a dependency-free command, and the free times of its unit and
-//! shared resources (the finish of their last earlier user). Suppose
-//! block `k` repeats the `L` commands before it — the same units,
+//! shared resources (the finish of their last earlier user). Suppose a
+//! timed block repeats the `L` commands before it — the same units,
 //! durations, tags and holds, every dependency `L` ids later — and its
 //! dependencies all point into itself or into those commands. Suppose
-//! also that every finish of block `k` is the matching finish of the
-//! block before plus one δ > 0. Each start of block `k` then exceeds the
-//! one before by δ, so it is at least `dispatch` + δ and no constant
-//! binds it: it is the latest of its finish and free-time terms. If block
-//! `k + 1` repeats block `k`, every such term of block `k + 1` is the
-//! matching term of block `k` plus δ, so block `k + 1` is block `k`
-//! shifted by δ, exactly, and by induction so is every later repeating
-//! block: finishes and unit free times move by δ per block, and each
-//! block adds the same busy time to every unit and tag. The marks are
-//! only a hint. A block that does not repeat its predecessor, or a
-//! program that never reaches a constant shift, is scheduled command by
-//! command as if it had no marks, and the result is the same either way.
-//! [`ExecutionReport::scheduled`] counts the commands scheduled one by
-//! one.
+//! also that every finish of the block is the matching finish of the
+//! `L` commands before plus one δ > 0. Each start of the block then
+//! exceeds the one before by δ, so it is at least `dispatch` + δ and no
+//! constant binds it: it is the latest of its finish and free-time
+//! terms. The next copy repeats the block by construction, so every such
+//! term of the copy is the matching term of the block plus δ, and the
+//! copy is the block shifted by δ, exactly; by induction so is every
+//! later copy: finishes and unit free times move by δ per copy, and each
+//! copy adds the same busy time to every unit and tag. The engine first
+//! tries the stored block against the stored commands before it, then
+//! each copy it schedules against the one before. A repeat whose
+//! dependencies reach further back, or whose schedule never reaches a
+//! constant shift, is scheduled copy by copy, and the result is the same
+//! either way. [`ExecutionReport::finish`] reads a closed-form copy as the
+//! last copy scheduled plus `k`·δ, and [`ExecutionReport::scheduled`]
+//! counts the commands scheduled one by one.
 //!
 //! # Examples
 //!
@@ -129,10 +136,12 @@ struct Record {
     shared_end: u32,
 }
 
-/// A borrowed view of one command of a [`Program`], as yielded by
+/// A borrowed view of one stored command of a [`Program`], as yielded by
 /// [`Program::commands`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandView<'a> {
+    /// The command's id.
+    pub id: CmdId,
     /// Unit that executes the command.
     pub unit: UnitId,
     /// Execution time on the unit.
@@ -150,15 +159,43 @@ pub struct CommandView<'a> {
 /// Commands are stored flat: one fixed-size record each, with every
 /// command's dependencies and shared resources packed into two
 /// program-wide arrays, so emitting a command allocates nothing beyond
-/// amortized growth of those three vectors. Two programs are equal when
-/// every command and every block mark is.
+/// amortized growth of those three vectors. A repeated block is stored
+/// once ([`repeat_block`](Self::repeat_block)); its copies have ids but
+/// no records. Two programs are equal when every stored command and
+/// every repeat is.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     records: Vec<Record>,
     deps: Vec<CmdId>,
     shared: Vec<UnitId>,
-    /// Block boundaries set by [`mark_block`](Self::mark_block), ascending.
-    marks: Vec<CmdId>,
+    /// Repeated blocks, in id order.
+    repeats: Vec<Repeat>,
+    /// Number of commands, copies included.
+    len: usize,
+}
+
+/// A stored block followed by copies of itself; see
+/// [`Program::repeat_block`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Repeat {
+    /// The block's records.
+    block: Range<usize>,
+    /// Id of the block's first command.
+    start: CmdId,
+    /// Copies after the block.
+    times: usize,
+}
+
+impl Repeat {
+    /// Commands per copy.
+    fn period(&self) -> usize {
+        self.block.len()
+    }
+
+    /// Id of the first command after the last copy.
+    fn end(&self) -> CmdId {
+        self.start + (1 + self.times) * self.period()
+    }
 }
 
 impl Program {
@@ -207,22 +244,69 @@ impl Program {
             deps_end: narrow(self.deps.len()),
             shared_end: narrow(self.shared.len()),
         });
-        self.records.len() - 1
+        self.len += 1;
+        self.len - 1
     }
 
-    /// Reserves room for `times` more copies of the commands emitted so
-    /// far: a compiler emitting a repeated structure (one block per
-    /// layer) calls it after the first repeat, so the program grows by
-    /// one allocation instead of repeated doubling.
-    pub fn reserve_repeats(&mut self, times: usize) {
-        self.records.reserve(self.records.len() * times);
-        self.deps.reserve(self.deps.len() * times);
-        self.shared.reserve(self.shared.len() * times);
+    /// Repeats commands `block`, the last ones emitted, `times` more
+    /// times without storing the copies. Copy `k` has ids `k ×
+    /// block.len()` later than the block, and so does every dependency of
+    /// each of its commands; units, durations, tags and holds are the
+    /// block's. Commands emitted afterwards follow the last copy and may
+    /// depend on any command, copies included. [`Engine::run`] writes
+    /// copies in closed form once the schedule settles (see the
+    /// [module docs](self)), and [`expanded`](Self::expanded) emits them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is empty, does not end at
+    /// [`next_id`](Self::next_id) or starts inside an earlier repeat.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ianus_npu::scheduler::{Engine, Program};
+    /// use ianus_sim::Duration;
+    ///
+    /// let mut p = Program::new();
+    /// let mut last = None;
+    /// for _ in 0..3 {
+    ///     let load = p.emit(1, Duration::from_ns(100), 0, last, None);
+    ///     last = Some(p.emit(0, Duration::from_ns(50), 1, [load], None));
+    /// }
+    /// // Blocks 3-9 are copies of block 2, which repeats block 1.
+    /// assert!(p.repeats_previous(4..6));
+    /// p.repeat_block(4..6, 7);
+    /// assert_eq!((p.len(), p.commands().count()), (20, 6));
+    /// let report = Engine::new(2, Duration::ZERO).run(&p);
+    /// assert_eq!(report.makespan().as_ns_f64(), 1500.0);
+    /// assert_eq!(report.finish(19), report.makespan());
+    /// // Blocks 0-2 are scheduled; the shift they settle into fills 3-9.
+    /// assert_eq!(report.scheduled(), 6);
+    /// assert_eq!(report, Engine::new(2, Duration::ZERO).run(&p.expanded()));
+    /// ```
+    pub fn repeat_block(&mut self, block: Range<CmdId>, times: usize) {
+        let stretch = self.repeats.last().map_or(0, Repeat::end);
+        assert!(
+            !block.is_empty() && block.end == self.len && block.start >= stretch,
+            "repeated block {block:?} is not the last commands emitted"
+        );
+        if times == 0 {
+            return;
+        }
+        let stored = self.records.len() - block.len()..self.records.len();
+        self.len += times * block.len();
+        self.repeats.push(Repeat {
+            block: stored,
+            start: block.start,
+            times,
+        });
     }
 
     /// Re-times command `id`, leaving its unit, tag, dependencies and
     /// shared resources as emitted: a compiler re-timing one program to
-    /// new operand sizes patches durations instead of emitting again.
+    /// new operand sizes patches durations instead of emitting again. A
+    /// command of a repeated block is re-timed in every copy.
     ///
     /// # Panics
     ///
@@ -240,61 +324,85 @@ impl Program {
     /// assert_eq!(p.commands().next().unwrap().duration, Duration::from_ns(25));
     /// ```
     pub fn set_duration(&mut self, id: CmdId, duration: Duration) {
-        self.records[id].duration = duration;
+        let index = self.record_of(id);
+        self.records[index].duration = duration;
     }
 
-    /// Marks a block boundary before the next command: a compiler
-    /// emitting one repeated structure per layer marks the start of every
-    /// block and the end of the last, so that the engine can write the
-    /// blocks after steady state in closed form (see the
-    /// [module docs](self)). The marks are only a hint: they never change
-    /// the schedule an [`ExecutionReport`] describes.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ianus_npu::scheduler::{Engine, Program};
-    /// use ianus_sim::Duration;
-    ///
-    /// let mut p = Program::new();
-    /// let mut last = None;
-    /// for _ in 0..10 {
-    ///     p.mark_block();
-    ///     let load = p.emit(1, Duration::from_ns(100), 0, last, None);
-    ///     last = Some(p.emit(0, Duration::from_ns(50), 1, [load], None));
-    /// }
-    /// p.mark_block();
-    /// let report = Engine::new(2, Duration::ZERO).run(&p);
-    /// assert_eq!(report.makespan().as_ns_f64(), 1500.0);
-    /// // Blocks 0-2 are scheduled; the shift they settle into fills 3-9.
-    /// assert_eq!(report.scheduled(), 6);
-    /// ```
-    pub fn mark_block(&mut self) {
-        self.marks.push(self.records.len());
+    /// Index of the record command `id` is, or is a copy of.
+    fn record_of(&self, id: CmdId) -> usize {
+        let mut copied = 0;
+        for r in &self.repeats {
+            let copies = r.start + r.period()..r.end();
+            if id < copies.start {
+                break;
+            }
+            if copies.contains(&id) {
+                return r.block.start + (id - copies.start) % r.period();
+            }
+            copied += copies.len();
+        }
+        id - copied
     }
 
-    /// Number of commands.
+    /// Number of commands, copies of repeated blocks included.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
-    /// The commands in emission order.
-    pub fn commands(&self) -> impl ExactSizeIterator<Item = CommandView<'_>> + '_ {
-        self.commands_in(0..self.len())
+    /// The stored commands in emission order: a repeated block's
+    /// commands appear once, not once per copy.
+    pub fn commands(&self) -> impl Iterator<Item = CommandView<'_>> + '_ {
+        self.stretches()
+            .flat_map(|(records, first, _)| self.commands_in(records, first))
     }
 
-    /// Commands `ids`, in emission order.
-    fn commands_in(&self, ids: Range<CmdId>) -> impl ExactSizeIterator<Item = CommandView<'_>> {
-        let mut deps_start = self.deps_start(ids.start);
-        let mut shared_start = self.shared_start(ids.start);
-        self.records[ids].iter().map(move |r| {
+    /// The program with every copy of a repeated block emitted: the same
+    /// commands under the same ids, all stored.
+    pub fn expanded(&self) -> Program {
+        let mut full = Program::new();
+        for (records, first, repeat) in self.stretches() {
+            full.append(self.commands_in(records, first), 0);
+            if let Some(r) = repeat {
+                for shift in (1..=r.times).map(|k| k * r.period()) {
+                    full.append(self.commands_in(r.block.clone(), r.start + shift), shift);
+                }
+            }
+        }
+        full
+    }
+
+    /// Emits `cmds`, each dependency `shift` ids later than listed.
+    fn append<'p>(&mut self, cmds: impl Iterator<Item = CommandView<'p>>, shift: usize) {
+        for cmd in cmds {
+            let deps = cmd.deps.iter().map(|&d| d + shift);
+            self.emit(
+                cmd.unit,
+                cmd.duration,
+                cmd.tag,
+                deps,
+                cmd.shared.iter().copied(),
+            );
+        }
+    }
+
+    /// Records `records`, the first of which is command `first`, in
+    /// emission order.
+    fn commands_in(
+        &self,
+        records: Range<usize>,
+        first: CmdId,
+    ) -> impl ExactSizeIterator<Item = CommandView<'_>> {
+        let mut deps_start = self.deps_start(records.start);
+        let mut shared_start = self.shared_start(records.start);
+        self.records[records].iter().enumerate().map(move |(i, r)| {
             let (deps_end, shared_end) = (r.deps_end as usize, r.shared_end as usize);
             let view = CommandView {
+                id: first + i,
                 unit: r.unit as UnitId,
                 duration: r.duration,
                 tag: r.tag as usize,
@@ -307,30 +415,67 @@ impl Program {
         })
     }
 
-    /// Id the next pushed command will receive.
-    pub fn next_id(&self) -> CmdId {
-        self.records.len()
+    /// The program's stretches of stored commands, in order: each one's
+    /// records, the id of its first command, and the repeat whose block
+    /// ends it (none for the last stretch).
+    fn stretches(&self) -> impl Iterator<Item = (Range<usize>, CmdId, Option<&Repeat>)> + '_ {
+        let (mut record, mut id) = (0, 0);
+        self.repeats
+            .iter()
+            .map(Some)
+            .chain([None])
+            .map(move |repeat| {
+                let end = repeat.map_or(self.records.len(), |r| r.block.end);
+                let stretch = (record..end, id, repeat);
+                if let Some(r) = repeat {
+                    (record, id) = (end, r.end());
+                }
+                stretch
+            })
     }
 
-    /// Offset in `deps` of command `id`'s first dependency (`deps.len()`
-    /// for `id == len()`).
-    fn deps_start(&self, id: CmdId) -> usize {
-        id.checked_sub(1)
+    /// Id the next pushed command will receive.
+    pub fn next_id(&self) -> CmdId {
+        self.len
+    }
+
+    /// Offset in `deps` of record `index`'s first dependency (`deps.len()`
+    /// for `index == records.len()`).
+    fn deps_start(&self, index: usize) -> usize {
+        index
+            .checked_sub(1)
             .map_or(0, |prev| self.records[prev].deps_end as usize)
     }
 
-    /// Offset in `shared` of command `id`'s first held resource.
-    fn shared_start(&self, id: CmdId) -> usize {
-        id.checked_sub(1)
+    /// Offset in `shared` of record `index`'s first held resource.
+    fn shared_start(&self, index: usize) -> usize {
+        index
+            .checked_sub(1)
             .map_or(0, |prev| self.records[prev].shared_end as usize)
     }
 
     /// Whether commands `block` repeat the `block.len()` commands just
     /// before them: the same units, durations, tags and holds, with every
-    /// dependency `block.len()` ids later.
-    fn repeats_previous(&self, block: &Range<CmdId>) -> bool {
+    /// dependency `block.len()` ids later. Only commands stored after
+    /// every repeat's copies are compared; any others do not repeat.
+    pub fn repeats_previous(&self, block: Range<CmdId>) -> bool {
+        let (record, id) = self
+            .repeats
+            .last()
+            .map_or((0, 0), |r| (r.block.end, r.end()));
+        block.start >= id
+            && block.end <= self.len
+            && self.records_repeat(
+                record,
+                &(block.start - id + record..block.end - id + record),
+            )
+    }
+
+    /// Whether records `block` repeat the `block.len()` records just
+    /// before them, which must not precede record `floor`.
+    fn records_repeat(&self, floor: usize, block: &Range<usize>) -> bool {
         let len = block.len();
-        let Some(prev_start) = block.start.checked_sub(len) else {
+        let Some(prev_start) = block.start.checked_sub(len).filter(|&p| p >= floor) else {
             return false;
         };
         let prev = prev_start..block.start;
@@ -360,14 +505,14 @@ impl Program {
         records && deps && self.shared[shared] == self.shared[prev_shared]
     }
 
-    /// The `deps` entries of commands `ids`.
-    fn deps_range(&self, ids: &Range<CmdId>) -> Range<usize> {
-        self.deps_start(ids.start)..self.deps_start(ids.end)
+    /// The `deps` entries of records `records`.
+    fn deps_range(&self, records: &Range<usize>) -> Range<usize> {
+        self.deps_start(records.start)..self.deps_start(records.end)
     }
 
-    /// The `shared` entries of commands `ids`.
-    fn shared_range(&self, ids: &Range<CmdId>) -> Range<usize> {
-        self.shared_start(ids.start)..self.shared_start(ids.end)
+    /// The `shared` entries of records `records`.
+    fn shared_range(&self, records: &Range<usize>) -> Range<usize> {
+        self.shared_start(records.start)..self.shared_start(records.end)
     }
 }
 
@@ -451,16 +596,17 @@ fn json_string(s: &str) -> String {
 /// schedule, and is not compared.
 #[derive(Debug, Clone, Eq)]
 pub struct ExecutionReport {
-    finish: Vec<Time>,
+    finish: Finishes,
     makespan: Time,
     tag_busy: Vec<Duration>,
     unit_busy: Vec<Duration>,
-    scheduled: usize,
 }
 
 impl PartialEq for ExecutionReport {
     fn eq(&self, other: &Self) -> bool {
-        self.finish == other.finish
+        let len = self.finish.len;
+        len == other.finish.len
+            && (0..len).all(|id| self.finish.get(id) == other.finish.get(id))
             && self.makespan == other.makespan
             && self.tag_busy == other.tag_busy
             && self.unit_busy == other.unit_busy
@@ -474,7 +620,7 @@ impl ExecutionReport {
     ///
     /// Panics if `id` is out of range.
     pub fn finish(&self, id: CmdId) -> Time {
-        self.finish[id]
+        self.finish.get(id)
     }
 
     /// Completion time of the whole program.
@@ -493,11 +639,91 @@ impl ExecutionReport {
     }
 
     /// Number of commands the engine scheduled one by one; the rest of
-    /// the program's commands were repeated blocks written in closed form
-    /// (see the [module docs](self)). A deterministic work counter: it
-    /// depends only on the program and the engine, never on the host.
+    /// the program's commands were copies of repeated blocks written in
+    /// closed form (see the [module docs](self)). A deterministic work
+    /// counter: it depends only on the program and the engine, never on
+    /// the host.
     pub fn scheduled(&self) -> usize {
-        self.scheduled
+        self.finish.scheduled.len()
+    }
+}
+
+/// Finish times of the commands timed so far, by id: those scheduled one
+/// by one, and runs of copies written in closed form.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Finishes {
+    /// Finishes of the commands scheduled one by one, in id order.
+    scheduled: Vec<Time>,
+    /// Runs of copies written in closed form, in id order.
+    shifted: Vec<Shifted>,
+    /// Number of commands timed.
+    len: usize,
+}
+
+/// Copies of a block written in closed form: copy `k` of the run finishes
+/// `k` × δ after the copy scheduled last before it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Shifted {
+    /// Id of the run's first command.
+    start: CmdId,
+    /// Index in `scheduled` of the copy the run repeats.
+    base: usize,
+    /// Commands per copy.
+    period: usize,
+    /// Copies in the run.
+    copies: usize,
+    /// Shift between consecutive copies.
+    delta: Duration,
+}
+
+impl Finishes {
+    /// Times the next command one by one.
+    fn push(&mut self, finish: Time) {
+        self.scheduled.push(finish);
+        self.len += 1;
+    }
+
+    /// Finish of command `id`.
+    fn get(&self, id: CmdId) -> Time {
+        let runs = self.shifted.partition_point(|r| r.start <= id);
+        let Some(run) = runs.checked_sub(1).map(|r| &self.shifted[r]) else {
+            return self.scheduled[id];
+        };
+        let (offset, copied) = (id - run.start, run.copies * run.period);
+        if offset < copied {
+            let k = (offset / run.period + 1) as u64;
+            self.scheduled[run.base + offset % run.period] + run.delta * k
+        } else {
+            self.scheduled[run.base + run.period + offset - copied]
+        }
+    }
+
+    /// The shift δ > 0 by which each of the last `period` commands
+    /// scheduled finishes after the one `period` commands before it, if
+    /// they all finish by one such shift.
+    fn settled(&self, period: usize) -> Option<Duration> {
+        let tail = self.scheduled.len().checked_sub(2 * period)?;
+        let (prev, last) = self.scheduled[tail..].split_at(period);
+        let delta = last[0].as_ps().checked_sub(prev[0].as_ps())?;
+        let shifted = delta > 0
+            && prev
+                .iter()
+                .zip(last)
+                .all(|(p, l)| l.as_ps() == p.as_ps() + delta);
+        shifted.then_some(Duration::from_ps(delta))
+    }
+
+    /// Times `copies` copies of the last `period` commands scheduled, each
+    /// the one before shifted by `delta`.
+    fn repeat_last(&mut self, period: usize, copies: usize, delta: Duration) {
+        self.shifted.push(Shifted {
+            start: self.len,
+            base: self.scheduled.len() - period,
+            period,
+            copies,
+            delta,
+        });
+        self.len += copies * period;
     }
 }
 
@@ -540,8 +766,9 @@ impl Engine {
         self.run_inner(program, None)
     }
 
-    /// Executes `program` and records one [`Span`] per command for
-    /// timeline inspection / Chrome-trace export.
+    /// Executes `program` and records one [`Span`] per command, copies of
+    /// repeated blocks included, for timeline inspection / Chrome-trace
+    /// export.
     pub fn run_traced(&mut self, program: &Program) -> (ExecutionReport, Vec<Span>) {
         let mut spans = Vec::with_capacity(program.len());
         let report = self.run_inner(program, Some(&mut spans));
@@ -552,55 +779,41 @@ impl Engine {
         self.free_at.fill(Time::ZERO);
         self.busy.fill(Duration::ZERO);
         let mut run = Run {
-            finish: vec![Time::ZERO; program.len()],
+            finish: Finishes::default(),
             makespan: Time::ZERO,
             tag_busy: Vec::new(),
-            scheduled: 0,
             spans,
         };
-        // Commands before `timed` have their finish times.
-        let mut timed = 0;
-        let mut steady: Option<Steady> = None;
-        for bounds in program.marks.windows(2) {
-            let block = bounds[0]..bounds[1];
-            if let Some(s) = steady.take() {
-                if block.len() == s.block.len() && program.repeats_previous(&block) {
-                    run.shift(program, &block, s.delta);
-                    timed = block.end;
-                    steady = Some(Steady {
-                        block,
-                        repeats: s.repeats + 1,
-                        ..s
-                    });
-                    continue;
-                }
-                self.settle(program, &mut run, s);
+        for (records, first, repeat) in program.stretches() {
+            let floor = records.start;
+            self.schedule(program.commands_in(records, first), 0, &mut run);
+            if let Some(repeat) = repeat {
+                self.repeat(program, floor, repeat, &mut run);
             }
-            self.schedule(program, timed..block.end, &mut run);
-            timed = block.end;
-            steady = Steady::reached(program, &run.finish, block);
         }
-        if let Some(s) = steady {
-            self.settle(program, &mut run, s);
-        }
-        self.schedule(program, timed..program.len(), &mut run);
         ExecutionReport {
             finish: run.finish,
             makespan: run.makespan,
             tag_busy: run.tag_busy,
             unit_busy: self.busy.clone(),
-            scheduled: run.scheduled,
         }
     }
 
-    /// Schedules commands `ids` one by one.
-    fn schedule(&mut self, program: &Program, ids: Range<CmdId>, run: &mut Run<'_>) {
-        run.scheduled += ids.len();
-        for (id, cmd) in ids.clone().zip(program.commands_in(ids)) {
+    /// Schedules `cmds` one by one, each dependency `shift` ids later than
+    /// listed.
+    fn schedule<'p>(
+        &mut self,
+        cmds: impl Iterator<Item = CommandView<'p>>,
+        shift: usize,
+        run: &mut Run<'_>,
+    ) {
+        for cmd in cmds {
+            let id = cmd.id;
             let mut ready = Time::ZERO;
             for &d in cmd.deps {
+                let d = d + shift;
                 assert!(d < id, "dependency {d} of command {id} is not earlier");
-                ready = ready.max(run.finish[d]);
+                ready = ready.max(run.finish.get(d));
             }
             ready += self.dispatch;
             // Start when the unit and every shared resource are free.
@@ -611,7 +824,7 @@ impl Engine {
             }
             self.occupy(&cmd, start, 1);
             let done = start + cmd.duration;
-            run.finish[id] = done;
+            run.finish.push(done);
             run.makespan = run.makespan.max(done);
             if cmd.tag >= run.tag_busy.len() {
                 run.tag_busy.resize(cmd.tag + 1, Duration::ZERO);
@@ -629,6 +842,75 @@ impl Engine {
         }
     }
 
+    /// Times the copies of `repeat`, whose block ends a stretch of stored
+    /// commands from record `floor` on and has just been scheduled. Copies
+    /// are scheduled one by one until one finishes every command one shift
+    /// δ > 0 after the block or copy before it (the stored block against
+    /// the stored commands before it counts too); the rest are written in
+    /// closed form.
+    fn repeat(&mut self, program: &Program, floor: usize, repeat: &Repeat, run: &mut Run<'_>) {
+        let period = repeat.period();
+        // Dependencies must stay within a copy and the one before it.
+        let local = program.deps[program.deps_range(&repeat.block)]
+            .iter()
+            .all(|&d| d + period >= repeat.start);
+        let settled = |run: &Run<'_>| run.finish.settled(period).filter(|_| local);
+        let mut delta = settled(run).filter(|_| program.records_repeat(floor, &repeat.block));
+        let mut copies = 0;
+        while delta.is_none() && copies < repeat.times {
+            copies += 1;
+            let shift = copies * period;
+            let cmds = program.commands_in(repeat.block.clone(), repeat.start + shift);
+            self.schedule(cmds, shift, run);
+            delta = settled(run);
+        }
+        if let Some(delta) = delta.filter(|_| copies < repeat.times) {
+            self.extrapolate(program, repeat, repeat.times - copies, delta, run);
+        }
+    }
+
+    /// Writes the last `copies` copies of `repeat` in closed form, each
+    /// the copy scheduled last shifted by one more `delta`: finishes and
+    /// spans, busy time, and the units re-occupied from the last copy's
+    /// times, as scheduling would have left them. The free times left
+    /// over from the copy scheduled last are earlier than any of those
+    /// starts, so they bind nothing.
+    fn extrapolate(
+        &mut self,
+        program: &Program,
+        repeat: &Repeat,
+        copies: usize,
+        delta: Duration,
+        run: &mut Run<'_>,
+    ) {
+        let period = repeat.period();
+        if let Some(spans) = run.spans.as_deref_mut() {
+            let last = spans.len() - period..spans.len();
+            for k in 1..=copies {
+                let shift = delta * k as u64;
+                for i in last.clone() {
+                    let s = spans[i];
+                    spans.push(Span {
+                        cmd: s.cmd + k * period,
+                        start: s.start + shift,
+                        end: s.end + shift,
+                        ..s
+                    });
+                }
+            }
+        }
+        let base = run.finish.scheduled.len() - period;
+        let (times, to_last) = (copies as u64, delta * copies as u64);
+        for (i, cmd) in program.commands_in(repeat.block.clone(), 0).enumerate() {
+            let done = run.finish.scheduled[base + i] + to_last;
+            let start = Time::from_ps(done.as_ps() - cmd.duration.as_ps());
+            self.occupy(&cmd, start, times);
+            run.tag_busy[cmd.tag] += cmd.duration * times;
+            run.makespan = run.makespan.max(done);
+        }
+        run.finish.repeat_last(period, copies, delta);
+    }
+
     /// Occupies the unit and held resources of `cmd` from `start`,
     /// charging each `times` × its duration of busy time.
     fn occupy(&mut self, cmd: &CommandView<'_>, start: Time, times: u64) {
@@ -637,89 +919,14 @@ impl Engine {
             self.busy[u] += cmd.duration * times;
         }
     }
-
-    /// Leaves steady state after its last repeated block: charges the
-    /// repeats' busy time and re-occupies every resource of the block
-    /// from the times it was shifted to, as scheduling would have. The
-    /// free times left over from before the repeats are earlier than any
-    /// of those starts, so they bind nothing.
-    fn settle(&mut self, program: &Program, run: &mut Run<'_>, steady: Steady) {
-        if steady.repeats == 0 {
-            return;
-        }
-        for (id, cmd) in steady.block.clone().zip(program.commands_in(steady.block)) {
-            let done = run.finish[id];
-            let start = Time::from_ps(done.as_ps() - cmd.duration.as_ps());
-            self.occupy(&cmd, start, steady.repeats);
-            run.tag_busy[cmd.tag] += cmd.duration * steady.repeats;
-            run.makespan = run.makespan.max(done);
-        }
-    }
 }
 
 /// The schedule under construction by one [`Engine::run`].
 struct Run<'a> {
-    finish: Vec<Time>,
+    finish: Finishes,
     makespan: Time,
     tag_busy: Vec<Duration>,
-    scheduled: usize,
     spans: Option<&'a mut Vec<Span>>,
-}
-
-impl Run<'_> {
-    /// Times `block` as the block before it shifted by `delta`.
-    fn shift(&mut self, program: &Program, block: &Range<CmdId>, delta: Duration) {
-        let period = block.len();
-        for id in block.clone() {
-            self.finish[id] = self.finish[id - period] + delta;
-        }
-        if let Some(spans) = self.spans.as_deref_mut() {
-            for (id, cmd) in block.clone().zip(program.commands_in(block.clone())) {
-                spans.push(Span {
-                    cmd: id,
-                    unit: cmd.unit,
-                    tag: cmd.tag,
-                    start: spans[id - period].start + delta,
-                    end: self.finish[id],
-                });
-            }
-        }
-    }
-}
-
-/// A schedule that has settled into a constant per-block shift.
-struct Steady {
-    /// The last block timed.
-    block: Range<CmdId>,
-    /// Shift between consecutive blocks.
-    delta: Duration,
-    /// Blocks shifted from their predecessor since steady state began.
-    repeats: u64,
-}
-
-impl Steady {
-    /// Steady state after scheduling `block`: it repeats the block before
-    /// it, every dependency points into one of the two, and every finish
-    /// is the previous block's plus one shift δ > 0.
-    fn reached(program: &Program, finish: &[Time], block: Range<CmdId>) -> Option<Steady> {
-        let period = block.len();
-        let prev_start = block.start.checked_sub(period)?;
-        let first = finish.get(block.start)?.as_ps();
-        let delta = first.checked_sub(finish[prev_start].as_ps())?;
-        let shifted = delta > 0
-            && (prev_start..block.start)
-                .zip(block.clone())
-                .all(|(p, b)| finish[b].as_ps() == finish[p].as_ps() + delta)
-            && program.repeats_previous(&block)
-            && program.deps[program.deps_range(&block)]
-                .iter()
-                .all(|&d| d >= prev_start);
-        shifted.then_some(Steady {
-            block,
-            delta: Duration::from_ps(delta),
-            repeats: 0,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -887,7 +1094,7 @@ mod tests {
         for cmd in &cmds {
             p.push(cmd.clone());
         }
-        assert_eq!(p.commands().len(), cmds.len());
+        assert_eq!(p.commands().count(), cmds.len());
         for (view, cmd) in p.commands().zip(&cmds) {
             assert_eq!(view.unit, cmd.unit);
             assert_eq!(view.duration, cmd.duration);
@@ -913,16 +1120,14 @@ mod tests {
         assert_eq!(a.0.makespan(), Time::from_ns(173));
     }
 
-    /// `blocks` marked (if `marked`) blocks of three commands, each
-    /// depending on the block before and on the block two before; block
-    /// `slow`'s last command runs longer.
-    fn far_dependency_program(marked: bool, blocks: usize, slow: usize) -> Program {
+    /// `blocks` blocks of three commands, each depending on the block
+    /// before and on the block two before; block `slow`'s last command
+    /// runs longer. Blocks `slow + 1` and later are copies of block
+    /// `slow + 1`.
+    fn far_dependency_program(blocks: usize, slow: usize) -> Program {
         let mut p = Program::new();
         let mut starts: Vec<CmdId> = Vec::new();
-        for b in 0..blocks {
-            if marked {
-                p.mark_block();
-            }
+        for b in 0..=slow + 1 {
             let start = p.next_id();
             let prev = starts.last().copied();
             let far = b.checked_sub(2).map(|f| starts[f]);
@@ -948,22 +1153,29 @@ mod tests {
             p.emit(2, last, 0, deps, Some(3));
             starts.push(start);
         }
-        if marked {
-            p.mark_block();
-        }
+        let block = starts[slow + 1]..p.next_id();
+        p.repeat_block(block, blocks - slow - 2);
         p
     }
 
     #[test]
     fn dependency_two_blocks_back_is_not_extrapolated() {
-        // After the slow block, consecutive blocks settle into one shift
+        // After the slow block, consecutive copies settle into one shift
         // while their dependencies still reach the slow block's
-        // aftermath: extrapolating from that shift would be wrong.
+        // aftermath: extrapolating from that shift would be wrong, so a
+        // block with such dependencies is scheduled copy by copy.
         let mut eng = Engine::new(4, Duration::ZERO);
-        for slow in 0..12 {
-            let marked = eng.run_traced(&far_dependency_program(true, 12, slow));
-            let plain = eng.run_traced(&far_dependency_program(false, 12, slow));
-            assert_eq!(marked, plain, "slow block {slow}");
+        for slow in 0..10 {
+            let program = far_dependency_program(12, slow);
+            let compact = eng.run_traced(&program);
+            assert_eq!(
+                compact,
+                eng.run_traced(&program.expanded()),
+                "slow block {slow}"
+            );
+            if slow > 0 {
+                assert_eq!(compact.0.scheduled(), program.len(), "slow block {slow}");
+            }
         }
     }
 
@@ -972,37 +1184,62 @@ mod tests {
         // Block b: command 0 (unit 0) waits for block b - 1's command 1
         // (unit 1) and holds unit 2. In block 5 the dependency, or the
         // hold, moves to command 1, leaving the block's dependency and
-        // hold lists as they were.
+        // hold lists as they were; blocks 7-9 are copies of block 6.
         for moved in ["dependency", "hold"] {
-            let program = |marked: bool| {
-                let mut p = Program::new();
-                for b in 0..10usize {
-                    if marked {
-                        p.mark_block();
-                    }
-                    let dep = (b > 0).then(|| p.next_id() - 1);
-                    let (dep0, dep1) = match (b, moved) {
-                        (5, "dependency") => (None, dep),
-                        _ => (dep, None),
-                    };
-                    let (hold0, hold1) = if (b, moved) == (5, "hold") {
-                        (None, Some(2))
-                    } else {
-                        (Some(2), None)
-                    };
-                    p.emit(0, NS(10), 0, dep0, hold0);
-                    p.emit(1, NS(50), 1, dep1, hold1);
-                }
-                if marked {
-                    p.mark_block();
-                }
-                p
-            };
+            let mut p = Program::new();
+            for b in 0..7usize {
+                let dep = (b > 0).then(|| p.next_id() - 1);
+                let (dep0, dep1) = match (b, moved) {
+                    (5, "dependency") => (None, dep),
+                    _ => (dep, None),
+                };
+                let (hold0, hold1) = if (b, moved) == (5, "hold") {
+                    (None, Some(2))
+                } else {
+                    (Some(2), None)
+                };
+                p.emit(0, NS(10), 0, dep0, hold0);
+                p.emit(1, NS(50), 1, dep1, hold1);
+            }
+            assert!(!p.repeats_previous(12..14), "{moved} moved");
+            p.repeat_block(12..14, 3);
             let mut eng = Engine::new(3, Duration::ZERO);
-            let marked = eng.run_traced(&program(true));
-            assert_eq!(marked, eng.run_traced(&program(false)), "{moved} moved");
-            assert!(marked.0.scheduled() < 20, "{moved} moved");
+            let compact = eng.run_traced(&p);
+            assert_eq!(compact, eng.run_traced(&p.expanded()), "{moved} moved");
+            assert!(compact.0.scheduled() < 20, "{moved} moved");
         }
+    }
+
+    #[test]
+    fn copies_are_read_and_re_timed_through_their_block() {
+        let mut p = Program::new();
+        let a = p.emit(0, NS(5), 0, [], None);
+        let b = p.emit(1, NS(7), 1, [a], Some(2));
+        p.repeat_block(b..b + 1, 2);
+        let c = p.emit(0, NS(3), 0, [b + 2], None);
+        assert_eq!((p.len(), c), (5, 4));
+        let ids: Vec<CmdId> = p.commands().map(|cmd| cmd.id).collect();
+        assert_eq!(ids, [0, 1, 4]);
+        let full = p.expanded();
+        assert_eq!(full.len(), 5);
+        let deps: Vec<&[CmdId]> = full.commands().map(|cmd| cmd.deps).collect();
+        assert_eq!(deps, [&[][..], &[0], &[1], &[2], &[3]]);
+        // Re-timing a copy re-times its block and every copy.
+        p.set_duration(3, NS(11));
+        let durations: Vec<Duration> = p.expanded().commands().map(|cmd| cmd.duration).collect();
+        assert_eq!(durations, [NS(5), NS(11), NS(11), NS(11), NS(3)]);
+        let mut eng = Engine::new(3, Duration::ZERO);
+        assert_eq!(eng.run(&p), eng.run(&p.expanded()));
+        assert_eq!(eng.run(&p).finish(c), Time::from_ns(41));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the last commands emitted")]
+    fn repeating_a_block_that_is_not_last_rejected() {
+        let mut p = Program::new();
+        p.emit(0, NS(1), 0, [], None);
+        p.emit(0, NS(1), 0, [], None);
+        p.repeat_block(0..1, 2);
     }
 
     #[test]

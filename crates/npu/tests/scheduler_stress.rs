@@ -1,7 +1,7 @@
 //! Property tests stressing the command-scheduler engine with random
 //! programs: the schedule must respect fundamental bounds regardless of
-//! structure, and block-marked programs must schedule exactly as their
-//! unmarked copies.
+//! structure, and programs with repeated blocks must schedule exactly as
+//! their expansions.
 
 use ianus_npu::scheduler::{Command, Engine, Program};
 use ianus_sim::{Duration, Time};
@@ -167,13 +167,16 @@ enum Perturb {
     Tag,
 }
 
-/// A prologue, a block repeated `blocks` times and an epilogue reading
+/// A prologue, a block emitted `blocks` times and an epilogue reading
 /// the last block.
 #[derive(Debug, Clone)]
 struct BlockProgram {
     prologue: Vec<RandCmd>,
     block: Vec<BlockCmd>,
     blocks: usize,
+    /// Blocks stored in the compact program; the rest are copies of the
+    /// last of them.
+    stored: usize,
     /// Epilogue commands: own earlier dependencies as in [`build`], plus
     /// indices into the last block.
     epilogue: Vec<(RandCmd, Vec<usize>)>,
@@ -197,7 +200,7 @@ fn block_program() -> impl Strategy<Value = BlockProgram> {
     (
         prop::collection::vec(rand_cmd(UNITS), 0..5),
         prop::collection::vec(block_cmd(), 1..8),
-        0usize..16,
+        (0usize..16, 1usize..8),
         prop::collection::vec(
             (rand_cmd(UNITS), prop::collection::vec(0usize..8, 0..3)),
             0..4,
@@ -206,10 +209,11 @@ fn block_program() -> impl Strategy<Value = BlockProgram> {
         perturb,
     )
         .prop_map(
-            |(prologue, block, blocks, epilogue, dispatch_ns, perturb)| BlockProgram {
+            |(prologue, block, (blocks, stored), epilogue, dispatch_ns, perturb)| BlockProgram {
                 prologue,
                 block,
                 blocks,
+                stored,
                 epilogue,
                 dispatch_ns,
                 perturb,
@@ -218,16 +222,19 @@ fn block_program() -> impl Strategy<Value = BlockProgram> {
 }
 
 impl BlockProgram {
-    /// Emits the program, with block marks if `marked` and with the
-    /// perturbation if `perturbed`.
-    fn emit(&self, marked: bool, perturbed: bool) -> Program {
+    /// Emits the program, storing only the first `stored` blocks and
+    /// repeating the last of them if `compact`, with the perturbation if
+    /// `perturbed` (in stored blocks only).
+    fn emit(&self, compact: bool, perturbed: bool) -> Program {
         let mut p = build(&self.prologue, UNITS);
         let len = self.block.len();
+        let stored = if compact {
+            self.stored.min(self.blocks)
+        } else {
+            self.blocks
+        };
         let mut starts: Vec<usize> = Vec::new();
-        for b in 0..self.blocks {
-            if marked {
-                p.mark_block();
-            }
+        for b in 0..stored {
             let start = p.next_id();
             for (i, cmd) in self.block.iter().enumerate() {
                 let mut cmd = cmd.clone();
@@ -279,8 +286,10 @@ impl BlockProgram {
             }
             starts.push(start);
         }
-        if marked {
-            p.mark_block();
+        if let Some(&last) = starts.last() {
+            let copies = self.blocks - stored;
+            p.repeat_block(last..last + len, copies);
+            starts.extend((1..=copies).map(|k| last + k * len));
         }
         let epilogue_start = p.next_id();
         for (i, (cmd, last)) in self.epilogue.iter().enumerate() {
@@ -306,34 +315,36 @@ impl BlockProgram {
         p
     }
 
+    /// Whether the compact program's copies are the blocks full emission
+    /// gives: blocks 2 on shift alike, so the copied block must be one of
+    /// them and unperturbed.
+    fn copies_match_emission(&self, perturbed: bool) -> bool {
+        let stored = self.stored.min(self.blocks);
+        stored == self.blocks || (stored >= 3 && !(perturbed && self.perturb.0 + 1 >= stored))
+    }
+
     fn engine(&self) -> Engine {
         Engine::new(UNITS, Duration::from_ns(self.dispatch_ns))
     }
-}
-
-/// `program` re-emitted without its block marks.
-fn unmarked(program: &Program) -> Program {
-    let mut plain = Program::new();
-    for cmd in program.commands() {
-        let (deps, shared) = (cmd.deps.iter().copied(), cmd.shared.iter().copied());
-        plain.emit(cmd.unit, cmd.duration, cmd.tag, deps, shared);
-    }
-    plain
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn marked_blocks_schedule_as_unmarked(bp in block_program()) {
+    fn repeated_blocks_schedule_as_expanded(bp in block_program()) {
         for perturbed in [false, true] {
-            let marked = bp.emit(true, perturbed);
-            let plain = unmarked(&marked);
-            prop_assert_eq!(plain, bp.emit(false, perturbed));
-            let fast = bp.engine().run_traced(&marked);
-            let full = bp.engine().run_traced(&plain);
-            prop_assert_eq!(full.0.scheduled(), plain.len());
-            prop_assert_eq!(fast, full);
+            let compact = bp.emit(true, perturbed);
+            let expanded = compact.expanded();
+            prop_assert_eq!(expanded.len(), compact.len());
+            if bp.copies_match_emission(perturbed) {
+                prop_assert_eq!(&expanded, &bp.emit(false, perturbed));
+            }
+            let fast = bp.engine().run_traced(&compact);
+            let full = bp.engine().run_traced(&expanded);
+            prop_assert_eq!(full.0.scheduled(), expanded.len());
+            prop_assert_eq!(&fast, &full);
+            prop_assert_eq!(bp.engine().run(&compact), full.0);
         }
     }
 }
@@ -341,13 +352,13 @@ proptest! {
 #[test]
 fn random_block_programs_mostly_reach_steady_state() {
     // Guards the property above against testing only the fallback: most
-    // generated programs with enough blocks must skip some.
+    // generated programs with enough copies must skip some.
     let strategy = block_program();
     let mut rng = TestRng::from_name("random_block_programs_mostly_reach_steady_state");
     let (mut long, mut shortcut) = (0, 0);
     for _ in 0..512 {
         let bp = strategy.generate(&mut rng);
-        if bp.blocks >= 8 {
+        if bp.blocks >= bp.stored + 6 {
             long += 1;
             let p = bp.emit(true, false);
             shortcut += usize::from(bp.engine().run(&p).scheduled() < p.len());
@@ -357,4 +368,30 @@ fn random_block_programs_mostly_reach_steady_state() {
         2 * shortcut > long,
         "{shortcut} of {long} programs reached steady state"
     );
+}
+
+#[test]
+fn non_settling_repeat_is_scheduled_copy_by_copy() {
+    // Each block's load has no dependencies, so loads run back to back
+    // and drift ahead of the chained computes at a rate of their own: no
+    // copy finishes every command one shift after the one before.
+    let mut p = Program::new();
+    let mut last = None;
+    for _ in 0..3 {
+        let load = p.emit(1, Duration::from_ns(100), 0, [], None);
+        last = Some(p.emit(
+            0,
+            Duration::from_ns(150),
+            1,
+            last.into_iter().chain([load]),
+            None,
+        ));
+    }
+    p.repeat_block(4..6, 17);
+    let mut eng = Engine::new(2, Duration::ZERO);
+    let compact = eng.run_traced(&p);
+    let full = eng.run_traced(&p.expanded());
+    assert_eq!(compact, full);
+    assert_eq!(compact.0.scheduled(), p.len());
+    assert_eq!(compact.0.makespan(), Time::from_ns(100 + 20 * 150));
 }
