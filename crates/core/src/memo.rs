@@ -2,12 +2,14 @@
 //!
 //! The stage memo in [`IanusSystem`](crate::IanusSystem) and the replica
 //! memos of the serving engine key on a whole `ModelConfig` plus a few
-//! integers; the replica memos are read on every engine iteration.
+//! integers; the replica memos are read on every engine iteration, and
+//! the paged-KV block tables on every turn for every resident sequence.
 //! [`Memo`] hashes those keys with a multiplicative word hash: SipHash
 //! over a config costs more than the rest of a lookup, and an empty
 //! `Memo` neither allocates nor seeds a random hasher state, so building
-//! a system or a replica stays cheap. No memo table is ever iterated, so
-//! the hash order cannot reach a result.
+//! a system or a replica stays cheap. No memo table is iterated except
+//! for an order-free integer sum, so the hash order cannot reach a
+//! result.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -142,9 +142,9 @@ impl super::ServingSim {
                         .burst_itls
                         .extend(std::iter::repeat_n(itl, steps as usize));
                 }
-                request_attains(arrival.slo, ttft, &[itl])
+                request_attains(arrival.slo, ttft, &mut [itl])
             } else {
-                request_attains(arrival.slo, ttft, &[])
+                request_attains(arrival.slo, ttft, &mut [])
             };
             stats.complete(
                 replica,

@@ -61,8 +61,9 @@ pub(super) struct ActiveSeq {
     /// Measured time-to-first-token in seconds (set when the prefill
     /// completes; every completion passes through that point first).
     pub(super) ttft: f64,
-    /// This sequence's own inter-token gaps (for per-request SLO
-    /// attainment; the same samples also land in the global ITL pool).
+    /// This sequence's own inter-token gaps, recorded only when it has
+    /// an SLO (they exist for per-request attainment scoring; the same
+    /// samples always land in the global ITL pool).
     pub(super) gaps: Vec<f64>,
     /// KV evictions suffered so far (swap-outs plus recompute drops).
     pub(super) preemptions: u32,
@@ -210,20 +211,16 @@ impl EngineCore<'_> {
                 .min(batch.batches[r][ci].prefill_target - batch.batches[r][ci].prefilled);
             (ci, tokens)
         });
-        let (decode_width, mean_past) = {
-            let decoders: Vec<&ActiveSeq> =
-                batch.batches[r].iter().filter(|s| s.decoding()).collect();
-            let width = decoders.len();
-            let mean = if width > 0 {
-                // Round the mean in f64: integer division floored
-                // it, systematically under-pricing decode for
-                // heterogeneous batches.
-                let sum = decoders.iter().map(|s| s.past).sum::<u64>();
-                (sum as f64 / width as f64).round() as u64
-            } else {
-                0
-            };
-            (width as u32, mean)
+        let (decode_width, past_sum) = batch.batches[r]
+            .iter()
+            .filter(|s| s.decoding())
+            .fold((0u32, 0u64), |(w, sum), s| (w + 1, sum + s.past));
+        // Round the mean in f64: integer division floored it,
+        // systematically under-pricing decode for heterogeneous batches.
+        let mean_past = if decode_width > 0 {
+            (past_sum as f64 / f64::from(decode_width)).round() as u64
+        } else {
+            0
         };
         let mut dt = 0.0f64;
         if let Some((_, tokens)) = chunk {
@@ -299,7 +296,7 @@ impl EngineCore<'_> {
                 if seq.remaining == 0 {
                     // Single-token request: the prefill is the
                     // request.
-                    let seq = self.batch.batches[r].remove(ci);
+                    let mut seq = self.batch.batches[r].remove(ci);
                     if let Some(tag) = seq.wf {
                         // Fan out before `complete` frees the
                         // block table: children inherit this
@@ -325,7 +322,7 @@ impl EngineCore<'_> {
                     if let Some(p) = self.kv.paged[r].as_mut() {
                         p.complete(seq.idx);
                     }
-                    let attained = request_attains(seq.slo, seq.ttft, &seq.gaps);
+                    let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
                     self.stats.complete(
                         r,
                         seq.class,
@@ -374,7 +371,9 @@ impl EngineCore<'_> {
             // stalled the batch, not just this iteration's decode.
             let gap = now - seq.last_token;
             let in_burst = seq.in_burst;
-            seq.gaps.push(gap);
+            if seq.slo.is_some() {
+                seq.gaps.push(gap);
+            }
             seq.last_token = now;
             seq.past += 1;
             seq.remaining -= 1;
@@ -416,8 +415,8 @@ impl EngineCore<'_> {
                 }
             }
             if finished {
-                let seq = self.batch.batches[r].remove(i);
-                let attained = request_attains(seq.slo, seq.ttft, &seq.gaps);
+                let mut seq = self.batch.batches[r].remove(i);
+                let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
                 self.stats.complete(
                     r,
                     seq.class,

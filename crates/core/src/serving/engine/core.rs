@@ -502,10 +502,22 @@ impl EngineCore<'_> {
     /// runs.
     fn finish(mut self) -> RunStats {
         if !self.aborted {
-            debug_assert!(self.kv.swapped.iter().all(Vec::is_empty));
-            debug_assert!(self.lanes.incoming.iter().all(VecDeque::is_empty));
-            debug_assert!(self.mig.migrating.iter().all(VecDeque::is_empty));
-            debug_assert!(self.kv.host_used.iter().all(|&b| b == 0));
+            assert!(
+                self.kv.swapped.iter().all(Vec::is_empty),
+                "sequences still swapped out at end of run"
+            );
+            assert!(
+                self.lanes.incoming.iter().all(VecDeque::is_empty),
+                "swap-ins still in flight at end of run"
+            );
+            assert!(
+                self.mig.migrating.iter().all(VecDeque::is_empty),
+                "KV migrations still in flight at end of run"
+            );
+            assert!(
+                self.kv.host_used.iter().all(|&b| b == 0),
+                "host-pool bytes leaked at end of run"
+            );
             // Block conservation: with every sequence completed and the
             // caches flushed, every block must be back on the free
             // list.

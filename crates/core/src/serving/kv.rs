@@ -75,7 +75,9 @@
 //! assert_eq!(alloc.free_blocks(), 6);
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use crate::memo::Memo;
 
 /// Index of one fixed-size KV block in a replica's device memory.
 pub type BlockId = u32;
@@ -325,11 +327,10 @@ impl BlockTable {
 
     /// Allocated-but-unused tokens: the slack in the partially filled
     /// private tail block. Shared blocks are full by construction and
-    /// contribute none.
+    /// contribute none, so this is all mapped capacity minus the stored
+    /// tokens whatever the sharing.
     pub fn slack_tokens(&self, block_tokens: u64) -> u64 {
-        let private_capacity = self.unshared_blocks() * block_tokens;
-        let private_tokens = self.tokens - self.shared as u64 * block_tokens;
-        private_capacity - private_tokens
+        self.blocks.len() as u64 * block_tokens - self.tokens
     }
 }
 
@@ -484,7 +485,14 @@ impl PrefixCache {
 pub struct PagedKv {
     alloc: BlockAllocator,
     cache: PrefixCache,
-    tables: HashMap<u64, BlockTable>,
+    /// Read once per resident sequence per turn, so hashed with the
+    /// memo hasher; iterated only for an integer sum (a debug check),
+    /// so hash order cannot reach a result.
+    tables: Memo<u64, BlockTable>,
+    /// Running sum of every live table's
+    /// [`slack_tokens`](BlockTable::slack_tokens), kept by every call
+    /// that changes a table's blocks or tokens.
+    slack: u64,
 }
 
 impl PagedKv {
@@ -494,7 +502,8 @@ impl PagedKv {
         PagedKv {
             alloc: BlockAllocator::new(total_blocks, block_tokens),
             cache: PrefixCache::new(),
-            tables: HashMap::new(),
+            tables: Memo::default(),
+            slack: 0,
         }
     }
 
@@ -570,7 +579,10 @@ impl PagedKv {
     /// blocks), allocating at block boundaries.
     pub fn grow(&mut self, idx: u64, tokens: u64) {
         let table = self.tables.get_mut(&idx).expect("grow of unknown sequence");
+        let block_tokens = self.alloc.block_tokens();
+        self.slack -= table.slack_tokens(block_tokens);
         table.grow_to(&mut self.alloc, tokens);
+        self.slack += table.slack_tokens(block_tokens);
     }
 
     /// Registers sequence `idx`'s first `prefix_tokens` of context as
@@ -596,12 +608,14 @@ impl PagedKv {
     /// recompute — either way only unshared blocks leave the device).
     pub fn drop_unshared(&mut self, idx: u64) {
         let table = self.tables.get_mut(&idx).expect("evict of unknown seq");
+        self.slack -= table.slack_tokens(self.alloc.block_tokens());
         table.truncate_to_shared(&mut self.alloc);
     }
 
     /// Releases sequence `idx`'s blocks and forgets it (completion).
     pub fn complete(&mut self, idx: u64) {
         let mut table = self.tables.remove(&idx).expect("completion of unknown seq");
+        self.slack -= table.slack_tokens(self.alloc.block_tokens());
         table.release_all(&mut self.alloc);
     }
 
@@ -622,17 +636,21 @@ impl PagedKv {
     /// now: each live sequence's partially filled private tail, over
     /// every allocated block (shared and cache-held blocks are full, so
     /// they only grow the denominator). 0 when nothing is allocated.
+    /// O(1): the slack is a running counter.
     pub fn fragmentation(&self) -> f64 {
+        debug_assert_eq!(
+            self.slack,
+            self.tables
+                .values()
+                .map(|t| t.slack_tokens(self.alloc.block_tokens()))
+                .sum::<u64>(),
+            "running KV slack drifted from its tables"
+        );
         let allocated = self.alloc.used_blocks() * self.alloc.block_tokens();
         if allocated == 0 {
             return 0.0;
         }
-        let slack: u64 = self
-            .tables
-            .values()
-            .map(|t| t.slack_tokens(self.alloc.block_tokens()))
-            .sum();
-        slack as f64 / allocated as f64
+        self.slack as f64 / allocated as f64
     }
 
     /// Occupied fraction of the device block budget if `extra` more
@@ -648,18 +666,19 @@ impl PagedKv {
     /// blocks, so the allocator must be fully free again (the
     /// conservation invariant of the run as a whole).
     pub fn finish(&mut self) {
-        debug_assert!(
+        assert!(
             self.tables.is_empty(),
             "sequences still hold KV tables at end of run"
         );
         self.cache.flush(&mut self.alloc);
-        debug_assert_eq!(self.alloc.used_blocks(), 0, "leaked KV blocks");
+        assert_eq!(self.alloc.used_blocks(), 0, "leaked KV blocks");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn allocate_release_roundtrip_conserves_blocks() {
@@ -757,6 +776,67 @@ mod tests {
         assert_eq!(p.fragmentation(), 0.0);
         p.complete(1);
         p.finish();
+    }
+
+    /// Checks the running slack against a from-scratch sum over the
+    /// live tables, through `fragmentation()`.
+    fn assert_slack_matches_tables(p: &PagedKv) {
+        let bt = p.block_tokens();
+        let slack: u64 = p.tables.values().map(|t| t.slack_tokens(bt)).sum();
+        let allocated = p.used_blocks() * bt;
+        let expected = if allocated == 0 {
+            0.0
+        } else {
+            slack as f64 / allocated as f64
+        };
+        assert_eq!(p.slack, slack);
+        assert_eq!(p.fragmentation(), expected);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random admit (cold and prefix-hit) / grow / register /
+        /// evict / complete sequences keep the running slack equal to
+        /// the sum over the tables after every step.
+        #[test]
+        fn running_slack_tracks_tables(
+            ops in prop::collection::vec((0u8..6, 0u64..64, 1u64..80), 1..80),
+        ) {
+            let mut p = PagedKv::new(16, 16);
+            let mut live: Vec<u64> = Vec::new();
+            let mut next = 0u64;
+            for (op, pick, n) in ops {
+                let key = prefix_key((pick % 2) as usize, 0);
+                match op {
+                    0 | 1 => {
+                        // Cold (no key) or keyed admission, which maps
+                        // the cached prefix when one is registered.
+                        let shared = p.admit(next, (op == 1).then_some(key), n);
+                        p.grow(next, shared.max(n / 2));
+                        live.push(next);
+                        next += 1;
+                    }
+                    _ if live.is_empty() => {}
+                    2 => {
+                        let idx = live[pick as usize % live.len()];
+                        p.grow(idx, p.tables[&idx].tokens() + n);
+                    }
+                    3 => {
+                        let idx = live[pick as usize % live.len()];
+                        p.register_prefix(idx, key, n.min(p.tables[&idx].tokens()));
+                    }
+                    4 => p.drop_unshared(live[pick as usize % live.len()]),
+                    _ => p.complete(live.swap_remove(pick as usize % live.len())),
+                }
+                assert_slack_matches_tables(&p);
+            }
+            for idx in live {
+                p.complete(idx);
+                assert_slack_matches_tables(&p);
+            }
+            p.finish();
+        }
     }
 
     #[test]

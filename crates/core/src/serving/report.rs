@@ -26,13 +26,36 @@ impl LatencyPercentiles {
         max: Duration::ZERO,
     };
 
-    /// Percentiles of an ascending-sorted sample of seconds.
-    pub(crate) fn from_sorted(sorted: &[f64]) -> Self {
+    /// Percentiles of a sample of seconds: the values at ranks
+    /// [`rank`]`(len, p)` of its ascending [`f64::total_cmp`] order, each
+    /// selected in place rather than sorted for (`samples` is left
+    /// reordered). Equal-ranked finite values are bit-identical under
+    /// `total_cmp`, so this reads exactly what a full sort would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample is not finite.
+    pub(crate) fn of(samples: &mut [f64]) -> Self {
+        assert!(samples.iter().all(|x| x.is_finite()), "samples are finite");
+        if samples.is_empty() {
+            return LatencyPercentiles::ZERO;
+        }
+        // Each rank is at or above the previous one, so each selection
+        // searches only the upper part the previous one left behind.
+        let mut lo = 0;
+        let mut select = |p: f64| {
+            let idx = rank(samples.len(), p);
+            samples[lo..].select_nth_unstable_by(idx - lo, f64::total_cmp);
+            lo = idx;
+            Duration::from_secs_f64(samples[idx])
+        };
+        let (p50, p95, p99) = (select(0.50), select(0.95), select(0.99));
+        let max = samples[lo..].iter().copied().fold(samples[lo], f64::max);
         LatencyPercentiles {
-            p50: percentile(sorted, 0.50),
-            p95: percentile(sorted, 0.95),
-            p99: percentile(sorted, 0.99),
-            max: Duration::from_secs_f64(sorted.last().copied().unwrap_or(0.0)),
+            p50,
+            p95,
+            p99,
+            max: Duration::from_secs_f64(max),
         }
     }
 }
@@ -600,34 +623,17 @@ impl RunStats {
         mix: &[RequestClass],
         replicas: Vec<(String, ReplicaRole)>,
     ) -> ServingReport {
-        let finite_sort = |v: &mut Vec<f64>| {
-            assert!(v.iter().all(|x| x.is_finite()), "samples are finite");
-            v.sort_unstable_by(f64::total_cmp);
-        };
-        finite_sort(&mut self.sojourns);
-        finite_sort(&mut self.ttfts);
-        finite_sort(&mut self.ttft_hits);
-        finite_sort(&mut self.ttft_colds);
-        finite_sort(&mut self.itls);
-        finite_sort(&mut self.burst_itls);
-        for cs in &mut self.class_sojourns {
-            finite_sort(cs);
-        }
-        for ts in &mut self.tenant_sojourns {
-            finite_sort(ts);
-        }
-        finite_sort(&mut self.workflow_latencies);
         let n = replicas.len();
         let per_class = mix
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let cs = &self.class_sojourns[i];
+                let cs = &mut self.class_sojourns[i];
                 let completed = cs.len() as u64;
                 ClassReport {
                     shape: c.shape,
                     completed,
-                    sojourn: LatencyPercentiles::from_sorted(cs),
+                    sojourn: LatencyPercentiles::of(cs),
                     preemptions: self.class_preemptions[i],
                     recomputes: self.class_recomputes[i],
                     slo_attainment: if completed == 0 {
@@ -661,14 +667,14 @@ impl RunStats {
         // (or the divergence-guard prefix) read as infinitely unfair.
         let per_tenant: Vec<TenantReport> = self
             .tenant_sojourns
-            .iter()
+            .iter_mut()
             .enumerate()
             .map(|(t, ts)| {
                 let completed = ts.len() as u64;
                 TenantReport {
                     tenant: t as u32,
                     completed,
-                    sojourn: LatencyPercentiles::from_sorted(ts),
+                    sojourn: LatencyPercentiles::of(ts),
                     slo_attainment: if completed == 0 {
                         1.0
                     } else {
@@ -710,9 +716,9 @@ impl RunStats {
         ServingReport {
             completed: completions,
             mean_service: Duration::from_secs_f64(self.service_sum / completions.max(1) as f64),
-            sojourn: LatencyPercentiles::from_sorted(&self.sojourns),
-            ttft: LatencyPercentiles::from_sorted(&self.ttfts),
-            inter_token: LatencyPercentiles::from_sorted(&self.itls),
+            sojourn: LatencyPercentiles::of(&mut self.sojourns),
+            ttft: LatencyPercentiles::of(&mut self.ttfts),
+            inter_token: LatencyPercentiles::of(&mut self.itls),
             peak_batch: self.peak_batch,
             peak_kv_occupancy: self.peak_kv_occupancy,
             preemptions: self.preemptions,
@@ -736,10 +742,10 @@ impl RunStats {
                 0.0
             },
             prefix_cache_hits: self.prefix_hits,
-            ttft_cache_hit: LatencyPercentiles::from_sorted(&self.ttft_hits),
-            ttft_cold: LatencyPercentiles::from_sorted(&self.ttft_colds),
+            ttft_cache_hit: LatencyPercentiles::of(&mut self.ttft_hits),
+            ttft_cold: LatencyPercentiles::of(&mut self.ttft_colds),
             slo_attainment: self.attained as f64 / completions.max(1) as f64,
-            workflow_latency: LatencyPercentiles::from_sorted(&self.workflow_latencies),
+            workflow_latency: LatencyPercentiles::of(&mut self.workflow_latencies),
             workflow_slo_attainment: if self.workflow_latencies.is_empty() {
                 1.0
             } else {
@@ -752,7 +758,7 @@ impl RunStats {
             } else {
                 0.0
             },
-            burst_inter_token: LatencyPercentiles::from_sorted(&self.burst_itls),
+            burst_inter_token: LatencyPercentiles::of(&mut self.burst_itls),
             burst_slo_attainment: if self.burst_completed == 0 {
                 1.0
             } else {
@@ -784,26 +790,91 @@ impl RunStats {
 
 /// Whether a completed request met `slo`: TTFT within target and the
 /// p99 of its own inter-token gaps within target. `gaps` need not be
-/// sorted (this sorts a copy); an empty gap set (single-token request)
-/// trivially meets the ITL half.
-pub(crate) fn request_attains(slo: Option<super::Slo>, ttft_secs: f64, gaps: &[f64]) -> bool {
+/// sorted (the p99 is selected in place, reordering them); an empty gap
+/// set (single-token request) trivially meets the ITL half.
+pub(crate) fn request_attains(slo: Option<super::Slo>, ttft_secs: f64, gaps: &mut [f64]) -> bool {
     let Some(slo) = slo else { return true };
     if ttft_secs > slo.ttft.as_secs_f64() {
         return false;
     }
-    if gaps.is_empty() {
-        return true;
-    }
-    assert!(gaps.iter().all(|g| g.is_finite()), "gaps are finite");
-    let mut sorted = gaps.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    percentile(&sorted, 0.99).as_secs_f64() <= slo.itl_p99.as_secs_f64()
+    LatencyPercentiles::of(gaps).p99.as_secs_f64() <= slo.itl_p99.as_secs_f64()
 }
 
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
+/// Index of the `p` quantile in an ascending sample of `len` values:
+/// `((len − 1)·p)` rounded to the nearest index.
+fn rank(len: usize, p: f64) -> usize {
+    ((len as f64 - 1.0) * p).round() as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serving::Slo;
+    use proptest::prelude::*;
+
+    /// The reference the selection must reproduce: a full `total_cmp`
+    /// sort, then the sample at rank `((len − 1)·p).round()`.
+    fn sorted_percentiles(samples: &[f64]) -> LatencyPercentiles {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let at = |p: f64| {
+            if sorted.is_empty() {
+                return Duration::ZERO;
+            }
+            let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+            Duration::from_secs_f64(sorted[idx])
+        };
+        LatencyPercentiles {
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
+            max: Duration::from_secs_f64(sorted.last().copied().unwrap_or(0.0)),
+        }
     }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    Duration::from_secs_f64(sorted[idx])
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rank selection reads exactly what a full sort reads, on
+        /// samples full of duplicates and signed zeros.
+        #[test]
+        fn rank_selection_matches_full_sort(
+            len in prop::sample::select(vec![0usize, 1, 2, 3, 100, 101]),
+            draws in prop::collection::vec((0u8..6, 0u32..1000), 101..102),
+        ) {
+            let samples: Vec<f64> = draws[..len]
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 | 3 => f64::from(v % 4) * 0.25,
+                    _ => f64::from(v) * 1e-3,
+                })
+                .collect();
+            let mut selected = samples.clone();
+            prop_assert_eq!(LatencyPercentiles::of(&mut selected), sorted_percentiles(&samples));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "samples are finite")]
+    fn non_finite_samples_panic() {
+        LatencyPercentiles::of(&mut [1.0, f64::NAN]);
+    }
+
+    /// A request whose p99 gap sits exactly on the ITL target attains;
+    /// one picosecond above it, it does not.
+    #[test]
+    fn p99_gap_on_the_target_attains() {
+        let slo = Slo::new(Duration::from_secs_f64(1.0), Duration::from_ms(50));
+        // 101 gaps: the p99 rank is 99, the second-largest value.
+        let mut gaps: Vec<f64> = (0..99).map(|i| f64::from(i) * 1e-4).collect();
+        gaps.extend([0.050, 3.0]);
+        assert!(request_attains(Some(slo), 0.5, &mut gaps.clone()));
+        gaps[99] = 0.050 + 1e-12;
+        assert!(!request_attains(Some(slo), 0.5, &mut gaps.clone()));
+        // The TTFT half still gates, and no SLO always attains.
+        assert!(!request_attains(Some(slo), 1.5, &mut []));
+        assert!(request_attains(None, 1e9, &mut [f64::NAN]));
+    }
 }

@@ -1201,6 +1201,32 @@ fn slo_attainment_bounds() {
     assert_eq!(r.slo_attainment, 1.0);
 }
 
+/// ITL misses alone lower a class's attainment: with a TTFT target no
+/// request can miss, a 1 ps ITL target fails every request of the SLO
+/// class (each emits more than one token), under both scheduling modes,
+/// while a generous ITL target attains everything.
+#[test]
+fn itl_misses_lower_class_attainment() {
+    let model = ModelConfig::gpt2_m();
+    let run = |itl_p99: Duration, scheduling: Scheduling| {
+        let mut cfg = ServingConfig::interactive(10.0, 100);
+        cfg.mix[0] = cfg.mix[0].with_slo(Slo::new(Duration::from_secs_f64(1e6), itl_p99));
+        ServingSim::new(cfg)
+            .replica(fixed("a", 100))
+            .scheduling(scheduling)
+            .run(&model)
+    };
+    for scheduling in [Scheduling::RequestLevel, Scheduling::iteration(4)] {
+        let missed = run(Duration::from_ps(1), scheduling);
+        assert!(missed.per_class[0].completed > 0);
+        assert_eq!(missed.per_class[0].slo_attainment, 0.0, "{scheduling:?}");
+        assert_eq!(missed.per_class[1].slo_attainment, 1.0, "no SLO");
+        assert!(missed.slo_attainment < 1.0);
+        let met = run(Duration::from_secs_f64(1e6), scheduling);
+        assert_eq!(met.per_class[0].slo_attainment, 1.0, "{scheduling:?}");
+    }
+}
+
 /// Aggregate attainment is the completion-weighted mean of the class
 /// attainments, and goodput = throughput × attainment.
 #[test]
