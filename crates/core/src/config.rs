@@ -214,19 +214,6 @@ impl SystemConfig {
             .effective_bandwidth_gbps(self.npu_channels())
     }
 
-    /// Sustained bandwidth (GB/s) of one core's local channel group
-    /// (KV cache and PIM input/output traffic under head-wise placement).
-    pub fn group_bandwidth_gbps(&self) -> f64 {
-        let ch = match self.memory {
-            MemoryPolicy::Unified | MemoryPolicy::Partitioned => {
-                self.pim_channels_per_group().max(1)
-            }
-            // Without PIM the per-core share of the striped bus.
-            MemoryPolicy::NpuMemOnly => (self.org.channels / self.npu.cores).max(1),
-        };
-        self.transfer_model().effective_bandwidth_gbps(ch)
-    }
-
     /// Relative acquisition cost of this configuration in the abstract
     /// units of [`device_cost_units`](crate::capacity::device_cost_units):
     /// one device's memory capacity + sustained-bandwidth premium,
@@ -281,7 +268,6 @@ mod tests {
         assert_eq!(cfg.pim_groups(), 4);
         assert_eq!(cfg.pim_channels_per_group(), 2);
         assert_eq!(cfg.pim_group_config().channels, 2);
-        assert_eq!(cfg.group_bandwidth_gbps(), 64.0);
     }
 
     #[test]

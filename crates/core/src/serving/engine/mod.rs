@@ -237,32 +237,24 @@ impl ServingSim {
         self
     }
 
-    /// Sets the scheduling granularity (builder style).
+    /// Sets the scheduling granularity. Replicas and their memos are
+    /// kept, so `sim = sim.scheduling(..)` on a warm engine is the cheap
+    /// way to compare modes.
     pub fn scheduling(mut self, scheduling: Scheduling) -> Self {
         self.scheduling = scheduling;
         self
     }
 
-    /// Changes the scheduling granularity in place, keeping replicas and
-    /// their memos — the cheap way to compare modes on one engine.
-    pub fn set_scheduling(&mut self, scheduling: Scheduling) {
-        self.scheduling = scheduling;
-    }
-
     /// Installs a [`SchedulerPolicy`] bundle (iteration-level
     /// scheduling; request-level routing stays with
     /// [`dispatch`](Self::dispatch)). The default bundle reproduces the
-    /// historical hard-wired scheduler bit-identically.
+    /// historical hard-wired scheduler bit-identically. Replicas and
+    /// their memos are kept, so `sim = sim.policy(..)` on a warm engine
+    /// is the cheap way to sweep the policy space (the device costs do
+    /// not depend on the policy).
     pub fn policy(mut self, scheduler: SchedulerPolicy) -> Self {
         self.scheduler = scheduler;
         self
-    }
-
-    /// Swaps the policy bundle in place, keeping replicas and their
-    /// memos — the cheap way to sweep the policy space on one engine
-    /// (the device costs do not depend on the policy).
-    pub fn set_policy(&mut self, scheduler: SchedulerPolicy) {
-        self.scheduler = scheduler;
     }
 
     /// Overrides every replica's host-side KV swap pool: `Some(bytes)`
@@ -291,12 +283,6 @@ impl ServingSim {
         self
     }
 
-    /// In-place form of [`overlap_dma`](Self::overlap_dma) for warm
-    /// engines.
-    pub fn set_overlap_dma(&mut self, overlap: bool) {
-        self.overlap_dma = overlap;
-    }
-
     /// Switches iteration-level KV accounting to **paged blocks** of
     /// `tokens` tokens each (0, the default, keeps the legacy
     /// contiguous accounting, bit-identically). Each replica's block
@@ -311,11 +297,6 @@ impl ServingSim {
     pub fn kv_block(mut self, tokens: u64) -> Self {
         self.kv_block = tokens;
         self
-    }
-
-    /// In-place form of [`kv_block`](Self::kv_block) for warm engines.
-    pub fn set_kv_block(&mut self, tokens: u64) {
-        self.kv_block = tokens;
     }
 
     /// Selects the iteration-level engine core (builder style). The

@@ -1615,6 +1615,56 @@ mod price_classes {
         );
     }
 
+    /// Builder calls on a warm engine keep its replicas and memos:
+    /// switching scheduling, policy, DMA overlap and KV mode to another
+    /// configuration and back reproduces the first report without a
+    /// single new pricing call, and the detour matches a fresh engine.
+    #[test]
+    fn builder_calls_keep_warm_memos() {
+        let model = ModelConfig::gpt2_xl();
+        let fresh = || {
+            let (sim, counts) = probed(
+                ServingConfig::shared_prefix(100.0, 60),
+                &[SystemConfig::ianus()],
+                true,
+            );
+            (sim.host_kv_pool(Some(1 << 30)), counts)
+        };
+        let config_a = |sim: ServingSim| {
+            sim.scheduling(Scheduling::IterationLevel {
+                max_batch: 32,
+                prefill_chunk: Some(128),
+                preempt: true,
+            })
+            .policy(SchedulerPolicy::default())
+            .overlap_dma(false)
+            .kv_block(16)
+        };
+        let config_b = |sim: ServingSim| {
+            sim.scheduling(Scheduling::IterationLevel {
+                max_batch: 8,
+                prefill_chunk: Some(64),
+                preempt: true,
+            })
+            .policy(SchedulerPolicy::default().with_eviction(LargestKv))
+            .overlap_dma(true)
+            .kv_block(32)
+        };
+
+        let (sim, counts) = fresh();
+        let mut sim = config_a(sim);
+        let first = sim.run(&model);
+        assert!(first.preemptions > 0, "no KV pressure exercised");
+        let mut sim = config_b(sim);
+        let detour = sim.run(&model);
+        assert_ne!(detour, first);
+        assert_eq!(detour, config_b(fresh().0).run(&model));
+        let mut sim = config_a(sim);
+        let priced = calls(&counts);
+        assert_eq!(sim.run(&model), first);
+        assert_eq!(calls(&counts), priced, "the warm memos price config A");
+    }
+
     #[test]
     fn late_replicas_clones_and_sweeps_match_cold_engines() {
         let model = ModelConfig::gpt2_m();

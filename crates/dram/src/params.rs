@@ -94,11 +94,6 @@ impl GddrOrganization {
         self.bank_bytes() / u64::from(self.row_bytes)
     }
 
-    /// Column bursts per row.
-    pub fn bursts_per_row(&self) -> u32 {
-        self.row_bytes / self.burst_bytes
-    }
-
     /// Time for one column burst on the data pins.
     pub fn burst_duration(&self) -> Duration {
         // bytes / (bytes per ns)
@@ -190,7 +185,6 @@ mod tests {
         assert_eq!(org.channel_bandwidth_bytes_per_ns(), 32.0);
         assert_eq!(org.external_bandwidth_gbps(), 256.0);
         assert_eq!(org.bank_bytes(), 64 << 20);
-        assert_eq!(org.bursts_per_row(), 64);
         assert_eq!(org.burst_duration(), Duration::from_ns(1));
     }
 

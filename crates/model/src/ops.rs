@@ -52,17 +52,6 @@ impl FcShape {
         assert!(parts > 0, "parts must be positive");
         FcShape::new(self.in_dim, self.out_dim.div_ceil(parts))
     }
-
-    /// Restricts the input dimension to a `1/parts` row slice (row-wise
-    /// partitioning, used for FFN2 after a column-split FFN1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is zero.
-    pub fn row_slice(&self, parts: u64) -> FcShape {
-        assert!(parts > 0, "parts must be positive");
-        FcShape::new(self.in_dim.div_ceil(parts), self.out_dim)
-    }
 }
 
 /// Operator shape inventory of one transformer block plus the task head.
@@ -228,10 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn column_and_row_slices() {
+    fn column_slices() {
         let fc = FcShape::new(1536, 6144);
         assert_eq!(fc.column_slice(4), FcShape::new(1536, 1536));
-        assert_eq!(fc.row_slice(4), FcShape::new(384, 6144));
     }
 
     #[test]

@@ -105,28 +105,6 @@ impl RequestShape {
             }),
         )
     }
-
-    /// The Figure 8 sweep: inputs {128, 256, 512} × outputs {1, 8, 64, 512}.
-    pub fn figure8_sweep() -> Vec<RequestShape> {
-        let mut v = Vec::new();
-        for input in [128u64, 256, 512] {
-            for output in [1u64, 8, 64, 512] {
-                v.push(RequestShape::new(input, output));
-            }
-        }
-        v
-    }
-
-    /// The Figure 9 sweep: inputs {32, 64, 128} × outputs {1, 16, 256}.
-    pub fn figure9_sweep() -> Vec<RequestShape> {
-        let mut v = Vec::new();
-        for input in [32u64, 64, 128] {
-            for output in [1u64, 16, 256] {
-                v.push(RequestShape::new(input, output));
-            }
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -149,12 +127,6 @@ mod tests {
         let req = RequestShape::new(128, 1);
         assert_eq!(req.stages().count(), 1);
         assert_eq!(req.generation_steps(), 0);
-    }
-
-    #[test]
-    fn sweeps_have_paper_sizes() {
-        assert_eq!(RequestShape::figure8_sweep().len(), 12);
-        assert_eq!(RequestShape::figure9_sweep().len(), 9);
     }
 
     #[test]

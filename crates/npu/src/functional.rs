@@ -150,18 +150,6 @@ impl Default for GeluTable {
     }
 }
 
-/// Residual addition (one VU pass).
-///
-/// # Panics
-///
-/// Panics if lengths mismatch.
-pub fn residual_add(x: &mut [f32], residual: &[f32]) {
-    assert_eq!(x.len(), residual.len(), "length mismatch");
-    for (a, b) in x.iter_mut().zip(residual) {
-        *a += b;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,12 +232,5 @@ mod tests {
             x += 0.01;
         }
         assert!(interior_err < 5e-3, "{interior_err}");
-    }
-
-    #[test]
-    fn residual_add_elementwise() {
-        let mut x = vec![1.0f32, 2.0];
-        residual_add(&mut x, &[0.5, -2.0]);
-        assert_eq!(x, vec![1.5, 0.0]);
     }
 }

@@ -82,11 +82,6 @@ impl<E, K: Ord + Copy> EventQueue<E, K> {
         self.heap.peek().map(|e| ((e.key.0).0, &e.event))
     }
 
-    /// Key of the earliest pending event.
-    pub fn peek_time(&self) -> Option<K> {
-        self.heap.peek().map(|e| (e.key.0).0)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -246,11 +241,10 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek(), None);
         q.push(Time::from_ns(4), ());
         q.push(Time::from_ns(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Time::from_ns(2)));
         assert_eq!(q.peek(), Some((Time::from_ns(2), &())));
     }
 

@@ -7,8 +7,8 @@
 //! executing commands against those units.
 //!
 //! This crate deliberately contains no IANUS-specific policy — only the
-//! time base ([`Time`], [`Duration`]), an ordered [`EventQueue`], and
-//! [`Stats`] counters used for reports.
+//! time base ([`Time`], [`Duration`]) and ordered event queues
+//! ([`EventQueue`], [`SlotQueue`]).
 //!
 //! # Examples
 //!
@@ -23,9 +23,7 @@
 //! ```
 
 mod event;
-mod stats;
 mod time;
 
 pub use event::{EventQueue, SlotQueue};
-pub use stats::Stats;
 pub use time::{Duration, Frequency, Time};

@@ -89,12 +89,6 @@ impl Time {
         debug_assert!(earlier.0 <= self.0, "since() with later timestamp");
         Duration(self.0 - earlier.0)
     }
-
-    /// Duration since an earlier timestamp, clamped to zero when `earlier`
-    /// is actually later (useful for slack computations).
-    pub fn saturating_since(self, earlier: Time) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Duration {
@@ -330,14 +324,6 @@ mod tests {
         assert_eq!(t1, Time::from_ns(15));
         assert_eq!(t1 - t0, Duration::from_ns(5));
         assert_eq!(t1.since(t0).as_ns_f64(), 5.0);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let early = Time::from_ns(1);
-        let late = Time::from_ns(2);
-        assert_eq!(early.saturating_since(late), Duration::ZERO);
-        assert_eq!(late.saturating_since(early), Duration::from_ns(1));
     }
 
     #[test]

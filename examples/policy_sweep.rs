@@ -163,7 +163,7 @@ fn main() {
     let mut best: Option<(String, f64)> = None;
     let mut rows = Vec::new();
     for eviction in EVICTIONS {
-        sim.set_policy(bundle(eviction));
+        sim = sim.policy(bundle(eviction));
         let (r, wall_s) = timed_run(&mut sim, &model);
         rows.push(bench_row(eviction, &r, wall_s));
         assert_eq!(r.completed, requests, "liveness: every request completes");
@@ -204,11 +204,10 @@ fn main() {
 
     // Overlapped DMA on the same finite-pool scenario: the transfers
     // that do happen hide behind decode instead of stalling the batch.
-    sim.set_policy(SchedulerPolicy::default());
+    sim = sim.policy(SchedulerPolicy::default());
     let serial = sim.run(&model);
-    sim.set_overlap_dma(true);
+    sim = sim.overlap_dma(true);
     let overlapped = sim.run(&model);
-    sim.set_overlap_dma(false);
     println!(
         "\noverlapped DMA (default policy): swap stall {:.2} s -> {:.2} s of {:.2} s DMA",
         serial.swap_stall.as_secs_f64(),
@@ -248,7 +247,7 @@ fn main() {
                 .with_mechanism(EvictionMechanism::Cheapest),
         ),
     ] {
-        sim.set_policy(policy);
+        sim = sim.policy(policy);
         let (r, wall_s) = timed_run(&mut sim, &model);
         rows.push(bench_row(&format!("slow-link/{label}"), &r, wall_s));
         assert_eq!(r.completed, requests);

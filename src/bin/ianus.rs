@@ -846,7 +846,7 @@ fn compare_policies_main(args: &Args, serve: &ServeArgs) {
     }
     let mut best: Option<(&'static str, f64)> = None;
     for eviction in EVICTIONS {
-        sim.set_policy(bundle_of(
+        sim = sim.policy(bundle_of(
             serve.policy.admission,
             eviction,
             serve.policy.readmission,
@@ -943,7 +943,7 @@ fn serve_main(args: &Args, serve: &ServeArgs) {
     } else {
         vec![serve.scheduling]
     };
-    // One engine across all modes: switching with `set_scheduling`
+    // One engine across all modes: switching with `scheduling`
     // keeps the warm service/prefill/decode memos, so the second mode
     // and the sustainable-rate searches are queueing-only passes.
     let mut sim = build_cluster(args, serve, modes[0]);
@@ -952,7 +952,7 @@ fn serve_main(args: &Args, serve: &ServeArgs) {
         std::process::exit(1);
     }
     for scheduling in modes {
-        sim.set_scheduling(scheduling);
+        sim = sim.scheduling(scheduling);
         let report = sim.run(&args.model);
         print_serving_report(&scheduling_label(scheduling), &report, serve.slo.is_some());
         if args.compare {

@@ -148,10 +148,10 @@ fn cost_aware_beats_largest_kv_on_slow_host_link() {
     system.pcie_gbps = 4.0;
     let mut sim = ServingSim::new(scenario(Some(slo)))
         .replica(IanusSystem::new(system))
-        .scheduling(preemptive());
-    sim.set_policy(SchedulerPolicy::default().with_eviction(LargestKv));
+        .scheduling(preemptive())
+        .policy(SchedulerPolicy::default().with_eviction(LargestKv));
     let largest = sim.run(&ModelConfig::gpt2_xl());
-    sim.set_policy(
+    sim = sim.policy(
         SchedulerPolicy::default()
             .with_eviction(CheapestEviction)
             .with_mechanism(EvictionMechanism::Cheapest),
