@@ -36,6 +36,11 @@ use ianus_sim::Duration;
 /// before it.
 const STORED_BLOCKS: usize = 3;
 
+/// Attention heads a core stores per block before the rest repeat as
+/// copies: every head reads the core's layer norm and nothing of the
+/// heads before it, so head 1 can repeat head 0.
+const STORED_HEADS: usize = 2;
+
 /// A compiled stage: the command program plus its activity counters and
 /// FLOP total.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,10 +68,10 @@ pub struct CompiledStage {
 /// let stage = c.compile(&Stage::Generation { past_tokens: 64 });
 /// assert!(!stage.program.is_empty());
 /// ```
-#[derive(Debug)]
-pub struct Compiler<'a> {
-    cfg: &'a SystemConfig,
-    model: &'a ModelConfig,
+#[derive(Debug, Clone)]
+pub struct Compiler {
+    cfg: SystemConfig,
+    model: ModelConfig,
     units: UnitMap,
     mu: MatrixUnit,
     vu: VectorUnit,
@@ -89,24 +94,24 @@ pub struct Compiler<'a> {
     /// Set while emitting the interior of one operation whose internal
     /// pipelining is a hardware property (naive chaining suspended).
     suspend_naive: bool,
-    /// First command of every generation attention head emitted (the
-    /// stored blocks' heads; copies of a block re-time with it).
+    /// First command of every generation attention head stored (copies
+    /// of a head or of a block re-time with it).
     head_starts: Vec<CmdId>,
     /// Commands per generation attention head (all heads emit alike).
     head_len: usize,
 }
 
-impl<'a> Compiler<'a> {
+impl Compiler {
     /// Creates a compiler for `model` on `cfg`.
-    pub fn new(cfg: &'a SystemConfig, model: &'a ModelConfig) -> Self {
+    pub fn new(cfg: &SystemConfig, model: &ModelConfig) -> Self {
         let pim = if cfg.pim_channels() > 0 {
             Some(PimModel::new(cfg.pim_group_config()))
         } else {
             None
         };
         Compiler {
-            cfg,
-            model,
+            cfg: *cfg,
+            model: *model,
             units: UnitMap::new(cfg),
             mu: MatrixUnit::new(&cfg.npu),
             vu: VectorUnit::new(&cfg.npu),
@@ -188,28 +193,60 @@ impl<'a> Compiler<'a> {
 
     /// Emits the model's blocks through `block`, which emits one block
     /// after `frontier` and returns the next frontier; returns the last
-    /// block's frontier. Block 0 follows no block, but from block 1 on
-    /// every block emits the same commands shifted by one block, so once
-    /// the last of the first [`STORED_BLOCKS`] is checked to repeat the
-    /// block before it, the rest are [`Program::repeat_block`] copies of
-    /// it, which add its activity each. Should the check fail, every
-    /// block is emitted.
+    /// block's frontier.
     fn emit_blocks(
         &mut self,
-        mut block: impl FnMut(&mut Self, &[Option<CmdId>]) -> Vec<Option<CmdId>>,
+        block: impl FnMut(&mut Self, &[Option<CmdId>]) -> Vec<Option<CmdId>>,
     ) -> Vec<Option<CmdId>> {
+        let frontier = vec![None; self.cfg.npu.cores as usize];
         let blocks = self.model.blocks as usize;
-        let mut frontier = vec![None; self.cfg.npu.cores as usize];
-        for emitted in 1..=blocks {
+        self.emit_repeated(blocks, STORED_BLOCKS, 0, frontier, block)
+    }
+
+    /// Emits the attention heads of `core` after its layer norm `ln`
+    /// through `head`, which emits one head and returns its last command;
+    /// returns the last head's.
+    fn emit_heads(
+        &mut self,
+        core: u32,
+        ln: CmdId,
+        mut head: impl FnMut(&mut Self) -> CmdId,
+    ) -> CmdId {
+        let (heads, anchor) = (self.heads_for_core(core) as usize, self.prog.next_id());
+        let last = self.emit_repeated(heads, STORED_HEADS, anchor, vec![Some(ln)], |this, _| {
+            vec![Some(head(this))]
+        });
+        last[0].expect("a head emits commands")
+    }
+
+    /// Emits `count` units through `unit`, which emits one unit after the
+    /// frontier the unit before returned (`frontier` for the first) and
+    /// returns the next frontier; returns the last unit's frontier. Unit
+    /// `stored - 1` (counting from 0) is the first that can repeat the
+    /// unit before it, and every later unit emits the same commands as the
+    /// one before shifted by one unit, except for dependencies on commands
+    /// before `anchor`, which all units share. So once unit `stored - 1`
+    /// is checked to repeat the unit before it, the rest are
+    /// [`Program::repeat_block`] copies of it, which add its activity
+    /// each. Should the check fail, every unit is emitted.
+    fn emit_repeated(
+        &mut self,
+        count: usize,
+        stored: usize,
+        anchor: CmdId,
+        mut frontier: Vec<Option<CmdId>>,
+        mut unit: impl FnMut(&mut Self, &[Option<CmdId>]) -> Vec<Option<CmdId>>,
+    ) -> Vec<Option<CmdId>> {
+        for emitted in 1..=count {
             let (start, before) = (self.prog.next_id(), self.activity);
-            frontier = block(self, &frontier);
+            frontier = unit(self, &frontier);
             let end = self.prog.next_id();
-            if emitted == STORED_BLOCKS && self.prog.repeats_previous(start..end) {
-                let times = blocks - emitted;
-                self.prog.repeat_block(start..end, times);
+            if emitted == stored && self.prog.repeats_previous(start..end, anchor) {
+                let times = count - emitted;
+                self.prog.repeat_block(start..end, anchor, times);
                 let one = self.activity.zip(&before, |after, before| after - before);
                 self.activity = self.activity.zip(&one, |a, b| a + times as u64 * b);
-                // Ids the compiler holds into the block move to its last copy.
+                // Ids the compiler holds into the unit move to its last copy.
                 let shift = times * (end - start);
                 let held = frontier
                     .iter_mut()
@@ -434,23 +471,21 @@ impl<'a> Compiler<'a> {
         let m = stage.batch_tokens();
         let dh = ops.head_dim();
         let e = ops.embed_dim();
-        let heads = self.heads_for_core(core);
         let w_bytes = e * dh * 2;
-        let mut last_sv = ln;
-        for _h in 0..heads {
+        self.emit_heads(core, ln, |this| {
             // Key first so its transpose overlaps Q/V generation.
-            let wk = self.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
-            let kg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wk, ln]);
-            let tr = self.onchip(core, m * dh * 2, OpClass::SelfAttention, &[kg]);
-            let wq = self.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
-            let qg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wq, ln]);
-            let wv = self.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
-            let vg = self.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wv, ln]);
+            let wk = this.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
+            let kg = this.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wk, ln]);
+            let tr = this.onchip(core, m * dh * 2, OpClass::SelfAttention, &[kg]);
+            let wq = this.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
+            let qg = this.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wq, ln]);
+            let wv = this.striped_load(core, w_bytes, OpClass::FcQkv, &[]);
+            let vg = this.mu_gemm(core, m, e, dh, OpClass::FcQkv, &[wv, ln]);
             // Scaling is fused into the matrix unit's output stage.
-            let qkt = self.mu_gemm(core, m, dh, m, OpClass::SelfAttention, &[qg, tr]);
+            let qkt = this.mu_gemm(core, m, dh, m, OpClass::SelfAttention, &[qg, tr]);
             // Keys and values stored to the KV cache during computation.
-            let _kv = self.local_store(core, 2 * m * dh * 2, OpClass::SelfAttention, &[kg, vg]);
-            let sm = self.vu_cmd(
+            let _kv = this.local_store(core, 2 * m * dh * 2, OpClass::SelfAttention, &[kg, vg]);
+            let sm = this.vu_cmd(
                 core,
                 VuOp::MaskedSoftmax,
                 m * m,
@@ -458,25 +493,23 @@ impl<'a> Compiler<'a> {
                 &[qkt],
             );
             // Values move to the weight scratchpad during softmax.
-            let vmv = self.onchip(core, m * dh * 2, OpClass::SelfAttention, &[vg]);
-            last_sv = self.mu_gemm(core, m, m, dh, OpClass::SelfAttention, &[sm, vmv]);
-        }
-        last_sv
+            let vmv = this.onchip(core, m * dh * 2, OpClass::SelfAttention, &[vg]);
+            this.mu_gemm(core, m, m, dh, OpClass::SelfAttention, &[sm, vmv])
+        })
     }
 
     /// Generation attention of one core: its heads, one block each, all
-    /// depending on the layer norm `ln`. Each block's first command is
-    /// recorded in `head_starts` so a [`GenerationTemplate`] can re-time
-    /// it.
+    /// depending on the layer norm `ln`. Each stored block's first command
+    /// is recorded in `head_starts` so a [`GenerationTemplate`] can
+    /// re-time it, and its copies with it.
     fn generation_attention(&mut self, core: u32, past: u64, ln: CmdId) -> CmdId {
-        let mut last_sv = ln;
-        for _h in 0..self.heads_for_core(core) {
-            let start = self.prog.next_id();
-            self.head_starts.push(start);
-            last_sv = self.generation_head(core, past, ln);
-            self.head_len = self.prog.next_id() - start;
-        }
-        last_sv
+        self.emit_heads(core, ln, |this| {
+            let start = this.prog.next_id();
+            this.head_starts.push(start);
+            let last = this.generation_head(core, past, ln);
+            this.head_len = this.prog.next_id() - start;
+            last
+        })
     }
 
     /// One attention head of a generation step over a `past`-token KV
@@ -618,10 +651,10 @@ impl<'a> Compiler<'a> {
     /// One generation head at `past` emitted alone into an empty
     /// program, with the activity it adds. Its dependencies point into
     /// no real program: only durations and activity are read.
-    fn lone_generation_head(&mut self, past: u64) -> (Program, Activity) {
+    fn lone_generation_head(&mut self, past: u64) -> (&Program, Activity) {
         self.reset();
         self.generation_head(0, past, 0);
-        (std::mem::take(&mut self.prog), self.activity)
+        (&self.prog, self.activity)
     }
 
     // ------------------------------------------------------------------
@@ -781,10 +814,13 @@ impl<'a> Compiler<'a> {
     }
 
     fn reset(&mut self) {
-        self.prog = Program::new();
+        let cores = self.cfg.npu.cores as usize;
+        self.prog.clear();
         self.activity = Activity::new();
-        self.naive_last = vec![None; self.cfg.npu.cores as usize];
-        self.naive_last_pim = vec![None; self.cfg.npu.cores as usize];
+        for last in [&mut self.naive_last, &mut self.naive_last_pim] {
+            last.clear();
+            last.resize(cores, None);
+        }
         self.suspend_naive = false;
         self.head_starts.clear();
     }
@@ -980,14 +1016,16 @@ impl<'a> Compiler<'a> {
 /// durations and activity. [`retime`](Self::retime) therefore re-emits
 /// one head at the new past through the compiler's own per-head emitter,
 /// copies its durations into every stored head block (which re-times the
-/// copies of a repeated transformer block with it) and sets the stage's
-/// activity to the activity outside the heads plus heads × one head's —
-/// exact, as activity counts are integers. The result equals
-/// [`Compiler::compile`] at that past, which the equivalence test checks
-/// over every configuration and `run_request` asserts in debug builds.
-#[derive(Debug)]
-pub(crate) struct GenerationTemplate<'a> {
-    compiler: Compiler<'a>,
+/// copies of a repeated head and of a repeated transformer block with it)
+/// and sets the stage's activity to the activity outside the heads plus
+/// heads × one head's — exact, as activity counts are integers. The
+/// result equals [`Compiler::compile`] at that past, which the
+/// equivalence test checks over every configuration and
+/// [`IanusSystem::run_stage`](crate::IanusSystem::run_stage) asserts in
+/// debug builds.
+#[derive(Debug, Clone)]
+pub(crate) struct GenerationTemplate {
+    compiler: Compiler,
     stage: CompiledStage,
     /// First command of every stored head block of `stage.program`.
     head_starts: Vec<CmdId>,
@@ -1000,29 +1038,28 @@ pub(crate) struct GenerationTemplate<'a> {
     base: Activity,
 }
 
-impl<'a> GenerationTemplate<'a> {
+impl GenerationTemplate {
     /// Compiles the generation stage of `model` on `cfg` at
     /// `past_tokens`.
-    pub(crate) fn new(cfg: &'a SystemConfig, model: &'a ModelConfig, past_tokens: u64) -> Self {
+    pub(crate) fn new(cfg: &SystemConfig, model: &ModelConfig, past_tokens: u64) -> Self {
         let mut compiler = Compiler::new(cfg, model);
-        let stage = compiler.compile(&Stage::Generation { past_tokens });
+        let mut stage = compiler.compile(&Stage::Generation { past_tokens });
+        stage.program.shrink_to_fit();
         let head_starts = std::mem::take(&mut compiler.head_starts);
-        let (head, activity) = compiler.lone_generation_head(past_tokens);
-        assert_eq!(
-            head.len(),
-            compiler.head_len,
-            "a generation head changed length"
-        );
         let heads = (0..cfg.npu.cores)
             .map(|core| compiler.heads_for_core(core))
             .sum::<u64>()
             * model.blocks;
+        let head_len = compiler.head_len;
+        let (head, activity) = compiler.lone_generation_head(past_tokens);
+        assert_eq!(head.len(), head_len, "a generation head changed length");
+        let head = head.commands().map(|cmd| cmd.duration).collect();
         GenerationTemplate {
             compiler,
             base: stage.activity.zip(&activity, |s, h| s - heads * h),
             stage,
             head_starts,
-            head: head.commands().map(|cmd| cmd.duration).collect(),
+            head,
             heads,
         }
     }
@@ -1045,14 +1082,14 @@ impl<'a> GenerationTemplate<'a> {
             self.head.len(),
             "a generation head changed length"
         );
-        for (offset, cmd) in head.commands().enumerate() {
-            if cmd.duration != self.head[offset] {
-                self.head[offset] = cmd.duration;
-                for &start in &self.head_starts {
-                    self.stage
-                        .program
-                        .set_duration(start + offset, cmd.duration);
-                }
+        let mut changed = false;
+        for (old, cmd) in self.head.iter_mut().zip(head.commands()) {
+            changed |= *old != cmd.duration;
+            *old = cmd.duration;
+        }
+        if changed {
+            for &start in &self.head_starts {
+                self.stage.program.set_durations(start, &self.head);
             }
         }
         let heads = self.heads;
@@ -1066,7 +1103,7 @@ impl<'a> GenerationTemplate<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ianus_npu::scheduler::Engine;
 
@@ -1332,7 +1369,7 @@ mod tests {
 
     /// The configurations the equivalence tests cover: the IANUS default
     /// and one of each ablation.
-    fn equivalence_configs() -> [(&'static str, SystemConfig); 7] {
+    pub(crate) fn equivalence_configs() -> [(&'static str, SystemConfig); 7] {
         let pas = |schedule, attention| {
             SystemConfig::ianus().with_pas(crate::pas::PasPolicy {
                 schedule,
@@ -1493,16 +1530,19 @@ mod tests {
     #[test]
     fn steady_state_schedules_three_blocks() {
         // GPT-2 XL generation: 48 blocks of 308 commands, then a
-        // 12-command LM head. Blocks 0-2 are stored and blocks 3-47 are
-        // copies of block 2; blocks 1 and 2 settle into a constant shift,
-        // so every copy is written in closed form.
+        // 12-command LM head. A block runs six 11-command heads on each of
+        // its 4 cores: heads 0-1 are stored and heads 2-5 are copies of
+        // head 1. Blocks 0-2 are stored and blocks 3-47 are copies of
+        // block 2. Heads 0 and 1 of each core, and blocks 1 and 2, already
+        // finish one constant shift apart, so every copy is written in
+        // closed form.
         let cfg = SystemConfig::ianus();
         let model = ModelConfig::gpt2_xl();
         let mut c = Compiler::new(&cfg, &model);
         let program = c.compile(&Stage::Generation { past_tokens: 300 }).program;
         assert_eq!(program.len(), 48 * 308 + 12);
         let stored = program.commands().count();
-        assert_eq!(stored, 3 * 308 + 12);
+        assert_eq!(stored, 3 * (308 - 4 * 4 * 11) + 12);
         let mut engine = Engine::new(c.unit_map().unit_count(), cfg.npu.dispatch_overhead);
         assert_eq!(engine.run(&program).scheduled(), stored);
     }

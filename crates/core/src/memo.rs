@@ -1,8 +1,9 @@
 //! Hash maps for the memo tables that price device work once.
 //!
-//! The stage memo in [`IanusSystem`](crate::IanusSystem) and the replica
-//! memos of the serving engine key on a whole `ModelConfig` plus a few
-//! integers; the replica memos are read on every engine iteration, and
+//! The stage memo and the generation templates in
+//! [`IanusSystem`](crate::IanusSystem) and the replica memos of the
+//! serving engine key on a whole `ModelConfig`, plus a few integers for
+//! all but the templates; the replica memos are read on every engine iteration, and
 //! the paged-KV block tables on every turn for every resident sequence.
 //! [`Memo`] hashes those keys with a multiplicative word hash: SipHash
 //! over a config costs more than the rest of a lookup, and an empty

@@ -434,6 +434,9 @@ impl PrefixCache {
     /// mapped by any sequence are never touched: eviction cannot free a
     /// block with other references.
     pub fn reclaim(&mut self, alloc: &mut BlockAllocator, need: u64) {
+        if alloc.free_blocks() >= need {
+            return;
+        }
         let idle: Vec<u64> = self
             .entries
             .iter()

@@ -30,25 +30,25 @@ type StageMemo = Memo<(ModelConfig, Stage), StageReport>;
 /// Every stage is simulated once per system: [`run_stage`] memoizes its
 /// report keyed by the full `(ModelConfig, Stage)`, so repeated stages —
 /// across requests, and the `batch` identical passes of a decode
-/// iteration — cost one lookup. The memo belongs to the system: a new
-/// system starts empty, a clone starts with its source's entries, and
-/// [`set_energy_model`] clears it.
+/// iteration — cost one lookup.
 ///
-/// [`run_request`] prices its generation steps through the same memo,
-/// but does not compile each missing step: a generation program has the
-/// same commands, dependencies and resource holds at every past length,
-/// and only its attention heads' durations, its activity and its FLOPs
-/// change. The first miss compiles one program; each later miss re-emits
-/// one attention head at the new past through the compiler's own
-/// per-head emitter and patches those values in. Debug builds assert
-/// that every re-timed stage equals a fresh compile, and every build
-/// asserts that the re-emitted head is as long as the recorded ones.
-/// The compiled program lives only for the `run_request` call: kept on
-/// the system, one per model, it raised the benchmark's `paper_grid`
-/// peak RSS by about 48%, past the 25% its bound allows.
+/// Generation stages missing from the memo are not compiled each: a
+/// generation program has the same commands, dependencies and resource
+/// holds at every past length, and only its attention heads' durations,
+/// its activity and its FLOPs change. The system's first generation miss
+/// on a model compiles one program, which the system keeps for that
+/// model (a generation template); each later miss re-emits one attention
+/// head at the new past through the compiler's own per-head emitter and
+/// patches those values in. Debug builds assert that every re-timed
+/// stage equals a fresh compile, and every build asserts that the
+/// re-emitted head is as long as the recorded ones.
+///
+/// The memo and the templates belong to the system: a new system starts
+/// with neither, a clone starts with its source's, and
+/// [`set_energy_model`] clears the memo but keeps the templates, which
+/// price no energy.
 ///
 /// [`run_stage`]: IanusSystem::run_stage
-/// [`run_request`]: IanusSystem::run_request
 /// [`set_energy_model`]: IanusSystem::set_energy_model
 ///
 /// # Examples
@@ -66,6 +66,9 @@ pub struct IanusSystem {
     cfg: SystemConfig,
     energy_model: EnergyModel,
     stages: StageMemo,
+    /// The generation template of every model that has had a generation
+    /// miss.
+    templates: Memo<ModelConfig, GenerationTemplate>,
     /// `"IANUS x{d}"`, formatted on first use so construction allocates
     /// nothing.
     group_name: OnceLock<String>,
@@ -77,6 +80,7 @@ impl std::fmt::Debug for IanusSystem {
             .field("cfg", &self.cfg)
             .field("energy_model", &self.energy_model)
             .field("memoized_stages", &self.stages.len())
+            .field("generation_templates", &self.templates.len())
             .finish()
     }
 }
@@ -88,6 +92,7 @@ impl IanusSystem {
             cfg,
             energy_model: EnergyModel::default(),
             stages: StageMemo::default(),
+            templates: Memo::default(),
             group_name: OnceLock::new(),
         }
     }
@@ -117,29 +122,46 @@ impl IanusSystem {
     }
 
     /// Simulates one stage and returns its report; a stage this system
-    /// has simulated before is read from its memo.
+    /// has simulated before is read from its memo, and a generation stage
+    /// is re-timed from the model's generation template.
     pub fn run_stage(&mut self, model: &ModelConfig, stage: &Stage) -> StageReport {
-        self.memoized(model, stage, |sys| {
-            let mut compiler = Compiler::new(&sys.cfg, model);
-            let compiled = compiler.compile(stage);
-            sys.execute(compiler.unit_map(), &compiled)
-        })
-    }
-
-    /// The memoized report of `stage`, simulated by `simulate` on a miss.
-    fn memoized(
-        &mut self,
-        model: &ModelConfig,
-        stage: &Stage,
-        simulate: impl FnOnce(&Self) -> StageReport,
-    ) -> StageReport {
         let key = (*model, *stage);
         if let Some(report) = self.stages.get(&key) {
             return report.clone();
         }
-        let report = simulate(self);
+        let report = match *stage {
+            Stage::Generation { past_tokens } => self.generation(model, past_tokens),
+            Stage::Summarization { .. } => {
+                let mut compiler = Compiler::new(&self.cfg, model);
+                let compiled = compiler.compile(stage);
+                execute(
+                    &self.cfg,
+                    &self.energy_model,
+                    compiler.unit_map(),
+                    &compiled,
+                )
+            }
+        };
         self.stages.insert(key, report.clone());
         report
+    }
+
+    /// Simulates the generation step at `past_tokens` from the model's
+    /// template, compiled on the model's first generation miss.
+    fn generation(&mut self, model: &ModelConfig, past_tokens: u64) -> StageReport {
+        let template = self
+            .templates
+            .entry(*model)
+            .or_insert_with(|| GenerationTemplate::new(&self.cfg, model, past_tokens));
+        let units = template.unit_map();
+        let compiled = template.retime(past_tokens);
+        debug_assert!(
+            *compiled
+                == Compiler::new(&self.cfg, model).compile(&Stage::Generation { past_tokens }),
+            "re-timed generation at past {past_tokens} of {} differs from a fresh compile",
+            model.name
+        );
+        execute(&self.cfg, &self.energy_model, units, compiled)
     }
 
     /// Simulates the Figure 12 FC microbenchmark (all block FCs with a
@@ -152,24 +174,12 @@ impl IanusSystem {
     ) -> StageReport {
         let mut compiler = Compiler::new(&self.cfg, model);
         let compiled = compiler.compile_fc_microbench(tokens, mapping);
-        self.execute(compiler.unit_map(), &compiled)
-    }
-
-    /// Runs a compiled stage on the device engine: the one place a stage
-    /// report is produced.
-    fn execute(&self, units: UnitMap, compiled: &CompiledStage) -> StageReport {
-        let mut engine = Engine::new(units.unit_count(), self.cfg.npu.dispatch_overhead);
-        let exec = engine.run(&compiled.program);
-        let mut breakdown = Breakdown::new();
-        for class in OpClass::ALL {
-            breakdown.add(class, exec.tag_busy(class.tag()));
-        }
-        StageReport {
-            latency: exec.makespan().since(ianus_sim::Time::ZERO),
-            breakdown,
-            flops: compiled.flops,
-            energy: self.energy_model.energy(&compiled.activity),
-        }
+        execute(
+            &self.cfg,
+            &self.energy_model,
+            compiler.unit_map(),
+            &compiled,
+        )
     }
 
     /// Runs an end-to-end request: one summarization stage plus
@@ -200,28 +210,9 @@ impl IanusSystem {
         }
         let first = request.input;
         let last = request.input + steps - 1;
-        // Generation stages missing from the memo are re-timed from one
-        // program compiled on the first miss and dropped on return.
-        let cfg = self.cfg;
-        let mut template: Option<GenerationTemplate> = None;
-        let mut generation = |sys: &mut Self, past_tokens: u64| {
-            let stage = Stage::Generation { past_tokens };
-            sys.memoized(model, &stage, |sys| {
-                let template = template
-                    .get_or_insert_with(|| GenerationTemplate::new(&cfg, model, past_tokens));
-                let units = template.unit_map();
-                let compiled = template.retime(past_tokens);
-                debug_assert!(
-                    *compiled == Compiler::new(&cfg, model).compile(&stage),
-                    "re-timed {stage:?} of {} differs from a fresh compile",
-                    model.name
-                );
-                sys.execute(units, compiled)
-            })
-        };
         if steps <= EXACT_STEP_LIMIT {
             for past in first..=last {
-                let g = generation(self, past);
+                let g = self.run_stage(model, &Stage::Generation { past_tokens: past });
                 report.generation += g.latency;
                 report.breakdown.merge(&g.breakdown);
                 report.flops += g.flops;
@@ -233,8 +224,10 @@ impl IanusSystem {
             let sample_pasts: Vec<u64> = (0..points)
                 .map(|i| first + (last - first) * i / (points - 1))
                 .collect();
-            let samples: Vec<StageReport> =
-                sample_pasts.iter().map(|&p| generation(self, p)).collect();
+            let samples: Vec<StageReport> = sample_pasts
+                .iter()
+                .map(|&past_tokens| self.run_stage(model, &Stage::Generation { past_tokens }))
+                .collect();
             for w in 0..points as usize - 1 {
                 let (p0, p1) = (sample_pasts[w], sample_pasts[w + 1]);
                 let (s0, s1) = (&samples[w], &samples[w + 1]);
@@ -260,6 +253,28 @@ impl IanusSystem {
         }
         report.total = report.summarization + report.generation;
         report
+    }
+}
+
+/// Runs a compiled stage on the device engine: the one place a stage
+/// report is produced.
+fn execute(
+    cfg: &SystemConfig,
+    energy_model: &EnergyModel,
+    units: UnitMap,
+    compiled: &CompiledStage,
+) -> StageReport {
+    let mut engine = Engine::new(units.unit_count(), cfg.npu.dispatch_overhead);
+    let exec = engine.run(&compiled.program);
+    let mut breakdown = Breakdown::new();
+    for class in OpClass::ALL {
+        breakdown.add(class, exec.tag_busy(class.tag()));
+    }
+    StageReport {
+        latency: exec.makespan().since(ianus_sim::Time::ZERO),
+        breakdown,
+        flops: compiled.flops,
+        energy: energy_model.energy(&compiled.activity),
     }
 }
 
@@ -351,6 +366,49 @@ mod tests {
         // Each copy now memoizes independently.
         clone.run_stage(&model, &Stage::Generation { past_tokens: 1 });
         assert_ne!(debug(&clone), debug(&source));
+    }
+
+    #[test]
+    fn resident_templates_reproduce_fresh_reports() {
+        // Two models share each system, requests interleave with single
+        // stages, and pasts are re-timed ascending, then descending on a
+        // clone whose energy model changed: templates stay, so every
+        // generation miss after the first per model is re-timed.
+        let models = [ModelConfig::gpt2_m(), ModelConfig::gpt2_l()];
+        let request = RequestShape::new(64, 4);
+        let costly = EnergyModel {
+            mu_per_flop: 3.0 * EnergyModel::default().mu_per_flop,
+            ..EnergyModel::default()
+        };
+        let check = |sys: &mut IanusSystem, pasts: &[u64], case: &str| {
+            let (cfg, energy) = (*sys.config(), *sys.energy_model());
+            let fresh = || {
+                let mut fresh = IanusSystem::new(cfg);
+                fresh.set_energy_model(energy);
+                fresh
+            };
+            for model in &models {
+                let fresh_request = debug(&fresh().run_request(model, request));
+                for &past_tokens in pasts {
+                    let stage = Stage::Generation { past_tokens };
+                    let case = format!("{case} {} past {past_tokens}", model.name);
+                    let warm = debug(&sys.run_stage(model, &stage));
+                    assert_eq!(warm, debug(&fresh().run_stage(model, &stage)), "{case}");
+                    let warm = debug(&sys.run_request(model, request));
+                    assert_eq!(warm, fresh_request, "{case}");
+                }
+            }
+        };
+        for (label, cfg) in crate::compiler::tests::equivalence_configs() {
+            let mut sys = IanusSystem::new(cfg);
+            check(&mut sys, &[1, 63, 300, 1023], label);
+            assert!(debug(&sys).contains("generation_templates: 2"), "{sys:?}");
+            let mut clone = sys.clone();
+            clone.set_energy_model(costly);
+            let kept = "memoized_stages: 0, generation_templates: 2";
+            assert!(debug(&clone).contains(kept), "{clone:?}");
+            check(&mut clone, &[1023, 511, 300, 62, 0], label);
+        }
     }
 
     #[test]

@@ -18,12 +18,17 @@
 //! # Repeated blocks
 //!
 //! A transformer compiles to the same command stream once per block, and
-//! the sync that ends each block makes the schedule periodic. A compiler
-//! stores such a block once and repeats it with [`Program::repeat_block`]:
-//! copy `k` of an `L`-command block has ids `k·L` later than the block,
-//! and so does every dependency of each of its commands, while units,
-//! durations, tags and holds are the block's. Ids stay virtual: a program
-//! has [`len`](Program::len) commands, copies included, and
+//! the sync that ends each block makes the schedule periodic; inside a
+//! block, every attention head of a core runs the same commands. A
+//! compiler stores such a block once and repeats it with
+//! [`Program::repeat_block`]: copy `k` of an `L`-command block has ids
+//! `k·L` later than the block, and so does every dependency of each of
+//! its commands except those before the repeat's *anchor*, which stay
+//! fixed in every copy (every head reads its core's layer norm). Units,
+//! durations, tags and holds are the block's. A repeat may sit inside a
+//! repeated block (heads inside a transformer block), and then every copy
+//! of the outer block repeats it alike. Ids stay virtual: a program has
+//! [`len`](Program::len) commands, copies included, and
 //! [`Program::expanded`] materializes them. The engine schedules a
 //! repeat's copies command by command only until the schedule reaches
 //! steady state, and writes the remaining copies in closed form.
@@ -33,24 +38,30 @@
 //! of a dependency-free command, and the free times of its unit and
 //! shared resources (the finish of their last earlier user). Suppose a
 //! timed block repeats the `L` commands before it — the same units,
-//! durations, tags and holds, every dependency `L` ids later — and its
-//! dependencies all point into itself or into those commands. Suppose
-//! also that every finish of the block is the matching finish of the
-//! `L` commands before plus one δ > 0. Each start of the block then
-//! exceeds the one before by δ, so it is at least `dispatch` + δ and no
-//! constant binds it: it is the latest of its finish and free-time
-//! terms. The next copy repeats the block by construction, so every such
-//! term of the copy is the matching term of the block plus δ, and the
-//! copy is the block shifted by δ, exactly; by induction so is every
-//! later copy: finishes and unit free times move by δ per copy, and each
-//! copy adds the same busy time to every unit and tag. The engine first
-//! tries the stored block against the stored commands before it, then
-//! each copy it schedules against the one before. A repeat whose
-//! dependencies reach further back, or whose schedule never reaches a
-//! constant shift, is scheduled copy by copy, and the result is the same
-//! either way. [`ExecutionReport::finish`] reads a closed-form copy as the
-//! last copy scheduled plus `k`·δ, and [`ExecutionReport::scheduled`]
-//! counts the commands scheduled one by one.
+//! durations, tags and holds, every dependency `L` ids later unless
+//! before the anchor — and its shifted dependencies all point into
+//! itself or into those commands. Suppose also that every finish of the
+//! block is the matching finish of the `L` commands before plus one
+//! δ > 0. Each start of the block then exceeds the one before by δ, so
+//! no constant binds it: not the dispatch-only ready time, and not the
+//! finish of a fixed dependency, which the command before it waited for
+//! too. It is the latest of its shifted finish and free-time terms. The
+//! next copy repeats the block by construction, so every such term of
+//! the copy is the matching term of the block plus δ, the constants
+//! still bind nothing, and the copy is the block shifted by δ, exactly;
+//! by induction so is every later copy: finishes and unit free times move
+//! by δ per copy, and each copy adds the same busy time to every unit and
+//! tag. The engine first tries the stored block against the commands
+//! before it, if they are emitted like it, then each copy it schedules
+//! against the one before. Inside a copy a repeat's own copies may be in
+//! closed form already; two copies then match when the commands
+//! scheduled one by one shift by δ and the closed-form runs are the same
+//! runs shifted along. A repeat whose dependencies reach further back,
+//! or whose schedule never reaches a constant shift, is scheduled copy by
+//! copy, and the result is the same either way.
+//! [`ExecutionReport::finish`] reads a closed-form copy as the copy timed
+//! before it plus `k`·δ, and [`ExecutionReport::scheduled`] counts the
+//! commands scheduled one by one.
 //!
 //! # Examples
 //!
@@ -168,34 +179,77 @@ pub struct Program {
     records: Vec<Record>,
     deps: Vec<CmdId>,
     shared: Vec<UnitId>,
-    /// Repeated blocks, in id order.
+    /// Repeated blocks outside any other, in id order; each holds the
+    /// repeated blocks inside it.
     repeats: Vec<Repeat>,
     /// Number of commands, copies included.
     len: usize,
+    /// One more than the largest tag.
+    tags: usize,
 }
 
 /// A stored block followed by copies of itself; see
 /// [`Program::repeat_block`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Repeat {
-    /// The block's records.
+    /// The block's records, those of the repeats inside it included.
     block: Range<usize>,
     /// Id of the block's first command.
     start: CmdId,
+    /// Commands per copy, copies of the repeats inside it included.
+    period: usize,
     /// Copies after the block.
     times: usize,
+    /// Dependencies on commands before this id are the same in every
+    /// copy.
+    anchor: CmdId,
+    /// Repeated blocks inside the block, in id order.
+    inner: Vec<Repeat>,
+    /// Whether the `period` commands before the block are emitted like
+    /// it, durations aside: same units, tags, holds and repeats, and
+    /// dependencies `period` later unless before `anchor`.
+    follows: bool,
+    /// Whether every dependency of the block is before `anchor` or
+    /// reaches no further back than the copy before its own.
+    local: bool,
+    /// The units and held resources of the block's commands, each once.
+    units: Vec<UnitId>,
 }
 
 impl Repeat {
-    /// Commands per copy.
-    fn period(&self) -> usize {
-        self.block.len()
-    }
-
     /// Id of the first command after the last copy.
     fn end(&self) -> CmdId {
-        self.start + (1 + self.times) * self.period()
+        self.start + (1 + self.times) * self.period
     }
+
+    /// Ids of the repeat that have no record: its copies, and the copies
+    /// of the repeats inside its block.
+    fn unstored(&self) -> usize {
+        (1 + self.times) * self.period - self.block.len()
+    }
+
+    /// Whether `self` is `prev` emitted `records` records and `ids` ids
+    /// later.
+    fn shifted_from(&self, prev: &Repeat, records: usize, ids: usize) -> bool {
+        self.block == (prev.block.start + records..prev.block.end + records)
+            && (self.start, self.anchor) == (prev.start + ids, prev.anchor + ids)
+            && (self.period, self.times) == (prev.period, prev.times)
+            && (self.follows, self.local) == (prev.follows, prev.local)
+            && self.inner.len() == prev.inner.len()
+            && (self.inner.iter())
+                .zip(&prev.inner)
+                .all(|(r, p)| r.shifted_from(p, records, ids))
+    }
+}
+
+/// Dependency `d` of a stored command, in the copies `levels` list from
+/// the outermost repeat in: each level maps dependencies on commands at
+/// or after its anchor a shift later.
+fn resolve(levels: &[(CmdId, usize)], d: CmdId) -> CmdId {
+    levels.iter().rev().fold(
+        d,
+        |d, &(anchor, shift)| if d >= anchor { d + shift } else { d },
+    )
 }
 
 impl Program {
@@ -244,23 +298,47 @@ impl Program {
             deps_end: narrow(self.deps.len()),
             shared_end: narrow(self.shared.len()),
         });
+        self.tags = self.tags.max(tag + 1);
         self.len += 1;
         self.len - 1
+    }
+
+    /// Removes every command, keeping the allocated capacity.
+    pub fn clear(&mut self) {
+        self.records.clear();
+        self.deps.clear();
+        self.shared.clear();
+        self.repeats.clear();
+        (self.len, self.tags) = (0, 0);
+    }
+
+    /// Frees the capacity beyond the commands stored, for a program kept
+    /// long after it is emitted.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
+        self.deps.shrink_to_fit();
+        self.shared.shrink_to_fit();
+        self.repeats.shrink_to_fit();
     }
 
     /// Repeats commands `block`, the last ones emitted, `times` more
     /// times without storing the copies. Copy `k` has ids `k ×
     /// block.len()` later than the block, and so does every dependency of
-    /// each of its commands; units, durations, tags and holds are the
-    /// block's. Commands emitted afterwards follow the last copy and may
-    /// depend on any command, copies included. [`Engine::run`] writes
+    /// each of its commands on a command at or after `anchor`; dependencies
+    /// on commands before `anchor` are the same in every copy (pass 0 to
+    /// shift them all). Units, durations, tags and holds are the block's.
+    /// The block may hold repeated blocks of its own, which every copy
+    /// repeats alike. Commands emitted afterwards follow the last copy and
+    /// may depend on any command, copies included. [`Engine::run`] writes
     /// copies in closed form once the schedule settles (see the
     /// [module docs](self)), and [`expanded`](Self::expanded) emits them.
     ///
     /// # Panics
     ///
     /// Panics if `block` is empty, does not end at
-    /// [`next_id`](Self::next_id) or starts inside an earlier repeat.
+    /// [`next_id`](Self::next_id) or starts inside an earlier repeat, if
+    /// `anchor` is after the block's start, or if a repeat inside the
+    /// block has an anchor before `anchor`.
     ///
     /// # Examples
     ///
@@ -275,8 +353,8 @@ impl Program {
     ///     last = Some(p.emit(0, Duration::from_ns(50), 1, [load], None));
     /// }
     /// // Blocks 3-9 are copies of block 2, which repeats block 1.
-    /// assert!(p.repeats_previous(4..6));
-    /// p.repeat_block(4..6, 7);
+    /// assert!(p.repeats_previous(4..6, 0));
+    /// p.repeat_block(4..6, 0, 7);
     /// assert_eq!((p.len(), p.commands().count()), (20, 6));
     /// let report = Engine::new(2, Duration::ZERO).run(&p);
     /// assert_eq!(report.makespan().as_ns_f64(), 1500.0);
@@ -285,22 +363,122 @@ impl Program {
     /// assert_eq!(report.scheduled(), 6);
     /// assert_eq!(report, Engine::new(2, Duration::ZERO).run(&p.expanded()));
     /// ```
-    pub fn repeat_block(&mut self, block: Range<CmdId>, times: usize) {
-        let stretch = self.repeats.last().map_or(0, Repeat::end);
+    ///
+    /// Heads that all read one layer norm keep that dependency fixed:
+    ///
+    /// ```
+    /// use ianus_npu::scheduler::{Engine, Program};
+    /// use ianus_sim::Duration;
+    ///
+    /// let mut p = Program::new();
+    /// let norm = p.emit(0, Duration::from_ns(30), 0, [], None);
+    /// for _ in 0..2 {
+    ///     let load = p.emit(1, Duration::from_ns(100), 1, [], None);
+    ///     p.emit(0, Duration::from_ns(50), 1, [norm, load], None);
+    /// }
+    /// assert!(p.repeats_previous(3..5, 1));
+    /// p.repeat_block(3..5, 1, 6);
+    /// let full = p.expanded();
+    /// assert_eq!(full.commands().last().unwrap().deps, &[0, 15]);
+    /// let mut engine = Engine::new(2, Duration::ZERO);
+    /// assert_eq!(engine.run(&p), engine.run(&full));
+    /// ```
+    pub fn repeat_block(&mut self, block: Range<CmdId>, anchor: CmdId, times: usize) {
+        let (before, inner, records) = self
+            .last_block(&block)
+            .unwrap_or_else(|| panic!("repeated block {block:?} is not the last commands emitted"));
         assert!(
-            !block.is_empty() && block.end == self.len && block.start >= stretch,
-            "repeated block {block:?} is not the last commands emitted"
+            anchor <= block.start && inner.iter().all(|r| r.anchor >= anchor),
+            "anchor {anchor} of repeated block {block:?} is after its start \
+             or before the anchor of a repeat inside it"
         );
         if times == 0 {
             return;
         }
-        let stored = self.records.len() - block.len()..self.records.len();
-        self.len += times * block.len();
+        let nested = before.len();
+        let follows = self
+            .previous_copy(&block, anchor, before, inner, &records)
+            .is_some();
+        let period = block.len();
+        let local = self.deps[self.deps_range(&records)]
+            .iter()
+            .all(|&d| d < anchor || d + period >= block.start);
+        let mut units: Vec<UnitId> = (self.commands_in(records.clone(), 0))
+            .flat_map(|cmd| std::iter::once(cmd.unit).chain(cmd.shared.iter().copied()))
+            .collect();
+        units.sort_unstable();
+        units.dedup();
+        units.shrink_to_fit();
+        let mut inner = self.repeats.split_off(nested);
+        // The commands before an inner repeat that starts less than one
+        // period into the block differ from copy to copy.
+        for r in &mut inner {
+            r.follows &= r.start >= block.start + r.period;
+        }
+        self.len += times * period;
         self.repeats.push(Repeat {
-            block: stored,
+            block: records,
             start: block.start,
+            period,
             times,
+            anchor,
+            inner,
+            follows,
+            local,
+            units,
         });
+    }
+
+    /// The repeats outside any other before `block` and inside it, and
+    /// the block's records, if `block` is the last commands emitted and
+    /// starts inside no repeat.
+    fn last_block(&self, block: &Range<CmdId>) -> Option<(&[Repeat], &[Repeat], Range<usize>)> {
+        let (before, inner) = self
+            .repeats
+            .split_at(self.repeats.partition_point(|r| r.start < block.start));
+        let inside_earlier = before.last().is_some_and(|r| r.end() > block.start);
+        if block.is_empty() || block.end != self.len || inside_earlier {
+            return None;
+        }
+        let stored = block.len() - inner.iter().map(Repeat::unstored).sum::<usize>();
+        Some((
+            before,
+            inner,
+            self.records.len() - stored..self.records.len(),
+        ))
+    }
+
+    /// The records of the `block.len()` commands before `block`, if they
+    /// are emitted like it, durations aside: the same units, tags, holds
+    /// and repeats, with every dependency `block.len()` ids later unless
+    /// before `anchor`. `before` and `inner` are the repeats outside any
+    /// other before the block and inside it, and `records` the block's
+    /// records.
+    fn previous_copy(
+        &self,
+        block: &Range<CmdId>,
+        anchor: CmdId,
+        before: &[Repeat],
+        inner: &[Repeat],
+        records: &Range<usize>,
+    ) -> Option<Range<usize>> {
+        let period = block.len();
+        let prev_start = block.start.checked_sub(period)?;
+        let (earlier, prev_inner) =
+            before.split_at(before.partition_point(|r| r.start < prev_start));
+        if earlier.last().is_some_and(|r| r.end() > prev_start) {
+            return None;
+        }
+        let unstored: usize = earlier.iter().map(Repeat::unstored).sum();
+        let prev = prev_start - unstored..records.start;
+        let offset = prev.len();
+        let same = offset == records.len()
+            && self.emitted_alike(&prev, records, period, anchor)
+            && prev_inner.len() == inner.len()
+            && (inner.iter())
+                .zip(prev_inner)
+                .all(|(r, p)| p.anchor >= anchor && r.shifted_from(p, offset, period));
+        same.then_some(prev)
     }
 
     /// Re-times command `id`, leaving its unit, tag, dependencies and
@@ -324,24 +502,49 @@ impl Program {
     /// assert_eq!(p.commands().next().unwrap().duration, Duration::from_ns(25));
     /// ```
     pub fn set_duration(&mut self, id: CmdId, duration: Duration) {
-        let index = self.record_of(id);
-        self.records[index].duration = duration;
+        self.set_durations(id, &[duration]);
+    }
+
+    /// Re-times commands `first..first + durations.len()` like
+    /// [`set_duration`](Self::set_duration), in one lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the commands are out of range or are not stored one
+    /// after another (a repeat's copies lie between them).
+    pub fn set_durations(&mut self, first: CmdId, durations: &[Duration]) {
+        let Some(last) = durations.len().checked_sub(1) else {
+            return;
+        };
+        let start = self.record_of(first);
+        assert_eq!(
+            self.record_of(first + last),
+            start + last,
+            "commands {first}..={} are not stored together",
+            first + last
+        );
+        for (record, &duration) in self.records[start..].iter_mut().zip(durations) {
+            record.duration = duration;
+        }
     }
 
     /// Index of the record command `id` is, or is a copy of.
     fn record_of(&self, id: CmdId) -> usize {
-        let mut copied = 0;
-        for r in &self.repeats {
-            let copies = r.start + r.period()..r.end();
-            if id < copies.start {
-                break;
+        let (mut id, mut unstored, mut level) = (id, 0, &self.repeats[..]);
+        'descend: loop {
+            for r in level {
+                if id < r.start {
+                    break;
+                }
+                if id < r.end() {
+                    id = r.start + (id - r.start) % r.period;
+                    level = &r.inner;
+                    continue 'descend;
+                }
+                unstored += r.unstored();
             }
-            if copies.contains(&id) {
-                return r.block.start + (id - copies.start) % r.period();
-            }
-            copied += copies.len();
+            return id - unstored;
         }
-        id - copied
     }
 
     /// Number of commands, copies of repeated blocks included.
@@ -357,29 +560,72 @@ impl Program {
     /// The stored commands in emission order: a repeated block's
     /// commands appear once, not once per copy.
     pub fn commands(&self) -> impl Iterator<Item = CommandView<'_>> + '_ {
-        self.stretches()
-            .flat_map(|(records, first, _)| self.commands_in(records, first))
+        let mut stretches = Vec::new();
+        self.stretches(0..self.records.len(), 0, &self.repeats, &mut stretches);
+        stretches
+            .into_iter()
+            .flat_map(|(records, first)| self.commands_in(records, first))
+    }
+
+    /// Collects the stretches of stored commands between the repeats
+    /// `repeats` of records `records`, whose first command is `first`,
+    /// and inside them: each one's records and first id, in order.
+    fn stretches(
+        &self,
+        records: Range<usize>,
+        first: CmdId,
+        repeats: &[Repeat],
+        out: &mut Vec<(Range<usize>, CmdId)>,
+    ) {
+        let (mut record, mut id) = (records.start, first);
+        for r in repeats {
+            out.push((record..r.block.start, id));
+            self.stretches(r.block.clone(), r.start, &r.inner, out);
+            (record, id) = (r.block.end, r.end());
+        }
+        out.push((record..records.end, id));
     }
 
     /// The program with every copy of a repeated block emitted: the same
     /// commands under the same ids, all stored.
     pub fn expanded(&self) -> Program {
         let mut full = Program::new();
-        for (records, first, repeat) in self.stretches() {
-            full.append(self.commands_in(records, first), 0);
-            if let Some(r) = repeat {
-                for shift in (1..=r.times).map(|k| k * r.period()) {
-                    full.append(self.commands_in(r.block.clone(), r.start + shift), shift);
-                }
-            }
-        }
+        let mut levels = Vec::new();
+        self.expand(&mut full, 0..self.records.len(), &self.repeats, &mut levels);
         full
     }
 
-    /// Emits `cmds`, each dependency `shift` ids later than listed.
-    fn append<'p>(&mut self, cmds: impl Iterator<Item = CommandView<'p>>, shift: usize) {
+    /// Emits records `records` into `full` with every copy of the
+    /// repeats `repeats` among them, each dependency mapped through
+    /// `levels`.
+    fn expand(
+        &self,
+        full: &mut Program,
+        records: Range<usize>,
+        repeats: &[Repeat],
+        levels: &mut Vec<(CmdId, usize)>,
+    ) {
+        let mut record = records.start;
+        for r in repeats {
+            full.append(self.commands_in(record..r.block.start, 0), levels);
+            for k in 0..=r.times {
+                levels.push((r.anchor, k * r.period));
+                self.expand(full, r.block.clone(), &r.inner, levels);
+                levels.pop();
+            }
+            record = r.block.end;
+        }
+        full.append(self.commands_in(record..records.end, 0), levels);
+    }
+
+    /// Emits `cmds`, each dependency mapped through `levels`.
+    fn append<'p>(
+        &mut self,
+        cmds: impl Iterator<Item = CommandView<'p>>,
+        levels: &[(CmdId, usize)],
+    ) {
         for cmd in cmds {
-            let deps = cmd.deps.iter().map(|&d| d + shift);
+            let deps = cmd.deps.iter().map(|&d| resolve(levels, d));
             self.emit(
                 cmd.unit,
                 cmd.duration,
@@ -415,25 +661,6 @@ impl Program {
         })
     }
 
-    /// The program's stretches of stored commands, in order: each one's
-    /// records, the id of its first command, and the repeat whose block
-    /// ends it (none for the last stretch).
-    fn stretches(&self) -> impl Iterator<Item = (Range<usize>, CmdId, Option<&Repeat>)> + '_ {
-        let (mut record, mut id) = (0, 0);
-        self.repeats
-            .iter()
-            .map(Some)
-            .chain([None])
-            .map(move |repeat| {
-                let end = repeat.map_or(self.records.len(), |r| r.block.end);
-                let stretch = (record..end, id, repeat);
-                if let Some(r) = repeat {
-                    (record, id) = (end, r.end());
-                }
-                stretch
-            })
-    }
-
     /// Id the next pushed command will receive.
     pub fn next_id(&self) -> CmdId {
         self.len
@@ -454,33 +681,40 @@ impl Program {
             .map_or(0, |prev| self.records[prev].shared_end as usize)
     }
 
-    /// Whether commands `block` repeat the `block.len()` commands just
-    /// before them: the same units, durations, tags and holds, with every
-    /// dependency `block.len()` ids later. Only commands stored after
-    /// every repeat's copies are compared; any others do not repeat.
-    pub fn repeats_previous(&self, block: Range<CmdId>) -> bool {
-        let (record, id) = self
-            .repeats
-            .last()
-            .map_or((0, 0), |r| (r.block.end, r.end()));
-        block.start >= id
-            && block.end <= self.len
-            && self.records_repeat(
-                record,
-                &(block.start - id + record..block.end - id + record),
-            )
+    /// Whether commands `block`, the last ones emitted, repeat the
+    /// `block.len()` commands just before them: the same units,
+    /// durations, tags, holds and repeated blocks, with every dependency
+    /// on a command at or after `anchor` `block.len()` ids later and every
+    /// other the same. Commands that start inside a repeat, or are not
+    /// the last emitted, do not repeat.
+    pub fn repeats_previous(&self, block: Range<CmdId>, anchor: CmdId) -> bool {
+        self.last_block(&block)
+            .and_then(|(before, inner, records)| {
+                let prev = self.previous_copy(&block, anchor, before, inner, &records)?;
+                Some(self.durations_alike(&prev, &records))
+            })
+            .unwrap_or(false)
     }
 
-    /// Whether records `block` repeat the `block.len()` records just
-    /// before them, which must not precede record `floor`.
-    fn records_repeat(&self, floor: usize, block: &Range<usize>) -> bool {
-        let len = block.len();
-        let Some(prev_start) = block.start.checked_sub(len).filter(|&p| p >= floor) else {
-            return false;
-        };
-        let prev = prev_start..block.start;
-        let (deps, prev_deps) = (self.deps_range(block), self.deps_range(&prev));
-        let (shared, prev_shared) = (self.shared_range(block), self.shared_range(&prev));
+    /// Whether records `prev` and `block` have the same durations.
+    fn durations_alike(&self, prev: &Range<usize>, block: &Range<usize>) -> bool {
+        (self.records[prev.clone()].iter())
+            .zip(&self.records[block.clone()])
+            .fold(true, |same, (p, r)| same & (p.duration == r.duration))
+    }
+
+    /// Whether records `block` are emitted like records `prev`, of the same
+    /// length, durations aside: the same units, tags and holds, with every
+    /// dependency `period` ids later unless before `anchor`.
+    fn emitted_alike(
+        &self,
+        prev: &Range<usize>,
+        block: &Range<usize>,
+        period: usize,
+        anchor: CmdId,
+    ) -> bool {
+        let (deps, prev_deps) = (self.deps_range(block), self.deps_range(prev));
+        let (shared, prev_shared) = (self.shared_range(block), self.shared_range(prev));
         let (dep_shift, shared_shift) = (prev_deps.len(), prev_shared.len());
         if deps.len() != dep_shift || shared.len() != shared_shift {
             return false;
@@ -492,8 +726,7 @@ impl Program {
             .iter()
             .zip(&self.records[block.clone()])
             .fold(true, |same, (p, r)| {
-                same & (r.duration == p.duration)
-                    & (r.unit == p.unit)
+                same & (r.unit == p.unit)
                     & (r.tag == p.tag)
                     & (r.deps_end.wrapping_sub(p.deps_end) == dep_shift)
                     & (r.shared_end.wrapping_sub(p.shared_end) == shared_shift)
@@ -501,7 +734,9 @@ impl Program {
         let deps = self.deps[deps]
             .iter()
             .zip(&self.deps[prev_deps])
-            .fold(true, |same, (&d, &p)| same & (d.wrapping_sub(p) == len));
+            .fold(true, |same, (&d, &p)| {
+                same & (d == p + usize::from(p >= anchor) * period)
+            });
         records && deps && self.shared[shared] == self.shared[prev_shared]
     }
 
@@ -658,22 +893,34 @@ struct Finishes {
     shifted: Vec<Shifted>,
     /// Number of commands timed.
     len: usize,
+    /// First id after the last run; the finish of a later command is
+    /// `scheduled[id - unscheduled]`.
+    tail: CmdId,
+    /// Commands written in closed form.
+    unscheduled: usize,
 }
 
 /// Copies of a block written in closed form: copy `k` of the run finishes
-/// `k` × δ after the copy scheduled last before it.
+/// `k` × δ after the copy timed just before the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Shifted {
     /// Id of the run's first command.
     start: CmdId,
-    /// Index in `scheduled` of the copy the run repeats.
-    base: usize,
     /// Commands per copy.
     period: usize,
     /// Copies in the run.
     copies: usize,
     /// Shift between consecutive copies.
     delta: Duration,
+    /// Index in `scheduled` of the first command after the run.
+    resume: usize,
+}
+
+impl Shifted {
+    /// Id of the first command after the run.
+    fn end(&self) -> CmdId {
+        self.start + self.copies * self.period
+    }
 }
 
 impl Finishes {
@@ -685,45 +932,78 @@ impl Finishes {
 
     /// Finish of command `id`.
     fn get(&self, id: CmdId) -> Time {
-        let runs = self.shifted.partition_point(|r| r.start <= id);
-        let Some(run) = runs.checked_sub(1).map(|r| &self.shifted[r]) else {
-            return self.scheduled[id];
-        };
-        let (offset, copied) = (id - run.start, run.copies * run.period);
-        if offset < copied {
-            let k = (offset / run.period + 1) as u64;
-            self.scheduled[run.base + offset % run.period] + run.delta * k
-        } else {
-            self.scheduled[run.base + run.period + offset - copied]
+        if id >= self.tail {
+            return self.scheduled[id - self.unscheduled];
+        }
+        // A copy in a run finishes a whole number of shifts after the
+        // matching command of the copy before the run, which may itself
+        // be in a run (a repeat inside a repeated block).
+        let (mut id, mut shift) = (id, Duration::ZERO);
+        loop {
+            let runs = self.shifted.partition_point(|r| r.start <= id);
+            let Some(run) = runs.checked_sub(1).map(|r| &self.shifted[r]) else {
+                return self.scheduled[id] + shift;
+            };
+            let offset = id - run.start;
+            if id >= run.end() {
+                return self.scheduled[run.resume + id - run.end()] + shift;
+            }
+            shift += run.delta * (offset / run.period + 1) as u64;
+            id = run.start - run.period + offset % run.period;
         }
     }
 
-    /// The shift δ > 0 by which each of the last `period` commands
-    /// scheduled finishes after the one `period` commands before it, if
-    /// they all finish by one such shift.
+    /// Indices in `scheduled` and `shifted` of the first command and run
+    /// at or after id `id`, unless `id` falls inside a run.
+    fn mark(&self, id: CmdId) -> Option<(usize, usize)> {
+        let runs = self.shifted.partition_point(|r| r.start < id);
+        match runs.checked_sub(1).map(|r| &self.shifted[r]) {
+            None => Some((id, 0)),
+            Some(run) => (id >= run.end()).then(|| (run.resume + id - run.end(), runs)),
+        }
+    }
+
+    /// The shift δ > 0 by which each of the last `period` commands timed
+    /// finishes after the one `period` commands before it, if they all
+    /// finish by one such shift: the commands scheduled one by one shift
+    /// by δ, and the runs among them are the runs `period` ids before,
+    /// shifted along.
     fn settled(&self, period: usize) -> Option<Duration> {
-        let tail = self.scheduled.len().checked_sub(2 * period)?;
-        let (prev, last) = self.scheduled[tail..].split_at(period);
-        let delta = last[0].as_ps().checked_sub(prev[0].as_ps())?;
+        let last_start = self.len.checked_sub(period)?;
+        let (prev_scheduled, prev_runs) = self.mark(last_start.checked_sub(period)?)?;
+        let (last_scheduled, last_runs) = self.mark(last_start)?;
+        let (prev, last) =
+            self.scheduled[prev_scheduled..].split_at(last_scheduled - prev_scheduled);
+        let (prev_runs, last_runs) = self.shifted[prev_runs..].split_at(last_runs - prev_runs);
+        if prev.len() != last.len() || prev_runs.len() != last_runs.len() {
+            return None;
+        }
+        let delta = last.first()?.as_ps().checked_sub(prev[0].as_ps())?;
         let shifted = delta > 0
             && prev
                 .iter()
                 .zip(last)
-                .all(|(p, l)| l.as_ps() == p.as_ps() + delta);
+                .all(|(p, l)| l.as_ps() == p.as_ps() + delta)
+            && prev_runs.iter().zip(last_runs).all(|(p, l)| {
+                (l.start, l.period, l.copies, l.delta)
+                    == (p.start + period, p.period, p.copies, p.delta)
+            });
         shifted.then_some(Duration::from_ps(delta))
     }
 
-    /// Times `copies` copies of the last `period` commands scheduled, each
+    /// Times `copies` copies of the last `period` commands timed, each
     /// the one before shifted by `delta`.
     fn repeat_last(&mut self, period: usize, copies: usize, delta: Duration) {
         self.shifted.push(Shifted {
             start: self.len,
-            base: self.scheduled.len() - period,
             period,
             copies,
             delta,
+            resume: self.scheduled.len(),
         });
         self.len += copies * period;
+        self.tail = self.len;
+        self.unscheduled = self.len - self.scheduled.len();
     }
 }
 
@@ -779,41 +1059,75 @@ impl Engine {
         self.free_at.fill(Time::ZERO);
         self.busy.fill(Duration::ZERO);
         let mut run = Run {
-            finish: Finishes::default(),
-            makespan: Time::ZERO,
-            tag_busy: Vec::new(),
+            finish: Finishes {
+                scheduled: Vec::with_capacity(program.records.len()),
+                shifted: Vec::with_capacity(2 * program.repeats.len()),
+                ..Finishes::default()
+            },
+            tag_busy: vec![Duration::ZERO; program.tags],
+            levels: Vec::new(),
+            busy_marks: Vec::with_capacity(2 * (self.busy.len() + program.tags)),
             spans,
         };
-        for (records, first, repeat) in program.stretches() {
-            let floor = records.start;
-            self.schedule(program.commands_in(records, first), 0, &mut run);
-            if let Some(repeat) = repeat {
-                self.repeat(program, floor, repeat, &mut run);
-            }
-        }
+        let records = 0..program.records.len();
+        let makespan = self.region(program, records, 0, &program.repeats, &mut run);
         ExecutionReport {
             finish: run.finish,
-            makespan: run.makespan,
+            makespan,
             tag_busy: run.tag_busy,
             unit_busy: self.busy.clone(),
         }
     }
 
-    /// Schedules `cmds` one by one, each dependency `shift` ids later than
-    /// listed.
+    /// Times records `records`, the first of which is command `first`,
+    /// and every copy of the repeats `repeats` among them; returns the
+    /// latest finish.
+    fn region(
+        &mut self,
+        program: &Program,
+        records: Range<usize>,
+        first: CmdId,
+        repeats: &[Repeat],
+        run: &mut Run<'_>,
+    ) -> Time {
+        let (mut record, mut id, mut latest) = (records.start, first, Time::ZERO);
+        for r in repeats {
+            let before = self.schedule(program.commands_in(record..r.block.start, id), run);
+            id += r.block.start - record;
+            let mark = run.mark_busy(&self.busy);
+            let block = self.region(program, r.block.clone(), id, &r.inner, run);
+            latest = latest
+                .max(before)
+                .max(self.repeat(program, r, id, block, mark, run));
+            run.busy_marks.truncate(mark);
+            id += (1 + r.times) * r.period;
+            record = r.block.end;
+        }
+        latest.max(self.schedule(program.commands_in(record..records.end, id), run))
+    }
+
+    /// Schedules `cmds` one by one, each dependency mapped through the
+    /// run's levels; returns the latest finish.
     fn schedule<'p>(
         &mut self,
         cmds: impl Iterator<Item = CommandView<'p>>,
-        shift: usize,
         run: &mut Run<'_>,
-    ) {
+    ) -> Time {
+        let mut latest = Time::ZERO;
+        let Run {
+            finish,
+            tag_busy,
+            levels,
+            spans,
+            ..
+        } = run;
         for cmd in cmds {
             let id = cmd.id;
             let mut ready = Time::ZERO;
             for &d in cmd.deps {
-                let d = d + shift;
+                let d = resolve(levels, d);
                 assert!(d < id, "dependency {d} of command {id} is not earlier");
-                ready = ready.max(run.finish.get(d));
+                ready = ready.max(finish.get(d));
             }
             ready += self.dispatch;
             // Start when the unit and every shared resource are free.
@@ -822,15 +1136,18 @@ impl Engine {
                 assert!(s != cmd.unit, "shared resource equals unit");
                 start = start.max(self.free_at[s]);
             }
-            self.occupy(&cmd, start, 1);
             let done = start + cmd.duration;
-            run.finish.push(done);
-            run.makespan = run.makespan.max(done);
-            if cmd.tag >= run.tag_busy.len() {
-                run.tag_busy.resize(cmd.tag + 1, Duration::ZERO);
+            self.free_at[cmd.unit] = done;
+            self.busy[cmd.unit] += cmd.duration;
+            // A resource held twice stays held for twice the duration.
+            for &s in cmd.shared {
+                self.free_at[s] = start.max(self.free_at[s]) + cmd.duration;
+                self.busy[s] += cmd.duration;
             }
-            run.tag_busy[cmd.tag] += cmd.duration;
-            if let Some(spans) = run.spans.as_deref_mut() {
+            finish.push(done);
+            latest = latest.max(done);
+            tag_busy[cmd.tag] += cmd.duration;
+            if let Some(spans) = spans.as_deref_mut() {
                 spans.push(Span {
                     cmd: id,
                     unit: cmd.unit,
@@ -840,50 +1157,68 @@ impl Engine {
                 });
             }
         }
+        latest
     }
 
-    /// Times the copies of `repeat`, whose block ends a stretch of stored
-    /// commands from record `floor` on and has just been scheduled. Copies
-    /// are scheduled one by one until one finishes every command one shift
+    /// Times the copies of `repeat`, whose block has just been timed from
+    /// id `start` with latest finish `block`, after busy times marked at
+    /// `mark`; returns the latest finish of the copies. Copies are
+    /// scheduled one by one until one finishes every command one shift
     /// δ > 0 after the block or copy before it (the stored block against
-    /// the stored commands before it counts too); the rest are written in
-    /// closed form.
-    fn repeat(&mut self, program: &Program, floor: usize, repeat: &Repeat, run: &mut Run<'_>) {
-        let period = repeat.period();
-        // Dependencies must stay within a copy and the one before it.
-        let local = program.deps[program.deps_range(&repeat.block)]
-            .iter()
-            .all(|&d| d + period >= repeat.start);
-        let settled = |run: &Run<'_>| run.finish.settled(period).filter(|_| local);
-        let mut delta = settled(run).filter(|_| program.records_repeat(floor, &repeat.block));
-        let mut copies = 0;
+    /// the commands before it counts too, if they are emitted alike); the
+    /// rest are written in closed form.
+    fn repeat(
+        &mut self,
+        program: &Program,
+        repeat: &Repeat,
+        start: CmdId,
+        block: Time,
+        mark: usize,
+        run: &mut Run<'_>,
+    ) -> Time {
+        let period = repeat.period;
+        let records = &repeat.block;
+        let follows = repeat.follows
+            && program.durations_alike(&(records.start - records.len()..records.start), records);
+        let settled = |run: &Run<'_>| run.finish.settled(period).filter(|_| repeat.local);
+        let mut delta = settled(run).filter(|_| follows);
+        let (mut copies, mut last, mut latest) = (0, block, block);
         while delta.is_none() && copies < repeat.times {
             copies += 1;
             let shift = copies * period;
-            let cmds = program.commands_in(repeat.block.clone(), repeat.start + shift);
-            self.schedule(cmds, shift, run);
+            run.remark_busy(mark, &self.busy);
+            run.levels.push((repeat.anchor, shift));
+            last = self.region(program, records.clone(), start + shift, &repeat.inner, run);
+            run.levels.pop();
+            latest = latest.max(last);
             delta = settled(run);
         }
-        if let Some(delta) = delta.filter(|_| copies < repeat.times) {
-            self.extrapolate(program, repeat, repeat.times - copies, delta, run);
+        match delta.filter(|_| copies < repeat.times) {
+            Some(delta) => {
+                let copies = repeat.times - copies;
+                let to_last = self.extrapolate(repeat, copies, delta, mark, run);
+                latest.max(last + to_last)
+            }
+            None => latest,
         }
     }
 
     /// Writes the last `copies` copies of `repeat` in closed form, each
-    /// the copy scheduled last shifted by one more `delta`: finishes and
-    /// spans, busy time, and the units re-occupied from the last copy's
-    /// times, as scheduling would have left them. The free times left
-    /// over from the copy scheduled last are earlier than any of those
-    /// starts, so they bind nothing.
+    /// the copy timed last shifted by one more `delta`, and returns the
+    /// shift of the last: finishes and spans; busy time, each copy adding
+    /// what the copy timed last did since the busy times marked at
+    /// `mark`; and the free time of every unit the block uses, which its
+    /// last user in the copy timed last set and its last user in the last
+    /// copy moves on.
     fn extrapolate(
         &mut self,
-        program: &Program,
         repeat: &Repeat,
         copies: usize,
         delta: Duration,
+        mark: usize,
         run: &mut Run<'_>,
-    ) {
-        let period = repeat.period();
+    ) -> Duration {
+        let period = repeat.period;
         if let Some(spans) = run.spans.as_deref_mut() {
             let last = spans.len() - period..spans.len();
             for k in 1..=copies {
@@ -899,34 +1234,50 @@ impl Engine {
                 }
             }
         }
-        let base = run.finish.scheduled.len() - period;
         let (times, to_last) = (copies as u64, delta * copies as u64);
-        for (i, cmd) in program.commands_in(repeat.block.clone(), 0).enumerate() {
-            let done = run.finish.scheduled[base + i] + to_last;
-            let start = Time::from_ps(done.as_ps() - cmd.duration.as_ps());
-            self.occupy(&cmd, start, times);
-            run.tag_busy[cmd.tag] += cmd.duration * times;
-            run.makespan = run.makespan.max(done);
+        let (units, tags) = run.busy_marks[mark..].split_at(self.busy.len());
+        for &u in &repeat.units {
+            let busy = self.busy[u];
+            self.busy[u] += (busy - units[u]) * times;
+            self.free_at[u] += to_last;
+        }
+        for (busy, &before) in run.tag_busy.iter_mut().zip(tags) {
+            *busy += (*busy - before) * times;
         }
         run.finish.repeat_last(period, copies, delta);
-    }
-
-    /// Occupies the unit and held resources of `cmd` from `start`,
-    /// charging each `times` × its duration of busy time.
-    fn occupy(&mut self, cmd: &CommandView<'_>, start: Time, times: u64) {
-        for &u in std::iter::once(&cmd.unit).chain(cmd.shared) {
-            self.free_at[u] = start.max(self.free_at[u]) + cmd.duration;
-            self.busy[u] += cmd.duration * times;
-        }
+        to_last
     }
 }
 
 /// The schedule under construction by one [`Engine::run`].
 struct Run<'a> {
     finish: Finishes,
-    makespan: Time,
     tag_busy: Vec<Duration>,
+    /// The copies being scheduled one by one, outermost first: each
+    /// repeat's anchor and the shift of its copy.
+    levels: Vec<(CmdId, usize)>,
+    /// For each repeat being timed, outermost first, the unit and tag
+    /// busy times before the block or copy it timed last.
+    busy_marks: Vec<Duration>,
     spans: Option<&'a mut Vec<Span>>,
+}
+
+impl Run<'_> {
+    /// Marks the unit busy times `busy` and the tag busy times; returns
+    /// the mark.
+    fn mark_busy(&mut self, busy: &[Duration]) -> usize {
+        let mark = self.busy_marks.len();
+        self.busy_marks.extend_from_slice(busy);
+        self.busy_marks.extend_from_slice(&self.tag_busy);
+        mark
+    }
+
+    /// Replaces mark `mark` with the unit busy times `busy` and the tag
+    /// busy times.
+    fn remark_busy(&mut self, mark: usize, busy: &[Duration]) {
+        self.busy_marks.truncate(mark);
+        self.mark_busy(busy);
+    }
 }
 
 #[cfg(test)]
@@ -1154,7 +1505,7 @@ mod tests {
             starts.push(start);
         }
         let block = starts[slow + 1]..p.next_id();
-        p.repeat_block(block, blocks - slow - 2);
+        p.repeat_block(block, 0, blocks - slow - 2);
         p
     }
 
@@ -1201,8 +1552,8 @@ mod tests {
                 p.emit(0, NS(10), 0, dep0, hold0);
                 p.emit(1, NS(50), 1, dep1, hold1);
             }
-            assert!(!p.repeats_previous(12..14), "{moved} moved");
-            p.repeat_block(12..14, 3);
+            assert!(!p.repeats_previous(12..14, 0), "{moved} moved");
+            p.repeat_block(12..14, 0, 3);
             let mut eng = Engine::new(3, Duration::ZERO);
             let compact = eng.run_traced(&p);
             assert_eq!(compact, eng.run_traced(&p.expanded()), "{moved} moved");
@@ -1215,7 +1566,7 @@ mod tests {
         let mut p = Program::new();
         let a = p.emit(0, NS(5), 0, [], None);
         let b = p.emit(1, NS(7), 1, [a], Some(2));
-        p.repeat_block(b..b + 1, 2);
+        p.repeat_block(b..b + 1, 0, 2);
         let c = p.emit(0, NS(3), 0, [b + 2], None);
         assert_eq!((p.len(), c), (5, 4));
         let ids: Vec<CmdId> = p.commands().map(|cmd| cmd.id).collect();
@@ -1234,12 +1585,98 @@ mod tests {
     }
 
     #[test]
+    fn re_timing_a_stored_head_re_times_every_copy() {
+        // Five blocks of a layer norm, four heads that read it and a sync
+        // that reads the last head. In each stored block heads 2-3 are
+        // copies of head 1, and blocks 3-4 are copies of block 2.
+        let mut p = Program::new();
+        let mut sync = None;
+        let mut block = 0..0;
+        for _ in 0..3 {
+            let ln = p.emit(0, NS(20), 0, sync, None);
+            for _ in 0..2 {
+                let load = p.emit(1, NS(30), 1, [], Some(3));
+                p.emit(2, NS(15), 2, [ln, load], None);
+            }
+            let head = p.next_id() - 2..p.next_id();
+            assert!(p.repeats_previous(head.clone(), ln + 1));
+            p.repeat_block(head.clone(), ln + 1, 2);
+            sync = Some(p.emit(0, NS(5), 3, [head.end + 3], None));
+            block = ln..p.next_id();
+        }
+        assert!(p.repeats_previous(block.clone(), 0));
+        p.repeat_block(block, 0, 2);
+        assert_eq!((p.len(), p.commands().count()), (50, 3 * 6));
+        // The load of head 3 in block 4 is a copy of the load of head 1 in
+        // block 2, and so is every head's load but head 0's from block 2
+        // on.
+        p.set_duration(4 * 10 + 1 + 3 * 2, NS(40));
+        let loads: Vec<Duration> = p
+            .expanded()
+            .commands()
+            .filter(|cmd| cmd.unit == 1)
+            .map(|cmd| cmd.duration)
+            .collect();
+        let head_loads = |load| [NS(30), load, load, load];
+        let expected = [[NS(30); 4], [NS(30); 4], head_loads(NS(40))];
+        assert_eq!(loads[..12], expected.concat());
+        assert_eq!(loads[12..], [head_loads(NS(40)); 2].concat());
+        let mut eng = Engine::new(4, Duration::ZERO);
+        let (compact, full) = (eng.run_traced(&p), eng.run_traced(&p.expanded()));
+        assert_eq!(compact, full);
+        assert!(compact.0.scheduled() < p.len());
+    }
+
+    #[test]
+    fn a_repeat_that_starts_a_block_does_not_follow_the_copy_before() {
+        // A load, then blocks of three loads (one stored, two copies) and
+        // a compute on another unit. Before the stored block the load
+        // that precedes the first load is emitted like it; before a copy
+        // of the block it is the compute, which finishes one unrelated
+        // shift earlier and must not be taken for a copy.
+        let mut p = Program::new();
+        p.emit(0, NS(10), 0, [], None);
+        let block = p.next_id();
+        p.emit(0, NS(10), 0, [], None);
+        p.repeat_block(block..block + 1, block, 2);
+        p.emit(1, NS(10), 1, [], None);
+        p.repeat_block(block..p.next_id(), 0, 3);
+        let mut eng = Engine::new(2, Duration::ZERO);
+        let compact = eng.run_traced(&p);
+        assert_eq!(compact, eng.run_traced(&p.expanded()));
+        assert_eq!(compact.0.makespan(), Time::from_ns(130));
+    }
+
+    #[test]
+    fn duplicate_hold_extends_occupation() {
+        // A command that holds a resource twice holds it for twice its
+        // duration, so the next holder starts only then.
+        let mut eng = Engine::new(3, Duration::ZERO);
+        let mut p = Program::new();
+        p.emit(0, NS(10), 0, [], [2, 2]);
+        let next = p.emit(1, NS(5), 0, [], Some(2));
+        let report = eng.run(&p);
+        assert_eq!(report.finish(next), Time::from_ns(25));
+        assert_eq!(report.unit_busy(2), NS(25));
+        // Copies written in closed form keep it.
+        for _ in 0..2 {
+            p.emit(0, NS(10), 0, [], [2, 2]);
+            p.emit(1, NS(5), 0, [], Some(2));
+        }
+        p.repeat_block(4..6, 0, 5);
+        let compact = eng.run(&p);
+        assert_eq!(compact, eng.run(&p.expanded()));
+        assert!(compact.scheduled() < p.len());
+        assert_eq!(compact.makespan(), Time::from_ns(8 * 25));
+    }
+
+    #[test]
     #[should_panic(expected = "is not the last commands emitted")]
     fn repeating_a_block_that_is_not_last_rejected() {
         let mut p = Program::new();
         p.emit(0, NS(1), 0, [], None);
         p.emit(0, NS(1), 0, [], None);
-        p.repeat_block(0..1, 2);
+        p.repeat_block(0..1, 0, 2);
     }
 
     #[test]

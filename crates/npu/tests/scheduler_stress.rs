@@ -1,7 +1,7 @@
 //! Property tests stressing the command-scheduler engine with random
 //! programs: the schedule must respect fundamental bounds regardless of
-//! structure, and programs with repeated blocks must schedule exactly as
-//! their expansions.
+//! structure, and programs with repeated blocks, and with heads repeated
+//! inside them, must schedule exactly as their expansions.
 
 use ianus_npu::scheduler::{Command, Engine, Program};
 use ianus_sim::{Duration, Time};
@@ -117,7 +117,10 @@ proptest! {
     }
 }
 
-/// One command of a repeated block.
+/// One command of a repeated block, or of a head repeated inside every
+/// block. In a head, `prev` indexes the head before and `far` the
+/// commands of its block before the heads: a dependency every head of the
+/// block shares, which its copies keep.
 #[derive(Debug, Clone)]
 struct BlockCmd {
     unit: usize,
@@ -157,6 +160,16 @@ fn block_cmd() -> impl Strategy<Value = BlockCmd> {
         })
 }
 
+fn head_cmd() -> impl Strategy<Value = BlockCmd> {
+    (block_cmd(), 0usize..16).prop_map(|(cmd, fixed)| BlockCmd {
+        // One head command in 4 reads the head before it, and half read
+        // their block.
+        prev: if fixed < 4 { cmd.prev } else { Vec::new() },
+        far: (fixed % 2 == 0).then_some(fixed),
+        ..cmd
+    })
+}
+
 /// A change to one command of one block.
 #[derive(Debug, Clone, Copy)]
 enum Perturb {
@@ -168,11 +181,16 @@ enum Perturb {
 }
 
 /// A prologue, a block emitted `blocks` times and an epilogue reading
-/// the last block.
+/// the last block. Each block ends with `heads` heads.
 #[derive(Debug, Clone)]
 struct BlockProgram {
     prologue: Vec<RandCmd>,
     block: Vec<BlockCmd>,
+    head: Vec<BlockCmd>,
+    heads: usize,
+    /// Heads stored in each block of the compact program; the rest are
+    /// copies of the last of them.
+    stored_heads: usize,
     blocks: usize,
     /// Blocks stored in the compact program; the rest are copies of the
     /// last of them.
@@ -197,9 +215,14 @@ fn block_program() -> impl Strategy<Value = BlockProgram> {
             Perturb::Tag,
         ]),
     );
+    let heads = (
+        prop::collection::vec(head_cmd(), 0..4),
+        0usize..7,
+        1usize..4,
+    );
     (
         prop::collection::vec(rand_cmd(UNITS), 0..5),
-        prop::collection::vec(block_cmd(), 1..8),
+        (prop::collection::vec(block_cmd(), 1..8), heads),
         (0usize..16, 1usize..8),
         prop::collection::vec(
             (rand_cmd(UNITS), prop::collection::vec(0usize..8, 0..3)),
@@ -209,25 +232,36 @@ fn block_program() -> impl Strategy<Value = BlockProgram> {
         perturb,
     )
         .prop_map(
-            |(prologue, block, (blocks, stored), epilogue, dispatch_ns, perturb)| BlockProgram {
-                prologue,
-                block,
-                blocks,
-                stored,
-                epilogue,
-                dispatch_ns,
-                perturb,
+            |(prologue, (block, heads), (blocks, stored), epilogue, dispatch_ns, perturb)| {
+                let (head, heads, stored_heads) = heads;
+                BlockProgram {
+                    prologue,
+                    block,
+                    head,
+                    heads,
+                    stored_heads,
+                    blocks,
+                    stored,
+                    epilogue,
+                    dispatch_ns,
+                    perturb,
+                }
             },
         )
 }
 
 impl BlockProgram {
+    /// Commands per block, heads included.
+    fn period(&self) -> usize {
+        self.block.len() + self.heads * self.head.len()
+    }
+
     /// Emits the program, storing only the first `stored` blocks and
     /// repeating the last of them if `compact`, with the perturbation if
     /// `perturbed` (in stored blocks only).
     fn emit(&self, compact: bool, perturbed: bool) -> Program {
         let mut p = build(&self.prologue, UNITS);
-        let len = self.block.len();
+        let (len, period) = (self.block.len(), self.period());
         let stored = if compact {
             self.stored.min(self.blocks)
         } else {
@@ -270,11 +304,11 @@ impl BlockProgram {
                 let prev = starts
                     .last()
                     .into_iter()
-                    .flat_map(|&ps| cmd.prev.iter().map(move |&j| ps + j % len));
+                    .flat_map(|&ps| cmd.prev.iter().map(move |&j| ps + j % period));
                 let far = starts
                     .len()
                     .checked_sub(2)
-                    .and_then(|b| cmd.far.map(|j| starts[b] + j % len));
+                    .and_then(|b| cmd.far.map(|j| starts[b] + j % period));
                 let deps = own.chain(prev).chain(far);
                 p.emit(
                     cmd.unit,
@@ -284,12 +318,13 @@ impl BlockProgram {
                     cmd.shared,
                 );
             }
+            self.emit_heads(&mut p, start, compact);
             starts.push(start);
         }
         if let Some(&last) = starts.last() {
             let copies = self.blocks - stored;
-            p.repeat_block(last..last + len, copies);
-            starts.extend((1..=copies).map(|k| last + k * len));
+            p.repeat_block(last..last + period, 0, copies);
+            starts.extend((1..=copies).map(|k| last + k * period));
         }
         let epilogue_start = p.next_id();
         for (i, (cmd, last)) in self.epilogue.iter().enumerate() {
@@ -302,7 +337,7 @@ impl BlockProgram {
             let last = starts
                 .last()
                 .into_iter()
-                .flat_map(|&ps| last.iter().map(move |&j| ps + j % len));
+                .flat_map(|&ps| last.iter().map(move |&j| ps + j % period));
             let shared = cmd.shared.filter(|&s| s != cmd.unit);
             p.emit(
                 cmd.unit,
@@ -315,12 +350,51 @@ impl BlockProgram {
         p
     }
 
+    /// Emits the heads of the block starting at `block`, storing only the
+    /// first `stored_heads` and repeating the last of them, with the
+    /// block's commands fixed, if `compact`.
+    fn emit_heads(&self, p: &mut Program, block: usize, compact: bool) {
+        let len = self.head.len();
+        let anchor = p.next_id();
+        let stored = match compact {
+            true => self.stored_heads.min(self.heads),
+            false => self.heads,
+        };
+        for h in 0..stored {
+            let start = p.next_id();
+            for (i, cmd) in self.head.iter().enumerate() {
+                let own = cmd
+                    .own
+                    .iter()
+                    .filter(|&&off| off <= i)
+                    .map(|off| start + i - off);
+                let prev = (h > 0)
+                    .then(|| start - len)
+                    .into_iter()
+                    .flat_map(|ps| cmd.prev.iter().map(move |&j| ps + j % len));
+                let fixed = cmd.far.map(|j| block + j % self.block.len());
+                let deps = own.chain(prev).chain(fixed);
+                let duration = Duration::from_ns(cmd.dur_ns);
+                p.emit(cmd.unit, duration, cmd.tag, deps, cmd.shared.clone());
+            }
+        }
+        if compact && len > 0 && stored > 0 {
+            let last = anchor + (stored - 1) * len;
+            p.repeat_block(last..last + len, anchor, self.heads - stored);
+        }
+    }
+
     /// Whether the compact program's copies are the blocks full emission
     /// gives: blocks 2 on shift alike, so the copied block must be one of
-    /// them and unperturbed.
+    /// them and unperturbed; heads 1 on shift alike, as does head 0 when
+    /// no head reads the head before it.
     fn copies_match_emission(&self, perturbed: bool) -> bool {
         let stored = self.stored.min(self.blocks);
-        stored == self.blocks || (stored >= 3 && !(perturbed && self.perturb.0 + 1 >= stored))
+        let heads = self.stored_heads >= 2.min(self.heads)
+            || self.head.iter().all(|cmd| cmd.prev.is_empty());
+        heads
+            && (stored == self.blocks
+                || (stored >= 3 && !(perturbed && self.perturb.0 + 1 >= stored)))
     }
 
     fn engine(&self) -> Engine {
@@ -352,22 +426,33 @@ proptest! {
 #[test]
 fn random_block_programs_mostly_reach_steady_state() {
     // Guards the property above against testing only the fallback: most
-    // generated programs with enough copies must skip some.
+    // generated programs with enough copies of a block, or of a head in
+    // blocks that are all stored, must skip some.
     let strategy = block_program();
     let mut rng = TestRng::from_name("random_block_programs_mostly_reach_steady_state");
-    let (mut long, mut shortcut) = (0, 0);
+    let (mut long, mut shortcut) = ([0; 2], [0; 2]);
     for _ in 0..512 {
         let bp = strategy.generate(&mut rng);
-        if bp.blocks >= bp.stored + 6 {
-            long += 1;
-            let p = bp.emit(true, false);
-            shortcut += usize::from(bp.engine().run(&p).scheduled() < p.len());
+        let long_blocks = bp.blocks >= bp.stored + 6;
+        let long_heads = (1..=bp.stored).contains(&bp.blocks)
+            && !bp.head.is_empty()
+            && bp.heads >= bp.stored_heads + 4;
+        for (kind, is_long) in [long_blocks, long_heads].into_iter().enumerate() {
+            if is_long {
+                long[kind] += 1;
+                let p = bp.emit(true, false);
+                shortcut[kind] += usize::from(bp.engine().run(&p).scheduled() < p.len());
+            }
         }
     }
-    assert!(
-        2 * shortcut > long,
-        "{shortcut} of {long} programs reached steady state"
-    );
+    for kind in 0..2 {
+        assert!(
+            2 * shortcut[kind] > long[kind],
+            "{} of {} programs reached steady state",
+            shortcut[kind],
+            long[kind]
+        );
+    }
 }
 
 #[test]
@@ -387,7 +472,7 @@ fn non_settling_repeat_is_scheduled_copy_by_copy() {
             None,
         ));
     }
-    p.repeat_block(4..6, 17);
+    p.repeat_block(4..6, 0, 17);
     let mut eng = Engine::new(2, Duration::ZERO);
     let compact = eng.run_traced(&p);
     let full = eng.run_traced(&p.expanded());

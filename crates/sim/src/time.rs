@@ -71,11 +71,13 @@ impl Time {
     }
 
     /// Later of two timestamps.
+    #[inline]
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
     }
 
     /// Earlier of two timestamps.
+    #[inline]
     pub fn min(self, other: Time) -> Time {
         Time(self.0.min(other.0))
     }
@@ -85,6 +87,7 @@ impl Time {
     /// # Panics
     ///
     /// Panics in debug builds if `earlier` is after `self`.
+    #[inline]
     pub fn since(self, earlier: Time) -> Duration {
         debug_assert!(earlier.0 <= self.0, "since() with later timestamp");
         Duration(self.0 - earlier.0)
@@ -155,16 +158,19 @@ impl Duration {
     }
 
     /// Longer of two durations.
+    #[inline]
     pub fn max(self, other: Duration) -> Duration {
         Duration(self.0.max(other.0))
     }
 
     /// Shorter of two durations.
+    #[inline]
     pub fn min(self, other: Duration) -> Duration {
         Duration(self.0.min(other.0))
     }
 
     /// Difference clamped at zero.
+    #[inline]
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
     }
