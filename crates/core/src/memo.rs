@@ -3,8 +3,10 @@
 //! The stage memo and the generation templates in
 //! [`IanusSystem`](crate::IanusSystem) and the replica memos of the
 //! serving engine key on a whole `ModelConfig`, plus a few integers for
-//! all but the templates; the replica memos are read on every engine iteration, and
-//! the paged-KV block tables on every turn for every resident sequence.
+//! all but the templates; the replica memos are read on every engine
+//! iteration. (The paged-KV block tables, read on every turn for every
+//! resident sequence, are not hashed at all: they live in a slab indexed
+//! by the slot each sequence carries.)
 //! [`Memo`] hashes those keys with a multiplicative word hash: SipHash
 //! over a config costs more than the rest of a lookup, and an empty
 //! `Memo` neither allocates nor seeds a random hasher state, so building

@@ -136,11 +136,9 @@ impl super::ServingSim {
             let steps = shape.generation_steps();
             let attained = if steps > 0 {
                 let itl = (s - prefill).max(0.0) / steps as f64;
-                stats.itls.extend(std::iter::repeat_n(itl, steps as usize));
+                stats.itls.push_n(itl, steps);
                 if arrival.in_burst {
-                    stats
-                        .burst_itls
-                        .extend(std::iter::repeat_n(itl, steps as usize));
+                    stats.burst_itls.push_n(itl, steps);
                 }
                 request_attains(arrival.slo, ttft, &mut [itl])
             } else {
@@ -250,9 +248,7 @@ impl EngineCore<'_> {
                 .saturating_sub(p.blocks_for(hit_tokens));
                 if !preempt {
                     for s in batch.batches[r].iter() {
-                        need += p
-                            .blocks_for(s.shape.total_tokens())
-                            .saturating_sub(p.blocks_of(s.idx));
+                        need += p.growth(s.slot, s.shape.total_tokens());
                     }
                 }
                 p.reclaim(need);
@@ -314,11 +310,10 @@ impl EngineCore<'_> {
             // Map the shared prefix (if the class opted in and the
             // cache holds it): the sequence starts with those
             // tokens already built and prefills only the suffix.
-            let mut shared_tokens = 0u64;
+            let (mut slot, mut shared_tokens) = (0, 0u64);
             if let Some(p) = kv.paged[r].as_mut() {
                 let inherit_key = arrival.wf.and_then(|w| w.inherit);
-                shared_tokens = p.admit(
-                    arrival.idx,
+                (slot, shared_tokens) = p.admit(
                     inherit_key.or(kv.class_keys[arrival.class]),
                     arrival.shape.input.saturating_sub(1),
                 );
@@ -376,6 +371,7 @@ impl EngineCore<'_> {
                 tenant: arrival.tenant,
                 in_burst: arrival.in_burst,
                 wf: arrival.wf,
+                slot,
             });
         }
     }

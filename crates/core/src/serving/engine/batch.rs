@@ -15,6 +15,7 @@
 
 use super::core::EngineCore;
 use super::workflow_rt::{WfTag, WfWorld};
+use crate::serving::kv::KvSlot;
 use crate::serving::policy::SeqView;
 use crate::serving::report::request_attains;
 use crate::serving::ReplicaRole;
@@ -97,6 +98,9 @@ pub(super) struct ActiveSeq {
     /// Workflow identity (`None` for flat-mix sequences). Completion
     /// fans out through this to release children and decide races.
     pub(super) wf: Option<WfTag>,
+    /// Slot of its block table in the replica's paged pool (unused
+    /// under contiguous accounting).
+    pub(super) slot: KvSlot,
 }
 
 impl ActiveSeq {
@@ -114,7 +118,8 @@ impl ActiveSeq {
     }
 
     /// The eviction/re-admission policy view of this sequence, with
-    /// the engine-supplied eviction-cost estimates filled in.
+    /// the engine-supplied eviction-cost estimates filled in (NaN when
+    /// the policy does not read them).
     pub(super) fn view(
         &self,
         swap_secs: f64,
@@ -264,7 +269,7 @@ impl EngineCore<'_> {
         seq.prefilled += tokens;
         seq.past = seq.prefilled;
         if let Some(p) = self.kv.paged[r].as_mut() {
-            p.grow(seq.idx, seq.past);
+            p.grow(seq.slot, seq.past);
             if seq.decoding() {
                 // The prompt's full prefix blocks are now
                 // built: publish them to the class's cache
@@ -274,7 +279,7 @@ impl EngineCore<'_> {
                     let prefix = self.mix[seq.class]
                         .prefix_tokens
                         .min(seq.shape.input.saturating_sub(1));
-                    if let Some(shared) = p.register_prefix(seq.idx, key, prefix) {
+                    if let Some(shared) = p.register_prefix(seq.slot, key, prefix) {
                         seq.shared_tokens = seq.shared_tokens.max(shared);
                     }
                 }
@@ -312,7 +317,7 @@ impl EngineCore<'_> {
                         }
                         .on_node_complete(
                             tag,
-                            seq.idx,
+                            seq.slot,
                             r,
                             now,
                             &mut self.stats,
@@ -320,7 +325,7 @@ impl EngineCore<'_> {
                         );
                     }
                     if let Some(p) = self.kv.paged[r].as_mut() {
-                        p.complete(seq.idx);
+                        p.complete(seq.slot);
                     }
                     let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
                     self.stats.complete(
@@ -377,7 +382,7 @@ impl EngineCore<'_> {
             seq.last_token = now;
             seq.past += 1;
             seq.remaining -= 1;
-            let (idx, finished) = (seq.idx, seq.remaining == 0);
+            let (slot, finished) = (seq.slot, seq.remaining == 0);
             let wf_tag = seq.wf;
             self.stats.itls.push(gap);
             if in_burst {
@@ -399,7 +404,7 @@ impl EngineCore<'_> {
                     }
                     .on_node_complete(
                         tag,
-                        idx,
+                        slot,
                         r,
                         now,
                         &mut self.stats,
@@ -409,9 +414,9 @@ impl EngineCore<'_> {
             }
             if let Some(p) = self.kv.paged[r].as_mut() {
                 if finished {
-                    p.complete(idx);
+                    p.complete(slot);
                 } else {
-                    p.grow(idx, self.batch.batches[r][i].past);
+                    p.grow(slot, self.batch.batches[r][i].past);
                 }
             }
             if finished {

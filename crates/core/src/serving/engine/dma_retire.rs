@@ -12,6 +12,7 @@
 use super::batch::ActiveSeq;
 use super::core::EngineCore;
 use crate::serving::dma::DmaChannels;
+use crate::serving::kv::KvSlot;
 use crate::serving::ReplicaRole;
 use std::collections::VecDeque;
 
@@ -22,9 +23,9 @@ pub(super) struct LaneClocks {
     /// Per-replica DMA lane clocks, one per direction.
     pub(super) dma: Vec<DmaChannels>,
     /// In-flight swap-outs per replica: `(completes_at, tokens,
-    /// seq_idx)` — device KV is freed (paged: unshared blocks dropped)
-    /// only when the transfer lands.
-    pub(super) outgoing: Vec<VecDeque<(f64, u64, u64)>>,
+    /// kv_slot)` — device KV is freed (paged: the slot's unshared
+    /// blocks dropped) only when the transfer lands.
+    pub(super) outgoing: Vec<VecDeque<(f64, u64, KvSlot)>>,
     /// In-flight swap-ins per replica: the sequence re-joins the batch
     /// (and frees its host-pool bytes) when the transfer lands.
     pub(super) incoming: Vec<VecDeque<(f64, ActiveSeq)>>,
@@ -48,9 +49,9 @@ impl EngineCore<'_> {
                 .front()
                 .is_some_and(|&(t, _, _)| t <= batch.clock[r])
             {
-                let (_, _, oid) = lanes.outgoing[r].pop_front().expect("front was checked");
+                let (_, _, slot) = lanes.outgoing[r].pop_front().expect("front was checked");
                 if let Some(p) = kv.paged[r].as_mut() {
-                    p.drop_unshared(oid);
+                    p.drop_unshared(slot);
                 }
             }
             while lanes.incoming[r]
@@ -67,9 +68,9 @@ impl EngineCore<'_> {
             let mut i = 0;
             while i < lanes.outgoing[r].len() {
                 if lanes.outgoing[r][i].0 <= batch.clock[r] {
-                    let (_, _, oid) = lanes.outgoing[r].remove(i).expect("index in range");
+                    let (_, _, slot) = lanes.outgoing[r].remove(i).expect("index in range");
                     if let Some(p) = kv.paged[r].as_mut() {
-                        p.drop_unshared(oid);
+                        p.drop_unshared(slot);
                     }
                 } else {
                     i += 1;
@@ -168,18 +169,19 @@ impl EngineCore<'_> {
                         .front()
                         .is_some_and(|&(t, _, _)| t <= batch.clock[r])
                     {
-                        let (_, _, oid) = lanes.outgoing[r].pop_front().expect("front was checked");
+                        let (_, _, slot) =
+                            lanes.outgoing[r].pop_front().expect("front was checked");
                         if let Some(p) = kv.paged[r].as_mut() {
-                            p.drop_unshared(oid);
+                            p.drop_unshared(slot);
                         }
                     }
                 } else {
                     let mut j = 0;
                     while j < lanes.outgoing[r].len() {
                         if lanes.outgoing[r][j].0 <= batch.clock[r] {
-                            let (_, _, oid) = lanes.outgoing[r].remove(j).expect("index in range");
+                            let (_, _, slot) = lanes.outgoing[r].remove(j).expect("index in range");
                             if let Some(p) = kv.paged[r].as_mut() {
-                                p.drop_unshared(oid);
+                                p.drop_unshared(slot);
                             }
                         } else {
                             j += 1;

@@ -82,26 +82,25 @@ pub(super) fn build_paged_pools(
     paged
 }
 
-/// The policy view of `seq` with its eviction-cost estimates: one-way
-/// swap time (infinite when the replica's host-pool `headroom` cannot
-/// take the sequence's KV bytes) and the grid-estimated re-prefill
-/// cost. Both price only the *unshared* context — shared prefix blocks
-/// neither move nor recompute (everything is unshared under contiguous
-/// accounting). The headroom check charges whole blocks when replica
-/// `r` keeps `paged` KV, matching the engine's block-granular pool
-/// debit; contiguous accounting keeps the exact charge. The sequence's
-/// block count and `readmit_delay` pass through to the view for
-/// block-aware policies.
-pub(super) fn costed_view(
+/// The eviction-cost estimates of `seq` on replica `r`, as
+/// `(swap_secs, recompute_secs)`: one-way swap time (infinite when the
+/// replica's host-pool `headroom` cannot take the sequence's KV bytes)
+/// and the grid-estimated re-prefill cost. Both price only the
+/// *unshared* context — shared prefix blocks neither move nor recompute
+/// (everything is unshared under contiguous accounting). The headroom
+/// check charges whole blocks when replica `r` keeps `paged` KV,
+/// matching the engine's block-granular pool debit; contiguous
+/// accounting keeps the exact charge. Both prices are pure functions of
+/// their memo keys, so skipping the ones no policy reads changes no
+/// report.
+pub(super) fn eviction_costs(
     seq: &ActiveSeq,
     replicas: &mut Replicas,
     r: usize,
     model: &ModelConfig,
     headroom: Option<u64>,
     paged: Option<&PagedKv>,
-    readmit_delay: f64,
-) -> SeqView {
-    let kv_blocks = paged.map_or(0, |p| p.blocks_of(seq.idx));
+) -> (f64, f64) {
     let block_tokens = paged.map_or(0, |p| p.block_tokens());
     let moved = seq.past - seq.shared_tokens;
     let pool_tokens = if block_tokens > 0 {
@@ -115,6 +114,21 @@ pub(super) fn costed_view(
         _ => replicas.kv_transfer_secs(r, model, moved),
     };
     let recompute_secs = replicas.pricer(r).prefill_est_secs(model, moved);
+    (swap_secs, recompute_secs)
+}
+
+/// The policy view of `seq`, carrying its [`eviction_costs`] when the
+/// policy reads them (`costs` is `Some`) and NaN in both cost fields
+/// otherwise. The sequence's block count and `readmit_delay` pass
+/// through to the view for block-aware policies.
+fn costed_view(
+    seq: &ActiveSeq,
+    paged: Option<&PagedKv>,
+    readmit_delay: f64,
+    costs: Option<(f64, f64)>,
+) -> SeqView {
+    let (swap_secs, recompute_secs) = costs.unwrap_or((f64::NAN, f64::NAN));
+    let kv_blocks = paged.map_or(0, |p| p.blocks_of(seq.slot));
     seq.view(swap_secs, recompute_secs, kv_blocks, readmit_delay)
 }
 
@@ -155,28 +169,24 @@ impl EngineCore<'_> {
             } else {
                 0.0
             };
+            let paged = kv.paged[r].as_ref();
+            let priced = scheduler.readmission.reads_costs();
             let views: Vec<(usize, SeqView)> = kv.swapped[r]
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    // Credit the candidate's own hosted bytes back:
-                    // its swap-side cost must not read as "pool
-                    // full" when the fullness is the candidate
-                    // itself (swapping *in* frees the pool).
-                    let headroom = kv.pools[r]
-                        .map(|p| p.saturating_sub(kv.host_used[r].saturating_sub(s.hosted_bytes)));
-                    (
-                        i,
-                        costed_view(
-                            s,
-                            replicas,
-                            r,
-                            model,
-                            headroom,
-                            kv.paged[r].as_ref(),
-                            readmit_delay,
-                        ),
-                    )
+                    let costs = priced.then(|| {
+                        // Credit the candidate's own hosted bytes
+                        // back: its swap-side cost must not read as
+                        // "pool full" when the fullness is the
+                        // candidate itself (swapping *in* frees the
+                        // pool).
+                        let headroom = kv.pools[r].map(|p| {
+                            p.saturating_sub(kv.host_used[r].saturating_sub(s.hosted_bytes))
+                        });
+                        eviction_costs(s, replicas, r, model, headroom, paged)
+                    });
+                    (i, costed_view(s, paged, readmit_delay, costs))
                 })
                 .collect();
             let Some(vi) =
@@ -208,11 +218,9 @@ impl EngineCore<'_> {
                     } else {
                         cand.prefill_target.max(1)
                     };
-                    let mut need = p.blocks_for(target).saturating_sub(p.blocks_of(cand.idx));
+                    let mut need = p.growth(cand.slot, target);
                     for s in batch.batches[r].iter() {
-                        need += p
-                            .blocks_for(grown_tokens(s))
-                            .saturating_sub(p.blocks_of(s.idx));
+                        need += p.growth(s.slot, grown_tokens(s));
                     }
                     p.reclaim(need);
                     if need <= p.free_blocks() {
@@ -273,8 +281,8 @@ impl EngineCore<'_> {
                 // and regrow the table to its context — a no-op
                 // when the blocks were never dropped. Recompute
                 // victims reacquire blocks lazily, chunk by chunk.
-                lanes.outgoing[r].retain(|&(_, _, oid)| oid != seq.idx);
-                p.grow(seq.idx, seq.past);
+                lanes.outgoing[r].retain(|&(_, _, slot)| slot != seq.slot);
+                p.grow(seq.slot, seq.past);
             }
             if seq.hosted_bytes == 0 {
                 // Recompute victim: nothing to restore over the
@@ -366,29 +374,26 @@ impl EngineCore<'_> {
                 // back (they drain without further evictions).
                 let growth: u64 = batch.batches[r]
                     .iter()
-                    .map(|s| {
-                        p.blocks_for(grown_tokens(s))
-                            .saturating_sub(p.blocks_of(s.idx))
-                    })
+                    .map(|s| p.growth(s.slot, grown_tokens(s)))
                     .sum();
                 p.reclaim(growth);
                 let in_flight: u64 = lanes.outgoing[r]
                     .iter()
-                    .map(|&(_, _, oid)| p.unshared_blocks_of(oid))
+                    .map(|&(_, _, slot)| p.unshared_blocks_of(slot))
                     .sum();
                 if growth <= p.free_blocks() + in_flight {
                     // Enough memory once in-flight swap-outs
                     // drain; stall the iteration until the ones
                     // it actually needs have completed.
                     while growth > p.free_blocks() {
-                        let (done_at, oid) = if event_core {
+                        let (done_at, slot) = if event_core {
                             // The deque is completion-sorted, so
                             // the front is the earliest swap-out.
-                            let (t, _, oid) = lanes.outgoing[r].pop_front().expect(
+                            let (t, _, slot) = lanes.outgoing[r].pop_front().expect(
                                 "growth exceeds free blocks only through \
                                  in-flight swap-outs",
                             );
-                            (t, oid)
+                            (t, slot)
                         } else {
                             let (j, t) = lanes.outgoing[r]
                                 .iter()
@@ -399,12 +404,12 @@ impl EngineCore<'_> {
                                     "growth exceeds free blocks only through \
                                      in-flight swap-outs",
                                 );
-                            let (_, _, oid) = lanes.outgoing[r].remove(j).expect("index in range");
-                            (t, oid)
+                            let (_, _, slot) = lanes.outgoing[r].remove(j).expect("index in range");
+                            (t, slot)
                         };
                         stats.stall[r] += (done_at - batch.clock[r]).max(0.0);
                         batch.clock[r] = batch.clock[r].max(done_at);
-                        p.drop_unshared(oid);
+                        p.drop_unshared(slot);
                     }
                     stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(p.occupancy_plus(growth));
                     Pressure::Fits
@@ -495,23 +500,16 @@ impl EngineCore<'_> {
             } else {
                 0.0
             };
+            let paged = kv.paged[r].as_ref();
+            let priced = scheduler.eviction.reads_costs();
             let views: Vec<(usize, SeqView)> = batch.batches[r]
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.decoding())
                 .map(|(i, s)| {
-                    (
-                        i,
-                        costed_view(
-                            s,
-                            replicas,
-                            r,
-                            model,
-                            headroom,
-                            kv.paged[r].as_ref(),
-                            readmit_delay,
-                        ),
-                    )
+                    let costs =
+                        priced.then(|| eviction_costs(s, replicas, r, model, headroom, paged));
+                    (i, costed_view(s, paged, readmit_delay, costs))
                 })
                 .collect();
             let victim =
@@ -559,7 +557,16 @@ impl EngineCore<'_> {
                 // the comparison alone decides. (The
                 // re-admission delay term is common to
                 // both mechanisms, so it cancels here.)
-                EvictionMechanism::Cheapest => 2.0 * view.swap_secs <= view.recompute_secs,
+                // A cost-blind policy left the views unpriced, so the
+                // victim alone is priced here.
+                EvictionMechanism::Cheapest => {
+                    let (swap_secs, recompute_secs) = if priced {
+                        (view.swap_secs, view.recompute_secs)
+                    } else {
+                        eviction_costs(&seq, replicas, r, model, headroom, paged)
+                    };
+                    2.0 * swap_secs <= recompute_secs
+                }
             };
             if by_swap {
                 seq.hosted_bytes = bytes;
@@ -581,12 +588,12 @@ impl EngineCore<'_> {
                     debug_assert!(lanes.outgoing[r]
                         .back()
                         .is_none_or(|&(t, _, _)| t <= done_at));
-                    lanes.outgoing[r].push_back((done_at, moved, seq.idx));
+                    lanes.outgoing[r].push_back((done_at, moved, seq.slot));
                 } else {
                     stats.stall[r] += done_at - batch.clock[r];
                     batch.clock[r] = done_at;
                     if let Some(p) = kv.paged[r].as_mut() {
-                        p.drop_unshared(seq.idx);
+                        p.drop_unshared(seq.slot);
                     }
                 }
             } else {
@@ -601,7 +608,7 @@ impl EngineCore<'_> {
                 seq.prefilled = seq.shared_tokens;
                 seq.past = seq.shared_tokens;
                 if let Some(p) = kv.paged[r].as_mut() {
-                    p.drop_unshared(seq.idx);
+                    p.drop_unshared(seq.slot);
                 }
             }
             kv.swapped[r].push(seq);

@@ -116,18 +116,16 @@ impl EngineCore<'_> {
                 // publish the prefix for later admissions (the
                 // migrant arrives fully prefilled, so its blocks
                 // are publishable immediately).
-                let shared = p.admit(
-                    seq.idx,
-                    kv.class_keys[seq.class],
-                    seq.shape.input.saturating_sub(1),
-                );
+                let (slot, shared) =
+                    p.admit(kv.class_keys[seq.class], seq.shape.input.saturating_sub(1));
+                seq.slot = slot;
                 seq.shared_tokens = shared;
-                p.grow(seq.idx, seq.past);
+                p.grow(seq.slot, seq.past);
                 if let Some(key) = kv.class_keys[seq.class] {
                     let prefix = mix[seq.class]
                         .prefix_tokens
                         .min(seq.shape.input.saturating_sub(1));
-                    if let Some(s2) = p.register_prefix(seq.idx, key, prefix) {
+                    if let Some(s2) = p.register_prefix(seq.slot, key, prefix) {
                         seq.shared_tokens = seq.shared_tokens.max(s2);
                     }
                 }
@@ -162,7 +160,7 @@ impl EngineCore<'_> {
         // nothing was ever evicted or hosted.
         debug_assert_eq!(seq.hosted_bytes, 0);
         if let Some(p) = self.kv.paged[r].as_mut() {
-            p.complete(seq.idx);
+            p.complete(seq.slot);
         }
         let targets: Vec<MigrationTarget> = self
             .mig

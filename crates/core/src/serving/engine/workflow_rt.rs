@@ -12,7 +12,7 @@
 
 use super::arrivals::Arrival;
 use super::TimeKey;
-use crate::serving::kv::PagedKv;
+use crate::serving::kv::{KvSlot, PagedKv};
 use crate::serving::report::RunStats;
 use crate::serving::workflow::{workflow_prefix_key, NodeState, WorkflowRun, WorkflowTemplate};
 use crate::serving::{RequestClass, ServingConfig};
@@ -116,7 +116,7 @@ impl WfWorld<'_> {
     pub(super) fn on_node_complete(
         &mut self,
         tag: WfTag,
-        seq_idx: u64,
+        slot: KvSlot,
         replica: usize,
         now: f64,
         stats: &mut RunStats,
@@ -133,7 +133,7 @@ impl WfWorld<'_> {
         if self.inheritance && self.runs[tag.inst].live_consumers(tag.node) > 0 {
             if let Some(p) = self.paged[replica].as_mut() {
                 let key = workflow_prefix_key(tag.inst as u64, tag.node);
-                if p.register_prefix(seq_idx, key, tpl.nodes[tag.node].shape.output)
+                if p.register_prefix(slot, key, tpl.nodes[tag.node].shape.output)
                     .is_some()
                 {
                     self.key_homes.insert(key, replica);

@@ -26,7 +26,9 @@
 //! * [`PagedKv`] — the per-replica bundle the engine drives: admission
 //!   maps cache hits, prefill/decode growth allocates blocks at block
 //!   boundaries, eviction frees only *unshared* blocks, completion
-//!   releases everything.
+//!   releases everything. Its tables live in a slab: admission hands
+//!   out a [`KvSlot`] the sequence carries, and completion frees the
+//!   slot for reuse.
 //!
 //! The block size is given in tokens; its byte size derives from the
 //! model's per-token KV bytes via
@@ -76,8 +78,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-
-use crate::memo::Memo;
 
 /// Index of one fixed-size KV block in a replica's device memory.
 pub type BlockId = u32;
@@ -480,18 +480,25 @@ impl PrefixCache {
     }
 }
 
+/// Slot of one live sequence's block table in a [`PagedKv`] slab:
+/// handed out by [`PagedKv::admit`], carried by the sequence, and
+/// reused once [`PagedKv::complete`] frees it.
+pub type KvSlot = u32;
+
 /// One replica's paged KV state: the allocator, the prefix cache, and
-/// the per-sequence block tables (keyed by the sequence's global
-/// arrival index). This is the engine-facing bundle — every mutation
-/// the iteration loop needs is one call here.
+/// the per-sequence block tables. This is the engine-facing bundle —
+/// every mutation the iteration loop needs is one call here.
 #[derive(Debug, Clone)]
 pub struct PagedKv {
     alloc: BlockAllocator,
     cache: PrefixCache,
-    /// Read once per resident sequence per turn, so hashed with the
-    /// memo hasher; iterated only for an integer sum (a debug check),
-    /// so hash order cannot reach a result.
-    tables: Memo<u64, BlockTable>,
+    /// Block tables in a slab indexed by [`KvSlot`] (`None` = vacant):
+    /// read once per resident sequence per turn, so a lookup is one
+    /// index, with no hashing.
+    tables: Vec<Option<BlockTable>>,
+    /// Vacant slots, reused last-freed first, so the slab never grows
+    /// past the peak number of live tables.
+    vacant: Vec<KvSlot>,
     /// Running sum of every live table's
     /// [`slack_tokens`](BlockTable::slack_tokens), kept by every call
     /// that changes a table's blocks or tokens.
@@ -505,7 +512,8 @@ impl PagedKv {
         PagedKv {
             alloc: BlockAllocator::new(total_blocks, block_tokens),
             cache: PrefixCache::new(),
-            tables: Memo::default(),
+            tables: Vec::new(),
+            vacant: Vec::new(),
             slack: 0,
         }
     }
@@ -540,15 +548,38 @@ impl PagedKv {
         self.alloc.blocks_for(tokens)
     }
 
-    /// Blocks the sequence `idx` currently maps (0 when unknown).
-    pub fn blocks_of(&self, idx: u64) -> u64 {
-        self.tables.get(&idx).map_or(0, |t| t.blocks.len() as u64)
+    /// The live table in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is vacant.
+    fn table(&self, slot: KvSlot) -> &BlockTable {
+        self.tables[slot as usize]
+            .as_ref()
+            .expect("KV slot holds no live table")
     }
 
-    /// Private (unshared) blocks the sequence `idx` currently maps —
+    /// Blocks the sequence in `slot` currently maps.
+    pub fn blocks_of(&self, slot: KvSlot) -> u64 {
+        self.table(slot).blocks.len() as u64
+    }
+
+    /// Blocks the sequence in `slot` must add to hold `tokens` of
+    /// context: `blocks_for(tokens) − blocks_of(slot)`, floored at 0.
+    /// Divides only when the table actually grows.
+    pub fn growth(&self, slot: KvSlot, tokens: u64) -> u64 {
+        let held = self.table(slot).blocks.len() as u64;
+        if tokens <= held * self.alloc.block_tokens() {
+            0
+        } else {
+            self.alloc.blocks_for(tokens) - held
+        }
+    }
+
+    /// Private (unshared) blocks the sequence in `slot` currently maps —
     /// what its eviction would free.
-    pub fn unshared_blocks_of(&self, idx: u64) -> u64 {
-        self.tables.get(&idx).map_or(0, |t| t.unshared_blocks())
+    pub fn unshared_blocks_of(&self, slot: KvSlot) -> u64 {
+        self.table(slot).unshared_blocks()
     }
 
     /// Tokens the cached prefix under `key` could map for a prompt of
@@ -559,10 +590,11 @@ impl PagedKv {
             .map_or(0, |(_, tokens)| tokens)
     }
 
-    /// Admits sequence `idx`: creates its table and, when `key` names a
-    /// cached prefix, maps up to `max_tokens` of shared blocks. Returns
-    /// the shared tokens mapped (0 = cold admission).
-    pub fn admit(&mut self, idx: u64, key: Option<u64>, max_tokens: u64) -> u64 {
+    /// Admits a sequence: creates its table in a free slot and, when
+    /// `key` names a cached prefix, maps up to `max_tokens` of shared
+    /// blocks. Returns the slot and the shared tokens mapped (0 = cold
+    /// admission).
+    pub fn admit(&mut self, key: Option<u64>, max_tokens: u64) -> (KvSlot, u64) {
         let mut table = BlockTable::new();
         let mut shared = 0;
         if let Some(key) = key {
@@ -572,54 +604,64 @@ impl PagedKv {
                 shared = tokens;
             }
         }
-        let prev = self.tables.insert(idx, table);
-        debug_assert!(prev.is_none(), "sequence {idx} admitted twice");
-        shared
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            self.tables.push(None);
+            KvSlot::try_from(self.tables.len() - 1).expect("KV slot space exhausted")
+        });
+        self.tables[slot as usize] = Some(table);
+        (slot, shared)
     }
 
-    /// Grows sequence `idx`'s stored context to `tokens` (prefill-chunk
-    /// or decode-step advance, or a swap-in restoring its private
-    /// blocks), allocating at block boundaries.
-    pub fn grow(&mut self, idx: u64, tokens: u64) {
-        let table = self.tables.get_mut(&idx).expect("grow of unknown sequence");
+    /// Grows the stored context of the sequence in `slot` to `tokens`
+    /// (prefill-chunk or decode-step advance, or a swap-in restoring its
+    /// private blocks), allocating at block boundaries.
+    pub fn grow(&mut self, slot: KvSlot, tokens: u64) {
         let block_tokens = self.alloc.block_tokens();
+        let table = live(&mut self.tables, slot);
         self.slack -= table.slack_tokens(block_tokens);
         table.grow_to(&mut self.alloc, tokens);
         self.slack += table.slack_tokens(block_tokens);
     }
 
-    /// Registers sequence `idx`'s first `prefix_tokens` of context as
-    /// the cached prefix under `key`, if absent. The registering
-    /// sequence's own leading blocks become shared (its later eviction
-    /// moves only the suffix). Returns the shared tokens now marked on
-    /// the sequence, or `None` when the key was already cached (or the
-    /// prefix spans no full block).
-    pub fn register_prefix(&mut self, idx: u64, key: u64, prefix_tokens: u64) -> Option<u64> {
-        let blocks = (prefix_tokens / self.alloc.block_tokens()) as usize;
-        let table = self.tables.get_mut(&idx).expect("register of unknown seq");
-        debug_assert!(table.tokens() >= blocks as u64 * self.alloc.block_tokens());
-        let prefix = table.blocks()[..blocks].to_vec();
-        let tokens = blocks as u64 * self.alloc.block_tokens();
-        if !self.cache.insert(&mut self.alloc, key, &prefix, tokens) {
+    /// Registers the first `prefix_tokens` of context of the sequence in
+    /// `slot` as the cached prefix under `key`, if absent. The
+    /// registering sequence's own leading blocks become shared (its
+    /// later eviction moves only the suffix). Returns the shared tokens
+    /// now marked on the sequence, or `None` when the key was already
+    /// cached (or the prefix spans no full block).
+    pub fn register_prefix(&mut self, slot: KvSlot, key: u64, prefix_tokens: u64) -> Option<u64> {
+        let block_tokens = self.alloc.block_tokens();
+        let blocks = (prefix_tokens / block_tokens) as usize;
+        let table = live(&mut self.tables, slot);
+        debug_assert!(table.tokens() >= blocks as u64 * block_tokens);
+        let prefix = &table.blocks()[..blocks];
+        let tokens = blocks as u64 * block_tokens;
+        if !self.cache.insert(&mut self.alloc, key, prefix, tokens) {
             return None;
         }
         table.mark_shared(blocks);
         Some(tokens)
     }
 
-    /// Frees sequence `idx`'s private blocks (eviction by swap or
-    /// recompute — either way only unshared blocks leave the device).
-    pub fn drop_unshared(&mut self, idx: u64) {
-        let table = self.tables.get_mut(&idx).expect("evict of unknown seq");
-        self.slack -= table.slack_tokens(self.alloc.block_tokens());
+    /// Frees the private blocks of the sequence in `slot` (eviction by
+    /// swap or recompute — either way only unshared blocks leave the
+    /// device). The slot stays live.
+    pub fn drop_unshared(&mut self, slot: KvSlot) {
+        let block_tokens = self.alloc.block_tokens();
+        let table = live(&mut self.tables, slot);
+        self.slack -= table.slack_tokens(block_tokens);
         table.truncate_to_shared(&mut self.alloc);
     }
 
-    /// Releases sequence `idx`'s blocks and forgets it (completion).
-    pub fn complete(&mut self, idx: u64) {
-        let mut table = self.tables.remove(&idx).expect("completion of unknown seq");
+    /// Releases the blocks of the sequence in `slot` and frees the slot
+    /// (completion).
+    pub fn complete(&mut self, slot: KvSlot) {
+        let mut table = self.tables[slot as usize]
+            .take()
+            .expect("KV slot holds no live table");
         self.slack -= table.slack_tokens(self.alloc.block_tokens());
         table.release_all(&mut self.alloc);
+        self.vacant.push(slot);
     }
 
     /// Reclaims idle prefix-cache entries until `need` blocks are free
@@ -644,7 +686,8 @@ impl PagedKv {
         debug_assert_eq!(
             self.slack,
             self.tables
-                .values()
+                .iter()
+                .flatten()
                 .map(|t| t.slack_tokens(self.alloc.block_tokens()))
                 .sum::<u64>(),
             "running KV slack drifted from its tables"
@@ -670,12 +713,24 @@ impl PagedKv {
     /// conservation invariant of the run as a whole).
     pub fn finish(&mut self) {
         assert!(
-            self.tables.is_empty(),
+            self.tables.iter().all(Option::is_none),
             "sequences still hold KV tables at end of run"
         );
         self.cache.flush(&mut self.alloc);
         assert_eq!(self.alloc.used_blocks(), 0, "leaked KV blocks");
     }
+}
+
+/// The live table in `slot` of a [`PagedKv`] slab, borrowed apart from
+/// the allocator it mutates.
+///
+/// # Panics
+///
+/// Panics if `slot` is vacant.
+fn live(tables: &mut [Option<BlockTable>], slot: KvSlot) -> &mut BlockTable {
+    tables[slot as usize]
+        .as_mut()
+        .expect("KV slot holds no live table")
 }
 
 #[cfg(test)]
@@ -751,33 +806,45 @@ mod tests {
         let mut p = PagedKv::new(16, 16);
         let key = prefix_key(0, 32);
         // Cold admission: no cache entry yet.
-        assert_eq!(p.admit(1, Some(key), 47), 0);
-        p.grow(1, 48); // prefilled prompt: 3 blocks, last one full at 48
-        assert_eq!(p.register_prefix(1, key, 32), Some(32));
+        let (a, shared) = p.admit(Some(key), 47);
+        assert_eq!(shared, 0);
+        p.grow(a, 48); // prefilled prompt: 3 blocks, last one full at 48
+        assert_eq!(p.register_prefix(a, key, 32), Some(32));
         // A second request of the class maps the two full prefix blocks.
-        assert_eq!(p.admit(2, Some(key), 47), 32);
-        assert_eq!(p.blocks_of(2), 2);
-        p.grow(2, 48);
-        assert_eq!(p.unshared_blocks_of(2), 1);
-        // Evicting #2 frees only its private tail block.
+        let (b, shared) = p.admit(Some(key), 47);
+        assert_eq!(shared, 32);
+        assert_eq!(p.blocks_of(b), 2);
+        assert_eq!(p.growth(b, 32), 0, "no growth within held blocks");
+        assert_eq!(p.growth(b, 33), 1);
+        p.grow(b, 48);
+        assert_eq!(p.unshared_blocks_of(b), 1);
+        // Evicting b frees only its private tail block.
         let free_before = p.free_blocks();
-        p.drop_unshared(2);
+        p.drop_unshared(b);
         assert_eq!(p.free_blocks(), free_before + 1);
-        p.complete(1);
-        p.grow(2, 48);
-        p.complete(2);
+        p.complete(a);
+        p.grow(b, 48);
+        p.complete(b);
         p.finish();
     }
 
     #[test]
     fn fragmentation_measures_partial_tail_blocks() {
         let mut p = PagedKv::new(16, 16);
-        p.admit(1, None, 0);
-        p.grow(1, 24); // 2 blocks, 8 tokens slack
+        let (slot, _) = p.admit(None, 0);
+        p.grow(slot, 24); // 2 blocks, 8 tokens slack
         assert!((p.fragmentation() - 8.0 / 32.0).abs() < 1e-12);
-        p.grow(1, 32); // tail fills: no slack
+        p.grow(slot, 32); // tail fills: no slack
         assert_eq!(p.fragmentation(), 0.0);
-        p.complete(1);
+        p.complete(slot);
+        p.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "still hold KV tables")]
+    fn finish_with_a_live_table_panics() {
+        let mut p = PagedKv::new(16, 16);
+        p.admit(None, 0);
         p.finish();
     }
 
@@ -785,7 +852,7 @@ mod tests {
     /// live tables, through `fragmentation()`.
     fn assert_slack_matches_tables(p: &PagedKv) {
         let bt = p.block_tokens();
-        let slack: u64 = p.tables.values().map(|t| t.slack_tokens(bt)).sum();
+        let slack: u64 = p.tables.iter().flatten().map(|t| t.slack_tokens(bt)).sum();
         let allocated = p.used_blocks() * bt;
         let expected = if allocated == 0 {
             0.0
@@ -800,42 +867,61 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random admit (cold and prefix-hit) / grow / register /
-        /// evict / complete sequences keep the running slack equal to
-        /// the sum over the tables after every step.
+        /// evict / complete / complete-then-admit sequences keep the
+        /// running slack equal to the sum over the tables after every
+        /// step, `growth` equal to the block arithmetic it replaces,
+        /// and the slab no larger than the peak number of live tables.
         #[test]
         fn running_slack_tracks_tables(
-            ops in prop::collection::vec((0u8..6, 0u64..64, 1u64..80), 1..80),
+            ops in prop::collection::vec((0u8..7, 0u64..64, 1u64..80), 1..80),
         ) {
             let mut p = PagedKv::new(16, 16);
-            let mut live: Vec<u64> = Vec::new();
-            let mut next = 0u64;
+            let mut live: Vec<KvSlot> = Vec::new();
+            let mut peak = 0;
             for (op, pick, n) in ops {
                 let key = prefix_key((pick % 2) as usize, 0);
+                let admit = |p: &mut PagedKv, live: &mut Vec<KvSlot>, keyed: bool| {
+                    // Cold (no key) or keyed admission, which maps the
+                    // cached prefix when one is registered.
+                    let (slot, shared) = p.admit(keyed.then_some(key), n);
+                    assert!(!live.contains(&slot), "slot {slot} handed out twice");
+                    p.grow(slot, shared.max(n / 2));
+                    live.push(slot);
+                    slot
+                };
                 match op {
                     0 | 1 => {
-                        // Cold (no key) or keyed admission, which maps
-                        // the cached prefix when one is registered.
-                        let shared = p.admit(next, (op == 1).then_some(key), n);
-                        p.grow(next, shared.max(n / 2));
-                        live.push(next);
-                        next += 1;
+                        admit(&mut p, &mut live, op == 1);
                     }
                     _ if live.is_empty() => {}
                     2 => {
-                        let idx = live[pick as usize % live.len()];
-                        p.grow(idx, p.tables[&idx].tokens() + n);
+                        let slot = live[pick as usize % live.len()];
+                        let tokens = p.table(slot).tokens() + n;
+                        let expected = p.blocks_for(tokens).saturating_sub(p.blocks_of(slot));
+                        assert_eq!(p.growth(slot, tokens), expected);
+                        assert_eq!(p.growth(slot, p.table(slot).tokens()), 0);
+                        p.grow(slot, tokens);
+                        assert_eq!(p.growth(slot, tokens), 0);
                     }
                     3 => {
-                        let idx = live[pick as usize % live.len()];
-                        p.register_prefix(idx, key, n.min(p.tables[&idx].tokens()));
+                        let slot = live[pick as usize % live.len()];
+                        p.register_prefix(slot, key, n.min(p.table(slot).tokens()));
                     }
                     4 => p.drop_unshared(live[pick as usize % live.len()]),
-                    _ => p.complete(live.swap_remove(pick as usize % live.len())),
+                    5 => p.complete(live.swap_remove(pick as usize % live.len())),
+                    _ => {
+                        // Complete then admit: the freed slot is reused.
+                        let freed = live.swap_remove(pick as usize % live.len());
+                        p.complete(freed);
+                        assert_eq!(admit(&mut p, &mut live, pick % 2 == 0), freed);
+                    }
                 }
+                peak = peak.max(live.len());
+                assert!(p.tables.len() <= peak, "slab outgrew the live tables");
                 assert_slack_matches_tables(&p);
             }
-            for idx in live {
-                p.complete(idx);
+            for slot in live {
+                p.complete(slot);
                 assert_slack_matches_tables(&p);
             }
             p.finish();

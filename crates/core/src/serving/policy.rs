@@ -143,13 +143,18 @@ pub struct SeqView {
     /// it by swap (charged again at swap-in). `f64::INFINITY` when the
     /// replica's host pool cannot take the bytes right now, so
     /// cost-aware policies see a full pool as "swap unavailable".
+    /// NaN unless the policy being asked
+    /// [reads costs](EvictionPolicy::reads_costs): the engine prices it
+    /// only for policies that do.
     pub swap_secs: f64,
     /// Estimated time to rebuild this sequence's current KV by
     /// re-prefilling its whole context, in seconds — the price of
     /// evicting it by recompute (grid-interpolated from the replica's
     /// prefill costs). Under paged KV ([`crate::serving::kv`]) only the
     /// *unshared* context is priced — shared prefix blocks stay
-    /// device-resident across eviction and are never rebuilt.
+    /// device-resident across eviction and are never rebuilt. NaN unless
+    /// the policy being asked [reads costs](EvictionPolicy::reads_costs),
+    /// like [`swap_secs`](Self::swap_secs).
     pub recompute_secs: f64,
     /// KV blocks the sequence currently maps when the replica runs the
     /// paged allocator ([`crate::serving::kv`]); 0 in contiguous mode.
@@ -330,12 +335,28 @@ impl AdmissionPolicy for WidestSubtreeAdmission {
 /// repeating until the projected batch fits. Those liveness guards
 /// belong to the engine, not the policy: every policy inherits
 /// "preempted sequences always complete" for free.
+///
+/// Pricing a candidate's [`swap_secs`](SeqView::swap_secs) and
+/// [`recompute_secs`](SeqView::recompute_secs) can cost a device
+/// simulation, so the engine prices them only when
+/// [`reads_costs`](Self::reads_costs) says the comparator reads them.
+/// A policy that answers `false` sees NaN in both fields and must order
+/// without them; the default `true` keeps every custom policy priced.
 pub trait EvictionPolicy {
     /// Short stable identifier (report/CLI label).
     fn name(&self) -> &'static str;
 
     /// `Less` ⇒ `a` is evicted before `b`.
     fn compare(&self, a: &SeqView, b: &SeqView) -> Ordering;
+
+    /// Whether [`compare`](Self::compare) reads the views'
+    /// [`swap_secs`](SeqView::swap_secs) or
+    /// [`recompute_secs`](SeqView::recompute_secs) (directly or through
+    /// [`SeqView::eviction_cost_secs`]). `false` lets the engine leave
+    /// them unpriced (NaN).
+    fn reads_costs(&self) -> bool {
+        true
+    }
 }
 
 /// Evict the lowest-[`Priority`] tier first, the youngest sequence
@@ -354,6 +375,10 @@ impl EvictionPolicy for LowestPriorityYoungest {
         a.priority
             .cmp(&b.priority)
             .then(b.arrival_idx.cmp(&a.arrival_idx))
+    }
+
+    fn reads_costs(&self) -> bool {
+        false
     }
 }
 
@@ -374,6 +399,10 @@ impl EvictionPolicy for LargestKv {
             .cmp(&a.kv_tokens)
             .then(LowestPriorityYoungest.compare(a, b))
     }
+
+    fn reads_costs(&self) -> bool {
+        false
+    }
 }
 
 /// Evict the sequence that has generated the fewest output tokens —
@@ -392,6 +421,10 @@ impl EvictionPolicy for LeastProgress {
         a.generated
             .cmp(&b.generated)
             .then(LowestPriorityYoungest.compare(a, b))
+    }
+
+    fn reads_costs(&self) -> bool {
+        false
     }
 }
 
@@ -432,12 +465,25 @@ impl EvictionPolicy for CheapestEviction {
 /// at every boundary (they are older than anything still queued), and
 /// when a replica's batch empties, the policy-minimal one re-enters
 /// unconditionally — the liveness guarantee, again owned by the engine.
+///
+/// The cost fields of the views follow the same contract as for
+/// [`EvictionPolicy`]: priced only when
+/// [`reads_costs`](Self::reads_costs) is `true` (the default), NaN
+/// otherwise.
 pub trait ReadmissionPolicy {
     /// Short stable identifier (report/CLI label).
     fn name(&self) -> &'static str;
 
     /// `Less` ⇒ `a` re-enters before `b`.
     fn compare(&self, a: &SeqView, b: &SeqView) -> Ordering;
+
+    /// Whether [`compare`](Self::compare) reads the views'
+    /// [`swap_secs`](SeqView::swap_secs) or
+    /// [`recompute_secs`](SeqView::recompute_secs). `false` lets the
+    /// engine leave them unpriced (NaN).
+    fn reads_costs(&self) -> bool {
+        true
+    }
 }
 
 /// Re-admit in swap-out order (first evicted, first restored). The
@@ -455,6 +501,10 @@ impl ReadmissionPolicy for FifoReadmission {
             .cmp(&b.swap_epoch)
             .then(a.arrival_idx.cmp(&b.arrival_idx))
     }
+
+    fn reads_costs(&self) -> bool {
+        false
+    }
 }
 
 /// Deadline-aware re-admission: the sequence whose request carries the
@@ -471,6 +521,10 @@ impl ReadmissionPolicy for DeadlineReadmission {
 
     fn compare(&self, a: &SeqView, b: &SeqView) -> Ordering {
         deadline_cmp(a.deadline, b.deadline).then(FifoReadmission.compare(a, b))
+    }
+
+    fn reads_costs(&self) -> bool {
+        false
     }
 }
 

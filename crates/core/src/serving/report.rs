@@ -60,6 +60,74 @@ impl LatencyPercentiles {
     }
 }
 
+/// A latency sample stored as runs of bit-equal values: `(seconds,
+/// count)` pairs in push order. A push merges into the last run when its
+/// bits equal the run's, so a decode turn whose sequences all waited the
+/// same gap stores one run, not one value per token.
+///
+/// The value at each rank of a multiset does not depend on how it is
+/// stored, so [`percentiles`](Self::percentiles) reads exactly what
+/// [`LatencyPercentiles::of`] reads over the expanded samples.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunSample {
+    runs: Vec<(f64, u64)>,
+}
+
+impl RunSample {
+    /// Records one sample.
+    pub fn push(&mut self, secs: f64) {
+        self.push_n(secs, 1);
+    }
+
+    /// Records `count` samples of `secs` (a no-op when `count` is 0).
+    pub fn push_n(&mut self, secs: f64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some((last, n)) if last.to_bits() == secs.to_bits() => *n += count,
+            _ => self.runs.push((secs, count)),
+        }
+    }
+
+    /// Percentiles of the expanded sample: the runs are sorted under
+    /// [`f64::total_cmp`] (left so) and walked to each
+    /// [`rank`]`(len, p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample is not finite.
+    pub fn percentiles(&mut self) -> LatencyPercentiles {
+        assert!(
+            self.runs.iter().all(|&(x, _)| x.is_finite()),
+            "samples are finite"
+        );
+        if self.runs.is_empty() {
+            return LatencyPercentiles::ZERO;
+        }
+        self.runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let len: u64 = self.runs.iter().map(|&(_, n)| n).sum();
+        // Each rank is at or above the previous one, so each walk
+        // resumes where the previous one stopped.
+        let (mut run, mut below) = (0, 0u64);
+        let mut at = |p: f64| {
+            let idx = rank(len as usize, p) as u64;
+            while below + self.runs[run].1 <= idx {
+                below += self.runs[run].1;
+                run += 1;
+            }
+            Duration::from_secs_f64(self.runs[run].0)
+        };
+        let (p50, p95, p99) = (at(0.50), at(0.95), at(0.99));
+        LatencyPercentiles {
+            p50,
+            p95,
+            p99,
+            max: Duration::from_secs_f64(self.runs[self.runs.len() - 1].0),
+        }
+    }
+}
+
 /// Sojourn statistics of one request class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassReport {
@@ -428,7 +496,9 @@ pub(crate) struct RunStats {
     pub sojourns: Vec<f64>,
     pub class_sojourns: Vec<Vec<f64>>,
     pub ttfts: Vec<f64>,
-    pub itls: Vec<f64>,
+    /// Inter-token-latency samples, one per generated token, stored as
+    /// runs.
+    pub itls: RunSample,
     /// Per-replica **compute** time (prefill + decode iterations only;
     /// KV swap DMA goes to [`dma`](Self::dma) so utilization keeps
     /// meaning compute-busy).
@@ -507,10 +577,10 @@ pub(crate) struct RunStats {
     pub tenant_sojourns: Vec<Vec<f64>>,
     pub tenant_attained: Vec<u64>,
     /// ITL samples of tokens emitted by requests that arrived inside a
-    /// burst window — a *separate* vector pushed alongside
-    /// [`itls`](Self::itls), so burst accounting never perturbs the
-    /// existing sample order.
-    pub burst_itls: Vec<f64>,
+    /// burst window — a separate sample pushed alongside
+    /// [`itls`](Self::itls). Percentiles do not depend on push order, so
+    /// neither sample's runs affect the other's report.
+    pub burst_itls: RunSample,
     /// Completions (and SLO-attained completions) of requests that
     /// arrived inside a burst window.
     pub burst_completed: u64,
@@ -526,7 +596,7 @@ impl RunStats {
             sojourns: Vec::with_capacity(requests as usize),
             class_sojourns: vec![Vec::new(); classes],
             ttfts: Vec::with_capacity(requests as usize),
-            itls: Vec::new(),
+            itls: RunSample::default(),
             busy: vec![0.0; replicas],
             dma: vec![0.0; replicas],
             stall: vec![0.0; replicas],
@@ -564,7 +634,7 @@ impl RunStats {
             inheritable_tokens: 0,
             tenant_sojourns: vec![Vec::new(); tenants.max(1) as usize],
             tenant_attained: vec![0u64; tenants.max(1) as usize],
-            burst_itls: Vec::new(),
+            burst_itls: RunSample::default(),
             burst_completed: 0,
             burst_attained: 0,
             diverged: false,
@@ -718,7 +788,7 @@ impl RunStats {
             mean_service: Duration::from_secs_f64(self.service_sum / completions.max(1) as f64),
             sojourn: LatencyPercentiles::of(&mut self.sojourns),
             ttft: LatencyPercentiles::of(&mut self.ttfts),
-            inter_token: LatencyPercentiles::of(&mut self.itls),
+            inter_token: self.itls.percentiles(),
             peak_batch: self.peak_batch,
             peak_kv_occupancy: self.peak_kv_occupancy,
             preemptions: self.preemptions,
@@ -758,7 +828,7 @@ impl RunStats {
             } else {
                 0.0
             },
-            burst_inter_token: LatencyPercentiles::of(&mut self.burst_itls),
+            burst_inter_token: self.burst_itls.percentiles(),
             burst_slo_attainment: if self.burst_completed == 0 {
                 1.0
             } else {
@@ -854,6 +924,67 @@ mod tests {
             let mut selected = samples.clone();
             prop_assert_eq!(LatencyPercentiles::of(&mut selected), sorted_percentiles(&samples));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Run-length percentiles read exactly what `of` reads over the
+        /// expanded samples, bit for bit, however the samples were
+        /// pushed: one at a time or as `push_n` runs, in random order,
+        /// over a handful of values with signed zeros among them.
+        #[test]
+        fn run_length_percentiles_match_expanded_samples(
+            draws in prop::collection::vec((0u8..6, 0u64..5, 0u8..2), 0..40),
+        ) {
+            let mut runs = RunSample::default();
+            let mut expanded = Vec::new();
+            for (kind, count, singles) in draws {
+                let v = [-0.0, 0.0, 0.25, 0.5, 1e-3, 0.75][kind as usize];
+                if singles == 1 {
+                    (0..count).for_each(|_| runs.push(v));
+                } else {
+                    runs.push_n(v, count);
+                }
+                expanded.extend(std::iter::repeat_n(v, count as usize));
+            }
+            prop_assert_eq!(runs.percentiles(), LatencyPercentiles::of(&mut expanded));
+        }
+    }
+
+    #[test]
+    fn run_length_edge_cases() {
+        // Nothing pushed, and a zero-count run, read as empty.
+        let mut runs = RunSample::default();
+        runs.push_n(0.5, 0);
+        assert!(runs.runs.is_empty(), "push_n(v, 0) is a no-op");
+        assert_eq!(runs.percentiles(), LatencyPercentiles::ZERO);
+        // A zero-count run neither adds a run nor splits one.
+        runs.push(0.25);
+        runs.push_n(0.5, 0);
+        runs.push_n(0.25, 3);
+        assert_eq!(runs.runs, vec![(0.25, 4)]);
+        // A single sample is every percentile.
+        let mut one = RunSample::default();
+        one.push(0.125);
+        let at = Duration::from_secs_f64(0.125);
+        assert_eq!(
+            one.percentiles(),
+            LatencyPercentiles {
+                p50: at,
+                p95: at,
+                p99: at,
+                max: at
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "samples are finite")]
+    fn non_finite_run_samples_panic() {
+        let mut runs = RunSample::default();
+        runs.push_n(f64::INFINITY, 2);
+        runs.percentiles();
     }
 
     #[test]

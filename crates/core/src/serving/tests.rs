@@ -1710,3 +1710,174 @@ mod price_classes {
         }
     }
 }
+
+/// Cost-blind policies: the engine prices eviction costs only for
+/// policies that read them, and no report may tell the difference.
+mod cost_blind {
+    use super::*;
+    use crate::serving::policy::{
+        CheapestEviction, EvictionMechanism, EvictionPolicy, ReadmissionPolicy, SeqView,
+    };
+    use std::cmp::Ordering as CmpOrdering;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A simulated device that counts its `prefill_time` and
+    /// `kv_transfer_time` calls.
+    struct Counting {
+        inner: IanusSystem,
+        prefills: Arc<AtomicU64>,
+        transfers: Arc<AtomicU64>,
+    }
+
+    impl Backend for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn service_time(&mut self, model: &ModelConfig, shape: RequestShape) -> Duration {
+            self.inner.service_time(model, shape)
+        }
+        fn fits(&self, model: &ModelConfig) -> Result<(), crate::capacity::CapacityError> {
+            self.inner.fits(model)
+        }
+        fn prefill_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
+            self.prefills.fetch_add(1, Ordering::Relaxed);
+            self.inner.prefill_time(model, tokens)
+        }
+        fn decode_time(&mut self, model: &ModelConfig, past: u64, batch: u32) -> Duration {
+            self.inner.decode_time(model, past, batch)
+        }
+        fn batch_fits(
+            &self,
+            model: &ModelConfig,
+            batch: &[RequestShape],
+        ) -> Result<f64, crate::capacity::CapacityError> {
+            self.inner.batch_fits(model, batch)
+        }
+        fn kv_transfer_time(&mut self, model: &ModelConfig, tokens: u64) -> Duration {
+            self.transfers.fetch_add(1, Ordering::Relaxed);
+            self.inner.kv_transfer_time(model, tokens)
+        }
+        fn host_kv_bytes(&self) -> Option<u64> {
+            self.inner.host_kv_bytes()
+        }
+        fn kv_budget_bytes(&self, model: &ModelConfig, widest_input: u64) -> Option<u64> {
+            self.inner.kv_budget_bytes(model, widest_input)
+        }
+    }
+
+    /// Forwards `compare` to a built-in and keeps the trait's default
+    /// `reads_costs` (`true`), as any custom policy does: the engine
+    /// then prices every view it offers.
+    struct Priced<P: ?Sized>(Arc<P>);
+
+    impl EvictionPolicy for Priced<dyn EvictionPolicy + Send + Sync> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn compare(&self, a: &SeqView, b: &SeqView) -> CmpOrdering {
+            self.0.compare(a, b)
+        }
+    }
+
+    impl ReadmissionPolicy for Priced<dyn ReadmissionPolicy + Send + Sync> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn compare(&self, a: &SeqView, b: &SeqView) -> CmpOrdering {
+            self.0.compare(a, b)
+        }
+    }
+
+    /// `policy` with one member behind the [`Priced`] adapter: the
+    /// eviction policy, or the re-admission policy.
+    fn priced(policy: &SchedulerPolicy, eviction: bool) -> SchedulerPolicy {
+        let mut priced = policy.clone();
+        if eviction {
+            priced.eviction = Arc::new(Priced(policy.eviction.clone()));
+        } else {
+            priced.readmission = Arc::new(Priced(policy.readmission.clone()));
+        }
+        priced
+    }
+
+    /// A preempting paged GPT-2 XL run under `policy` behind a tight
+    /// host pool: its report and its (`prefill_time`,
+    /// `kv_transfer_time`) call counts.
+    fn run(policy: SchedulerPolicy) -> (ServingReport, u64, u64) {
+        let (prefills, transfers) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let report = ServingSim::new(ServingConfig::shared_prefix(100.0, 60))
+            .replica(Counting {
+                inner: IanusSystem::new(SystemConfig::ianus()),
+                prefills: prefills.clone(),
+                transfers: transfers.clone(),
+            })
+            .scheduling(Scheduling::IterationLevel {
+                max_batch: 32,
+                prefill_chunk: Some(128),
+                preempt: true,
+            })
+            .kv_block(16)
+            .host_kv_pool(Some(1 << 30))
+            .policy(policy)
+            .run(&ModelConfig::gpt2_xl());
+        assert!(report.preemptions > 0, "no KV pressure exercised");
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (report, count(&prefills), count(&transfers))
+    }
+
+    #[test]
+    fn cost_blind_policies_match_priced_runs_with_fewer_prices() {
+        let default = SchedulerPolicy::default();
+        // (bundle, whether its eviction member is the one under test
+        // rather than its re-admission member)
+        let cases = [
+            (default.clone(), true),
+            (default.clone().with_eviction(LargestKv), true),
+            (default.clone().with_eviction(LeastProgress), true),
+            (
+                default.clone().with_mechanism(EvictionMechanism::Cheapest),
+                true,
+            ),
+            (default.clone(), false),
+            (default.with_readmission(DeadlineReadmission), false),
+        ];
+        for (policy, eviction) in cases {
+            let label = format!(
+                "{} ({})",
+                policy.label(),
+                if eviction { "eviction" } else { "readmission" }
+            );
+            let reads_costs = if eviction {
+                policy.eviction.reads_costs()
+            } else {
+                policy.readmission.reads_costs()
+            };
+            assert!(!reads_costs, "{label}");
+            let (blind, blind_prefills, blind_transfers) = run(policy.clone());
+            let (full, full_prefills, full_transfers) = run(priced(&policy, eviction));
+            assert_eq!(format!("{blind:?}"), format!("{full:?}"), "{label}");
+            assert!(
+                blind_prefills < full_prefills,
+                "{label}: prefill_time {blind_prefills} vs {full_prefills}"
+            );
+            assert!(
+                blind_transfers < full_transfers,
+                "{label}: kv_transfer_time {blind_transfers} vs {full_transfers}"
+            );
+        }
+    }
+
+    /// A policy that reads costs keeps every candidate priced: behind
+    /// the adapter (which changes nothing for it) it makes exactly the
+    /// same backend calls.
+    #[test]
+    fn cheapest_eviction_prices_every_candidate() {
+        let policy = SchedulerPolicy::default().with_eviction(CheapestEviction);
+        assert!(policy.eviction.reads_costs());
+        let bare = run(policy.clone());
+        let wrapped = run(priced(&policy, true));
+        assert_eq!(format!("{:?}", bare.0), format!("{:?}", wrapped.0));
+        assert_eq!((bare.1, bare.2), (wrapped.1, wrapped.2));
+    }
+}
