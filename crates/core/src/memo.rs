@@ -1,12 +1,14 @@
 //! Hash maps for the memo tables that price device work once.
 //!
 //! The stage memo and the generation templates in
-//! [`IanusSystem`](crate::IanusSystem) and the replica memos of the
-//! serving engine key on a whole `ModelConfig`, plus a few integers for
-//! all but the templates; the replica memos are read on every engine
-//! iteration. (The paged-KV block tables, read on every turn for every
-//! resident sequence, are not hashed at all: they live in a slab indexed
-//! by the slot each sequence carries.)
+//! [`IanusSystem`](crate::IanusSystem) key on a whole `ModelConfig`
+//! (the stage memo also on the stage). The serving engine's replica memos,
+//! read on every engine iteration, do not: each price class resolves the
+//! run's model to its own tables once per run, so a lookup hashes only a
+//! token count, a shape, or a (batch, past) pair. (The paged-KV block
+//! tables, read on every turn for every resident sequence, are not
+//! hashed at all: they live in a slab indexed by the slot each sequence
+//! carries.)
 //! [`Memo`] hashes those keys with a multiplicative word hash: SipHash
 //! over a config costs more than the rest of a lookup, and an empty
 //! `Memo` neither allocates nor seeds a random hasher state, so building
@@ -31,6 +33,10 @@ impl Hasher for MemoHasher {
             word[..chunk.len()].copy_from_slice(chunk);
             self.write_u64(u64::from_le_bytes(word));
         }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
     }
 
     fn write_u64(&mut self, n: u64) {

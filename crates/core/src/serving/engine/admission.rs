@@ -17,7 +17,7 @@ use crate::serving::report::{request_attains, RunStats};
 use crate::serving::workflow::workflow_prefix_key;
 use crate::serving::DispatchPolicy;
 use crate::serving::ReplicaRole;
-use ianus_model::{ModelConfig, RequestShape};
+use ianus_model::RequestShape;
 
 /// The wait-queue layer: every generated arrival, the subset not yet
 /// admitted (ordered by arrival time, then index), and the divergence
@@ -40,7 +40,7 @@ pub(super) struct WaitQueue {
 impl super::ServingSim {
     /// Request-level scheduling: each request is dispatched whole to
     /// one replica and served run-to-completion (no batching).
-    pub(super) fn run_request_level(&mut self, model: &ModelConfig) -> RunStats {
+    pub(super) fn run_request_level(&mut self) -> RunStats {
         // Memoize every (replica, shape) service and prefill time up
         // front: ShortestExpectedJob consults all replicas per arrival,
         // and TTFT needs the prefill split. Replicas of one price class
@@ -49,8 +49,8 @@ impl super::ServingSim {
         for r in 0..n {
             let mut pricer = self.replicas.pricer(r);
             for class in &self.cfg.mix {
-                pricer.service_time(model, class.shape);
-                pricer.prefill_secs(model, class.shape.input);
+                pricer.service_time(class.shape);
+                pricer.prefill_secs(class.shape.input);
             }
         }
 
@@ -106,7 +106,7 @@ impl super::ServingSim {
                     let mut best = 0usize;
                     let mut best_done = f64::INFINITY;
                     for (i, &f) in free.iter().enumerate() {
-                        let service = self.replicas.class(i).service[&(*model, shape)];
+                        let service = self.replicas.prices(i).service[&shape];
                         let done = f.max(now) + service.as_secs_f64();
                         if done < best_done {
                             best_done = done;
@@ -117,9 +117,9 @@ impl super::ServingSim {
                 }
             };
 
-            let class = self.replicas.class(replica);
-            let s = class.service[&(*model, shape)].as_secs_f64();
-            let prefill = class.prefill[&(*model, shape.input)];
+            let prices = self.replicas.prices(replica);
+            let s = prices.service[&shape].as_secs_f64();
+            let prefill = prices.prefill[&shape.input];
             let start = now.max(free[replica]);
             let finish = start + s;
             free[replica] = finish;
@@ -247,7 +247,7 @@ impl EngineCore<'_> {
                 }
                 .saturating_sub(p.blocks_for(hit_tokens));
                 if !preempt {
-                    for s in batch.batches[r].iter() {
+                    for s in batch.batches[r].seqs() {
                         need += p.growth(s.slot, s.shape.total_tokens());
                     }
                 }
@@ -261,6 +261,7 @@ impl EngineCore<'_> {
             } else {
                 let resident: Vec<RequestShape> = if preempt {
                     let mut v: Vec<RequestShape> = batch.batches[r]
+                        .seqs()
                         .iter()
                         .map(|s| ActiveSeq::kv_shape(s.past))
                         .collect();
@@ -285,7 +286,7 @@ impl EngineCore<'_> {
                     v
                 } else {
                     let mut v: Vec<RequestShape> =
-                        batch.batches[r].iter().map(|s| s.shape).collect();
+                        batch.batches[r].seqs().iter().map(|s| s.shape).collect();
                     v.push(cand.shape);
                     v
                 };
@@ -306,7 +307,7 @@ impl EngineCore<'_> {
             wait.untaken.remove(&(TimeKey(wait.arrivals[pi].at), pi));
             wait.admitted += 1;
             let arrival = wait.arrivals[pi];
-            let service = replicas.pricer(r).ideal_service_secs(model, arrival.shape);
+            let service = replicas.pricer(r).ideal_service_secs(arrival.shape);
             // Map the shared prefix (if the class opted in and the
             // cache holds it): the sequence starts with those
             // tokens already built and prefills only the suffix.
@@ -346,7 +347,7 @@ impl EngineCore<'_> {
                 }
             }
             stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-            batch.batches[r].push(ActiveSeq {
+            let seq = ActiveSeq {
                 shape: arrival.shape,
                 arrival: arrival.at,
                 idx: arrival.idx,
@@ -372,7 +373,9 @@ impl EngineCore<'_> {
                 in_burst: arrival.in_burst,
                 wf: arrival.wf,
                 slot,
-            });
+                growth: 0,
+            };
+            batch.batches[r].push(seq, kv.paged[r].as_ref());
         }
     }
 }

@@ -2,7 +2,7 @@
 //! execute/advance phases of each turn.
 //!
 //! This layer owns what is *on the device right now* — the per-replica
-//! batches of [`ActiveSeq`] and the compute clocks — and the three
+//! [`Batch`]es of [`ActiveSeq`] and the compute clocks — and the three
 //! phases that move time: [`EngineCore::execute_iteration`] prices one
 //! mixed iteration (prefill chunk + decode step) and advances the
 //! clock, [`EngineCore::advance_prefill`] moves the chunked sequence
@@ -12,12 +12,17 @@
 //! completes finished sequences. Workflow completions fan out through
 //! [`WfWorld`](super::workflow_rt::WfWorld) before the paged pool frees
 //! the block table.
+//!
+//! A [`Batch`] keeps running counters over its sequences — decode
+//! width, past-length sum, next-step block growth, and the prefilling
+//! set — so that the only per-turn walk over a batch is the decode pass
+//! itself ([`Batch::decode_until_finish`]).
 
 use super::core::EngineCore;
 use super::workflow_rt::{WfTag, WfWorld};
-use crate::serving::kv::KvSlot;
+use crate::serving::kv::{KvSlot, PagedKv};
 use crate::serving::policy::SeqView;
-use crate::serving::report::request_attains;
+use crate::serving::report::{request_attains, RunSample};
 use crate::serving::ReplicaRole;
 use crate::serving::{Priority, Slo};
 use ianus_model::RequestShape;
@@ -101,6 +106,9 @@ pub(super) struct ActiveSeq {
     /// Slot of its block table in the replica's paged pool (unused
     /// under contiguous accounting).
     pub(super) slot: KvSlot,
+    /// Its term of [`Batch::decode_growth`] while resident (see
+    /// [`ActiveSeq::growth_term`]); stale once it leaves the batch.
+    pub(super) growth: u64,
 }
 
 impl ActiveSeq {
@@ -149,6 +157,27 @@ impl ActiveSeq {
         }
     }
 
+    /// Blocks its table must add for the next decode step: one more
+    /// token for a decoder with tokens left, nothing otherwise (and
+    /// nothing under contiguous accounting).
+    fn growth_term(&self, paged: Option<&PagedKv>) -> u64 {
+        match paged {
+            Some(p) if self.decoding() && self.remaining > 0 => p.growth(self.slot, self.past + 1),
+            _ => 0,
+        }
+    }
+
+    /// Recompute-based eviction: the KV is dropped, and the re-prefill
+    /// rebuilds the whole context (from the shared prefix up, in paged
+    /// mode) through the chunk machinery. Applies to a sequence already
+    /// out of its batch.
+    pub(super) fn reset_for_recompute(&mut self) {
+        self.recomputes += 1;
+        self.prefill_target = self.past;
+        self.prefilled = self.shared_tokens;
+        self.past = self.shared_tokens;
+    }
+
     /// The sequence's KV footprint *right now*, as a shape whose
     /// [`RequestShape::total_tokens`] is `tokens`: the currency of the
     /// optimistic (current-length) residency checks under preemption.
@@ -164,12 +193,270 @@ impl ActiveSeq {
     }
 }
 
+/// One replica's resident sequences (order is batch position; stable
+/// ids live in [`ActiveSeq::idx`]) and the running counters each turn
+/// reads instead of walking them. Every change to a counted field —
+/// decode state, `past`, `remaining`, the KV table's blocks — goes
+/// through a `Batch` method, which keeps the counters exact (they are
+/// integer sums).
+#[derive(Default)]
+pub(super) struct Batch {
+    seqs: Vec<ActiveSeq>,
+    /// Decoding sequences.
+    width: u32,
+    /// Sum of `past` over decoding sequences.
+    past_sum: u64,
+    /// Blocks the next decode step must allocate: the sum of every
+    /// resident's cached [`ActiveSeq::growth`].
+    growth: u64,
+    /// `idx` of every prefilling sequence (few prefill at once).
+    prefilling: Vec<u64>,
+}
+
+impl Batch {
+    pub(super) fn seqs(&self) -> &[ActiveSeq] {
+        &self.seqs
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.seqs.len()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.seqs.is_empty()
+    }
+
+    /// Decoding sequences (the decode step's batch width).
+    pub(super) fn decode_width(&self) -> u32 {
+        self.width
+    }
+
+    /// Sum of `past` over decoding sequences.
+    pub(super) fn past_sum(&self) -> u64 {
+        self.past_sum
+    }
+
+    /// Blocks the next decode step must allocate:
+    /// `PagedKv::growth(slot, past + 1)` summed over decoders with
+    /// tokens left (0 under contiguous accounting). Every other
+    /// resident's table already holds its context.
+    pub(super) fn decode_growth(&self) -> u64 {
+        self.growth
+    }
+
+    /// The iteration's prefill share: the oldest still-prefilling
+    /// sequence (FCFS by arrival index — a stable id, because evictions
+    /// reshuffle positions).
+    pub(super) fn chunk_target(&self) -> Option<u64> {
+        self.prefilling.iter().copied().min()
+    }
+
+    /// Batch position of the sequence with arrival index `idx`.
+    /// Prefilling sequences are pushed late, so the search runs from
+    /// the back.
+    pub(super) fn position(&self, idx: u64) -> Option<usize> {
+        self.seqs.iter().rposition(|s| s.idx == idx)
+    }
+
+    /// Adds `seq` at the back, counting it against `paged`, the
+    /// replica's pool, whose table for it must already hold its
+    /// context.
+    pub(super) fn push(&mut self, mut seq: ActiveSeq, paged: Option<&PagedKv>) {
+        if seq.decoding() {
+            self.width += 1;
+            self.past_sum += seq.past;
+            seq.growth = seq.growth_term(paged);
+            self.growth += seq.growth;
+        } else {
+            self.prefilling.push(seq.idx);
+            seq.growth = 0;
+        }
+        self.seqs.push(seq);
+    }
+
+    /// Removes and returns the sequence at position `i`.
+    pub(super) fn remove(&mut self, i: usize) -> ActiveSeq {
+        let seq = self.seqs.remove(i);
+        if seq.decoding() {
+            self.width -= 1;
+            self.past_sum -= seq.past;
+            self.growth -= seq.growth;
+        } else {
+            unlist(&mut self.prefilling, seq.idx);
+        }
+        seq
+    }
+
+    /// Prefills `tokens` more of the sequence at position `i`, growing
+    /// its table in `paged`; returns it. Changes to the returned
+    /// sequence must leave its counted fields alone.
+    pub(super) fn prefill_chunk(
+        &mut self,
+        i: usize,
+        tokens: u64,
+        paged: Option<&mut PagedKv>,
+    ) -> &mut ActiveSeq {
+        let seq = &mut self.seqs[i];
+        seq.prefilled += tokens;
+        seq.past = seq.prefilled;
+        let paged = paged.map(|p| {
+            p.grow(seq.slot, seq.past);
+            &*p
+        });
+        if seq.decoding() {
+            unlist(&mut self.prefilling, seq.idx);
+            self.width += 1;
+            self.past_sum += seq.past;
+            seq.growth = seq.growth_term(paged);
+            self.growth += seq.growth;
+        }
+        seq
+    }
+
+    /// The decode pass from position `from` on: every decoder emits one
+    /// token at `now`, its gap goes to `gaps`, and its table grows in
+    /// `paged`. Skipped are prefilling sequences, a sequence whose
+    /// recompute re-prefill completed this iteration (`just_prefilled`,
+    /// cleared here), and one that already emitted at `now` (its first
+    /// token came out of this iteration's prefill). Stops at the first
+    /// sequence that emits its last token and returns its position — it
+    /// is advanced but still resident and counted, for the caller to
+    /// [`remove`](Self::remove) — or `None` at the end of the batch.
+    pub(super) fn decode_until_finish(
+        &mut self,
+        from: usize,
+        now: f64,
+        mut paged: Option<&mut PagedKv>,
+        gaps: &mut GapRuns,
+    ) -> Option<usize> {
+        for (i, seq) in self.seqs.iter_mut().enumerate().skip(from) {
+            if std::mem::take(&mut seq.just_prefilled) || !seq.decoding() || seq.last_token >= now {
+                continue;
+            }
+            // Gap since the sequence's previous token — includes
+            // co-scheduled prefill chunks and swap traffic that
+            // stalled the batch, not just this iteration's decode.
+            let gap = now - seq.last_token;
+            gaps.push(gap, seq.in_burst);
+            if seq.slo.is_some() {
+                seq.gaps.push(gap);
+            }
+            seq.last_token = now;
+            seq.past += 1;
+            seq.remaining -= 1;
+            self.past_sum += 1;
+            if seq.remaining == 0 {
+                return Some(i);
+            }
+            if let Some(p) = paged.as_deref_mut() {
+                let term = p.grow_next(seq.slot, seq.past);
+                self.growth = self.growth - seq.growth + term;
+                seq.growth = term;
+            }
+        }
+        None
+    }
+
+    /// Asserts the running counters equal a fold recomputed from the
+    /// sequences and `paged`, the replica's pool.
+    pub(super) fn assert_counters(&self, paged: Option<&PagedKv>) {
+        let (mut width, mut past_sum, mut growth) = (0u32, 0u64, 0u64);
+        let mut prefilling = Vec::new();
+        for s in &self.seqs {
+            if s.decoding() {
+                width += 1;
+                past_sum += s.past;
+                assert_eq!(
+                    s.growth,
+                    s.growth_term(paged),
+                    "stale growth of seq {}",
+                    s.idx
+                );
+                growth += s.growth;
+            } else {
+                prefilling.push(s.idx);
+                // A sequence that does not decode next step holds its
+                // whole context already.
+                if let Some(p) = paged {
+                    assert_eq!(
+                        p.growth(s.slot, s.past),
+                        0,
+                        "seq {} short of its context",
+                        s.idx
+                    );
+                }
+            }
+        }
+        let mut listed = self.prefilling.clone();
+        listed.sort_unstable();
+        prefilling.sort_unstable();
+        assert_eq!(
+            (self.width, self.past_sum, self.growth, listed),
+            (width, past_sum, growth, prefilling),
+            "batch counters drifted from their sequences"
+        );
+    }
+}
+
+/// Drops `idx` from a batch's prefilling list.
+fn unlist(prefilling: &mut Vec<u64>, idx: u64) {
+    let j = prefilling
+        .iter()
+        .position(|&listed| listed == idx)
+        .expect("prefilling sequences are listed");
+    prefilling.swap_remove(j);
+}
+
+/// Inter-token gaps of one stretch of the decode pass, counted locally
+/// in runs of equal gaps (decoders that emitted at the same previous
+/// boundary share one) and written to the run's samples with
+/// [`RunSample::push_n`] when the gap changes and at
+/// [`flush`](Self::flush). Percentiles read only the multiset of
+/// samples, and `push_n` merges equal neighbours, so the samples end up
+/// exactly as one `push_n(gap, 1)` per token would leave them.
+pub(super) struct GapRuns<'a> {
+    itls: &'a mut RunSample,
+    burst_itls: &'a mut RunSample,
+    /// The current run: its gap, its samples, and how many of them came
+    /// from burst-window requests.
+    run: (f64, u64, u64),
+}
+
+impl<'a> GapRuns<'a> {
+    pub(super) fn new(itls: &'a mut RunSample, burst_itls: &'a mut RunSample) -> Self {
+        GapRuns {
+            itls,
+            burst_itls,
+            run: (0.0, 0, 0),
+        }
+    }
+
+    fn push(&mut self, gap: f64, in_burst: bool) {
+        if self.run.0.to_bits() != gap.to_bits() {
+            self.write();
+            self.run = (gap, 0, 0);
+        }
+        self.run.1 += 1;
+        self.run.2 += u64::from(in_burst);
+    }
+
+    fn write(&mut self) {
+        let (gap, n, burst) = self.run;
+        self.itls.push_n(gap, n);
+        self.burst_itls.push_n(gap, burst);
+    }
+
+    /// Writes the last run.
+    pub(super) fn flush(mut self) {
+        self.write();
+    }
+}
+
 /// The batch layer's per-replica state: what is resident and where each
 /// replica's compute clock stands.
 pub(super) struct BatchState {
-    /// Resident sequences per replica (order is batch position; stable
-    /// ids live in [`ActiveSeq::idx`]).
-    pub(super) batches: Vec<Vec<ActiveSeq>>,
+    /// Resident sequences per replica.
+    pub(super) batches: Vec<Batch>,
     /// Per-replica compute clocks (iteration boundaries).
     pub(super) clock: Vec<f64>,
     /// Sum of executed iteration durations per replica (with
@@ -181,17 +468,6 @@ pub(super) struct BatchState {
 }
 
 impl EngineCore<'_> {
-    /// The iteration's prefill share: one chunk of the oldest
-    /// still-prefilling sequence (FCFS by arrival index — a
-    /// stable id, because evictions reshuffle positions).
-    pub(super) fn chunk_target(&self, r: usize) -> Option<u64> {
-        self.batch.batches[r]
-            .iter()
-            .filter(|s| !s.decoding())
-            .map(|s| s.idx)
-            .min()
-    }
-
     /// One mixed iteration: the prefill chunk (if any) plus one
     /// decode step over every fully-prefilled sequence. Both
     /// shares execute in the same iteration, so the chunk
@@ -203,23 +479,18 @@ impl EngineCore<'_> {
         r: usize,
         chunk_target: Option<u64>,
     ) -> (Option<(usize, u64)>, f64) {
-        let model = self.model;
         let chunk_size = self.chunk_size;
         let batch = &mut self.batch;
         let stats = &mut self.stats;
+        let resident = &batch.batches[r];
         let chunk: Option<(usize, u64)> = chunk_target.map(|idx| {
-            let ci = batch.batches[r]
-                .iter()
-                .position(|s| s.idx == idx)
+            let ci = resident
+                .position(idx)
                 .expect("prefilling sequences are never evicted");
-            let tokens = chunk_size
-                .min(batch.batches[r][ci].prefill_target - batch.batches[r][ci].prefilled);
-            (ci, tokens)
+            let seq = &resident.seqs[ci];
+            (ci, chunk_size.min(seq.prefill_target - seq.prefilled))
         });
-        let (decode_width, past_sum) = batch.batches[r]
-            .iter()
-            .filter(|s| s.decoding())
-            .fold((0u32, 0u64), |(w, sum), s| (w + 1, sum + s.past));
+        let (decode_width, past_sum) = (resident.decode_width(), resident.past_sum());
         // Round the mean in f64: integer division floored it,
         // systematically under-pricing decode for heterogeneous batches.
         let mean_past = if decode_width > 0 {
@@ -229,13 +500,10 @@ impl EngineCore<'_> {
         };
         let mut dt = 0.0f64;
         if let Some((_, tokens)) = chunk {
-            dt += self.replicas.pricer(r).prefill_secs(model, tokens);
+            dt += self.replicas.pricer(r).prefill_secs(tokens);
         }
         if decode_width > 0 {
-            dt += self
-                .replicas
-                .pricer(r)
-                .decode_secs(model, mean_past, decode_width);
+            dt += self.replicas.pricer(r).decode_secs(mean_past, decode_width);
         }
         batch.clock[r] += dt;
         stats.busy[r] += dt;
@@ -265,180 +533,260 @@ impl EngineCore<'_> {
         let Some((ci, tokens)) = chunk else {
             return wf_pushed;
         };
-        let seq = &mut self.batch.batches[r][ci];
-        seq.prefilled += tokens;
-        seq.past = seq.prefilled;
-        if let Some(p) = self.kv.paged[r].as_mut() {
-            p.grow(seq.slot, seq.past);
-            if seq.decoding() {
-                // The prompt's full prefix blocks are now
-                // built: publish them to the class's cache
-                // entry (first completer wins; later ones
-                // find the entry already present).
-                if let Some(key) = self.kv.class_keys[seq.class] {
-                    let prefix = self.mix[seq.class]
-                        .prefix_tokens
-                        .min(seq.shape.input.saturating_sub(1));
-                    if let Some(shared) = p.register_prefix(seq.slot, key, prefix) {
-                        seq.shared_tokens = seq.shared_tokens.max(shared);
-                    }
-                }
+        let paged = self.kv.paged[r].as_mut();
+        let seq = self.batch.batches[r].prefill_chunk(ci, tokens, paged);
+        if !seq.decoding() {
+            return wf_pushed;
+        }
+        if let (Some(p), Some(key)) = (self.kv.paged[r].as_mut(), self.kv.class_keys[seq.class]) {
+            // The prompt's full prefix blocks are now built: publish
+            // them to the class's cache entry (first completer wins;
+            // later ones find the entry already present).
+            let prefix = self.mix[seq.class]
+                .prefix_tokens
+                .min(seq.shape.input.saturating_sub(1));
+            if let Some(shared) = p.register_prefix(seq.slot, key, prefix) {
+                seq.shared_tokens = seq.shared_tokens.max(shared);
             }
         }
-        if seq.decoding() {
-            if seq.recomputes == 0 {
-                seq.ttft = now - seq.arrival;
-                let ttft = seq.ttft;
-                let cache_hit = seq.cache_hit;
-                self.stats.ttfts.push(ttft);
-                if cache_hit {
-                    self.stats.ttft_hits.push(ttft);
-                } else {
-                    self.stats.ttft_colds.push(ttft);
-                }
-                let seq = &mut self.batch.batches[r][ci];
-                seq.last_token = now;
-                if seq.remaining == 0 {
-                    // Single-token request: the prefill is the
-                    // request.
-                    let mut seq = self.batch.batches[r].remove(ci);
-                    if let Some(tag) = seq.wf {
-                        // Fan out before `complete` frees the
-                        // block table: children inherit this
-                        // node's KV as a shared prefix.
-                        wf_pushed |= WfWorld {
-                            ctx: &self.wf.ctx,
-                            runs: &mut self.wf.runs,
-                            arrivals: &mut self.wait.arrivals,
-                            untaken: &mut self.wait.untaken,
-                            paged: &mut self.kv.paged,
-                            key_homes: &mut self.wf.key_homes,
-                            inheritance: self.wf.inheritance,
-                        }
-                        .on_node_complete(
-                            tag,
-                            seq.slot,
-                            r,
-                            now,
-                            &mut self.stats,
-                            &mut self.done,
-                        );
-                    }
-                    if let Some(p) = self.kv.paged[r].as_mut() {
-                        p.complete(seq.slot);
-                    }
-                    let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
-                    self.stats.complete(
-                        r,
-                        seq.class,
-                        seq.arrival,
-                        seq.service,
-                        now,
-                        seq.preemptions,
-                        seq.recomputes,
-                        attained,
-                        seq.tenant,
-                        seq.in_burst,
-                    );
-                    self.done += 1;
-                } else if self.roles[r] == ReplicaRole::PrefillOnly
-                    && !self.mig.decode_pool.is_empty()
-                {
-                    let seq = self.batch.batches[r].remove(ci);
-                    self.migrate_after_prefill(r, seq, now);
-                }
-            } else {
-                // No token emitted: skip this sequence's decode
-                // advance once, keeping `last_token` so the
-                // whole eviction dwell lands in its next ITL
-                // gap (as a swap dwell would).
-                seq.just_prefilled = true;
-            }
+        if seq.recomputes > 0 {
+            // No token emitted: skip this sequence's decode advance
+            // once, keeping `last_token` so the whole eviction dwell
+            // lands in its next ITL gap (as a swap dwell would).
+            seq.just_prefilled = true;
+            return wf_pushed;
+        }
+        seq.ttft = now - seq.arrival;
+        seq.last_token = now;
+        let (ttft, cache_hit, remaining) = (seq.ttft, seq.cache_hit, seq.remaining);
+        self.stats.ttfts.push(ttft);
+        if cache_hit {
+            self.stats.ttft_hits.push(ttft);
+        } else {
+            self.stats.ttft_colds.push(ttft);
+        }
+        if remaining == 0 {
+            // Single-token request: the prefill is the request.
+            let seq = self.batch.batches[r].remove(ci);
+            wf_pushed |= self.complete(r, seq, now);
+        } else if self.roles[r] == ReplicaRole::PrefillOnly && !self.mig.decode_pool.is_empty() {
+            let seq = self.batch.batches[r].remove(ci);
+            self.migrate_after_prefill(r, seq, now);
         }
         wf_pushed
     }
 
-    /// Advance the decoders (skipping a sequence whose prefill
-    /// completed *this* iteration: its first decode token comes
-    /// next iteration). Returns whether a workflow fan-out
-    /// appended arrivals.
+    /// Advance the decoders: one lean pass over the batch
+    /// ([`Batch::decode_until_finish`]), leaving it only to complete a
+    /// sequence that emitted its last token, in batch order. Returns
+    /// whether a workflow fan-out appended arrivals.
     pub(super) fn advance_decoders(&mut self, r: usize, now: f64) -> bool {
         let mut wf_pushed = false;
-        let mut i = 0;
-        while i < self.batch.batches[r].len() {
-            let seq = &mut self.batch.batches[r][i];
-            if std::mem::take(&mut seq.just_prefilled) || !seq.decoding() || seq.last_token >= now {
-                i += 1;
-                continue;
-            }
-            // Gap since the sequence's previous token — includes
-            // co-scheduled prefill chunks and swap traffic that
-            // stalled the batch, not just this iteration's decode.
-            let gap = now - seq.last_token;
-            let in_burst = seq.in_burst;
-            if seq.slo.is_some() {
-                seq.gaps.push(gap);
-            }
-            seq.last_token = now;
-            seq.past += 1;
-            seq.remaining -= 1;
-            let (slot, finished) = (seq.slot, seq.remaining == 0);
-            let wf_tag = seq.wf;
-            self.stats.itls.push(gap);
-            if in_burst {
-                self.stats.burst_itls.push(gap);
-            }
-            if finished {
-                if let Some(tag) = wf_tag {
-                    // Fan out before `complete` frees the block
-                    // table: children inherit this node's KV as
-                    // a shared prefix.
-                    wf_pushed |= WfWorld {
-                        ctx: &self.wf.ctx,
-                        runs: &mut self.wf.runs,
-                        arrivals: &mut self.wait.arrivals,
-                        untaken: &mut self.wait.untaken,
-                        paged: &mut self.kv.paged,
-                        key_homes: &mut self.wf.key_homes,
-                        inheritance: self.wf.inheritance,
-                    }
-                    .on_node_complete(
-                        tag,
-                        slot,
-                        r,
-                        now,
-                        &mut self.stats,
-                        &mut self.done,
-                    );
-                }
-            }
-            if let Some(p) = self.kv.paged[r].as_mut() {
-                if finished {
-                    p.complete(slot);
-                } else {
-                    p.grow(slot, self.batch.batches[r][i].past);
-                }
-            }
-            if finished {
-                let mut seq = self.batch.batches[r].remove(i);
-                let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
-                self.stats.complete(
-                    r,
-                    seq.class,
-                    seq.arrival,
-                    seq.service,
-                    now,
-                    seq.preemptions,
-                    seq.recomputes,
-                    attained,
-                    seq.tenant,
-                    seq.in_burst,
-                );
-                self.done += 1;
-            } else {
-                i += 1;
-            }
+        let mut from = 0;
+        loop {
+            let mut gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
+            let finished = self.batch.batches[r].decode_until_finish(
+                from,
+                now,
+                self.kv.paged[r].as_mut(),
+                &mut gaps,
+            );
+            gaps.flush();
+            let Some(i) = finished else {
+                return wf_pushed;
+            };
+            let seq = self.batch.batches[r].remove(i);
+            wf_pushed |= self.complete(r, seq, now);
+            from = i;
         }
+    }
+
+    /// Settles `seq`, which just emitted its last token on replica `r`
+    /// and has left the batch: a workflow node fans out, the paged pool
+    /// frees its table, and the run records the completion. Returns
+    /// whether the fan-out appended arrivals.
+    fn complete(&mut self, r: usize, mut seq: ActiveSeq, now: f64) -> bool {
+        let mut wf_pushed = false;
+        if let Some(tag) = seq.wf {
+            // Fan out before `complete` frees the block table:
+            // children inherit this node's KV as a shared prefix.
+            wf_pushed = WfWorld {
+                ctx: &self.wf.ctx,
+                runs: &mut self.wf.runs,
+                arrivals: &mut self.wait.arrivals,
+                untaken: &mut self.wait.untaken,
+                paged: &mut self.kv.paged,
+                key_homes: &mut self.wf.key_homes,
+                inheritance: self.wf.inheritance,
+            }
+            .on_node_complete(tag, seq.slot, r, now, &mut self.stats, &mut self.done);
+        }
+        if let Some(p) = self.kv.paged[r].as_mut() {
+            p.complete(seq.slot);
+        }
+        let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
+        self.stats.complete(
+            r,
+            seq.class,
+            seq.arrival,
+            seq.service,
+            now,
+            seq.preemptions,
+            seq.recomputes,
+            attained,
+            seq.tenant,
+            seq.in_burst,
+        );
+        self.done += 1;
         wf_pushed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serving::kv::prefix_key;
+    use proptest::prelude::*;
+
+    /// A fresh sequence admitted into `slot` with `shared` prompt tokens
+    /// already mapped.
+    fn admitted(idx: u64, shape: RequestShape, slot: KvSlot, shared: u64) -> ActiveSeq {
+        ActiveSeq {
+            shape,
+            arrival: 0.0,
+            idx,
+            service: 0.0,
+            class: 0,
+            priority: Priority::Interactive,
+            slo: None,
+            prefilled: shared,
+            prefill_target: shape.input,
+            past: shared,
+            remaining: shape.generation_steps(),
+            last_token: 0.0,
+            ttft: 0.0,
+            gaps: Vec::new(),
+            preemptions: 0,
+            recomputes: 0,
+            swap_epoch: 0,
+            hosted_bytes: 0,
+            just_prefilled: false,
+            shared_tokens: shared,
+            cache_hit: shared > 0,
+            tenant: 0,
+            in_burst: idx.is_multiple_of(3),
+            wf: None,
+            slot,
+            growth: 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random push (cold and prefix-hit), prefill-chunk,
+        /// decode-advance, evict (by swap or recompute), swap-in and
+        /// complete sequences on one paged batch keep its counters equal
+        /// to a fold over its sequences after every step, and end at
+        /// zero. The decode pass leaves the ITL samples exactly as one
+        /// push per emitted token would.
+        #[test]
+        fn batch_counters_track_their_sequences(
+            ops in prop::collection::vec((0u8..7, 0u64..64, 1u64..40), 1..120),
+        ) {
+            let mut p = PagedKv::new(64, 4);
+            let mut batch = Batch::default();
+            let mut swapped: Vec<ActiveSeq> = Vec::new();
+            let (mut itls, mut burst_itls) = (RunSample::default(), RunSample::default());
+            let (mut want_itls, mut want_burst) = (RunSample::default(), RunSample::default());
+            let (mut next_idx, mut now) = (0u64, 0.0f64);
+            let key = prefix_key(0, 8);
+            for (op, pick, n) in ops {
+                match op {
+                    0 => {
+                        // Admission: the first prefill to complete
+                        // publishes the prefix later pushes map.
+                        let shape = RequestShape::new(n + 8, 2 + pick % 12);
+                        let (slot, shared) = p.admit(Some(key), shape.input - 1);
+                        batch.push(admitted(next_idx, shape, slot, shared), Some(&p));
+                        next_idx += 1;
+                    }
+                    1 => {
+                        if let Some(idx) = batch.chunk_target() {
+                            let i = batch.position(idx).unwrap();
+                            let s = &batch.seqs()[i];
+                            let tokens = n.min(s.prefill_target - s.prefilled);
+                            let seq = batch.prefill_chunk(i, tokens, Some(&mut p));
+                            if seq.decoding() {
+                                if let Some(shared) = p.register_prefix(seq.slot, key, 8) {
+                                    seq.shared_tokens = seq.shared_tokens.max(shared);
+                                }
+                                if seq.recomputes > 0 {
+                                    seq.just_prefilled = true;
+                                } else {
+                                    seq.last_token = now;
+                                }
+                            }
+                        }
+                    }
+                    2 => {
+                        now += 1.0 + (pick % 3) as f64;
+                        // Which sequences the pass will advance, and
+                        // their gaps, in batch order.
+                        for s in batch.seqs() {
+                            if !s.just_prefilled && s.decoding() && s.last_token < now {
+                                want_itls.push_n(now - s.last_token, 1);
+                                if s.in_burst {
+                                    want_burst.push_n(now - s.last_token, 1);
+                                }
+                            }
+                        }
+                        let mut from = 0;
+                        loop {
+                            let mut gaps = GapRuns::new(&mut itls, &mut burst_itls);
+                            let finished = batch.decode_until_finish(from, now, Some(&mut p), &mut gaps);
+                            gaps.flush();
+                            let Some(i) = finished else { break };
+                            p.complete(batch.remove(i).slot);
+                            from = i;
+                        }
+                    }
+                    3 | 4 if !batch.is_empty() => {
+                        // Eviction of any resident sequence — by swap
+                        // (op 3) or recompute (op 4).
+                        let mut seq = batch.remove(pick as usize % batch.len());
+                        p.drop_unshared(seq.slot);
+                        if op == 4 && seq.decoding() {
+                            seq.reset_for_recompute();
+                        }
+                        swapped.push(seq);
+                    }
+                    5 if !swapped.is_empty() => {
+                        let seq = swapped.swap_remove(pick as usize % swapped.len());
+                        p.grow(seq.slot, seq.past);
+                        batch.push(seq, Some(&p));
+                    }
+                    6 if !batch.is_empty() => {
+                        p.complete(batch.remove(pick as usize % batch.len()).slot);
+                    }
+                    _ => {}
+                }
+                batch.assert_counters(Some(&p));
+            }
+            for seq in swapped {
+                p.complete(seq.slot);
+            }
+            while !batch.is_empty() {
+                p.complete(batch.remove(batch.len() - 1).slot);
+                batch.assert_counters(Some(&p));
+            }
+            prop_assert_eq!(
+                (batch.decode_width(), batch.past_sum(), batch.decode_growth(), batch.chunk_target()),
+                (0, 0, 0, None)
+            );
+            prop_assert_eq!(format!("{itls:?}"), format!("{want_itls:?}"));
+            prop_assert_eq!(format!("{burst_itls:?}"), format!("{want_burst:?}"));
+            p.finish();
+        }
     }
 }

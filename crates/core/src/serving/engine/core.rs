@@ -12,7 +12,7 @@
 //! `impl EngineCore` block; this module only sequences them.
 
 use super::admission::WaitQueue;
-use super::batch::BatchState;
+use super::batch::{Batch, BatchState};
 use super::dma_retire::LaneClocks;
 use super::kv_state::{build_paged_pools, KvLedger};
 use super::migrate::MigrationState;
@@ -228,7 +228,7 @@ impl ServingSim {
                 admitted: 0,
             },
             batch: BatchState {
-                batches: vec![Vec::new(); n],
+                batches: (0..n).map(|_| Batch::default()).collect(),
                 clock: vec![0.0f64; n],
                 iter_sum: vec![0.0f64; n],
                 iter_n: vec![0u64; n],
@@ -296,13 +296,16 @@ impl EngineCore<'_> {
                     self.idle_wait_for_dma(r);
                     break 'body;
                 }
-                let chunk_target = self.chunk_target(r);
+                let chunk_target = self.batch.batches[r].chunk_target();
                 if self.preempt {
                     self.relieve_pressure(r, chunk_target);
                 }
                 let (chunk, now) = self.execute_iteration(r, chunk_target);
                 wf_pushed |= self.advance_prefill(r, chunk, now);
                 wf_pushed |= self.advance_decoders(r, now);
+            }
+            if cfg!(debug_assertions) {
+                self.batch.batches[r].assert_counters(self.kv.paged[r].as_ref());
             }
             self.reindex(r, wf_pushed);
         }
@@ -518,6 +521,16 @@ impl EngineCore<'_> {
                 self.kv.host_used.iter().all(|&b| b == 0),
                 "host-pool bytes leaked at end of run"
             );
+            for (r, batch) in self.batch.batches.iter().enumerate() {
+                assert!(
+                    batch.is_empty()
+                        && batch.decode_width() == 0
+                        && batch.past_sum() == 0
+                        && batch.decode_growth() == 0
+                        && batch.chunk_target().is_none(),
+                    "replica {r} ends the run with resident work or nonzero batch counters"
+                );
+            }
             // Block conservation: with every sequence completed and the
             // caches flushed, every block must be back on the free
             // list.

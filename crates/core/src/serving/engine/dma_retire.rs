@@ -62,7 +62,7 @@ impl EngineCore<'_> {
                 kv.host_used[r] = kv.host_used[r].saturating_sub(seq.hosted_bytes);
                 seq.hosted_bytes = 0;
                 stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-                batch.batches[r].push(seq);
+                batch.batches[r].push(seq, kv.paged[r].as_ref());
             }
         } else {
             let mut i = 0;
@@ -83,7 +83,7 @@ impl EngineCore<'_> {
                     kv.host_used[r] = kv.host_used[r].saturating_sub(seq.hosted_bytes);
                     seq.hosted_bytes = 0;
                     stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-                    batch.batches[r].push(seq);
+                    batch.batches[r].push(seq, kv.paged[r].as_ref());
                 } else {
                     i += 1;
                 }

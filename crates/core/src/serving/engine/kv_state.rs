@@ -113,7 +113,7 @@ pub(super) fn eviction_costs(
         Some(h) if bytes > h => f64::INFINITY,
         _ => replicas.kv_transfer_secs(r, model, moved),
     };
-    let recompute_secs = replicas.pricer(r).prefill_est_secs(model, moved);
+    let recompute_secs = replicas.pricer(r).prefill_est_secs(moved);
     (swap_secs, recompute_secs)
 }
 
@@ -218,10 +218,7 @@ impl EngineCore<'_> {
                     } else {
                         cand.prefill_target.max(1)
                     };
-                    let mut need = p.growth(cand.slot, target);
-                    for s in batch.batches[r].iter() {
-                        need += p.growth(s.slot, grown_tokens(s));
-                    }
+                    let need = p.growth(cand.slot, target) + batch.batches[r].decode_growth();
                     p.reclaim(need);
                     if need <= p.free_blocks() {
                         stats.peak_kv_occupancy =
@@ -233,7 +230,7 @@ impl EngineCore<'_> {
                 } else {
                     let grown = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
                     let mut projected: Vec<RequestShape> =
-                        batch.batches[r].iter().map(grown).collect();
+                        batch.batches[r].seqs().iter().map(grown).collect();
                     projected.extend(
                         lanes.incoming[r]
                             .iter()
@@ -289,7 +286,7 @@ impl EngineCore<'_> {
                 // link — it rejoins the batch and re-prefills its
                 // context through the chunk machinery.
                 stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-                batch.batches[r].push(seq);
+                batch.batches[r].push(seq, kv.paged[r].as_ref());
                 continue;
             }
             // Restore what the swap-out moved: the unshared
@@ -310,7 +307,7 @@ impl EngineCore<'_> {
                 kv.host_used[r] = kv.host_used[r].saturating_sub(seq.hosted_bytes);
                 seq.hosted_bytes = 0;
                 stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-                batch.batches[r].push(seq);
+                batch.batches[r].push(seq, kv.paged[r].as_ref());
             }
         }
     }
@@ -369,13 +366,19 @@ impl EngineCore<'_> {
             };
             let pressure = if let Some(p) = kv.paged[r].as_mut() {
                 // Block arithmetic: one iteration of growth
-                // over the batch, against free blocks plus the
+                // over the batch (the decoders' running count plus
+                // the chunk's), against free blocks plus the
                 // unshared blocks in-flight swap-outs will hand
                 // back (they drain without further evictions).
-                let growth: u64 = batch.batches[r]
-                    .iter()
-                    .map(|s| p.growth(s.slot, grown_tokens(s)))
-                    .sum();
+                let resident = &batch.batches[r];
+                let chunk_growth = chunk_target.map_or(0, |idx| {
+                    let ci = resident
+                        .position(idx)
+                        .expect("prefilling sequences are never evicted");
+                    let s = &resident.seqs()[ci];
+                    p.growth(s.slot, s.past + chunk_tokens(s))
+                });
+                let growth = resident.decode_growth() + chunk_growth;
                 p.reclaim(growth);
                 let in_flight: u64 = lanes.outgoing[r]
                     .iter()
@@ -419,7 +422,7 @@ impl EngineCore<'_> {
             } else {
                 let grown_shape = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
                 let mut eventual: Vec<RequestShape> =
-                    batch.batches[r].iter().map(grown_shape).collect();
+                    batch.batches[r].seqs().iter().map(grown_shape).collect();
                 eventual.extend(
                     lanes.incoming[r]
                         .iter()
@@ -503,6 +506,7 @@ impl EngineCore<'_> {
             let paged = kv.paged[r].as_ref();
             let priced = scheduler.eviction.reads_costs();
             let views: Vec<(usize, SeqView)> = batch.batches[r]
+                .seqs()
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.decoding())
@@ -603,10 +607,7 @@ impl EngineCore<'_> {
                 // re-prefill on re-admission — from the
                 // shared prefix up, in paged mode.
                 stats.recomputes += 1;
-                seq.recomputes += 1;
-                seq.prefill_target = seq.past;
-                seq.prefilled = seq.shared_tokens;
-                seq.past = seq.shared_tokens;
+                seq.reset_for_recompute();
                 if let Some(p) = kv.paged[r].as_mut() {
                     p.drop_unshared(seq.slot);
                 }

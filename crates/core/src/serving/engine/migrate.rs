@@ -79,6 +79,7 @@ impl EngineCore<'_> {
                     }
                 } else {
                     let mut resident: Vec<RequestShape> = batch.batches[r]
+                        .seqs()
                         .iter()
                         .map(|s| ActiveSeq::kv_shape(s.past))
                         .collect();
@@ -133,7 +134,7 @@ impl EngineCore<'_> {
                 seq.shared_tokens = 0;
             }
             stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-            batch.batches[r].push(seq);
+            batch.batches[r].push(seq, kv.paged[r].as_ref());
         }
     }
 

@@ -9,7 +9,7 @@
 //! | `replica`     | `Replicas`         | backends + per-price-class cost memos       |
 //! | `arrivals`    | [`ArrivalProcess`] | trace generation (Poisson/diurnal/MMPP/...) |
 //! | `admission`   | `WaitQueue`        | arrival vector, wait queue, admission       |
-//! | `batch`       | `BatchState`       | resident sequences, clocks, execute/advance |
+//! | `batch`       | `BatchState`       | counted `Batch`es, clocks, execute/advance  |
 //! | `kv_state`    | `KvLedger`         | paged pools, swap queues, pressure/eviction |
 //! | `dma_retire`  | `LaneClocks`       | H2D/D2H lanes, in-flight swaps, retirement  |
 //! | `migrate`     | `MigrationState`   | decode pool, prefill→decode handoff         |
@@ -459,6 +459,7 @@ impl ServingSim {
             );
         }
         self.replicas.group();
+        self.replicas.resolve(model);
         let stats = match self.scheduling {
             Scheduling::RequestLevel => {
                 assert!(
@@ -469,7 +470,7 @@ impl ServingSim {
                     !workflow_mode,
                     "workflow mixes require iteration-level scheduling"
                 );
-                self.run_request_level(model)
+                self.run_request_level()
             }
             Scheduling::IterationLevel {
                 max_batch,

@@ -25,8 +25,9 @@
 //!   blocks have no other mapper are reclaimed under block pressure.
 //! * [`PagedKv`] — the per-replica bundle the engine drives: admission
 //!   maps cache hits, prefill/decode growth allocates blocks at block
-//!   boundaries, eviction frees only *unshared* blocks, completion
-//!   releases everything. Its tables live in a slab: admission hands
+//!   boundaries (growth inside the tail block only moves counters),
+//!   eviction frees only *unshared* blocks, completion releases
+//!   everything. Its tables live in a slab: admission hands
 //!   out a [`KvSlot`] the sequence carries, and completion frees the
 //!   slot for reuse.
 //!
@@ -616,11 +617,35 @@ impl PagedKv {
     /// (prefill-chunk or decode-step advance, or a swap-in restoring its
     /// private blocks), allocating at block boundaries.
     pub fn grow(&mut self, slot: KvSlot, tokens: u64) {
+        self.grow_capacity(slot, tokens);
+    }
+
+    /// [`grow`](Self::grow)s the sequence in `slot` to `tokens` and
+    /// returns [`growth`](Self::growth)`(slot, tokens + 1)`: the blocks
+    /// its next token will need (one at a block boundary, else none).
+    pub fn grow_next(&mut self, slot: KvSlot, tokens: u64) -> u64 {
+        u64::from(tokens >= self.grow_capacity(slot, tokens))
+    }
+
+    /// Grows like [`grow`](Self::grow) and returns the table's token
+    /// capacity afterwards. Growth that fits the mapped blocks (every
+    /// decode step but one per block) only moves the token count and
+    /// the slack.
+    fn grow_capacity(&mut self, slot: KvSlot, tokens: u64) -> u64 {
         let block_tokens = self.alloc.block_tokens();
         let table = live(&mut self.tables, slot);
+        let capacity = table.blocks.len() as u64 * block_tokens;
+        if tokens <= capacity {
+            if tokens > table.tokens {
+                self.slack -= tokens - table.tokens;
+                table.tokens = tokens;
+            }
+            return capacity;
+        }
         self.slack -= table.slack_tokens(block_tokens);
         table.grow_to(&mut self.alloc, tokens);
         self.slack += table.slack_tokens(block_tokens);
+        table.blocks.len() as u64 * block_tokens
     }
 
     /// Registers the first `prefix_tokens` of context of the sequence in
@@ -869,7 +894,8 @@ mod tests {
         /// Random admit (cold and prefix-hit) / grow / register /
         /// evict / complete / complete-then-admit sequences keep the
         /// running slack equal to the sum over the tables after every
-        /// step, `growth` equal to the block arithmetic it replaces,
+        /// step, `growth` equal to the block arithmetic it replaces (and
+        /// to what `grow_next` reports),
         /// and the slab no larger than the peak number of live tables.
         #[test]
         fn running_slack_tracks_tables(
@@ -900,7 +926,12 @@ mod tests {
                         let expected = p.blocks_for(tokens).saturating_sub(p.blocks_of(slot));
                         assert_eq!(p.growth(slot, tokens), expected);
                         assert_eq!(p.growth(slot, p.table(slot).tokens()), 0);
-                        p.grow(slot, tokens);
+                        if pick % 2 == 0 {
+                            p.grow(slot, tokens);
+                        } else {
+                            let next = p.grow_next(slot, tokens);
+                            assert_eq!(next, p.growth(slot, tokens + 1));
+                        }
                         assert_eq!(p.growth(slot, tokens), 0);
                     }
                     3 => {

@@ -61,9 +61,10 @@ impl LatencyPercentiles {
 }
 
 /// A latency sample stored as runs of bit-equal values: `(seconds,
-/// count)` pairs in push order. A push merges into the last run when its
-/// bits equal the run's, so a decode turn whose sequences all waited the
-/// same gap stores one run, not one value per token.
+/// count)` pairs in push order. A [`push_n`](Self::push_n) merges into
+/// the last run when its bits equal the run's, so a decode turn whose
+/// sequences all waited the same gap stores one run, not one value per
+/// token.
 ///
 /// The value at each rank of a multiset does not depend on how it is
 /// stored, so [`percentiles`](Self::percentiles) reads exactly what
@@ -74,11 +75,6 @@ pub(crate) struct RunSample {
 }
 
 impl RunSample {
-    /// Records one sample.
-    pub fn push(&mut self, secs: f64) {
-        self.push_n(secs, 1);
-    }
-
     /// Records `count` samples of `secs` (a no-op when `count` is 0).
     pub fn push_n(&mut self, secs: f64, count: u64) {
         if count == 0 {
@@ -942,7 +938,7 @@ mod tests {
             for (kind, count, singles) in draws {
                 let v = [-0.0, 0.0, 0.25, 0.5, 1e-3, 0.75][kind as usize];
                 if singles == 1 {
-                    (0..count).for_each(|_| runs.push(v));
+                    (0..count).for_each(|_| runs.push_n(v, 1));
                 } else {
                     runs.push_n(v, count);
                 }
@@ -960,13 +956,13 @@ mod tests {
         assert!(runs.runs.is_empty(), "push_n(v, 0) is a no-op");
         assert_eq!(runs.percentiles(), LatencyPercentiles::ZERO);
         // A zero-count run neither adds a run nor splits one.
-        runs.push(0.25);
+        runs.push_n(0.25, 1);
         runs.push_n(0.5, 0);
         runs.push_n(0.25, 3);
         assert_eq!(runs.runs, vec![(0.25, 4)]);
         // A single sample is every percentile.
         let mut one = RunSample::default();
-        one.push(0.125);
+        one.push_n(0.125, 1);
         let at = Duration::from_secs_f64(0.125);
         assert_eq!(
             one.percentiles(),

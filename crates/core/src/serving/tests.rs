@@ -1881,3 +1881,50 @@ mod cost_blind {
         assert_eq!((bare.1, bare.2), (wrapped.1, wrapped.2));
     }
 }
+
+/// A paged, chunked, preempting run on two GPT-2 XL replicas with
+/// overlapped DMA, cheapest-mechanism eviction and a tight host pool:
+/// swap-ins land in mid-batch, and the decode pass skips both a
+/// sequence whose recompute re-prefill just completed and one whose
+/// first token came out of this iteration's prefill.
+fn mixed_skip_report(mode: CoreMode) -> ServingReport {
+    let mut sim = ServingSim::new(ServingConfig::shared_prefix(100.0, 80));
+    for _ in 0..2 {
+        sim = sim.replica(IanusSystem::new(SystemConfig::ianus()));
+    }
+    sim.scheduling(Scheduling::IterationLevel {
+        max_batch: 32,
+        prefill_chunk: Some(64),
+        preempt: true,
+    })
+    .kv_block(16)
+    .host_kv_pool(Some(64 << 20))
+    .overlap_dma(true)
+    .policy(SchedulerPolicy::default().with_mechanism(policy::EvictionMechanism::Cheapest))
+    .core_mode(mode)
+    .run(&ModelConfig::gpt2_xl())
+}
+
+/// FNV-1a over a report's `Debug` form.
+fn debug_fnv(report: &ServingReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The fingerprint is the parent engine's (before the batch counters
+/// and the lean decode pass); the step-scan core must match it too.
+#[test]
+fn pinned_mixed_skip_run_matches_on_both_cores() {
+    let report = mixed_skip_report(CoreMode::EventDriven);
+    assert_eq!(report.completed, 80);
+    assert!(report.recomputes > 0, "no recompute eviction");
+    assert!(report.preemptions > report.recomputes, "no swap eviction");
+    assert_eq!(debug_fnv(&report), 0xb105_1364_d2a0_61ce);
+    assert_eq!(
+        debug_fnv(&mixed_skip_report(CoreMode::StepScan)),
+        0xb105_1364_d2a0_61ce
+    );
+}

@@ -8,40 +8,34 @@
 //!   (16 Gb/s/pin ×16, 8 channels, 16 banks/channel, 2 KB rows, tCK = 0.5 ns,
 //!   tCCD = 1 ns, tRAS = 21 ns, tRP = 30 ns, tRCDRD = 36 ns, tRCDWR = 24 ns,
 //!   tWR = 36 ns).
-//! * [`AddressMapping`] — the paper's Figure 5 Row–Channel–Bank–Column
-//!   mapping that places one PIM tile per row address so PIM computation
-//!   never row-conflicts within a tile.
 //! * [`BankState`] — a per-bank state machine that validates command
 //!   legality and timing; the PIM crate drives it with micro-command
 //!   streams and the closed-form models are tested against it.
 //! * [`TransferModel`] — closed-form cost of bulk sequential reads/writes
-//!   (NPU DMA traffic), with bank-interleaving assumptions that match the
-//!   address mapping.
+//!   (NPU DMA traffic), assuming streams interleave across banks and
+//!   channels.
+//!
+//! The paper's Figure 5 maps addresses Row–Channel–Bank–Column, so one PIM
+//! tile occupies one row address and PIM computation never row-conflicts
+//! within a tile; the timing models above assume that layout rather than
+//! decode addresses.
 //!
 //! # Examples
 //!
 //! ```
-//! use ianus_dram::{AddressMapping, GddrOrganization, GddrTimings, TransferModel};
-//!
-//! let org = GddrOrganization::ianus_default();
-//! let map = AddressMapping::new(org);
-//! let loc = map.decode(0);
-//! assert_eq!((loc.row, loc.channel, loc.bank, loc.column), (0, 0, 0, 0));
+//! use ianus_dram::{GddrOrganization, GddrTimings, TransferModel};
 //!
 //! // Reading 1 MiB striped over all 8 channels at 32 B/ns/channel.
+//! let org = GddrOrganization::ianus_default();
 //! let xfer = TransferModel::new(org, GddrTimings::ianus_default());
 //! let t = xfer.bulk_read(1 << 20, org.channels);
 //! assert!(t.as_us_f64() > 3.9 && t.as_us_f64() < 4.6);
 //! ```
 
-mod address;
 mod bank;
-mod controller;
 mod params;
 mod transfer;
 
-pub use address::{AddressMapping, Location};
 pub use bank::{BankCommand, BankState, TimingError};
-pub use controller::{Completion, MemoryController, Request};
 pub use params::{GddrOrganization, GddrTimings};
 pub use transfer::TransferModel;

@@ -1,9 +1,9 @@
 //! Closed-form bulk transfer cost model for normal (non-PIM) DRAM traffic.
 //!
 //! NPU DMA traffic in IANUS is overwhelmingly long sequential streams
-//! (weight matrices, KV cache blocks). Under the Figure 5 address mapping a
-//! stream walks columns within a bank row, then banks, then channels, then
-//! rows — so per-bank activate/precharge latency overlaps with transfers
+//! (weight matrices, KV cache blocks). Laid out Row–Channel–Bank–Column
+//! (Figure 5), a stream walks columns within a bank row, then banks, then
+//! channels, then rows — so per-bank activate/precharge latency overlaps with transfers
 //! from the 15 other banks, and sustained bandwidth approaches the pin rate.
 //! We model a stream as: fixed access latency (first activate + tRCDRD),
 //! then pin-rate data transfer de-rated by a row-turnaround efficiency.

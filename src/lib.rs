@@ -17,7 +17,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`sim`] | `ianus-sim` | time base, event queue, resources |
-//! | [`dram`] | `ianus-dram` | GDDR6 timing, Figure 5 address mapping |
+//! | [`dram`] | `ianus-dram` | GDDR6 timing, bank state machine, bulk transfers |
 //! | [`pim`] | `ianus-pim` | AiM device: commands, tiling, functional BF16 |
 //! | [`npu`] | `ianus-npu` | matrix/vector units, DMA, command scheduler |
 //! | [`model`] | `ianus-model` | Table 3/4 model zoo, stages, shapes |
