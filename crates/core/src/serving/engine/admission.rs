@@ -261,7 +261,7 @@ impl EngineCore<'_> {
             } else {
                 let resident: Vec<RequestShape> = if preempt {
                     let mut v: Vec<RequestShape> = batch.batches[r]
-                        .seqs()
+                        .settled()
                         .iter()
                         .map(|s| ActiveSeq::kv_shape(s.past))
                         .collect();
@@ -374,6 +374,7 @@ impl EngineCore<'_> {
                 wf: arrival.wf,
                 slot,
                 growth: 0,
+                steady: None,
             };
             batch.batches[r].push(seq, kv.paged[r].as_ref());
         }

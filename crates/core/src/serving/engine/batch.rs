@@ -15,14 +15,16 @@
 //!
 //! A [`Batch`] keeps running counters over its sequences — decode
 //! width, past-length sum, next-step block growth, and the prefilling
-//! set — so that the only per-turn walk over a batch is the decode pass
-//! itself ([`Batch::decode_until_finish`]).
+//! set — and advances its steady decoders by a decode epoch
+//! ([`DecodeEpoch`]), so a decode step touches only the decoders whose
+//! step is not the steady one: no per-turn phase walks the batch.
 
 use super::core::EngineCore;
+use super::decode::{position, unlist, DecodeEpoch, GapRuns};
 use super::workflow_rt::{WfTag, WfWorld};
 use crate::serving::kv::{KvSlot, PagedKv};
 use crate::serving::policy::SeqView;
-use crate::serving::report::{request_attains, RunSample};
+use crate::serving::report::request_attains;
 use crate::serving::ReplicaRole;
 use crate::serving::{Priority, Slo};
 use ianus_model::RequestShape;
@@ -106,9 +108,16 @@ pub(super) struct ActiveSeq {
     /// Slot of its block table in the replica's paged pool (unused
     /// under contiguous accounting).
     pub(super) slot: KvSlot,
-    /// Its term of [`Batch::decode_growth`] while resident (see
-    /// [`ActiveSeq::growth_term`]); stale once it leaves the batch.
+    /// Its term of [`Batch::decode_growth`] while it decodes on the
+    /// per-step path (see [`ActiveSeq::growth_term`]); 0 while steady,
+    /// stale once it leaves the batch.
     pub(super) growth: u64,
+    /// `Some(e)` while the sequence decodes steadily (see
+    /// [`DecodeEpoch`]): its `past`, `remaining` and `last_token` are as
+    /// of its batch's decode epoch `e` and settle on read
+    /// ([`Batch::settled`]). `None` on the per-step path and off the
+    /// batch.
+    pub(super) steady: Option<u64>,
 }
 
 impl ActiveSeq {
@@ -160,7 +169,7 @@ impl ActiveSeq {
     /// Blocks its table must add for the next decode step: one more
     /// token for a decoder with tokens left, nothing otherwise (and
     /// nothing under contiguous accounting).
-    fn growth_term(&self, paged: Option<&PagedKv>) -> u64 {
+    pub(super) fn growth_term(&self, paged: Option<&PagedKv>) -> u64 {
         match paged {
             Some(p) if self.decoding() && self.remaining > 0 => p.growth(self.slot, self.past + 1),
             _ => 0,
@@ -198,23 +207,36 @@ impl ActiveSeq {
 /// reads instead of walking them. Every change to a counted field —
 /// decode state, `past`, `remaining`, the KV table's blocks — goes
 /// through a `Batch` method, which keeps the counters exact (they are
-/// integer sums).
+/// integer sums). Steady decoders' per-token fields lag until read
+/// through [`settled`](Self::settled).
 #[derive(Default)]
 pub(super) struct Batch {
     seqs: Vec<ActiveSeq>,
-    /// Decoding sequences.
-    width: u32,
-    /// Sum of `past` over decoding sequences.
-    past_sum: u64,
-    /// Blocks the next decode step must allocate: the sum of every
-    /// resident's cached [`ActiveSeq::growth`].
-    growth: u64,
+    /// Each resident's batch order (see [`position`]), in step with
+    /// `seqs`.
+    orders: Vec<u64>,
+    /// The next push's batch order.
+    next_order: u64,
     /// `idx` of every prefilling sequence (few prefill at once).
     prefilling: Vec<u64>,
+    /// The decoders: counters, per-step list and steady set.
+    decode: DecodeEpoch,
 }
 
 impl Batch {
+    /// The resident sequences, steady decoders unsettled: fields other
+    /// than `past`, `remaining`, `last_token` and `growth` are current.
     pub(super) fn seqs(&self) -> &[ActiveSeq] {
+        &self.seqs
+    }
+
+    /// The resident sequences with every field current: steady
+    /// decoders settle first (O(batch); for the paths that read
+    /// per-token fields of the whole batch).
+    pub(super) fn settled(&mut self) -> &[ActiveSeq] {
+        for s in &mut self.seqs {
+            self.decode.settle(s);
+        }
         &self.seqs
     }
 
@@ -228,12 +250,12 @@ impl Batch {
 
     /// Decoding sequences (the decode step's batch width).
     pub(super) fn decode_width(&self) -> u32 {
-        self.width
+        self.decode.width()
     }
 
     /// Sum of `past` over decoding sequences.
     pub(super) fn past_sum(&self) -> u64 {
-        self.past_sum
+        self.decode.past_sum()
     }
 
     /// Blocks the next decode step must allocate:
@@ -241,7 +263,7 @@ impl Batch {
     /// tokens left (0 under contiguous accounting). Every other
     /// resident's table already holds its context.
     pub(super) fn decode_growth(&self) -> u64 {
-        self.growth
+        self.decode.growth()
     }
 
     /// The iteration's prefill share: the oldest still-prefilling
@@ -260,27 +282,27 @@ impl Batch {
 
     /// Adds `seq` at the back, counting it against `paged`, the
     /// replica's pool, whose table for it must already hold its
-    /// context.
+    /// context. A decoder starts on the per-step path.
     pub(super) fn push(&mut self, mut seq: ActiveSeq, paged: Option<&PagedKv>) {
+        let order = self.next_order;
+        self.next_order += 1;
         if seq.decoding() {
-            self.width += 1;
-            self.past_sum += seq.past;
-            seq.growth = seq.growth_term(paged);
-            self.growth += seq.growth;
+            self.decode.add(&mut seq, order, paged);
         } else {
             self.prefilling.push(seq.idx);
             seq.growth = 0;
         }
         self.seqs.push(seq);
+        self.orders.push(order);
     }
 
-    /// Removes and returns the sequence at position `i`.
-    pub(super) fn remove(&mut self, i: usize) -> ActiveSeq {
-        let seq = self.seqs.remove(i);
+    /// Removes and returns the sequence at position `i`, settled, with
+    /// its table in `paged` settled too.
+    pub(super) fn remove(&mut self, i: usize, paged: Option<&mut PagedKv>) -> ActiveSeq {
+        let mut seq = self.seqs.remove(i);
+        let order = self.orders.remove(i);
         if seq.decoding() {
-            self.width -= 1;
-            self.past_sum -= seq.past;
-            self.growth -= seq.growth;
+            self.decode.remove(&mut seq, order, paged);
         } else {
             unlist(&mut self.prefilling, seq.idx);
         }
@@ -305,150 +327,82 @@ impl Batch {
         });
         if seq.decoding() {
             unlist(&mut self.prefilling, seq.idx);
-            self.width += 1;
-            self.past_sum += seq.past;
-            seq.growth = seq.growth_term(paged);
-            self.growth += seq.growth;
+            self.decode.add(seq, self.orders[i], paged);
         }
         seq
     }
 
-    /// The decode pass from position `from` on: every decoder emits one
-    /// token at `now`, its gap goes to `gaps`, and its table grows in
-    /// `paged`. Skipped are prefilling sequences, a sequence whose
-    /// recompute re-prefill completed this iteration (`just_prefilled`,
-    /// cleared here), and one that already emitted at `now` (its first
-    /// token came out of this iteration's prefill). Stops at the first
-    /// sequence that emits its last token and returns its position — it
-    /// is advanced but still resident and counted, for the caller to
-    /// [`remove`](Self::remove) — or `None` at the end of the batch.
+    /// Starts the decode step at `now` (see [`DecodeEpoch::begin`]):
+    /// the steady decoders advance in aggregate, their shared gap goes
+    /// to `gaps`, and the step's other decoders wait for
+    /// [`decode_until_finish`](Self::decode_until_finish).
+    pub(super) fn begin_decode(
+        &mut self,
+        now: f64,
+        paged: Option<&mut PagedKv>,
+        gaps: &mut GapRuns,
+    ) {
+        self.decode.begin(now, paged, gaps);
+    }
+
+    /// Continues the decode step at `now` over its touched decoders, in
+    /// batch order ([`DecodeEpoch::advance`]): gaps go to `gaps`, tables
+    /// grow in `paged`. Stops at the first sequence that emits its last
+    /// token and returns its position — it is advanced but still
+    /// resident and counted, for the caller to [`remove`](Self::remove)
+    /// — or `None` once the step's decoders are done.
     pub(super) fn decode_until_finish(
         &mut self,
-        from: usize,
         now: f64,
         mut paged: Option<&mut PagedKv>,
         gaps: &mut GapRuns,
     ) -> Option<usize> {
-        for (i, seq) in self.seqs.iter_mut().enumerate().skip(from) {
-            if std::mem::take(&mut seq.just_prefilled) || !seq.decoding() || seq.last_token >= now {
-                continue;
-            }
-            // Gap since the sequence's previous token — includes
-            // co-scheduled prefill chunks and swap traffic that
-            // stalled the batch, not just this iteration's decode.
-            let gap = now - seq.last_token;
-            gaps.push(gap, seq.in_burst);
-            if seq.slo.is_some() {
-                seq.gaps.push(gap);
-            }
-            seq.last_token = now;
-            seq.past += 1;
-            seq.remaining -= 1;
-            self.past_sum += 1;
-            if seq.remaining == 0 {
+        while let Some(order) = self.decode.next(paged.as_deref_mut()) {
+            let i = position(&self.orders, order);
+            if self
+                .decode
+                .advance(&mut self.seqs[i], order, now, paged.as_deref_mut(), gaps)
+            {
                 return Some(i);
-            }
-            if let Some(p) = paged.as_deref_mut() {
-                let term = p.grow_next(seq.slot, seq.past);
-                self.growth = self.growth - seq.growth + term;
-                seq.growth = term;
             }
         }
         None
     }
 
+    /// Ends the decode step at `now`: per-step decoders that emitted at
+    /// `now` and keep no gap log turn steady.
+    pub(super) fn end_decode(&mut self, now: f64, paged: Option<&PagedKv>) {
+        self.decode.end(&mut self.seqs, &self.orders, now, paged);
+    }
+
     /// Asserts the running counters equal a fold recomputed from the
-    /// sequences and `paged`, the replica's pool.
+    /// sequences (steady decoders settled on copies) and `paged`, the
+    /// replica's pool.
     pub(super) fn assert_counters(&self, paged: Option<&PagedKv>) {
-        let (mut width, mut past_sum, mut growth) = (0u32, 0u64, 0u64);
         let mut prefilling = Vec::new();
-        for s in &self.seqs {
-            if s.decoding() {
-                width += 1;
-                past_sum += s.past;
+        for s in self.seqs.iter().filter(|s| !s.decoding()) {
+            prefilling.push(s.idx);
+            // A sequence that does not decode next step holds its
+            // whole context already.
+            if let Some(p) = paged {
                 assert_eq!(
-                    s.growth,
-                    s.growth_term(paged),
-                    "stale growth of seq {}",
+                    p.growth(s.slot, s.past),
+                    0,
+                    "seq {} short of its context",
                     s.idx
                 );
-                growth += s.growth;
-            } else {
-                prefilling.push(s.idx);
-                // A sequence that does not decode next step holds its
-                // whole context already.
-                if let Some(p) = paged {
-                    assert_eq!(
-                        p.growth(s.slot, s.past),
-                        0,
-                        "seq {} short of its context",
-                        s.idx
-                    );
-                }
             }
         }
         let mut listed = self.prefilling.clone();
         listed.sort_unstable();
         prefilling.sort_unstable();
         assert_eq!(
-            (self.width, self.past_sum, self.growth, listed),
-            (width, past_sum, growth, prefilling),
-            "batch counters drifted from their sequences"
+            listed, prefilling,
+            "prefilling list drifted from its sequences"
         );
-    }
-}
-
-/// Drops `idx` from a batch's prefilling list.
-fn unlist(prefilling: &mut Vec<u64>, idx: u64) {
-    let j = prefilling
-        .iter()
-        .position(|&listed| listed == idx)
-        .expect("prefilling sequences are listed");
-    prefilling.swap_remove(j);
-}
-
-/// Inter-token gaps of one stretch of the decode pass, counted locally
-/// in runs of equal gaps (decoders that emitted at the same previous
-/// boundary share one) and written to the run's samples with
-/// [`RunSample::push_n`] when the gap changes and at
-/// [`flush`](Self::flush). Percentiles read only the multiset of
-/// samples, and `push_n` merges equal neighbours, so the samples end up
-/// exactly as one `push_n(gap, 1)` per token would leave them.
-pub(super) struct GapRuns<'a> {
-    itls: &'a mut RunSample,
-    burst_itls: &'a mut RunSample,
-    /// The current run: its gap, its samples, and how many of them came
-    /// from burst-window requests.
-    run: (f64, u64, u64),
-}
-
-impl<'a> GapRuns<'a> {
-    pub(super) fn new(itls: &'a mut RunSample, burst_itls: &'a mut RunSample) -> Self {
-        GapRuns {
-            itls,
-            burst_itls,
-            run: (0.0, 0, 0),
-        }
-    }
-
-    fn push(&mut self, gap: f64, in_burst: bool) {
-        if self.run.0.to_bits() != gap.to_bits() {
-            self.write();
-            self.run = (gap, 0, 0);
-        }
-        self.run.1 += 1;
-        self.run.2 += u64::from(in_burst);
-    }
-
-    fn write(&mut self) {
-        let (gap, n, burst) = self.run;
-        self.itls.push_n(gap, n);
-        self.burst_itls.push_n(gap, burst);
-    }
-
-    /// Writes the last run.
-    pub(super) fn flush(mut self) {
-        self.write();
+        assert_eq!(self.orders.len(), self.seqs.len());
+        assert!(self.orders.windows(2).all(|w| w[0] < w[1]));
+        self.decode.assert_counters(&self.seqs, &self.orders, paged);
     }
 }
 
@@ -491,13 +445,24 @@ impl EngineCore<'_> {
             (ci, chunk_size.min(seq.prefill_target - seq.prefilled))
         });
         let (decode_width, past_sum) = (resident.decode_width(), resident.past_sum());
-        // Round the mean in f64: integer division floored it,
-        // systematically under-pricing decode for heterogeneous batches.
+        // The mean past rounded half away from zero (integer division
+        // alone floored it, systematically under-pricing decode for
+        // heterogeneous batches). In integers this is exactly
+        // `(past_sum as f64 / width as f64).round()` while `past_sum <
+        // 2^52`: a quotient that is not a half lies at least
+        // `1/(2·width)` from one, further than the f64 quotient's
+        // rounding error, and a half rounds up in both — without a libm
+        // `round` call per iteration.
         let mean_past = if decode_width > 0 {
-            (past_sum as f64 / f64::from(decode_width)).round() as u64
+            let width = u64::from(decode_width);
+            (2 * past_sum + width) / (2 * width)
         } else {
             0
         };
+        debug_assert_eq!(
+            mean_past,
+            (past_sum as f64 / f64::from(decode_width.max(1))).round() as u64
+        );
         let mut dt = 0.0f64;
         if let Some((_, tokens)) = chunk {
             dt += self.replicas.pricer(r).prefill_secs(tokens);
@@ -567,38 +532,40 @@ impl EngineCore<'_> {
         }
         if remaining == 0 {
             // Single-token request: the prefill is the request.
-            let seq = self.batch.batches[r].remove(ci);
+            let seq = self.batch.batches[r].remove(ci, self.kv.paged[r].as_mut());
             wf_pushed |= self.complete(r, seq, now);
         } else if self.roles[r] == ReplicaRole::PrefillOnly && !self.mig.decode_pool.is_empty() {
-            let seq = self.batch.batches[r].remove(ci);
+            let seq = self.batch.batches[r].remove(ci, self.kv.paged[r].as_mut());
             self.migrate_after_prefill(r, seq, now);
         }
         wf_pushed
     }
 
-    /// Advance the decoders: one lean pass over the batch
-    /// ([`Batch::decode_until_finish`]), leaving it only to complete a
-    /// sequence that emitted its last token, in batch order. Returns
-    /// whether a workflow fan-out appended arrivals.
+    /// Advance the decoders by one decode step: the steady set moves
+    /// in aggregate, and the step's touched decoders advance in batch
+    /// order, leaving the pass only to complete a sequence that emitted
+    /// its last token. Returns whether a workflow fan-out appended
+    /// arrivals.
     pub(super) fn advance_decoders(&mut self, r: usize, now: f64) -> bool {
         let mut wf_pushed = false;
-        let mut from = 0;
+        let mut gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
+        self.batch.batches[r].begin_decode(now, self.kv.paged[r].as_mut(), &mut gaps);
         loop {
-            let mut gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
             let finished = self.batch.batches[r].decode_until_finish(
-                from,
                 now,
                 self.kv.paged[r].as_mut(),
                 &mut gaps,
             );
             gaps.flush();
             let Some(i) = finished else {
-                return wf_pushed;
+                break;
             };
-            let seq = self.batch.batches[r].remove(i);
+            let seq = self.batch.batches[r].remove(i, self.kv.paged[r].as_mut());
             wf_pushed |= self.complete(r, seq, now);
-            from = i;
+            gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
         }
+        self.batch.batches[r].end_decode(now, self.kv.paged[r].as_ref());
+        wf_pushed
     }
 
     /// Settles `seq`, which just emitted its last token on replica `r`
@@ -639,154 +606,5 @@ impl EngineCore<'_> {
         );
         self.done += 1;
         wf_pushed
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::serving::kv::prefix_key;
-    use proptest::prelude::*;
-
-    /// A fresh sequence admitted into `slot` with `shared` prompt tokens
-    /// already mapped.
-    fn admitted(idx: u64, shape: RequestShape, slot: KvSlot, shared: u64) -> ActiveSeq {
-        ActiveSeq {
-            shape,
-            arrival: 0.0,
-            idx,
-            service: 0.0,
-            class: 0,
-            priority: Priority::Interactive,
-            slo: None,
-            prefilled: shared,
-            prefill_target: shape.input,
-            past: shared,
-            remaining: shape.generation_steps(),
-            last_token: 0.0,
-            ttft: 0.0,
-            gaps: Vec::new(),
-            preemptions: 0,
-            recomputes: 0,
-            swap_epoch: 0,
-            hosted_bytes: 0,
-            just_prefilled: false,
-            shared_tokens: shared,
-            cache_hit: shared > 0,
-            tenant: 0,
-            in_burst: idx.is_multiple_of(3),
-            wf: None,
-            slot,
-            growth: 0,
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Random push (cold and prefix-hit), prefill-chunk,
-        /// decode-advance, evict (by swap or recompute), swap-in and
-        /// complete sequences on one paged batch keep its counters equal
-        /// to a fold over its sequences after every step, and end at
-        /// zero. The decode pass leaves the ITL samples exactly as one
-        /// push per emitted token would.
-        #[test]
-        fn batch_counters_track_their_sequences(
-            ops in prop::collection::vec((0u8..7, 0u64..64, 1u64..40), 1..120),
-        ) {
-            let mut p = PagedKv::new(64, 4);
-            let mut batch = Batch::default();
-            let mut swapped: Vec<ActiveSeq> = Vec::new();
-            let (mut itls, mut burst_itls) = (RunSample::default(), RunSample::default());
-            let (mut want_itls, mut want_burst) = (RunSample::default(), RunSample::default());
-            let (mut next_idx, mut now) = (0u64, 0.0f64);
-            let key = prefix_key(0, 8);
-            for (op, pick, n) in ops {
-                match op {
-                    0 => {
-                        // Admission: the first prefill to complete
-                        // publishes the prefix later pushes map.
-                        let shape = RequestShape::new(n + 8, 2 + pick % 12);
-                        let (slot, shared) = p.admit(Some(key), shape.input - 1);
-                        batch.push(admitted(next_idx, shape, slot, shared), Some(&p));
-                        next_idx += 1;
-                    }
-                    1 => {
-                        if let Some(idx) = batch.chunk_target() {
-                            let i = batch.position(idx).unwrap();
-                            let s = &batch.seqs()[i];
-                            let tokens = n.min(s.prefill_target - s.prefilled);
-                            let seq = batch.prefill_chunk(i, tokens, Some(&mut p));
-                            if seq.decoding() {
-                                if let Some(shared) = p.register_prefix(seq.slot, key, 8) {
-                                    seq.shared_tokens = seq.shared_tokens.max(shared);
-                                }
-                                if seq.recomputes > 0 {
-                                    seq.just_prefilled = true;
-                                } else {
-                                    seq.last_token = now;
-                                }
-                            }
-                        }
-                    }
-                    2 => {
-                        now += 1.0 + (pick % 3) as f64;
-                        // Which sequences the pass will advance, and
-                        // their gaps, in batch order.
-                        for s in batch.seqs() {
-                            if !s.just_prefilled && s.decoding() && s.last_token < now {
-                                want_itls.push_n(now - s.last_token, 1);
-                                if s.in_burst {
-                                    want_burst.push_n(now - s.last_token, 1);
-                                }
-                            }
-                        }
-                        let mut from = 0;
-                        loop {
-                            let mut gaps = GapRuns::new(&mut itls, &mut burst_itls);
-                            let finished = batch.decode_until_finish(from, now, Some(&mut p), &mut gaps);
-                            gaps.flush();
-                            let Some(i) = finished else { break };
-                            p.complete(batch.remove(i).slot);
-                            from = i;
-                        }
-                    }
-                    3 | 4 if !batch.is_empty() => {
-                        // Eviction of any resident sequence — by swap
-                        // (op 3) or recompute (op 4).
-                        let mut seq = batch.remove(pick as usize % batch.len());
-                        p.drop_unshared(seq.slot);
-                        if op == 4 && seq.decoding() {
-                            seq.reset_for_recompute();
-                        }
-                        swapped.push(seq);
-                    }
-                    5 if !swapped.is_empty() => {
-                        let seq = swapped.swap_remove(pick as usize % swapped.len());
-                        p.grow(seq.slot, seq.past);
-                        batch.push(seq, Some(&p));
-                    }
-                    6 if !batch.is_empty() => {
-                        p.complete(batch.remove(pick as usize % batch.len()).slot);
-                    }
-                    _ => {}
-                }
-                batch.assert_counters(Some(&p));
-            }
-            for seq in swapped {
-                p.complete(seq.slot);
-            }
-            while !batch.is_empty() {
-                p.complete(batch.remove(batch.len() - 1).slot);
-                batch.assert_counters(Some(&p));
-            }
-            prop_assert_eq!(
-                (batch.decode_width(), batch.past_sum(), batch.decode_growth(), batch.chunk_target()),
-                (0, 0, 0, None)
-            );
-            prop_assert_eq!(format!("{itls:?}"), format!("{want_itls:?}"));
-            prop_assert_eq!(format!("{burst_itls:?}"), format!("{want_burst:?}"));
-            p.finish();
-        }
     }
 }

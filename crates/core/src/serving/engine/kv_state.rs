@@ -230,7 +230,7 @@ impl EngineCore<'_> {
                 } else {
                     let grown = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
                     let mut projected: Vec<RequestShape> =
-                        batch.batches[r].seqs().iter().map(grown).collect();
+                        batch.batches[r].settled().iter().map(grown).collect();
                     projected.extend(
                         lanes.incoming[r]
                             .iter()
@@ -422,7 +422,7 @@ impl EngineCore<'_> {
             } else {
                 let grown_shape = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
                 let mut eventual: Vec<RequestShape> =
-                    batch.batches[r].seqs().iter().map(grown_shape).collect();
+                    batch.batches[r].settled().iter().map(grown_shape).collect();
                 eventual.extend(
                     lanes.incoming[r]
                         .iter()
@@ -506,7 +506,7 @@ impl EngineCore<'_> {
             let paged = kv.paged[r].as_ref();
             let priced = scheduler.eviction.reads_costs();
             let views: Vec<(usize, SeqView)> = batch.batches[r]
-                .seqs()
+                .settled()
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.decoding())
@@ -529,7 +529,7 @@ impl EngineCore<'_> {
                 break;
             };
             let (v, view) = views[vi];
-            let mut seq = batch.batches[r].remove(v);
+            let mut seq = batch.batches[r].remove(v, kv.paged[r].as_mut());
             seq.preemptions += 1;
             kv.swap_count += 1;
             seq.swap_epoch = kv.swap_count;
@@ -567,7 +567,7 @@ impl EngineCore<'_> {
                     let (swap_secs, recompute_secs) = if priced {
                         (view.swap_secs, view.recompute_secs)
                     } else {
-                        eviction_costs(&seq, replicas, r, model, headroom, paged)
+                        eviction_costs(&seq, replicas, r, model, headroom, kv.paged[r].as_ref())
                     };
                     2.0 * swap_secs <= recompute_secs
                 }

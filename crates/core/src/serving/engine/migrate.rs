@@ -79,7 +79,7 @@ impl EngineCore<'_> {
                     }
                 } else {
                     let mut resident: Vec<RequestShape> = batch.batches[r]
-                        .seqs()
+                        .settled()
                         .iter()
                         .map(|s| ActiveSeq::kv_shape(s.past))
                         .collect();

@@ -10,6 +10,7 @@
 //! | `arrivals`    | [`ArrivalProcess`] | trace generation (Poisson/diurnal/MMPP/...) |
 //! | `admission`   | `WaitQueue`        | arrival vector, wait queue, admission       |
 //! | `batch`       | `BatchState`       | counted `Batch`es, clocks, execute/advance  |
+//! | `decode`      | `DecodeEpoch`      | decoder counters, steady set, decode steps  |
 //! | `kv_state`    | `KvLedger`         | paged pools, swap queues, pressure/eviction |
 //! | `dma_retire`  | `LaneClocks`       | H2D/D2H lanes, in-flight swaps, retirement  |
 //! | `migrate`     | `MigrationState`   | decode pool, prefill→decode handoff         |
@@ -24,6 +25,7 @@ mod admission;
 mod arrivals;
 mod batch;
 mod core;
+mod decode;
 mod dma_retire;
 mod kv_state;
 mod migrate;

@@ -71,6 +71,20 @@ fn decode_grid_bracket(past: u64) -> (u64, u64) {
     (DECODE_GRID[i - 1], DECODE_GRID[i])
 }
 
+/// One replica's last interpolated decode price: grid prices `a` at
+/// `lo` and `b` at `hi` for width `batch`. A decode step at the same
+/// width with `lo < past ≤ hi` reuses them (consecutive steps of one
+/// batch mostly fall in one bracket), skipping the grid search and both
+/// memo lookups.
+#[derive(Clone, Copy, Default)]
+struct DecodeBracket {
+    batch: u32,
+    lo: u64,
+    hi: u64,
+    a: f64,
+    b: f64,
+}
+
 /// One model's memo tables inside a price class.
 #[derive(Clone)]
 pub(super) struct ModelPrices {
@@ -145,6 +159,10 @@ pub(super) struct Replicas {
     /// while replicas added since the last [`group`](Self::group) wait.
     class_of: Vec<usize>,
     classes: Vec<PriceClass>,
+    /// Each replica's last decode bracket (sized and reset by
+    /// [`resolve`](Self::resolve), so building an engine allocates
+    /// none).
+    brackets: Vec<DecodeBracket>,
 }
 
 impl Replicas {
@@ -184,6 +202,7 @@ impl Replicas {
             backends,
             class_of: self.class_of.clone(),
             classes: self.classes.clone(),
+            brackets: self.brackets.clone(),
         })
     }
 
@@ -210,6 +229,9 @@ impl Replicas {
     /// the class's first run of that model. Call once per run, after
     /// [`group`](Self::group).
     pub(super) fn resolve(&mut self, model: &ModelConfig) {
+        self.brackets.clear();
+        self.brackets
+            .resize(self.backends.len(), DecodeBracket::default());
         for class in &mut self.classes {
             class.current = match class.models.iter().position(|m| m.model == *model) {
                 Some(i) => i,
@@ -229,13 +251,14 @@ impl Replicas {
     }
 
     /// The memoized device-cost view of replica `r`: its class's tables
-    /// for the current run's model and the backend that prices their
-    /// misses.
+    /// for the current run's model, the backend that prices their
+    /// misses, and `r`'s last decode bracket.
     pub(super) fn pricer(&mut self, r: usize) -> Pricer<'_> {
         let class = &mut self.classes[self.class_of[r]];
         Pricer {
             backend: &mut *self.backends[class.pricer],
             prices: &mut class.models[class.current],
+            bracket: &mut self.brackets[r],
         }
     }
 
@@ -255,6 +278,7 @@ impl Replicas {
 pub(super) struct Pricer<'a> {
     prices: &'a mut ModelPrices,
     backend: &'a mut dyn Backend,
+    bracket: &'a mut DecodeBracket,
 }
 
 impl Pricer<'_> {
@@ -296,21 +320,37 @@ impl Pricer<'_> {
     /// Decode-iteration time at an arbitrary past-length: exact below
     /// [`DECODE_GRID_START`], interpolated between grid samples above.
     /// The grid is clamped to the model's positional table so sampling
-    /// never prices a past the model cannot attend to.
+    /// never prices a past the model cannot attend to. A past inside
+    /// the replica's last bracket at the same width reuses its prices
+    /// (the memos hold them, so no backend call is skipped).
     pub(super) fn decode_secs(&mut self, past: u64, batch: u32) -> f64 {
         let past = past.max(1);
+        let c = *self.bracket;
+        if c.batch == batch && c.lo < past && past <= c.hi {
+            return c.a + (c.b - c.a) * (past - c.lo) as f64 / (c.hi - c.lo) as f64;
+        }
         if past <= DECODE_GRID_START {
             return self.decode_exact_secs(past, batch);
         }
         let (lo, hi) = decode_grid_bracket(past);
-        let hi = hi
-            .min(self.prices.model.max_seq.saturating_sub(1))
-            .max(past);
+        let top = hi.min(self.prices.model.max_seq.saturating_sub(1));
+        let hi = top.max(past);
         if hi == lo {
             return self.decode_exact_secs(lo, batch);
         }
         let a = self.decode_exact_secs(lo, batch);
         let b = self.decode_exact_secs(hi, batch);
+        if hi == top {
+            // Every past in `(lo, top]` brackets to these prices; above
+            // the clamp the bracket's top is the past itself.
+            *self.bracket = DecodeBracket {
+                batch,
+                lo,
+                hi,
+                a,
+                b,
+            };
+        }
         a + (b - a) * (past - lo) as f64 / (hi - lo) as f64
     }
 
@@ -493,7 +533,10 @@ mod tests {
 
     /// One engine serving every GPT-2 model in turn prices each past up
     /// to the model's positional table with the same bits, and the same
-    /// backend misses in the same order, as config-keyed memos.
+    /// backend misses in the same order, as config-keyed memos — whether
+    /// each decode price re-brackets (widths interleaved per past) or
+    /// reuses the replica's last bracket (pasts swept at one width, up
+    /// to past the positional clamp).
     #[test]
     fn per_model_tables_price_like_config_keyed_memos() {
         let (log, reference_log): (CallLog, CallLog) = Default::default();
@@ -524,6 +567,13 @@ mod tests {
                         "{} tokens {past}",
                         model.name
                     );
+                }
+                for batch in [2, 7] {
+                    for past in (0..=model.max_seq + 40).chain((0..=model.max_seq).rev()) {
+                        let got = pricer.decode_secs(past, batch);
+                        let want = reference.decode_secs(&model, past, batch);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{} past {past}", model.name);
+                    }
                 }
                 assert_eq!(*log.lock().unwrap(), *reference_log.lock().unwrap());
             }

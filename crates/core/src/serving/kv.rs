@@ -29,7 +29,12 @@
 //!   eviction frees only *unshared* blocks, completion releases
 //!   everything. Its tables live in a slab: admission hands
 //!   out a [`KvSlot`] the sequence carries, and completion frees the
-//!   slot for reuse.
+//!   slot for reuse. Decode growth that stays inside tail blocks may
+//!   also move the running slack in aggregate, without touching the
+//!   tables it lands in: their token counts then lag, and each table
+//!   records its true count before anything else reads or changes it —
+//!   when its next token opens a block, or when its sequence leaves the
+//!   batch.
 //!
 //! The block size is given in tokens; its byte size derives from the
 //! model's per-token KV bytes via
@@ -500,10 +505,14 @@ pub struct PagedKv {
     /// Vacant slots, reused last-freed first, so the slab never grows
     /// past the peak number of live tables.
     vacant: Vec<KvSlot>,
-    /// Running sum of every live table's
-    /// [`slack_tokens`](BlockTable::slack_tokens), kept by every call
-    /// that changes a table's blocks or tokens.
+    /// Running allocated-but-unused tokens over every live table, kept
+    /// by every call that changes a table's blocks or tokens and by
+    /// [`fill_tails`](Self::fill_tails): the sum of the tables'
+    /// [`slack_tokens`](BlockTable::slack_tokens) minus `lag`.
     slack: u64,
+    /// Tokens [`fill_tails`](Self::fill_tails) stored that no table
+    /// records yet; [`settle`](Self::settle) hands them to their tables.
+    lag: u64,
 }
 
 impl PagedKv {
@@ -516,6 +525,7 @@ impl PagedKv {
             tables: Vec::new(),
             vacant: Vec::new(),
             slack: 0,
+            lag: 0,
         }
     }
 
@@ -575,6 +585,13 @@ impl PagedKv {
         } else {
             self.alloc.blocks_for(tokens) - held
         }
+    }
+
+    /// Tokens of context the table in `slot` records (behind the
+    /// sequence's true context until [`settle`](Self::settle)d, when
+    /// [`fill_tails`](Self::fill_tails) stored some of its tokens).
+    pub(crate) fn tokens_of(&self, slot: KvSlot) -> u64 {
+        self.table(slot).tokens
     }
 
     /// Private (unshared) blocks the sequence in `slot` currently maps —
@@ -648,6 +665,51 @@ impl PagedKv {
         table.blocks.len() as u64 * block_tokens
     }
 
+    /// Stores `tokens` more tokens of context in the tail blocks of
+    /// tables the caller does not name: one decode step of sequences
+    /// whose tables hold the step's token without a new block. Only the
+    /// running slack moves; each such table records its tokens when
+    /// [`settle`](Self::settle)d, which must happen before the table is
+    /// next grown, evicted or completed.
+    pub(crate) fn fill_tails(&mut self, tokens: u64) {
+        self.slack -= tokens;
+        self.lag += tokens;
+    }
+
+    /// Tokens [`fill_tails`](Self::fill_tails) stored that no table
+    /// records yet.
+    pub(crate) fn lag(&self) -> u64 {
+        self.lag
+    }
+
+    /// Records `tokens` of context in the table in `slot`, whose missing
+    /// tokens [`fill_tails`](Self::fill_tails) already stored: the slack
+    /// is unchanged.
+    pub(crate) fn settle(&mut self, slot: KvSlot, tokens: u64) {
+        let table = live(&mut self.tables, slot);
+        debug_assert!(
+            table.tokens <= tokens
+                && tokens <= table.blocks.len() as u64 * self.alloc.block_tokens()
+        );
+        self.lag -= tokens - table.tokens;
+        table.tokens = tokens;
+    }
+
+    /// Takes token `tokens` of the sequence in `slot` into a new block:
+    /// its table's blocks hold exactly `tokens − 1` tokens, some of them
+    /// stored by [`fill_tails`](Self::fill_tails), which the table
+    /// records first. Like [`grow`](Self::grow) across one block
+    /// boundary, in one slab access.
+    pub(crate) fn open_block(&mut self, slot: KvSlot, tokens: u64) {
+        let block_tokens = self.alloc.block_tokens();
+        let table = live(&mut self.tables, slot);
+        debug_assert_eq!(table.blocks.len() as u64 * block_tokens, tokens - 1);
+        self.lag -= tokens - 1 - table.tokens;
+        table.blocks.push(self.alloc.allocate_overcommit());
+        table.tokens = tokens;
+        self.slack += block_tokens - 1;
+    }
+
     /// Registers the first `prefix_tokens` of context of the sequence in
     /// `slot` as the cached prefix under `key`, if absent. The
     /// registering sequence's own leading blocks become shared (its
@@ -709,7 +771,7 @@ impl PagedKv {
     /// O(1): the slack is a running counter.
     pub fn fragmentation(&self) -> f64 {
         debug_assert_eq!(
-            self.slack,
+            self.slack + self.lag,
             self.tables
                 .iter()
                 .flatten()
@@ -741,6 +803,7 @@ impl PagedKv {
             self.tables.iter().all(Option::is_none),
             "sequences still hold KV tables at end of run"
         );
+        assert_eq!(self.lag, 0, "filled tail tokens never settled");
         self.cache.flush(&mut self.alloc);
         assert_eq!(self.alloc.used_blocks(), 0, "leaked KV blocks");
     }
@@ -882,9 +945,9 @@ mod tests {
         let expected = if allocated == 0 {
             0.0
         } else {
-            slack as f64 / allocated as f64
+            (slack - p.lag) as f64 / allocated as f64
         };
-        assert_eq!(p.slack, slack);
+        assert_eq!(p.slack + p.lag, slack);
         assert_eq!(p.fragmentation(), expected);
     }
 
@@ -892,14 +955,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random admit (cold and prefix-hit) / grow / register /
-        /// evict / complete / complete-then-admit sequences keep the
-        /// running slack equal to the sum over the tables after every
-        /// step, `growth` equal to the block arithmetic it replaces (and
-        /// to what `grow_next` reports),
-        /// and the slab no larger than the peak number of live tables.
+        /// evict / complete / complete-then-admit / fill-then-settle
+        /// sequences keep the running slack equal to the sum over the
+        /// tables (less the unsettled tail tokens) after every step,
+        /// `growth` equal to the block arithmetic it replaces (and to
+        /// what `grow_next` reports), and the slab no larger than the
+        /// peak number of live tables.
         #[test]
         fn running_slack_tracks_tables(
-            ops in prop::collection::vec((0u8..7, 0u64..64, 1u64..80), 1..80),
+            ops in prop::collection::vec((0u8..8, 0u64..64, 1u64..80), 1..80),
         ) {
             let mut p = PagedKv::new(16, 16);
             let mut live: Vec<KvSlot> = Vec::new();
@@ -940,6 +1004,25 @@ mod tests {
                     }
                     4 => p.drop_unshared(live[pick as usize % live.len()]),
                     5 => p.complete(live.swap_remove(pick as usize % live.len())),
+                    7 => {
+                        // Tail tokens stored in aggregate, then recorded
+                        // by the table — or, once they fill its blocks,
+                        // by the next token opening a block — as a
+                        // steadily decoding sequence's would be.
+                        let slot = live[pick as usize % live.len()];
+                        let tokens = p.tokens_of(slot);
+                        let room = p.blocks_of(slot) * p.block_tokens() - tokens;
+                        let filled = n.min(room);
+                        p.fill_tails(filled);
+                        assert_slack_matches_tables(&p);
+                        if filled == room && pick % 2 == 0 {
+                            assert_eq!(p.growth(slot, tokens + filled + 1), 1);
+                            p.open_block(slot, tokens + filled + 1);
+                        } else {
+                            p.settle(slot, tokens + filled);
+                        }
+                        assert_eq!(p.growth(slot, p.tokens_of(slot)), 0);
+                    }
                     _ => {
                         // Complete then admit: the freed slot is reused.
                         let freed = live.swap_remove(pick as usize % live.len());

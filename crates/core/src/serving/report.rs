@@ -86,9 +86,10 @@ impl RunSample {
         }
     }
 
-    /// Percentiles of the expanded sample: the runs are sorted under
-    /// [`f64::total_cmp`] (left so) and walked to each
-    /// [`rank`]`(len, p)`.
+    /// Percentiles of the expanded sample: the value at each
+    /// [`rank`]`(len, p)` of its ascending [`f64::total_cmp`] order,
+    /// selected over the runs weighted by their counts rather than
+    /// sorted for (the runs are left reordered).
     ///
     /// # Panics
     ///
@@ -101,26 +102,75 @@ impl RunSample {
         if self.runs.is_empty() {
             return LatencyPercentiles::ZERO;
         }
-        self.runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let len: u64 = self.runs.iter().map(|&(_, n)| n).sum();
-        // Each rank is at or above the previous one, so each walk
-        // resumes where the previous one stopped.
-        let (mut run, mut below) = (0, 0u64);
+        // Each rank is at or above the previous one, and a selection
+        // leaves every run before the selected one no larger and every
+        // run after it no smaller, so each search resumes there.
+        let (mut lo, mut below) = (0, 0u64);
+        let runs = &mut self.runs;
         let mut at = |p: f64| {
             let idx = rank(len as usize, p) as u64;
-            while below + self.runs[run].1 <= idx {
-                below += self.runs[run].1;
-                run += 1;
-            }
-            Duration::from_secs_f64(self.runs[run].0)
+            (lo, below) = select_weighted(runs, lo, below, idx);
+            Duration::from_secs_f64(runs[lo].0)
         };
         let (p50, p95, p99) = (at(0.50), at(0.95), at(0.99));
+        let max = self.runs[lo..]
+            .iter()
+            .map(|&(x, _)| x)
+            .max_by(f64::total_cmp)
+            .expect("runs are non-empty");
         LatencyPercentiles {
             p50,
             p95,
             p99,
-            max: Duration::from_secs_f64(self.runs[self.runs.len() - 1].0),
+            max: Duration::from_secs_f64(max),
         }
+    }
+}
+
+/// Weighted quickselect over `runs[lo..]`, whose runs all lie at or
+/// above the `below` samples before `lo`: moves the run holding sample
+/// rank `idx` (ascending under [`f64::total_cmp`], counting each run's
+/// samples) to a position `i` with every run before it no larger and
+/// every run after it no smaller, and returns `i` with the samples
+/// before it.
+fn select_weighted(
+    runs: &mut [(f64, u64)],
+    mut lo: usize,
+    mut below: u64,
+    idx: u64,
+) -> (usize, u64) {
+    let mut hi = runs.len();
+    loop {
+        let mid = lo + (hi - lo) / 2;
+        runs[lo..hi].select_nth_unstable_by(mid - lo, |a, b| a.0.total_cmp(&b.0));
+        let left: u64 = runs[lo..mid].iter().map(|&(_, n)| n).sum();
+        if idx < below + left {
+            hi = mid;
+        } else if idx < below + left + runs[mid].1 {
+            return (mid, below + left);
+        } else {
+            below += left + runs[mid].1;
+            lo = mid + 1;
+        }
+    }
+}
+
+#[cfg(test)]
+impl RunSample {
+    /// The sample as a multiset: `(bits, count)` per distinct value,
+    /// ascending under [`f64::total_cmp`].
+    pub(crate) fn sorted_runs(&self) -> Vec<(u64, u64)> {
+        let mut runs = self.runs.clone();
+        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut merged: Vec<(u64, u64)> = Vec::new();
+        for (v, n) in runs {
+            match merged.last_mut() {
+                Some((bits, m)) if *bits == v.to_bits() => *m += n,
+                _ => merged.push((v.to_bits(), n)),
+            }
+        }
+        merged
     }
 }
 
@@ -927,17 +977,19 @@ mod tests {
 
         /// Run-length percentiles read exactly what `of` reads over the
         /// expanded samples, bit for bit, however the samples were
-        /// pushed: one at a time or as `push_n` runs, in random order,
-        /// over a handful of values with signed zeros among them.
+        /// pushed: one at a time or as `push_n` runs (some thousands
+        /// long), in random order, over a handful of values with signed
+        /// zeros among them, each value in many separate runs.
         #[test]
         fn run_length_percentiles_match_expanded_samples(
-            draws in prop::collection::vec((0u8..6, 0u64..5, 0u8..2), 0..40),
+            draws in prop::collection::vec((0u8..6, 0u64..9, 0u8..2), 0..40),
         ) {
             let mut runs = RunSample::default();
             let mut expanded = Vec::new();
             for (kind, count, singles) in draws {
                 let v = [-0.0, 0.0, 0.25, 0.5, 1e-3, 0.75][kind as usize];
-                if singles == 1 {
+                let count = if count < 5 { count } else { count * 500 - kind as u64 };
+                if singles == 1 && count < 5 {
                     (0..count).for_each(|_| runs.push_n(v, 1));
                 } else {
                     runs.push_n(v, count);

@@ -1928,3 +1928,50 @@ fn pinned_mixed_skip_run_matches_on_both_cores() {
         0xb105_1364_d2a0_61ce
     );
 }
+
+/// A paged, chunked, preempting run whose interactive tier carries an
+/// SLO — its decoders keep per-sequence gap logs, so they take the
+/// per-step decode path every step — while the batch tier's decoders
+/// advance by the batch's decode epoch, under MMPP burst traffic: the
+/// ITL, burst-window and SLO columns all mix both kinds of decoder.
+fn slo_burst_report(mode: CoreMode) -> ServingReport {
+    let mut cfg = ServingConfig::shared_prefix(60.0, 60);
+    cfg.mix[0] = cfg.mix[0].with_slo(Slo::new(Duration::from_ms(2000), Duration::from_ms(140)));
+    cfg.arrivals = ArrivalSpec::mmpp(4.0, 0.2, 0.4);
+    let mut sim = ServingSim::new(cfg);
+    for _ in 0..2 {
+        sim = sim.replica(IanusSystem::new(SystemConfig::ianus()));
+    }
+    sim.scheduling(Scheduling::IterationLevel {
+        max_batch: 32,
+        prefill_chunk: Some(64),
+        preempt: true,
+    })
+    .kv_block(16)
+    .host_kv_pool(Some(1 << 30))
+    .overlap_dma(true)
+    .core_mode(mode)
+    .run(&ModelConfig::gpt2_xl())
+}
+
+/// The fingerprint is the engine's before decoders advanced lazily (one
+/// per-sequence step per token); the step-scan core must match it too.
+#[test]
+fn pinned_slo_burst_run_matches_on_both_cores() {
+    let report = slo_burst_report(CoreMode::EventDriven);
+    assert_eq!(report.completed, 60);
+    assert!(report.preemptions > 0, "no eviction");
+    assert!(
+        report.burst_inter_token != LatencyPercentiles::ZERO,
+        "no burst-window decode"
+    );
+    assert!(
+        report.slo_attainment > 0.0 && report.slo_attainment < 1.0,
+        "SLO class neither all met nor all missed"
+    );
+    assert_eq!(debug_fnv(&report), 0xeae7_529f_f003_7ebc);
+    assert_eq!(
+        debug_fnv(&slo_burst_report(CoreMode::StepScan)),
+        0xeae7_529f_f003_7ebc
+    );
+}
