@@ -8,9 +8,10 @@
 # stripped from both sides. Every remaining field (preemption and
 # recompute schedules, DMA seconds, percentile latencies, goodput,
 # migration counts, bisected sustainable rates) is deterministic, so
-# ANY diff means the engine's schedule drifted — the event-driven core
-# is pinned to the historical step-scan schedules and this script is
-# the cheap whole-trajectory check on top of the unit pins.
+# ANY diff means the engine's schedule drifted — the event-driven turn
+# selection is pinned to the historical step-scan schedules (and the
+# single, order-checked DMA lane path to the old lane scans), and this
+# script is the cheap whole-trajectory check on top of the unit pins.
 #
 # Usage: ./benches/compare_canonical_results.sh
 #   (run from the repo root; builds the examples if needed)

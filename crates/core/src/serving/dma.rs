@@ -11,10 +11,9 @@
 //!
 //! Within a lane, transfers never reorder: `issue` starts each
 //! transfer at `max(now, lane_free)` and advances the lane clock
-//! monotonically (debug-asserted). Completion times handed to sorted
-//! retirement queues are therefore non-decreasing per lane, which is
-//! the invariant the engine's `VecDeque`-based DMA retirement relies
-//! on.
+//! monotonically (debug-asserted). Completion times handed to the
+//! engine's retirement queues are therefore non-decreasing per lane,
+//! the order those queues check on every push.
 
 /// Direction of a DMA transfer on a replica's host link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

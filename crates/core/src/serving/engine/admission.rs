@@ -260,23 +260,14 @@ impl EngineCore<'_> {
                 }
             } else {
                 let resident: Vec<RequestShape> = if preempt {
+                    // In-flight KV holds device memory too: reserved
+                    // swap-ins, and swap-outs not yet drained.
                     let mut v: Vec<RequestShape> = batch.batches[r]
                         .settled()
                         .iter()
                         .map(|s| ActiveSeq::kv_shape(s.past))
+                        .chain(lanes.in_flight_shapes(r))
                         .collect();
-                    // In-flight KV holds device memory too: reserved
-                    // swap-ins, and swap-outs not yet drained.
-                    v.extend(
-                        lanes.incoming[r]
-                            .iter()
-                            .map(|(_, s)| ActiveSeq::kv_shape(s.past)),
-                    );
-                    v.extend(
-                        lanes.outgoing[r]
-                            .iter()
-                            .map(|&(_, tok, _)| ActiveSeq::kv_shape(tok)),
-                    );
                     // The candidate's imminent footprint: its whole
                     // prompt's KV, at prefill activation width.
                     v.push(RequestShape {

@@ -5,7 +5,8 @@
 //! structs ([`WaitQueue`], [`BatchState`], [`KvLedger`], [`LaneClocks`],
 //! [`MigrationState`], [`WorkflowRt`], [`TurnIndex`]) plus the shared
 //! scalars, and drives the turn loop: select the next actionable
-//! replica (heap-indexed or linear-scan, bit-identically), retire DMA,
+//! replica (heap-indexed or linear-scan, bit-identically — the only
+//! place that knows the [`CoreMode`]), retire DMA,
 //! re-admit swapped work, land migrants, admit arrivals, relieve KV
 //! pressure, execute one iteration, advance prefill and decoders, and
 //! re-index. Each phase lives in its layer's module as an
@@ -13,7 +14,7 @@
 
 use super::admission::WaitQueue;
 use super::batch::{Batch, BatchState};
-use super::dma_retire::LaneClocks;
+use super::dma_retire::{LaneClocks, LaneQueue};
 use super::kv_state::{build_paged_pools, KvLedger};
 use super::migrate::MigrationState;
 use super::replica::Replicas;
@@ -26,14 +27,51 @@ use crate::serving::report::RunStats;
 use crate::serving::{ReplicaRole, RequestClass};
 use ianus_model::ModelConfig;
 use ianus_sim::SlotQueue;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
+
+/// How the turn loop picks its next replica: the event-driven
+/// index, or the step-scan reference that walks every replica each
+/// turn. Both select the same turns; nothing else in the engine
+/// depends on which one runs.
+pub(super) enum Turns {
+    /// [`CoreMode::EventDriven`].
+    Indexed(TurnIndex),
+    /// [`CoreMode::StepScan`]: stateless.
+    Scan,
+}
+
+impl Turns {
+    fn new(mode: CoreMode, roles: &[ReplicaRole]) -> Self {
+        match mode {
+            CoreMode::StepScan => Turns::Scan,
+            // Decode-only replicas never admit arrivals: they start
+            // parked (in no idle set) and are woken by the turn that
+            // issues a migration toward them.
+            CoreMode::EventDriven => Turns::Indexed(TurnIndex {
+                busy_q: SlotQueue::new(roles.len()),
+                idle_ready: (0..roles.len())
+                    .filter(|&i| roles[i] != ReplicaRole::DecodeOnly)
+                    .collect(),
+                idle_late: BTreeSet::new(),
+                parked: BTreeSet::new(),
+            }),
+        }
+    }
+
+    /// Wakes replica `r` for a migration pushed toward it: it is busy
+    /// at its own clock `at` from now on (a parked decode-only replica
+    /// is in no set; `schedule` upserts, so a busy one keeps its key).
+    /// The scan needs no wake.
+    pub(super) fn wake(&mut self, r: usize, at: f64) {
+        if let Turns::Indexed(ix) = self {
+            ix.busy_q.schedule(r, TimeKey(at));
+        }
+    }
+}
 
 /// The event-driven next-actionable-time index. A replica is
-/// *busy* (actionable at its own clock) while it holds work —
-/// resident, swapped, or an inbound transfer; an in-flight
-/// swap-out alone does not make it busy (matching the scan's
-/// predicate: contiguous re-admission can strand an `outgoing`
-/// entry on an otherwise empty replica). Idle replicas are
+/// *busy* (actionable at its own clock) while it
+/// [holds work](EngineCore::holds_work); idle replicas are
 /// actionable at `max(clock, next pending arrival)`, so they
 /// split on which side of that max binds: `idle_ready` holds
 /// those with clock ≤ the next arrival (all actionable at the
@@ -45,23 +83,16 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 /// it busy), so both sets clear.
 pub(super) struct TurnIndex {
     /// Busy replicas keyed by their next boundary time.
-    pub(super) busy_q: SlotQueue<TimeKey>,
+    busy_q: SlotQueue<TimeKey>,
     /// Idle replicas whose clock has not passed the arrival head.
-    pub(super) idle_ready: BTreeSet<usize>,
+    idle_ready: BTreeSet<usize>,
     /// Idle replicas past the arrival head, keyed by their own clock.
-    pub(super) idle_late: BTreeSet<(TimeKey, usize)>,
+    idle_late: BTreeSet<(TimeKey, usize)>,
     /// Workflow mode only: idle non-decode replicas that found the
     /// wait queue empty. They are in no idle set (there is no head
     /// to classify them against) and are woken by the turn whose
     /// completion fan-out refills the queue.
-    pub(super) parked: BTreeSet<usize>,
-}
-
-/// Which index the selected replica came from (for removal).
-enum Src {
-    Busy,
-    Ready,
-    Late,
+    parked: BTreeSet<usize>,
 }
 
 /// One iteration-level run's full mutable state: the layer structs plus
@@ -89,22 +120,20 @@ pub(super) struct EngineCore<'a> {
     pub(super) preempt: bool,
     /// Whether swap DMA overlaps compute.
     pub(super) overlap: bool,
-    /// Whether the event-driven core is selecting turns.
-    pub(super) event_core: bool,
     /// Admission layer: arrivals and the wait queue.
     pub(super) wait: WaitQueue,
     /// Batch layer: resident sequences and compute clocks.
     pub(super) batch: BatchState,
     /// KV layer: paged pools, swapped queues, host-pool ledger.
     pub(super) kv: KvLedger,
-    /// DMA layer: lane clocks and in-flight swap deques.
+    /// DMA layer: lane clocks and in-flight swap queues.
     pub(super) lanes: LaneClocks,
-    /// Migration layer: decode pool and inbound deques.
+    /// Migration layer: decode pool and inbound lane queues.
     pub(super) mig: MigrationState,
     /// Workflow runtime: instance state and fan-out tables.
     pub(super) wf: WorkflowRt,
-    /// Event-core turn index.
-    pub(super) turns: TurnIndex,
+    /// Turn selection.
+    pub(super) turns: Turns,
     /// The run's raw samples and counters.
     pub(super) stats: RunStats,
     /// Requests (or workflow nodes) settled so far.
@@ -185,21 +214,7 @@ impl ServingSim {
             .filter(|&i| self.roles[i] == ReplicaRole::DecodeOnly)
             .collect();
         let stats = RunStats::new(n, mix.len(), total, self.cfg.arrivals.tenant_count());
-        let event_core = self.core_mode == CoreMode::EventDriven;
-        let mut turns = TurnIndex {
-            busy_q: SlotQueue::new(n),
-            idle_ready: BTreeSet::new(),
-            idle_late: BTreeSet::new(),
-            parked: BTreeSet::new(),
-        };
-        if event_core {
-            // Decode-only replicas never admit arrivals: they start
-            // parked (in no idle set) and are woken by the turn that
-            // issues a migration toward them.
-            turns
-                .idle_ready
-                .extend((0..n).filter(|&i| self.roles[i] != ReplicaRole::DecodeOnly));
-        }
+        let turns = Turns::new(self.core_mode, &self.roles);
         // Divergence guard (off unless a bound is configured or this
         // run is a rate probe): abort once the arrived-but-unadmitted
         // backlog exceeds the bound.
@@ -220,7 +235,6 @@ impl ServingSim {
             chunk_size,
             preempt,
             overlap,
-            event_core,
             wait: WaitQueue {
                 arrivals,
                 untaken,
@@ -243,12 +257,12 @@ impl ServingSim {
             },
             lanes: LaneClocks {
                 dma: vec![DmaChannels::new(); n],
-                outgoing: vec![VecDeque::new(); n],
-                incoming: vec![VecDeque::new(); n],
+                outgoing: (0..n).map(|_| LaneQueue::default()).collect(),
+                incoming: (0..n).map(|_| LaneQueue::default()).collect(),
             },
             mig: MigrationState {
                 decode_pool,
-                migrating: vec![VecDeque::new(); n],
+                migrating: (0..n).map(|_| LaneQueue::default()).collect(),
             },
             wf: WorkflowRt {
                 ctx: wf_ctx,
@@ -312,6 +326,17 @@ impl EngineCore<'_> {
         self.finish()
     }
 
+    /// Whether replica `r` holds work — resident, swapped, or an
+    /// inbound transfer — and so acts at its own clock. An in-flight
+    /// swap-out alone does not count: contiguous re-admission can
+    /// strand an `outgoing` entry on an otherwise empty replica.
+    fn holds_work(&self, r: usize) -> bool {
+        !self.batch.batches[r].is_empty()
+            || !self.kv.swapped[r].is_empty()
+            || !self.lanes.incoming[r].is_empty()
+            || !self.mig.migrating[r].is_empty()
+    }
+
     /// The next actionable replica: the earliest iteration boundary
     /// among replicas that hold work (resident, swapped or in-flight)
     /// or could admit the earliest pending arrival (idle replicas
@@ -319,75 +344,54 @@ impl EngineCore<'_> {
     /// both cores. Also advances the divergence guard; returns `None`
     /// when it fires (the run aborts).
     fn select_turn(&mut self) -> Option<(usize, f64)> {
-        let event_core = self.event_core;
         let head_at = self.wait.untaken.first().map(|&(t, _)| t.0);
-        let (r, at, src) = if event_core {
-            let mut next: Option<(f64, usize, Src)> = None;
-            if let Some((TimeKey(t), slot)) = self.turns.busy_q.peek() {
-                next = Some((t, slot, Src::Busy));
-            }
-            if let Some(h) = head_at {
-                if let Some(&i) = self.turns.idle_ready.first() {
-                    if next
-                        .as_ref()
-                        .is_none_or(|&(t, s, _)| h < t || (h == t && i < s))
-                    {
-                        next = Some((h, i, Src::Ready));
-                    }
-                }
-                if let Some(&(TimeKey(t), i)) = self.turns.idle_late.first() {
-                    if next
-                        .as_ref()
-                        .is_none_or(|&(nt, ns, _)| t < nt || (t == nt && i < ns))
-                    {
-                        next = Some((t, i, Src::Late));
-                    }
-                }
-            }
-            let Some((at, r, src)) = next else {
-                unreachable!("requests outstanding but no replica actionable")
-            };
-            (r, at, src)
-        } else {
-            let mut next: Option<(usize, f64)> = None;
-            for (r, batch) in self.batch.batches.iter().enumerate() {
-                let at = if !batch.is_empty()
-                    || !self.kv.swapped[r].is_empty()
-                    || !self.lanes.incoming[r].is_empty()
-                    || !self.mig.migrating[r].is_empty()
-                {
-                    self.batch.clock[r]
-                } else if self.roles[r] == ReplicaRole::DecodeOnly {
-                    // Empty decode-only replica: nothing to do until
-                    // a migration arrives (arrivals never route here).
-                    continue;
-                } else if let Some(h) = head_at {
-                    self.batch.clock[r].max(h)
+        let (r, at) = match &mut self.turns {
+            Turns::Indexed(ix) => {
+                let busy = ix.busy_q.peek().map(|(TimeKey(t), i)| (t, i));
+                let ready = head_at.zip(ix.idle_ready.first().copied());
+                let late = head_at.and(ix.idle_late.first().map(|&(TimeKey(t), i)| (t, i)));
+                // Lexicographic min of `(time, index)`, IEEE-compared.
+                let (at, r) = [busy, ready, late]
+                    .into_iter()
+                    .flatten()
+                    .reduce(|a, b| {
+                        if b.0 < a.0 || (b.0 == a.0 && b.1 < a.1) {
+                            b
+                        } else {
+                            a
+                        }
+                    })
+                    .expect("requests outstanding but no replica actionable");
+                if busy == Some((at, r)) {
+                    ix.busy_q.pop();
+                } else if ready == Some((at, r)) {
+                    ix.idle_ready.remove(&r);
                 } else {
-                    continue;
-                };
-                if next.is_none_or(|(_, best)| at < best) {
-                    next = Some((r, at));
+                    ix.idle_late.remove(&(TimeKey(at), r));
                 }
+                (r, at)
             }
-            let Some((r, at)) = next else {
-                unreachable!("requests outstanding but no replica actionable")
-            };
-            (r, at, Src::Busy)
+            Turns::Scan => {
+                let mut next: Option<(usize, f64)> = None;
+                for r in 0..self.batch.batches.len() {
+                    let at = if self.holds_work(r) {
+                        self.batch.clock[r]
+                    } else if self.roles[r] == ReplicaRole::DecodeOnly {
+                        // Empty decode-only replica: nothing to do until
+                        // a migration arrives (arrivals never route here).
+                        continue;
+                    } else if let Some(h) = head_at {
+                        self.batch.clock[r].max(h)
+                    } else {
+                        continue;
+                    };
+                    if next.is_none_or(|(_, best)| at < best) {
+                        next = Some((r, at));
+                    }
+                }
+                next.expect("requests outstanding but no replica actionable")
+            }
         };
-        if event_core {
-            match src {
-                Src::Busy => {
-                    self.turns.busy_q.pop();
-                }
-                Src::Ready => {
-                    self.turns.idle_ready.remove(&r);
-                }
-                Src::Late => {
-                    self.turns.idle_late.remove(&(TimeKey(at), r));
-                }
-            }
-        }
         // Divergence guard: `arrived` advances monotonically with the
         // selected event time (which never decreases); `admitted`
         // counts admissions, which can transiently outpace `arrived`
@@ -414,12 +418,12 @@ impl EngineCore<'_> {
     /// is idle — actionable at the pending-arrival head if its
     /// clock has not passed it, at its own clock otherwise. With
     /// no arrivals left an idle replica can never act again, so
-    /// the idle sets empty out. A no-op under the scan core.
+    /// the idle sets empty out. A no-op under the scan.
     fn reindex(&mut self, r: usize, wf_pushed: bool) {
-        if !self.event_core {
+        let busy = self.holds_work(r);
+        let Turns::Indexed(turns) = &mut self.turns else {
             return;
-        }
-        let turns = &mut self.turns;
+        };
         let batch = &self.batch;
         let untaken = &self.wait.untaken;
         if untaken.is_empty() && !self.wf.mode {
@@ -431,10 +435,6 @@ impl EngineCore<'_> {
             turns.idle_ready.clear();
             turns.idle_late.clear();
         }
-        let busy = !batch.batches[r].is_empty()
-            || !self.kv.swapped[r].is_empty()
-            || !self.lanes.incoming[r].is_empty()
-            || !self.mig.migrating[r].is_empty();
         if busy {
             turns.busy_q.schedule(r, TimeKey(batch.clock[r]));
         } else if self.roles[r] == ReplicaRole::DecodeOnly {
@@ -510,11 +510,11 @@ impl EngineCore<'_> {
                 "sequences still swapped out at end of run"
             );
             assert!(
-                self.lanes.incoming.iter().all(VecDeque::is_empty),
+                self.lanes.incoming.iter().all(LaneQueue::is_empty),
                 "swap-ins still in flight at end of run"
             );
             assert!(
-                self.mig.migrating.iter().all(VecDeque::is_empty),
+                self.mig.migrating.iter().all(LaneQueue::is_empty),
                 "KV migrations still in flight at end of run"
             );
             assert!(

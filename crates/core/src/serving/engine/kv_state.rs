@@ -229,18 +229,12 @@ impl EngineCore<'_> {
                     }
                 } else {
                     let grown = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
-                    let mut projected: Vec<RequestShape> =
-                        batch.batches[r].settled().iter().map(grown).collect();
-                    projected.extend(
-                        lanes.incoming[r]
-                            .iter()
-                            .map(|(_, s)| ActiveSeq::kv_shape(s.past)),
-                    );
-                    projected.extend(
-                        lanes.outgoing[r]
-                            .iter()
-                            .map(|&(_, tok, _)| ActiveSeq::kv_shape(tok)),
-                    );
+                    let mut projected: Vec<RequestShape> = batch.batches[r]
+                        .settled()
+                        .iter()
+                        .map(grown)
+                        .chain(lanes.in_flight_shapes(r))
+                        .collect();
                     let cand = &kv.swapped[r][ci];
                     if cand.decoding() {
                         projected.push(grown(cand));
@@ -278,7 +272,7 @@ impl EngineCore<'_> {
                 // and regrow the table to its context — a no-op
                 // when the blocks were never dropped. Recompute
                 // victims reacquire blocks lazily, chunk by chunk.
-                lanes.outgoing[r].retain(|&(_, _, slot)| slot != seq.slot);
+                lanes.outgoing[r].retain(|&(_, slot)| slot != seq.slot);
                 p.grow(seq.slot, seq.past);
             }
             if seq.hosted_bytes == 0 {
@@ -297,8 +291,7 @@ impl EngineCore<'_> {
             if overlap && !force {
                 // Decode continues around the transfer; the
                 // sequence re-enters when its DMA completes.
-                debug_assert!(lanes.incoming[r].back().is_none_or(|&(t, _)| t <= ready));
-                lanes.incoming[r].push_back((ready, seq));
+                lanes.incoming[r].push(ready, seq);
             } else {
                 // Serialized (or forced restart of an empty
                 // replica): the compute clock waits out the DMA.
@@ -337,7 +330,6 @@ impl EngineCore<'_> {
         let model = self.model;
         let chunk_size = self.chunk_size;
         let overlap = self.overlap;
-        let event_core = self.event_core;
         let scheduler = self.scheduler;
         let replicas = &mut *self.replicas;
         let kv = &mut self.kv;
@@ -382,34 +374,17 @@ impl EngineCore<'_> {
                 p.reclaim(growth);
                 let in_flight: u64 = lanes.outgoing[r]
                     .iter()
-                    .map(|&(_, _, slot)| p.unshared_blocks_of(slot))
+                    .map(|&(_, (_, slot))| p.unshared_blocks_of(slot))
                     .sum();
                 if growth <= p.free_blocks() + in_flight {
                     // Enough memory once in-flight swap-outs
                     // drain; stall the iteration until the ones
                     // it actually needs have completed.
                     while growth > p.free_blocks() {
-                        let (done_at, slot) = if event_core {
-                            // The deque is completion-sorted, so
-                            // the front is the earliest swap-out.
-                            let (t, _, slot) = lanes.outgoing[r].pop_front().expect(
-                                "growth exceeds free blocks only through \
-                                 in-flight swap-outs",
-                            );
-                            (t, slot)
-                        } else {
-                            let (j, t) = lanes.outgoing[r]
-                                .iter()
-                                .enumerate()
-                                .map(|(j, &(t, _, _))| (j, t))
-                                .min_by(|a, b| a.1.total_cmp(&b.1))
-                                .expect(
-                                    "growth exceeds free blocks only through \
-                                     in-flight swap-outs",
-                                );
-                            let (_, _, slot) = lanes.outgoing[r].remove(j).expect("index in range");
-                            (t, slot)
-                        };
+                        // The earliest swap-out, due or not.
+                        let (done_at, (_, slot)) = lanes.outgoing[r]
+                            .pop_due(f64::INFINITY)
+                            .expect("growth exceeds free blocks only through in-flight swap-outs");
                         stats.stall[r] += (done_at - batch.clock[r]).max(0.0);
                         batch.clock[r] = batch.clock[r].max(done_at);
                         p.drop_unshared(slot);
@@ -421,25 +396,22 @@ impl EngineCore<'_> {
                 }
             } else {
                 let grown_shape = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
-                let mut eventual: Vec<RequestShape> =
-                    batch.batches[r].settled().iter().map(grown_shape).collect();
-                eventual.extend(
-                    lanes.incoming[r]
-                        .iter()
-                        .map(|(_, s)| ActiveSeq::kv_shape(s.past)),
-                );
-                match replicas.backend(r).batch_fits(model, &eventual) {
+                // The current projection: residents grown, then
+                // in-flight swap-ins and draining swap-outs. Its
+                // prefix without the swap-outs is the eventual one.
+                let mut current: Vec<RequestShape> = batch.batches[r]
+                    .settled()
+                    .iter()
+                    .map(grown_shape)
+                    .chain(lanes.in_flight_shapes(r))
+                    .collect();
+                let eventual = current.len() - lanes.outgoing[r].len();
+                match replicas.backend(r).batch_fits(model, &current[..eventual]) {
                     Ok(_) => {
                         // Enough memory once in-flight swap-outs
                         // drain; stall the iteration until the ones
                         // it actually needs have completed.
                         loop {
-                            let mut current = eventual.clone();
-                            current.extend(
-                                lanes.outgoing[r]
-                                    .iter()
-                                    .map(|&(_, tok, _)| ActiveSeq::kv_shape(tok)),
-                            );
                             match replicas.backend(r).batch_fits(model, &current) {
                                 Ok(occupancy) => {
                                     stats.peak_kv_occupancy =
@@ -447,27 +419,16 @@ impl EngineCore<'_> {
                                     break;
                                 }
                                 Err(_) => {
-                                    let done_at = if event_core {
-                                        let (t, _, _) = lanes.outgoing[r].pop_front().expect(
+                                    // The earliest swap-out, due or
+                                    // not: its shape heads the
+                                    // swap-out tail.
+                                    let (done_at, _) =
+                                        lanes.outgoing[r].pop_due(f64::INFINITY).expect(
                                             "current projection exceeds the \
                                              eventual one only through \
                                              in-flight swap-outs",
                                         );
-                                        t
-                                    } else {
-                                        let (j, t) = lanes.outgoing[r]
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(j, &(t, _, _))| (j, t))
-                                            .min_by(|a, b| a.1.total_cmp(&b.1))
-                                            .expect(
-                                                "current projection exceeds the \
-                                                 eventual one only through \
-                                                 in-flight swap-outs",
-                                            );
-                                        lanes.outgoing[r].remove(j);
-                                        t
-                                    };
+                                    current.remove(eventual);
                                     stats.stall[r] += (done_at - batch.clock[r]).max(0.0);
                                     batch.clock[r] = batch.clock[r].max(done_at);
                                 }
@@ -587,12 +548,7 @@ impl EngineCore<'_> {
                 if overlap {
                     // Device KV drains in the
                     // background; freed at completion.
-                    // The D2H lane is monotone, so pushes
-                    // keep the deque completion-sorted.
-                    debug_assert!(lanes.outgoing[r]
-                        .back()
-                        .is_none_or(|&(t, _, _)| t <= done_at));
-                    lanes.outgoing[r].push_back((done_at, moved, seq.slot));
+                    lanes.outgoing[r].push(done_at, (moved, seq.slot));
                 } else {
                     stats.stall[r] += done_at - batch.clock[r];
                     batch.clock[r] = done_at;

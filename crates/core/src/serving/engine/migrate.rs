@@ -3,20 +3,20 @@
 //! In a disaggregated cluster, a sequence whose prefill completes on a
 //! `PrefillOnly` replica leaves for a decode replica the same
 //! iteration, its KV crossing both host links. This layer owns the
-//! decode-pool route table and the per-replica inbound deques, and the
-//! two phase entry points around them: [`EngineCore::admit_migrants`]
-//! lands arrived migrants into the destination batch, and
-//! [`EngineCore::migrate_after_prefill`] prices and launches the
-//! two-leg transfer when the batch layer hands it a finished prefill.
+//! decode-pool route table and the per-replica inbound lane queues,
+//! and the two phase entry points around them:
+//! [`EngineCore::admit_migrants`] lands arrived migrants into the
+//! destination batch, and [`EngineCore::migrate_after_prefill`] prices
+//! and launches the two-leg transfer when the batch layer hands it a
+//! finished prefill.
 
 use super::batch::ActiveSeq;
 use super::core::EngineCore;
-use super::TimeKey;
+use super::dma_retire::LaneQueue;
 use crate::serving::dma::DmaLane;
 use crate::serving::kv::PagedKv;
 use crate::serving::policy::MigrationTarget;
 use ianus_model::RequestShape;
-use std::collections::VecDeque;
 
 /// The migration layer's state: which replicas decode, and what is in
 /// flight toward each.
@@ -25,10 +25,9 @@ pub(super) struct MigrationState {
     /// `Unified` in mixed clusters; empty in all-`Unified` clusters,
     /// which short-circuits every migration hook).
     pub(super) decode_pool: Vec<usize>,
-    /// In-flight inbound migrations per replica: `(dma_ready_at, seq)`,
-    /// completion-sorted (pushes ride the destination's monotone H2D
-    /// lane in the global turn order both cores share).
-    pub(super) migrating: Vec<VecDeque<(f64, ActiveSeq)>>,
+    /// In-flight inbound migrations per replica, keyed by DMA
+    /// completion (pushes ride the destination's monotone H2D lane).
+    pub(super) migrating: Vec<LaneQueue<ActiveSeq>>,
 }
 
 impl EngineCore<'_> {
@@ -42,7 +41,7 @@ impl EngineCore<'_> {
     /// head unconditionally (liveness: a migrant too big for
     /// a busy replica is guaranteed a slot once the batch
     /// drains, so migrated sequences always complete). A
-    /// no-op in all-`Unified` clusters (the deque is never
+    /// no-op in all-`Unified` clusters (the queue is never
     /// pushed).
     pub(super) fn admit_migrants(&mut self, r: usize) {
         let model = self.model;
@@ -56,12 +55,12 @@ impl EngineCore<'_> {
         let stats = &mut self.stats;
         while batch.batches[r].len() + lanes.incoming[r].len() < max_batch as usize
             && mig.migrating[r]
-                .front()
-                .is_some_and(|&(t, _)| t <= batch.clock[r])
+                .next_at()
+                .is_some_and(|t| t <= batch.clock[r])
         {
             let force = batch.batches[r].is_empty() && lanes.incoming[r].is_empty();
             if !force {
-                let cand = &mig.migrating[r].front().expect("front was checked").1;
+                let (_, cand) = mig.migrating[r].iter().next().expect("head was checked");
                 let fits = if let Some(p) = kv.paged[r].as_mut() {
                     let hit_tokens = kv.class_keys[cand.class].map_or(0, |key| {
                         p.prefix_hit_tokens(key, cand.shape.input.saturating_sub(1))
@@ -82,17 +81,8 @@ impl EngineCore<'_> {
                         .settled()
                         .iter()
                         .map(|s| ActiveSeq::kv_shape(s.past))
+                        .chain(lanes.in_flight_shapes(r))
                         .collect();
-                    resident.extend(
-                        lanes.incoming[r]
-                            .iter()
-                            .map(|(_, s)| ActiveSeq::kv_shape(s.past)),
-                    );
-                    resident.extend(
-                        lanes.outgoing[r]
-                            .iter()
-                            .map(|&(_, tok, _)| ActiveSeq::kv_shape(tok)),
-                    );
                     resident.push(ActiveSeq::kv_shape(cand.past));
                     match replicas.backend(r).batch_fits(model, &resident) {
                         Ok(occupancy) => {
@@ -106,7 +96,9 @@ impl EngineCore<'_> {
                     break;
                 }
             }
-            let (ready, mut seq) = mig.migrating[r].pop_front().expect("front was checked");
+            let (ready, mut seq) = mig.migrating[r]
+                .pop_due(batch.clock[r])
+                .expect("head was checked");
             // DMA landed at `ready`; the batch had no slot (or
             // the replica no turn) until now.
             stats.migration_stall += batch.clock[r] - ready;
@@ -187,21 +179,7 @@ impl EngineCore<'_> {
         self.stats.migrations += 1;
         self.stats.migrated_out[r] += 1;
         self.stats.migrated_in[dst] += 1;
-        // Pushes ride the destination's monotone
-        // H2D lane in the global turn order both
-        // cores share, keeping the deque sorted.
-        debug_assert!(self.mig.migrating[dst]
-            .back()
-            .is_none_or(|&(t, _)| t <= ready));
-        self.mig.migrating[dst].push_back((ready, seq));
-        if self.event_core {
-            // Wake the destination (a parked
-            // decode-only replica is in no
-            // queue; `schedule` upserts, so a
-            // busy one keeps its key).
-            self.turns
-                .busy_q
-                .schedule(dst, TimeKey(self.batch.clock[dst]));
-        }
+        self.mig.migrating[dst].push(ready, seq);
+        self.turns.wake(dst, self.batch.clock[dst]);
     }
 }

@@ -12,10 +12,10 @@
 //! | `batch`       | `BatchState`       | counted `Batch`es, clocks, execute/advance  |
 //! | `decode`      | `DecodeEpoch`      | decoder counters, steady set, decode steps  |
 //! | `kv_state`    | `KvLedger`         | paged pools, swap queues, pressure/eviction |
-//! | `dma_retire`  | `LaneClocks`       | H2D/D2H lanes, in-flight swaps, retirement  |
+//! | `dma_retire`  | `LaneClocks`       | lane clocks, ordered `LaneQueue`s, retiring |
 //! | `migrate`     | `MigrationState`   | decode pool, prefill→decode handoff         |
 //! | `workflow_rt` | `WorkflowRt`       | workflow instances, completion fan-out      |
-//! | `core`        | `EngineCore`       | layer composition + the turn loop           |
+//! | `core`        | `EngineCore`       | layer composition, turn loop, `Turns`       |
 //!
 //! This module keeps the public facade: [`ServingSim`] (builders, `run`,
 //! the rate sweeps) and [`CoreMode`]. Behavior is bit-identical to the
@@ -46,19 +46,19 @@ use super::{
 use crate::backend::Backend;
 use ianus_model::ModelConfig;
 
-/// Which core advances the iteration-level loop. Both cores produce
-/// **bit-identical** reports — [`StepScan`](CoreMode::StepScan) is the
-/// reference implementation the event-driven core is differential-tested
-/// against; it exists for auditability, not for use.
+/// How the iteration-level loop selects its next turn. Both cores
+/// produce **bit-identical** reports — [`StepScan`](CoreMode::StepScan)
+/// is the reference implementation the event-driven turn selection is
+/// differential-tested against; it exists for auditability, not for
+/// use. Everything else (DMA retirement, admission, eviction) is one
+/// code path under either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoreMode {
     /// Heap-indexed next-actionable-time selection: one step costs
-    /// O(log replicas), idle replicas cost nothing, and DMA retirement
-    /// pops a sorted queue instead of scanning it. The default.
+    /// O(log replicas) and idle replicas cost nothing. The default.
     #[default]
     EventDriven,
-    /// The historical linear scan: every step walks all replicas and
-    /// `min_by`s the in-flight DMA lists.
+    /// The historical linear scan: every step walks all replicas.
     StepScan,
 }
 

@@ -480,6 +480,12 @@ fn parse() -> Args {
             _ => usage(),
         }
     }
+    if serve {
+        if let Err(e) = check_serve_values(rate, replicas, max_batch) {
+            eprintln!("{e}");
+            usage()
+        }
+    }
     let slo = (slo_ttft_ms > 0 || slo_itl_ms > 0).then(|| {
         // An unset half defaults to a day-long target no completed
         // request misses (effectively "only the other half is scored").
@@ -535,6 +541,21 @@ fn parse() -> Args {
             burst_factor,
             tenants,
         }),
+    }
+}
+
+/// Serving values the engine would reject mid-run (with a panic) or,
+/// for `--replicas`, silently raise to 1: checked once parsing is done,
+/// so the CLI answers with one line and its usage instead.
+fn check_serve_values(rate: f64, replicas: usize, max_batch: u32) -> Result<(), &'static str> {
+    if !(rate > 0.0 && rate.is_finite()) {
+        Err("--rate must be a positive number")
+    } else if replicas == 0 {
+        Err("--replicas must be at least 1")
+    } else if max_batch == 0 {
+        Err("--max-batch must be at least 1")
+    } else {
+        Ok(())
     }
 }
 
@@ -638,7 +659,7 @@ fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> Serv
             _ => unreachable!("interned migration name"),
         };
     } else {
-        for _ in 0..serve.replicas.max(1) {
+        for _ in 0..serve.replicas {
             sim = sim.replica_with_role(IanusSystem::new(args.system), ReplicaRole::Unified);
         }
     }
@@ -1067,6 +1088,29 @@ mod tests {
         assert_eq!(resolve("agentchain", &MIXES), None);
         assert_eq!(resolve("", &MIXES), None);
         assert!(MixKind::by_name("agent_chain").is_none());
+    }
+
+    /// Rates, replica counts and batch caps the engine cannot run are
+    /// rejected before any engine is built.
+    #[test]
+    fn bad_serving_values_are_rejected() {
+        assert_eq!(check_serve_values(4.0, 1, 8), Ok(()));
+        assert_eq!(check_serve_values(0.3, 6, 1), Ok(()));
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                check_serve_values(rate, 1, 8),
+                Err("--rate must be a positive number"),
+                "rate {rate}"
+            );
+        }
+        assert_eq!(
+            check_serve_values(4.0, 0, 8),
+            Err("--replicas must be at least 1")
+        );
+        assert_eq!(
+            check_serve_values(4.0, 1, 0),
+            Err("--max-batch must be at least 1")
+        );
     }
 
     /// The workflow mixes build validated workflow configs (DAG

@@ -1,14 +1,16 @@
 //! Event-driven engine core regression net.
 //!
-//! The iteration-level loop ships two cores behind one contract:
-//! [`CoreMode::EventDriven`] (heap-scheduled replica index, sorted DMA
-//! deques — the default) and [`CoreMode::StepScan`] (the literal
-//! per-step scans the engine grew up with, kept as the executable
-//! reference). This suite holds them to **whole-report bit-identity**
-//! across the engine's feature grid, pins the parallel-sweep
-//! determinism contract (`sweep_rates` parallel == serial, result
-//! order preserved), and covers the divergence guard: an aborted probe
-//! reports `diverged` and never perturbs the rate a bisection returns.
+//! The iteration-level loop ships two turn selectors behind one
+//! contract: [`CoreMode::EventDriven`] (heap-scheduled replica index —
+//! the default) and [`CoreMode::StepScan`] (the literal per-step
+//! replica scan the engine grew up with, kept as the executable
+//! reference for turn selection; DMA retirement is one code path under
+//! both, its lane order asserted on every push). This suite holds them
+//! to **whole-report bit-identity** across the engine's feature grid,
+//! pins the parallel-sweep determinism contract (`sweep_rates` parallel
+//! == serial, result order preserved), and covers the divergence
+//! guard: an aborted probe reports `diverged` and never perturbs the
+//! rate a bisection returns.
 
 use common::MemNode;
 use ianus::prelude::*;
