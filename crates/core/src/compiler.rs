@@ -26,7 +26,7 @@ use crate::report::OpClass;
 use crate::{SystemConfig, UnitMap};
 use ianus_dram::TransferModel;
 use ianus_model::{FcShape, ModelConfig, ModelFamily, Stage};
-use ianus_npu::scheduler::{CmdId, Program, UnitId};
+use ianus_npu::scheduler::{CmdId, Engine, ExecutionReport, Lanes, Program, UnitId};
 use ianus_npu::{DmaEngine, MatrixUnit, VectorUnit, VuOp};
 use ianus_pim::{GemvShape, PimModel, PimOpCost};
 use ianus_sim::Duration;
@@ -1013,28 +1013,28 @@ impl Compiler {
 /// generation program on one configuration has the same commands, units,
 /// tags, dependencies and resource holds. Only the attention heads depend
 /// on the past, and every head block of a program emits the same
-/// durations and activity. [`retime`](Self::retime) therefore re-emits
-/// one head at the new past through the compiler's own per-head emitter,
-/// copies its durations into every stored head block (which re-times the
-/// copies of a repeated head and of a repeated transformer block with it)
-/// and sets the stage's activity to the activity outside the heads plus
-/// heads × one head's — exact, as activity counts are integers. The
-/// result equals [`Compiler::compile`] at that past, which the
-/// equivalence test checks over every configuration and
-/// [`IanusSystem::run_stage`](crate::IanusSystem::run_stage) asserts in
-/// debug builds.
+/// durations and activity. [`lanes`](Self::lanes) therefore re-emits one
+/// head per past through the compiler's own per-head emitter and copies
+/// its durations into that past's lane of every stored head block (which
+/// re-times the copies of a repeated head and of a repeated transformer
+/// block with it), leaving the program as compiled. Each past's activity
+/// is the activity outside the heads plus heads × one head's — exact, as
+/// activity counts are integers. Every lane reports what
+/// [`Compiler::compile`] at its past does ([`matches_fresh_compile`]),
+/// which the equivalence test checks over every configuration and
+/// [`IanusSystem`](crate::IanusSystem) asserts in debug builds.
 #[derive(Debug, Clone)]
 pub(crate) struct GenerationTemplate {
     compiler: Compiler,
-    stage: CompiledStage,
-    /// First command of every stored head block of `stage.program`.
+    /// The stage's program, timed for the past it was compiled at.
+    program: Program,
+    /// First command of every stored head block of `program`.
     head_starts: Vec<CmdId>,
-    /// Durations of one head block at the past `stage` is timed for; its
-    /// length is the head blocks' stride.
-    head: Vec<Duration>,
+    /// Commands per head block.
+    head_len: usize,
     /// Head blocks of the stage, copies included.
     heads: u64,
-    /// Activity of `stage` outside its head blocks.
+    /// Activity of the stage outside its head blocks.
     base: Activity,
 }
 
@@ -1053,14 +1053,13 @@ impl GenerationTemplate {
         let head_len = compiler.head_len;
         let (head, activity) = compiler.lone_generation_head(past_tokens);
         assert_eq!(head.len(), head_len, "a generation head changed length");
-        let head = head.commands().map(|cmd| cmd.duration).collect();
         GenerationTemplate {
             compiler,
-            base: stage.activity.zip(&activity, |s, h| s - heads * h),
-            stage,
+            program: stage.program,
             head_starts,
-            head,
+            head_len,
             heads,
+            base: stage.activity.zip(&activity, |s, h| s - heads * h),
         }
     }
 
@@ -1069,43 +1068,81 @@ impl GenerationTemplate {
         self.compiler.unit_map()
     }
 
-    /// Re-times the stage to `past_tokens` and returns it.
+    /// Re-times the stage to each of `pasts`, one lane each: lane `i`
+    /// times `pasts[i]`, and every lane after the last past times that
+    /// past again. Returns the lanes and each past's activity and FLOPs.
     ///
     /// # Panics
     ///
-    /// Panics if the re-emitted head is not as long as the recorded head
-    /// blocks.
-    pub(crate) fn retime(&mut self, past_tokens: u64) -> &CompiledStage {
-        let (head, activity) = self.compiler.lone_generation_head(past_tokens);
-        assert_eq!(
-            head.len(),
-            self.head.len(),
-            "a generation head changed length"
+    /// Panics if `pasts` is empty or has more than `L` pasts, or if a
+    /// re-emitted head is not as long as the recorded head blocks.
+    pub(crate) fn lanes<const L: usize>(
+        &mut self,
+        pasts: &[u64],
+    ) -> (Lanes<'_, L>, Vec<(Activity, u64)>) {
+        assert!(
+            (1..=L).contains(&pasts.len()),
+            "{} pasts for {L} lanes",
+            pasts.len()
         );
-        let mut changed = false;
-        for (old, cmd) in self.head.iter_mut().zip(head.commands()) {
-            changed |= *old != cmd.duration;
-            *old = cmd.duration;
-        }
-        if changed {
-            for &start in &self.head_starts {
-                self.stage.program.set_durations(start, &self.head);
+        let mut stages = Vec::with_capacity(pasts.len());
+        let mut head = vec![[Duration::ZERO; L]; self.head_len];
+        for lane in 0..L {
+            let Some(&past_tokens) = pasts.get(lane) else {
+                head.iter_mut().for_each(|d| d[lane] = d[lane - 1]);
+                continue;
+            };
+            let (program, activity) = self.compiler.lone_generation_head(past_tokens);
+            assert_eq!(
+                program.len(),
+                self.head_len,
+                "a generation head changed length"
+            );
+            for (d, cmd) in head.iter_mut().zip(program.commands()) {
+                d[lane] = cmd.duration;
             }
+            stages.push(self.timed(past_tokens, &activity));
         }
-        let heads = self.heads;
-        self.stage.activity = self.base.zip(&activity, |b, h| b + heads * h);
-        self.stage.flops = self
-            .compiler
-            .model
-            .stage_flops(&Stage::Generation { past_tokens });
-        &self.stage
+        let mut lanes = Lanes::new(&self.program);
+        for &start in &self.head_starts {
+            lanes.set_durations(start, &head);
+        }
+        (lanes, stages)
     }
+
+    /// The stage's activity and FLOPs at `past_tokens`, where one head
+    /// block has activity `head`.
+    fn timed(&self, past_tokens: u64, head: &Activity) -> (Activity, u64) {
+        let heads = self.heads;
+        let activity = self.base.zip(head, |b, h| b + heads * h);
+        let flops = (self.compiler.model).stage_flops(&Stage::Generation { past_tokens });
+        (activity, flops)
+    }
+}
+
+/// Whether a generation step at `past_tokens` of `model` on `cfg` that
+/// executed as `exec`, with `activity` and `flops`, matches a fresh
+/// compile of that step: the same schedule, work count, activity and
+/// FLOPs.
+pub(crate) fn matches_fresh_compile(
+    cfg: &SystemConfig,
+    model: &ModelConfig,
+    past_tokens: u64,
+    exec: &ExecutionReport,
+    activity: &Activity,
+    flops: u64,
+) -> bool {
+    let mut compiler = Compiler::new(cfg, model);
+    let fresh = compiler.compile(&Stage::Generation { past_tokens });
+    let units = compiler.unit_map().unit_count();
+    let run = Engine::new(units, cfg.npu.dispatch_overhead).run(&fresh.program);
+    (exec, exec.scheduled(), activity, flops)
+        == (&run, run.scheduled(), &fresh.activity, fresh.flops)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use ianus_npu::scheduler::Engine;
 
     fn run(cfg: &SystemConfig, model: &ModelConfig, stage: &Stage) -> ianus_sim::Time {
         let mut c = Compiler::new(cfg, model);
@@ -1389,31 +1426,35 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn retimed_generation_matches_fresh_compile() {
+    fn generation_lanes_match_fresh_compiles() {
         let configs = equivalence_configs();
         let pasts = [0, 1, 63, 64, 127, 128, 511, 512, 1023];
+        let descending: Vec<u64> = pasts.iter().rev().copied().collect();
         for (label, cfg) in &configs {
             for model in &ModelConfig::gpt2_family() {
-                let fresh: Vec<CompiledStage> = pasts
-                    .iter()
-                    .map(|&p| {
-                        Compiler::new(cfg, model).compile(&Stage::Generation { past_tokens: p })
-                    })
-                    .collect();
                 let mut template = GenerationTemplate::new(cfg, model, 300);
-                let ascending = (0..pasts.len()).chain((0..pasts.len()).rev());
-                for i in ascending {
-                    let retimed = template.retime(pasts[i]);
-                    let case = format!("{label} {} past {}", model.name, pasts[i]);
-                    assert_eq!(retimed.activity, fresh[i].activity, "{case}");
-                    assert_eq!(retimed.flops, fresh[i].flops, "{case}");
-                    assert_eq!(retimed.program.len(), fresh[i].program.len(), "{case}");
-                    let differing = retimed
-                        .program
-                        .commands()
-                        .zip(fresh[i].program.commands())
-                        .position(|(a, b)| a != b);
-                    assert_eq!(differing, None, "{case}: first differing command");
+                // The template's program has a fresh compile's commands,
+                // durations aside.
+                let fresh =
+                    Compiler::new(cfg, model).compile(&Stage::Generation { past_tokens: 0 });
+                let shape = |p: &Program| -> Vec<_> {
+                    p.commands()
+                        .map(|c| (c.id, c.unit, c.tag, c.deps.to_vec(), c.shared.to_vec()))
+                        .collect()
+                };
+                assert_eq!(template.program.len(), fresh.program.len(), "{label}");
+                assert_eq!(shape(&template.program), shape(&fresh.program), "{label}");
+                let units = template.unit_map().unit_count();
+                for group in pasts.chunks(8).chain(descending.chunks(8)) {
+                    let (lanes, stages) = template.lanes::<8>(group);
+                    let execs = Engine::new(units, cfg.npu.dispatch_overhead).run_lanes(&lanes);
+                    for ((&past, exec), (activity, flops)) in group.iter().zip(&execs).zip(stages) {
+                        assert!(
+                            matches_fresh_compile(cfg, model, past, exec, &activity, flops),
+                            "{label} {} past {past}",
+                            model.name
+                        );
+                    }
                 }
             }
         }

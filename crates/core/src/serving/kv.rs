@@ -322,7 +322,7 @@ impl BlockTable {
         self.tokens = self.shared as u64 * alloc.block_tokens();
     }
 
-    /// Releases every block (completion).
+    /// Releases every block (completion), keeping the block buffer.
     pub fn release_all(&mut self, alloc: &mut BlockAllocator) {
         for b in self.blocks.drain(..) {
             alloc.release(b);
@@ -498,10 +498,10 @@ pub type KvSlot = u32;
 pub struct PagedKv {
     alloc: BlockAllocator,
     cache: PrefixCache,
-    /// Block tables in a slab indexed by [`KvSlot`] (`None` = vacant):
-    /// read once per resident sequence per turn, so a lookup is one
-    /// index, with no hashing.
-    tables: Vec<Option<BlockTable>>,
+    /// Block tables in a slab indexed by [`KvSlot`]: read once per
+    /// resident sequence per turn, so a lookup is one index, with no
+    /// hashing.
+    tables: Vec<Slot>,
     /// Vacant slots, reused last-freed first, so the slab never grows
     /// past the peak number of live tables.
     vacant: Vec<KvSlot>,
@@ -565,9 +565,9 @@ impl PagedKv {
     ///
     /// Panics if `slot` is vacant.
     fn table(&self, slot: KvSlot) -> &BlockTable {
-        self.tables[slot as usize]
-            .as_ref()
-            .expect("KV slot holds no live table")
+        let Slot { table, live } = &self.tables[slot as usize];
+        assert!(live, "KV slot holds no live table");
+        table
     }
 
     /// Blocks the sequence in `slot` currently maps.
@@ -613,20 +613,20 @@ impl PagedKv {
     /// blocks. Returns the slot and the shared tokens mapped (0 = cold
     /// admission).
     pub fn admit(&mut self, key: Option<u64>, max_tokens: u64) -> (KvSlot, u64) {
-        let mut table = BlockTable::new();
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            self.tables.push(Slot::default());
+            KvSlot::try_from(self.tables.len() - 1).expect("KV slot space exhausted")
+        });
+        let Slot { table, live } = &mut self.tables[slot as usize];
+        debug_assert!(table.blocks.is_empty() && table.tokens == 0 && table.shared == 0);
+        *live = true;
         let mut shared = 0;
         if let Some(key) = key {
             if let Some((blocks, tokens)) = self.cache.lookup(&self.alloc, key, max_tokens) {
-                let blocks = blocks.to_vec();
-                table.map_prefix(&mut self.alloc, &blocks, tokens);
+                table.map_prefix(&mut self.alloc, blocks, tokens);
                 shared = tokens;
             }
         }
-        let slot = self.vacant.pop().unwrap_or_else(|| {
-            self.tables.push(None);
-            KvSlot::try_from(self.tables.len() - 1).expect("KV slot space exhausted")
-        });
-        self.tables[slot as usize] = Some(table);
         (slot, shared)
     }
 
@@ -741,13 +741,13 @@ impl PagedKv {
     }
 
     /// Releases the blocks of the sequence in `slot` and frees the slot
-    /// (completion).
+    /// (completion). The emptied table stays in the slot, so the next
+    /// admission there reuses its block buffer.
     pub fn complete(&mut self, slot: KvSlot) {
-        let mut table = self.tables[slot as usize]
-            .take()
-            .expect("KV slot holds no live table");
+        let table = live(&mut self.tables, slot);
         self.slack -= table.slack_tokens(self.alloc.block_tokens());
         table.release_all(&mut self.alloc);
+        self.tables[slot as usize].live = false;
         self.vacant.push(slot);
     }
 
@@ -774,8 +774,7 @@ impl PagedKv {
             self.slack + self.lag,
             self.tables
                 .iter()
-                .flatten()
-                .map(|t| t.slack_tokens(self.alloc.block_tokens()))
+                .map(|s| s.table.slack_tokens(self.alloc.block_tokens()))
                 .sum::<u64>(),
             "running KV slack drifted from its tables"
         );
@@ -800,7 +799,7 @@ impl PagedKv {
     /// conservation invariant of the run as a whole).
     pub fn finish(&mut self) {
         assert!(
-            self.tables.iter().all(Option::is_none),
+            self.tables.iter().all(|s| !s.live),
             "sequences still hold KV tables at end of run"
         );
         assert_eq!(self.lag, 0, "filled tail tokens never settled");
@@ -809,16 +808,25 @@ impl PagedKv {
     }
 }
 
+/// One slot of a [`PagedKv`] slab. A vacant slot keeps its emptied
+/// table, whose block buffer the next admission there reuses.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    table: BlockTable,
+    /// Whether a live sequence holds the slot.
+    live: bool,
+}
+
 /// The live table in `slot` of a [`PagedKv`] slab, borrowed apart from
 /// the allocator it mutates.
 ///
 /// # Panics
 ///
 /// Panics if `slot` is vacant.
-fn live(tables: &mut [Option<BlockTable>], slot: KvSlot) -> &mut BlockTable {
-    tables[slot as usize]
-        .as_mut()
-        .expect("KV slot holds no live table")
+fn live(tables: &mut [Slot], slot: KvSlot) -> &mut BlockTable {
+    let Slot { table, live } = &mut tables[slot as usize];
+    assert!(*live, "KV slot holds no live table");
+    table
 }
 
 #[cfg(test)]
@@ -940,7 +948,7 @@ mod tests {
     /// live tables, through `fragmentation()`.
     fn assert_slack_matches_tables(p: &PagedKv) {
         let bt = p.block_tokens();
-        let slack: u64 = p.tables.iter().flatten().map(|t| t.slack_tokens(bt)).sum();
+        let slack: u64 = p.tables.iter().map(|s| s.table.slack_tokens(bt)).sum();
         let allocated = p.used_blocks() * bt;
         let expected = if allocated == 0 {
             0.0
@@ -975,6 +983,12 @@ mod tests {
                     // cached prefix when one is registered.
                     let (slot, shared) = p.admit(keyed.then_some(key), n);
                     assert!(!live.contains(&slot), "slot {slot} handed out twice");
+                    // A reused slot starts empty: it holds the mapped
+                    // prefix, if any, and nothing else.
+                    let table = p.table(slot);
+                    let mapped = table.blocks().len() as u64 * p.block_tokens();
+                    assert_eq!((table.tokens(), mapped), (shared, shared));
+                    assert_eq!(table.unshared_blocks(), 0);
                     p.grow(slot, shared.max(n / 2));
                     live.push(slot);
                     slot

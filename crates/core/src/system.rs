@@ -1,11 +1,12 @@
 //! End-to-end request execution on one IANUS device configuration.
 
-use crate::compiler::{CompiledStage, Compiler, GenerationTemplate};
+use crate::compiler::{matches_fresh_compile, CompiledStage, Compiler, GenerationTemplate};
+use crate::energy::Activity;
 use crate::memo::Memo;
 use crate::report::{Breakdown, OpClass, RunReport, StageReport};
 use crate::{EnergyModel, SystemConfig, UnitMap};
 use ianus_model::{ModelConfig, RequestShape, Stage};
-use ianus_npu::scheduler::Engine;
+use ianus_npu::scheduler::{Engine, ExecutionReport};
 use ianus_sim::Duration;
 use std::sync::OnceLock;
 
@@ -19,6 +20,14 @@ const EXACT_STEP_LIMIT: u64 = 48;
 
 /// Sample points used when integrating long generation phases.
 const SAMPLE_POINTS: u64 = 25;
+
+/// Generation steps [`IanusSystem::run_request`] prices in one engine
+/// walk, each in a lane of its own (see [`Engine::run_lanes`]). On a
+/// 2-vCPU x86-64 host a walk costs ≈12 ns per stored command plus ≈7 ns
+/// per lane and command, against ≈19 ns for a walk of one lane; four
+/// lanes priced a cold `paper_grid` benchmark pass about as fast as
+/// eight, and sixteen slower (more of each walk is padding).
+const LANES: usize = 8;
 
 /// Reports of the stages one system has simulated.
 type StageMemo = Memo<(ModelConfig, Stage), StageReport>;
@@ -37,11 +46,15 @@ type StageMemo = Memo<(ModelConfig, Stage), StageReport>;
 /// holds at every past length, and only its attention heads' durations,
 /// its activity and its FLOPs change. The system's first generation miss
 /// on a model compiles one program, which the system keeps for that
-/// model (a generation template); each later miss re-emits one attention
-/// head at the new past through the compiler's own per-head emitter and
-/// patches those values in. Debug builds assert that every re-timed
-/// stage equals a fresh compile, and every build asserts that the
-/// re-emitted head is as long as the recorded ones.
+/// model (a generation template). Each miss re-emits one attention head
+/// at its past through the compiler's own per-head emitter and times the
+/// template with those head durations in a duration lane of its own
+/// ([`Engine::run_lanes`]), leaving the template as compiled.
+/// [`run_request`] collects every step it needs that the memo lacks and
+/// prices them eight to one engine walk; a lone miss ([`run_stage`],
+/// serving's `decode_time`) walks one lane. Debug builds assert that every
+/// lane reports what a fresh compile does, and every build asserts that
+/// the re-emitted head is as long as the recorded ones.
 ///
 /// The memo and the templates belong to the system: a new system starts
 /// with neither, a clone starts with its source's, and
@@ -49,6 +62,7 @@ type StageMemo = Memo<(ModelConfig, Stage), StageReport>;
 /// price no energy.
 ///
 /// [`run_stage`]: IanusSystem::run_stage
+/// [`run_request`]: IanusSystem::run_request
 /// [`set_energy_model`]: IanusSystem::set_energy_model
 ///
 /// # Examples
@@ -69,6 +83,8 @@ pub struct IanusSystem {
     /// The generation template of every model that has had a generation
     /// miss.
     templates: Memo<ModelConfig, GenerationTemplate>,
+    /// Walks of a program the system's engines have made.
+    walks: u64,
     /// `"IANUS x{d}"`, formatted on first use so construction allocates
     /// nothing.
     group_name: OnceLock<String>,
@@ -81,6 +97,7 @@ impl std::fmt::Debug for IanusSystem {
             .field("energy_model", &self.energy_model)
             .field("memoized_stages", &self.stages.len())
             .field("generation_templates", &self.templates.len())
+            .field("engine_walks", &self.walks)
             .finish()
     }
 }
@@ -93,6 +110,7 @@ impl IanusSystem {
             energy_model: EnergyModel::default(),
             stages: StageMemo::default(),
             templates: Memo::default(),
+            walks: 0,
             group_name: OnceLock::new(),
         }
     }
@@ -123,14 +141,17 @@ impl IanusSystem {
 
     /// Simulates one stage and returns its report; a stage this system
     /// has simulated before is read from its memo, and a generation stage
-    /// is re-timed from the model's generation template.
+    /// is timed from the model's generation template.
     pub fn run_stage(&mut self, model: &ModelConfig, stage: &Stage) -> StageReport {
         let key = (*model, *stage);
         if let Some(report) = self.stages.get(&key) {
             return report.clone();
         }
         let report = match *stage {
-            Stage::Generation { past_tokens } => self.generation(model, past_tokens),
+            Stage::Generation { past_tokens } => {
+                let mut reports = self.generation::<1>(model, &[past_tokens]);
+                reports.pop().expect("one report per past")
+            }
             Stage::Summarization { .. } => {
                 let mut compiler = Compiler::new(&self.cfg, model);
                 let compiled = compiler.compile(stage);
@@ -139,6 +160,7 @@ impl IanusSystem {
                     &self.energy_model,
                     compiler.unit_map(),
                     &compiled,
+                    &mut self.walks,
                 )
             }
         };
@@ -146,22 +168,34 @@ impl IanusSystem {
         report
     }
 
-    /// Simulates the generation step at `past_tokens` from the model's
-    /// template, compiled on the model's first generation miss.
-    fn generation(&mut self, model: &ModelConfig, past_tokens: u64) -> StageReport {
+    /// Simulates the generation steps at `pasts`, at most `L`, in one
+    /// engine walk, one lane each, from the model's template, compiled on
+    /// the model's first generation miss.
+    fn generation<const L: usize>(
+        &mut self,
+        model: &ModelConfig,
+        pasts: &[u64],
+    ) -> Vec<StageReport> {
+        let cfg = &self.cfg;
         let template = self
             .templates
             .entry(*model)
-            .or_insert_with(|| GenerationTemplate::new(&self.cfg, model, past_tokens));
+            .or_insert_with(|| GenerationTemplate::new(cfg, model, pasts[0]));
         let units = template.unit_map();
-        let compiled = template.retime(past_tokens);
-        debug_assert!(
-            *compiled
-                == Compiler::new(&self.cfg, model).compile(&Stage::Generation { past_tokens }),
-            "re-timed generation at past {past_tokens} of {} differs from a fresh compile",
-            model.name
-        );
-        execute(&self.cfg, &self.energy_model, units, compiled)
+        let (lanes, stages) = template.lanes::<L>(pasts);
+        let mut engine = Engine::new(units.unit_count(), cfg.npu.dispatch_overhead);
+        let execs = engine.run_lanes(&lanes);
+        self.walks += engine.walks();
+        (pasts.iter().zip(&execs).zip(stages))
+            .map(|((&past_tokens, exec), (activity, flops))| {
+                debug_assert!(
+                    matches_fresh_compile(cfg, model, past_tokens, exec, &activity, flops),
+                    "generation at past {past_tokens} of {} differs from a fresh compile",
+                    model.name
+                );
+                stage_report(&self.energy_model, exec, flops, &activity)
+            })
+            .collect()
     }
 
     /// Simulates the Figure 12 FC microbenchmark (all block FCs with a
@@ -179,11 +213,14 @@ impl IanusSystem {
             &self.energy_model,
             compiler.unit_map(),
             &compiled,
+            &mut self.walks,
         )
     }
 
     /// Runs an end-to-end request: one summarization stage plus
-    /// `output − 1` generation steps (sampled when long).
+    /// `output − 1` generation steps (sampled when long). The steps the
+    /// memo lacks are priced eight to an engine walk, and a lone one
+    /// in a walk of one lane.
     ///
     /// # Panics
     ///
@@ -208,10 +245,10 @@ impl IanusSystem {
         if steps == 0 {
             return report;
         }
-        let first = request.input;
-        let last = request.input + steps - 1;
+        let pasts = generation_pasts(request);
+        self.price_generation(model, &pasts);
         if steps <= EXACT_STEP_LIMIT {
-            for past in first..=last {
+            for past in pasts {
                 let g = self.run_stage(model, &Stage::Generation { past_tokens: past });
                 report.generation += g.latency;
                 report.breakdown.merge(&g.breakdown);
@@ -220,20 +257,16 @@ impl IanusSystem {
             }
         } else {
             // Trapezoidal integration over sampled past lengths.
-            let points = SAMPLE_POINTS.min(steps);
-            let sample_pasts: Vec<u64> = (0..points)
-                .map(|i| first + (last - first) * i / (points - 1))
-                .collect();
-            let samples: Vec<StageReport> = sample_pasts
+            let samples: Vec<StageReport> = pasts
                 .iter()
                 .map(|&past_tokens| self.run_stage(model, &Stage::Generation { past_tokens }))
                 .collect();
-            for w in 0..points as usize - 1 {
-                let (p0, p1) = (sample_pasts[w], sample_pasts[w + 1]);
+            for w in 0..pasts.len() - 1 {
+                let (p0, p1) = (pasts[w], pasts[w + 1]);
                 let (s0, s1) = (&samples[w], &samples[w + 1]);
                 // Steps in [p0, p1), with the final sample covering its
                 // own step.
-                let count = if w + 2 == points as usize {
+                let count = if w + 2 == pasts.len() {
                     p1 - p0 + 1
                 } else {
                     p1 - p0
@@ -254,18 +287,68 @@ impl IanusSystem {
         report.total = report.summarization + report.generation;
         report
     }
+
+    /// Memoizes the generation steps at `pasts` that the memo lacks,
+    /// [`LANES`] to an engine walk, in the order given.
+    fn price_generation(&mut self, model: &ModelConfig, pasts: &[u64]) {
+        let missing: Vec<u64> = (pasts.iter().copied())
+            .filter(|&past_tokens| {
+                !(self.stages).contains_key(&(*model, Stage::Generation { past_tokens }))
+            })
+            .collect();
+        for group in missing.chunks(LANES) {
+            let reports = match group.len() {
+                1 => self.generation::<1>(model, group),
+                _ => self.generation::<LANES>(model, group),
+            };
+            for (&past_tokens, report) in group.iter().zip(reports) {
+                (self.stages).insert((*model, Stage::Generation { past_tokens }), report);
+            }
+        }
+    }
 }
 
-/// Runs a compiled stage on the device engine: the one place a stage
-/// report is produced.
+/// The past lengths of the generation steps [`IanusSystem::run_request`]
+/// prices for `request`: every step up to [`EXACT_STEP_LIMIT`] steps,
+/// and [`SAMPLE_POINTS`] evenly spaced samples beyond.
+fn generation_pasts(request: RequestShape) -> Vec<u64> {
+    let steps = request.generation_steps();
+    let (first, last) = (request.input, request.input + steps.saturating_sub(1));
+    match steps {
+        0 => Vec::new(),
+        1..=EXACT_STEP_LIMIT => (first..=last).collect(),
+        _ => {
+            let points = SAMPLE_POINTS.min(steps);
+            (0..points)
+                .map(|i| first + (last - first) * i / (points - 1))
+                .collect()
+        }
+    }
+}
+
+/// Runs a compiled stage on the device engine, counting the engine's
+/// walks into `walks`.
 fn execute(
     cfg: &SystemConfig,
     energy_model: &EnergyModel,
     units: UnitMap,
     compiled: &CompiledStage,
+    walks: &mut u64,
 ) -> StageReport {
     let mut engine = Engine::new(units.unit_count(), cfg.npu.dispatch_overhead);
     let exec = engine.run(&compiled.program);
+    *walks += engine.walks();
+    stage_report(energy_model, &exec, compiled.flops, &compiled.activity)
+}
+
+/// The report of a stage the engine executed as `exec`: the one place a
+/// stage report is produced.
+fn stage_report(
+    energy_model: &EnergyModel,
+    exec: &ExecutionReport,
+    flops: u64,
+    activity: &Activity,
+) -> StageReport {
     let mut breakdown = Breakdown::new();
     for class in OpClass::ALL {
         breakdown.add(class, exec.tag_busy(class.tag()));
@@ -273,8 +356,8 @@ fn execute(
     StageReport {
         latency: exec.makespan().since(ianus_sim::Time::ZERO),
         breakdown,
-        flops: compiled.flops,
-        energy: energy_model.energy(&compiled.activity),
+        flops,
+        energy: energy_model.energy(activity),
     }
 }
 
@@ -409,6 +492,91 @@ mod tests {
             assert!(debug(&clone).contains(kept), "{clone:?}");
             check(&mut clone, &[1023, 511, 300, 62, 0], label);
         }
+    }
+
+    #[test]
+    fn lane_priced_requests_match_stage_by_stage_pricing() {
+        // An exact and a sampled request whose pasts straddle the lengths
+        // where IANUS generation programs settle a repeat at another copy
+        // (pasts 49 and 86 on GPT-2 M, 66 and 105 on XL), so some lane
+        // groups share a walk and some are walked again lane by lane, and
+        // an exact request whose warm steps leave eight misses and a lone
+        // one. The warm pasts also leave groups partial.
+        let requests = [
+            RequestShape::new(40, 48),
+            RequestShape::new(30, 200),
+            RequestShape::new(300, 12),
+        ];
+        let warm = [41, 44, 70, 300, 305];
+        for (label, cfg) in crate::compiler::tests::equivalence_configs() {
+            for model in [ModelConfig::gpt2_m(), ModelConfig::gpt2_xl()] {
+                let mut sys = IanusSystem::new(cfg);
+                for past_tokens in warm {
+                    sys.run_stage(&model, &Stage::Generation { past_tokens });
+                }
+                for request in requests {
+                    let case = format!("{label} {} {request:?}", model.name);
+                    let lanes = debug(&sys.run_request(&model, request));
+                    let mut stepped = IanusSystem::new(cfg);
+                    for past_tokens in generation_pasts(request) {
+                        let stage = Stage::Generation { past_tokens };
+                        let fresh = debug(&IanusSystem::new(cfg).run_stage(&model, &stage));
+                        let case = format!("{case} past {past_tokens}");
+                        assert_eq!(debug(&sys.run_stage(&model, &stage)), fresh, "{case}");
+                        assert_eq!(debug(&stepped.run_stage(&model, &stage)), fresh, "{case}");
+                    }
+                    assert_eq!(
+                        lanes,
+                        debug(&stepped.run_request(&model, request)),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_groups_walk_once_unless_their_lanes_settle_apart() {
+        let model = ModelConfig::gpt2_m();
+        let mut sys = IanusSystem::new(SystemConfig::ianus());
+        // The template is compiled at past 0, whose program settles its
+        // repeats at other copies than pasts from 86 on. The seven steps
+        // of a (512, 8) request fill seven lanes and pad the eighth with
+        // the last of them, not with the template's own durations, so
+        // they share one walk; the summarization takes another.
+        sys.run_stage(&model, &Stage::Generation { past_tokens: 0 });
+        let walks = sys.walks;
+        sys.run_request(&model, RequestShape::new(512, 8));
+        assert_eq!(sys.walks - walks, 2);
+        // Pasts 45-52 straddle past 49, from which GPT-2 M settles at
+        // another copy: after the shared walk, each lane is walked alone.
+        let walks = sys.walks;
+        sys.run_request(&model, RequestShape::new(45, 9));
+        assert_eq!(sys.walks - walks, 1 + 1 + LANES as u64);
+        // A lone miss walks one lane.
+        let walks = sys.walks;
+        sys.run_request(&model, RequestShape::new(45, 10));
+        assert_eq!(sys.walks - walks, 1);
+    }
+
+    #[test]
+    fn cold_paper_grid_pass_walks_are_pinned() {
+        // perfbench's paper_grid pass in paper order: one IANUS system per
+        // model, inputs 128, 256 and 512 with outputs 8 and 512. Each
+        // model prices 3 summarizations and 84 generation steps; one walk
+        // per stage made 348 walks.
+        let mut walks = 0;
+        for model in ModelConfig::gpt2_family() {
+            let mut sys = IanusSystem::new(SystemConfig::ianus());
+            for input in [128, 256, 512] {
+                for output in [8, 512] {
+                    sys.run_request(&model, RequestShape::new(input, output));
+                }
+            }
+            assert!(debug(&sys).contains("memoized_stages: 87"), "{sys:?}");
+            walks += sys.walks;
+        }
+        assert_eq!(walks, 56);
     }
 
     #[test]

@@ -63,6 +63,20 @@
 //! before it plus `k`·δ, and [`ExecutionReport::scheduled`] counts the
 //! commands scheduled one by one.
 //!
+//! # Lanes
+//!
+//! Programs that differ only in durations share the walk of their
+//! structure: its records, dependencies, holds and repeats. [`Lanes`]
+//! gives one program `L` duration columns, and [`Engine::run_lanes`]
+//! times them in one walk in which every time value (finishes, unit free
+//! and busy times, tag busy times) is an `[Time; L]` or
+//! `[Duration; L]`, one entry per lane. [`Engine::run`] is the one-lane
+//! case of that walk. A repeat is written in closed form only when every
+//! lane settles at the same copy, each lane by its own δ; if the lanes
+//! settle at different copies, the walk stops and each lane is walked
+//! again alone. Every lane's report is therefore the report of `run` on
+//! the program with that lane's durations, work count included.
+//!
 //! # Examples
 //!
 //! ```
@@ -513,8 +527,21 @@ impl Program {
     /// Panics if the commands are out of range or are not stored one
     /// after another (a repeat's copies lie between them).
     pub fn set_durations(&mut self, first: CmdId, durations: &[Duration]) {
-        let Some(last) = durations.len().checked_sub(1) else {
-            return;
+        let records = self.stored_together(first, durations.len());
+        for (record, &duration) in self.records[records].iter_mut().zip(durations) {
+            record.duration = duration;
+        }
+    }
+
+    /// The records of commands `first..first + len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the commands are out of range or are not stored one
+    /// after another.
+    fn stored_together(&self, first: CmdId, len: usize) -> Range<usize> {
+        let Some(last) = len.checked_sub(1) else {
+            return 0..0;
         };
         let start = self.record_of(first);
         assert_eq!(
@@ -523,9 +550,7 @@ impl Program {
             "commands {first}..={} are not stored together",
             first + last
         );
-        for (record, &duration) in self.records[start..].iter_mut().zip(durations) {
-            record.duration = duration;
-        }
+        start..start + len
     }
 
     /// Index of the record command `id` is, or is a copy of.
@@ -831,7 +856,7 @@ fn json_string(s: &str) -> String {
 /// schedule, and is not compared.
 #[derive(Debug, Clone, Eq)]
 pub struct ExecutionReport {
-    finish: Finishes,
+    finish: Finishes<1>,
     makespan: Time,
     tag_busy: Vec<Duration>,
     unit_busy: Vec<Duration>,
@@ -855,7 +880,8 @@ impl ExecutionReport {
     ///
     /// Panics if `id` is out of range.
     pub fn finish(&self, id: CmdId) -> Time {
-        self.finish.get(id)
+        let [finish] = self.finish.get(id);
+        finish
     }
 
     /// Completion time of the whole program.
@@ -883,14 +909,84 @@ impl ExecutionReport {
     }
 }
 
-/// Finish times of the commands timed so far, by id: those scheduled one
-/// by one, and runs of copies written in closed form.
+/// A program with `L` duration columns, or *lanes*, that
+/// [`Engine::run_lanes`] times in one walk of the program.
+///
+/// Every lane runs the program's commands, dependencies and holds; each
+/// has durations of its own, which start as the program's and are
+/// re-timed with [`set_durations`](Self::set_durations), the program
+/// itself untouched.
+///
+/// # Examples
+///
+/// ```
+/// use ianus_npu::scheduler::{Engine, Lanes, Program};
+/// use ianus_sim::Duration;
+///
+/// let mut p = Program::new();
+/// let load = p.emit(1, Duration::from_ns(100), 0, [], None);
+/// p.emit(0, Duration::from_ns(50), 1, [load], None);
+/// let mut lanes = Lanes::<2>::new(&p);
+/// lanes.set_durations(load, &[[Duration::from_ns(100), Duration::from_ns(300)]]);
+/// let mut engine = Engine::new(2, Duration::ZERO);
+/// let [fast, slow] = engine.run_lanes(&lanes);
+/// assert_eq!((fast.makespan().as_ns_f64(), slow.makespan().as_ns_f64()), (150.0, 350.0));
+/// p.set_duration(load, Duration::from_ns(300));
+/// assert_eq!(slow, engine.run(&p));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Lanes<'p, const L: usize> {
+    program: &'p Program,
+    /// Every stored command's duration in each lane, by record.
+    durations: Vec<[Duration; L]>,
+}
+
+impl<'p, const L: usize> Lanes<'p, L> {
+    /// `program` with its own durations in every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `L` is zero.
+    pub fn new(program: &'p Program) -> Self {
+        assert!(L > 0, "a lane program needs at least one lane");
+        Lanes {
+            program,
+            durations: program.records.iter().map(|r| [r.duration; L]).collect(),
+        }
+    }
+
+    /// Re-times commands `first..first + durations.len()`, each lane to
+    /// its own of each command's durations, as
+    /// [`Program::set_durations`] re-times them in a program: a command
+    /// of a repeated block is re-timed in every copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Program::set_durations`] panics.
+    pub fn set_durations(&mut self, first: CmdId, durations: &[[Duration; L]]) {
+        let records = self.program.stored_together(first, durations.len());
+        self.durations[records].copy_from_slice(durations);
+    }
+
+    /// Lane `lane` alone.
+    fn lane(&self, lane: usize) -> Lanes<'p, 1> {
+        Lanes {
+            program: self.program,
+            durations: self.durations.iter().map(|d| [d[lane]]).collect(),
+        }
+    }
+}
+
+/// Finish times of the commands timed so far, by id, in each of `L`
+/// lanes: those scheduled one by one, and runs of copies written in
+/// closed form. Every lane has the same runs, each with a shift of its
+/// own.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Finishes {
+struct Finishes<const L: usize> {
     /// Finishes of the commands scheduled one by one, in id order.
-    scheduled: Vec<Time>,
+    scheduled: Vec<[Time; L]>,
     /// Runs of copies written in closed form, in id order.
-    shifted: Vec<Shifted>,
+    shifted: Vec<Shifted<L>>,
     /// Number of commands timed.
     len: usize,
     /// First id after the last run; the finish of a later command is
@@ -900,55 +996,59 @@ struct Finishes {
     unscheduled: usize,
 }
 
-/// Copies of a block written in closed form: copy `k` of the run finishes
-/// `k` × δ after the copy timed just before the run.
+/// Copies of a block written in closed form: in each lane, copy `k` of
+/// the run finishes `k` × that lane's δ after the copy timed just before
+/// the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Shifted {
+struct Shifted<const L: usize> {
     /// Id of the run's first command.
     start: CmdId,
     /// Commands per copy.
     period: usize,
     /// Copies in the run.
     copies: usize,
-    /// Shift between consecutive copies.
-    delta: Duration,
+    /// Each lane's shift between consecutive copies.
+    delta: [Duration; L],
     /// Index in `scheduled` of the first command after the run.
     resume: usize,
 }
 
-impl Shifted {
+impl<const L: usize> Shifted<L> {
     /// Id of the first command after the run.
     fn end(&self) -> CmdId {
         self.start + self.copies * self.period
     }
 }
 
-impl Finishes {
+impl<const L: usize> Finishes<L> {
     /// Times the next command one by one.
-    fn push(&mut self, finish: Time) {
+    fn push(&mut self, finish: [Time; L]) {
         self.scheduled.push(finish);
         self.len += 1;
     }
 
     /// Finish of command `id`.
-    fn get(&self, id: CmdId) -> Time {
+    fn get(&self, id: CmdId) -> [Time; L] {
         if id >= self.tail {
             return self.scheduled[id - self.unscheduled];
         }
         // A copy in a run finishes a whole number of shifts after the
         // matching command of the copy before the run, which may itself
         // be in a run (a repeat inside a repeated block).
-        let (mut id, mut shift) = (id, Duration::ZERO);
+        let (mut id, mut shift) = (id, [Duration::ZERO; L]);
         loop {
             let runs = self.shifted.partition_point(|r| r.start <= id);
             let Some(run) = runs.checked_sub(1).map(|r| &self.shifted[r]) else {
-                return self.scheduled[id] + shift;
+                return after(self.scheduled[id], shift);
             };
             let offset = id - run.start;
             if id >= run.end() {
-                return self.scheduled[run.resume + id - run.end()] + shift;
+                return after(self.scheduled[run.resume + id - run.end()], shift);
             }
-            shift += run.delta * (offset / run.period + 1) as u64;
+            add(
+                &mut shift,
+                &run.delta.map(|d| d * (offset / run.period + 1) as u64),
+            );
             id = run.start - run.period + offset % run.period;
         }
     }
@@ -963,37 +1063,52 @@ impl Finishes {
         }
     }
 
-    /// The shift δ > 0 by which each of the last `period` commands timed
-    /// finishes after the one `period` commands before it, if they all
-    /// finish by one such shift: the commands scheduled one by one shift
-    /// by δ, and the runs among them are the runs `period` ids before,
-    /// shifted along.
-    fn settled(&self, period: usize) -> Option<Duration> {
+    /// In each lane, the shift δ > 0 by which each of the last `period`
+    /// commands timed finishes after the one `period` commands before it,
+    /// if they all finish by one such shift: the commands scheduled one by
+    /// one shift by δ, and the runs among them are the runs `period` ids
+    /// before, shifted along.
+    fn settled(&self, period: usize) -> [Option<Duration>; L] {
+        self.shifts(period).unwrap_or([None; L])
+    }
+
+    /// [`settled`](Self::settled), or `None` for every lane if the last
+    /// `period` commands are not timed like the `period` before them:
+    /// as many scheduled one by one, and the same runs.
+    fn shifts(&self, period: usize) -> Option<[Option<Duration>; L]> {
         let last_start = self.len.checked_sub(period)?;
         let (prev_scheduled, prev_runs) = self.mark(last_start.checked_sub(period)?)?;
         let (last_scheduled, last_runs) = self.mark(last_start)?;
         let (prev, last) =
             self.scheduled[prev_scheduled..].split_at(last_scheduled - prev_scheduled);
         let (prev_runs, last_runs) = self.shifted[prev_runs..].split_at(last_runs - prev_runs);
-        if prev.len() != last.len() || prev_runs.len() != last_runs.len() {
-            return None;
-        }
-        let delta = last.first()?.as_ps().checked_sub(prev[0].as_ps())?;
-        let shifted = delta > 0
-            && prev
-                .iter()
-                .zip(last)
-                .all(|(p, l)| l.as_ps() == p.as_ps() + delta)
+        let alike = prev.len() == last.len()
+            && prev_runs.len() == last_runs.len()
             && prev_runs.iter().zip(last_runs).all(|(p, l)| {
-                (l.start, l.period, l.copies, l.delta)
-                    == (p.start + period, p.period, p.copies, p.delta)
+                (l.start, l.period, l.copies) == (p.start + period, p.period, p.copies)
             });
-        shifted.then_some(Duration::from_ps(delta))
+        let (first_prev, first_last) = (prev.first()?, last.first()?);
+        alike.then(|| {
+            std::array::from_fn(|lane| {
+                let delta = first_last[lane]
+                    .as_ps()
+                    .checked_sub(first_prev[lane].as_ps())?;
+                let shifted = delta > 0
+                    && prev
+                        .iter()
+                        .zip(last)
+                        .all(|(p, l)| l[lane].as_ps() == p[lane].as_ps() + delta)
+                    && (prev_runs.iter())
+                        .zip(last_runs)
+                        .all(|(p, l)| l.delta[lane] == p.delta[lane]);
+                shifted.then_some(Duration::from_ps(delta))
+            })
+        })
     }
 
     /// Times `copies` copies of the last `period` commands timed, each
-    /// the one before shifted by `delta`.
-    fn repeat_last(&mut self, period: usize, copies: usize, delta: Duration) {
+    /// the one before shifted by its lane's `delta`.
+    fn repeat_last(&mut self, period: usize, copies: usize, delta: [Duration; L]) {
         self.shifted.push(Shifted {
             start: self.len,
             period,
@@ -1005,6 +1120,70 @@ impl Finishes {
         self.tail = self.len;
         self.unscheduled = self.len - self.scheduled.len();
     }
+
+    /// Lane `lane` alone.
+    fn lane(&self, lane: usize) -> Finishes<1> {
+        Finishes {
+            scheduled: self.scheduled.iter().map(|t| [t[lane]]).collect(),
+            shifted: (self.shifted.iter())
+                .map(|r| Shifted {
+                    start: r.start,
+                    period: r.period,
+                    copies: r.copies,
+                    delta: [r.delta[lane]],
+                    resume: r.resume,
+                })
+                .collect(),
+            len: self.len,
+            tail: self.tail,
+            unscheduled: self.unscheduled,
+        }
+    }
+}
+
+/// The later of two times in each lane.
+#[inline]
+fn later<const L: usize>(mut a: [Time; L], b: [Time; L]) -> [Time; L] {
+    raise(&mut a, &b);
+    a
+}
+
+/// Raises each lane's time `t` to `to` if that is later.
+#[inline]
+fn raise<const L: usize>(t: &mut [Time; L], to: &[Time; L]) {
+    for (t, &to) in t.iter_mut().zip(to) {
+        *t = (*t).max(to);
+    }
+}
+
+/// Each lane's time plus its duration.
+#[inline]
+fn after<const L: usize>(mut t: [Time; L], d: [Duration; L]) -> [Time; L] {
+    advance(&mut t, &d);
+    t
+}
+
+/// Moves each lane's time on by its duration.
+#[inline]
+fn advance<const L: usize>(t: &mut [Time; L], d: &[Duration; L]) {
+    for (t, &d) in t.iter_mut().zip(d) {
+        *t += d;
+    }
+}
+
+/// Adds each lane's duration to its sum.
+#[inline]
+fn add<const L: usize>(sum: &mut [Duration; L], d: &[Duration; L]) {
+    for (s, &d) in sum.iter_mut().zip(d) {
+        *s += d;
+    }
+}
+
+/// Adds, `times` over, each lane's busy time since `before`.
+fn repeat_busy<const L: usize>(busy: &mut [Duration; L], before: &[Duration; L], times: u64) {
+    for (busy, &before) in busy.iter_mut().zip(before) {
+        *busy += (*busy - before) * times;
+    }
 }
 
 /// The unit pool a program executes against.
@@ -1013,11 +1192,10 @@ impl Finishes {
 /// index is a core's matrix unit, which is the shared memory bus, …).
 #[derive(Debug, Clone)]
 pub struct Engine {
-    /// Earliest time each unit may start new work.
-    free_at: Vec<Time>,
-    /// Busy time accumulated by each unit.
-    busy: Vec<Duration>,
+    units: usize,
     dispatch: Duration,
+    /// Walks of a program made so far.
+    walks: u64,
 }
 
 impl Engine {
@@ -1025,25 +1203,35 @@ impl Engine {
     /// dispatch overhead (the command scheduler's issue cost).
     pub fn new(units: usize, dispatch: Duration) -> Self {
         Engine {
-            free_at: vec![Time::ZERO; units],
-            busy: vec![Duration::ZERO; units],
+            units,
             dispatch,
+            walks: 0,
         }
     }
 
     /// Number of units.
     pub fn unit_count(&self) -> usize {
-        self.free_at.len()
+        self.units
     }
 
-    /// Executes `program`, resetting all units first.
+    /// Number of walks of a program the engine has made: one per
+    /// [`run`](Self::run) or [`run_traced`](Self::run_traced), and one
+    /// per [`run_lanes`](Self::run_lanes) plus one per lane when its lanes
+    /// settle a repeat at different copies. A deterministic work counter,
+    /// like [`ExecutionReport::scheduled`].
+    pub fn walks(&self) -> u64 {
+        self.walks
+    }
+
+    /// Executes `program`, every unit free at time zero.
     ///
     /// # Panics
     ///
     /// Panics if a command references an out-of-range unit or a dependency
     /// on a later command (programs must be emitted in topological order).
     pub fn run(&mut self, program: &Program) -> ExecutionReport {
-        self.run_inner(program, None)
+        let [report] = self.run_lanes(&Lanes::new(program));
+        report
     }
 
     /// Executes `program` and records one [`Span`] per command, copies of
@@ -1051,109 +1239,188 @@ impl Engine {
     /// export.
     pub fn run_traced(&mut self, program: &Program) -> (ExecutionReport, Vec<Span>) {
         let mut spans = Vec::with_capacity(program.len());
-        let report = self.run_inner(program, Some(&mut spans));
+        let schedule = self.walk(&Lanes::<1>::new(program), Some(&mut spans));
+        let [report] = schedule.expect("one lane settles alike").reports();
         (report, spans)
     }
 
-    fn run_inner(&mut self, program: &Program, spans: Option<&mut Vec<Span>>) -> ExecutionReport {
-        self.free_at.fill(Time::ZERO);
-        self.busy.fill(Duration::ZERO);
+    /// Executes every lane of `lanes`: report `l` is the report
+    /// [`run`](Self::run) gives on the program with lane `l`'s durations,
+    /// [`scheduled`](ExecutionReport::scheduled) included.
+    ///
+    /// The lanes share one walk of the program, which times every lane of
+    /// a command at once, and a repeat's copies are written in closed form
+    /// only when every lane settles at the same copy, each lane shifting
+    /// by its own δ. If lanes settle a repeat at different copies, each
+    /// lane is walked again alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`run`](Self::run) does.
+    pub fn run_lanes<const L: usize>(&mut self, lanes: &Lanes<'_, L>) -> [ExecutionReport; L] {
+        match self.walk(lanes, None) {
+            Some(schedule) => schedule.reports(),
+            None => std::array::from_fn(|l| {
+                let schedule = self.walk(&lanes.lane(l), None);
+                let [report] = schedule.expect("one lane settles alike").reports();
+                report
+            }),
+        }
+    }
+
+    /// Walks the program of `lanes` once, timing every lane, and records
+    /// lane 0's spans if `spans` is given; `None` if the lanes settle a
+    /// repeat at different copies.
+    fn walk<const L: usize>(
+        &mut self,
+        lanes: &Lanes<'_, L>,
+        spans: Option<&mut Vec<Span>>,
+    ) -> Option<Schedule<L>> {
+        debug_assert!(L == 1 || spans.is_none(), "only one lane is traced");
+        self.walks += 1;
+        let program = lanes.program;
         let mut run = Run {
+            program,
+            durations: &lanes.durations,
+            dispatch: self.dispatch,
+            free_at: vec![[Time::ZERO; L]; self.units],
+            busy: vec![[Duration::ZERO; L]; self.units],
             finish: Finishes {
                 scheduled: Vec::with_capacity(program.records.len()),
                 shifted: Vec::with_capacity(2 * program.repeats.len()),
                 ..Finishes::default()
             },
-            tag_busy: vec![Duration::ZERO; program.tags],
+            tag_busy: vec![[Duration::ZERO; L]; program.tags],
             levels: Vec::new(),
-            busy_marks: Vec::with_capacity(2 * (self.busy.len() + program.tags)),
+            busy_marks: Vec::with_capacity(2 * (self.units + program.tags)),
             spans,
         };
         let records = 0..program.records.len();
-        let makespan = self.region(program, records, 0, &program.repeats, &mut run);
-        ExecutionReport {
+        let makespan = run.region(records, 0, &program.repeats).ok()?;
+        Some(Schedule {
             finish: run.finish,
             makespan,
             tag_busy: run.tag_busy,
-            unit_busy: self.busy.clone(),
-        }
+            unit_busy: run.busy,
+        })
     }
+}
 
+/// Every lane's schedule from one walk.
+struct Schedule<const L: usize> {
+    finish: Finishes<L>,
+    makespan: [Time; L],
+    tag_busy: Vec<[Duration; L]>,
+    unit_busy: Vec<[Duration; L]>,
+}
+
+impl<const L: usize> Schedule<L> {
+    /// Each lane's report.
+    fn reports(self) -> [ExecutionReport; L] {
+        let column = |busy: &[[Duration; L]], l: usize| busy.iter().map(|b| b[l]).collect();
+        std::array::from_fn(|l| ExecutionReport {
+            finish: self.finish.lane(l),
+            makespan: self.makespan[l],
+            tag_busy: column(&self.tag_busy, l),
+            unit_busy: column(&self.unit_busy, l),
+        })
+    }
+}
+
+/// Lanes of one walk settled a repeat at different copies.
+struct Disagree;
+
+/// The schedule of `L` lanes under construction by one walk of a
+/// program.
+struct Run<'a, const L: usize> {
+    program: &'a Program,
+    /// Every stored command's duration in each lane, by record.
+    durations: &'a [[Duration; L]],
+    dispatch: Duration,
+    /// Earliest time each unit may start new work.
+    free_at: Vec<[Time; L]>,
+    /// Busy time accumulated by each unit.
+    busy: Vec<[Duration; L]>,
+    finish: Finishes<L>,
+    tag_busy: Vec<[Duration; L]>,
+    /// The copies being scheduled one by one, outermost first: each
+    /// repeat's anchor and the shift of its copy.
+    levels: Vec<(CmdId, usize)>,
+    /// For each repeat being timed, outermost first, the unit and tag
+    /// busy times before the block or copy it timed last.
+    busy_marks: Vec<[Duration; L]>,
+    /// Lane 0's spans, if traced.
+    spans: Option<&'a mut Vec<Span>>,
+}
+
+impl<'a, const L: usize> Run<'a, L> {
     /// Times records `records`, the first of which is command `first`,
     /// and every copy of the repeats `repeats` among them; returns the
     /// latest finish.
     fn region(
         &mut self,
-        program: &Program,
         records: Range<usize>,
         first: CmdId,
-        repeats: &[Repeat],
-        run: &mut Run<'_>,
-    ) -> Time {
-        let (mut record, mut id, mut latest) = (records.start, first, Time::ZERO);
+        repeats: &'a [Repeat],
+    ) -> Result<[Time; L], Disagree> {
+        let (mut record, mut id, mut latest) = (records.start, first, [Time::ZERO; L]);
         for r in repeats {
-            let before = self.schedule(program.commands_in(record..r.block.start, id), run);
+            let before = self.schedule(record..r.block.start, id);
             id += r.block.start - record;
-            let mark = run.mark_busy(&self.busy);
-            let block = self.region(program, r.block.clone(), id, &r.inner, run);
-            latest = latest
-                .max(before)
-                .max(self.repeat(program, r, id, block, mark, run));
-            run.busy_marks.truncate(mark);
+            let mark = self.mark_busy();
+            let block = self.region(r.block.clone(), id, &r.inner)?;
+            let copies = self.repeat(r, id, block, mark)?;
+            latest = later(later(latest, before), copies);
+            self.busy_marks.truncate(mark);
             id += (1 + r.times) * r.period;
             record = r.block.end;
         }
-        latest.max(self.schedule(program.commands_in(record..records.end, id), run))
+        Ok(later(latest, self.schedule(record..records.end, id)))
     }
 
-    /// Schedules `cmds` one by one, each dependency mapped through the
-    /// run's levels; returns the latest finish.
-    fn schedule<'p>(
-        &mut self,
-        cmds: impl Iterator<Item = CommandView<'p>>,
-        run: &mut Run<'_>,
-    ) -> Time {
-        let mut latest = Time::ZERO;
-        let Run {
-            finish,
-            tag_busy,
-            levels,
-            spans,
-            ..
-        } = run;
-        for cmd in cmds {
+    /// Schedules records `records`, the first of which is command
+    /// `first`, one by one, each dependency mapped through the levels;
+    /// returns the latest finish.
+    fn schedule(&mut self, records: Range<usize>, first: CmdId) -> [Time; L] {
+        let mut latest = [Time::ZERO; L];
+        let durations = &self.durations[records.clone()];
+        for (cmd, duration) in self.program.commands_in(records, first).zip(durations) {
             let id = cmd.id;
-            let mut ready = Time::ZERO;
+            let mut start = [Time::ZERO; L];
             for &d in cmd.deps {
-                let d = resolve(levels, d);
+                let d = resolve(&self.levels, d);
                 assert!(d < id, "dependency {d} of command {id} is not earlier");
-                ready = ready.max(finish.get(d));
+                raise(&mut start, &self.finish.get(d));
             }
-            ready += self.dispatch;
+            for t in &mut start {
+                *t += self.dispatch;
+            }
             // Start when the unit and every shared resource are free.
-            let mut start = ready.max(self.free_at[cmd.unit]);
+            raise(&mut start, &self.free_at[cmd.unit]);
             for &s in cmd.shared {
                 assert!(s != cmd.unit, "shared resource equals unit");
-                start = start.max(self.free_at[s]);
+                raise(&mut start, &self.free_at[s]);
             }
-            let done = start + cmd.duration;
+            let done = after(start, *duration);
             self.free_at[cmd.unit] = done;
-            self.busy[cmd.unit] += cmd.duration;
+            add(&mut self.busy[cmd.unit], duration);
             // A resource held twice stays held for twice the duration.
             for &s in cmd.shared {
-                self.free_at[s] = start.max(self.free_at[s]) + cmd.duration;
-                self.busy[s] += cmd.duration;
+                let free = &mut self.free_at[s];
+                raise(free, &start);
+                advance(free, duration);
+                add(&mut self.busy[s], duration);
             }
-            finish.push(done);
-            latest = latest.max(done);
-            tag_busy[cmd.tag] += cmd.duration;
-            if let Some(spans) = spans.as_deref_mut() {
+            self.finish.push(done);
+            raise(&mut latest, &done);
+            add(&mut self.tag_busy[cmd.tag], duration);
+            if let Some(spans) = self.spans.as_deref_mut() {
                 spans.push(Span {
                     cmd: id,
                     unit: cmd.unit,
                     tag: cmd.tag,
-                    start,
-                    end: done,
+                    start: start[0],
+                    end: done[0],
                 });
             }
         }
@@ -1166,63 +1433,91 @@ impl Engine {
     /// scheduled one by one until one finishes every command one shift
     /// δ > 0 after the block or copy before it (the stored block against
     /// the commands before it counts too, if they are emitted alike); the
-    /// rest are written in closed form.
+    /// rest are written in closed form. Lanes that settle at different
+    /// copies end the walk.
     fn repeat(
         &mut self,
-        program: &Program,
-        repeat: &Repeat,
+        repeat: &'a Repeat,
         start: CmdId,
-        block: Time,
+        block: [Time; L],
         mark: usize,
-        run: &mut Run<'_>,
-    ) -> Time {
-        let period = repeat.period;
+    ) -> Result<[Time; L], Disagree> {
         let records = &repeat.block;
-        let follows = repeat.follows
-            && program.durations_alike(&(records.start - records.len()..records.start), records);
-        let settled = |run: &Run<'_>| run.finish.settled(period).filter(|_| repeat.local);
-        let mut delta = settled(run).filter(|_| follows);
+        let follows = match repeat.follows {
+            true => {
+                let prev = &self.durations[records.start - records.len()..records.start];
+                (prev.iter())
+                    .zip(&self.durations[records.clone()])
+                    .fold([true; L], |same, (p, r)| {
+                        std::array::from_fn(|l| same[l] & (p[l] == r[l]))
+                    })
+            }
+            false => [false; L],
+        };
+        let mut delta = self.settled(repeat, 0, follows)?;
         let (mut copies, mut last, mut latest) = (0, block, block);
         while delta.is_none() && copies < repeat.times {
             copies += 1;
-            let shift = copies * period;
-            run.remark_busy(mark, &self.busy);
-            run.levels.push((repeat.anchor, shift));
-            last = self.region(program, records.clone(), start + shift, &repeat.inner, run);
-            run.levels.pop();
-            latest = latest.max(last);
-            delta = settled(run);
+            let shift = copies * repeat.period;
+            self.remark_busy(mark);
+            self.levels.push((repeat.anchor, shift));
+            last = self.region(records.clone(), start + shift, &repeat.inner)?;
+            self.levels.pop();
+            latest = later(latest, last);
+            delta = self.settled(repeat, copies, [true; L])?;
         }
-        match delta.filter(|_| copies < repeat.times) {
+        Ok(match delta {
             Some(delta) => {
-                let copies = repeat.times - copies;
-                let to_last = self.extrapolate(repeat, copies, delta, mark, run);
-                latest.max(last + to_last)
+                let to_last = self.extrapolate(repeat, repeat.times - copies, delta, mark);
+                later(latest, after(last, to_last))
             }
             None => latest,
+        })
+    }
+
+    /// Every lane's shift δ, if the copy of `repeat` timed last, `copies`
+    /// copies in, repeats the one before in every lane whose `follows` is
+    /// set and copies remain (see [`Finishes::settled`]); `None` if it
+    /// does in no lane.
+    fn settled(
+        &self,
+        repeat: &Repeat,
+        copies: usize,
+        follows: [bool; L],
+    ) -> Result<Option<[Duration; L]>, Disagree> {
+        if !repeat.local || copies == repeat.times {
+            return Ok(None);
+        }
+        let mut lanes = self.finish.settled(repeat.period);
+        for (delta, follows) in lanes.iter_mut().zip(follows) {
+            *delta = delta.filter(|_| follows);
+        }
+        match lanes.iter().filter(|delta| delta.is_some()).count() {
+            0 => Ok(None),
+            n if n == L => Ok(Some(lanes.map(Option::unwrap_or_default))),
+            _ => Err(Disagree),
         }
     }
 
     /// Writes the last `copies` copies of `repeat` in closed form, each
-    /// the copy timed last shifted by one more `delta`, and returns the
-    /// shift of the last: finishes and spans; busy time, each copy adding
-    /// what the copy timed last did since the busy times marked at
-    /// `mark`; and the free time of every unit the block uses, which its
-    /// last user in the copy timed last set and its last user in the last
-    /// copy moves on.
+    /// the copy timed last shifted by one more of its lane's `delta`, and
+    /// returns the shift of the last: finishes and spans; busy time, each
+    /// copy adding what the copy timed last did since the busy times
+    /// marked at `mark`; and the free time of every unit the block uses,
+    /// which its last user in the copy timed last set and its last user
+    /// in the last copy moves on.
     fn extrapolate(
         &mut self,
         repeat: &Repeat,
         copies: usize,
-        delta: Duration,
+        delta: [Duration; L],
         mark: usize,
-        run: &mut Run<'_>,
-    ) -> Duration {
+    ) -> [Duration; L] {
         let period = repeat.period;
-        if let Some(spans) = run.spans.as_deref_mut() {
+        if let Some(spans) = self.spans.as_deref_mut() {
             let last = spans.len() - period..spans.len();
             for k in 1..=copies {
-                let shift = delta * k as u64;
+                let shift = delta[0] * k as u64;
                 for i in last.clone() {
                     let s = spans[i];
                     spans.push(Span {
@@ -1234,49 +1529,32 @@ impl Engine {
                 }
             }
         }
-        let (times, to_last) = (copies as u64, delta * copies as u64);
-        let (units, tags) = run.busy_marks[mark..].split_at(self.busy.len());
+        let times = copies as u64;
+        let to_last = delta.map(|d| d * times);
+        let (units, tags) = self.busy_marks[mark..].split_at(self.busy.len());
         for &u in &repeat.units {
-            let busy = self.busy[u];
-            self.busy[u] += (busy - units[u]) * times;
-            self.free_at[u] += to_last;
+            repeat_busy(&mut self.busy[u], &units[u], times);
+            self.free_at[u] = after(self.free_at[u], to_last);
         }
-        for (busy, &before) in run.tag_busy.iter_mut().zip(tags) {
-            *busy += (*busy - before) * times;
+        for (busy, before) in self.tag_busy.iter_mut().zip(tags) {
+            repeat_busy(busy, before, times);
         }
-        run.finish.repeat_last(period, copies, delta);
+        self.finish.repeat_last(period, copies, delta);
         to_last
     }
-}
 
-/// The schedule under construction by one [`Engine::run`].
-struct Run<'a> {
-    finish: Finishes,
-    tag_busy: Vec<Duration>,
-    /// The copies being scheduled one by one, outermost first: each
-    /// repeat's anchor and the shift of its copy.
-    levels: Vec<(CmdId, usize)>,
-    /// For each repeat being timed, outermost first, the unit and tag
-    /// busy times before the block or copy it timed last.
-    busy_marks: Vec<Duration>,
-    spans: Option<&'a mut Vec<Span>>,
-}
-
-impl Run<'_> {
-    /// Marks the unit busy times `busy` and the tag busy times; returns
-    /// the mark.
-    fn mark_busy(&mut self, busy: &[Duration]) -> usize {
+    /// Marks the unit and tag busy times; returns the mark.
+    fn mark_busy(&mut self) -> usize {
         let mark = self.busy_marks.len();
-        self.busy_marks.extend_from_slice(busy);
+        self.busy_marks.extend_from_slice(&self.busy);
         self.busy_marks.extend_from_slice(&self.tag_busy);
         mark
     }
 
-    /// Replaces mark `mark` with the unit busy times `busy` and the tag
-    /// busy times.
-    fn remark_busy(&mut self, mark: usize, busy: &[Duration]) {
+    /// Replaces mark `mark` with the unit and tag busy times.
+    fn remark_busy(&mut self, mark: usize) {
         self.busy_marks.truncate(mark);
-        self.mark_busy(busy);
+        self.mark_busy();
     }
 }
 

@@ -1,9 +1,10 @@
 //! Property tests stressing the command-scheduler engine with random
 //! programs: the schedule must respect fundamental bounds regardless of
-//! structure, and programs with repeated blocks, and with heads repeated
-//! inside them, must schedule exactly as their expansions.
+//! structure, programs with repeated blocks, and with heads repeated
+//! inside them, must schedule exactly as their expansions, and every lane
+//! of a multi-lane run must schedule exactly as its own program.
 
-use ianus_npu::scheduler::{Command, Engine, Program};
+use ianus_npu::scheduler::{CmdId, Command, Engine, Lanes, Program};
 use ianus_sim::{Duration, Time};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -402,6 +403,69 @@ impl BlockProgram {
     }
 }
 
+/// Durations for four lanes of a block program's stored commands.
+#[derive(Debug, Clone)]
+struct LaneTimes {
+    /// Durations, in ns, that the random lane cycles through.
+    random_ns: Vec<u64>,
+    /// Stored command, by index among the stored, and its duration in
+    /// the lane that re-times one command.
+    retime: (usize, u64),
+}
+
+fn lane_times() -> impl Strategy<Value = LaneTimes> {
+    (
+        prop::collection::vec(1u64..300, 1..16),
+        (0usize..64, 1u64..300),
+    )
+        .prop_map(|(random_ns, retime)| LaneTimes { random_ns, retime })
+}
+
+impl LaneTimes {
+    /// Four lanes of durations for the stored commands of `program`, by
+    /// id: lane 0 keeps the program's, lane 1 doubles them, lane 2 cycles
+    /// through random durations, and lane 3 re-times one command, which
+    /// can move the copy at which a repeat around it settles.
+    fn durations(&self, program: &Program) -> Vec<(CmdId, [Duration; 4])> {
+        let stored = program.commands().count();
+        let (retimed, retime_ns) = self.retime;
+        (program.commands().enumerate())
+            .map(|(i, cmd)| {
+                let random = Duration::from_ns(self.random_ns[i % self.random_ns.len()]);
+                let retimed = match i == retimed % stored {
+                    true => Duration::from_ns(retime_ns),
+                    false => cmd.duration,
+                };
+                (cmd.id, [cmd.duration, cmd.duration * 2, random, retimed])
+            })
+            .collect()
+    }
+}
+
+/// `program` with its stored commands re-timed to lane `lane` of
+/// `durations`.
+fn lane_program(program: &Program, durations: &[(CmdId, [Duration; 4])], lane: usize) -> Program {
+    let mut own = program.clone();
+    for &(id, d) in durations {
+        own.set_duration(id, d[lane]);
+    }
+    own
+}
+
+/// `program` in `L` lanes, lane `l` timed as lane `lanes[l]` of
+/// `durations`.
+fn lanes<'p, const L: usize>(
+    program: &'p Program,
+    durations: &[(CmdId, [Duration; 4])],
+    lanes: [usize; L],
+) -> Lanes<'p, L> {
+    let mut out = Lanes::new(program);
+    for &(id, d) in durations {
+        out.set_durations(id, &[lanes.map(|l| d[l])]);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -421,6 +485,76 @@ proptest! {
             prop_assert_eq!(bp.engine().run(&compact), full.0);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn lanes_schedule_as_their_own_programs(bp in block_program(), times in lane_times()) {
+        for perturbed in [false, true] {
+            let program = bp.emit(true, perturbed);
+            let durations = times.durations(&program);
+            let mut engine = bp.engine();
+            let reports = engine.run_lanes(&lanes(&program, &durations, [0, 1, 2, 3]));
+            for (lane, report) in reports.iter().enumerate() {
+                let alone = bp.engine().run(&lane_program(&program, &durations, lane));
+                let scheduled = (report.scheduled(), alone.scheduled());
+                prop_assert_eq!((lane, report, scheduled.0), (lane, &alone, scheduled.1));
+            }
+            prop_assert!([1, 5].contains(&engine.walks()), "{} walks", engine.walks());
+            // Without dispatch cost, doubling every duration doubles every
+            // time: the two lanes settle alike, each by its own shift, and
+            // share one walk.
+            if bp.dispatch_ns == 0 {
+                let mut engine = bp.engine();
+                let [own, doubled] = engine.run_lanes(&lanes(&program, &durations, [0, 1]));
+                prop_assert_eq!(engine.walks(), 1);
+                prop_assert_eq!(&own, &reports[0]);
+                prop_assert_eq!(&doubled, &reports[1]);
+                prop_assert_eq!(
+                    (own.scheduled(), doubled.scheduled()),
+                    (reports[0].scheduled(), reports[1].scheduled())
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn random_lanes_both_share_walks_and_settle_apart() {
+    // Guards the property above against testing only one path: among
+    // generated programs with enough copies of a block or head to write
+    // some in closed form, the lanes that double every duration must
+    // share a walk with closed-form copies, and the four lanes must
+    // sometimes settle apart.
+    let (strategy, times) = (block_program(), lane_times());
+    let mut rng = TestRng::from_name("random_lanes_both_share_walks_and_settle_apart");
+    let (mut long, mut shared, mut apart) = (0, 0, 0);
+    for _ in 0..512 {
+        let (mut bp, times) = (strategy.generate(&mut rng), times.generate(&mut rng));
+        bp.dispatch_ns = 0;
+        let program = bp.emit(true, false);
+        if bp.engine().run(&program).scheduled() == program.len() {
+            continue;
+        }
+        long += 1;
+        let durations = times.durations(&program);
+        let mut engine = bp.engine();
+        let [own, _] = engine.run_lanes(&lanes(&program, &durations, [0, 1]));
+        shared += usize::from(engine.walks() == 1 && own.scheduled() < program.len());
+        let mut engine = bp.engine();
+        engine.run_lanes(&lanes(&program, &durations, [0, 1, 2, 3]));
+        apart += usize::from(engine.walks() > 1);
+    }
+    assert_eq!(
+        shared, long,
+        "{shared} of {long} doubled lanes shared a walk"
+    );
+    assert!(
+        5 * apart > long,
+        "{apart} of {long} lane sets settled apart"
+    );
 }
 
 #[test]

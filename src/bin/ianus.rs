@@ -93,6 +93,7 @@
 //! cargo run --release --bin ianus -- --serve --model gpt2-m --compare
 //! ```
 
+use ianus::model::ModelFamily;
 use ianus::prelude::*;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -486,6 +487,10 @@ fn parse() -> Args {
             usage()
         }
     }
+    if let Err(e) = check_request(&model, input, output, serve.then_some(mix)) {
+        eprintln!("{e}");
+        usage()
+    }
     let slo = (slo_ttft_ms > 0 || slo_itl_ms > 0).then(|| {
         // An unset half defaults to a day-long target no completed
         // request misses (effectively "only the other half is scored").
@@ -557,6 +562,37 @@ fn check_serve_values(rate: f64, replicas: usize, max_batch: u32) -> Result<(), 
     } else {
         Ok(())
     }
+}
+
+/// Request values the simulator would reject mid-run (with a panic):
+/// checked once parsing is done, so the CLI answers with one line and its
+/// usage instead. `mix` is the serving mix when serving: only the custom
+/// mix serves the `--input`/`--output` shape, and every other mix
+/// generates tokens.
+fn check_request(
+    model: &ModelConfig,
+    input: u64,
+    output: u64,
+    mix: Option<MixKind>,
+) -> Result<(), String> {
+    if input == 0 || output == 0 {
+        return Err("--input and --output must be at least 1".to_owned());
+    }
+    let generates = match mix {
+        None | Some(MixKind::Custom) => output > 1,
+        Some(_) => true,
+    };
+    if model.family == ModelFamily::Bert && generates {
+        let fix = match mix {
+            None => "--output 1",
+            Some(_) => "--mix custom --output 1",
+        };
+        return Err(format!(
+            "{} is encoder-only and has no generation stage: run it with {fix}",
+            model.name
+        ));
+    }
+    Ok(())
 }
 
 /// The configured mix, with any `--slo-*` target attached to its
@@ -1110,6 +1146,42 @@ mod tests {
         assert_eq!(
             check_serve_values(4.0, 1, 0),
             Err("--max-batch must be at least 1")
+        );
+    }
+
+    /// Degenerate shapes, and generation on an encoder-only model, are
+    /// rejected before any system is built.
+    #[test]
+    fn bad_requests_are_rejected() {
+        let (gpt, bert) = (ModelConfig::gpt2_m(), ModelConfig::bert_l());
+        let degenerate = Err("--input and --output must be at least 1".to_owned());
+        assert_eq!(check_request(&gpt, 0, 8, None), degenerate);
+        assert_eq!(check_request(&gpt, 128, 0, None), degenerate);
+        assert_eq!(
+            check_request(&gpt, 0, 8, Some(MixKind::Interactive)),
+            degenerate
+        );
+        assert_eq!(check_request(&gpt, 128, 64, None), Ok(()));
+        assert_eq!(check_request(&bert, 128, 1, None), Ok(()));
+        assert_eq!(check_request(&bert, 128, 1, Some(MixKind::Custom)), Ok(()));
+        let encoder_only = |fix: &str| {
+            Err(format!(
+                "BERT-L is encoder-only and has no generation stage: run it with {fix}"
+            ))
+        };
+        assert_eq!(
+            check_request(&bert, 128, 64, None),
+            encoder_only("--output 1")
+        );
+        for mix in [MixKind::Custom, MixKind::Interactive] {
+            assert_eq!(
+                check_request(&bert, 128, 64, Some(mix)),
+                encoder_only("--mix custom --output 1")
+            );
+        }
+        assert_eq!(
+            check_request(&bert, 128, 1, Some(MixKind::Interactive)),
+            encoder_only("--mix custom --output 1")
         );
     }
 
