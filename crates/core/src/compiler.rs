@@ -1071,6 +1071,10 @@ impl GenerationTemplate {
     /// Re-times the stage to each of `pasts`, one lane each: lane `i`
     /// times `pasts[i]`, and every lane after the last past times that
     /// past again. Returns the lanes and each past's activity and FLOPs.
+    /// `recycled`, if given, is the duration table of lanes this template
+    /// returned before ([`Lanes::into_durations`]): every lane of every
+    /// head block is re-timed, and the rest of the program keeps its
+    /// durations, so the table is used as it is.
     ///
     /// # Panics
     ///
@@ -1079,6 +1083,7 @@ impl GenerationTemplate {
     pub(crate) fn lanes<const L: usize>(
         &mut self,
         pasts: &[u64],
+        recycled: Option<Vec<[Duration; L]>>,
     ) -> (Lanes<'_, L>, Vec<(Activity, u64)>) {
         assert!(
             (1..=L).contains(&pasts.len()),
@@ -1103,7 +1108,10 @@ impl GenerationTemplate {
             }
             stages.push(self.timed(past_tokens, &activity));
         }
-        let mut lanes = Lanes::new(&self.program);
+        let mut lanes = match recycled {
+            Some(durations) => Lanes::recycle(&self.program, durations),
+            None => Lanes::new(&self.program),
+        };
         for &start in &self.head_starts {
             lanes.set_durations(start, &head);
         }
@@ -1445,16 +1453,20 @@ pub(crate) mod tests {
                 assert_eq!(template.program.len(), fresh.program.len(), "{label}");
                 assert_eq!(shape(&template.program), shape(&fresh.program), "{label}");
                 let units = template.unit_map().unit_count();
+                let mut recycled = None;
                 for group in pasts.chunks(8).chain(descending.chunks(8)) {
-                    let (lanes, stages) = template.lanes::<8>(group);
-                    let execs = Engine::new(units, cfg.npu.dispatch_overhead).run_lanes(&lanes);
-                    for ((&past, exec), (activity, flops)) in group.iter().zip(&execs).zip(stages) {
+                    let (lanes, stages) = template.lanes::<8>(group, recycled);
+                    let schedule = Engine::new(units, cfg.npu.dispatch_overhead).run_lanes(&lanes);
+                    for (lane, (&past, (activity, flops))) in group.iter().zip(stages).enumerate() {
+                        let exec = schedule.report(lane);
+                        assert_eq!(exec.scheduled(), schedule.scheduled(lane));
                         assert!(
-                            matches_fresh_compile(cfg, model, past, exec, &activity, flops),
+                            matches_fresh_compile(cfg, model, past, &exec, &activity, flops),
                             "{label} {} past {past}",
                             model.name
                         );
                     }
+                    recycled = Some(lanes.into_durations());
                 }
             }
         }

@@ -6,7 +6,7 @@ use crate::memo::Memo;
 use crate::report::{Breakdown, OpClass, RunReport, StageReport};
 use crate::{EnergyModel, SystemConfig, UnitMap};
 use ianus_model::{ModelConfig, RequestShape, Stage};
-use ianus_npu::scheduler::{Engine, ExecutionReport};
+use ianus_npu::scheduler::{Engine, Lanes, Schedule};
 use ianus_sim::Duration;
 use std::sync::OnceLock;
 
@@ -83,6 +83,11 @@ pub struct IanusSystem {
     /// The generation template of every model that has had a generation
     /// miss.
     templates: Memo<ModelConfig, GenerationTemplate>,
+    /// The duration table of the system's last walk of [`LANES`] lanes,
+    /// and the model whose template it times; the next walk of that
+    /// template recycles it, re-timing only its head blocks. Boxed, so a
+    /// system that never walks eight lanes stays small.
+    lane_table: Option<Box<(ModelConfig, Vec<[Duration; LANES]>)>>,
     /// Walks of a program the system's engines have made.
     walks: u64,
     /// `"IANUS x{d}"`, formatted on first use so construction allocates
@@ -110,6 +115,7 @@ impl IanusSystem {
             energy_model: EnergyModel::default(),
             stages: StageMemo::default(),
             templates: Memo::default(),
+            lane_table: None,
             walks: 0,
             group_name: OnceLock::new(),
         }
@@ -149,7 +155,7 @@ impl IanusSystem {
         }
         let report = match *stage {
             Stage::Generation { past_tokens } => {
-                let mut reports = self.generation::<1>(model, &[past_tokens]);
+                let (mut reports, _) = self.generation::<1>(model, &[past_tokens], None);
                 reports.pop().expect("one report per past")
             }
             Stage::Summarization { .. } => {
@@ -170,32 +176,43 @@ impl IanusSystem {
 
     /// Simulates the generation steps at `pasts`, at most `L`, in one
     /// engine walk, one lane each, from the model's template, compiled on
-    /// the model's first generation miss.
+    /// the model's first generation miss. The walk's duration table is
+    /// `recycled`, a table the model's template re-timed before, or a
+    /// fresh one; it is returned with the reports.
     fn generation<const L: usize>(
         &mut self,
         model: &ModelConfig,
         pasts: &[u64],
-    ) -> Vec<StageReport> {
+        recycled: Option<Vec<[Duration; L]>>,
+    ) -> (Vec<StageReport>, Vec<[Duration; L]>) {
         let cfg = &self.cfg;
         let template = self
             .templates
             .entry(*model)
             .or_insert_with(|| GenerationTemplate::new(cfg, model, pasts[0]));
         let units = template.unit_map();
-        let (lanes, stages) = template.lanes::<L>(pasts);
+        let (lanes, stages) = template.lanes::<L>(pasts, recycled);
         let mut engine = Engine::new(units.unit_count(), cfg.npu.dispatch_overhead);
-        let execs = engine.run_lanes(&lanes);
+        let schedule = engine.run_lanes(&lanes);
         self.walks += engine.walks();
-        (pasts.iter().zip(&execs).zip(stages))
-            .map(|((&past_tokens, exec), (activity, flops))| {
+        let reports = (pasts.iter().zip(stages).enumerate())
+            .map(|(lane, (&past_tokens, (activity, flops)))| {
                 debug_assert!(
-                    matches_fresh_compile(cfg, model, past_tokens, exec, &activity, flops),
+                    matches_fresh_compile(
+                        cfg,
+                        model,
+                        past_tokens,
+                        &schedule.report(lane),
+                        &activity,
+                        flops
+                    ),
                     "generation at past {past_tokens} of {} differs from a fresh compile",
                     model.name
                 );
-                stage_report(&self.energy_model, exec, flops, &activity)
+                stage_report(&self.energy_model, &schedule, lane, flops, &activity)
             })
-            .collect()
+            .collect();
+        (reports, lanes.into_durations())
     }
 
     /// Simulates the Figure 12 FC microbenchmark (all block FCs with a
@@ -298,8 +315,14 @@ impl IanusSystem {
             .collect();
         for group in missing.chunks(LANES) {
             let reports = match group.len() {
-                1 => self.generation::<1>(model, group),
-                _ => self.generation::<LANES>(model, group),
+                1 => self.generation::<1>(model, group, None).0,
+                _ => {
+                    let table = self.lane_table.take();
+                    let recycled = table.filter(|t| t.0 == *model).map(|t| t.1);
+                    let (reports, durations) = self.generation(model, group, recycled);
+                    self.lane_table = Some(Box::new((*model, durations)));
+                    reports
+                }
             };
             for (&past_tokens, report) in group.iter().zip(reports) {
                 (self.stages).insert((*model, Stage::Generation { past_tokens }), report);
@@ -336,25 +359,32 @@ fn execute(
     walks: &mut u64,
 ) -> StageReport {
     let mut engine = Engine::new(units.unit_count(), cfg.npu.dispatch_overhead);
-    let exec = engine.run(&compiled.program);
+    let schedule = engine.run_lanes(&Lanes::<1>::new(&compiled.program));
     *walks += engine.walks();
-    stage_report(energy_model, &exec, compiled.flops, &compiled.activity)
+    stage_report(
+        energy_model,
+        &schedule,
+        0,
+        compiled.flops,
+        &compiled.activity,
+    )
 }
 
-/// The report of a stage the engine executed as `exec`: the one place a
-/// stage report is produced.
-fn stage_report(
+/// The report of a stage the engine executed as lane `lane` of
+/// `schedule`: the one place a stage report is produced.
+fn stage_report<const L: usize>(
     energy_model: &EnergyModel,
-    exec: &ExecutionReport,
+    schedule: &Schedule<L>,
+    lane: usize,
     flops: u64,
     activity: &Activity,
 ) -> StageReport {
     let mut breakdown = Breakdown::new();
     for class in OpClass::ALL {
-        breakdown.add(class, exec.tag_busy(class.tag()));
+        breakdown.add(class, schedule.tag_busy(lane, class.tag()));
     }
     StageReport {
-        latency: exec.makespan().since(ianus_sim::Time::ZERO),
+        latency: schedule.makespan(lane).since(ianus_sim::Time::ZERO),
         breakdown,
         flops,
         energy: energy_model.energy(activity),

@@ -76,6 +76,27 @@
 //! settle at different copies, the walk stops and each lane is walked
 //! again alone. Every lane's report is therefore the report of `run` on
 //! the program with that lane's durations, work count included.
+//! [`Engine::run_lanes`] returns the walk's [`Schedule`], which reads
+//! each lane's makespan, tag busy times and work count in place and
+//! copies a lane out into an [`ExecutionReport`] only when asked.
+//! [`Lanes::recycle`] lets a caller that re-times the same commands walk
+//! after walk keep one duration table.
+//!
+//! # Kernels
+//!
+//! Every time value of a lane walk is an `L`-wide array of 64-bit
+//! picoseconds, and the per-command loop spends most of its time on
+//! lane-wide `max`es and sums. The build's baseline x86-64 target has no
+//! 64-bit vector compare, so there each lane's `max` is a scalar compare
+//! and move. The loop therefore has one body, inlined with every helper
+//! it calls into each of several instantiations: the baseline one and,
+//! on x86-64, one compiled for AVX2, whose 256-bit compares and blends
+//! take four lanes at a time. A walk of more than one lane runs the
+//! widest instantiation the host reports at run time
+//! (`is_x86_feature_detected!`); a one-lane walk has nothing to widen
+//! and stays on the baseline. Integer `max` and `+` are exact at any
+//! width, so every instantiation gives the same schedule, which a unit
+//! test checks on random programs in eight lanes. No build flag changes.
 //!
 //! # Examples
 //!
@@ -417,12 +438,7 @@ impl Program {
         let local = self.deps[self.deps_range(&records)]
             .iter()
             .all(|&d| d < anchor || d + period >= block.start);
-        let mut units: Vec<UnitId> = (self.commands_in(records.clone(), 0))
-            .flat_map(|cmd| std::iter::once(cmd.unit).chain(cmd.shared.iter().copied()))
-            .collect();
-        units.sort_unstable();
-        units.dedup();
-        units.shrink_to_fit();
+        let units = self.units_of(&records);
         let mut inner = self.repeats.split_off(nested);
         // The commands before an inner repeat that starts less than one
         // period into the block differ from copy to copy.
@@ -441,6 +457,22 @@ impl Program {
             local,
             units,
         });
+    }
+
+    /// The units and held resources of records `records`, each once, in
+    /// ascending order: a set over unit ids, read back in order.
+    fn units_of(&self, records: &Range<usize>) -> Vec<UnitId> {
+        let mut used = Vec::new();
+        let units = self.records[records.clone()]
+            .iter()
+            .map(|r| r.unit as UnitId);
+        for u in units.chain(self.shared[self.shared_range(records)].iter().copied()) {
+            if used.len() <= u {
+                used.resize(u + 1, false);
+            }
+            used[u] = true;
+        }
+        (0..used.len()).filter(|&u| used[u]).collect()
     }
 
     /// The repeats outside any other before `block` and inside it, and
@@ -856,20 +888,18 @@ fn json_string(s: &str) -> String {
 /// schedule, and is not compared.
 #[derive(Debug, Clone, Eq)]
 pub struct ExecutionReport {
-    finish: Finishes<1>,
-    makespan: Time,
-    tag_busy: Vec<Duration>,
-    unit_busy: Vec<Duration>,
+    walk: Walk<1>,
 }
 
 impl PartialEq for ExecutionReport {
     fn eq(&self, other: &Self) -> bool {
-        let len = self.finish.len;
-        len == other.finish.len
-            && (0..len).all(|id| self.finish.get(id) == other.finish.get(id))
-            && self.makespan == other.makespan
-            && self.tag_busy == other.tag_busy
-            && self.unit_busy == other.unit_busy
+        let (a, b) = (&self.walk, &other.walk);
+        let len = a.finish.len;
+        len == b.finish.len
+            && (0..len).all(|id| a.finish.get(id) == b.finish.get(id))
+            && a.makespan == b.makespan
+            && a.tag_busy == b.tag_busy
+            && a.unit_busy == b.unit_busy
     }
 }
 
@@ -880,23 +910,23 @@ impl ExecutionReport {
     ///
     /// Panics if `id` is out of range.
     pub fn finish(&self, id: CmdId) -> Time {
-        let [finish] = self.finish.get(id);
+        let [finish] = self.walk.finish.get(id);
         finish
     }
 
     /// Completion time of the whole program.
     pub fn makespan(&self) -> Time {
-        self.makespan
+        self.walk.makespan[0]
     }
 
     /// Total busy time attributed to `tag` (zero for unseen tags).
     pub fn tag_busy(&self, tag: usize) -> Duration {
-        self.tag_busy.get(tag).copied().unwrap_or(Duration::ZERO)
+        self.walk.tag_busy(0, tag)
     }
 
     /// Total busy time of `unit`.
     pub fn unit_busy(&self, unit: UnitId) -> Duration {
-        self.unit_busy.get(unit).copied().unwrap_or(Duration::ZERO)
+        column(&self.walk.unit_busy, 0, unit)
     }
 
     /// Number of commands the engine scheduled one by one; the rest of
@@ -905,7 +935,66 @@ impl ExecutionReport {
     /// counter: it depends only on the program and the engine, never on
     /// the host.
     pub fn scheduled(&self) -> usize {
-        self.finish.scheduled.len()
+        self.walk.scheduled()
+    }
+}
+
+/// Every lane's schedule from one [`Engine::run_lanes`] call: each
+/// lane's makespan, tag busy times and work count, read without copying
+/// the lane out of the walk, and each lane's whole [`ExecutionReport`]
+/// on demand.
+///
+/// Lanes are numbered from 0 to `L - 1`, as in the [`Lanes`] walked.
+#[derive(Debug, Clone)]
+pub struct Schedule<const L: usize> {
+    timed: Timed<L>,
+}
+
+/// How the lanes of a [`Schedule`] were timed.
+#[derive(Debug, Clone)]
+enum Timed<const L: usize> {
+    /// In one walk.
+    Shared(Walk<L>),
+    /// Each in a walk of its own: the lanes settled a repeat at different
+    /// copies.
+    Apart(Vec<Walk<1>>),
+}
+
+impl<const L: usize> Schedule<L> {
+    /// Completion time of lane `lane`'s program.
+    pub fn makespan(&self, lane: usize) -> Time {
+        match &self.timed {
+            Timed::Shared(walk) => walk.makespan[lane],
+            Timed::Apart(walks) => walks[lane].makespan[0],
+        }
+    }
+
+    /// Busy time lane `lane` attributes to `tag` (zero for unseen tags).
+    pub fn tag_busy(&self, lane: usize, tag: usize) -> Duration {
+        match &self.timed {
+            Timed::Shared(walk) => walk.tag_busy(lane, tag),
+            Timed::Apart(walks) => walks[lane].tag_busy(0, tag),
+        }
+    }
+
+    /// Commands the engine scheduled one by one for lane `lane`: its
+    /// report's [`scheduled`](ExecutionReport::scheduled).
+    pub fn scheduled(&self, lane: usize) -> usize {
+        match &self.timed {
+            Timed::Shared(walk) => walk.scheduled(),
+            Timed::Apart(walks) => walks[lane].scheduled(),
+        }
+    }
+
+    /// Lane `lane`'s report: the report [`Engine::run`] gives on the
+    /// program with that lane's durations. Copies the lane's finishes
+    /// and busy times out of the schedule.
+    pub fn report(&self, lane: usize) -> ExecutionReport {
+        let walk = match &self.timed {
+            Timed::Shared(walk) => walk.lane(lane),
+            Timed::Apart(walks) => walks[lane].clone(),
+        };
+        ExecutionReport { walk }
     }
 }
 
@@ -929,10 +1018,11 @@ impl ExecutionReport {
 /// let mut lanes = Lanes::<2>::new(&p);
 /// lanes.set_durations(load, &[[Duration::from_ns(100), Duration::from_ns(300)]]);
 /// let mut engine = Engine::new(2, Duration::ZERO);
-/// let [fast, slow] = engine.run_lanes(&lanes);
-/// assert_eq!((fast.makespan().as_ns_f64(), slow.makespan().as_ns_f64()), (150.0, 350.0));
+/// let schedule = engine.run_lanes(&lanes);
+/// let [fast, slow] = [0, 1].map(|lane| schedule.makespan(lane).as_ns_f64());
+/// assert_eq!((fast, slow), (150.0, 350.0));
 /// p.set_duration(load, Duration::from_ns(300));
-/// assert_eq!(slow, engine.run(&p));
+/// assert_eq!(schedule.report(1), engine.run(&p));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lanes<'p, const L: usize> {
@@ -966,6 +1056,29 @@ impl<'p, const L: usize> Lanes<'p, L> {
     pub fn set_durations(&mut self, first: CmdId, durations: &[[Duration; L]]) {
         let records = self.program.stored_together(first, durations.len());
         self.durations[records].copy_from_slice(durations);
+    }
+
+    /// `program` with the durations an earlier `Lanes` of `program` left
+    /// in `durations` ([`into_durations`](Self::into_durations)), so a
+    /// caller that re-times the same commands walk after walk copies
+    /// neither the program's durations nor a table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `durations` does not have one entry per stored command
+    /// of `program`.
+    pub fn recycle(program: &'p Program, durations: Vec<[Duration; L]>) -> Self {
+        assert_eq!(
+            durations.len(),
+            program.records.len(),
+            "a recycled duration table has one entry per stored command"
+        );
+        Lanes { program, durations }
+    }
+
+    /// The lanes' duration table, to [`recycle`](Self::recycle).
+    pub fn into_durations(self) -> Vec<[Duration; L]> {
+        self.durations
     }
 
     /// Lane `lane` alone.
@@ -1022,12 +1135,14 @@ impl<const L: usize> Shifted<L> {
 
 impl<const L: usize> Finishes<L> {
     /// Times the next command one by one.
+    #[inline(always)]
     fn push(&mut self, finish: [Time; L]) {
         self.scheduled.push(finish);
         self.len += 1;
     }
 
     /// Finish of command `id`.
+    #[inline(always)]
     fn get(&self, id: CmdId) -> [Time; L] {
         if id >= self.tail {
             return self.scheduled[id - self.unscheduled];
@@ -1142,14 +1257,14 @@ impl<const L: usize> Finishes<L> {
 }
 
 /// The later of two times in each lane.
-#[inline]
+#[inline(always)]
 fn later<const L: usize>(mut a: [Time; L], b: [Time; L]) -> [Time; L] {
     raise(&mut a, &b);
     a
 }
 
 /// Raises each lane's time `t` to `to` if that is later.
-#[inline]
+#[inline(always)]
 fn raise<const L: usize>(t: &mut [Time; L], to: &[Time; L]) {
     for (t, &to) in t.iter_mut().zip(to) {
         *t = (*t).max(to);
@@ -1157,14 +1272,14 @@ fn raise<const L: usize>(t: &mut [Time; L], to: &[Time; L]) {
 }
 
 /// Each lane's time plus its duration.
-#[inline]
+#[inline(always)]
 fn after<const L: usize>(mut t: [Time; L], d: [Duration; L]) -> [Time; L] {
     advance(&mut t, &d);
     t
 }
 
 /// Moves each lane's time on by its duration.
-#[inline]
+#[inline(always)]
 fn advance<const L: usize>(t: &mut [Time; L], d: &[Duration; L]) {
     for (t, &d) in t.iter_mut().zip(d) {
         *t += d;
@@ -1172,7 +1287,7 @@ fn advance<const L: usize>(t: &mut [Time; L], d: &[Duration; L]) {
 }
 
 /// Adds each lane's duration to its sum.
-#[inline]
+#[inline(always)]
 fn add<const L: usize>(sum: &mut [Duration; L], d: &[Duration; L]) {
     for (s, &d) in sum.iter_mut().zip(d) {
         *s += d;
@@ -1230,8 +1345,10 @@ impl Engine {
     /// Panics if a command references an out-of-range unit or a dependency
     /// on a later command (programs must be emitted in topological order).
     pub fn run(&mut self, program: &Program) -> ExecutionReport {
-        let [report] = self.run_lanes(&Lanes::new(program));
-        report
+        let walk = self.walk(&Lanes::new(program), None, Kernel::Baseline);
+        ExecutionReport {
+            walk: walk.expect("one lane settles alike"),
+        }
     }
 
     /// Executes `program` and records one [`Span`] per command, copies of
@@ -1239,14 +1356,14 @@ impl Engine {
     /// export.
     pub fn run_traced(&mut self, program: &Program) -> (ExecutionReport, Vec<Span>) {
         let mut spans = Vec::with_capacity(program.len());
-        let schedule = self.walk(&Lanes::<1>::new(program), Some(&mut spans));
-        let [report] = schedule.expect("one lane settles alike").reports();
-        (report, spans)
+        let walk = self.walk(&Lanes::new(program), Some(&mut spans), Kernel::Baseline);
+        let walk = walk.expect("one lane settles alike");
+        (ExecutionReport { walk }, spans)
     }
 
-    /// Executes every lane of `lanes`: report `l` is the report
-    /// [`run`](Self::run) gives on the program with lane `l`'s durations,
-    /// [`scheduled`](ExecutionReport::scheduled) included.
+    /// Executes every lane of `lanes`. Lane `l` of the schedule reads as
+    /// the report [`run`](Self::run) gives on the program with lane `l`'s
+    /// durations, [`scheduled`](ExecutionReport::scheduled) included.
     ///
     /// The lanes share one walk of the program, which times every lane of
     /// a command at once, and a repeat's copies are written in closed form
@@ -1254,34 +1371,53 @@ impl Engine {
     /// by its own δ. If lanes settle a repeat at different copies, each
     /// lane is walked again alone.
     ///
+    /// A walk of more than one lane runs on the widest kernel the host
+    /// supports (see the [module docs](self#kernels)); every kernel gives
+    /// the same schedule.
+    ///
     /// # Panics
     ///
     /// Panics where [`run`](Self::run) does.
-    pub fn run_lanes<const L: usize>(&mut self, lanes: &Lanes<'_, L>) -> [ExecutionReport; L] {
-        match self.walk(lanes, None) {
-            Some(schedule) => schedule.reports(),
-            None => std::array::from_fn(|l| {
-                let schedule = self.walk(&lanes.lane(l), None);
-                let [report] = schedule.expect("one lane settles alike").reports();
-                report
-            }),
-        }
+    pub fn run_lanes<const L: usize>(&mut self, lanes: &Lanes<'_, L>) -> Schedule<L> {
+        self.run_lanes_on(lanes, Kernel::widest(L))
     }
 
-    /// Walks the program of `lanes` once, timing every lane, and records
-    /// lane 0's spans if `spans` is given; `None` if the lanes settle a
-    /// repeat at different copies.
+    /// [`run_lanes`](Self::run_lanes) on kernel `kernel`.
+    fn run_lanes_on<const L: usize>(
+        &mut self,
+        lanes: &Lanes<'_, L>,
+        kernel: Kernel,
+    ) -> Schedule<L> {
+        let timed = match self.walk(lanes, None, kernel) {
+            Some(walk) => Timed::Shared(walk),
+            None => Timed::Apart(
+                (0..L)
+                    .map(|l| {
+                        let walk = self.walk(&lanes.lane(l), None, Kernel::Baseline);
+                        walk.expect("one lane settles alike")
+                    })
+                    .collect(),
+            ),
+        };
+        Schedule { timed }
+    }
+
+    /// Walks the program of `lanes` once on `kernel`, timing every lane,
+    /// and records lane 0's spans if `spans` is given; `None` if the lanes
+    /// settle a repeat at different copies.
     fn walk<const L: usize>(
         &mut self,
         lanes: &Lanes<'_, L>,
         spans: Option<&mut Vec<Span>>,
-    ) -> Option<Schedule<L>> {
+        kernel: Kernel,
+    ) -> Option<Walk<L>> {
         debug_assert!(L == 1 || spans.is_none(), "only one lane is traced");
         self.walks += 1;
         let program = lanes.program;
         let mut run = Run {
             program,
             durations: &lanes.durations,
+            kernel,
             dispatch: self.dispatch,
             free_at: vec![[Time::ZERO; L]; self.units],
             busy: vec![[Duration::ZERO; L]; self.units],
@@ -1297,7 +1433,7 @@ impl Engine {
         };
         let records = 0..program.records.len();
         let makespan = run.region(records, 0, &program.repeats).ok()?;
-        Some(Schedule {
+        Some(Walk {
             finish: run.finish,
             makespan,
             tag_busy: run.tag_busy,
@@ -1306,25 +1442,66 @@ impl Engine {
     }
 }
 
+/// A machine-code instantiation of the engine's per-command loop
+/// ([`Run::schedule`]). Every kernel computes the same integer `max`es
+/// and sums, so all give the same schedule; a wider one takes several
+/// lanes of a 64-bit time per instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The build's own target features.
+    Baseline,
+    /// AVX2: 256-bit integer compares, blends and adds.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The widest kernel the host runs, for a walk of `lanes` lanes. A
+    /// one-lane walk has nothing to widen and stays on the baseline.
+    fn widest(lanes: usize) -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if lanes > 1 && std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Baseline
+    }
+}
+
 /// Every lane's schedule from one walk.
-struct Schedule<const L: usize> {
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Walk<const L: usize> {
     finish: Finishes<L>,
     makespan: [Time; L],
     tag_busy: Vec<[Duration; L]>,
     unit_busy: Vec<[Duration; L]>,
 }
 
-impl<const L: usize> Schedule<L> {
-    /// Each lane's report.
-    fn reports(self) -> [ExecutionReport; L] {
-        let column = |busy: &[[Duration; L]], l: usize| busy.iter().map(|b| b[l]).collect();
-        std::array::from_fn(|l| ExecutionReport {
-            finish: self.finish.lane(l),
-            makespan: self.makespan[l],
-            tag_busy: column(&self.tag_busy, l),
-            unit_busy: column(&self.unit_busy, l),
-        })
+impl<const L: usize> Walk<L> {
+    /// Busy time lane `lane` attributes to `tag`.
+    fn tag_busy(&self, lane: usize, tag: usize) -> Duration {
+        column(&self.tag_busy, lane, tag)
     }
+
+    /// Commands scheduled one by one, in every lane.
+    fn scheduled(&self) -> usize {
+        self.finish.scheduled.len()
+    }
+
+    /// Lane `lane` alone.
+    fn lane(&self, lane: usize) -> Walk<1> {
+        let column = |busy: &[[Duration; L]]| busy.iter().map(|b| [b[lane]]).collect();
+        Walk {
+            finish: self.finish.lane(lane),
+            makespan: [self.makespan[lane]],
+            tag_busy: column(&self.tag_busy),
+            unit_busy: column(&self.unit_busy),
+        }
+    }
+}
+
+/// Lane `lane` of entry `index` of a busy-time table (zero past its end).
+fn column<const L: usize>(busy: &[[Duration; L]], lane: usize, index: usize) -> Duration {
+    busy.get(index).map_or(Duration::ZERO, |b| b[lane])
 }
 
 /// Lanes of one walk settled a repeat at different copies.
@@ -1336,6 +1513,8 @@ struct Run<'a, const L: usize> {
     program: &'a Program,
     /// Every stored command's duration in each lane, by record.
     durations: &'a [[Duration; L]],
+    /// The instantiation of [`schedule`](Self::schedule) to run.
+    kernel: Kernel,
     dispatch: Duration,
     /// Earliest time each unit may start new work.
     free_at: Vec<[Time; L]>,
@@ -1380,8 +1559,28 @@ impl<'a, const L: usize> Run<'a, L> {
 
     /// Schedules records `records`, the first of which is command
     /// `first`, one by one, each dependency mapped through the levels;
-    /// returns the latest finish.
+    /// returns the latest finish. Runs the walk's kernel.
     fn schedule(&mut self, records: Range<usize>, first: CmdId) -> [Time; L] {
+        match self.kernel {
+            Kernel::Baseline => self.schedule_body(records, first),
+            // SAFETY: a walk runs the AVX2 kernel only where
+            // `Kernel::widest` detected AVX2 on the host.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { self.schedule_avx2(records, first) },
+        }
+    }
+
+    /// [`schedule`](Self::schedule) compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn schedule_avx2(&mut self, records: Range<usize>, first: CmdId) -> [Time; L] {
+        self.schedule_body(records, first)
+    }
+
+    /// The body of [`schedule`](Self::schedule), inlined with every
+    /// helper it calls into each kernel.
+    #[inline(always)]
+    fn schedule_body(&mut self, records: Range<usize>, first: CmdId) -> [Time; L] {
         let mut latest = [Time::ZERO; L];
         let durations = &self.durations[records.clone()];
         for (cmd, duration) in self.program.commands_in(records, first).zip(durations) {
@@ -1946,6 +2145,119 @@ mod tests {
         assert_eq!(compact, eng.run(&p.expanded()));
         assert!(compact.scheduled() < p.len());
         assert_eq!(compact.makespan(), Time::from_ns(8 * 25));
+    }
+
+    /// A random program shaped like a compiled stage: a prologue, three
+    /// stored blocks that each end in heads (two stored, the rest copies
+    /// of the second, every head reading its block's first command), the
+    /// last block repeated, and an epilogue reading the last copy.
+    fn random_block_program(rng: &mut impl FnMut(u64) -> u64) -> Program {
+        const UNITS: u64 = 5;
+        let mut p = Program::new();
+        let emit = |p: &mut Program, deps: Vec<CmdId>, rng: &mut dyn FnMut(u64) -> u64| {
+            let unit = rng(UNITS) as usize;
+            let held = rng(UNITS) as usize;
+            let shared = (held != unit && rng(2) == 0).then_some(held);
+            p.emit(unit, NS(1 + rng(200)), rng(4) as usize, deps, shared)
+        };
+        for i in 0..rng(4) as usize {
+            let deps = (0..i).filter(|_| rng(3) == 0).collect();
+            emit(&mut p, deps, rng);
+        }
+        let (block, head) = (1 + rng(5) as usize, 1 + rng(3) as usize);
+        let (heads, copies) = (2 + rng(5) as usize, rng(12) as usize);
+        let mut prev: Option<(CmdId, usize)> = None;
+        for _ in 0..3 {
+            let start = p.next_id();
+            for i in 0..block {
+                let mut deps: Vec<CmdId> = (start..start + i).filter(|_| rng(2) == 0).collect();
+                if let Some((ps, period)) = prev {
+                    deps.push(ps + rng(period as u64) as usize);
+                }
+                emit(&mut p, deps, rng);
+            }
+            let anchor = p.next_id();
+            for h in 0..2 {
+                let head_start = p.next_id();
+                for i in 0..head {
+                    let mut deps: Vec<CmdId> = (head_start..head_start + i)
+                        .filter(|_| rng(2) == 0)
+                        .collect();
+                    if rng(2) == 0 {
+                        deps.push(start);
+                    }
+                    if h > 0 && rng(4) == 0 {
+                        deps.push(head_start - head + i);
+                    }
+                    emit(&mut p, deps, rng);
+                }
+            }
+            let last = anchor + head;
+            p.repeat_block(last..last + head, anchor, heads - 2);
+            prev = Some((start, p.next_id() - start));
+        }
+        let (start, period) = prev.expect("three blocks");
+        p.repeat_block(start..start + period, 0, copies);
+        let last = p.next_id() - 1;
+        emit(&mut p, vec![last], rng);
+        p
+    }
+
+    #[test]
+    fn every_kernel_schedules_random_lanes_alike() {
+        // Kernels compute the same integer maxes and sums, so every lane's
+        // report and work count is the baseline's, whether the lanes share
+        // a walk (with copies in closed form or not) or settle apart.
+        let kernels = [Kernel::Baseline, Kernel::widest(8)];
+        let mut state = 0x5EED_u64;
+        let mut rng = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let (mut closed, mut shared, mut apart) = (0, 0, 0);
+        for _ in 0..256 {
+            let program = random_block_program(&mut rng);
+            let mut lanes = Lanes::<8>::new(&program);
+            let stored: Vec<(CmdId, Duration)> =
+                program.commands().map(|c| (c.id, c.duration)).collect();
+            for (id, d) in stored {
+                let random = NS(1 + rng(200));
+                let alike = rng(4) != 0;
+                let lane = |l: usize| match l {
+                    0 => d,
+                    1 => d * 2,
+                    _ if alike => d * (l as u64 + 1),
+                    _ => random,
+                };
+                lanes.set_durations(id, &[std::array::from_fn(lane)]);
+            }
+            let dispatch = NS(rng(3));
+            let runs = kernels.map(|kernel| {
+                let mut engine = Engine::new(5, dispatch);
+                let schedule = engine.run_lanes_on(&lanes, kernel);
+                (engine.walks(), schedule)
+            });
+            let (walks, baseline) = &runs[0];
+            match *walks {
+                1 if baseline.scheduled(0) < program.len() => closed += 1,
+                1 => shared += 1,
+                _ => apart += 1,
+            }
+            for (_, schedule) in &runs[1..] {
+                for lane in 0..8 {
+                    let (report, expected) = (schedule.report(lane), baseline.report(lane));
+                    assert_eq!(report, expected, "lane {lane}");
+                    assert_eq!(report.scheduled(), expected.scheduled(), "lane {lane}");
+                    assert_eq!(schedule.scheduled(lane), baseline.scheduled(lane));
+                }
+            }
+        }
+        assert!(
+            closed > 0 && shared > 0 && apart > 0,
+            "{closed} closed-form, {shared} other shared, {apart} apart"
+        );
     }
 
     #[test]

@@ -496,11 +496,19 @@ proptest! {
             let program = bp.emit(true, perturbed);
             let durations = times.durations(&program);
             let mut engine = bp.engine();
-            let reports = engine.run_lanes(&lanes(&program, &durations, [0, 1, 2, 3]));
+            let schedule = engine.run_lanes(&lanes(&program, &durations, [0, 1, 2, 3]));
+            let reports: Vec<_> = (0..4).map(|lane| schedule.report(lane)).collect();
             for (lane, report) in reports.iter().enumerate() {
                 let alone = bp.engine().run(&lane_program(&program, &durations, lane));
                 let scheduled = (report.scheduled(), alone.scheduled());
                 prop_assert_eq!((lane, report, scheduled.0), (lane, &alone, scheduled.1));
+                prop_assert_eq!(
+                    (schedule.makespan(lane), schedule.scheduled(lane)),
+                    (alone.makespan(), alone.scheduled())
+                );
+                for tag in 0..=program.commands().map(|c| c.tag).max().unwrap_or(0) {
+                    prop_assert_eq!(schedule.tag_busy(lane, tag), alone.tag_busy(tag));
+                }
             }
             prop_assert!([1, 5].contains(&engine.walks()), "{} walks", engine.walks());
             // Without dispatch cost, doubling every duration doubles every
@@ -508,7 +516,8 @@ proptest! {
             // share one walk.
             if bp.dispatch_ns == 0 {
                 let mut engine = bp.engine();
-                let [own, doubled] = engine.run_lanes(&lanes(&program, &durations, [0, 1]));
+                let schedule = engine.run_lanes(&lanes(&program, &durations, [0, 1]));
+                let (own, doubled) = (schedule.report(0), schedule.report(1));
                 prop_assert_eq!(engine.walks(), 1);
                 prop_assert_eq!(&own, &reports[0]);
                 prop_assert_eq!(&doubled, &reports[1]);
@@ -541,8 +550,8 @@ fn random_lanes_both_share_walks_and_settle_apart() {
         long += 1;
         let durations = times.durations(&program);
         let mut engine = bp.engine();
-        let [own, _] = engine.run_lanes(&lanes(&program, &durations, [0, 1]));
-        shared += usize::from(engine.walks() == 1 && own.scheduled() < program.len());
+        let schedule = engine.run_lanes(&lanes(&program, &durations, [0, 1]));
+        shared += usize::from(engine.walks() == 1 && schedule.scheduled(0) < program.len());
         let mut engine = bp.engine();
         engine.run_lanes(&lanes(&program, &durations, [0, 1, 2, 3]));
         apart += usize::from(engine.walks() > 1);
