@@ -40,7 +40,7 @@
 //! are stripped by the comparison).
 
 use ianus::prelude::*;
-use std::time::Instant;
+mod common;
 
 /// Iteration-level IANUS cluster with paged KV: 2 replicas, batch 8,
 /// chunked prefill, preemption on (workflow bursts overcommit).
@@ -74,12 +74,7 @@ fn bench_row(experiment: &str, variant: &str, r: &ServingReport, wall_s: f64) ->
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let (smoke, bench_json) = common::bench_args();
     let instances = if smoke { 40 } else { 120 };
     let model = ModelConfig::gpt2_xl();
     let mut rows: Vec<String> = Vec::new();
@@ -97,11 +92,11 @@ fn main() {
     );
     let mut inherit = None;
     for (variant, on) in [("inherited-kv", true), ("cold-reprefill", false)] {
-        let t = Instant::now();
-        let r = cluster(chain_cfg.clone())
-            .workflow_inheritance(on)
-            .run(&model);
-        let wall = t.elapsed().as_secs_f64();
+        let (r, wall) = common::timed(|| {
+            cluster(chain_cfg.clone())
+                .workflow_inheritance(on)
+                .run(&model)
+        });
         println!(
             "  {variant:<16} TTFT p50 {:>7.0} ms | workflow p50/p99 {:>7.0}/{:>7.0} ms | \
              deadline attain {:>5.1}% | inherited {:>4.1}%",
@@ -156,9 +151,7 @@ fn main() {
     ];
     let mut p99 = Vec::new();
     for (name, policy) in policies {
-        let t = Instant::now();
-        let r = cluster(fanout_cfg.clone()).policy(policy).run(&model);
-        let wall = t.elapsed().as_secs_f64();
+        let (r, wall) = common::timed(|| cluster(fanout_cfg.clone()).policy(policy).run(&model));
         println!(
             "  {name:<16} workflow p50/p99 {:>7.0}/{:>7.0} ms | deadline attain {:>5.1}% | \
              TTFT p50 {:>6.0} ms",
@@ -185,9 +178,7 @@ fn main() {
     let spec_tpl = WorkflowTemplate::speculative();
     let nodes = spec_tpl.node_count() as u64;
     let spec_cfg = ServingConfig::workflow_mix(2.5, instances, vec![spec_tpl]);
-    let t = Instant::now();
-    let r = cluster(spec_cfg).run(&model);
-    let wall = t.elapsed().as_secs_f64();
+    let (r, wall) = common::timed(|| cluster(spec_cfg).run(&model));
     println!(
         "\nspeculative ({instances} instances x {nodes} nodes): {} completions + {} \
          cancelled nodes,\n  workflow p50/p99 {:>7.0}/{:>7.0} ms | deadline attain {:>5.1}%",
@@ -214,13 +205,13 @@ fn main() {
     );
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"agentic_workflows\",\n  \"model\": {:?},\n  \
-             \"instances\": {instances},\n  \"smoke\": {smoke},\n  \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
+        let fields = [
+            ("benchmark", "\"agentic_workflows\"".into()),
+            ("model", format!("{:?}", model.name)),
+            ("instances", instances.to_string()),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, &fields, Some(&rows));
         println!("\nwrote {} result rows to {path}", rows.len());
     }
 }

@@ -49,6 +49,7 @@
 //! [`device_cost_units`]: ianus::system::capacity::device_cost_units
 
 use ianus::prelude::*;
+mod common;
 
 /// 896-token prompts, 128 output tokens, one class carrying the SLO.
 fn scenario(requests: u64, ttft: Duration) -> ServingConfig {
@@ -139,12 +140,7 @@ fn bench_row(cluster: &str, ttft_ms: f64, cost: f64, goodput: f64, wall_s: f64) 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let (smoke, bench_json) = common::bench_args();
     let requests = if smoke { 120 } else { 400 };
     let hi_rate = if smoke { 28.0 } else { 40.0 };
     let model = ModelConfig::gpt2_xl();
@@ -205,15 +201,9 @@ fn main() {
         for (si, &ttft_ms) in ttfts.iter().enumerate() {
             let cfg = scenario(requests, Duration::from_ms(ttft_ms));
             let mut sim = (c.build)(cfg);
-            let t0 = std::time::Instant::now();
-            let g = sim.sustainable_goodput_rate(&model, 0.25, hi_rate, 0.9);
-            rows.push(bench_row(
-                &c.name,
-                ttft_ms as f64,
-                c.cost,
-                g,
-                t0.elapsed().as_secs_f64(),
-            ));
+            let (g, wall) =
+                common::timed(|| sim.sustainable_goodput_rate(&model, 0.25, hi_rate, 0.9));
+            rows.push(bench_row(&c.name, ttft_ms as f64, c.cost, g, wall));
             goodput[si].push(g);
             cells.push(g);
         }
@@ -286,13 +276,13 @@ fn main() {
     );
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"disaggregated\",\n  \"model\": {:?},\n  \
-             \"requests\": {requests},\n  \"smoke\": {smoke},\n  \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
+        let fields = [
+            ("benchmark", "\"disaggregated\"".into()),
+            ("model", format!("{:?}", model.name)),
+            ("requests", requests.to_string()),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, &fields, Some(&rows));
         println!("\nwrote {} sweep rows to {path}", rows.len());
     }
 }

@@ -24,6 +24,7 @@
 //! utilization: loaded, but the queue drains.
 
 use ianus::prelude::*;
+mod common;
 
 /// Analytic NPU-PIM serving node: linear prefill, affine batched
 /// decode. Costs are calibrated to the paper's single-device GPT-2 XL
@@ -92,13 +93,8 @@ impl Backend for PimNode {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone())
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let (smoke, bench_json) = common::bench_args();
+    let bench_json = bench_json.unwrap_or_else(|| "BENCH_engine.json".to_string());
 
     let requests: u64 = if smoke { 50_000 } else { 1_000_000 };
     let replicas = 128usize;
@@ -136,9 +132,7 @@ fn main() {
         preempt: false,
     });
 
-    let t0 = std::time::Instant::now();
-    let report = sim.run(&ModelConfig::gpt2_xl());
-    let wall_s = t0.elapsed().as_secs_f64();
+    let (report, wall_s) = common::timed(|| sim.run(&ModelConfig::gpt2_xl()));
 
     // Liveness and stability: every request completes, and the cluster
     // keeps up with the offered rate.
@@ -167,15 +161,13 @@ fn main() {
         report.utilization * 100.0,
         report.peak_batch
     );
-    println!(
-        "p50 / p99 sojourn: {:.0} ms / {:.0} ms",
+    let (p50, p99) = (
         report.sojourn.p50.as_ms_f64(),
-        report.sojourn.p99.as_ms_f64()
+        report.sojourn.p99.as_ms_f64(),
     );
-    println!(
-        "wall-clock : {wall_s:.2} s ({:.0} requests simulated per wall-second)",
-        requests as f64 / wall_s
-    );
+    println!("p50 / p99 sojourn: {p50:.0} ms / {p99:.0} ms");
+    let per_wall_s = requests as f64 / wall_s;
+    println!("wall-clock : {wall_s:.2} s ({per_wall_s:.0} requests simulated per wall-second)");
 
     // The event-driven core's contract: the full 1M-request trace
     // finishes in seconds. The bound is deliberately loose (shared CI
@@ -187,20 +179,22 @@ fn main() {
         "engine wall-clock regression: {wall_s:.1} s for {requests} requests (bound {bound} s)"
     );
 
-    let doc = format!(
-        "{{\n  \"benchmark\": \"million_requests\",\n  \"smoke\": {smoke},\n  \
-         \"requests\": {requests},\n  \"replicas\": {replicas},\n  \"max_batch\": {max_batch},\n  \
-         \"arrival_rate_hz\": {rate:.3},\n  \"sim_horizon_s\": {horizon:.3},\n  \
-         \"throughput_rps\": {:.3},\n  \"utilization\": {:.6},\n  \"peak_batch\": {},\n  \
-         \"sojourn_p50_ms\": {:.3},\n  \"sojourn_p99_ms\": {:.3},\n  \
-         \"wall_s\": {wall_s:.6},\n  \"requests_per_wall_s\": {:.1}\n}}\n",
-        report.throughput_rps,
-        report.utilization,
-        report.peak_batch,
-        report.sojourn.p50.as_ms_f64(),
-        report.sojourn.p99.as_ms_f64(),
-        requests as f64 / wall_s,
-    );
-    std::fs::write(&bench_json, doc).expect("write bench json");
+    let fields = [
+        ("benchmark", "\"million_requests\"".into()),
+        ("smoke", smoke.to_string()),
+        ("requests", requests.to_string()),
+        ("replicas", replicas.to_string()),
+        ("max_batch", max_batch.to_string()),
+        ("arrival_rate_hz", format!("{rate:.3}")),
+        ("sim_horizon_s", format!("{horizon:.3}")),
+        ("throughput_rps", format!("{:.3}", report.throughput_rps)),
+        ("utilization", format!("{:.6}", report.utilization)),
+        ("peak_batch", report.peak_batch.to_string()),
+        ("sojourn_p50_ms", format!("{p50:.3}")),
+        ("sojourn_p99_ms", format!("{p99:.3}")),
+        ("wall_s", format!("{wall_s:.6}")),
+        ("requests_per_wall_s", format!("{per_wall_s:.1}")),
+    ];
+    common::write_bench_json(&bench_json, &fields, None);
     println!("\nwrote engine trajectory to {bench_json}");
 }

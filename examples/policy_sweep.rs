@@ -47,6 +47,7 @@
 //! the engine and regression-tested in `tests/{policy_api,host_pool}.rs`.
 
 use ianus::prelude::*;
+mod common;
 
 /// The PR 3 preemption scenario plus a TTFT/ITL SLO on the interactive
 /// class.
@@ -111,20 +112,8 @@ fn bench_row(label: &str, r: &ServingReport, wall_s: f64) -> String {
     )
 }
 
-/// Runs the engine and returns the report with its wall-clock seconds.
-fn timed_run(sim: &mut ServingSim, model: &ModelConfig) -> (ServingReport, f64) {
-    let t0 = std::time::Instant::now();
-    let r = sim.run(model);
-    (r, t0.elapsed().as_secs_f64())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let (smoke, bench_json) = common::bench_args();
     let requests = if smoke { 40 } else { 120 };
     let model = ModelConfig::gpt2_xl();
     println!(
@@ -164,7 +153,7 @@ fn main() {
     let mut rows = Vec::new();
     for eviction in EVICTIONS {
         sim = sim.policy(bundle(eviction));
-        let (r, wall_s) = timed_run(&mut sim, &model);
+        let (r, wall_s) = common::timed(|| sim.run(&model));
         rows.push(bench_row(eviction, &r, wall_s));
         assert_eq!(r.completed, requests, "liveness: every request completes");
         assert!(
@@ -248,7 +237,7 @@ fn main() {
         ),
     ] {
         sim = sim.policy(policy);
-        let (r, wall_s) = timed_run(&mut sim, &model);
+        let (r, wall_s) = common::timed(|| sim.run(&model));
         rows.push(bench_row(&format!("slow-link/{label}"), &r, wall_s));
         assert_eq!(r.completed, requests);
         println!(
@@ -278,9 +267,7 @@ fn main() {
     // rate order — the same reports a serial loop would produce, in a
     // fraction of the wall-clock.
     let sweep: Vec<f64> = [0.25, 0.5, 1.0, 2.0].to_vec();
-    let t0 = std::time::Instant::now();
-    let reports = sim.sweep_rates(&model, &sweep);
-    let sweep_wall = t0.elapsed().as_secs_f64();
+    let (reports, sweep_wall) = common::timed(|| sim.sweep_rates(&model, &sweep));
     println!(
         "\n--- rate sweep (cost-aware bundle, {} parallel probes) ---",
         sweep.len()
@@ -306,14 +293,14 @@ fn main() {
     }
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"policy_sweep\",\n  \"model\": {:?},\n  \
-             \"arrival_rate_hz\": 4.0,\n  \"requests\": {requests},\n  \"smoke\": {smoke},\n  \
-             \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
+        let fields = [
+            ("benchmark", "\"policy_sweep\"".into()),
+            ("model", format!("{:?}", model.name)),
+            ("arrival_rate_hz", "4.0".into()),
+            ("requests", requests.to_string()),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, &fields, Some(&rows));
         println!("\nwrote {} sweep rows to {path}", rows.len());
     }
 }

@@ -29,6 +29,7 @@
 //!   per-tenant completion counts must sum to the run total.
 
 use ianus::prelude::*;
+mod common;
 
 /// An interactive two-class mix carrying an ITL-p99 SLO, so burst
 /// pressure shows up in attainment as well as in the latency tail.
@@ -82,12 +83,7 @@ fn bench_row(shape: &str, r: &ServingReport, wall_s: f64) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let (smoke, bench_json) = common::bench_args();
     let requests = if smoke { 240 } else { 800 };
     // Half of one replica's capacity: the steady state runs with slack
     // (thin batches, short token gaps), so the bursts are what fill
@@ -118,10 +114,9 @@ fn main() {
     );
     let mut reports = Vec::new();
     for (name, spec) in &shapes {
-        let t0 = std::time::Instant::now();
-        let r = sim(scenario(requests, rate, spec.clone())).run(&model);
+        let (r, wall) = common::timed(|| sim(scenario(requests, rate, spec.clone())).run(&model));
         assert_eq!(r.completed, requests, "liveness: every request completes");
-        rows.push(bench_row(name, &r, t0.elapsed().as_secs_f64()));
+        rows.push(bench_row(name, &r, wall));
         println!(
             "{:<10} {:>9.2} ms {:>9.2} ms {:>11.2} ms {:>11.2} ms {:>7.1}% {:>9.1}%",
             name,
@@ -181,10 +176,10 @@ fn main() {
 
     // Symmetric multi-tenant run: K identical tenants at equal shares.
     let tenants = 3u32;
-    let t0 = std::time::Instant::now();
-    let mt = sim(scenario(requests, rate, ArrivalSpec::multi_tenant(tenants))).run(&model);
+    let multi_tenant = scenario(requests, rate, ArrivalSpec::multi_tenant(tenants));
+    let (mt, wall) = common::timed(|| sim(multi_tenant).run(&model));
     assert_eq!(mt.completed, requests, "liveness under multi-tenant merge");
-    rows.push(bench_row("multi-tenant", &mt, t0.elapsed().as_secs_f64()));
+    rows.push(bench_row("multi-tenant", &mt, wall));
     println!("\n{tenants} symmetric tenants at equal shares:");
     for t in &mt.per_tenant {
         println!(
@@ -214,14 +209,14 @@ fn main() {
     );
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"traffic_shapes\",\n  \"model\": {:?},\n  \
-             \"requests\": {requests},\n  \"mean_rate_hz\": {rate:.1},\n  \
-             \"smoke\": {smoke},\n  \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
+        let fields = [
+            ("benchmark", "\"traffic_shapes\"".into()),
+            ("model", format!("{:?}", model.name)),
+            ("requests", requests.to_string()),
+            ("mean_rate_hz", format!("{rate:.1}")),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, &fields, Some(&rows));
         println!("\nwrote {} shape rows to {path}", rows.len());
     }
 }

@@ -17,6 +17,7 @@
 //!       [--host-kv-gb G] [--overlap-dma]
 //!       [--disaggregate P:D] [--prefill-system ianus|npu-mem|partitioned|a100|dfx]
 //!       [--migration least-loaded|freest-kv]
+//!       [--arrivals poisson|diurnal|mmpp|multi-tenant] [--burst-factor F] [--tenants K]
 //!       [--slo-ttft-ms MS] [--slo-itl-ms MS]
 //!       [--compare] [--compare-policies]
 //! ```
@@ -95,194 +96,312 @@
 
 use ianus::model::ModelFamily;
 use ianus::prelude::*;
+use ianus::system::capacity;
+use std::str::FromStr;
+use std::sync::Arc;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MixKind {
-    Interactive,
-    DecodeHeavy,
-    LongPrompt,
-    /// Two (512, 512) tiers sharing a 384-token class prefix — the mix
-    /// paged KV (`--kv-block`) and its copy-on-write prefix cache are
-    /// built for; heavy enough to preempt under load.
-    SharedPrefix,
-    /// A 50/50 interactive/batch-tier mix of one `--input`/`--output`
-    /// shape — the way to build KV pressure from the command line
-    /// (e.g. `--mix custom --input 512 --output 512` on GPT-2 XL).
-    Custom,
-    /// Agentic workflow mixes (PR 9): each "request" is a DAG instance
-    /// of the named built-in template; children admit on their parents'
-    /// published KV under `--kv-block`. Forces iteration-level
-    /// scheduling.
-    AgentChain,
-    ToolFanout,
-    Speculative,
-}
+/// One row of a choice flag's table: an accepted name and what it
+/// builds. The parser, `usage()`, the `--compare-policies` sweep and the
+/// report header all read these tables. A table's first row is its
+/// flag's default.
+type Row<T> = (&'static str, T);
+type Choice<T> = &'static Row<T>;
+/// A stateless policy, shared by every engine built with it.
+type Shared<P> = fn() -> Arc<P>;
+type Admission = Shared<dyn AdmissionPolicy + Send + Sync>;
+type Eviction = Shared<dyn EvictionPolicy + Send + Sync>;
+type Readmission = Shared<dyn ReadmissionPolicy + Send + Sync>;
+/// A cluster step: adds a replica or sets a cluster-wide policy.
+type Setup = fn(ServingSim) -> ServingSim;
+/// A serving mix: its report label and its config builder over the
+/// rate, the request count and the `--input`/`--output` shape.
+type Mix = (&'static str, fn(f64, u64, RequestShape) -> ServingConfig);
+/// An arrival process over the rate, the burst factor and the tenants.
+type Arrivals = fn(f64, f64, u32) -> ArrivalSpec;
 
-impl MixKind {
-    fn by_name(name: &str) -> Option<MixKind> {
-        Some(match name {
-            "interactive" => MixKind::Interactive,
-            "decode-heavy" => MixKind::DecodeHeavy,
-            "long-prompt" => MixKind::LongPrompt,
-            "shared-prefix" => MixKind::SharedPrefix,
-            "custom" => MixKind::Custom,
-            "agent-chain" => MixKind::AgentChain,
-            "tool-fanout" => MixKind::ToolFanout,
-            "speculative" => MixKind::Speculative,
-            _ => return None,
-        })
-    }
-
-    /// A workflow mix drives the engine's DAG layer instead of a flat
-    /// class mix (and requires iteration-level scheduling).
-    fn is_workflow(self) -> bool {
-        matches!(
-            self,
-            MixKind::AgentChain | MixKind::ToolFanout | MixKind::Speculative
-        )
-    }
-}
-
-const MIXES: [&str; 8] = [
-    "interactive",
-    "decode-heavy",
-    "long-prompt",
-    "shared-prefix",
-    "custom",
-    "agent-chain",
-    "tool-fanout",
-    "speculative",
+const SYSTEMS: &[Row<fn() -> SystemConfig>] = &[
+    ("ianus", SystemConfig::ianus),
+    ("npu-mem", SystemConfig::npu_mem),
+    ("partitioned", SystemConfig::partitioned),
 ];
-const ADMISSIONS: [&str; 5] = [
-    "fcfs",
-    "priority",
-    "shortest-prompt",
-    "edf",
-    "widest-subtree",
+/// Each row adds one prefill-only replica; without `--prefill-system`
+/// the prefill pool runs the configured `--system`.
+const PREFILL_SYSTEMS: &[Row<Setup>] = &[
+    ("ianus", |sim| {
+        prefill(sim, IanusSystem::new(SystemConfig::ianus()))
+    }),
+    ("npu-mem", |sim| {
+        prefill(sim, IanusSystem::new(SystemConfig::npu_mem()))
+    }),
+    ("partitioned", |sim| {
+        prefill(sim, IanusSystem::new(SystemConfig::partitioned()))
+    }),
+    ("a100", |sim| prefill(sim, GpuModel::a100())),
+    ("dfx", |sim| prefill(sim, DfxModel::four_fpga())),
 ];
-const EVICTIONS: [&str; 4] = [
-    "lowest-priority",
-    "largest-kv",
-    "least-progress",
-    "cheapest",
+const FCS: &[Row<FcMapping>] = &[
+    ("adaptive", FcMapping::Adaptive),
+    ("mu", FcMapping::MatrixUnit),
+    ("pim", FcMapping::Pim),
 ];
-const READMISSIONS: [&str; 2] = ["fifo", "deadline"];
-const MECHANISMS: [&str; 3] = ["swap", "recompute", "cheapest"];
-const MIGRATIONS: [&str; 2] = ["least-loaded", "freest-kv"];
-const ARRIVAL_KINDS: [&str; 4] = ["poisson", "diurnal", "mmpp", "multi-tenant"];
-const PREFILL_SYSTEMS: [&str; 5] = ["ianus", "npu-mem", "partitioned", "a100", "dfx"];
+const ATTNS: &[Row<AttnMapping>] = &[("mu", AttnMapping::MatrixUnit), ("pim", AttnMapping::Pim)];
+const SCHEDULES: &[Row<Schedule>] = &[
+    ("overlap", Schedule::Overlapped),
+    ("naive", Schedule::Naive),
+];
+/// Whether the serving engine batches at iteration level.
+const SCHEDULINGS: &[Row<bool>] = &[("request", false), ("iteration", true)];
+const MIXES: &[Row<Mix>] = &[
+    (
+        "interactive",
+        ("interactive", |r, n, _| ServingConfig::interactive(r, n)),
+    ),
+    (
+        "decode-heavy",
+        ("decode-heavy", |r, n, _| ServingConfig::decode_heavy(r, n)),
+    ),
+    (
+        "long-prompt",
+        ("long-prompt", |r, n, _| ServingConfig::long_prompt(r, n)),
+    ),
+    // Two (512, 512) tiers sharing a 384-token class prefix: the mix
+    // paged KV and its copy-on-write prefix cache are built for.
+    (
+        "shared-prefix",
+        ("shared-prefix (384-token class prefix)", |r, n, _| {
+            ServingConfig::shared_prefix(r, n)
+        }),
+    ),
+    // One `--input`/`--output` shape in both tiers: the way to build KV
+    // pressure from the command line.
+    (
+        "custom",
+        ("custom (50/50 interactive/batch tiers)", |r, n, shape| {
+            ServingConfig {
+                mix: vec![
+                    RequestClass::new(shape, 0.5),
+                    RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
+                ],
+                ..ServingConfig::interactive(r, n)
+            }
+        }),
+    ),
+    (
+        "agent-chain",
+        ("agent-chain workflow (4-node chain)", |r, n, _| {
+            ServingConfig::workflow_mix(r, n, vec![WorkflowTemplate::agent_chain()])
+        }),
+    ),
+    (
+        "tool-fanout",
+        ("tool-fanout workflow (plan, 4 tools, join)", |r, n, _| {
+            ServingConfig::workflow_mix(r, n, vec![WorkflowTemplate::tool_fanout()])
+        }),
+    ),
+    (
+        "speculative",
+        ("speculative workflow (racing branches)", |r, n, _| {
+            ServingConfig::workflow_mix(r, n, vec![WorkflowTemplate::speculative()])
+        }),
+    ),
+];
+const ADMISSIONS: &[Row<Admission>] = &[
+    ("fcfs", || Arc::new(FcfsAdmission)),
+    ("priority", || Arc::new(PriorityAdmission)),
+    ("shortest-prompt", || Arc::new(ShortestPromptAdmission)),
+    ("edf", || Arc::new(DeadlineAdmission)),
+    ("widest-subtree", || Arc::new(WidestSubtreeAdmission)),
+];
+const EVICTIONS: &[Row<Eviction>] = &[
+    ("lowest-priority", || Arc::new(LowestPriorityYoungest)),
+    ("largest-kv", || Arc::new(LargestKv)),
+    ("least-progress", || Arc::new(LeastProgress)),
+    ("cheapest", || Arc::new(CheapestEviction)),
+];
+const READMISSIONS: &[Row<Readmission>] = &[
+    ("fifo", || Arc::new(FifoReadmission)),
+    ("deadline", || Arc::new(DeadlineReadmission)),
+];
+const MECHANISMS: &[Row<EvictionMechanism>] = &[
+    ("swap", EvictionMechanism::Swap),
+    ("recompute", EvictionMechanism::Recompute),
+    ("cheapest", EvictionMechanism::Cheapest),
+];
+const MIGRATIONS: &[Row<Setup>] = &[
+    ("least-loaded", |sim| sim.migration(LeastLoadedMigration)),
+    ("freest-kv", |sim| sim.migration(FreestKvMigration)),
+];
+const ARRIVALS: &[Row<Arrivals>] = &[
+    ("poisson", |_, _, _| ArrivalSpec::Poisson),
+    // Amplitude so the peak-to-trough rate ratio equals the burst
+    // factor: (1+a)/(1-a) = F. Period scales with the rate so a run of
+    // a few hundred requests sees whole cycles at any --rate.
+    ("diurnal", |rate, f, _| {
+        ArrivalSpec::diurnal((f - 1.0) / (f + 1.0), 200.0 / rate)
+    }),
+    // Symmetric phases, each ~30 mean interarrivals long: bursts are
+    // long enough to pile up a queue, short enough that a run
+    // alternates phases many times.
+    ("mmpp", |r, f, _| ArrivalSpec::mmpp(f, 30.0 / r, 30.0 / r)),
+    ("multi-tenant", |_, _, k| ArrivalSpec::multi_tenant(k)),
+];
 
-/// Resolves a flag value against its name table (the single source of
-/// the valid policy names). Pure, so the parser tests can exercise it.
-fn resolve(value: &str, table: &'static [&'static str]) -> Option<&'static str> {
-    table.iter().find(|n| **n == value).copied()
+fn prefill(sim: ServingSim, backend: impl Backend + 'static) -> ServingSim {
+    sim.replica_with_role(backend, ReplicaRole::PrefillOnly)
 }
 
-/// [`resolve`], rejecting unknown names at parse time with an error
-/// that lists the valid options for the offending flag.
-fn intern(flag: &str, value: String, table: &'static [&'static str]) -> &'static str {
-    resolve(&value, table).unwrap_or_else(|| {
-        eprintln!(
-            "unknown {flag} value {value:?}; valid options: {}",
-            table.join(", ")
-        );
-        usage()
-    })
+fn names<T>(table: &[Row<T>]) -> String {
+    table.iter().map(|row| row.0).collect::<Vec<_>>().join("|")
 }
 
-/// Policy flags as parsed names; `SchedulerPolicy` is not `Clone`, so
-/// fresh bundles are built from these on demand.
-#[derive(Clone, Copy)]
-struct PolicyNames {
-    admission: &'static str,
-    eviction: &'static str,
-    readmission: &'static str,
-    mechanism: &'static str,
+/// The row of `table` named `value`, or an error that lists the names
+/// `flag` accepts.
+fn choose<T>(flag: &str, value: String, table: &'static [Row<T>]) -> Result<Choice<T>, String> {
+    if let Some(row) = table.iter().find(|row| row.0 == value) {
+        return Ok(row);
+    }
+    let valid = names(table).replace('|', ", ");
+    Err(format!(
+        "unknown {flag} value {value:?}; valid options: {valid}"
+    ))
 }
 
-impl PolicyNames {
-    fn bundle(&self) -> SchedulerPolicy {
-        bundle_of(
-            self.admission,
-            self.eviction,
-            self.readmission,
-            self.mechanism,
-        )
+fn number<T: FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes a number, not {value:?}"))
+}
+
+fn at_least_one(flag: &str, value: String) -> Result<u32, String> {
+    match number(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
     }
 }
 
-fn bundle_of(
-    admission: &str,
-    eviction: &str,
-    readmission: &str,
-    mechanism: &str,
-) -> SchedulerPolicy {
-    // Names were interned against the tables at parse time.
-    let mut p = SchedulerPolicy::default();
-    p = match admission {
-        "fcfs" => p.with_admission(FcfsAdmission),
-        "priority" => p.with_admission(PriorityAdmission),
-        "shortest-prompt" => p.with_admission(ShortestPromptAdmission),
-        "edf" => p.with_admission(DeadlineAdmission),
-        "widest-subtree" => p.with_admission(WidestSubtreeAdmission),
-        _ => unreachable!("interned admission name"),
-    };
-    p = match eviction {
-        "lowest-priority" => p.with_eviction(LowestPriorityYoungest),
-        "largest-kv" => p.with_eviction(LargestKv),
-        "least-progress" => p.with_eviction(LeastProgress),
-        "cheapest" => p.with_eviction(CheapestEviction),
-        _ => unreachable!("interned eviction name"),
-    };
-    p = match readmission {
-        "fifo" => p.with_readmission(FifoReadmission),
-        "deadline" => p.with_readmission(DeadlineReadmission),
-        _ => unreachable!("interned readmission name"),
-    };
-    match mechanism {
-        "swap" => p.with_mechanism(EvictionMechanism::Swap),
-        "recompute" => p.with_mechanism(EvictionMechanism::Recompute),
-        "cheapest" => p.with_mechanism(EvictionMechanism::Cheapest),
-        _ => unreachable!("interned mechanism name"),
-    }
+const PS_PER_MS: u64 = 1_000_000_000;
+
+/// `value` times `scale`, checked: a plain multiply would wrap an
+/// absurd value (past 2^64 bytes or picoseconds) to a tiny one.
+fn scaled(flag: &str, value: String, scale: u64) -> Result<u64, String> {
+    let n: u64 = number(flag, value)?;
+    n.checked_mul(scale)
+        .ok_or(format!("{flag} {n} is past the representable range"))
 }
 
+/// The serving flags, as [`parse`] leaves them.
 struct ServeArgs {
     replicas: usize,
     rate: f64,
     requests: u64,
-    mix: MixKind,
-    scheduling: Scheduling,
-    /// The raw `--max-batch`/`--prefill-chunk` values, kept separately
-    /// so `--compare-policies` honors them even when `--scheduling
-    /// iteration` was not passed (its fallback must not silently drop
-    /// configured knobs).
+    mix: Choice<Mix>,
+    iteration: bool,
+    /// `--max-batch`/`--prefill-chunk` (0 = monolithic prefill) apply
+    /// to every iteration-level mode, also the ones `--compare`,
+    /// `--compare-policies` and the workflow mixes force.
     max_batch: u32,
     prefill_chunk: Option<u64>,
-    policy: PolicyNames,
-    slo: Option<Slo>,
+    preempt: bool,
+    admission: Choice<Admission>,
+    eviction: Choice<Eviction>,
+    readmission: Choice<Readmission>,
+    mechanism: Choice<EvictionMechanism>,
+    /// `--slo-ttft-ms`/`--slo-itl-ms` in picoseconds (0 = no target).
+    slo_ttft_ps: u64,
+    slo_itl_ps: u64,
     compare_policies: bool,
     /// `--host-kv-gb`: `Some(None)` forces an unbounded pool (0),
     /// `Some(Some(b))` a finite one; `None` keeps the backend default.
     host_kv: Option<Option<u64>>,
-    /// `--overlap-dma`: swap DMA overlaps decode on split H2D/D2H lanes.
     overlap_dma: bool,
-    /// `--kv-block`: paged-KV block size in tokens (0 = contiguous).
+    /// Paged-KV block size in tokens (0 = contiguous).
     kv_block: u64,
-    /// `--disaggregate P:D`: prefill/decode pool sizes (replaces
-    /// `--replicas`).
+    /// Prefill/decode pool sizes (replaces `--replicas`).
     disaggregate: Option<(usize, usize)>,
-    /// `--prefill-system`: backend of the prefill pool (`None` = the
-    /// configured `--system`).
-    prefill_system: Option<&'static str>,
-    /// `--migration`: decode-replica selection policy at handoff.
-    migration: &'static str,
-    /// `--arrivals`: arrival-process shape (see [`ArrivalSpec`]).
-    arrivals: &'static str,
-    /// `--burst-factor`: burst-to-calm rate ratio for `diurnal`/`mmpp`.
+    prefill_system: Option<Choice<Setup>>,
+    migration: Choice<Setup>,
+    arrivals: Choice<Arrivals>,
     burst_factor: f64,
-    /// `--tenants`: tenant count for `multi-tenant`.
     tenants: u32,
+}
+
+impl ServeArgs {
+    fn iteration_level(&self, preempt: bool) -> Scheduling {
+        Scheduling::IterationLevel {
+            max_batch: self.max_batch,
+            prefill_chunk: self.prefill_chunk,
+            preempt,
+        }
+    }
+
+    fn scheduling(&self) -> Scheduling {
+        if self.iteration {
+            self.iteration_level(self.preempt)
+        } else {
+            Scheduling::RequestLevel
+        }
+    }
+
+    fn policy(&self, eviction: Eviction) -> SchedulerPolicy {
+        SchedulerPolicy {
+            admission: (self.admission.1)(),
+            eviction: eviction(),
+            readmission: (self.readmission.1)(),
+            mechanism: self.mechanism.1,
+        }
+    }
+
+    /// An unset half defaults to a day-long target no completed request
+    /// misses (effectively "only the other half is scored").
+    fn slo(&self) -> Option<Slo> {
+        let (ttft, itl) = (self.slo_ttft_ps, self.slo_itl_ps);
+        let target = |ps| match ps {
+            0 => Duration::from_secs_f64(86_400.0),
+            ps => Duration::from_ps(ps),
+        };
+        (ttft > 0 || itl > 0).then(|| Slo::new(target(ttft), target(itl)))
+    }
+
+    /// The configured mix, with any SLO attached to its interactive-tier
+    /// classes (batch-tier classes carry no target).
+    fn config(&self, shape: RequestShape) -> ServingConfig {
+        let (_, (_, build)) = self.mix;
+        let mut cfg = build(self.rate, self.requests, shape);
+        if let Some(slo) = self.slo() {
+            for class in cfg.mix.iter_mut() {
+                if class.priority == Priority::Interactive {
+                    *class = class.with_slo(slo);
+                }
+            }
+        }
+        let arrivals = (self.arrivals.1)(self.rate, self.burst_factor, self.tenants);
+        cfg.arrivals(arrivals)
+    }
+
+    /// The cluster, with `cfg` as its workload, `mode` as its scheduling
+    /// and `system` on every replica that `--prefill-system` does not set.
+    fn cluster(&self, system: SystemConfig, cfg: ServingConfig, mode: Scheduling) -> ServingSim {
+        let mut sim = ServingSim::new(cfg)
+            .scheduling(mode)
+            .policy(self.policy(self.eviction.1))
+            .overlap_dma(self.overlap_dma)
+            .kv_block(self.kv_block);
+        if let Some(pool) = self.host_kv {
+            sim = sim.host_kv_pool(pool);
+        }
+        let replica = |sim: ServingSim, role| sim.replica_with_role(IanusSystem::new(system), role);
+        let Some((prefill, decode)) = self.disaggregate else {
+            return (0..self.replicas).fold(sim, |sim, _| replica(sim, ReplicaRole::Unified));
+        };
+        for _ in 0..prefill {
+            sim = match self.prefill_system {
+                Some((_, add)) => add(sim),
+                None => replica(sim, ReplicaRole::PrefillOnly),
+            };
+        }
+        let sim = (0..decode).fold(sim, |sim, _| replica(sim, ReplicaRole::DecodeOnly));
+        (self.migration.1)(sim)
+    }
 }
 
 struct Args {
@@ -293,265 +412,168 @@ struct Args {
     serve: Option<ServeArgs>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ianus [--model NAME] [--input N] [--output N]\n\
-         \x20            [--system ianus|npu-mem|partitioned] [--devices D]\n\
-         \x20            [--fc adaptive|mu|pim] [--attn mu|pim] [--schedule overlap|naive]\n\
-         \x20            [--compare]\n\
-         \x20      ianus --serve [--model NAME] [--system ...] [--devices D]\n\
-         \x20            [--replicas K] [--rate R] [--requests N]\n\
-         \x20            [--mix interactive|decode-heavy|long-prompt|shared-prefix|custom\n\
-         \x20                  |agent-chain|tool-fanout|speculative]\n\
-         \x20            [--scheduling request|iteration] [--max-batch B]\n\
-         \x20            [--prefill-chunk N] [--preempt] [--kv-block N]\n\
-         \x20            [--admission fcfs|priority|shortest-prompt|edf|widest-subtree]\n\
-         \x20            [--eviction lowest-priority|largest-kv|least-progress|cheapest]\n\
-         \x20            [--readmission fifo|deadline]\n\
-         \x20            [--eviction-mechanism swap|recompute|cheapest]\n\
-         \x20            [--host-kv-gb G] [--overlap-dma]\n\
-         \x20            [--disaggregate P:D] [--prefill-system ianus|npu-mem|partitioned|a100|dfx]\n\
-         \x20            [--migration least-loaded|freest-kv]\n\
-         \x20            [--arrivals poisson|diurnal|mmpp|multi-tenant]\n\
-         \x20            [--burst-factor F] [--tenants K]\n\
-         \x20            [--slo-ttft-ms MS] [--slo-itl-ms MS]\n\
-         \x20            [--compare] [--compare-policies]\n\
-         models: {}",
-        ModelConfig::all()
-            .iter()
-            .map(|m| m.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::process::exit(2)
+/// Every choice flag and the names its table accepts.
+fn choices() -> [(&'static str, String); 13] {
+    [
+        ("--system", names(SYSTEMS)),
+        ("--fc", names(FCS)),
+        ("--attn", names(ATTNS)),
+        ("--schedule", names(SCHEDULES)),
+        ("--mix", names(MIXES)),
+        ("--scheduling", names(SCHEDULINGS)),
+        ("--admission", names(ADMISSIONS)),
+        ("--eviction", names(EVICTIONS)),
+        ("--readmission", names(READMISSIONS)),
+        ("--eviction-mechanism", names(MECHANISMS)),
+        ("--prefill-system", names(PREFILL_SYSTEMS)),
+        ("--migration", names(MIGRATIONS)),
+        ("--arrivals", names(ARRIVALS)),
+    ]
 }
 
-fn parse() -> Args {
-    let mut model = ModelConfig::gpt2_xl();
-    let mut input = 128u64;
-    let mut output = 64u64;
-    let mut system = SystemConfig::ianus();
-    let mut pas = PasPolicy::ianus();
-    let mut devices = 1u32;
-    let mut compare = false;
-    let mut serve = false;
-    let mut replicas = 1usize;
-    let mut rate = 4.0f64;
-    let mut requests = 400u64;
-    let mut mix = MixKind::Interactive;
-    let mut iteration = false;
-    let mut max_batch = 8u32;
-    let mut prefill_chunk = 0u64; // 0 = monolithic prefill
-    let mut preempt = false;
-    let mut admission = "fcfs";
-    let mut eviction = "lowest-priority";
-    let mut readmission = "fifo";
-    let mut mechanism = "swap";
-    let mut slo_ttft_ms = 0u64; // 0 = no target
-    let mut slo_itl_ms = 0u64;
-    let mut compare_policies = false;
-    let mut host_kv: Option<Option<u64>> = None;
-    let mut overlap_dma = false;
-    let mut kv_block = 0u64; // 0 = contiguous KV accounting
-    let mut disaggregate: Option<(usize, usize)> = None;
-    let mut prefill_system: Option<&'static str> = None;
-    let mut migration = "least-loaded";
-    let mut arrivals = "poisson";
-    let mut burst_factor = 4.0f64;
-    let mut tenants = 2u32;
-    let mut args = std::env::args().skip(1);
+fn usage() -> String {
+    let models: Vec<_> = ModelConfig::all().iter().map(|m| m.name).collect();
+    let mut text = format!(
+        "usage: ianus [--model NAME] [--input N] [--output N] [--system S] [--devices D]\n\
+         \x20            [--fc F] [--attn A] [--schedule S] [--compare]\n\
+         \x20      ianus --serve [--model NAME] [--system S] [--devices D] [--replicas K]\n\
+         \x20            [--rate R] [--requests N] [--mix M] [--scheduling S]\n\
+         \x20            [--max-batch B] [--prefill-chunk N] [--preempt] [--kv-block N]\n\
+         \x20            [--admission A] [--eviction E] [--readmission R]\n\
+         \x20            [--eviction-mechanism M] [--host-kv-gb G] [--overlap-dma]\n\
+         \x20            [--disaggregate P:D] [--prefill-system S] [--migration M]\n\
+         \x20            [--arrivals A] [--burst-factor F] [--tenants K]\n\
+         \x20            [--slo-ttft-ms MS] [--slo-itl-ms MS] [--compare] [--compare-policies]\n\
+         models: {}\n\
+         choices (the first is the default; --prefill-system defaults to --system):",
+        models.join(", ")
+    );
+    for (flag, names) in choices() {
+        text += &format!("\n  {flag:<21}{names}");
+    }
+    text
+}
+
+/// Parses the command line (without the program name) and runs every
+/// check that needs no engine, so that a bad value is one error line.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args {
+        model: ModelConfig::gpt2_xl(),
+        request: RequestShape::new(128, 64),
+        system: SystemConfig::ianus(),
+        compare: false,
+        serve: None,
+    };
+    let mut s = ServeArgs {
+        replicas: 1,
+        rate: 4.0,
+        requests: 400,
+        mix: &MIXES[0],
+        iteration: false,
+        max_batch: 8,
+        prefill_chunk: None,
+        preempt: false,
+        admission: &ADMISSIONS[0],
+        eviction: &EVICTIONS[0],
+        readmission: &READMISSIONS[0],
+        mechanism: &MECHANISMS[0],
+        slo_ttft_ps: 0,
+        slo_itl_ps: 0,
+        compare_policies: false,
+        host_kv: None,
+        overlap_dma: false,
+        kv_block: 0,
+        disaggregate: None,
+        prefill_system: None,
+        migration: &MIGRATIONS[0],
+        arrivals: &ARRIVALS[0],
+        burst_factor: 4.0,
+        tenants: 2,
+    };
+    let (mut pas, mut devices, mut serve) = (PasPolicy::ianus(), 1, false);
     while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
+            "--model" => {
+                let name = value()?;
+                a.model = ModelConfig::by_name(&name).ok_or(format!("unknown model {name:?}"))?;
+            }
+            "--input" => a.request.input = number(&flag, value()?)?,
+            "--output" => a.request.output = number(&flag, value()?)?,
+            "--system" => a.system = (choose(&flag, value()?, SYSTEMS)?.1)(),
+            "--devices" => devices = at_least_one(&flag, value()?)?,
+            "--fc" => pas.fc = choose(&flag, value()?, FCS)?.1,
+            "--attn" => pas.attention = choose(&flag, value()?, ATTNS)?.1,
+            "--schedule" => pas.schedule = choose(&flag, value()?, SCHEDULES)?.1,
+            "--compare" => a.compare = true,
             "--serve" => serve = true,
-            "--replicas" => replicas = value().parse().unwrap_or_else(|_| usage()),
-            "--rate" => rate = value().parse().unwrap_or_else(|_| usage()),
-            "--requests" => requests = value().parse().unwrap_or_else(|_| usage()),
-            "--max-batch" => max_batch = value().parse().unwrap_or_else(|_| usage()),
-            "--prefill-chunk" => prefill_chunk = value().parse().unwrap_or_else(|_| usage()),
-            "--preempt" => preempt = true,
-            "--admission" => admission = intern("--admission", value(), &ADMISSIONS),
-            "--eviction" => eviction = intern("--eviction", value(), &EVICTIONS),
-            "--readmission" => readmission = intern("--readmission", value(), &READMISSIONS),
-            "--eviction-mechanism" => {
-                mechanism = intern("--eviction-mechanism", value(), &MECHANISMS)
+            "--replicas" => s.replicas = number(&flag, value()?)?,
+            "--rate" => s.rate = number(&flag, value()?)?,
+            "--requests" => s.requests = number(&flag, value()?)?,
+            "--mix" => s.mix = choose(&flag, value()?, MIXES)?,
+            "--scheduling" => s.iteration = choose(&flag, value()?, SCHEDULINGS)?.1,
+            "--max-batch" => s.max_batch = number(&flag, value()?)?,
+            "--prefill-chunk" => {
+                s.prefill_chunk = Some(number(&flag, value()?)?).filter(|&chunk| chunk > 0)
             }
+            "--preempt" => s.preempt = true,
+            "--kv-block" => s.kv_block = number(&flag, value()?)?,
+            "--admission" => s.admission = choose(&flag, value()?, ADMISSIONS)?,
+            "--eviction" => s.eviction = choose(&flag, value()?, EVICTIONS)?,
+            "--readmission" => s.readmission = choose(&flag, value()?, READMISSIONS)?,
+            "--eviction-mechanism" => s.mechanism = choose(&flag, value()?, MECHANISMS)?,
+            // 0 forces an unbounded pool.
             "--host-kv-gb" => {
-                let gb: u64 = value().parse().unwrap_or_else(|_| usage());
-                // Checked: `gb << 30` would silently wrap absurd
-                // values (≥ 2^34 GiB) to a tiny or zero pool.
-                let bytes = gb.checked_mul(1 << 30).unwrap_or_else(|| usage());
-                host_kv = Some((gb > 0).then_some(bytes));
+                s.host_kv = Some(Some(scaled(&flag, value()?, 1 << 30)?).filter(|&b| b > 0))
             }
-            "--overlap-dma" => overlap_dma = true,
-            "--kv-block" => kv_block = value().parse().unwrap_or_else(|_| usage()),
+            "--overlap-dma" => s.overlap_dma = true,
             "--disaggregate" => {
-                let v = value();
-                let (p, d) = v.split_once(':').unwrap_or_else(|| usage());
-                let p: usize = p.parse().unwrap_or_else(|_| usage());
-                let d: usize = d.parse().unwrap_or_else(|_| usage());
-                if p == 0 || d == 0 {
-                    usage();
-                }
-                disaggregate = Some((p, d));
+                let v = value()?;
+                let pools = v.split_once(':').map(|(p, d)| (p.parse(), d.parse()));
+                let Some((Ok(p @ 1..), Ok(d @ 1..))) = pools else {
+                    return Err(format!("{flag} takes P:D with P, D at least 1, not {v:?}"));
+                };
+                s.disaggregate = Some((p, d));
             }
             "--prefill-system" => {
-                prefill_system = Some(intern("--prefill-system", value(), &PREFILL_SYSTEMS))
+                s.prefill_system = Some(choose(&flag, value()?, PREFILL_SYSTEMS)?)
             }
-            "--migration" => migration = intern("--migration", value(), &MIGRATIONS),
-            "--arrivals" => arrivals = intern("--arrivals", value(), &ARRIVAL_KINDS),
+            "--migration" => s.migration = choose(&flag, value()?, MIGRATIONS)?,
+            "--arrivals" => s.arrivals = choose(&flag, value()?, ARRIVALS)?,
             "--burst-factor" => {
-                burst_factor = value().parse().unwrap_or_else(|_| usage());
-                if burst_factor <= 1.0 {
-                    eprintln!("--burst-factor must be above 1");
-                    usage()
+                s.burst_factor = number(&flag, value()?)?;
+                if !(s.burst_factor > 1.0 && s.burst_factor.is_finite()) {
+                    return Err(format!("{flag} must be a finite number above 1"));
                 }
             }
-            "--tenants" => {
-                tenants = value().parse().unwrap_or_else(|_| usage());
-                if tenants == 0 {
-                    eprintln!("--tenants must be at least 1");
-                    usage()
-                }
-            }
-            "--slo-ttft-ms" => slo_ttft_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--slo-itl-ms" => slo_itl_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--compare-policies" => compare_policies = true,
-            "--mix" => {
-                // Interned against MIXES for the same unknown-value
-                // error the policy flags give.
-                mix = MixKind::by_name(intern("--mix", value(), &MIXES))
-                    .expect("MIXES and MixKind::by_name cover the same names");
-            }
-            "--scheduling" => {
-                iteration = match value().as_str() {
-                    "request" => false,
-                    "iteration" => true,
-                    _ => usage(),
-                }
-            }
-            "--model" => {
-                let name = value();
-                model = ModelConfig::by_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown model {name:?}");
-                    usage()
-                });
-            }
-            "--input" => input = value().parse().unwrap_or_else(|_| usage()),
-            "--output" => output = value().parse().unwrap_or_else(|_| usage()),
-            "--devices" => {
-                devices = value().parse().unwrap_or_else(|_| usage());
-                if devices == 0 {
-                    eprintln!("--devices must be at least 1");
-                    usage()
-                }
-            }
-            "--system" => {
-                system = match value().as_str() {
-                    "ianus" => SystemConfig::ianus(),
-                    "npu-mem" => SystemConfig::npu_mem(),
-                    "partitioned" => SystemConfig::partitioned(),
-                    _ => usage(),
-                }
-            }
-            "--fc" => {
-                pas.fc = match value().as_str() {
-                    "adaptive" => FcMapping::Adaptive,
-                    "mu" => FcMapping::MatrixUnit,
-                    "pim" => FcMapping::Pim,
-                    _ => usage(),
-                }
-            }
-            "--attn" => {
-                pas.attention = match value().as_str() {
-                    "mu" => AttnMapping::MatrixUnit,
-                    "pim" => AttnMapping::Pim,
-                    _ => usage(),
-                }
-            }
-            "--schedule" => {
-                pas.schedule = match value().as_str() {
-                    "overlap" => Schedule::Overlapped,
-                    "naive" => Schedule::Naive,
-                    _ => usage(),
-                }
-            }
-            "--compare" => compare = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
+            "--tenants" => s.tenants = at_least_one(&flag, value()?)?,
+            "--slo-ttft-ms" => s.slo_ttft_ps = scaled(&flag, value()?, PS_PER_MS)?,
+            "--slo-itl-ms" => s.slo_itl_ps = scaled(&flag, value()?, PS_PER_MS)?,
+            "--compare-policies" => s.compare_policies = true,
+            "--help" | "-h" => return Err(String::new()),
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
+    a.system = a.system.with_pas(pas).with_devices(devices);
     if serve {
-        if let Err(e) = check_serve_values(rate, replicas, max_batch) {
-            eprintln!("{e}");
-            usage()
-        }
+        check_serve_values(s.rate, s.replicas, s.max_batch)?;
     }
-    if let Err(e) = check_request(&model, input, output, serve.then_some(mix)) {
-        eprintln!("{e}");
-        usage()
+    let (input, output) = (a.request.input, a.request.output);
+    let config = serve.then(|| s.config(a.request));
+    check_request(&a.model, input, output, config.as_ref())?;
+    // Every class shape the mix serves must fit one replica on its own:
+    // the engine would otherwise refuse it mid-run.
+    for class in config.iter().flat_map(|cfg| &cfg.mix) {
+        let (i, o) = (class.shape.input, class.shape.output);
+        capacity::check_request(&a.system, &a.model, class.shape)
+            .map_err(|e| format!("--mix {} class ({i}, {o}) does not fit: {e}", s.mix.0))?;
     }
-    let slo = (slo_ttft_ms > 0 || slo_itl_ms > 0).then(|| {
-        // An unset half defaults to a day-long target no completed
-        // request misses (effectively "only the other half is scored").
-        Slo::new(
-            if slo_ttft_ms > 0 {
-                Duration::from_ms(slo_ttft_ms)
-            } else {
-                Duration::from_secs_f64(86_400.0)
-            },
-            if slo_itl_ms > 0 {
-                Duration::from_ms(slo_itl_ms)
-            } else {
-                Duration::from_secs_f64(86_400.0)
-            },
-        )
-    });
-    Args {
-        model,
-        request: RequestShape::new(input, output),
-        system: system.with_pas(pas).with_devices(devices),
-        compare,
-        serve: serve.then_some(ServeArgs {
-            replicas,
-            rate,
-            requests,
-            mix,
-            scheduling: if iteration {
-                Scheduling::IterationLevel {
-                    max_batch,
-                    prefill_chunk: (prefill_chunk > 0).then_some(prefill_chunk),
-                    preempt,
-                }
-            } else {
-                Scheduling::RequestLevel
-            },
-            max_batch,
-            prefill_chunk: (prefill_chunk > 0).then_some(prefill_chunk),
-            policy: PolicyNames {
-                admission,
-                eviction,
-                readmission,
-                mechanism,
-            },
-            slo,
-            compare_policies,
-            host_kv,
-            overlap_dma,
-            kv_block,
-            disaggregate,
-            prefill_system,
-            migration,
-            arrivals,
-            burst_factor,
-            tenants,
-        }),
-    }
+    a.serve = serve.then_some(s);
+    Ok(a)
 }
 
 /// Serving values the engine would reject mid-run (with a panic) or,
-/// for `--replicas`, silently raise to 1: checked once parsing is done,
-/// so the CLI answers with one line and its usage instead.
+/// for `--replicas`, silently raise to 1.
 fn check_serve_values(rate: f64, replicas: usize, max_batch: u32) -> Result<(), &'static str> {
     if !(rate > 0.0 && rate.is_finite()) {
         Err("--rate must be a positive number")
@@ -564,29 +586,24 @@ fn check_serve_values(rate: f64, replicas: usize, max_batch: u32) -> Result<(), 
     }
 }
 
-/// Request values the simulator would reject mid-run (with a panic):
-/// checked once parsing is done, so the CLI answers with one line and its
-/// usage instead. `mix` is the serving mix when serving: only the custom
-/// mix serves the `--input`/`--output` shape, and every other mix
-/// generates tokens.
+/// Request values the simulator would reject mid-run (with a panic).
+/// `mix` is the serving config when serving: then the request generates
+/// tokens if any of its classes or workflows does.
 fn check_request(
     model: &ModelConfig,
     input: u64,
     output: u64,
-    mix: Option<MixKind>,
+    mix: Option<&ServingConfig>,
 ) -> Result<(), String> {
     if input == 0 || output == 0 {
         return Err("--input and --output must be at least 1".to_owned());
     }
     let generates = match mix {
-        None | Some(MixKind::Custom) => output > 1,
-        Some(_) => true,
+        None => output > 1,
+        Some(cfg) => !cfg.workflows.is_empty() || cfg.mix.iter().any(|c| c.shape.output > 1),
     };
     if model.family == ModelFamily::Bert && generates {
-        let fix = match mix {
-            None => "--output 1",
-            Some(_) => "--mix custom --output 1",
-        };
+        let fix = mix.map_or("--output 1", |_| "--mix custom --output 1");
         return Err(format!(
             "{} is encoder-only and has no generation stage: run it with {fix}",
             model.name
@@ -595,112 +612,8 @@ fn check_request(
     Ok(())
 }
 
-/// The configured mix, with any `--slo-*` target attached to its
-/// interactive-tier classes (batch-tier classes carry no target).
-fn serving_config(serve: &ServeArgs, shape: RequestShape) -> ServingConfig {
-    let mut cfg = match serve.mix {
-        MixKind::Interactive => ServingConfig::interactive(serve.rate, serve.requests),
-        MixKind::DecodeHeavy => ServingConfig::decode_heavy(serve.rate, serve.requests),
-        MixKind::LongPrompt => ServingConfig::long_prompt(serve.rate, serve.requests),
-        MixKind::SharedPrefix => ServingConfig::shared_prefix(serve.rate, serve.requests),
-        MixKind::AgentChain => ServingConfig::workflow_mix(
-            serve.rate,
-            serve.requests,
-            vec![WorkflowTemplate::agent_chain()],
-        ),
-        MixKind::ToolFanout => ServingConfig::workflow_mix(
-            serve.rate,
-            serve.requests,
-            vec![WorkflowTemplate::tool_fanout()],
-        ),
-        MixKind::Speculative => ServingConfig::workflow_mix(
-            serve.rate,
-            serve.requests,
-            vec![WorkflowTemplate::speculative()],
-        ),
-        MixKind::Custom => ServingConfig {
-            arrival_rate_hz: serve.rate,
-            requests: serve.requests,
-            seed: 0x5EED,
-            mix: vec![
-                RequestClass::new(shape, 0.5),
-                RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
-            ],
-            workflows: vec![],
-            arrivals: Default::default(),
-        },
-    };
-    if let Some(slo) = serve.slo {
-        for class in &mut cfg.mix {
-            if class.priority == Priority::Interactive {
-                *class = class.with_slo(slo);
-            }
-        }
-    }
-    cfg.arrivals(match serve.arrivals {
-        "poisson" => ArrivalSpec::Poisson,
-        "diurnal" => {
-            // Amplitude so the peak-to-trough rate ratio equals the
-            // burst factor: (1+a)/(1-a) = F. Period scales with the
-            // rate so a run of a few hundred requests sees whole
-            // cycles at any --rate.
-            let amplitude = (serve.burst_factor - 1.0) / (serve.burst_factor + 1.0);
-            ArrivalSpec::diurnal(amplitude, 200.0 / serve.rate)
-        }
-        // Symmetric phases, each ~30 mean interarrivals long: bursts
-        // are long enough to pile up a queue, short enough that a run
-        // alternates phases many times.
-        "mmpp" => ArrivalSpec::mmpp(serve.burst_factor, 30.0 / serve.rate, 30.0 / serve.rate),
-        "multi-tenant" => ArrivalSpec::multi_tenant(serve.tenants),
-        _ => unreachable!("interned arrivals name"),
-    })
-}
-
-fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> ServingSim {
-    let mut sim = ServingSim::new(serving_config(serve, args.request))
-        .scheduling(scheduling)
-        .policy(serve.policy.bundle())
-        .overlap_dma(serve.overlap_dma)
-        .kv_block(serve.kv_block);
-    if let Some(pool) = serve.host_kv {
-        sim = sim.host_kv_pool(pool);
-    }
-    if let Some((prefill, decode)) = serve.disaggregate {
-        for _ in 0..prefill {
-            sim = match serve.prefill_system {
-                None => {
-                    sim.replica_with_role(IanusSystem::new(args.system), ReplicaRole::PrefillOnly)
-                }
-                Some("a100") => sim.replica_with_role(GpuModel::a100(), ReplicaRole::PrefillOnly),
-                Some("dfx") => {
-                    sim.replica_with_role(DfxModel::four_fpga(), ReplicaRole::PrefillOnly)
-                }
-                Some(name) => {
-                    let system = match name {
-                        "ianus" => SystemConfig::ianus(),
-                        "npu-mem" => SystemConfig::npu_mem(),
-                        "partitioned" => SystemConfig::partitioned(),
-                        _ => unreachable!("interned prefill-system name"),
-                    };
-                    sim.replica_with_role(IanusSystem::new(system), ReplicaRole::PrefillOnly)
-                }
-            };
-        }
-        for _ in 0..decode {
-            sim = sim.replica_with_role(IanusSystem::new(args.system), ReplicaRole::DecodeOnly);
-        }
-        sim = match serve.migration {
-            "least-loaded" => sim.migration(LeastLoadedMigration),
-            "freest-kv" => sim.migration(FreestKvMigration),
-            _ => unreachable!("interned migration name"),
-        };
-    } else {
-        for _ in 0..serve.replicas {
-            sim = sim.replica_with_role(IanusSystem::new(args.system), ReplicaRole::Unified);
-        }
-    }
-    sim
-}
+/// Left margin of a report's continuation lines.
+const PAD: &str = "";
 
 fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
     println!(
@@ -712,8 +625,7 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
         r.sojourn.max.as_ms_f64(),
     );
     println!(
-        "{:<22} TTFT p50/p99/max {:>6.0}/{:>6.0}/{:>6.0} ms | ITL p50/p99/max {:>6.2}/{:>6.2}/{:>6.2} ms",
-        "",
+        "{PAD:<22} TTFT p50/p99/max {:>6.0}/{:>6.0}/{:>6.0} ms | ITL p50/p99/max {:>6.2}/{:>6.2}/{:>6.2} ms",
         r.ttft.p50.as_ms_f64(),
         r.ttft.p99.as_ms_f64(),
         r.ttft.max.as_ms_f64(),
@@ -722,16 +634,14 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
         r.inter_token.max.as_ms_f64(),
     );
     println!(
-        "{:<22} peak batch {} | KV {:>4.1}% | {}",
-        "",
+        "{PAD:<22} peak batch {} | KV {:>4.1}% | {}",
         r.peak_batch,
         r.peak_kv_occupancy * 100.0,
         if r.stable() { "stable" } else { "UNSTABLE" },
     );
     if slo {
         println!(
-            "{:<22} SLO attainment {:>5.1}% | goodput {:>6.1} req/s (of {:>6.1})",
-            "",
+            "{PAD:<22} SLO attainment {:>5.1}% | goodput {:>6.1} req/s (of {:>6.1})",
             r.slo_attainment * 100.0,
             r.goodput_rps,
             r.throughput_rps,
@@ -739,30 +649,21 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
     }
     if r.prefix_cache_hits > 0 || r.fragmentation > 0.0 {
         println!(
-            "{:<22} prefix cache {} hit(s) | shared {:>4.1}% of prompt tokens | fragmentation {:>4.1}%",
-            "",
+            "{PAD:<22} prefix cache {} hit(s) | shared {:>4.1}% of prompt tokens | fragmentation {:>4.1}%",
             r.prefix_cache_hits,
             r.prefix_share_ratio * 100.0,
             r.fragmentation * 100.0,
         );
-        println!(
-            "{:<22} TTFT p50 cache-hit {:>6.0} ms vs cold {:>6.0} ms",
-            "",
-            r.ttft_cache_hit.p50.as_ms_f64(),
-            r.ttft_cold.p50.as_ms_f64(),
-        );
+        let hit = r.ttft_cache_hit.p50.as_ms_f64();
+        let cold = r.ttft_cold.p50.as_ms_f64();
+        println!("{PAD:<22} TTFT p50 cache-hit {hit:>6.0} ms vs cold {cold:>6.0} ms");
     }
     if r.migrations > 0 {
-        println!(
-            "{:<22} {} prefill->decode migration(s) | migration stall {:.2} s",
-            "",
-            r.migrations,
-            r.migration_stall.as_secs_f64(),
-        );
+        let (n, stall) = (r.migrations, r.migration_stall.as_secs_f64());
+        println!("{PAD:<22} {n} prefill->decode migration(s) | migration stall {stall:.2} s");
         for p in &r.per_replica {
             println!(
-                "{:<22}   {:<16} {:<8} completed {:>6} | in/out {:>5}/{:>5} | util {:>5.1}%",
-                "",
+                "{PAD:<22}   {:<16} {:<8} completed {:>6} | in/out {:>5}/{:>5} | util {:>5.1}%",
                 p.name,
                 p.role.name(),
                 p.completed,
@@ -774,8 +675,7 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
     }
     if r.burst_inter_token != LatencyPercentiles::ZERO {
         println!(
-            "{:<22} burst windows: ITL p50/p99 {:>6.2}/{:>6.2} ms (vs {:>6.2}/{:>6.2} steady) | SLO attain {:>5.1}%",
-            "",
+            "{PAD:<22} burst windows: ITL p50/p99 {:>6.2}/{:>6.2} ms (vs {:>6.2}/{:>6.2} steady) | SLO attain {:>5.1}%",
             r.burst_inter_token.p50.as_ms_f64(),
             r.burst_inter_token.p99.as_ms_f64(),
             r.inter_token.p50.as_ms_f64(),
@@ -784,14 +684,11 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
         );
     }
     if r.per_tenant.len() > 1 {
-        println!(
-            "{:<22} tenant fairness (max/min goodput) {:.3}",
-            "", r.tenant_fairness,
-        );
+        let fairness = r.tenant_fairness;
+        println!("{PAD:<22} tenant fairness (max/min goodput) {fairness:.3}");
         for t in &r.per_tenant {
             println!(
-                "{:<22}   tenant {} completed {:>6} | sojourn p50/p99 {:>8.0}/{:>8.0} ms | goodput {:>6.2} req/s | SLO {:>5.1}%",
-                "",
+                "{PAD:<22}   tenant {} completed {:>6} | sojourn p50/p99 {:>8.0}/{:>8.0} ms | goodput {:>6.2} req/s | SLO {:>5.1}%",
                 t.tenant,
                 t.completed,
                 t.sojourn.p50.as_ms_f64(),
@@ -803,8 +700,7 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
     }
     if r.completed_workflows > 0 {
         println!(
-            "{:<22} workflows {} completed | latency p50/p99/max {:>7.0}/{:>7.0}/{:>7.0} ms | deadline attain {:>5.1}%",
-            "",
+            "{PAD:<22} workflows {} completed | latency p50/p99/max {:>7.0}/{:>7.0}/{:>7.0} ms | deadline attain {:>5.1}%",
             r.completed_workflows,
             r.workflow_latency.p50.as_ms_f64(),
             r.workflow_latency.p99.as_ms_f64(),
@@ -812,20 +708,18 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
             r.workflow_slo_attainment * 100.0,
         );
         println!(
-            "{:<22} cancelled nodes {} | inherited prefix {:>4.1}% of child prompt tokens",
-            "",
+            "{PAD:<22} cancelled nodes {} | inherited prefix {:>4.1}% of child prompt tokens",
             r.cancelled_nodes,
             r.inherited_prefix_ratio * 100.0,
         );
     }
     if r.preemptions > 0 {
         println!(
-            "{:<22} preempted {} request(s) {} time(s) (max {} per request; {} by recompute)",
-            "", r.preempted_requests, r.preemptions, r.max_preemptions, r.recomputes,
+            "{PAD:<22} preempted {} request(s) {} time(s) (max {} per request; {} by recompute)",
+            r.preempted_requests, r.preemptions, r.max_preemptions, r.recomputes,
         );
         println!(
-            "{:<22} swap DMA {:.2} s ({:.2} s stalled compute) | host pool peak {} MiB{}",
-            "",
+            "{PAD:<22} swap DMA {:.2} s ({:.2} s stalled compute) | host pool peak {} MiB{}",
             r.kv_dma.as_secs_f64(),
             r.swap_stall.as_secs_f64(),
             r.host_kv_peak_bytes >> 20,
@@ -839,39 +733,28 @@ fn print_serving_report(label: &str, r: &ServingReport, slo: bool) {
 }
 
 fn scheduling_label(scheduling: Scheduling) -> String {
-    match scheduling {
-        Scheduling::RequestLevel => "request-level".to_string(),
-        Scheduling::IterationLevel {
-            max_batch,
-            prefill_chunk,
-            preempt,
-        } => {
-            let chunk = match prefill_chunk {
-                Some(c) => format!(", chunk {c}"),
-                None => String::new(),
-            };
-            let pre = if preempt { ", preempt" } else { "" };
-            format!("iteration (batch {max_batch}{chunk}{pre})")
-        }
-    }
+    let Scheduling::IterationLevel {
+        max_batch,
+        prefill_chunk,
+        preempt,
+    } = scheduling
+    else {
+        return "request-level".to_string();
+    };
+    let chunk = prefill_chunk.map_or(String::new(), |c| format!(", chunk {c}"));
+    let pre = if preempt { ", preempt" } else { "" };
+    format!("iteration (batch {max_batch}{chunk}{pre})")
 }
 
 /// `--compare-policies`: the configured scenario (iteration-level with
 /// preemption forced on — eviction never fires without it) replayed
-/// under all three eviction policies on one warm engine.
+/// under every eviction policy on one warm engine.
 fn compare_policies_main(args: &Args, serve: &ServeArgs) {
-    if serve.scheduling == Scheduling::RequestLevel {
+    if serve.scheduling() == Scheduling::RequestLevel {
         println!("(--compare-policies forces iteration-level scheduling with --preempt)\n");
     }
-    // Either way the sweep honors the configured --max-batch and
-    // --prefill-chunk; only preempt is forced (eviction never fires
-    // without it).
-    let scheduling = Scheduling::IterationLevel {
-        max_batch: serve.max_batch,
-        prefill_chunk: serve.prefill_chunk,
-        preempt: true,
-    };
-    let mut sim = build_cluster(args, serve, scheduling);
+    let scheduling = serve.iteration_level(true);
+    let mut sim = serve.cluster(args.system, serve.config(args.request), scheduling);
     if let Err((i, e)) = sim.fits(&args.model) {
         eprintln!("model does not fit replica {i}: {e}");
         std::process::exit(1);
@@ -879,142 +762,103 @@ fn compare_policies_main(args: &Args, serve: &ServeArgs) {
     println!(
         "eviction-policy sweep under {} ({} admission, {} readmission, {} mechanism):",
         scheduling_label(scheduling),
-        serve.policy.admission,
-        serve.policy.readmission,
-        serve.policy.mechanism,
+        serve.admission.0,
+        serve.readmission.0,
+        serve.mechanism.0,
     );
-    let scored = serve.slo.is_some();
+    let scored = serve.slo().is_some();
+    print!(
+        "  {:<18} {:>11} {:>10} {:>12} {:>12}",
+        "eviction", "preemptions", "recomputes", "itl p99 ms", "itl max ms"
+    );
     if scored {
-        println!(
-            "  {:<18} {:>11} {:>10} {:>12} {:>12} {:>11} {:>11}",
-            "eviction",
-            "preemptions",
-            "recomputes",
-            "itl p99 ms",
-            "itl max ms",
-            "slo attain",
-            "goodput r/s"
-        );
+        println!(" {:>11} {:>11}", "slo attain", "goodput r/s");
     } else {
-        println!(
-            "  {:<18} {:>11} {:>10} {:>12} {:>12}   (pass --slo-ttft-ms/--slo-itl-ms to score)",
-            "eviction", "preemptions", "recomputes", "itl p99 ms", "itl max ms"
-        );
+        println!("   (pass --slo-ttft-ms/--slo-itl-ms to score)");
     }
-    let mut best: Option<(&'static str, f64)> = None;
-    for eviction in EVICTIONS {
-        sim = sim.policy(bundle_of(
-            serve.policy.admission,
-            eviction,
-            serve.policy.readmission,
-            serve.policy.mechanism,
-        ));
+    let mut best: Option<(&str, f64)> = None;
+    for (eviction, policy) in EVICTIONS {
+        sim = sim.policy(serve.policy(*policy));
         let r = sim.run(&args.model);
-        if scored {
-            println!(
-                "  {:<18} {:>11} {:>10} {:>12.1} {:>12.1} {:>10.1}% {:>11.2}",
-                eviction,
-                r.preemptions,
-                r.recomputes,
-                r.inter_token.p99.as_ms_f64(),
-                r.inter_token.max.as_ms_f64(),
-                r.slo_attainment * 100.0,
-                r.goodput_rps,
-            );
-            if best.is_none_or(|(_, b)| r.slo_attainment > b) {
-                best = Some((eviction, r.slo_attainment));
-            }
-        } else {
-            println!(
-                "  {:<18} {:>11} {:>10} {:>12.1} {:>12.1}",
-                eviction,
-                r.preemptions,
-                r.recomputes,
-                r.inter_token.p99.as_ms_f64(),
-                r.inter_token.max.as_ms_f64(),
-            );
+        print!(
+            "  {:<18} {:>11} {:>10} {:>12.1} {:>12.1}",
+            eviction,
+            r.preemptions,
+            r.recomputes,
+            r.inter_token.p99.as_ms_f64(),
+            r.inter_token.max.as_ms_f64(),
+        );
+        if !scored {
+            println!();
+            continue;
+        }
+        let attained = r.slo_attainment;
+        println!(" {:>10.1}% {:>11.2}", attained * 100.0, r.goodput_rps);
+        if best.is_none_or(|(_, b)| attained > b) {
+            best = Some((eviction, attained));
         }
     }
-    if let Some((winner, att)) = best {
-        println!(
-            "\n{winner} minimizes SLO violations ({:.1}% of requests within SLO).",
-            att * 100.0
-        );
+    if let Some((winner, attained)) = best {
+        let share = attained * 100.0;
+        println!("\n{winner} minimizes SLO violations ({share:.1}% of requests within SLO).");
     }
 }
 
 fn serve_main(args: &Args, serve: &ServeArgs) {
-    let mix_name = match serve.mix {
-        MixKind::Interactive => "interactive",
-        MixKind::DecodeHeavy => "decode-heavy",
-        MixKind::LongPrompt => "long-prompt",
-        MixKind::SharedPrefix => "shared-prefix (384-token class prefix)",
-        MixKind::AgentChain => "agent-chain workflow (4-node chain)",
-        MixKind::ToolFanout => "tool-fanout workflow (plan, 4 tools, join)",
-        MixKind::Speculative => "speculative workflow (racing branches)",
-        MixKind::Custom => "custom (50/50 interactive/batch tiers)",
-    };
     let cluster_label = match serve.disaggregate {
         Some((p, d)) => format!(
             "{p} prefill ({}) + {d} decode, {} migration",
-            serve.prefill_system.unwrap_or("same system"),
-            serve.migration,
+            serve.prefill_system.map_or("same system", |row| row.0),
+            serve.migration.0,
         ),
         None => format!("{} replica(s)", serve.replicas),
     };
     println!(
-        "serving {} | {mix_name} mix | {cluster_label} x {} device(s) | {} req at {} req/s\n",
-        args.model.name, args.system.devices, serve.requests, serve.rate
+        "serving {} | {} mix | {cluster_label} x {} device(s) | {} req at {} req/s\n",
+        args.model.name, serve.mix.1 .0, args.system.devices, serve.requests, serve.rate
     );
     if serve.compare_policies {
         compare_policies_main(args, serve);
         return;
     }
-    let modes: Vec<Scheduling> = if serve.disaggregate.is_some() || serve.mix.is_workflow() {
+    let config = serve.config(args.request);
+    let workflow = (!config.workflows.is_empty()).then_some("workflow mixes force");
+    let disaggregated = serve.disaggregate.map(|_| "--disaggregate forces");
+    let forced = disaggregated.or(workflow);
+    let modes = match (forced, serve.scheduling()) {
         // Role dispatch and the workflow DAG layer live in the
         // iteration-level loop; coerce and say so rather than assert
         // deep in the engine.
-        match serve.scheduling {
-            it @ Scheduling::IterationLevel { .. } => vec![it],
-            Scheduling::RequestLevel => {
-                if serve.disaggregate.is_some() {
-                    println!("(--disaggregate forces iteration-level scheduling)\n");
-                } else {
-                    println!("(workflow mixes force iteration-level scheduling)\n");
-                }
-                vec![Scheduling::IterationLevel {
-                    max_batch: serve.max_batch,
-                    prefill_chunk: serve.prefill_chunk,
-                    preempt: false,
-                }]
-            }
+        (Some(why), Scheduling::RequestLevel) => {
+            println!("({why} iteration-level scheduling)\n");
+            vec![serve.iteration_level(false)]
         }
-    } else if args.compare {
         // --compare contrasts request-level with the *configured*
         // iteration-level form (keeping any chunking/preemption knobs).
-        let iteration = match serve.scheduling {
-            it @ Scheduling::IterationLevel { .. } => it,
-            Scheduling::RequestLevel => Scheduling::iteration(8),
-        };
-        vec![Scheduling::RequestLevel, iteration]
-    } else {
-        vec![serve.scheduling]
+        (None, Scheduling::RequestLevel) if args.compare => {
+            vec![Scheduling::RequestLevel, Scheduling::iteration(8)]
+        }
+        (None, it @ Scheduling::IterationLevel { .. }) if args.compare => {
+            vec![Scheduling::RequestLevel, it]
+        }
+        (_, scheduling) => vec![scheduling],
     };
     // One engine across all modes: switching with `scheduling`
     // keeps the warm service/prefill/decode memos, so the second mode
     // and the sustainable-rate searches are queueing-only passes.
-    let mut sim = build_cluster(args, serve, modes[0]);
+    let mut sim = serve.cluster(args.system, config, modes[0]);
     if let Err((i, e)) = sim.fits(&args.model) {
         eprintln!("model does not fit replica {i}: {e}");
         std::process::exit(1);
     }
+    let scored = serve.slo().is_some();
     for scheduling in modes {
         sim = sim.scheduling(scheduling);
         let report = sim.run(&args.model);
-        print_serving_report(&scheduling_label(scheduling), &report, serve.slo.is_some());
+        print_serving_report(&scheduling_label(scheduling), &report, scored);
         if args.compare {
             let sustainable = sim.sustainable_rate(&args.model, 0.1, 512.0);
-            println!("{:<22} sustainable rate {sustainable:.1} req/s\n", "");
+            println!("{PAD:<22} sustainable rate {sustainable:.1} req/s\n");
         }
     }
 }
@@ -1031,7 +875,13 @@ fn print_report(label: &str, r: &RunReport) {
 }
 
 fn main() {
-    let args = parse();
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        if !e.is_empty() {
+            eprintln!("{e}");
+        }
+        eprintln!("{}", usage());
+        std::process::exit(2)
+    });
     if let Some(serve) = &args.serve {
         serve_main(&args, serve);
         return;
@@ -1044,7 +894,7 @@ fn main() {
         args.system.memory,
         args.system.devices
     );
-    match ianus::system::capacity::check_request(&args.system, &args.model, args.request) {
+    match capacity::check_request(&args.system, &args.model, args.request) {
         Ok(cap) => println!(
             "memory: {:.1}% of {} GiB per device (weights {} MiB, KV {} MiB)\n",
             cap.occupancy() * 100.0,
@@ -1054,7 +904,9 @@ fn main() {
         ),
         Err(e) => {
             eprintln!("request does not fit: {e}");
-            eprintln!("hint: add devices with --devices");
+            if let CapacityError::OutOfMemory { .. } = e {
+                eprintln!("hint: add devices with --devices");
+            }
             std::process::exit(1);
         }
     }
@@ -1064,11 +916,8 @@ fn main() {
     if let Some(t) = report.per_token_latency() {
         println!("{:<12} {:.3} ms per generated token", "", t.as_ms_f64());
     }
-    println!(
-        "{:<12} dynamic energy {:.2} mJ",
-        "",
-        report.energy.total_pj() / 1e9
-    );
+    let energy_mj = report.energy.total_pj() / 1e9;
+    println!("{:<12} dynamic energy {energy_mj:.2} mJ", "");
     println!("\nbusy time by class:");
     for class in OpClass::ALL {
         let t = report.breakdown.get(class);
@@ -1091,39 +940,146 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Every advertised name resolves to itself; `resolve` is the
-    /// single gate between flag values and the policy/mix matches, so
-    /// this pins the tables and those matches in sync (an accepted name
-    /// that later hit an `unreachable!` would be a parser bug).
+    fn parse_line(line: &str) -> Result<Args, String> {
+        parse(line.split_whitespace().map(String::from))
+    }
+
+    /// The argument lists of the `cargo run … --bin ianus -- …` command
+    /// lines among `lines`, backslash continuations joined.
+    fn ianus_command_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<String> {
+        let mut commands = Vec::new();
+        let mut open: Option<String> = None;
+        for line in lines {
+            let line = line.trim().trim_start_matches("//!").trim();
+            if let Some((_, args)) = line.split_once("--bin ianus -- ") {
+                open = Some(args.to_owned());
+            } else if let Some(command) = open.as_mut() {
+                command.push(' ');
+                command.push_str(line);
+            } else {
+                continue;
+            }
+            if !line.ends_with('\\') {
+                commands.extend(open.take());
+            }
+        }
+        commands.into_iter().map(|c| c.replace('\\', " ")).collect()
+    }
+
+    /// The module-doc examples and the CI runs parse.
     #[test]
-    fn known_names_resolve_and_build() {
-        for a in ADMISSIONS {
-            let _ = bundle_of(
-                resolve(a, &ADMISSIONS).expect("admission"),
-                resolve(EVICTIONS[0], &EVICTIONS).expect("eviction"),
-                resolve(READMISSIONS[0], &READMISSIONS).expect("readmission"),
-                resolve(MECHANISMS[0], &MECHANISMS).expect("mechanism"),
-            );
-        }
-        for e in EVICTIONS {
-            let _ = bundle_of("fcfs", e, "fifo", "swap");
-        }
-        for name in MIXES {
-            assert_eq!(resolve(name, &MIXES), Some(name));
-            assert!(MixKind::by_name(name).is_some(), "MIXES entry {name:?}");
+    fn documented_command_lines_parse() {
+        let source = include_str!("ianus.rs").lines();
+        let doc = ianus_command_lines(source.filter(|l| l.starts_with("//!")));
+        let ci = ianus_command_lines(include_str!("../../.github/workflows/ci.yml").lines());
+        assert_eq!((doc.len(), ci.len()), (9, 3), "{doc:#?}\n{ci:#?}");
+        for line in doc.iter().chain(&ci) {
+            if let Err(e) = parse_line(line) {
+                panic!("{line}: {e}");
+            }
         }
     }
 
-    /// Unknown values never resolve — the parse loop then reports the
-    /// flag's valid options instead of silently defaulting.
+    /// The module-doc synopsis lists exactly each table's names.
+    #[test]
+    fn synopsis_lists_every_table_name() {
+        let source = include_str!("ianus.rs");
+        let synopsis: String = source
+            .lines()
+            .skip_while(|l| !l.starts_with("//! ```text"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("//! ```"))
+            .map(|l| l.trim_start_matches("//!").trim())
+            .collect();
+        for (flag, names) in choices() {
+            let entry = format!("[{flag} {names}]");
+            assert!(synopsis.contains(&entry), "{entry} missing from {synopsis}");
+        }
+    }
+
+    /// Every name of every table parses and builds what it names.
+    #[test]
+    fn known_names_resolve_and_build() {
+        for (flag, names) in choices() {
+            for name in names.split('|') {
+                let line = format!("--serve --model gpt2-m {flag} {name}");
+                assert!(parse_line(&line).is_ok(), "{line}");
+            }
+        }
+        let serve = parse_line("--serve --model gpt2-m").unwrap().serve.unwrap();
+        for (_, eviction) in EVICTIONS {
+            let _ = serve.policy(*eviction);
+        }
+        for (_, admission) in ADMISSIONS {
+            let _ = admission();
+        }
+        for (_, readmission) in READMISSIONS {
+            let _ = readmission();
+        }
+        for (_, system) in SYSTEMS {
+            let _ = system();
+        }
+        // `usage()` calls each table's first row its default.
+        let pas = PasPolicy::ianus();
+        assert_eq!((FCS[0].1, ATTNS[0].1), (pas.fc, pas.attention));
+        assert_eq!(SCHEDULES[0].1, pas.schedule);
+        let shape = RequestShape::new(128, 64);
+        let config = || (MIXES[0].1 .1)(4.0, 10, shape);
+        for (_, setup) in PREFILL_SYSTEMS.iter().chain(MIGRATIONS) {
+            let _ = setup(ServingSim::new(config()));
+        }
+        for (_, (label, build)) in MIXES {
+            assert!(!label.is_empty());
+            let _ = build(4.0, 10, shape);
+        }
+        for (_, arrivals) in ARRIVALS {
+            assert_eq!(arrivals(4.0, 4.0, 2).validate(), Ok(()));
+        }
+    }
+
+    /// An unknown name is rejected with the flag's own valid options.
     #[test]
     fn unknown_names_are_rejected() {
-        assert_eq!(resolve("fifo-lifo", &ADMISSIONS), None);
-        assert_eq!(resolve("widest", &ADMISSIONS), None);
-        assert_eq!(resolve("biggest-kv", &EVICTIONS), None);
-        assert_eq!(resolve("agentchain", &MIXES), None);
-        assert_eq!(resolve("", &MIXES), None);
-        assert!(MixKind::by_name("agent_chain").is_none());
+        for (flag, names) in choices() {
+            for bad in ["fifo-lifo", "agent_chain", "IANUS"] {
+                let err = parse_line(&format!("--serve {flag} {bad}")).err();
+                let want = format!(
+                    "unknown {flag} value {bad:?}; valid options: {}",
+                    names.replace('|', ", ")
+                );
+                assert_eq!(err, Some(want));
+            }
+        }
+    }
+
+    /// A bad number names its flag; an SLO past 2^64 ps, or a class
+    /// shape past the model, is rejected before any engine runs.
+    #[test]
+    fn bad_values_name_their_flag() {
+        let err = |line: &str| parse_line(line).err().unwrap_or_default();
+        assert_eq!(err("--rate x"), "--rate takes a number, not \"x\"");
+        assert_eq!(err("--serve --tenants"), "--tenants needs a value");
+        assert_eq!(err("--devices 0"), "--devices must be at least 1");
+        assert!(err("--disaggregate 0:2").starts_with("--disaggregate takes P:D"));
+        assert!(err("--serve --burst-factor NaN").starts_with("--burst-factor must be"));
+        for flag in ["--slo-ttft-ms", "--slo-itl-ms"] {
+            let line = format!("--serve --model gpt2-m {flag} 18446744074");
+            assert_eq!(
+                err(&line),
+                format!("{flag} 18446744074 is past the representable range")
+            );
+            assert!(parse_line(&format!("--serve --model gpt2-m {flag} 18446744073")).is_ok());
+        }
+        let custom = "--serve --model gpt2-m --mix custom --input 2000 --output 64";
+        for scheduling in ["request", "iteration"] {
+            assert_eq!(
+                err(&format!("{custom} --scheduling {scheduling}")),
+                "--mix custom class (2000, 64) does not fit: \
+                 sequence of 2063 tokens exceeds the model maximum of 1024"
+            );
+        }
+        // The single-request path keeps its own capacity report.
+        assert!(parse_line("--model gpt2-m --input 2000 --output 64").is_ok());
     }
 
     /// Rates, replica counts and batch caps the engine cannot run are
@@ -1149,6 +1105,13 @@ mod tests {
         );
     }
 
+    /// The named mix's config at one `--input`/`--output` shape (zero
+    /// lengths included).
+    fn mix(name: &str, input: u64, output: u64) -> ServingConfig {
+        let (_, (_, build)) = choose("--mix", name.to_owned(), MIXES).expect("mix name");
+        build(4.0, 10, RequestShape { input, output })
+    }
+
     /// Degenerate shapes, and generation on an encoder-only model, are
     /// rejected before any system is built.
     #[test]
@@ -1158,12 +1121,15 @@ mod tests {
         assert_eq!(check_request(&gpt, 0, 8, None), degenerate);
         assert_eq!(check_request(&gpt, 128, 0, None), degenerate);
         assert_eq!(
-            check_request(&gpt, 0, 8, Some(MixKind::Interactive)),
+            check_request(&gpt, 0, 8, Some(&mix("interactive", 0, 8))),
             degenerate
         );
         assert_eq!(check_request(&gpt, 128, 64, None), Ok(()));
         assert_eq!(check_request(&bert, 128, 1, None), Ok(()));
-        assert_eq!(check_request(&bert, 128, 1, Some(MixKind::Custom)), Ok(()));
+        assert_eq!(
+            check_request(&bert, 128, 1, Some(&mix("custom", 128, 1))),
+            Ok(())
+        );
         let encoder_only = |fix: &str| {
             Err(format!(
                 "BERT-L is encoder-only and has no generation stage: run it with {fix}"
@@ -1173,14 +1139,14 @@ mod tests {
             check_request(&bert, 128, 64, None),
             encoder_only("--output 1")
         );
-        for mix in [MixKind::Custom, MixKind::Interactive] {
+        for name in ["custom", "interactive"] {
             assert_eq!(
-                check_request(&bert, 128, 64, Some(mix)),
+                check_request(&bert, 128, 64, Some(&mix(name, 128, 64))),
                 encoder_only("--mix custom --output 1")
             );
         }
         assert_eq!(
-            check_request(&bert, 128, 1, Some(MixKind::Interactive)),
+            check_request(&bert, 128, 1, Some(&mix("interactive", 128, 1))),
             encoder_only("--mix custom --output 1")
         );
     }
@@ -1191,48 +1157,13 @@ mod tests {
     #[test]
     fn workflow_mixes_build_workflow_configs() {
         for (name, nodes) in [("agent-chain", 4), ("tool-fanout", 6), ("speculative", 5)] {
-            let mix = MixKind::by_name(name).expect("workflow mix name");
-            assert!(mix.is_workflow());
-            let serve = test_serve_args(mix);
-            let cfg = serving_config(&serve, RequestShape::new(128, 64));
+            let cfg = mix(name, 128, 64);
             assert!(cfg.mix.is_empty());
             assert_eq!(cfg.workflows.len(), 1);
             assert_eq!(cfg.workflows[0].node_count(), nodes);
         }
-        let flat = serving_config(
-            &test_serve_args(MixKind::Interactive),
-            RequestShape::new(128, 64),
-        );
+        let flat = mix("interactive", 128, 64);
         assert!(flat.workflows.is_empty());
         assert!(!flat.mix.is_empty());
-    }
-
-    fn test_serve_args(mix: MixKind) -> ServeArgs {
-        ServeArgs {
-            replicas: 1,
-            rate: 4.0,
-            requests: 10,
-            mix,
-            scheduling: Scheduling::iteration(8),
-            max_batch: 8,
-            prefill_chunk: None,
-            policy: PolicyNames {
-                admission: "fcfs",
-                eviction: "lowest-priority",
-                readmission: "fifo",
-                mechanism: "swap",
-            },
-            slo: None,
-            compare_policies: false,
-            host_kv: None,
-            overlap_dma: false,
-            kv_block: 0,
-            disaggregate: None,
-            prefill_system: None,
-            migration: "least-loaded",
-            arrivals: "poisson",
-            burst_factor: 4.0,
-            tenants: 2,
-        }
     }
 }

@@ -187,3 +187,22 @@ fn cli_rejects_zero_devices_with_usage() {
     assert!(stderr.contains("--devices must be at least 1"), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
 }
+
+#[test]
+fn cli_rejects_a_mix_shape_past_the_model_without_a_panic() {
+    // A served class longer than GPT-2 M's positional table is a usage
+    // error at parse time, at either scheduling level.
+    for scheduling in ["request", "iteration"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ianus"))
+            .args(["--serve", "--model", "gpt2-m", "--mix", "custom"])
+            .args(["--input", "2000", "--output", "64", "--requests", "5"])
+            .args(["--scheduling", scheduling])
+            .output()
+            .expect("the ianus CLI runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("exceeds the model maximum"), "{stderr}");
+        assert!(out.stdout.is_empty());
+    }
+}
