@@ -517,8 +517,10 @@ impl Compiler {
     /// `past` is emitted here, so re-timing runs this emitter alone.
     fn generation_head(&mut self, core: u32, past: u64, ln: CmdId) -> CmdId {
         match self.cfg.pas.attention {
-            AttnMapping::MatrixUnit => self.generation_head_mu(core, past, ln),
-            AttnMapping::Pim => self.generation_head_pim(core, past, ln),
+            AttnMapping::Pim if self.pim.is_some() => self.generation_head_pim(core, past, ln),
+            // Like `FcMapping::Pim`, PIM attention falls back to the
+            // matrix unit on a system without PIM compute.
+            _ => self.generation_head_mu(core, past, ln),
         }
     }
 

@@ -197,13 +197,9 @@ impl EngineCore<'_> {
             };
             let pi = window[wi].0;
             let cand = &wait.arrivals[pi];
-            // A request that can never be served — its sequence
-            // exceeds the model's positional table, or it does not
-            // fit even an empty replica — must panic rather than
-            // block the queue (non-preempt) or be optimistically
-            // admitted into an eviction storm that no swap can
-            // resolve (preempt gates on current lengths, which
-            // would miss the final-length violation).
+            // An invariant: `validate` admitted every class on an
+            // empty replica. A refusal there would block the queue
+            // (non-preempt) or admit an eviction storm (preempt).
             if let Err(e) = replicas
                 .backend(r)
                 .batch_fits(model, std::slice::from_ref(&cand.shape))

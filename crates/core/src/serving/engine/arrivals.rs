@@ -15,6 +15,7 @@
 //! bisection probes) replay identical traces — including identical
 //! per-tenant sub-traces under [`ArrivalSpec::MultiTenant`].
 
+use super::preflight::{positive, ConfigError};
 use super::workflow_rt::{WfCtx, WfTag};
 use super::ServingSim;
 use crate::serving::workflow::WorkflowRun;
@@ -210,64 +211,58 @@ impl ArrivalSpec {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first violated constraint:
-    /// diurnal amplitude outside `[0, 1)` or non-positive period,
-    /// MMPP burst factor below 1 or non-positive dwell times, an empty
-    /// tenant list, a non-positive tenant share, a nested multi-tenant
-    /// spec, or a per-tenant mix override with non-positive weights.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The first violated constraint, as a [`ConfigError`] from
+    /// `DiurnalAmplitude` to `TenantWeights`: an amplitude in `[0, 1)`,
+    /// a finite burst factor of at least 1, and positive, finite
+    /// periods, dwell times, shares and weights; tenants present and
+    /// not nested.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
-            ArrivalSpec::Poisson => Ok(()),
-            ArrivalSpec::Diurnal {
+            ArrivalSpec::Poisson => {}
+            &ArrivalSpec::Diurnal {
                 amplitude,
                 period_secs,
             } => {
-                if !(0.0..1.0).contains(amplitude) {
-                    return Err(format!("diurnal amplitude {amplitude} outside [0, 1)"));
+                if !(0.0..1.0).contains(&amplitude) {
+                    return Err(ConfigError::DiurnalAmplitude(amplitude));
                 }
-                if period_secs.is_nan() || *period_secs <= 0.0 {
-                    return Err(format!("diurnal period {period_secs} must be positive"));
+                if !positive(period_secs) {
+                    return Err(ConfigError::DiurnalPeriod(period_secs));
                 }
-                Ok(())
             }
-            ArrivalSpec::Mmpp {
+            &ArrivalSpec::Mmpp {
                 burst_factor,
                 burst_secs,
                 calm_secs,
             } => {
-                if burst_factor.is_nan() || *burst_factor < 1.0 {
-                    return Err(format!("MMPP burst factor {burst_factor} must be ≥ 1"));
+                if !(burst_factor >= 1.0 && burst_factor.is_finite()) {
+                    return Err(ConfigError::BurstFactor(burst_factor));
                 }
-                if burst_secs.is_nan()
-                    || *burst_secs <= 0.0
-                    || calm_secs.is_nan()
-                    || *calm_secs <= 0.0
-                {
-                    return Err("MMPP dwell times must be positive".to_string());
+                if let Some(&d) = [burst_secs, calm_secs].iter().find(|&&d| !positive(d)) {
+                    return Err(ConfigError::DwellTime(d));
                 }
-                Ok(())
             }
             ArrivalSpec::MultiTenant { tenants } => {
                 if tenants.is_empty() {
-                    return Err("multi-tenant spec has no tenants".to_string());
+                    return Err(ConfigError::NoTenants);
                 }
                 for (k, t) in tenants.iter().enumerate() {
-                    if t.share.is_nan() || t.share <= 0.0 {
-                        return Err(format!("tenant {k} share {} must be positive", t.share));
+                    if !positive(t.share) {
+                        return Err(ConfigError::TenantShare(k, t.share));
                     }
                     if matches!(t.inner, ArrivalSpec::MultiTenant { .. }) {
-                        return Err(format!("tenant {k} nests a multi-tenant spec"));
+                        return Err(ConfigError::NestedTenants(k));
                     }
                     t.inner.validate()?;
                     if let Some(w) = &t.mix_weights {
-                        if w.is_empty() || !w.iter().all(|&x| x > 0.0) {
-                            return Err(format!("tenant {k} mix weights must be positive"));
+                        if w.is_empty() || !w.iter().all(|&x| positive(x)) {
+                            return Err(ConfigError::TenantWeights(k));
                         }
                     }
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// Builds the runtime process for one run: a deterministic function

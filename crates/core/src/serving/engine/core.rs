@@ -15,13 +15,13 @@
 use super::admission::WaitQueue;
 use super::batch::{Batch, BatchState};
 use super::dma_retire::{LaneClocks, LaneQueue};
-use super::kv_state::{build_paged_pools, KvLedger};
+use super::kv_state::{paged_blocks, KvLedger};
 use super::migrate::MigrationState;
 use super::replica::Replicas;
 use super::workflow_rt::WorkflowRt;
 use super::{CoreMode, ServingSim, TimeKey};
 use crate::serving::dma::DmaChannels;
-use crate::serving::kv::prefix_key;
+use crate::serving::kv::{prefix_key, PagedKv};
 use crate::serving::policy::{MigrationPolicy, SchedulerPolicy};
 use crate::serving::report::RunStats;
 use crate::serving::{ReplicaRole, RequestClass};
@@ -207,7 +207,13 @@ impl ServingSim {
             .enumerate()
             .map(|(i, c)| (c.prefix_tokens > 0).then(|| prefix_key(i, c.prefix_tokens)))
             .collect();
-        let paged = build_paged_pools(&self.replicas, self.kv_block, model, &mix);
+        let mut paged = Vec::with_capacity(n);
+        for (r, b) in self.replicas.backends().enumerate() {
+            // An invariant: `validate` reported a pool this short.
+            let blocks = paged_blocks(b, r, self.kv_block, model, &mix);
+            let blocks = blocks.unwrap_or_else(|e| panic!("{e}"));
+            paged.push(blocks.map(|blocks| PagedKv::new(blocks, self.kv_block)));
+        }
         // Decode pool for prefill→decode migrations (empty outside
         // disaggregated runs — prefill replicas then decode locally).
         let decode_pool: Vec<usize> = (0..n)

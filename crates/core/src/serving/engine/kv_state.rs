@@ -12,7 +12,9 @@
 
 use super::batch::ActiveSeq;
 use super::core::EngineCore;
+use super::preflight::ConfigError;
 use super::replica::Replicas;
+use crate::backend::Backend;
 use crate::serving::dma::DmaLane;
 use crate::serving::kv::PagedKv;
 use crate::serving::policy::{EvictionMechanism, SeqView};
@@ -41,45 +43,33 @@ pub(super) struct KvLedger {
     pub(super) swap_count: u64,
 }
 
-/// Builds the per-replica paged pools for one run: `Some` where a block
-/// size is set and the backend reports a block budget, `None` keeps
-/// contiguous accounting on that replica. Panics when a mix shape
-/// could never fit an empty replica's block budget (the paged analogue
-/// of the never-admittable admission guard).
-pub(super) fn build_paged_pools(
-    replicas: &Replicas,
+/// Replica `r`'s paged block count, or `None` to keep contiguous
+/// accounting (no block size, or no block budget on the backend); a
+/// [`ConfigError::KvBlocks`] when the empty pool cannot hold the
+/// largest `mix` sequence, so the run could only livelock.
+pub(super) fn paged_blocks(
+    backend: &dyn Backend,
+    r: usize,
     kv_block: u64,
     model: &ModelConfig,
     mix: &[RequestClass],
-) -> Vec<Option<PagedKv>> {
+) -> Result<Option<u64>, ConfigError> {
     let widest_input = mix.iter().map(|c| c.shape.input).max().unwrap_or(1);
-    let mut paged: Vec<Option<PagedKv>> = Vec::with_capacity(replicas.len());
-    for (i, backend) in replicas.backends().enumerate() {
-        let p = (kv_block > 0)
-            .then(|| backend.kv_budget_bytes(model, widest_input))
-            .flatten()
-            .map(|budget| {
-                let block_bytes = crate::capacity::kv_swap_bytes(model, kv_block).max(1);
-                let total_blocks = budget / block_bytes;
-                // The paged analogue of the never-admittable
-                // admission guard: every mix shape must fit an
-                // empty replica, or the run could only livelock.
-                let need = mix
-                    .iter()
-                    .map(|c| c.shape.total_tokens().div_ceil(kv_block))
-                    .max()
-                    .unwrap_or(1);
-                assert!(
-                    total_blocks >= need,
-                    "kv_block {kv_block}: replica {i} ({}) holds {total_blocks} KV blocks but the \
-                     largest mix sequence needs {need} — shrink the block size or the shapes",
-                    backend.name(),
-                );
-                PagedKv::new(total_blocks, kv_block)
-            });
-        paged.push(p);
+    let Some(budget) = (kv_block > 0)
+        .then(|| backend.kv_budget_bytes(model, widest_input))
+        .flatten()
+    else {
+        return Ok(None);
+    };
+    let blocks = budget / crate::capacity::kv_swap_bytes(model, kv_block).max(1);
+    let sequences = mix
+        .iter()
+        .map(|c| c.shape.total_tokens().div_ceil(kv_block));
+    let need = sequences.max().unwrap_or(1);
+    if blocks < need {
+        return Err(ConfigError::KvBlocks(r, kv_block, blocks, need));
     }
-    paged
+    Ok(Some(blocks))
 }
 
 /// The eviction-cost estimates of `seq` on replica `r`, as

@@ -16,6 +16,7 @@
 //! | `migrate`     | `MigrationState`   | decode pool, prefill→decode handoff         |
 //! | `workflow_rt` | `WorkflowRt`       | workflow instances, completion fan-out      |
 //! | `core`        | `EngineCore`       | layer composition, turn loop, `Turns`       |
+//! | `preflight`   | [`ConfigError`]    | `validate`: whether a run can start         |
 //!
 //! This module keeps the public facade: [`ServingSim`] (builders, `run`,
 //! the rate sweeps) and [`CoreMode`]. Behavior is bit-identical to the
@@ -29,6 +30,7 @@ mod decode;
 mod dma_retire;
 mod kv_state;
 mod migrate;
+mod preflight;
 mod replica;
 mod workflow_rt;
 
@@ -36,9 +38,11 @@ pub use arrivals::{
     ArrivalDraw, ArrivalProcess, ArrivalSpec, DiurnalArrivals, MmppArrivals, MultiTenantArrivals,
     PoissonArrivals, TenantSpec,
 };
+pub use preflight::{check_generation, ConfigError};
 
 use self::replica::Replicas;
 use super::policy::{LeastLoadedMigration, MigrationPolicy, SchedulerPolicy};
+use super::report::RunStats;
 use super::DispatchPolicy;
 use super::{
     DisaggregationConfig, ReplicaRole, RequestClass, Scheduling, ServingConfig, ServingReport,
@@ -393,19 +397,6 @@ impl ServingSim {
         self.cfg.arrival_rate_hz = arrival_rate_hz;
     }
 
-    /// Checks that `model` is resident on every replica.
-    ///
-    /// # Errors
-    ///
-    /// The first replica's [`CapacityError`](crate::capacity::CapacityError),
-    /// tagged with its index, if any replica cannot hold the model.
-    pub fn fits(&self, model: &ModelConfig) -> Result<(), (usize, crate::capacity::CapacityError)> {
-        for (i, b) in self.replicas.backends().enumerate() {
-            b.fits(model).map_err(|e| (i, e))?;
-        }
-        Ok(())
-    }
-
     /// Runs the simulation for `model` and reports cluster statistics.
     ///
     /// Zero configured requests yield an all-zero report rather than a
@@ -413,89 +404,30 @@ impl ServingSim {
     ///
     /// # Panics
     ///
-    /// Panics if no replicas were added, the mix is empty, a weight is
-    /// non-positive, the arrival rate is non-positive, the arrival
-    /// spec is invalid, an iteration-level `max_batch` or
-    /// `prefill_chunk` is zero, or (iteration-level only) a mix shape
-    /// can never be admitted on some replica even with an empty batch.
+    /// Panics with [`validate`](Self::validate)'s error when the run
+    /// cannot start.
     pub fn run(&mut self, model: &ModelConfig) -> ServingReport {
-        assert!(!self.replicas.is_empty(), "serving cluster has no replicas");
-        let workflow_mode = !self.cfg.workflows.is_empty();
-        if workflow_mode {
-            assert!(
-                self.cfg.mix.is_empty(),
-                "a config drives either a flat mix or workflows, not both"
-            );
-            assert!(
-                self.cfg.workflows.iter().all(|t| t.weight > 0.0),
-                "workflow weights must be positive"
-            );
-            for (i, t) in self.cfg.workflows.iter().enumerate() {
-                if let Err(e) = t.validate() {
-                    panic!("workflow template {i} is invalid: {e}");
-                }
-            }
+        if let Err(e) = self.validate(model) {
+            panic!("{e}");
+        }
+        let mix = self.effective_mix();
+        let stats = if self.cfg.requests == 0 {
+            let tenants = self.cfg.arrivals.tenant_count();
+            RunStats::new(self.replicas.len(), mix.len(), 0, tenants)
         } else {
-            assert!(!self.cfg.mix.is_empty(), "request mix must be non-empty");
-            assert!(
-                self.cfg.mix.iter().all(|c| c.weight > 0.0),
-                "weights must be positive"
-            );
-        }
-        assert!(
-            self.cfg.arrival_rate_hz > 0.0,
-            "arrival rate must be positive"
-        );
-        if let Err(e) = self.cfg.arrivals.validate() {
-            panic!("invalid arrival spec: {e}");
-        }
-        if self.cfg.requests == 0 {
-            return ServingReport::empty(
-                self.replicas
-                    .backends()
-                    .zip(&self.roles)
-                    .map(|(b, &role)| (b.name().to_string(), role))
-                    .collect(),
-                &self.effective_mix(),
-                self.cfg.arrivals.tenant_count(),
-            );
-        }
-        self.replicas.group();
-        self.replicas.resolve(model);
-        let stats = match self.scheduling {
-            Scheduling::RequestLevel => {
-                assert!(
-                    self.roles.iter().all(|&ro| ro == ReplicaRole::Unified),
-                    "replica roles (disaggregation) require iteration-level scheduling"
-                );
-                assert!(
-                    !workflow_mode,
-                    "workflow mixes require iteration-level scheduling"
-                );
-                self.run_request_level()
-            }
-            Scheduling::IterationLevel {
-                max_batch,
-                prefill_chunk,
-                preempt,
-            } => {
-                assert!(max_batch >= 1, "max_batch must be at least 1");
-                assert!(prefill_chunk != Some(0), "prefill chunk must be positive");
-                assert!(
-                    self.roles.iter().any(|&ro| ro != ReplicaRole::DecodeOnly),
-                    "every replica is decode-only: arrivals could never be admitted"
-                );
-                self.run_iteration_level(model, max_batch, prefill_chunk, preempt)
+            self.replicas.group();
+            self.replicas.resolve(model);
+            match self.scheduling {
+                Scheduling::RequestLevel => self.run_request_level(),
+                Scheduling::IterationLevel {
+                    max_batch,
+                    prefill_chunk,
+                    preempt,
+                } => self.run_iteration_level(model, max_batch, prefill_chunk, preempt),
             }
         };
-        stats.into_report(
-            &self.effective_mix(),
-            self.replicas
-                .backends()
-                .zip(&self.roles)
-                .map(|(b, &role)| (b.name().to_string(), role))
-                .collect(),
-        )
+        let names = self.replicas.backends().map(|b| b.name().to_string());
+        stats.into_report(&mix, names.zip(self.roles.iter().copied()).collect())
     }
 
     /// The request-class list the run's per-class accounting is keyed

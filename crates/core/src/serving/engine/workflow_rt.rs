@@ -254,25 +254,15 @@ pub(super) fn effective_mix(cfg: &ServingConfig) -> Vec<RequestClass> {
 /// derived once from the validated templates.
 pub(super) fn workflow_ctx(cfg: &ServingConfig) -> WfCtx {
     let templates = cfg.workflows.clone();
-    let mut base = Vec::with_capacity(templates.len());
+    let mix = effective_mix(cfg);
+    let (mut base, mut shapes) = (Vec::new(), Vec::new());
     let mut next = 0usize;
     for tpl in &templates {
         base.push(next);
+        let nodes = &mix[next..next + tpl.node_count()];
+        shapes.push(nodes.iter().map(|c| c.shape).collect());
         next += tpl.node_count();
     }
-    let shapes = templates
-        .iter()
-        .map(|tpl| {
-            tpl.effective_inputs()
-                .into_iter()
-                .enumerate()
-                .map(|(node, eff)| RequestShape {
-                    input: eff,
-                    output: tpl.nodes[node].shape.output,
-                })
-                .collect()
-        })
-        .collect();
     let blocked = templates.iter().map(|t| t.blocked_descendants()).collect();
     WfCtx {
         templates,

@@ -206,8 +206,8 @@ mod report;
 mod tests;
 
 pub use engine::{
-    ArrivalDraw, ArrivalProcess, ArrivalSpec, CoreMode, DiurnalArrivals, MmppArrivals,
-    MultiTenantArrivals, PoissonArrivals, ServingSim, TenantSpec,
+    check_generation, ArrivalDraw, ArrivalProcess, ArrivalSpec, ConfigError, CoreMode,
+    DiurnalArrivals, MmppArrivals, MultiTenantArrivals, PoissonArrivals, ServingSim, TenantSpec,
 };
 pub use policy::{
     AdmissionPolicy, EvictionMechanism, EvictionPolicy, MigrationPolicy, ReadmissionPolicy,
@@ -374,24 +374,9 @@ impl ServingConfig {
         self
     }
 
-    /// Replaces the arrival rate (builder style).
-    ///
-    /// This is the cold-start form; for sweeping rates over one warm
-    /// engine, [`ServingSim::set_rate`] is the canonical entry and
-    /// documents the rate-sweep contract (memos survive, the trace is
-    /// re-seeded per run).
-    pub fn with_rate(mut self, arrival_rate_hz: f64) -> Self {
-        self.arrival_rate_hz = arrival_rate_hz;
-        self
-    }
-
     /// Replaces the arrival-process shape (builder style; see
-    /// [`ArrivalSpec`]). Panics if `spec` is invalid — a malformed
-    /// spec would otherwise only surface at [`ServingSim::run`] time.
+    /// [`ArrivalSpec`]). [`ServingSim::validate`] checks it.
     pub fn arrivals(mut self, spec: ArrivalSpec) -> Self {
-        if let Err(e) = spec.validate() {
-            panic!("invalid arrival spec: {e}");
-        }
         self.arrivals = spec;
         self
     }
@@ -403,16 +388,12 @@ impl ServingConfig {
     /// per-token latency instead.
     pub fn decode_heavy(arrival_rate_hz: f64, requests: u64) -> Self {
         ServingConfig {
-            arrival_rate_hz,
-            requests,
-            seed: 0x5EED,
             mix: vec![
                 RequestClass::new(RequestShape::new(32, 128), 0.5),
                 RequestClass::new(RequestShape::new(64, 256), 0.35),
                 RequestClass::new(RequestShape::new(128, 512), 0.15),
             ],
-            workflows: vec![],
-            arrivals: ArrivalSpec::Poisson,
+            ..Self::interactive(arrival_rate_hz, requests)
         }
     }
 
@@ -426,15 +407,11 @@ impl ServingConfig {
     /// interactive under the default) earns its keep.
     pub fn long_prompt(arrival_rate_hz: f64, requests: u64) -> Self {
         ServingConfig {
-            arrival_rate_hz,
-            requests,
-            seed: 0x5EED,
             mix: vec![
                 RequestClass::new(RequestShape::new(128, 32), 0.75),
                 RequestClass::new(RequestShape::new(896, 64), 0.25).with_priority(Priority::Batch),
             ],
-            workflows: vec![],
-            arrivals: ArrivalSpec::Poisson,
+            ..Self::interactive(arrival_rate_hz, requests)
         }
     }
 
@@ -451,17 +428,13 @@ impl ServingConfig {
     pub fn shared_prefix(arrival_rate_hz: f64, requests: u64) -> Self {
         let shape = RequestShape::new(512, 512);
         ServingConfig {
-            arrival_rate_hz,
-            requests,
-            seed: 0x5EED,
             mix: vec![
                 RequestClass::new(shape, 0.5).with_shared_prefix(384),
                 RequestClass::new(shape, 0.5)
                     .with_priority(Priority::Batch)
                     .with_shared_prefix(384),
             ],
-            workflows: vec![],
-            arrivals: ArrivalSpec::Poisson,
+            ..Self::interactive(arrival_rate_hz, requests)
         }
     }
 
@@ -482,12 +455,9 @@ impl ServingConfig {
             }
         }
         ServingConfig {
-            arrival_rate_hz,
-            requests,
-            seed: 0x5EED,
             mix: vec![],
             workflows,
-            arrivals: ArrivalSpec::Poisson,
+            ..Self::interactive(arrival_rate_hz, requests)
         }
     }
 }

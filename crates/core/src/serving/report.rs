@@ -343,7 +343,8 @@ pub struct ServingReport {
     /// [`Slo`](super::Slo). Requests whose class has no SLO trivially
     /// attain, so a mix without SLOs reports 1.0 and
     /// [`goodput_rps`](Self::goodput_rps) equals
-    /// [`throughput_rps`](Self::throughput_rps).
+    /// [`throughput_rps`](Self::throughput_rps). With no completions it
+    /// reads 1.0, like every per-class and per-tenant attainment.
     pub slo_attainment: f64,
     /// Mean **compute**-busy fraction across replicas (prefill + decode
     /// iterations; KV swap DMA lives in [`kv_dma`](Self::kv_dma) and
@@ -456,84 +457,15 @@ impl ServingReport {
             && self.utilization < 0.95
             && self.sojourn.p99.as_ns_f64() < 20.0 * self.mean_service.as_ns_f64()
     }
+}
 
-    /// The all-zero report of an empty (zero-request) simulation, with
-    /// `tenants` zeroed per-tenant rows.
-    pub(crate) fn empty(
-        replicas: Vec<(String, ReplicaRole)>,
-        mix: &[RequestClass],
-        tenants: u32,
-    ) -> Self {
-        ServingReport {
-            completed: 0,
-            mean_service: Duration::ZERO,
-            sojourn: LatencyPercentiles::ZERO,
-            ttft: LatencyPercentiles::ZERO,
-            inter_token: LatencyPercentiles::ZERO,
-            peak_batch: 0,
-            peak_kv_occupancy: 0.0,
-            preemptions: 0,
-            recomputes: 0,
-            preempted_requests: 0,
-            max_preemptions: 0,
-            host_kv_peak_bytes: 0,
-            host_kv_peak_occupancy: 0.0,
-            kv_dma: Duration::ZERO,
-            swap_stall: Duration::ZERO,
-            migrations: 0,
-            migration_stall: Duration::ZERO,
-            slo_attainment: 1.0,
-            utilization: 0.0,
-            throughput_rps: 0.0,
-            goodput_rps: 0.0,
-            fragmentation: 0.0,
-            prefix_share_ratio: 0.0,
-            prefix_cache_hits: 0,
-            ttft_cache_hit: LatencyPercentiles::ZERO,
-            ttft_cold: LatencyPercentiles::ZERO,
-            workflow_latency: LatencyPercentiles::ZERO,
-            workflow_slo_attainment: 1.0,
-            completed_workflows: 0,
-            cancelled_nodes: 0,
-            inherited_prefix_ratio: 0.0,
-            burst_inter_token: LatencyPercentiles::ZERO,
-            burst_slo_attainment: 1.0,
-            tenant_fairness: 1.0,
-            per_tenant: (0..tenants)
-                .map(|t| TenantReport {
-                    tenant: t,
-                    completed: 0,
-                    sojourn: LatencyPercentiles::ZERO,
-                    slo_attainment: 1.0,
-                    goodput_rps: 0.0,
-                })
-                .collect(),
-            per_class: mix
-                .iter()
-                .map(|c| ClassReport {
-                    shape: c.shape,
-                    completed: 0,
-                    sojourn: LatencyPercentiles::ZERO,
-                    preemptions: 0,
-                    recomputes: 0,
-                    slo_attainment: 1.0,
-                })
-                .collect(),
-            per_replica: replicas
-                .into_iter()
-                .map(|(name, role)| ReplicaReport {
-                    name,
-                    completed: 0,
-                    utilization: 0.0,
-                    kv_dma: Duration::ZERO,
-                    role,
-                    migrations_in: 0,
-                    migrations_out: 0,
-                })
-                .collect(),
-            diverged: false,
-        }
+/// The share of `completed` requests that met their SLO: 1.0 with no
+/// completions, which missed nothing.
+fn attainment(attained: u64, completed: u64) -> f64 {
+    if completed == 0 {
+        return 1.0;
     }
+    attained as f64 / completed as f64
 }
 
 /// Raw samples out of either scheduling engine, before percentile
@@ -740,6 +672,9 @@ impl RunStats {
         replicas: Vec<(String, ReplicaRole)>,
     ) -> ServingReport {
         let n = replicas.len();
+        // Rates over the run's span; an empty span has none.
+        let span = self.last_finish;
+        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
         let per_class = mix
             .iter()
             .enumerate()
@@ -752,11 +687,7 @@ impl RunStats {
                     sojourn: LatencyPercentiles::of(cs),
                     preemptions: self.class_preemptions[i],
                     recomputes: self.class_recomputes[i],
-                    slo_attainment: if completed == 0 {
-                        1.0
-                    } else {
-                        self.class_attained[i] as f64 / completed as f64
-                    },
+                    slo_attainment: attainment(self.class_attained[i], completed),
                 }
             })
             .collect();
@@ -767,11 +698,7 @@ impl RunStats {
                 name,
                 role,
                 completed: self.served[i],
-                utilization: if self.last_finish > 0.0 {
-                    (self.busy[i] / self.last_finish).min(1.0)
-                } else {
-                    0.0
-                },
+                utilization: per_sec(self.busy[i]).min(1.0),
                 kv_dma: Duration::from_secs_f64(self.dma[i]),
                 migrations_in: self.migrated_in[i],
                 migrations_out: self.migrated_out[i],
@@ -791,16 +718,8 @@ impl RunStats {
                     tenant: t as u32,
                     completed,
                     sojourn: LatencyPercentiles::of(ts),
-                    slo_attainment: if completed == 0 {
-                        1.0
-                    } else {
-                        self.tenant_attained[t] as f64 / completed as f64
-                    },
-                    goodput_rps: if self.last_finish > 0.0 {
-                        self.tenant_attained[t] as f64 / self.last_finish
-                    } else {
-                        0.0
-                    },
+                    slo_attainment: attainment(self.tenant_attained[t], completed),
+                    goodput_rps: per_sec(self.tenant_attained[t] as f64),
                 }
             })
             .collect();
@@ -860,13 +779,12 @@ impl RunStats {
             prefix_cache_hits: self.prefix_hits,
             ttft_cache_hit: LatencyPercentiles::of(&mut self.ttft_hits),
             ttft_cold: LatencyPercentiles::of(&mut self.ttft_colds),
-            slo_attainment: self.attained as f64 / completions.max(1) as f64,
+            slo_attainment: attainment(self.attained, completions),
             workflow_latency: LatencyPercentiles::of(&mut self.workflow_latencies),
-            workflow_slo_attainment: if self.workflow_latencies.is_empty() {
-                1.0
-            } else {
-                self.workflow_attained as f64 / self.workflow_latencies.len() as f64
-            },
+            workflow_slo_attainment: attainment(
+                self.workflow_attained,
+                self.workflow_latencies.len() as u64,
+            ),
             completed_workflows: self.workflow_latencies.len() as u64,
             cancelled_nodes: self.cancelled_nodes,
             inherited_prefix_ratio: if self.inheritable_tokens > 0 {
@@ -875,11 +793,7 @@ impl RunStats {
                 0.0
             },
             burst_inter_token: self.burst_itls.percentiles(),
-            burst_slo_attainment: if self.burst_completed == 0 {
-                1.0
-            } else {
-                self.burst_attained as f64 / self.burst_completed as f64
-            },
+            burst_slo_attainment: attainment(self.burst_attained, self.burst_completed),
             tenant_fairness,
             per_tenant,
             utilization: if self.last_finish > 0.0 {
@@ -887,16 +801,8 @@ impl RunStats {
             } else {
                 0.0
             },
-            throughput_rps: if self.last_finish > 0.0 {
-                completions as f64 / self.last_finish
-            } else {
-                0.0
-            },
-            goodput_rps: if self.last_finish > 0.0 {
-                self.attained as f64 / self.last_finish
-            } else {
-                0.0
-            },
+            throughput_rps: per_sec(completions as f64),
+            goodput_rps: per_sec(self.attained as f64),
             diverged: self.diverged,
             per_class,
             per_replica,

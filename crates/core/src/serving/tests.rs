@@ -249,6 +249,16 @@ fn zero_requests_yield_empty_report() {
     assert_eq!(r.utilization, 0.0);
     assert_eq!(r.per_replica[0].name, "a");
     assert_eq!(r.per_class[0].completed, 0);
+    // A run the divergence guard aborts before any completion reports
+    // the same attainment: nothing completed, so nothing missed.
+    let aborted = ServingSim::new(ServingConfig::interactive(1.0, 20))
+        .replica(fixed("a", 100))
+        .scheduling(Scheduling::iteration(4))
+        .divergence_depth(Some(0))
+        .run(&ModelConfig::gpt2_m());
+    assert!(aborted.diverged);
+    assert_eq!(aborted.completed, 0);
+    assert_eq!(aborted.slo_attainment, 1.0);
 }
 
 #[test]
@@ -287,7 +297,7 @@ fn cluster_of_device_groups_serves_large_model() {
             IanusSystem::new(SystemConfig::ianus().with_devices(2))
         })
         .dispatch(DispatchPolicy::ShortestExpectedJob);
-    assert!(sim.fits(&model).is_ok());
+    assert_eq!(sim.validate(&model), Ok(()));
     let r = sim.run(&model);
     assert_eq!(r.completed, 60);
     assert_eq!(r.per_replica[0].name, "IANUS x2");
@@ -1974,4 +1984,297 @@ fn pinned_slo_burst_run_matches_on_both_cores() {
         debug_fnv(&slo_burst_report(CoreMode::StepScan)),
         0xeae7_529f_f003_7ebc
     );
+}
+
+/// [`ServingSim::validate`]: the rules `run` used to assert, the
+/// arrival and class rules, and that it prices nothing.
+mod preflight {
+    use super::*;
+    use crate::capacity::CapacityError;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A synthetic replica that counts its pricing calls and holds no
+    /// sequence longer than `max_tokens`.
+    struct Counting {
+        calls: Arc<AtomicU64>,
+        max_tokens: u64,
+    }
+
+    impl Counting {
+        fn priced(&self) -> Duration {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Duration::from_us(100)
+        }
+    }
+
+    impl Backend for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn service_time(&mut self, _: &ModelConfig, _: RequestShape) -> Duration {
+            self.priced()
+        }
+        fn fits(&self, _: &ModelConfig) -> Result<(), CapacityError> {
+            Ok(())
+        }
+        fn prefill_time(&mut self, _: &ModelConfig, _: u64) -> Duration {
+            self.priced()
+        }
+        fn decode_time(&mut self, _: &ModelConfig, _: u64, _: u32) -> Duration {
+            self.priced()
+        }
+        fn kv_transfer_time(&mut self, _: &ModelConfig, _: u64) -> Duration {
+            self.priced()
+        }
+        fn batch_fits(
+            &self,
+            _: &ModelConfig,
+            batch: &[RequestShape],
+        ) -> Result<f64, CapacityError> {
+            match batch.iter().map(RequestShape::total_tokens).max() {
+                Some(required) if required > self.max_tokens => Err(CapacityError::OutOfMemory {
+                    required,
+                    available: self.max_tokens,
+                }),
+                _ => Ok(0.0),
+            }
+        }
+    }
+
+    fn flat() -> ServingConfig {
+        ServingConfig::interactive(1.0, 4)
+    }
+
+    fn workflows() -> ServingConfig {
+        ServingConfig::workflow_mix(1.0, 4, vec![WorkflowTemplate::agent_chain()])
+    }
+
+    fn one(cfg: ServingConfig) -> ServingSim {
+        ServingSim::new(cfg).replica(fixed("a", 100))
+    }
+
+    fn iteration(cfg: ServingConfig) -> ServingSim {
+        one(cfg).scheduling(Scheduling::iteration(4))
+    }
+
+    fn error(sim: ServingSim) -> ConfigError {
+        sim.validate(&ModelConfig::gpt2_m())
+            .expect_err("the preflight rejects the run")
+    }
+
+    /// Each of the thirteen rules `run` asserted before it called the
+    /// preflight.
+    #[test]
+    fn run_asserts_are_validate_errors() {
+        assert_eq!(error(ServingSim::new(flat())), ConfigError::NoReplicas);
+        let both = ServingConfig {
+            mix: flat().mix,
+            ..workflows()
+        };
+        assert_eq!(error(iteration(both)), ConfigError::MixAndWorkflows);
+        let mut weightless = workflows();
+        weightless.workflows[0].weight = 0.0;
+        let weight = ConfigError::WorkflowWeight(0, 0.0);
+        assert_eq!(error(iteration(weightless)), weight);
+        let node = |parent| WorkflowNode::with_parents(RequestShape::new(32, 16), vec![parent]);
+        let cyclic = ServingConfig {
+            workflows: vec![WorkflowTemplate::new(vec![node(1), node(0)], 1.0)],
+            ..workflows()
+        };
+        assert!(matches!(
+            error(iteration(cyclic)),
+            ConfigError::Workflow(0, WorkflowError::Cycle { .. })
+        ));
+        let empty = ServingConfig {
+            mix: vec![],
+            ..flat()
+        };
+        assert_eq!(error(one(empty)), ConfigError::EmptyMix);
+        let mut negative = flat();
+        negative.mix[1].weight = -1.0;
+        assert_eq!(error(one(negative)), ConfigError::ClassWeight(1, -1.0));
+        let still = ServingConfig {
+            arrival_rate_hz: 0.0,
+            ..flat()
+        };
+        assert_eq!(error(one(still)), ConfigError::ArrivalRate(0.0));
+        let calm = ServingConfig {
+            arrivals: ArrivalSpec::mmpp(0.5, 1.0, 1.0),
+            ..flat()
+        };
+        assert_eq!(error(one(calm)), ConfigError::BurstFactor(0.5));
+        let roles = one(flat()).replica_with_role(fixed("b", 100), ReplicaRole::PrefillOnly);
+        assert_eq!(error(roles), ConfigError::RolesNeedIterationLevel);
+        let request_level = error(one(workflows()));
+        assert_eq!(request_level, ConfigError::WorkflowsNeedIterationLevel);
+        let batchless = one(flat()).scheduling(Scheduling::iteration(0));
+        assert_eq!(error(batchless), ConfigError::ZeroMaxBatch);
+        let chunkless = one(flat()).scheduling(Scheduling::IterationLevel {
+            max_batch: 4,
+            prefill_chunk: Some(0),
+            preempt: false,
+        });
+        assert_eq!(error(chunkless), ConfigError::ZeroPrefillChunk);
+        let decoders = ServingSim::new(flat())
+            .replica_with_role(fixed("a", 100), ReplicaRole::DecodeOnly)
+            .scheduling(Scheduling::iteration(4));
+        assert_eq!(error(decoders), ConfigError::AllDecodeOnly);
+        // The same configs without the fault pass.
+        assert_eq!(one(flat()).validate(&ModelConfig::gpt2_m()), Ok(()));
+        assert_eq!(
+            iteration(workflows()).validate(&ModelConfig::gpt2_m()),
+            Ok(())
+        );
+    }
+
+    /// Infinite or NaN arrival parameters are errors, not hangs: an
+    /// infinite MMPP burst factor used to pass and then never return.
+    #[test]
+    fn non_finite_arrival_parameters_are_rejected() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let tenants = |share: f64, weights: Vec<f64>| ArrivalSpec::MultiTenant {
+            tenants: vec![TenantSpec {
+                share,
+                inner: ArrivalSpec::Poisson,
+                mix_weights: Some(weights),
+            }],
+        };
+        let specs = [
+            ArrivalSpec::mmpp(inf, 1.0, 1.0),
+            ArrivalSpec::mmpp(nan, 1.0, 1.0),
+            ArrivalSpec::mmpp(4.0, inf, 1.0),
+            ArrivalSpec::mmpp(4.0, 1.0, inf),
+            ArrivalSpec::diurnal(0.5, inf),
+            ArrivalSpec::diurnal(nan, 10.0),
+            tenants(inf, vec![1.0; 3]),
+            tenants(1.0, vec![1.0, inf, 1.0]),
+        ];
+        for spec in specs {
+            assert!(spec.validate().is_err(), "{spec:?}");
+            let cfg = ServingConfig {
+                arrivals: spec.clone(),
+                ..flat()
+            };
+            assert!(
+                one(cfg).validate(&ModelConfig::gpt2_m()).is_err(),
+                "{spec:?}"
+            );
+        }
+        for rate in [inf, nan] {
+            let cfg = ServingConfig {
+                arrival_rate_hz: rate,
+                ..flat()
+            };
+            assert!(matches!(error(one(cfg)), ConfigError::ArrivalRate(_)));
+        }
+    }
+
+    /// A workflow node's effective prompt includes its parents' outputs:
+    /// two nodes that each fit GPT-2 M alone can make a child that
+    /// passes its 1024-position table.
+    #[test]
+    fn workflow_nodes_are_checked_at_their_effective_prompts() {
+        let tpl = WorkflowTemplate::new(
+            vec![
+                WorkflowNode::new(RequestShape::new(512, 512)),
+                WorkflowNode::with_parents(RequestShape::new(512, 8), vec![0]),
+            ],
+            1.0,
+        );
+        let cfg = ServingConfig::workflow_mix(1.0, 4, vec![tpl]);
+        assert_eq!(
+            error(iteration(cfg)),
+            ConfigError::Unadmittable {
+                class: 1,
+                shape: RequestShape::new(1024, 8),
+                replica: None,
+                error: CapacityError::SequenceTooLong {
+                    requested: 1031,
+                    max_seq: 1024,
+                },
+            }
+        );
+    }
+
+    /// On a cluster whose replicas differ, the error names the replica
+    /// that cannot hold the model, or the class; decode-only replicas
+    /// admit no arrival, so a class need not fit them on its own.
+    #[test]
+    fn errors_name_the_replica_that_falls_short() {
+        // A partitioned device keeps 4 GiB for weights: GPT-2 2.5B needs
+        // more, and fits the unified device.
+        let model = ModelConfig::gpt2_2_5b();
+        let split = ServingSim::new(flat())
+            .replica_with_role(
+                IanusSystem::new(SystemConfig::ianus()),
+                ReplicaRole::DecodeOnly,
+            )
+            .replica_with_role(
+                IanusSystem::new(SystemConfig::partitioned()),
+                ReplicaRole::PrefillOnly,
+            )
+            .scheduling(Scheduling::iteration(4));
+        assert!(matches!(
+            split.validate(&model),
+            Err(ConfigError::DoesNotFit(
+                1,
+                CapacityError::OutOfMemory { .. }
+            ))
+        ));
+        let shape = RequestShape::new(512, 64);
+        let cfg = ServingConfig {
+            mix: mix_one(shape),
+            ..flat()
+        };
+        let short = || Counting {
+            calls: Arc::default(),
+            max_tokens: 256,
+        };
+        let unified = one(cfg.clone()).replica(short());
+        assert_eq!(
+            unified.validate(&model),
+            Err(ConfigError::Unadmittable {
+                class: 0,
+                shape,
+                replica: Some(1),
+                error: CapacityError::OutOfMemory {
+                    required: 575,
+                    available: 256,
+                },
+            })
+        );
+        let decoding = ServingSim::new(cfg)
+            .replica_with_role(fixed("a", 100), ReplicaRole::PrefillOnly)
+            .replica_with_role(short(), ReplicaRole::DecodeOnly)
+            .scheduling(Scheduling::iteration(4));
+        assert_eq!(decoding.validate(&model), Ok(()));
+    }
+
+    /// The preflight prices nothing; the run it clears does.
+    #[test]
+    fn validate_prices_nothing() {
+        let model = ModelConfig::gpt2_m();
+        let calls = Arc::new(AtomicU64::new(0));
+        for scheduling in [
+            Scheduling::RequestLevel,
+            Scheduling::IterationLevel {
+                max_batch: 4,
+                prefill_chunk: Some(64),
+                preempt: true,
+            },
+        ] {
+            let mut sim = ServingSim::new(ServingConfig::shared_prefix(4.0, 8))
+                .cluster(2, |_| Counting {
+                    calls: calls.clone(),
+                    max_tokens: u64::MAX,
+                })
+                .scheduling(scheduling)
+                .kv_block(16);
+            assert_eq!(sim.validate(&model), Ok(()));
+            assert_eq!(calls.load(Ordering::Relaxed), 0);
+            assert_eq!(sim.run(&model).completed, 8);
+            assert!(calls.swap(0, Ordering::Relaxed) > 0);
+        }
+    }
 }

@@ -431,6 +431,26 @@ mod tests {
         }
     }
 
+    /// PIM attention on a system without PIM compute runs on the matrix
+    /// unit, as PIM-mapped FC layers already do.
+    #[test]
+    fn pim_attention_falls_back_without_pim_compute() {
+        use crate::pas::{AttnMapping, PasPolicy};
+        let model = ModelConfig::gpt2_m();
+        let request = RequestShape::new(128, 8);
+        let run = |attention| {
+            let pas = PasPolicy {
+                attention,
+                ..PasPolicy::ianus()
+            };
+            IanusSystem::new(SystemConfig::npu_mem().with_pas(pas)).run_request(&model, request)
+        };
+        assert_eq!(
+            debug(&run(AttnMapping::Pim)),
+            debug(&run(AttnMapping::MatrixUnit))
+        );
+    }
+
     #[test]
     fn set_energy_model_reprices_memoized_stages() {
         let model = ModelConfig::gpt2_m();

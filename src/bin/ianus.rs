@@ -94,9 +94,9 @@
 //! cargo run --release --bin ianus -- --serve --model gpt2-m --compare
 //! ```
 
-use ianus::model::ModelFamily;
 use ianus::prelude::*;
 use ianus::system::capacity;
+use ianus::system::serving::check_generation;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -272,11 +272,13 @@ fn number<T: FromStr>(flag: &str, value: String) -> Result<T, String> {
         .map_err(|_| format!("{flag} takes a number, not {value:?}"))
 }
 
-fn at_least_one(flag: &str, value: String) -> Result<u32, String> {
-    match number(flag, value)? {
-        0 => Err(format!("{flag} must be at least 1")),
-        n => Ok(n),
+/// A count that must be at least 1.
+fn at_least_one<T: FromStr + PartialEq + Default>(flag: &str, value: String) -> Result<T, String> {
+    let n = number(flag, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
     }
+    Ok(n)
 }
 
 const PS_PER_MS: u64 = 1_000_000_000;
@@ -334,14 +336,6 @@ impl ServeArgs {
         }
     }
 
-    fn scheduling(&self) -> Scheduling {
-        if self.iteration {
-            self.iteration_level(self.preempt)
-        } else {
-            Scheduling::RequestLevel
-        }
-    }
-
     fn policy(&self, eviction: Eviction) -> SchedulerPolicy {
         SchedulerPolicy {
             admission: (self.admission.1)(),
@@ -376,6 +370,40 @@ impl ServeArgs {
         }
         let arrivals = (self.arrivals.1)(self.rate, self.burst_factor, self.tenants);
         cfg.arrivals(arrivals)
+    }
+
+    /// The scheduling modes the invocation runs, and a note when they
+    /// are not the configured one.
+    fn modes(&self, compare: bool, workflows: bool) -> (Vec<Scheduling>, Option<&'static str>) {
+        let configured = match self.iteration {
+            true => self.iteration_level(self.preempt || self.compare_policies),
+            false => Scheduling::RequestLevel,
+        };
+        let forced = match (self.compare_policies, self.disaggregate, workflows) {
+            // Eviction never fires without preemption.
+            (true, ..) => {
+                Some("--compare-policies forces iteration-level scheduling with --preempt")
+            }
+            (_, Some(_), _) => Some("--disaggregate forces iteration-level scheduling"),
+            (.., true) => Some("workflow mixes force iteration-level scheduling"),
+            _ => None,
+        };
+        let modes = match (forced, configured) {
+            // Eviction, role dispatch and the workflow DAG layer live in
+            // the iteration-level loop; coerce and say so.
+            (Some(_), Scheduling::RequestLevel) => {
+                vec![self.iteration_level(self.compare_policies)]
+            }
+            // --compare contrasts request-level with the *configured*
+            // iteration-level form (keeping any chunking/preemption knobs).
+            (None, Scheduling::RequestLevel) if compare => {
+                vec![Scheduling::RequestLevel, Scheduling::iteration(8)]
+            }
+            (None, it) if compare => vec![Scheduling::RequestLevel, it],
+            (_, configured) => vec![configured],
+        };
+        let note = forced.filter(|_| configured == Scheduling::RequestLevel);
+        (modes, note)
     }
 
     /// The cluster, with `cfg` as its workload, `mode` as its scheduling
@@ -498,8 +526,8 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 let name = value()?;
                 a.model = ModelConfig::by_name(&name).ok_or(format!("unknown model {name:?}"))?;
             }
-            "--input" => a.request.input = number(&flag, value()?)?,
-            "--output" => a.request.output = number(&flag, value()?)?,
+            "--input" => a.request.input = at_least_one(&flag, value()?)?,
+            "--output" => a.request.output = at_least_one(&flag, value()?)?,
             "--system" => a.system = (choose(&flag, value()?, SYSTEMS)?.1)(),
             "--devices" => devices = at_least_one(&flag, value()?)?,
             "--fc" => pas.fc = choose(&flag, value()?, FCS)?.1,
@@ -507,12 +535,12 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--schedule" => pas.schedule = choose(&flag, value()?, SCHEDULES)?.1,
             "--compare" => a.compare = true,
             "--serve" => serve = true,
-            "--replicas" => s.replicas = number(&flag, value()?)?,
+            "--replicas" => s.replicas = at_least_one(&flag, value()?)?,
             "--rate" => s.rate = number(&flag, value()?)?,
             "--requests" => s.requests = number(&flag, value()?)?,
             "--mix" => s.mix = choose(&flag, value()?, MIXES)?,
             "--scheduling" => s.iteration = choose(&flag, value()?, SCHEDULINGS)?.1,
-            "--max-batch" => s.max_batch = number(&flag, value()?)?,
+            "--max-batch" => s.max_batch = at_least_one(&flag, value()?)?,
             "--prefill-chunk" => {
                 s.prefill_chunk = Some(number(&flag, value()?)?).filter(|&chunk| chunk > 0)
             }
@@ -555,61 +583,27 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         }
     }
     a.system = a.system.with_pas(pas).with_devices(devices);
-    if serve {
-        check_serve_values(s.rate, s.replicas, s.max_batch)?;
-    }
-    let (input, output) = (a.request.input, a.request.output);
-    let config = serve.then(|| s.config(a.request));
-    check_request(&a.model, input, output, config.as_ref())?;
-    // Every class shape the mix serves must fit one replica on its own:
-    // the engine would otherwise refuse it mid-run.
-    for class in config.iter().flat_map(|cfg| &cfg.mix) {
-        let (i, o) = (class.shape.input, class.shape.output);
-        capacity::check_request(&a.system, &a.model, class.shape)
-            .map_err(|e| format!("--mix {} class ({i}, {o}) does not fit: {e}", s.mix.0))?;
+    if !serve {
+        check_generation(&a.model, a.request)
+            .map_err(|e| format!("{e}; run it with --output 1"))?;
     }
     a.serve = serve.then_some(s);
     Ok(a)
 }
 
-/// Serving values the engine would reject mid-run (with a panic) or,
-/// for `--replicas`, silently raise to 1.
-fn check_serve_values(rate: f64, replicas: usize, max_batch: u32) -> Result<(), &'static str> {
-    if !(rate > 0.0 && rate.is_finite()) {
-        Err("--rate must be a positive number")
-    } else if replicas == 0 {
-        Err("--replicas must be at least 1")
-    } else if max_batch == 0 {
-        Err("--max-batch must be at least 1")
-    } else {
-        Ok(())
-    }
-}
+/// The engine, modes and note of a serving run.
+type Plan = (ServingSim, Vec<Scheduling>, Option<&'static str>);
 
-/// Request values the simulator would reject mid-run (with a panic).
-/// `mix` is the serving config when serving: then the request generates
-/// tokens if any of its classes or workflows does.
-fn check_request(
-    model: &ModelConfig,
-    input: u64,
-    output: u64,
-    mix: Option<&ServingConfig>,
-) -> Result<(), String> {
-    if input == 0 || output == 0 {
-        return Err("--input and --output must be at least 1".to_owned());
+/// The serving run's [`Plan`], once `validate` passes each mode.
+fn serving_plan(args: &Args, serve: &ServeArgs) -> Result<Plan, ConfigError> {
+    let config = serve.config(args.request);
+    let (modes, note) = serve.modes(args.compare, !config.workflows.is_empty());
+    let mut sim = serve.cluster(args.system, config, modes[0]);
+    for &mode in &modes {
+        sim = sim.scheduling(mode);
+        sim.validate(&args.model)?;
     }
-    let generates = match mix {
-        None => output > 1,
-        Some(cfg) => !cfg.workflows.is_empty() || cfg.mix.iter().any(|c| c.shape.output > 1),
-    };
-    if model.family == ModelFamily::Bert && generates {
-        let fix = mix.map_or("--output 1", |_| "--mix custom --output 1");
-        return Err(format!(
-            "{} is encoder-only and has no generation stage: run it with {fix}",
-            model.name
-        ));
-    }
-    Ok(())
+    Ok((sim, modes, note))
 }
 
 /// Left margin of a report's continuation lines.
@@ -746,19 +740,10 @@ fn scheduling_label(scheduling: Scheduling) -> String {
     format!("iteration (batch {max_batch}{chunk}{pre})")
 }
 
-/// `--compare-policies`: the configured scenario (iteration-level with
-/// preemption forced on — eviction never fires without it) replayed
-/// under every eviction policy on one warm engine.
-fn compare_policies_main(args: &Args, serve: &ServeArgs) {
-    if serve.scheduling() == Scheduling::RequestLevel {
-        println!("(--compare-policies forces iteration-level scheduling with --preempt)\n");
-    }
+/// `--compare-policies`: the configured scenario replayed under every
+/// eviction policy on one warm engine.
+fn compare_policies_main(args: &Args, serve: &ServeArgs, mut sim: ServingSim) {
     let scheduling = serve.iteration_level(true);
-    let mut sim = serve.cluster(args.system, serve.config(args.request), scheduling);
-    if let Err((i, e)) = sim.fits(&args.model) {
-        eprintln!("model does not fit replica {i}: {e}");
-        std::process::exit(1);
-    }
     println!(
         "eviction-policy sweep under {} ({} admission, {} readmission, {} mechanism):",
         scheduling_label(scheduling),
@@ -805,6 +790,7 @@ fn compare_policies_main(args: &Args, serve: &ServeArgs) {
 }
 
 fn serve_main(args: &Args, serve: &ServeArgs) {
+    let (mut sim, modes, note) = serving_plan(args, serve).unwrap_or_else(|e| fail(&e.to_string()));
     let cluster_label = match serve.disaggregate {
         Some((p, d)) => format!(
             "{p} prefill ({}) + {d} decode, {} migration",
@@ -817,40 +803,16 @@ fn serve_main(args: &Args, serve: &ServeArgs) {
         "serving {} | {} mix | {cluster_label} x {} device(s) | {} req at {} req/s\n",
         args.model.name, serve.mix.1 .0, args.system.devices, serve.requests, serve.rate
     );
+    if let Some(note) = note {
+        println!("({note})\n");
+    }
     if serve.compare_policies {
-        compare_policies_main(args, serve);
+        compare_policies_main(args, serve, sim);
         return;
     }
-    let config = serve.config(args.request);
-    let workflow = (!config.workflows.is_empty()).then_some("workflow mixes force");
-    let disaggregated = serve.disaggregate.map(|_| "--disaggregate forces");
-    let forced = disaggregated.or(workflow);
-    let modes = match (forced, serve.scheduling()) {
-        // Role dispatch and the workflow DAG layer live in the
-        // iteration-level loop; coerce and say so rather than assert
-        // deep in the engine.
-        (Some(why), Scheduling::RequestLevel) => {
-            println!("({why} iteration-level scheduling)\n");
-            vec![serve.iteration_level(false)]
-        }
-        // --compare contrasts request-level with the *configured*
-        // iteration-level form (keeping any chunking/preemption knobs).
-        (None, Scheduling::RequestLevel) if args.compare => {
-            vec![Scheduling::RequestLevel, Scheduling::iteration(8)]
-        }
-        (None, it @ Scheduling::IterationLevel { .. }) if args.compare => {
-            vec![Scheduling::RequestLevel, it]
-        }
-        (_, scheduling) => vec![scheduling],
-    };
     // One engine across all modes: switching with `scheduling`
     // keeps the warm service/prefill/decode memos, so the second mode
     // and the sustainable-rate searches are queueing-only passes.
-    let mut sim = serve.cluster(args.system, config, modes[0]);
-    if let Err((i, e)) = sim.fits(&args.model) {
-        eprintln!("model does not fit replica {i}: {e}");
-        std::process::exit(1);
-    }
     let scored = serve.slo().is_some();
     for scheduling in modes {
         sim = sim.scheduling(scheduling);
@@ -874,14 +836,17 @@ fn print_report(label: &str, r: &RunReport) {
     );
 }
 
+/// Prints `error` (if any) and the usage, and exits 2.
+fn fail(error: &str) -> ! {
+    if !error.is_empty() {
+        eprintln!("{error}");
+    }
+    eprintln!("{}", usage());
+    std::process::exit(2)
+}
+
 fn main() {
-    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-        if !e.is_empty() {
-            eprintln!("{e}");
-        }
-        eprintln!("{}", usage());
-        std::process::exit(2)
-    });
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| fail(&e));
     if let Some(serve) = &args.serve {
         serve_main(&args, serve);
         return;
@@ -944,6 +909,19 @@ mod tests {
         parse(line.split_whitespace().map(String::from))
     }
 
+    /// `line`'s parse error, else `validate`'s first error over the
+    /// serving modes it runs; empty when both pass.
+    fn error(line: &str) -> String {
+        match parse_line(line) {
+            Err(e) => e,
+            Ok(args) => args
+                .serve
+                .as_ref()
+                .and_then(|serve| serving_plan(&args, serve).err())
+                .map_or(String::new(), |e| e.to_string()),
+        }
+    }
+
     /// The argument lists of the `cargo run … --bin ianus -- …` command
     /// lines among `lines`, backslash continuations joined.
     fn ianus_command_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<String> {
@@ -966,17 +944,15 @@ mod tests {
         commands.into_iter().map(|c| c.replace('\\', " ")).collect()
     }
 
-    /// The module-doc examples and the CI runs parse.
+    /// The module-doc examples and the CI runs parse and validate.
     #[test]
     fn documented_command_lines_parse() {
         let source = include_str!("ianus.rs").lines();
         let doc = ianus_command_lines(source.filter(|l| l.starts_with("//!")));
         let ci = ianus_command_lines(include_str!("../../.github/workflows/ci.yml").lines());
-        assert_eq!((doc.len(), ci.len()), (9, 3), "{doc:#?}\n{ci:#?}");
+        assert_eq!((doc.len(), ci.len()), (9, 5), "{doc:#?}\n{ci:#?}");
         for line in doc.iter().chain(&ci) {
-            if let Err(e) = parse_line(line) {
-                panic!("{line}: {e}");
-            }
+            assert_eq!(error(line), "", "{line}");
         }
     }
 
@@ -1056,7 +1032,7 @@ mod tests {
     /// shape past the model, is rejected before any engine runs.
     #[test]
     fn bad_values_name_their_flag() {
-        let err = |line: &str| parse_line(line).err().unwrap_or_default();
+        let err = error;
         assert_eq!(err("--rate x"), "--rate takes a number, not \"x\"");
         assert_eq!(err("--serve --tenants"), "--tenants needs a value");
         assert_eq!(err("--devices 0"), "--devices must be at least 1");
@@ -1074,7 +1050,7 @@ mod tests {
         for scheduling in ["request", "iteration"] {
             assert_eq!(
                 err(&format!("{custom} --scheduling {scheduling}")),
-                "--mix custom class (2000, 64) does not fit: \
+                "class 0 (2000, 64) can never be admitted: \
                  sequence of 2063 tokens exceeds the model maximum of 1024"
             );
         }
@@ -1083,72 +1059,74 @@ mod tests {
     }
 
     /// Rates, replica counts and batch caps the engine cannot run are
-    /// rejected before any engine is built.
+    /// rejected before any engine runs; counts even when unused.
     #[test]
     fn bad_serving_values_are_rejected() {
-        assert_eq!(check_serve_values(4.0, 1, 8), Ok(()));
-        assert_eq!(check_serve_values(0.3, 6, 1), Ok(()));
-        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let serve = "--serve --model gpt2-m";
+        assert_eq!(
+            error(&format!("{serve} --rate 4 --replicas 1 --max-batch 8")),
+            ""
+        );
+        assert_eq!(
+            error(&format!("{serve} --rate 0.3 --replicas 6 --max-batch 1")),
+            ""
+        );
+        for rate in ["0", "-1", "NaN", "inf"] {
+            let value: f64 = rate.parse().unwrap();
             assert_eq!(
-                check_serve_values(rate, 1, 8),
-                Err("--rate must be a positive number"),
-                "rate {rate}"
+                error(&format!("{serve} --rate {rate} --replicas 1 --max-batch 8")),
+                format!("arrival rate must be positive and finite, not {value}"),
             );
         }
-        assert_eq!(
-            check_serve_values(4.0, 0, 8),
-            Err("--replicas must be at least 1")
-        );
-        assert_eq!(
-            check_serve_values(4.0, 1, 0),
-            Err("--max-batch must be at least 1")
-        );
+        for line in [serve, "--model gpt2-m"] {
+            let replicas = error(&format!("{line} --rate 4 --replicas 0 --max-batch 8"));
+            assert_eq!(replicas, "--replicas must be at least 1");
+            let max_batch = error(&format!("{line} --rate 4 --replicas 1 --max-batch 0"));
+            assert_eq!(max_batch, "--max-batch must be at least 1");
+        }
     }
 
-    /// The named mix's config at one `--input`/`--output` shape (zero
-    /// lengths included).
+    /// The named mix's config at one `--input`/`--output` shape.
     fn mix(name: &str, input: u64, output: u64) -> ServingConfig {
         let (_, (_, build)) = choose("--mix", name.to_owned(), MIXES).expect("mix name");
         build(4.0, 10, RequestShape { input, output })
     }
 
     /// Degenerate shapes, and generation on an encoder-only model, are
-    /// rejected before any system is built.
+    /// rejected before any engine runs.
     #[test]
     fn bad_requests_are_rejected() {
-        let (gpt, bert) = (ModelConfig::gpt2_m(), ModelConfig::bert_l());
-        let degenerate = Err("--input and --output must be at least 1".to_owned());
-        assert_eq!(check_request(&gpt, 0, 8, None), degenerate);
-        assert_eq!(check_request(&gpt, 128, 0, None), degenerate);
         assert_eq!(
-            check_request(&gpt, 0, 8, Some(&mix("interactive", 0, 8))),
-            degenerate
+            error("--model gpt2-m --input 0 --output 8"),
+            "--input must be at least 1"
         );
-        assert_eq!(check_request(&gpt, 128, 64, None), Ok(()));
-        assert_eq!(check_request(&bert, 128, 1, None), Ok(()));
         assert_eq!(
-            check_request(&bert, 128, 1, Some(&mix("custom", 128, 1))),
-            Ok(())
+            error("--model gpt2-m --input 128 --output 0"),
+            "--output must be at least 1"
         );
-        let encoder_only = |fix: &str| {
-            Err(format!(
-                "BERT-L is encoder-only and has no generation stage: run it with {fix}"
-            ))
+        assert_eq!(
+            error("--serve --model gpt2-m --input 0"),
+            "--input must be at least 1"
+        );
+        assert_eq!(error("--model gpt2-m --input 128 --output 64"), "");
+        assert_eq!(error("--model bert-l --input 128 --output 1"), "");
+        assert_eq!(error("--serve --model bert-l --mix custom --output 1"), "");
+        let encoder_only = |shape: &str| {
+            format!("BERT-L is encoder-only and has no generation stage: {shape} requests generate")
         };
         assert_eq!(
-            check_request(&bert, 128, 64, None),
-            encoder_only("--output 1")
+            error("--model bert-l --input 128 --output 64"),
+            encoder_only("(128, 64)") + "; run it with --output 1"
         );
-        for name in ["custom", "interactive"] {
-            assert_eq!(
-                check_request(&bert, 128, 64, Some(&mix(name, 128, 64))),
-                encoder_only("--mix custom --output 1")
-            );
-        }
+        let bert = "--serve --model bert-l --input 128";
         assert_eq!(
-            check_request(&bert, 128, 1, Some(&mix("interactive", 128, 1))),
-            encoder_only("--mix custom --output 1")
+            error(&format!("{bert} --mix custom --output 64")),
+            encoder_only("(128, 64)")
         );
+        for output in [64, 1] {
+            let interactive = format!("{bert} --mix interactive --output {output}");
+            assert_eq!(error(&interactive), encoder_only("(128, 32)"));
+        }
     }
 
     /// The workflow mixes build validated workflow configs (DAG

@@ -190,8 +190,8 @@ fn cli_rejects_zero_devices_with_usage() {
 
 #[test]
 fn cli_rejects_a_mix_shape_past_the_model_without_a_panic() {
-    // A served class longer than GPT-2 M's positional table is a usage
-    // error at parse time, at either scheduling level.
+    // A served class longer than GPT-2 M's positional table is a
+    // preflight error before the header, at either scheduling level.
     for scheduling in ["request", "iteration"] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_ianus"))
             .args(["--serve", "--model", "gpt2-m", "--mix", "custom"])
@@ -205,4 +205,55 @@ fn cli_rejects_a_mix_shape_past_the_model_without_a_panic() {
         assert!(stderr.contains("exceeds the model maximum"), "{stderr}");
         assert!(out.stdout.is_empty());
     }
+}
+
+/// Runs the `ianus` CLI on `args`.
+fn ianus_cli(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_ianus"))
+        .args(args)
+        .output()
+        .expect("the ianus CLI runs")
+}
+
+#[test]
+fn cli_config_errors_exit_2_before_the_header() {
+    let serve = ["--serve", "--model", "gpt2-m", "--requests", "5"];
+    // (extra flags, a fragment of the one-line error)
+    let cases: &[(&[&str], &str)] = &[
+        (&["--rate", "0"], "arrival rate must be positive"),
+        (&["--rate", "inf"], "arrival rate must be positive"),
+        (&["--replicas", "0"], "--replicas must be at least 1"),
+        (&["--max-batch", "0"], "--max-batch must be at least 1"),
+        (&["--input", "0"], "--input must be at least 1"),
+        (&["--model", "bert-l"], "encoder-only"),
+        (
+            &["--mix", "custom", "--input", "2000"],
+            "can never be admitted",
+        ),
+        (&["--model", "gpt-30b"], "model does not fit replica 0"),
+    ];
+    for (extra, fragment) in cases {
+        let out = ianus_cli(&[&serve[..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?}");
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+        assert!(stderr.contains(fragment), "{extra:?}: {stderr}");
+    }
+}
+
+#[test]
+fn cli_pim_attention_without_pim_runs_on_the_matrix_unit() {
+    let run = |attn| {
+        let line = ["--model", "gpt2-m", "--input", "128", "--output", "8"];
+        ianus_cli(&[&line[..], &["--system", "npu-mem", "--attn", attn]].concat())
+    };
+    let (pim, mu) = (run("pim"), run("mu"));
+    assert_eq!(
+        pim.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&pim.stderr)
+    );
+    assert_eq!(pim.stdout, mu.stdout);
 }

@@ -467,11 +467,14 @@ fn sweep_rates_parallel_matches_serial_under_multi_tenant() {
     let serial: Vec<ServingReport> = rates
         .iter()
         .map(|&rate| {
-            ServingSim::new(cfg().with_rate(rate))
-                .cluster(2, |_| MemNode::tight())
-                .scheduling(sched())
-                .kv_block(64)
-                .run(&model)
+            ServingSim::new(ServingConfig {
+                arrival_rate_hz: rate,
+                ..cfg()
+            })
+            .cluster(2, |_| MemNode::tight())
+            .scheduling(sched())
+            .kv_block(64)
+            .run(&model)
         })
         .collect();
     assert_eq!(parallel, serial);
