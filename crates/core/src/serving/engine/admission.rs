@@ -11,10 +11,10 @@
 use super::arrivals::Arrival;
 use super::batch::ActiveSeq;
 use super::core::EngineCore;
+use super::workflow_rt::drop_prefix;
 use super::TimeKey;
 use crate::serving::policy::QueuedRequest;
 use crate::serving::report::{request_attains, RunStats};
-use crate::serving::workflow::workflow_prefix_key;
 use crate::serving::DispatchPolicy;
 use crate::serving::ReplicaRole;
 use ianus_model::RequestShape;
@@ -325,12 +325,7 @@ impl EngineCore<'_> {
                 let run = &mut wf.runs[w.inst];
                 let tpl = &wf.ctx.templates[run.template];
                 if let Some(parent) = run.consume_key(tpl, w.node) {
-                    let key = workflow_prefix_key(w.inst as u64, parent);
-                    if let Some(home) = wf.key_homes.remove(&key) {
-                        if let Some(p) = kv.paged[home].as_mut() {
-                            p.drop_prefix(key);
-                        }
-                    }
+                    drop_prefix(&mut wf.key_homes, &mut kv.paged, w.inst, parent);
                 }
             }
             stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);

@@ -1,19 +1,18 @@
 //! Arrival layer: who generates load, decoupled from who schedules it.
 //!
 //! The engine consumes a finite *trace* of [`Arrival`]s generated up
-//! front from the config's [`ArrivalSpec`] — a pluggable
-//! [`ArrivalProcess`] advanced once per request. The contract with the
-//! scheduling layers is intentionally thin: a process yields waits and
-//! raw weighted draws ([`ArrivalDraw`]); the *caller* maps each draw to
-//! a class (flat mix) or template (workflow mix) with the exact
-//! historical comparison order, so [`PoissonArrivals`] — the default —
+//! front from the config's [`ArrivalSpec`]: each run builds one private
+//! stream from `(spec, seed, rate, weights)` and advances it once per
+//! request. A step yields a wait and a raw weighted draw; the trace maps
+//! the draw to a class (flat mix) or template (workflow mix) with the
+//! exact historical comparison order, so the default Poisson stream
 //! reproduces the pre-refactor trace byte for byte, RNG draw for RNG
 //! draw, on both cores and in both scheduling modes.
 //!
-//! Because the process is rebuilt from `(spec, seed, rate)` at the
-//! start of every run, cloned engines (rate sweeps, parallel
-//! bisection probes) replay identical traces — including identical
-//! per-tenant sub-traces under [`ArrivalSpec::MultiTenant`].
+//! Because the stream is rebuilt at the start of every run, cloned
+//! engines (rate sweeps, parallel bisection probes) replay identical
+//! traces — including identical per-tenant sub-traces under
+//! [`ArrivalSpec::MultiTenant`].
 
 use super::preflight::{positive, ConfigError};
 use super::workflow_rt::{WfCtx, WfTag};
@@ -74,40 +73,6 @@ impl Arrival {
     }
 }
 
-/// One step of an [`ArrivalProcess`]: the wait since the previous
-/// arrival, the raw weighted class/template draw, and the arrival's
-/// tenant/burst attribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalDraw {
-    /// Seconds since the previous arrival of the merged stream.
-    pub wait: f64,
-    /// Uniform draw in `[0, Σweights)` — the caller maps it to a class
-    /// (`pick_class`-style subtract-compare) or workflow template
-    /// (accumulate-compare), preserving the historical comparison
-    /// order bit for bit.
-    pub draw: f64,
-    /// Owning tenant (0 outside multi-tenant processes).
-    pub tenant: u32,
-    /// Whether the arrival lands inside a burst window.
-    pub in_burst: bool,
-}
-
-/// A pluggable arrival-stream generator: advanced once per request,
-/// each call yields the wait to the next arrival plus its weighted
-/// class/template draw ([`ArrivalDraw`]).
-///
-/// `weights` is the per-class (or per-template) weight list of the
-/// run's mix, passed on every call so a process can draw classes — the
-/// engine maps the returned [`draw`](ArrivalDraw::draw) back to an
-/// index itself. Implementations must be deterministic functions of
-/// their construction inputs `(spec, seed, rate)`: rebuilding a
-/// process replays the identical stream, which is what makes cloned
-/// engines (sweeps, parallel rate probes) bit-reproducible.
-pub trait ArrivalProcess {
-    /// Advances past one arrival of the merged stream.
-    fn next_arrival(&mut self, weights: &[f64]) -> ArrivalDraw;
-}
-
 /// One tenant of an [`ArrivalSpec::MultiTenant`] stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
@@ -118,15 +83,15 @@ pub struct TenantSpec {
     /// [`ArrivalSpec::MultiTenant`]).
     pub inner: ArrivalSpec,
     /// Optional per-tenant class-mix override: one weight per class of
-    /// the run's mix, replacing the global weights for this tenant's
-    /// class draws. `None` uses the global mix.
+    /// the run's mix (per template under a workflow mix), replacing the
+    /// global weights for this tenant's class draws. `None` uses the
+    /// global mix.
     pub mix_weights: Option<Vec<f64>>,
 }
 
 /// Declarative arrival-stream choice, stored in
 /// [`ServingConfig`](crate::serving::ServingConfig) so clones and
-/// sweeps replay identical traces. Build the runtime process with
-/// [`process`](Self::process).
+/// sweeps replay identical traces.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ArrivalSpec {
     /// Homogeneous Poisson arrivals at the configured rate — the
@@ -156,7 +121,7 @@ pub enum ArrivalSpec {
         /// Mean dwell time of the calm phase, seconds.
         calm_secs: f64,
     },
-    /// K tenants, each wrapping an inner process at its share of the
+    /// K tenants, each wrapping an inner stream at its share of the
     /// aggregate rate (derived per-tenant seeds), merged by arrival
     /// time. Per-tenant completions, goodput, and fairness are
     /// reported per tenant.
@@ -265,371 +230,275 @@ impl ArrivalSpec {
         Ok(())
     }
 
-    /// Builds the runtime process for one run: a deterministic function
-    /// of `(self, seed, rate_hz)`, so rebuilding replays the identical
-    /// stream.
-    pub fn process(&self, seed: u64, rate_hz: f64) -> Box<dyn ArrivalProcess> {
-        match self {
-            ArrivalSpec::Poisson => Box::new(PoissonArrivals::new(seed, rate_hz)),
+    /// The run's stream over a mix with class (or template) `weights`:
+    /// a deterministic function of its inputs, so rebuilding it replays
+    /// the identical stream.
+    fn stream(&self, seed: u64, rate_hz: f64, weights: &[f64]) -> Stream {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let total = weights.iter().sum();
+        match *self {
+            ArrivalSpec::Poisson => Stream::Poisson {
+                rng,
+                rate_hz,
+                total,
+            },
             ArrivalSpec::Diurnal {
                 amplitude,
                 period_secs,
-            } => Box::new(DiurnalArrivals::new(
-                seed,
+            } => Stream::Diurnal {
+                rng,
                 rate_hz,
-                *amplitude,
-                *period_secs,
-            )),
+                amplitude,
+                period_secs,
+                total,
+                now: 0.0,
+            },
             ArrivalSpec::Mmpp {
                 burst_factor,
                 burst_secs,
                 calm_secs,
-            } => Box::new(MmppArrivals::new(
-                seed,
-                rate_hz,
-                *burst_factor,
-                *burst_secs,
-                *calm_secs,
-            )),
-            ArrivalSpec::MultiTenant { tenants } => {
-                Box::new(MultiTenantArrivals::new(seed, rate_hz, tenants))
-            }
-        }
-    }
-}
-
-/// Homogeneous Poisson arrivals: one exponential inter-arrival draw,
-/// then one uniform class draw, per request — the exact historical
-/// recipe and RNG stream.
-pub struct PoissonArrivals {
-    rng: StdRng,
-    rate_hz: f64,
-}
-
-impl PoissonArrivals {
-    /// A Poisson stream at `rate_hz` from `seed`.
-    pub fn new(seed: u64, rate_hz: f64) -> Self {
-        PoissonArrivals {
-            rng: StdRng::seed_from_u64(seed),
-            rate_hz,
-        }
-    }
-}
-
-impl ArrivalProcess for PoissonArrivals {
-    fn next_arrival(&mut self, weights: &[f64]) -> ArrivalDraw {
-        let total_weight: f64 = weights.iter().sum();
-        // Exponential inter-arrival.
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let wait = -u.ln() / self.rate_hz;
-        let draw = self.rng.gen_range(0.0..total_weight);
-        ArrivalDraw {
-            wait,
-            draw,
-            tenant: 0,
-            in_burst: false,
-        }
-    }
-}
-
-/// Sinusoidal rate modulation sampled by Lewis–Shedler thinning
-/// against the cycle peak `rate · (1 + amplitude)`.
-pub struct DiurnalArrivals {
-    rng: StdRng,
-    rate_hz: f64,
-    amplitude: f64,
-    period_secs: f64,
-    /// The process's own clock (sum of emitted waits).
-    now: f64,
-}
-
-impl DiurnalArrivals {
-    /// A diurnal stream around mean `rate_hz` from `seed`.
-    pub fn new(seed: u64, rate_hz: f64, amplitude: f64, period_secs: f64) -> Self {
-        DiurnalArrivals {
-            rng: StdRng::seed_from_u64(seed),
-            rate_hz,
-            amplitude,
-            period_secs,
-            now: 0.0,
-        }
-    }
-
-    /// Instantaneous rate at absolute time `t`.
-    fn rate_at(&self, t: f64) -> f64 {
-        let phase = 2.0 * std::f64::consts::PI * t / self.period_secs;
-        self.rate_hz * (1.0 + self.amplitude * phase.sin())
-    }
-}
-
-impl ArrivalProcess for DiurnalArrivals {
-    fn next_arrival(&mut self, weights: &[f64]) -> ArrivalDraw {
-        let total_weight: f64 = weights.iter().sum();
-        let peak = self.rate_hz * (1.0 + self.amplitude);
-        let start = self.now;
-        // Thinning: candidate arrivals at the peak rate, accepted with
-        // probability λ(t)/peak. Amplitude < 1 bounds the acceptance
-        // probability away from zero, so the loop terminates.
-        loop {
-            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            self.now += -u.ln() / peak;
-            let accept: f64 = self.rng.gen_range(0.0..1.0);
-            if accept * peak <= self.rate_at(self.now) {
-                break;
-            }
-        }
-        let draw = self.rng.gen_range(0.0..total_weight);
-        ArrivalDraw {
-            wait: self.now - start,
-            draw,
-            tenant: 0,
-            in_burst: self.rate_at(self.now) > self.rate_hz,
-        }
-    }
-}
-
-/// 2-state Markov-modulated Poisson process: exponential dwell times in
-/// a calm and a burst phase, exponential inter-arrivals at the phase
-/// rate, memoryless redraw at each phase switch.
-pub struct MmppArrivals {
-    rng: StdRng,
-    burst_rate: f64,
-    calm_rate: f64,
-    burst_secs: f64,
-    calm_secs: f64,
-    in_burst: bool,
-    /// The process's own clock (sum of emitted waits).
-    now: f64,
-    /// Absolute end of the current phase.
-    phase_end: f64,
-}
-
-impl MmppArrivals {
-    /// An MMPP stream with long-run mean `rate_hz` from `seed`: the
-    /// burst phase runs `burst_factor` times hotter than the calm one,
-    /// with the phase rates solved against the dwell-time mix so the
-    /// time-averaged rate is exactly `rate_hz`.
-    pub fn new(
-        seed: u64,
-        rate_hz: f64,
-        burst_factor: f64,
-        burst_secs: f64,
-        calm_secs: f64,
-    ) -> Self {
-        // Long-run burst fraction f, then solve
-        // f·r_b + (1−f)·r_c = rate with r_b = burst_factor·r_c.
-        let f = burst_secs / (burst_secs + calm_secs);
-        let calm_rate = rate_hz / ((1.0 - f) + f * burst_factor);
-        let burst_rate = burst_factor * calm_rate;
-        let mut p = MmppArrivals {
-            rng: StdRng::seed_from_u64(seed),
-            burst_rate,
-            calm_rate,
-            burst_secs,
-            calm_secs,
-            in_burst: false,
-            now: 0.0,
-            phase_end: 0.0,
-        };
-        p.phase_end = p.draw_dwell();
-        p
-    }
-
-    /// Exponential dwell of the *current* phase.
-    fn draw_dwell(&mut self) -> f64 {
-        let mean = if self.in_burst {
-            self.burst_secs
-        } else {
-            self.calm_secs
-        };
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        -u.ln() * mean
-    }
-}
-
-impl ArrivalProcess for MmppArrivals {
-    fn next_arrival(&mut self, weights: &[f64]) -> ArrivalDraw {
-        let total_weight: f64 = weights.iter().sum();
-        let start = self.now;
-        loop {
-            let rate = if self.in_burst {
-                self.burst_rate
-            } else {
-                self.calm_rate
-            };
-            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            let wait = -u.ln() / rate;
-            if self.now + wait <= self.phase_end {
-                self.now += wait;
-                break;
-            }
-            // Phase switch: jump to the boundary and redraw — the
-            // exponential is memoryless, so discarding the overshoot
-            // keeps the process exact.
-            self.now = self.phase_end;
-            self.in_burst = !self.in_burst;
-            let dwell = self.draw_dwell();
-            self.phase_end = self.now + dwell;
-        }
-        let draw = self.rng.gen_range(0.0..total_weight);
-        ArrivalDraw {
-            wait: self.now - start,
-            draw,
-            tenant: 0,
-            in_burst: self.in_burst,
-        }
-    }
-}
-
-/// One tenant's stream inside [`MultiTenantArrivals`]: its inner
-/// process, pending next arrival, and optional class-mix override.
-struct TenantStream {
-    process: Box<dyn ArrivalProcess>,
-    mix_weights: Option<Vec<f64>>,
-    /// Absolute time of the tenant's pending arrival.
-    next_at: f64,
-    /// The pending arrival's draw metadata.
-    pending: ArrivalDraw,
-}
-
-/// K tenant streams merged by arrival time. Each tenant runs its inner
-/// process at its share of the aggregate rate under a derived seed, so
-/// every clone replays identical per-tenant sub-traces.
-pub struct MultiTenantArrivals {
-    tenants: Vec<TenantStream>,
-    /// The merged stream's clock (sum of emitted waits).
-    now: f64,
-    /// Set once the tenant streams have been primed with their first
-    /// arrivals (deferred to the first call, which supplies weights).
-    primed: bool,
-}
-
-impl MultiTenantArrivals {
-    /// A merged multi-tenant stream at aggregate `rate_hz` from `seed`.
-    pub fn new(seed: u64, rate_hz: f64, tenants: &[TenantSpec]) -> Self {
-        let total_share: f64 = tenants.iter().map(|t| t.share).sum();
-        let streams = tenants
-            .iter()
-            .enumerate()
-            .map(|(k, t)| {
-                let tenant_seed = seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let tenant_rate = rate_hz * t.share / total_share;
-                TenantStream {
-                    process: t.inner.process(tenant_seed, tenant_rate),
-                    mix_weights: t.mix_weights.clone(),
-                    next_at: 0.0,
-                    pending: ArrivalDraw {
-                        wait: 0.0,
-                        draw: 0.0,
-                        tenant: 0,
-                        in_burst: false,
-                    },
+            } => {
+                // Long-run burst fraction f, then solve
+                // f·r_b + (1−f)·r_c = rate with r_b = burst_factor·r_c.
+                let f = burst_secs / (burst_secs + calm_secs);
+                let calm_rate = rate_hz / ((1.0 - f) + f * burst_factor);
+                let phase_end = exponential(&mut rng) * calm_secs;
+                Stream::Mmpp {
+                    rng,
+                    rates: [calm_rate, burst_factor * calm_rate],
+                    dwells: [calm_secs, burst_secs],
+                    burst: false,
+                    total,
+                    now: 0.0,
+                    phase_end,
                 }
-            })
-            .collect();
-        MultiTenantArrivals {
-            tenants: streams,
-            now: 0.0,
-            primed: false,
-        }
-    }
-
-    /// Advances tenant `k` past one arrival: runs its inner process
-    /// (against its weight override if any), then translates an
-    /// overridden class pick back into a draw over the global weights —
-    /// the prefix-sum boundary of the picked class, which both the
-    /// subtract-compare (`pick_class`) and accumulate-compare (template
-    /// pick) mappings send to exactly that index.
-    fn advance(&mut self, k: usize, weights: &[f64]) {
-        let t = &mut self.tenants[k];
-        let d = match &t.mix_weights {
-            None => t.process.next_arrival(weights),
-            Some(w) => {
-                debug_assert_eq!(
-                    w.len(),
-                    weights.len(),
-                    "per-tenant mix override must cover every class"
-                );
-                let mut d = t.process.next_arrival(w);
-                let class = pick_weight(w, d.draw);
-                d.draw = weights[..class].iter().sum();
-                d
             }
-        };
-        t.next_at += d.wait;
-        t.pending = ArrivalDraw {
-            tenant: k as u32,
-            ..d
-        };
+            ArrivalSpec::MultiTenant { ref tenants } => {
+                let total_share: f64 = tenants.iter().map(|t| t.share).sum();
+                let starts: Vec<f64> = (0..weights.len())
+                    .map(|c| weights[..c].iter().sum())
+                    .collect();
+                let tenants = tenants.iter().enumerate().map(|(k, t)| {
+                    let tenant_seed = seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let tenant_rate = rate_hz * t.share / total_share;
+                    let own = t.mix_weights.as_deref().unwrap_or(weights);
+                    let mut tenant = Tenant {
+                        stream: t.inner.stream(tenant_seed, tenant_rate, own),
+                        mix: t.mix_weights.clone().map(|w| (w, starts.clone())),
+                        next_at: 0.0,
+                        pending: Draw::default(),
+                    };
+                    tenant.advance(k as u32);
+                    tenant
+                });
+                Stream::Tenants {
+                    tenants: tenants.collect(),
+                    now: 0.0,
+                }
+            }
+        }
     }
 }
 
-/// Subtract-compare weighted pick over a raw weight list — the
-/// [`pick_class`] comparison order, for per-tenant mix overrides.
-fn pick_weight(weights: &[f64], draw: f64) -> usize {
-    let mut rem = draw;
-    for (i, &w) in weights.iter().enumerate() {
-        if rem < w {
-            return i;
-        }
-        rem -= w;
-    }
-    weights.len() - 1
+/// One step of a [`Stream`]: the wait since the previous arrival, a
+/// uniform draw in `[0, Σweights)` that the trace maps to a class or
+/// template, and the arrival's tenant and burst attribution.
+#[derive(Clone, Copy, Default)]
+struct Draw {
+    wait: f64,
+    draw: f64,
+    tenant: u32,
+    in_burst: bool,
 }
 
-impl ArrivalProcess for MultiTenantArrivals {
-    fn next_arrival(&mut self, weights: &[f64]) -> ArrivalDraw {
-        if !self.primed {
-            for k in 0..self.tenants.len() {
-                self.advance(k, weights);
-            }
-            self.primed = true;
+/// The run's arrival stream, built by [`ArrivalSpec::stream`]. Each
+/// leaf stream owns its RNG and draws one class after each wait.
+enum Stream {
+    /// One exponential inter-arrival draw, then one class draw, per
+    /// request: the historical recipe and RNG stream.
+    Poisson {
+        rng: StdRng,
+        rate_hz: f64,
+        total: f64,
+    },
+    /// Lewis–Shedler thinning against the cycle peak
+    /// `rate · (1 + amplitude)`.
+    Diurnal {
+        rng: StdRng,
+        rate_hz: f64,
+        amplitude: f64,
+        period_secs: f64,
+        total: f64,
+        /// The stream's own clock (sum of emitted waits).
+        now: f64,
+    },
+    /// Exponential dwells in a calm and a burst phase (indexed 0 and
+    /// 1), exponential inter-arrivals at the phase rate.
+    Mmpp {
+        rng: StdRng,
+        rates: [f64; 2],
+        dwells: [f64; 2],
+        burst: bool,
+        total: f64,
+        now: f64,
+        /// Absolute end of the current phase.
+        phase_end: f64,
+    },
+    /// Tenant streams merged by arrival time.
+    Tenants { tenants: Vec<Tenant>, now: f64 },
+}
+
+/// One tenant of [`Stream::Tenants`]: its own stream at its share of the
+/// rate under a derived seed, its class-mix override, and its pending
+/// arrival.
+struct Tenant {
+    stream: Stream,
+    /// The override's weights, and for each class the sum of the mix
+    /// weights before it: an overridden pick becomes that draw over the
+    /// mix, which the trace's class or template pick maps back.
+    mix: Option<(Vec<f64>, Vec<f64>)>,
+    /// Absolute time of the pending arrival.
+    next_at: f64,
+    pending: Draw,
+}
+
+impl Tenant {
+    /// Advances tenant `k` past one arrival.
+    fn advance(&mut self, k: u32) {
+        let mut d = self.stream.step();
+        if let Some((weights, starts)) = &self.mix {
+            d.draw = starts[pick_class(weights, d.draw)];
         }
-        // Earliest pending arrival wins; ties break to the lowest
-        // tenant index.
-        let k = (0..self.tenants.len())
-            .min_by(|&a, &b| {
-                self.tenants[a]
-                    .next_at
-                    .total_cmp(&self.tenants[b].next_at)
-                    .then(a.cmp(&b))
-            })
-            .expect("multi-tenant stream has at least one tenant");
-        let at = self.tenants[k].next_at;
-        let out = ArrivalDraw {
-            wait: at - self.now,
-            ..self.tenants[k].pending
+        self.next_at += d.wait;
+        self.pending = Draw { tenant: k, ..d };
+    }
+}
+
+/// An exponential draw of mean 1.
+fn exponential(rng: &mut StdRng) -> f64 {
+    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+    -u.ln()
+}
+
+impl Stream {
+    /// Advances past one arrival of the merged stream.
+    fn step(&mut self) -> Draw {
+        let (wait, in_burst, rng, total) = match self {
+            Stream::Poisson {
+                rng,
+                rate_hz,
+                total,
+            } => (exponential(rng) / *rate_hz, false, rng, *total),
+            Stream::Diurnal {
+                rng,
+                rate_hz,
+                amplitude,
+                period_secs,
+                total,
+                now,
+            } => {
+                let rate_at = |t: f64| {
+                    let phase = 2.0 * std::f64::consts::PI * t / *period_secs;
+                    *rate_hz * (1.0 + *amplitude * phase.sin())
+                };
+                let peak = *rate_hz * (1.0 + *amplitude);
+                let start = *now;
+                // Thinning: candidate arrivals at the peak rate, accepted
+                // with probability λ(t)/peak. Amplitude < 1 bounds the
+                // acceptance probability away from zero, so the loop
+                // terminates.
+                loop {
+                    *now += exponential(rng) / peak;
+                    let accept: f64 = rng.gen_range(0.0..1.0);
+                    if accept * peak <= rate_at(*now) {
+                        break;
+                    }
+                }
+                (*now - start, rate_at(*now) > *rate_hz, rng, *total)
+            }
+            Stream::Mmpp {
+                rng,
+                rates,
+                dwells,
+                burst,
+                total,
+                now,
+                phase_end,
+            } => {
+                let start = *now;
+                loop {
+                    let wait = exponential(rng) / rates[usize::from(*burst)];
+                    if *now + wait <= *phase_end {
+                        *now += wait;
+                        break;
+                    }
+                    // Phase switch: jump to the boundary and redraw — the
+                    // exponential is memoryless, so discarding the
+                    // overshoot keeps the process exact.
+                    *now = *phase_end;
+                    *burst = !*burst;
+                    *phase_end = *now + exponential(rng) * dwells[usize::from(*burst)];
+                }
+                (*now - start, *burst, rng, *total)
+            }
+            Stream::Tenants { tenants, now } => {
+                // Earliest pending arrival wins; `min_by` keeps the first
+                // of equal times, the lowest tenant index.
+                let k = (0..tenants.len())
+                    .min_by(|&a, &b| tenants[a].next_at.total_cmp(&tenants[b].next_at))
+                    .expect("multi-tenant stream has at least one tenant");
+                let at = tenants[k].next_at;
+                let out = Draw {
+                    wait: at - *now,
+                    ..tenants[k].pending
+                };
+                *now = at;
+                tenants[k].advance(k as u32);
+                return out;
+            }
         };
-        self.now = at;
-        self.advance(k, weights);
-        out
+        Draw {
+            wait,
+            draw: rng.gen_range(0.0..total),
+            tenant: 0,
+            in_burst,
+        }
     }
 }
 
 impl ServingSim {
-    /// Seeded arrivals of the weighted mix from the config's
-    /// [`ArrivalSpec`]. The draw order (one inter-arrival draw, then
-    /// one class draw, per request) is shared by both scheduling modes,
-    /// so a seed denotes the *same* trace in both.
+    /// The run's arrival times and draws over a mix with class (or
+    /// template) `weights`: one stream built from the config's
+    /// [`ArrivalSpec`], advanced once per request.
+    fn trace(&self, weights: &[f64]) -> impl Iterator<Item = (f64, Draw)> {
+        let cfg = &self.cfg;
+        let mut stream = cfg.arrivals.stream(cfg.seed, cfg.arrival_rate_hz, weights);
+        let mut now = 0.0f64;
+        (0..cfg.requests).map(move |_| {
+            let d = stream.step();
+            now += d.wait;
+            (now, d)
+        })
+    }
+
+    /// Seeded arrivals of the weighted mix. The draw order (one
+    /// inter-arrival draw, then one class draw, per request) is shared
+    /// by both scheduling modes, so a seed denotes the *same* trace in
+    /// both.
     pub(super) fn generate_arrivals(&self) -> Vec<Arrival> {
         let weights: Vec<f64> = self.cfg.mix.iter().map(|c| c.weight).collect();
-        let mut process = self
-            .cfg
-            .arrivals
-            .process(self.cfg.seed, self.cfg.arrival_rate_hz);
-        let mut now = 0.0f64;
-        (0..self.cfg.requests)
-            .map(|idx| {
-                let d = process.next_arrival(&weights);
-                now += d.wait;
-                let class = pick_class(&self.cfg.mix, d.draw);
+        self.trace(&weights)
+            .zip(0..)
+            .map(|((at, d), idx)| {
+                let class = pick_class(&weights, d.draw);
+                let c = &self.cfg.mix[class];
                 Arrival {
-                    at: now,
+                    at,
                     idx,
                     class,
-                    shape: self.cfg.mix[class].shape,
-                    priority: self.cfg.mix[class].priority,
-                    slo: self.cfg.mix[class].slo,
+                    shape: c.shape,
+                    priority: c.priority,
+                    slo: c.slo,
                     tenant: d.tenant,
                     in_burst: d.in_burst,
                     wf: None,
@@ -638,10 +507,9 @@ impl ServingSim {
             .collect()
     }
 
-    /// Seeded arrivals of the weighted *workflow* mix: one
-    /// inter-arrival draw, then one template draw, per instance —
-    /// mirroring [`generate_arrivals`](Self::generate_arrivals)'s draw
-    /// order exactly, so a single-node workflow mix denotes the same
+    /// Seeded arrivals of the weighted *workflow* mix: the same trace as
+    /// [`generate_arrivals`](Self::generate_arrivals) with one template
+    /// draw per instance, so a single-node workflow mix denotes the same
     /// trace as the equivalent flat mix under the same seed. Only each
     /// instance's *root* nodes arrive here; children are released by
     /// the engine as their last parent completes. Returns the root
@@ -652,56 +520,55 @@ impl ServingSim {
         ctx: &WfCtx,
     ) -> (Vec<Arrival>, Vec<WorkflowRun>, u64) {
         let weights: Vec<f64> = ctx.templates.iter().map(|t| t.weight).collect();
-        let mut process = self
-            .cfg
-            .arrivals
-            .process(self.cfg.seed, self.cfg.arrival_rate_hz);
-        let mut now = 0.0f64;
         let mut arrivals = Vec::new();
         let mut runs = Vec::with_capacity(self.cfg.requests as usize);
         let mut total = 0u64;
-        for inst in 0..self.cfg.requests as usize {
-            let d = process.next_arrival(&weights);
-            now += d.wait;
-            // Weighted template pick, same fallback semantics as
-            // `pick_class`.
-            let draw = d.draw;
+        for (inst, (at, d)) in self.trace(&weights).enumerate() {
+            // Accumulate-compare, which can part from `pick_class` at
+            // float boundaries; the same last-template fallback.
             let mut acc = 0.0;
-            let mut t = ctx.templates.len() - 1;
-            for (i, tpl) in ctx.templates.iter().enumerate() {
-                acc += tpl.weight;
-                if draw < acc {
-                    t = i;
-                    break;
-                }
-            }
+            let t = weights
+                .iter()
+                .position(|&w| {
+                    acc += w;
+                    d.draw < acc
+                })
+                .unwrap_or(weights.len() - 1);
             let tpl = &ctx.templates[t];
-            let mut run = WorkflowRun::new(t, tpl, now);
+            let mut run = WorkflowRun::new(t, tpl, at);
             total += tpl.node_count() as u64;
             for node in run.release_roots() {
-                run.node_arrival[node] = Some(arrivals.len());
-                arrivals.push(Arrival {
-                    at: now,
-                    idx: arrivals.len() as u64,
-                    class: ctx.base[t] + node,
-                    shape: ctx.shapes[t][node],
-                    priority: tpl.priority,
-                    slo: None,
-                    tenant: d.tenant,
-                    in_burst: d.in_burst,
-                    wf: Some(WfTag {
-                        inst,
-                        node,
-                        inherit: None,
-                        deadline: run.deadline,
-                        blocked_descendants: ctx.blocked[t][node],
-                        tenant: d.tenant,
-                        in_burst: d.in_burst,
-                    }),
-                });
+                let origin = (at, d.tenant, d.in_burst);
+                ctx.push_node(&mut arrivals, &mut run, inst, node, None, origin);
             }
             runs.push(run);
         }
         (arrivals, runs, total)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poisson_process_matches_legacy_inline_recipe() {
+        // The Poisson stream must reproduce the engine's historical
+        // inline trace bit for bit: one exponential wait from
+        // `gen_range(EPSILON..1.0)` then one class draw from
+        // `gen_range(0.0..Σweights)` per arrival, off one seeded StdRng.
+        let (seed, rate) = (0x5EED_u64, 3.0_f64);
+        let weights = [0.6, 0.3, 0.1];
+        let total: f64 = weights.iter().sum();
+        let mut stream = ArrivalSpec::Poisson.stream(seed, rate, &weights);
+        let mut legacy = StdRng::seed_from_u64(seed);
+        for _ in 0..256 {
+            let d = stream.step();
+            let u: f64 = legacy.gen_range(f64::EPSILON..1.0);
+            assert_eq!(d.wait.to_bits(), (-u.ln() / rate).to_bits());
+            assert_eq!(d.draw.to_bits(), legacy.gen_range(0.0..total).to_bits());
+            assert_eq!(d.tenant, 0);
+            assert!(!d.in_burst, "plain Poisson never flags a burst");
+        }
     }
 }

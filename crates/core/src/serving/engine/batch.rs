@@ -574,7 +574,7 @@ impl EngineCore<'_> {
     /// whether the fan-out appended arrivals.
     fn complete(&mut self, r: usize, mut seq: ActiveSeq, now: f64) -> bool {
         let mut wf_pushed = false;
-        if let Some(tag) = seq.wf {
+        if seq.wf.is_some() {
             // Fan out before `complete` frees the block table:
             // children inherit this node's KV as a shared prefix.
             wf_pushed = WfWorld {
@@ -586,7 +586,7 @@ impl EngineCore<'_> {
                 key_homes: &mut self.wf.key_homes,
                 inheritance: self.wf.inheritance,
             }
-            .on_node_complete(tag, seq.slot, r, now, &mut self.stats, &mut self.done);
+            .on_node_complete(&seq, r, now, &mut self.stats, &mut self.done);
         }
         if let Some(p) = self.kv.paged[r].as_mut() {
             p.complete(seq.slot);

@@ -18,7 +18,7 @@ use super::dma_retire::{LaneClocks, LaneQueue};
 use super::kv_state::{paged_blocks, KvLedger};
 use super::migrate::MigrationState;
 use super::replica::Replicas;
-use super::workflow_rt::WorkflowRt;
+use super::workflow_rt::{workflow_ctx, WorkflowRt};
 use super::{CoreMode, ServingSim, TimeKey};
 use crate::serving::dma::DmaChannels;
 use crate::serving::kv::{prefix_key, PagedKv};
@@ -111,7 +111,7 @@ pub(super) struct EngineCore<'a> {
     pub(super) migration: &'a dyn MigrationPolicy,
     /// The run's effective class list: the flat mix, or one synthetic
     /// class per (template, node) under a workflow mix.
-    pub(super) mix: Vec<RequestClass>,
+    pub(super) mix: &'a [RequestClass],
     /// Max sequences resident per replica.
     pub(super) max_batch: u32,
     /// Prefill chunk size (`u64::MAX` when chunking is off).
@@ -162,6 +162,7 @@ impl ServingSim {
     pub(super) fn run_iteration_level(
         &mut self,
         model: &ModelConfig,
+        mix: &[RequestClass],
         max_batch: u32,
         prefill_chunk: Option<u64>,
         preempt: bool,
@@ -175,7 +176,6 @@ impl ServingSim {
             .backends()
             .map(|b| self.host_kv_override.unwrap_or_else(|| b.host_kv_bytes()))
             .collect();
-        let mix = self.effective_mix();
         let wf_mode = !self.cfg.workflows.is_empty();
         // Arrivals ascending by time (and index). The wait queue is the
         // arrived, not-yet-admitted slice: `untaken` holds the pending
@@ -187,7 +187,7 @@ impl ServingSim {
         // an append can move the wait-queue head backward in time, so
         // there the idle index is repaired after each fan-out instead
         // of trusting the nondecreasing-head invariant.
-        let wf_ctx = self.workflow_ctx();
+        let wf_ctx = workflow_ctx(&self.cfg, mix);
         let (arrivals, wf_runs, total) = if wf_mode {
             self.generate_workflow_arrivals(&wf_ctx)
         } else {
@@ -210,7 +210,7 @@ impl ServingSim {
         let mut paged = Vec::with_capacity(n);
         for (r, b) in self.replicas.backends().enumerate() {
             // An invariant: `validate` reported a pool this short.
-            let blocks = paged_blocks(b, r, self.kv_block, model, &mix);
+            let blocks = paged_blocks(b, r, self.kv_block, model, mix);
             let blocks = blocks.unwrap_or_else(|e| panic!("{e}"));
             paged.push(blocks.map(|blocks| PagedKv::new(blocks, self.kv_block)));
         }

@@ -7,7 +7,7 @@
 //! | module        | layer struct       | owns                                        |
 //! |---------------|--------------------|---------------------------------------------|
 //! | `replica`     | `Replicas`         | backends + per-price-class cost memos       |
-//! | `arrivals`    | [`ArrivalProcess`] | trace generation (Poisson/diurnal/MMPP/...) |
+//! | `arrivals`    | [`ArrivalSpec`]    | one trace stream per run (Poisson/MMPP/...) |
 //! | `admission`   | `WaitQueue`        | arrival vector, wait queue, admission       |
 //! | `batch`       | `BatchState`       | counted `Batch`es, clocks, execute/advance  |
 //! | `decode`      | `DecodeEpoch`      | decoder counters, steady set, decode steps  |
@@ -34,19 +34,14 @@ mod preflight;
 mod replica;
 mod workflow_rt;
 
-pub use arrivals::{
-    ArrivalDraw, ArrivalProcess, ArrivalSpec, DiurnalArrivals, MmppArrivals, MultiTenantArrivals,
-    PoissonArrivals, TenantSpec,
-};
+pub use arrivals::{ArrivalSpec, TenantSpec};
 pub use preflight::{check_generation, ConfigError};
 
 use self::replica::Replicas;
 use super::policy::{LeastLoadedMigration, MigrationPolicy, SchedulerPolicy};
 use super::report::RunStats;
 use super::DispatchPolicy;
-use super::{
-    DisaggregationConfig, ReplicaRole, RequestClass, Scheduling, ServingConfig, ServingReport,
-};
+use super::{DisaggregationConfig, ReplicaRole, Scheduling, ServingConfig, ServingReport};
 use crate::backend::Backend;
 use ianus_model::ModelConfig;
 
@@ -410,7 +405,7 @@ impl ServingSim {
         if let Err(e) = self.validate(model) {
             panic!("{e}");
         }
-        let mix = self.effective_mix();
+        let mix = workflow_rt::effective_mix(&self.cfg);
         let stats = if self.cfg.requests == 0 {
             let tenants = self.cfg.arrivals.tenant_count();
             RunStats::new(self.replicas.len(), mix.len(), 0, tenants)
@@ -423,22 +418,11 @@ impl ServingSim {
                     max_batch,
                     prefill_chunk,
                     preempt,
-                } => self.run_iteration_level(model, max_batch, prefill_chunk, preempt),
+                } => self.run_iteration_level(model, &mix, max_batch, prefill_chunk, preempt),
             }
         };
         let names = self.replicas.backends().map(|b| b.name().to_string());
         stats.into_report(&mix, names.zip(self.roles.iter().copied()).collect())
-    }
-
-    /// The request-class list the run's per-class accounting is keyed
-    /// by (see [`workflow_rt::effective_mix`]).
-    fn effective_mix(&self) -> Vec<RequestClass> {
-        workflow_rt::effective_mix(&self.cfg)
-    }
-
-    /// Per-template tables the workflow hooks index at runtime.
-    fn workflow_ctx(&self) -> workflow_rt::WfCtx {
-        workflow_rt::workflow_ctx(&self.cfg)
     }
 
     /// Runs the simulation once per rate in `rates` and returns the

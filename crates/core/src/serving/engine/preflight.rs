@@ -4,7 +4,7 @@
 //! asserts as invariants that a validated run meets.
 
 use super::kv_state::paged_blocks;
-use super::ServingSim;
+use super::{ArrivalSpec, ServingSim};
 use crate::capacity::CapacityError;
 use crate::serving::{ReplicaRole, Scheduling, WorkflowError};
 use ianus_model::{ModelConfig, ModelFamily, RequestShape};
@@ -44,6 +44,9 @@ pub enum ConfigError {
     NestedTenants(usize),
     /// Tenant `.0`'s mix override is empty or not positive and finite.
     TenantWeights(usize),
+    /// Tenant `.0`'s mix override has `.1` weights for the mix's `.2`
+    /// classes (templates under a workflow mix).
+    TenantWeightCount(usize, usize, usize),
     /// Replica roles other than unified under request-level scheduling.
     RolesNeedIterationLevel,
     /// A workflow mix under request-level scheduling.
@@ -99,6 +102,9 @@ impl fmt::Display for ConfigError {
             TenantShare(k, s) => format!("{spec}: tenant {k} share {s} must be positive"),
             NestedTenants(k) => format!("{spec}: tenant {k} nests a multi-tenant spec"),
             TenantWeights(k) => format!("{spec}: tenant {k} mix weights must be positive"),
+            TenantWeightCount(k, n, classes) => {
+                format!("{spec}: tenant {k} has {n} mix weights for {classes} classes")
+            }
             RolesNeedIterationLevel => {
                 "replica roles (disaggregation) require iteration-level scheduling".into()
             }
@@ -160,9 +166,9 @@ impl ServingSim {
     ///
     /// The first broken rule, in [`ConfigError`]'s declaration order:
     /// `NoReplicas`; the mix (`EmptyMix`, `MixAndWorkflows`,
-    /// `ClassWeight`, `WorkflowWeight`, `Workflow`);
-    /// `ArrivalRate` and [`ArrivalSpec::validate`](super::ArrivalSpec::validate)'s
-    /// errors (`DiurnalAmplitude` to `TenantWeights`); the scheduling
+    /// `ClassWeight`, `WorkflowWeight`, `Workflow`); `ArrivalRate` and
+    /// [`ArrivalSpec::validate`]'s errors (`DiurnalAmplitude` to
+    /// `TenantWeights`), then `TenantWeightCount`; the scheduling
     /// (`RolesNeedIterationLevel`, `WorkflowsNeedIterationLevel` at
     /// request level, `ZeroMaxBatch`, `ZeroPrefillChunk`,
     /// `AllDecodeOnly` at iteration level); `DoesNotFit` on any replica;
@@ -193,6 +199,16 @@ impl ServingSim {
             return Err(E::ArrivalRate(cfg.arrival_rate_hz));
         }
         cfg.arrivals.validate()?;
+        if let ArrivalSpec::MultiTenant { tenants } = &cfg.arrivals {
+            // One of the two lists is empty by now.
+            let classes = cfg.mix.len() + cfg.workflows.len();
+            let counts = tenants
+                .iter()
+                .map(|t| t.mix_weights.as_ref().map_or(classes, Vec::len));
+            if let Some((k, n)) = counts.enumerate().find(|&(_, n)| n != classes) {
+                return Err(E::TenantWeightCount(k, n, classes));
+            }
+        }
         let decode_only = |r: &ReplicaRole| *r == ReplicaRole::DecodeOnly;
         match self.scheduling {
             Scheduling::RequestLevel if self.roles.iter().any(|&r| r != ReplicaRole::Unified) => {
@@ -214,7 +230,7 @@ impl ServingSim {
         for (r, b) in self.replicas.backends().enumerate() {
             b.fits(model).map_err(|e| E::DoesNotFit(r, e))?;
         }
-        let mix = self.effective_mix();
+        let mix = super::workflow_rt::effective_mix(cfg);
         for (class, &shape) in mix.iter().map(|c| &c.shape).enumerate() {
             check_generation(model, shape)?;
             let unadmittable = |replica, error| E::Unadmittable {

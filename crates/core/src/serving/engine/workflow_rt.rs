@@ -11,8 +11,9 @@
 //! workflow state.
 
 use super::arrivals::Arrival;
+use super::batch::ActiveSeq;
 use super::TimeKey;
-use crate::serving::kv::{KvSlot, PagedKv};
+use crate::serving::kv::PagedKv;
 use crate::serving::report::RunStats;
 use crate::serving::workflow::{workflow_prefix_key, NodeState, WorkflowRun, WorkflowTemplate};
 use crate::serving::{RequestClass, ServingConfig};
@@ -37,12 +38,6 @@ pub(super) struct WfTag {
     pub(super) deadline: Option<f64>,
     /// Transitive descendant count of the node (admission width).
     pub(super) blocked_descendants: u32,
-    /// Tenant owning the instance (children inherit the root's tenant).
-    pub(super) tenant: u32,
-    /// Whether the *instance* arrived inside a burst window (children
-    /// inherit the attribution — burst accounting follows the load that
-    /// launched the workflow, not the fan-out instants).
-    pub(super) in_burst: bool,
 }
 
 /// Immutable per-template tables the workflow hooks index at runtime:
@@ -93,19 +88,65 @@ pub(super) struct WfWorld<'a> {
     pub(super) inheritance: bool,
 }
 
-impl WfWorld<'_> {
-    /// Drops `parent`'s published prefix (instance `inst`) from
-    /// whichever replica holds it, if it was ever registered.
-    fn drop_expired(&mut self, inst: usize, parent: usize) {
-        let key = workflow_prefix_key(inst as u64, parent);
-        if let Some(home) = self.key_homes.remove(&key) {
-            if let Some(p) = self.paged[home].as_mut() {
-                p.drop_prefix(key);
-            }
+impl WfCtx {
+    /// Appends node `node` of instance `inst` to `arrivals` and records
+    /// its slot in `run`: the node's class, effective shape and
+    /// admission width, the instance's priority and deadline, and
+    /// `inherit` as its prefix key. `(at, tenant, in_burst)` is the
+    /// instance's draw for a root; a child arrives when its last parent
+    /// completes and keeps the instance's attribution, so burst
+    /// accounting follows the load that launched the workflow. Returns
+    /// the arrival's index.
+    pub(super) fn push_node(
+        &self,
+        arrivals: &mut Vec<Arrival>,
+        run: &mut WorkflowRun,
+        inst: usize,
+        node: usize,
+        inherit: Option<u64>,
+        (at, tenant, in_burst): (f64, u32, bool),
+    ) -> usize {
+        let (t, idx) = (run.template, arrivals.len());
+        run.node_arrival[node] = Some(idx);
+        arrivals.push(Arrival {
+            at,
+            idx: idx as u64,
+            class: self.base[t] + node,
+            shape: self.shapes[t][node],
+            priority: self.templates[t].priority,
+            slo: None,
+            tenant,
+            in_burst,
+            wf: Some(WfTag {
+                inst,
+                node,
+                inherit,
+                deadline: run.deadline,
+                blocked_descendants: self.blocked[t][node],
+            }),
+        });
+        idx
+    }
+}
+
+/// Drops `parent`'s published prefix (instance `inst`) from whichever
+/// replica holds it, if it was ever registered.
+pub(super) fn drop_prefix(
+    key_homes: &mut HashMap<u64, usize>,
+    paged: &mut [Option<PagedKv>],
+    inst: usize,
+    parent: usize,
+) {
+    let key = workflow_prefix_key(inst as u64, parent);
+    if let Some(home) = key_homes.remove(&key) {
+        if let Some(p) = paged[home].as_mut() {
+            p.drop_prefix(key);
         }
     }
+}
 
-    /// Fans out one completed workflow node: publishes its KV for
+impl WfWorld<'_> {
+    /// Fans out `seq`, a completed workflow node: publishes its KV for
     /// inheriting children (must run *before* the caller completes the
     /// sequence in the paged pool, while its table is still live),
     /// settles speculative cancellations, appends newly released
@@ -115,16 +156,15 @@ impl WfWorld<'_> {
     /// wait-queue head).
     pub(super) fn on_node_complete(
         &mut self,
-        tag: WfTag,
-        slot: KvSlot,
+        seq: &ActiveSeq,
         replica: usize,
         now: f64,
         stats: &mut RunStats,
         done: &mut u64,
     ) -> bool {
+        let tag = seq.wf.expect("a workflow node completed");
         let ctx = self.ctx;
-        let t = self.runs[tag.inst].template;
-        let tpl = &ctx.templates[t];
+        let tpl = &ctx.templates[self.runs[tag.inst].template];
         // Publish this node's output KV under its per-(instance, node)
         // key while the sequence's block table is still alive. Only
         // nodes with *live* consumers publish — a speculative loser
@@ -133,7 +173,7 @@ impl WfWorld<'_> {
         if self.inheritance && self.runs[tag.inst].live_consumers(tag.node) > 0 {
             if let Some(p) = self.paged[replica].as_mut() {
                 let key = workflow_prefix_key(tag.inst as u64, tag.node);
-                if p.register_prefix(slot, key, tpl.nodes[tag.node].shape.output)
+                if p.register_prefix(seq.slot, key, tpl.nodes[tag.node].shape.output)
                     .is_some()
                 {
                     self.key_homes.insert(key, replica);
@@ -162,7 +202,7 @@ impl WfWorld<'_> {
             }
         }
         for i in 0..out.expired_keys.len() {
-            self.drop_expired(tag.inst, out.expired_keys[i]);
+            drop_prefix(self.key_homes, self.paged, tag.inst, out.expired_keys[i]);
         }
         // Release ready children as fresh arrivals at the completion
         // instant.
@@ -178,28 +218,8 @@ impl WfWorld<'_> {
             } else {
                 None
             };
-            let ai = self.arrivals.len();
-            run.node_arrival[c] = Some(ai);
-            let deadline = run.deadline;
-            self.arrivals.push(Arrival {
-                at: now,
-                idx: ai as u64,
-                class: ctx.base[t] + c,
-                shape: ctx.shapes[t][c],
-                priority: tpl.priority,
-                slo: None,
-                tenant: tag.tenant,
-                in_burst: tag.in_burst,
-                wf: Some(WfTag {
-                    inst: tag.inst,
-                    node: c,
-                    inherit,
-                    deadline,
-                    blocked_descendants: ctx.blocked[t][c],
-                    tenant: tag.tenant,
-                    in_burst: tag.in_burst,
-                }),
-            });
+            let origin = (now, seq.tenant, seq.in_burst);
+            let ai = ctx.push_node(self.arrivals, run, tag.inst, c, inherit, origin);
             self.untaken.insert((TimeKey(now), ai));
             pushed = true;
         }
@@ -251,10 +271,10 @@ pub(super) fn effective_mix(cfg: &ServingConfig) -> Vec<RequestClass> {
 }
 
 /// Per-template tables the workflow hooks index at runtime, all
-/// derived once from the validated templates.
-pub(super) fn workflow_ctx(cfg: &ServingConfig) -> WfCtx {
+/// derived once from the validated templates and the run's effective
+/// `mix` ([`effective_mix`]).
+pub(super) fn workflow_ctx(cfg: &ServingConfig, mix: &[RequestClass]) -> WfCtx {
     let templates = cfg.workflows.clone();
-    let mix = effective_mix(cfg);
     let (mut base, mut shapes) = (Vec::new(), Vec::new());
     let mut next = 0usize;
     for tpl in &templates {

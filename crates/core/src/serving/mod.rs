@@ -205,10 +205,7 @@ mod report;
 #[cfg(test)]
 mod tests;
 
-pub use engine::{
-    check_generation, ArrivalDraw, ArrivalProcess, ArrivalSpec, ConfigError, CoreMode,
-    DiurnalArrivals, MmppArrivals, MultiTenantArrivals, PoissonArrivals, ServingSim, TenantSpec,
-};
+pub use engine::{check_generation, ArrivalSpec, ConfigError, CoreMode, ServingSim, TenantSpec};
 pub use policy::{
     AdmissionPolicy, EvictionMechanism, EvictionPolicy, MigrationPolicy, ReadmissionPolicy,
     SchedulerPolicy,
@@ -439,21 +436,14 @@ impl ServingConfig {
     }
 
     /// An agentic workflow mix: `requests` workflow *instances* drawn
-    /// from `workflows` by weight (templates are
-    /// [validated](WorkflowTemplate::validate) up front — panics on a
-    /// cyclic, dangling, or empty graph). Requires iteration-level
-    /// scheduling at run time; the flat `mix` stays empty.
+    /// from `workflows` by weight. Requires iteration-level scheduling
+    /// at run time; the flat `mix` stays empty. [`ServingSim::validate`]
+    /// checks the templates.
     pub fn workflow_mix(
         arrival_rate_hz: f64,
         requests: u64,
         workflows: Vec<WorkflowTemplate>,
     ) -> Self {
-        assert!(!workflows.is_empty(), "workflow mix must be non-empty");
-        for (i, tpl) in workflows.iter().enumerate() {
-            if let Err(e) = tpl.validate() {
-                panic!("workflow template {i} is invalid: {e}");
-            }
-        }
         ServingConfig {
             mix: vec![],
             workflows,
@@ -649,18 +639,18 @@ impl DisaggregationConfig {
     }
 }
 
-/// Picks the mix class for a uniform draw in `[0, total_weight)`.
+/// Picks the class of `weights` for a uniform draw in `[0, Σweights)`.
 ///
 /// Floating-point subtraction can leave the residual at or slightly above
 /// the final weight even for in-range draws; the final class is the
-/// fallback so such draws never silently snap back to `mix[0]`.
-pub(crate) fn pick_class(mix: &[RequestClass], draw: f64) -> usize {
+/// fallback so such draws never silently snap back to class 0.
+pub(crate) fn pick_class(weights: &[f64], draw: f64) -> usize {
     let mut rem = draw;
-    for (i, class) in mix.iter().enumerate() {
-        if rem < class.weight {
+    for (i, &w) in weights.iter().enumerate() {
+        if rem < w {
             return i;
         }
-        rem -= class.weight;
+        rem -= w;
     }
-    mix.len() - 1
+    weights.len() - 1
 }

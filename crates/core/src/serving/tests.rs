@@ -265,20 +265,16 @@ fn zero_requests_yield_empty_report() {
 fn weighted_pick_residue_falls_back_to_final_class() {
     // Regression: a draw at (or past) the total weight must pick the
     // *last* class, not silently snap back to mix[0].
-    let mix = vec![
-        RequestClass::new(RequestShape::new(1, 1), 0.1),
-        RequestClass::new(RequestShape::new(2, 1), 0.2),
-        RequestClass::new(RequestShape::new(3, 1), 0.3),
-    ];
-    let total: f64 = mix.iter().map(|c| c.weight).sum();
+    let weights = [0.1, 0.2, 0.3];
+    let total: f64 = weights.iter().sum();
     // 0.1 + 0.2 + 0.3 != 0.6 exactly in binary; whatever the residue,
     // the fallback must be the final index.
-    assert_eq!(pick_class(&mix, total), mix.len() - 1);
-    assert_eq!(pick_class(&mix, total + 1e-12), mix.len() - 1);
+    assert_eq!(pick_class(&weights, total), 2);
+    assert_eq!(pick_class(&weights, total + 1e-12), 2);
     // In-range draws still resolve normally.
-    assert_eq!(pick_class(&mix, 0.05), 0);
-    assert_eq!(pick_class(&mix, 0.15), 1);
-    assert_eq!(pick_class(&mix, 0.45), 2);
+    assert_eq!(pick_class(&weights, 0.05), 0);
+    assert_eq!(pick_class(&weights, 0.15), 1);
+    assert_eq!(pick_class(&weights, 0.45), 2);
 }
 
 #[test]
@@ -1306,29 +1302,6 @@ fn sustainable_goodput_rate_bounded_by_stability_rate() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn poisson_process_matches_legacy_inline_recipe() {
-    // The lifted `PoissonArrivals` must reproduce the engine's
-    // historical inline trace bit for bit: one exponential wait from
-    // `gen_range(EPSILON..1.0)` then one class draw from
-    // `gen_range(0.0..Σweights)` per arrival, off one seeded StdRng.
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let (seed, rate) = (0x5EED_u64, 3.0_f64);
-    let weights = [0.6, 0.3, 0.1];
-    let total: f64 = weights.iter().sum();
-    let mut lifted = PoissonArrivals::new(seed, rate);
-    let mut legacy = StdRng::seed_from_u64(seed);
-    for _ in 0..256 {
-        let d = lifted.next_arrival(&weights);
-        let u: f64 = legacy.gen_range(f64::EPSILON..1.0);
-        assert_eq!(d.wait.to_bits(), (-u.ln() / rate).to_bits());
-        assert_eq!(d.draw.to_bits(), legacy.gen_range(0.0..total).to_bits());
-        assert_eq!(d.tenant, 0);
-        assert!(!d.in_burst, "plain Poisson never flags a burst");
-    }
-}
-
-#[test]
 fn poisson_run_reports_no_burst_windows() {
     // Without burst-capable arrivals the burst columns are exactly
     // their vacuous values — zero percentiles, attainment 1.0 — so
@@ -1406,6 +1379,78 @@ fn zero_completion_tenant_is_zeroed_and_excluded_from_fairness() {
         r.tenant_fairness, 1.0,
         "a single counted tenant leaves no ratio to take"
     );
+}
+
+/// Three tenants: a diurnal stream, an MMPP stream at twice the share,
+/// and a Poisson stream whose class (or template) weights override the
+/// mix's.
+fn three_tenants(override_weights: Vec<f64>) -> ArrivalSpec {
+    let tenant = |share, inner, mix_weights| TenantSpec {
+        share,
+        inner,
+        mix_weights,
+    };
+    ArrivalSpec::MultiTenant {
+        tenants: vec![
+            tenant(1.0, ArrivalSpec::diurnal(0.6, 1.5), None),
+            tenant(2.0, ArrivalSpec::mmpp(4.0, 0.2, 0.5), None),
+            tenant(1.0, ArrivalSpec::Poisson, Some(override_weights)),
+        ],
+    }
+}
+
+/// A two-replica run of `cfg` on fixed-rate backends.
+fn tenant_report(cfg: ServingConfig, scheduling: Scheduling, mode: CoreMode) -> ServingReport {
+    ServingSim::new(cfg)
+        .replica(fixed("a", 20))
+        .replica(fixed("b", 30))
+        .scheduling(scheduling)
+        .core_mode(mode)
+        .run(&ModelConfig::gpt2_m())
+}
+
+/// Every tenant completed work, and some of it decoded in a burst.
+fn assert_tenants_served(report: &ServingReport) {
+    assert_eq!(report.per_tenant.len(), 3);
+    assert!(report.per_tenant.iter().all(|t| t.completed > 0));
+    assert_ne!(report.burst_inter_token, LatencyPercentiles::ZERO);
+}
+
+/// The fingerprints were taken before the arrival processes became one
+/// private stream; the override tenant's draws go through the per-tenant
+/// class pick, at both scheduling levels and on both cores.
+#[test]
+fn pinned_tenant_flat_runs_match_on_both_cores() {
+    let cfg = ServingConfig::interactive(40.0, 150).arrivals(three_tenants(vec![0.1, 0.1, 0.8]));
+    let request = tenant_report(cfg.clone(), Scheduling::RequestLevel, CoreMode::EventDriven);
+    assert_eq!(request.completed, 150);
+    assert_tenants_served(&request);
+    assert_eq!(debug_fnv(&request), 0x311b_5911_44ba_4ee1);
+    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
+        let report = tenant_report(cfg.clone(), Scheduling::iteration(4), mode);
+        assert_eq!(report.completed, 150);
+        assert_tenants_served(&report);
+        assert_eq!(debug_fnv(&report), 0x41d2_b038_88fb_deb7);
+    }
+}
+
+/// The same three tenants over a workflow mix: the override tenant's
+/// draws go through the template pick instead.
+#[test]
+fn pinned_tenant_workflow_run_matches_on_both_cores() {
+    let templates = vec![
+        WorkflowTemplate::agent_chain(),
+        WorkflowTemplate::tool_fanout(),
+        WorkflowTemplate::speculative(),
+    ];
+    let cfg = ServingConfig::workflow_mix(20.0, 60, templates)
+        .arrivals(three_tenants(vec![0.2, 0.2, 0.6]));
+    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
+        let report = tenant_report(cfg.clone(), Scheduling::iteration(4), mode);
+        assert!(report.completed > 60);
+        assert_tenants_served(&report);
+        assert_eq!(debug_fnv(&report), 0x0a59_32ae_da67_af12);
+    }
 }
 
 /// Price-class tests: replicas whose backends price alike share one set
@@ -2168,6 +2213,25 @@ mod preflight {
             };
             assert!(matches!(error(one(cfg)), ConfigError::ArrivalRate(_)));
         }
+    }
+
+    /// A tenant's mix override needs one weight per class (per template
+    /// under a workflow mix), in release builds too: a short one used to
+    /// run and never draw the missing classes.
+    #[test]
+    fn tenant_mix_overrides_must_cover_the_mix() {
+        let cfg = |mix: ServingConfig, weights: Vec<f64>| ServingConfig {
+            arrivals: three_tenants(weights),
+            ..mix
+        };
+        let short = one(cfg(flat(), vec![1.0, 1.0]));
+        assert_eq!(error(short), ConfigError::TenantWeightCount(2, 2, 3));
+        let long = iteration(cfg(workflows(), vec![1.0, 1.0]));
+        assert_eq!(error(long), ConfigError::TenantWeightCount(2, 2, 1));
+        let model = ModelConfig::gpt2_m();
+        assert_eq!(one(cfg(flat(), vec![1.0; 3])).validate(&model), Ok(()));
+        let covered = iteration(cfg(workflows(), vec![1.0]));
+        assert_eq!(covered.validate(&model), Ok(()));
     }
 
     /// A workflow node's effective prompt includes its parents' outputs:

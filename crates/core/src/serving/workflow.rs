@@ -93,8 +93,8 @@ pub struct WorkflowTemplate {
     /// [`parents`](WorkflowNode::parents) lists.
     pub nodes: Vec<WorkflowNode>,
     /// Relative weight of this template in the workflow mix (weights
-    /// need not sum to one; the instance draw mirrors the flat mix's
-    /// `pick_class`).
+    /// need not sum to one; as in the flat mix's class draw, a draw
+    /// past the running total falls back to the last template).
     pub weight: f64,
     /// Scheduling tier every node of an instance runs at.
     pub priority: Priority,

@@ -128,12 +128,11 @@ pub mod prelude {
         PriorityAdmission, ShortestPromptAdmission, WidestSubtreeAdmission,
     };
     pub use ianus_core::serving::{
-        AdmissionPolicy, ArrivalDraw, ArrivalProcess, ArrivalSpec, ConfigError, CoreMode,
-        DisaggregationConfig, DispatchPolicy, DiurnalArrivals, EvictionMechanism, EvictionPolicy,
-        LatencyPercentiles, MigrationPolicy, MmppArrivals, MultiTenantArrivals, PoissonArrivals,
-        Priority, ReadmissionPolicy, ReplicaRole, RequestClass, SchedulerPolicy, Scheduling,
-        ServingConfig, ServingReport, ServingSim, Slo, TenantReport, TenantSpec, WorkflowError,
-        WorkflowNode, WorkflowTemplate,
+        AdmissionPolicy, ArrivalSpec, ConfigError, CoreMode, DisaggregationConfig, DispatchPolicy,
+        EvictionMechanism, EvictionPolicy, LatencyPercentiles, MigrationPolicy, Priority,
+        ReadmissionPolicy, ReplicaRole, RequestClass, SchedulerPolicy, Scheduling, ServingConfig,
+        ServingReport, ServingSim, Slo, TenantReport, TenantSpec, WorkflowError, WorkflowNode,
+        WorkflowTemplate,
     };
     pub use ianus_core::{
         EnergyModel, IanusSystem, MemoryPolicy, OpClass, RunReport, StageReport, SystemConfig,

@@ -67,10 +67,10 @@ fn cyclic_and_dangling_templates_rejected() {
     }
 }
 
-/// The config constructor front-loads the same validation.
+/// The config constructor accepts any templates; the preflight rejects
+/// an invalid one (here a self-edge) before the run starts.
 #[test]
-#[should_panic(expected = "workflow template 0 is invalid")]
-fn workflow_mix_panics_on_invalid_template() {
+fn workflow_mix_rejects_invalid_template_at_preflight() {
     let cycle = WorkflowTemplate::new(
         vec![WorkflowNode::with_parents(
             RequestShape::new(32, 16),
@@ -78,7 +78,16 @@ fn workflow_mix_panics_on_invalid_template() {
         )],
         1.0,
     );
-    let _ = ServingConfig::workflow_mix(4.0, 10, vec![cycle]);
+    let sim = build(
+        ServingConfig::workflow_mix(4.0, 10, vec![cycle]),
+        0,
+        CoreMode::EventDriven,
+    );
+    let self_edge = WorkflowError::DanglingParent { node: 0, parent: 0 };
+    assert_eq!(
+        sim.validate(&ModelConfig::gpt2_m()),
+        Err(ConfigError::Workflow(0, self_edge))
+    );
 }
 
 // ---------------------------------------------------------------------
