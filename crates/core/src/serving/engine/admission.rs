@@ -13,7 +13,6 @@ use super::batch::ActiveSeq;
 use super::core::EngineCore;
 use super::workflow_rt::drop_prefix;
 use super::TimeKey;
-use crate::serving::policy::QueuedRequest;
 use crate::serving::report::{request_attains, RunStats};
 use crate::serving::DispatchPolicy;
 use crate::serving::ReplicaRole;
@@ -101,7 +100,12 @@ impl super::ServingSim {
                     debug_assert_eq!(t, free[i]);
                     i
                 }
-                DispatchPolicy::LeastLoaded => super::argmin(&outstanding, |q| q.len()),
+                DispatchPolicy::LeastLoaded => {
+                    let loads = outstanding.iter().map(|q| q.len()).enumerate();
+                    super::select_min(loads, usize::cmp)
+                        .expect("one queue per replica")
+                        .0
+                }
                 DispatchPolicy::ShortestExpectedJob => {
                     let mut best = 0usize;
                     let mut best_done = f64::INFINITY;
@@ -183,19 +187,15 @@ impl EngineCore<'_> {
         while self.roles[r] != ReplicaRole::DecodeOnly
             && batch.batches[r].len() + lanes.incoming[r].len() < max_batch as usize
         {
-            let mut window: Vec<(usize, QueuedRequest)> = Vec::new();
-            for &(_, i) in wait.untaken.iter() {
-                if wait.arrivals[i].at > batch.clock[r] {
-                    break;
-                }
-                window.push((i, wait.arrivals[i].queued_view()));
-            }
-            let Some(wi) =
-                super::select_min(&window, |t| t.1, |a, b| scheduler.admission.compare(a, b))
+            // The arrived slice of the queue, in (time, index) order.
+            let window = wait.untaken.iter().map_while(|&(_, i)| {
+                let a = &wait.arrivals[i];
+                (a.at <= batch.clock[r]).then(|| (i, a.queued_view()))
+            });
+            let Some((pi, _)) = super::select_min(window, |a, b| scheduler.admission.compare(a, b))
             else {
                 break;
             };
-            let pi = window[wi].0;
             let cand = &wait.arrivals[pi];
             // An invariant: `validate` admitted every class on an
             // empty replica. A refusal there would block the queue
@@ -304,6 +304,7 @@ impl EngineCore<'_> {
                 (slot, shared_tokens) = p.admit(
                     inherit_key.or(kv.class_keys[arrival.class]),
                     arrival.shape.input.saturating_sub(1),
+                    arrival.shape.total_tokens(),
                 );
                 stats.prompt_tokens += arrival.shape.input;
                 if shared_tokens > 0 {

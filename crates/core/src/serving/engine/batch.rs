@@ -486,22 +486,15 @@ impl EngineCore<'_> {
     /// Advance the prefilling sequence; its first token comes out
     /// of the final chunk — unless this was a recompute
     /// re-prefill, which only rebuilds KV the sequence already
-    /// produced tokens for. Returns whether a workflow fan-out
-    /// appended arrivals.
-    pub(super) fn advance_prefill(
-        &mut self,
-        r: usize,
-        chunk: Option<(usize, u64)>,
-        now: f64,
-    ) -> bool {
-        let mut wf_pushed = false;
+    /// produced tokens for.
+    pub(super) fn advance_prefill(&mut self, r: usize, chunk: Option<(usize, u64)>, now: f64) {
         let Some((ci, tokens)) = chunk else {
-            return wf_pushed;
+            return;
         };
         let paged = self.kv.paged[r].as_mut();
         let seq = self.batch.batches[r].prefill_chunk(ci, tokens, paged);
         if !seq.decoding() {
-            return wf_pushed;
+            return;
         }
         if let (Some(p), Some(key)) = (self.kv.paged[r].as_mut(), self.kv.class_keys[seq.class]) {
             // The prompt's full prefix blocks are now built: publish
@@ -519,7 +512,7 @@ impl EngineCore<'_> {
             // once, keeping `last_token` so the whole eviction dwell
             // lands in its next ITL gap (as a swap dwell would).
             seq.just_prefilled = true;
-            return wf_pushed;
+            return;
         }
         seq.ttft = now - seq.arrival;
         seq.last_token = now;
@@ -533,21 +526,18 @@ impl EngineCore<'_> {
         if remaining == 0 {
             // Single-token request: the prefill is the request.
             let seq = self.batch.batches[r].remove(ci, self.kv.paged[r].as_mut());
-            wf_pushed |= self.complete(r, seq, now);
+            self.complete(r, seq, now);
         } else if self.roles[r] == ReplicaRole::PrefillOnly && !self.mig.decode_pool.is_empty() {
             let seq = self.batch.batches[r].remove(ci, self.kv.paged[r].as_mut());
             self.migrate_after_prefill(r, seq, now);
         }
-        wf_pushed
     }
 
     /// Advance the decoders by one decode step: the steady set moves
     /// in aggregate, and the step's touched decoders advance in batch
     /// order, leaving the pass only to complete a sequence that emitted
-    /// its last token. Returns whether a workflow fan-out appended
-    /// arrivals.
-    pub(super) fn advance_decoders(&mut self, r: usize, now: f64) -> bool {
-        let mut wf_pushed = false;
+    /// its last token.
+    pub(super) fn advance_decoders(&mut self, r: usize, now: f64) {
         let mut gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
         self.batch.batches[r].begin_decode(now, self.kv.paged[r].as_mut(), &mut gaps);
         loop {
@@ -561,23 +551,20 @@ impl EngineCore<'_> {
                 break;
             };
             let seq = self.batch.batches[r].remove(i, self.kv.paged[r].as_mut());
-            wf_pushed |= self.complete(r, seq, now);
+            self.complete(r, seq, now);
             gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
         }
         self.batch.batches[r].end_decode(now, self.kv.paged[r].as_ref());
-        wf_pushed
     }
 
     /// Settles `seq`, which just emitted its last token on replica `r`
     /// and has left the batch: a workflow node fans out, the paged pool
-    /// frees its table, and the run records the completion. Returns
-    /// whether the fan-out appended arrivals.
-    fn complete(&mut self, r: usize, mut seq: ActiveSeq, now: f64) -> bool {
-        let mut wf_pushed = false;
+    /// frees its table, and the run records the completion.
+    fn complete(&mut self, r: usize, mut seq: ActiveSeq, now: f64) {
         if seq.wf.is_some() {
             // Fan out before `complete` frees the block table:
             // children inherit this node's KV as a shared prefix.
-            wf_pushed = WfWorld {
+            WfWorld {
                 ctx: &self.wf.ctx,
                 runs: &mut self.wf.runs,
                 arrivals: &mut self.wait.arrivals,
@@ -605,6 +592,5 @@ impl EngineCore<'_> {
             seq.in_burst,
         );
         self.done += 1;
-        wf_pushed
     }
 }

@@ -3,14 +3,26 @@
 //!
 //! [`EngineCore`] owns one run's mutable state, split into the layer
 //! structs ([`WaitQueue`], [`BatchState`], [`KvLedger`], [`LaneClocks`],
-//! [`MigrationState`], [`WorkflowRt`], [`TurnIndex`]) plus the shared
+//! [`MigrationState`], [`WorkflowRt`], [`TurnTree`]) plus the shared
 //! scalars, and drives the turn loop: select the next actionable
-//! replica (heap-indexed or linear-scan, bit-identically — the only
-//! place that knows the [`CoreMode`]), retire DMA,
-//! re-admit swapped work, land migrants, admit arrivals, relieve KV
-//! pressure, execute one iteration, advance prefill and decoders, and
-//! re-index. Each phase lives in its layer's module as an
+//! replica (from two min-trees over replica slots, or by the
+//! linear-scan reference, bit-identically — the only place that knows
+//! the [`CoreMode`]), retire DMA, re-admit swapped work, land
+//! migrants, admit arrivals, relieve KV pressure, execute one
+//! iteration, advance prefill and decoders, and re-index the replica
+//! that moved. Each phase lives in its layer's module as an
 //! `impl EngineCore` block; this module only sequences them.
+//!
+//! The scan's rule is the definition: a replica that
+//! [holds work](EngineCore::holds_work) acts at its own clock, an idle
+//! replica that admits arrivals acts at `max(clock, wait-queue head)`
+//! (never while the queue is empty), and an idle decode-only replica
+//! waits for a migration. The turn is the lexicographic, IEEE-compared
+//! `(time, index)` minimum. [`TurnTree`] keeps busy clocks in one tree
+//! and idle admitting clocks in another, and computes the idle side
+//! from the head at selection time, so a head that moves (admissions
+//! move it later, a workflow fan-out can move it earlier) needs no
+//! repair.
 
 use super::admission::WaitQueue;
 use super::batch::{Batch, BatchState};
@@ -26,16 +38,15 @@ use crate::serving::policy::{MigrationPolicy, SchedulerPolicy};
 use crate::serving::report::RunStats;
 use crate::serving::{ReplicaRole, RequestClass};
 use ianus_model::ModelConfig;
-use ianus_sim::SlotQueue;
 use std::collections::{BTreeSet, HashMap};
 
-/// How the turn loop picks its next replica: the event-driven
-/// index, or the step-scan reference that walks every replica each
-/// turn. Both select the same turns; nothing else in the engine
-/// depends on which one runs.
+/// How the turn loop picks its next replica: the turn tree, or the
+/// step-scan reference that walks every replica each turn. Both select
+/// the same turns; nothing else in the engine depends on which one
+/// runs.
 pub(super) enum Turns {
     /// [`CoreMode::EventDriven`].
-    Indexed(TurnIndex),
+    Indexed(TurnTree),
     /// [`CoreMode::StepScan`]: stateless.
     Scan,
 }
@@ -44,55 +55,161 @@ impl Turns {
     fn new(mode: CoreMode, roles: &[ReplicaRole]) -> Self {
         match mode {
             CoreMode::StepScan => Turns::Scan,
-            // Decode-only replicas never admit arrivals: they start
-            // parked (in no idle set) and are woken by the turn that
-            // issues a migration toward them.
-            CoreMode::EventDriven => Turns::Indexed(TurnIndex {
-                busy_q: SlotQueue::new(roles.len()),
-                idle_ready: (0..roles.len())
-                    .filter(|&i| roles[i] != ReplicaRole::DecodeOnly)
-                    .collect(),
-                idle_late: BTreeSet::new(),
-                parked: BTreeSet::new(),
-            }),
+            CoreMode::EventDriven => {
+                let mut tree = TurnTree::new(roles.len());
+                // Every replica starts idle at clock 0; decode-only
+                // replicas never admit arrivals, so they start out of
+                // both trees until a migration wakes them.
+                for (r, role) in roles.iter().enumerate() {
+                    tree.set(r, TurnState::Idle(0.0), *role);
+                }
+                Turns::Indexed(tree)
+            }
         }
     }
 
-    /// Wakes replica `r` for a migration pushed toward it: it is busy
-    /// at its own clock `at` from now on (a parked decode-only replica
-    /// is in no set; `schedule` upserts, so a busy one keeps its key).
-    /// The scan needs no wake.
+    /// Wakes replica `r` for a migration pushed toward it: it holds
+    /// work at its own clock `at` from now on. The scan needs no wake.
     pub(super) fn wake(&mut self, r: usize, at: f64) {
-        if let Turns::Indexed(ix) = self {
-            ix.busy_q.schedule(r, TimeKey(at));
+        if let Turns::Indexed(tree) = self {
+            tree.set(r, TurnState::Busy(at), ReplicaRole::DecodeOnly);
         }
     }
 }
 
-/// The event-driven next-actionable-time index. A replica is
-/// *busy* (actionable at its own clock) while it
-/// [holds work](EngineCore::holds_work); idle replicas are
-/// actionable at `max(clock, next pending arrival)`, so they
-/// split on which side of that max binds: `idle_ready` holds
-/// those with clock ≤ the next arrival (all actionable at the
-/// arrival — lowest index wins), `idle_late` those past it
-/// (actionable at their own clock). The next pending arrival
-/// time only moves later, so `idle_late` entries migrate to
-/// `idle_ready` monotonically, and once the queue drains an idle
-/// replica can never act again (only a replica's own turn makes
-/// it busy), so both sets clear.
-pub(super) struct TurnIndex {
-    /// Busy replicas keyed by their next boundary time.
-    busy_q: SlotQueue<TimeKey>,
-    /// Idle replicas whose clock has not passed the arrival head.
-    idle_ready: BTreeSet<usize>,
-    /// Idle replicas past the arrival head, keyed by their own clock.
-    idle_late: BTreeSet<(TimeKey, usize)>,
-    /// Workflow mode only: idle non-decode replicas that found the
-    /// wait queue empty. They are in no idle set (there is no head
-    /// to classify them against) and are woken by the turn whose
-    /// completion fan-out refills the queue.
-    parked: BTreeSet<usize>,
+/// A replica's state as turn selection sees it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TurnState {
+    /// Holds work: actionable at this clock.
+    Busy(f64),
+    /// Holds no work, at this clock.
+    Idle(f64),
+}
+
+/// The event-driven turn index: two [`MinTree`]s over replica slots.
+/// `busy` keys the replicas that hold work by clock; `idle` keys the
+/// idle replicas that admit arrivals (every role but decode-only) by
+/// clock. Neither allocates after construction, and a turn re-keys
+/// only the replica that moved.
+pub(super) struct TurnTree {
+    busy: MinTree,
+    idle: MinTree,
+}
+
+impl TurnTree {
+    /// An index over `n` replicas, all out of both trees.
+    fn new(n: usize) -> Self {
+        TurnTree {
+            busy: MinTree::new(n),
+            idle: MinTree::new(n),
+        }
+    }
+
+    /// Re-keys replica `r` in state `state`; an idle decode-only
+    /// replica leaves both trees (only a migration wakes it).
+    fn set(&mut self, r: usize, state: TurnState, role: ReplicaRole) {
+        let (busy, idle) = match state {
+            TurnState::Busy(clock) => (Some(clock), None),
+            TurnState::Idle(_) if role == ReplicaRole::DecodeOnly => (None, None),
+            TurnState::Idle(clock) => (None, Some(clock)),
+        };
+        self.busy.set(r, busy);
+        self.idle.set(r, idle);
+    }
+
+    /// The next turn `(time, replica)` when the wait-queue head is
+    /// `head`: the busy root against the idle candidate, lexicographic
+    /// on `(time, index)` with IEEE comparisons. Idle replicas act at
+    /// `max(clock, head)`, whose minimum is `t = max(min idle clock,
+    /// head)`, reached by every idle replica with clock ≤ `t`; the
+    /// lowest index among them is the candidate. With no head, idle
+    /// replicas cannot act.
+    fn select(&self, head: Option<f64>) -> Option<(f64, usize)> {
+        let busy = self.busy.min();
+        let idle = head.and_then(|h| {
+            let (m, _) = self.idle.min()?;
+            let t = m.max(h);
+            Some((t, self.idle.first_at_most(t)))
+        });
+        match (busy, idle) {
+            (Some(b), Some(i)) => Some(if i.0 < b.0 || (i.0 == b.0 && i.1 < b.1) {
+                i
+            } else {
+                b
+            }),
+            (b, i) => b.or(i),
+        }
+    }
+}
+
+/// A min-tree over `n` slots in one array: leaves hold each slot's key
+/// (or none), and every inner node the `(key, slot)` minimum of its
+/// subtree, equal keys to the lower slot. The root is the lexicographic
+/// `(key, slot)` minimum; [`set`](Self::set) re-keys one leaf and its
+/// ancestors in O(log n), without allocating.
+struct MinTree {
+    /// `nodes[1]` is the root, node `k`'s children are `2k` and
+    /// `2k + 1`, and slot `s`'s leaf is `width + s`.
+    nodes: Vec<(f64, u32)>,
+    /// Leaves: `n` rounded up to a power of two.
+    width: usize,
+}
+
+/// The slot of an empty node.
+const NO_SLOT: u32 = u32::MAX;
+/// An empty node.
+const EMPTY: (f64, u32) = (f64::INFINITY, NO_SLOT);
+
+impl MinTree {
+    fn new(n: usize) -> Self {
+        assert!(n < NO_SLOT as usize, "too many replicas for the turn tree");
+        let width = n.max(1).next_power_of_two();
+        MinTree {
+            nodes: vec![EMPTY; 2 * width],
+            width,
+        }
+    }
+
+    /// Sets slot `s`'s key (`None` removes it).
+    fn set(&mut self, s: usize, key: Option<f64>) {
+        let mut k = self.width + s;
+        let leaf = key.map_or(EMPTY, |t| (t, s as u32));
+        let old = self.nodes[k];
+        if old.1 == leaf.1 && old.0.to_bits() == leaf.0.to_bits() {
+            return;
+        }
+        self.nodes[k] = leaf;
+        while k > 1 {
+            let left = k & !1;
+            let (a, b) = (self.nodes[left], self.nodes[left + 1]);
+            // The left child holds the lower slots: it wins ties. The
+            // winner is picked by index, without a branch on the keys.
+            let right_wins = (a.1 == NO_SLOT) | (b.0 < a.0);
+            k /= 2;
+            self.nodes[k] = self.nodes[left + usize::from(right_wins)];
+        }
+    }
+
+    /// The lexicographic `(key, slot)` minimum, if any slot has a key.
+    fn min(&self) -> Option<(f64, usize)> {
+        let (t, s) = self.nodes[1];
+        (s != NO_SLOT).then_some((t, s as usize))
+    }
+
+    /// The lowest slot whose key is ≤ `t`, given that the root's is.
+    fn first_at_most(&self, t: f64) -> usize {
+        let mut k = 1;
+        while k < self.width {
+            let left = self.nodes[2 * k];
+            k = if left.1 != NO_SLOT && left.0 <= t {
+                2 * k
+            } else {
+                2 * k + 1
+            };
+        }
+        debug_assert!(self.nodes[k].1 != NO_SLOT && self.nodes[k].0 <= t);
+        self.nodes[k].1 as usize
+    }
 }
 
 /// One iteration-level run's full mutable state: the layer structs plus
@@ -176,19 +293,16 @@ impl ServingSim {
             .backends()
             .map(|b| self.host_kv_override.unwrap_or_else(|| b.host_kv_bytes()))
             .collect();
-        let wf_mode = !self.cfg.workflows.is_empty();
         // Arrivals ascending by time (and index). The wait queue is the
         // arrived, not-yet-admitted slice: `untaken` holds the pending
         // indices in order, so each boundary walks exactly the pending
         // window — no tombstone skipping, and the first element is the
-        // next pending arrival (its time is nondecreasing over the run,
-        // which the idle-replica index relies on). Workflow mode
-        // appends *child* arrivals mid-run as their parents complete;
-        // an append can move the wait-queue head backward in time, so
-        // there the idle index is repaired after each fan-out instead
-        // of trusting the nondecreasing-head invariant.
+        // next pending arrival. Workflow mode appends *child* arrivals
+        // mid-run as their parents complete; an append can move the
+        // wait-queue head backward in time, which turn selection reads
+        // afresh every turn.
         let wf_ctx = workflow_ctx(&self.cfg, mix);
-        let (arrivals, wf_runs, total) = if wf_mode {
+        let (arrivals, wf_runs, total) = if !self.cfg.workflows.is_empty() {
             self.generate_workflow_arrivals(&wf_ctx)
         } else {
             (self.generate_arrivals(), Vec::new(), self.cfg.requests)
@@ -275,7 +389,6 @@ impl ServingSim {
                 runs: wf_runs,
                 key_homes: HashMap::new(),
                 inheritance: self.workflow_inheritance,
-                mode: wf_mode,
             },
             turns,
             stats,
@@ -295,18 +408,14 @@ impl EngineCore<'_> {
     /// or the divergence guard aborts.
     pub(super) fn run(mut self) -> RunStats {
         while self.done < self.total {
-            // Whether a workflow completion appended arrivals this turn
-            // (the event core must then repair its idle sets against
-            // the possibly-earlier wait-queue head).
-            let mut wf_pushed = false;
             let Some((r, at)) = self.select_turn() else {
                 // Divergence guard fired.
                 break;
             };
             self.batch.clock[r] = at;
-            // The turn body, in a labeled block so the event-index
-            // reclassification below always runs (the empty-batch
-            // branch breaks out early where the scan core `continue`d).
+            // The turn body, in a labeled block so the re-index below
+            // always runs (the empty-batch branch breaks out early
+            // where the scan core `continue`d).
             'body: {
                 self.retire_dma(r);
                 self.readmit_swapped(r);
@@ -321,13 +430,20 @@ impl EngineCore<'_> {
                     self.relieve_pressure(r, chunk_target);
                 }
                 let (chunk, now) = self.execute_iteration(r, chunk_target);
-                wf_pushed |= self.advance_prefill(r, chunk, now);
-                wf_pushed |= self.advance_decoders(r, now);
+                self.advance_prefill(r, chunk, now);
+                self.advance_decoders(r, now);
             }
             if cfg!(debug_assertions) {
                 self.batch.batches[r].assert_counters(self.kv.paged[r].as_ref());
             }
-            self.reindex(r, wf_pushed);
+            let state = if self.holds_work(r) {
+                TurnState::Busy(self.batch.clock[r])
+            } else {
+                TurnState::Idle(self.batch.clock[r])
+            };
+            if let Turns::Indexed(tree) = &mut self.turns {
+                tree.set(r, state, self.roles[r]);
+            }
         }
         self.finish()
     }
@@ -351,30 +467,11 @@ impl EngineCore<'_> {
     /// when it fires (the run aborts).
     fn select_turn(&mut self) -> Option<(usize, f64)> {
         let head_at = self.wait.untaken.first().map(|&(t, _)| t.0);
-        let (r, at) = match &mut self.turns {
-            Turns::Indexed(ix) => {
-                let busy = ix.busy_q.peek().map(|(TimeKey(t), i)| (t, i));
-                let ready = head_at.zip(ix.idle_ready.first().copied());
-                let late = head_at.and(ix.idle_late.first().map(|&(TimeKey(t), i)| (t, i)));
-                // Lexicographic min of `(time, index)`, IEEE-compared.
-                let (at, r) = [busy, ready, late]
-                    .into_iter()
-                    .flatten()
-                    .reduce(|a, b| {
-                        if b.0 < a.0 || (b.0 == a.0 && b.1 < a.1) {
-                            b
-                        } else {
-                            a
-                        }
-                    })
+        let (r, at) = match &self.turns {
+            Turns::Indexed(tree) => {
+                let (at, r) = tree
+                    .select(head_at)
                     .expect("requests outstanding but no replica actionable");
-                if busy == Some((at, r)) {
-                    ix.busy_q.pop();
-                } else if ready == Some((at, r)) {
-                    ix.idle_ready.remove(&r);
-                } else {
-                    ix.idle_late.remove(&(TimeKey(at), r));
-                }
                 (r, at)
             }
             Turns::Scan => {
@@ -416,91 +513,6 @@ impl EngineCore<'_> {
             }
         }
         Some((r, at))
-    }
-
-    /// Re-index replica `r` for its next turn. A replica holding
-    /// work (resident, swapped, or an in-flight swap-in) is busy
-    /// at its own clock; one holding at most background swap-outs
-    /// is idle — actionable at the pending-arrival head if its
-    /// clock has not passed it, at its own clock otherwise. With
-    /// no arrivals left an idle replica can never act again, so
-    /// the idle sets empty out. A no-op under the scan.
-    fn reindex(&mut self, r: usize, wf_pushed: bool) {
-        let busy = self.holds_work(r);
-        let Turns::Indexed(turns) = &mut self.turns else {
-            return;
-        };
-        let batch = &self.batch;
-        let untaken = &self.wait.untaken;
-        if untaken.is_empty() && !self.wf.mode {
-            // With no arrivals left an idle replica can never
-            // act again. (Workflow mode keeps the sets: a
-            // running node's completion can refill the queue,
-            // and selection already ignores idle replicas
-            // while it is empty.)
-            turns.idle_ready.clear();
-            turns.idle_late.clear();
-        }
-        if busy {
-            turns.busy_q.schedule(r, TimeKey(batch.clock[r]));
-        } else if self.roles[r] == ReplicaRole::DecodeOnly {
-            // Parked: arrivals never route here, so the replica
-            // next acts when a migration push wakes it.
-        } else if let Some(&(t, _)) = untaken.first() {
-            if batch.clock[r] <= t.0 {
-                turns.idle_ready.insert(r);
-            } else {
-                turns.idle_late.insert((TimeKey(batch.clock[r]), r));
-            }
-        } else if self.wf.mode {
-            // Queue empty but running nodes may still release
-            // children: park until a fan-out turn wakes us.
-            turns.parked.insert(r);
-        }
-        if wf_pushed {
-            // A completion fan-out appended arrivals at `now`,
-            // which can move the wait-queue head *backward*
-            // (`now` precedes leftover root arrivals). Wake
-            // every parked replica against the new head, and
-            // demote ready replicas whose clock now exceeds it
-            // — they act at their own clock, not the head's.
-            let h = untaken
-                .first()
-                .map(|&(t, _)| t.0)
-                .expect("fan-out left the wait queue non-empty");
-            for pr in std::mem::take(&mut turns.parked) {
-                if batch.clock[pr] <= h {
-                    turns.idle_ready.insert(pr);
-                } else {
-                    turns.idle_late.insert((TimeKey(batch.clock[pr]), pr));
-                }
-            }
-            let demote: Vec<usize> = turns
-                .idle_ready
-                .iter()
-                .copied()
-                .filter(|&ir| batch.clock[ir] > h)
-                .collect();
-            for ir in demote {
-                turns.idle_ready.remove(&ir);
-                turns.idle_late.insert((TimeKey(batch.clock[ir]), ir));
-            }
-        }
-        // The arrival head is nondecreasing between fan-outs
-        // (admissions only remove from `untaken`), so replicas
-        // that fell behind it migrate from late to ready
-        // monotonically.
-        if let Some(&(t, _)) = untaken.first() {
-            let h = t.0;
-            while let Some(&(t, late_r)) = turns.idle_late.first() {
-                if t.0 <= h {
-                    turns.idle_late.pop_first();
-                    turns.idle_ready.insert(late_r);
-                } else {
-                    break;
-                }
-            }
-        }
     }
 
     /// End-of-run invariants and the raw samples. Every swap-out must
@@ -545,5 +557,109 @@ impl EngineCore<'_> {
             }
         }
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Clocks and heads are drawn from a short list so equal times are
+    /// common; one head draw past its end is an empty wait queue.
+    const TIMES: [f64; 6] = [0.0, 0.5, 1.0, 2.0, 7.25, 1e6];
+
+    /// The step-scan rule over explicit replica states: busy replicas
+    /// act at their clock, idle ones that admit at `max(clock, head)`
+    /// (never without a head), idle decode-only ones not at all; the
+    /// first strict minimum in index order wins.
+    fn scan(states: &[(TurnState, ReplicaRole)], head: Option<f64>) -> Option<(f64, usize)> {
+        let mut next: Option<(f64, usize)> = None;
+        for (r, &(state, role)) in states.iter().enumerate() {
+            let at = match state {
+                TurnState::Busy(clock) => clock,
+                TurnState::Idle(_) if role == ReplicaRole::DecodeOnly => continue,
+                TurnState::Idle(clock) => match head {
+                    Some(h) => clock.max(h),
+                    None => continue,
+                },
+            };
+            if next.is_none_or(|(best, _)| at < best) {
+                next = Some((at, r));
+            }
+        }
+        next
+    }
+
+    /// Applies `ops` — `(replica, state kind, clock, head)` draws — to
+    /// a tree over `n` replicas and to a list of explicit states, and
+    /// checks after each that the tree selects what the scan does.
+    /// Kinds: busy at a drawn clock, idle unified, idle prefill-only,
+    /// idle decode-only (out of both trees), and a busy replica keeping
+    /// its clock (a migration wake).
+    fn tree_selects_like_the_scan(n: usize, ops: &[(usize, u8, usize, usize)]) -> bool {
+        let mut tree = TurnTree::new(n);
+        let mut states = vec![(TurnState::Idle(0.0), ReplicaRole::DecodeOnly); n];
+        ops.iter().all(|&(pick, kind, clock, head)| {
+            let r = pick % n;
+            let clock = TIMES[clock % TIMES.len()];
+            let (TurnState::Busy(own) | TurnState::Idle(own)) = states[r].0;
+            states[r] = match kind % 5 {
+                0 => (TurnState::Busy(clock), states[r].1),
+                1 => (TurnState::Idle(clock), ReplicaRole::Unified),
+                2 => (TurnState::Idle(clock), ReplicaRole::PrefillOnly),
+                3 => (TurnState::Idle(clock), ReplicaRole::DecodeOnly),
+                _ => (TurnState::Busy(own), states[r].1),
+            };
+            tree.set(r, states[r].0, states[r].1);
+            let head = TIMES.get(head % (TIMES.len() + 1)).copied();
+            let bits = |p: Option<(f64, usize)>| p.map(|(t, r)| (t.to_bits(), r));
+            bits(tree.select(head)) == bits(scan(&states, head))
+        })
+    }
+
+    /// SplitMix64, for the exhaustive replica-count sweep.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every replica count from 1 to 130, so each power-of-two width
+    /// from 1 to 256 and both sides of every width change are covered.
+    #[test]
+    fn turn_tree_selects_like_the_scan_at_every_width() {
+        let mut state = 0x7e57;
+        for n in 1..=130 {
+            let ops: Vec<(usize, u8, usize, usize)> = (0..4 * n + 64)
+                .map(|_| {
+                    let x = splitmix(&mut state);
+                    (
+                        x as usize,
+                        (x >> 16) as u8,
+                        (x >> 24) as usize,
+                        (x >> 40) as usize,
+                    )
+                })
+                .collect();
+            assert!(tree_selects_like_the_scan(n, &ops), "{n} replicas");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random busy, idle and out states, equal clocks, and heads
+        /// present or absent, over 1 to 130 replicas: the turn tree
+        /// picks the scan's `(time, index)` after every re-key.
+        #[test]
+        fn turn_tree_selects_like_the_scan(
+            n in 1usize..131,
+            ops in prop::collection::vec((0usize..256, 0u8..5, 0usize..6, 0usize..7), 1..200),
+        ) {
+            prop_assert!(tree_selects_like_the_scan(n, &ops));
+        }
     }
 }

@@ -648,8 +648,9 @@ mod tests {
                         // Admission: the first prefill to complete
                         // publishes the prefix later pushes map.
                         let shape = RequestShape::new(n + 8, 2 + pick % 7);
-                        let (slot, shared) = p.admit(Some(key), shape.input - 1);
-                        prop_assert_eq!(q.admit(Some(key), shape.input - 1), (slot, shared));
+                        let (input, total) = (shape.input - 1, shape.total_tokens());
+                        let (slot, shared) = p.admit(Some(key), input, total);
+                        prop_assert_eq!(q.admit(Some(key), input, total), (slot, shared));
                         let seq = admitted(next_idx, shape, slot, shared);
                         twin.push(seq.clone());
                         batch.push(seq, Some(&p));

@@ -161,30 +161,24 @@ impl EngineCore<'_> {
             };
             let paged = kv.paged[r].as_ref();
             let priced = scheduler.readmission.reads_costs();
-            let views: Vec<(usize, SeqView)> = kv.swapped[r]
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let costs = priced.then(|| {
-                        // Credit the candidate's own hosted bytes
-                        // back: its swap-side cost must not read as
-                        // "pool full" when the fullness is the
-                        // candidate itself (swapping *in* frees the
-                        // pool).
-                        let headroom = kv.pools[r].map(|p| {
-                            p.saturating_sub(kv.host_used[r].saturating_sub(s.hosted_bytes))
-                        });
-                        eviction_costs(s, replicas, r, model, headroom, paged)
-                    });
-                    (i, costed_view(s, paged, readmit_delay, costs))
-                })
-                .collect();
-            let Some(vi) =
-                super::select_min(&views, |t| t.1, |a, b| scheduler.readmission.compare(a, b))
+            let views = kv.swapped[r].iter().enumerate().map(|(i, s)| {
+                let costs = priced.then(|| {
+                    // Credit the candidate's own hosted bytes
+                    // back: its swap-side cost must not read as
+                    // "pool full" when the fullness is the
+                    // candidate itself (swapping *in* frees the
+                    // pool).
+                    let headroom = kv.pools[r]
+                        .map(|p| p.saturating_sub(kv.host_used[r].saturating_sub(s.hosted_bytes)));
+                    eviction_costs(s, replicas, r, model, headroom, paged)
+                });
+                (i, costed_view(s, paged, readmit_delay, costs))
+            });
+            let Some((ci, _)) =
+                super::select_min(views, |a, b| scheduler.readmission.compare(a, b))
             else {
                 break;
             };
-            let ci = views[vi].0;
             let force = batch.batches[r].is_empty() && lanes.incoming[r].is_empty();
             if !force {
                 let grown_tokens = |s: &ActiveSeq| {
@@ -456,7 +450,7 @@ impl EngineCore<'_> {
             };
             let paged = kv.paged[r].as_ref();
             let priced = scheduler.eviction.reads_costs();
-            let views: Vec<(usize, SeqView)> = batch.batches[r]
+            let views = batch.batches[r]
                 .settled()
                 .iter()
                 .enumerate()
@@ -465,11 +459,9 @@ impl EngineCore<'_> {
                     let costs =
                         priced.then(|| eviction_costs(s, replicas, r, model, headroom, paged));
                     (i, costed_view(s, paged, readmit_delay, costs))
-                })
-                .collect();
-            let victim =
-                super::select_min(&views, |t| t.1, |a, b| scheduler.eviction.compare(a, b));
-            let Some(vi) = victim.filter(|_| batch.batches[r].len() > 1) else {
+                });
+            let victim = super::select_min(views, |a, b| scheduler.eviction.compare(a, b));
+            let Some((v, view)) = victim.filter(|_| batch.batches[r].len() > 1) else {
                 // Nothing evictable: tolerate the overcommit
                 // for this iteration, and record the
                 // over-capacity footprint so the report cannot
@@ -479,7 +471,6 @@ impl EngineCore<'_> {
                 }
                 break;
             };
-            let (v, view) = views[vi];
             let mut seq = batch.batches[r].remove(v, kv.paged[r].as_mut());
             seq.preemptions += 1;
             kv.swap_count += 1;

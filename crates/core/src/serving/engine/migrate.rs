@@ -109,8 +109,11 @@ impl EngineCore<'_> {
                 // publish the prefix for later admissions (the
                 // migrant arrives fully prefilled, so its blocks
                 // are publishable immediately).
-                let (slot, shared) =
-                    p.admit(kv.class_keys[seq.class], seq.shape.input.saturating_sub(1));
+                let (slot, shared) = p.admit(
+                    kv.class_keys[seq.class],
+                    seq.shape.input.saturating_sub(1),
+                    seq.shape.total_tokens(),
+                );
                 seq.slot = slot;
                 seq.shared_tokens = shared;
                 p.grow(seq.slot, seq.past);
@@ -155,21 +158,18 @@ impl EngineCore<'_> {
         if let Some(p) = self.kv.paged[r].as_mut() {
             p.complete(seq.slot);
         }
-        let targets: Vec<MigrationTarget> = self
-            .mig
-            .decode_pool
-            .iter()
-            .map(|&d| MigrationTarget {
+        let targets = self.mig.decode_pool.iter().map(|&d| {
+            let target = MigrationTarget {
                 replica: d,
                 batch_len: self.batch.batches[d].len() + self.lanes.incoming[d].len(),
                 inbound: self.mig.migrating[d].len(),
                 lane_busy_secs: (self.lanes.dma[d].free_at(DmaLane::H2D) - now).max(0.0),
                 kv_free_blocks: self.kv.paged[d].as_ref().map(PagedKv::free_blocks),
-            })
-            .collect();
-        let ti = super::select_min(&targets, |t| *t, |a, b| self.migration.compare(a, b))
+            };
+            (d, target)
+        });
+        let (dst, _) = super::select_min(targets, |a, b| self.migration.compare(a, b))
             .expect("decode pool is non-empty");
-        let dst = targets[ti].replica;
         let out_secs = self.replicas.kv_transfer_secs(r, model, moved);
         let in_secs = self.replicas.kv_transfer_secs(dst, model, moved);
         self.stats.dma[r] += out_secs;

@@ -53,8 +53,9 @@ use ianus_model::ModelConfig;
 /// code path under either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoreMode {
-    /// Heap-indexed next-actionable-time selection: one step costs
-    /// O(log replicas) and idle replicas cost nothing. The default.
+    /// Turn-tree selection: two min-trees over replica slots (busy
+    /// and idle clocks), so one step costs O(log replicas) and the
+    /// wait-queue head is read at selection time. The default.
     #[default]
     EventDriven,
     /// The historical linear scan: every step walks all replicas.
@@ -62,8 +63,8 @@ pub enum CoreMode {
 }
 
 /// Total order over engine clocks. Clocks are finite and non-negative,
-/// where `total_cmp` agrees with IEEE `<`, so heap order reproduces the
-/// scan's comparisons exactly.
+/// where `total_cmp` agrees with IEEE `<`, so the wait queue and the
+/// request-level dispatch heap order times as IEEE comparisons do.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TimeKey(pub(crate) f64);
 
@@ -628,35 +629,18 @@ impl ServingSim {
     }
 }
 
-/// Index of the comparator-minimal element (ties keep the earliest),
-/// viewing each element through `view`. `None` on an empty slice.
-fn select_min<T, V>(
-    items: &[T],
-    view: impl Fn(&T) -> V,
+/// The comparator-minimal `(index, view)` pair of `items`, ties to the
+/// earliest, picked in one pass that keeps only the best pair so far:
+/// callers stream their views instead of collecting them. `None` when
+/// `items` is empty.
+fn select_min<V>(
+    items: impl IntoIterator<Item = (usize, V)>,
     compare: impl Fn(&V, &V) -> std::cmp::Ordering,
-) -> Option<usize> {
+) -> Option<(usize, V)> {
     let mut best: Option<(usize, V)> = None;
-    for (i, item) in items.iter().enumerate() {
-        let v = view(item);
-        best = match best {
-            None => Some((i, v)),
-            Some((bi, bv)) => {
-                if compare(&v, &bv).is_lt() {
-                    Some((i, v))
-                } else {
-                    Some((bi, bv))
-                }
-            }
-        };
-    }
-    best.map(|(i, _)| i)
-}
-
-fn argmin<T, K: PartialOrd>(items: &[T], key: impl Fn(&T) -> K) -> usize {
-    let mut best = 0usize;
-    for i in 1..items.len() {
-        if key(&items[i]) < key(&items[best]) {
-            best = i;
+    for (i, v) in items {
+        if best.as_ref().is_none_or(|(_, b)| compare(&v, b).is_lt()) {
+            best = Some((i, v));
         }
     }
     best

@@ -65,9 +65,6 @@ pub(super) struct WorkflowRt {
     /// Whether children admit with inherited parent KV (the engine's
     /// `workflow_inheritance` knob gated on paged mode).
     pub(super) inheritance: bool,
-    /// Whether this run is a workflow run at all (`false` on a flat
-    /// mix; every workflow hook is skipped).
-    pub(super) mode: bool,
 }
 
 /// Everything one workflow-node completion touches outside the
@@ -151,9 +148,7 @@ impl WfWorld<'_> {
     /// sequence in the paged pool, while its table is still live),
     /// settles speculative cancellations, appends newly released
     /// children to the arrival vector at `now`, and records finished
-    /// instances. Returns `true` if new arrivals were appended (the
-    /// event core then repairs its idle-replica sets against the new
-    /// wait-queue head).
+    /// instances.
     pub(super) fn on_node_complete(
         &mut self,
         seq: &ActiveSeq,
@@ -161,7 +156,7 @@ impl WfWorld<'_> {
         now: f64,
         stats: &mut RunStats,
         done: &mut u64,
-    ) -> bool {
+    ) {
         let tag = seq.wf.expect("a workflow node completed");
         let ctx = self.ctx;
         let tpl = &ctx.templates[self.runs[tag.inst].template];
@@ -206,7 +201,6 @@ impl WfWorld<'_> {
         }
         // Release ready children as fresh arrivals at the completion
         // instant.
-        let mut pushed = false;
         for &c in &out.released {
             let run = &mut self.runs[tag.inst];
             let inherit = if self.inheritance {
@@ -221,7 +215,6 @@ impl WfWorld<'_> {
             let origin = (now, seq.tenant, seq.in_burst);
             let ai = ctx.push_node(self.arrivals, run, tag.inst, c, inherit, origin);
             self.untaken.insert((TimeKey(now), ai));
-            pushed = true;
         }
         debug_assert!(
             out.released
@@ -237,7 +230,6 @@ impl WfWorld<'_> {
                 stats.workflow_attained += 1;
             }
         }
-        pushed
     }
 }
 

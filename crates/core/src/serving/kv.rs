@@ -608,11 +608,13 @@ impl PagedKv {
             .map_or(0, |(_, tokens)| tokens)
     }
 
-    /// Admits a sequence: creates its table in a free slot and, when
-    /// `key` names a cached prefix, maps up to `max_tokens` of shared
-    /// blocks. Returns the slot and the shared tokens mapped (0 = cold
-    /// admission).
-    pub fn admit(&mut self, key: Option<u64>, max_tokens: u64) -> (KvSlot, u64) {
+    /// Admits a sequence that will hold at most `final_tokens` of
+    /// context: creates its table in a free slot, with room for the
+    /// blocks of `final_tokens` so the table never reallocates as it
+    /// grows, and, when `key` names a cached prefix, maps up to
+    /// `max_tokens` of shared blocks. Returns the slot and the shared
+    /// tokens mapped (0 = cold admission).
+    pub fn admit(&mut self, key: Option<u64>, max_tokens: u64, final_tokens: u64) -> (KvSlot, u64) {
         let slot = self.vacant.pop().unwrap_or_else(|| {
             self.tables.push(Slot::default());
             KvSlot::try_from(self.tables.len() - 1).expect("KV slot space exhausted")
@@ -620,6 +622,15 @@ impl PagedKv {
         let Slot { table, live } = &mut self.tables[slot as usize];
         debug_assert!(table.blocks.is_empty() && table.tokens == 0 && table.shared == 0);
         *live = true;
+        // Capacity only: an overcommitted table can still outgrow it,
+        // and the budget caps what a bogus length can reserve.
+        let blocks = self
+            .alloc
+            .blocks_for(final_tokens)
+            .min(self.alloc.total_blocks());
+        table
+            .blocks
+            .reserve_exact(usize::try_from(blocks).expect("the block budget fits in memory"));
         let mut shared = 0;
         if let Some(key) = key {
             if let Some((blocks, tokens)) = self.cache.lookup(&self.alloc, key, max_tokens) {
@@ -902,12 +913,12 @@ mod tests {
         let mut p = PagedKv::new(16, 16);
         let key = prefix_key(0, 32);
         // Cold admission: no cache entry yet.
-        let (a, shared) = p.admit(Some(key), 47);
+        let (a, shared) = p.admit(Some(key), 47, 48);
         assert_eq!(shared, 0);
         p.grow(a, 48); // prefilled prompt: 3 blocks, last one full at 48
         assert_eq!(p.register_prefix(a, key, 32), Some(32));
         // A second request of the class maps the two full prefix blocks.
-        let (b, shared) = p.admit(Some(key), 47);
+        let (b, shared) = p.admit(Some(key), 47, 48);
         assert_eq!(shared, 32);
         assert_eq!(p.blocks_of(b), 2);
         assert_eq!(p.growth(b, 32), 0, "no growth within held blocks");
@@ -927,7 +938,7 @@ mod tests {
     #[test]
     fn fragmentation_measures_partial_tail_blocks() {
         let mut p = PagedKv::new(16, 16);
-        let (slot, _) = p.admit(None, 0);
+        let (slot, _) = p.admit(None, 0, 32);
         p.grow(slot, 24); // 2 blocks, 8 tokens slack
         assert!((p.fragmentation() - 8.0 / 32.0).abs() < 1e-12);
         p.grow(slot, 32); // tail fills: no slack
@@ -940,7 +951,7 @@ mod tests {
     #[should_panic(expected = "still hold KV tables")]
     fn finish_with_a_live_table_panics() {
         let mut p = PagedKv::new(16, 16);
-        p.admit(None, 0);
+        p.admit(None, 0, 0);
         p.finish();
     }
 
@@ -981,7 +992,7 @@ mod tests {
                 let admit = |p: &mut PagedKv, live: &mut Vec<KvSlot>, keyed: bool| {
                     // Cold (no key) or keyed admission, which maps the
                     // cached prefix when one is registered.
-                    let (slot, shared) = p.admit(keyed.then_some(key), n);
+                    let (slot, shared) = p.admit(keyed.then_some(key), n, n);
                     assert!(!live.contains(&slot), "slot {slot} handed out twice");
                     // A reused slot starts empty: it holds the mapped
                     // prefix, if any, and nothing else.

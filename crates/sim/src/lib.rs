@@ -7,23 +7,17 @@
 //! executing commands against those units.
 //!
 //! This crate deliberately contains no IANUS-specific policy — only the
-//! time base ([`Time`], [`Duration`]) and ordered event queues
-//! ([`EventQueue`], [`SlotQueue`]).
+//! time base ([`Time`], [`Duration`], [`Frequency`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use ianus_sim::{Duration, EventQueue, Time};
+//! use ianus_sim::{Duration, Frequency, Time};
 //!
-//! let mut q = EventQueue::new();
-//! q.push(Time::from_ns(10), "b");
-//! q.push(Time::from_ns(5), "a");
-//! assert_eq!(q.pop(), Some((Time::from_ns(5), "a")));
 //! assert_eq!(Time::from_ns(5) + Duration::from_ns(5), Time::from_ns(10));
+//! assert_eq!(Frequency::from_mhz(1000).cycles(3), Duration::from_ns(3));
 //! ```
 
-mod event;
 mod time;
 
-pub use event::{EventQueue, SlotQueue};
 pub use time::{Duration, Frequency, Time};

@@ -16,7 +16,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`sim`] | `ianus-sim` | time base, event queue, resources |
+//! | [`sim`] | `ianus-sim` | picosecond time base |
 //! | [`dram`] | `ianus-dram` | GDDR6 timing, bank state machine, bulk transfers |
 //! | [`pim`] | `ianus-pim` | AiM device: commands, tiling, functional BF16 |
 //! | [`npu`] | `ianus-npu` | matrix/vector units, DMA, command scheduler |
