@@ -10,7 +10,7 @@
 
 use super::arrivals::Arrival;
 use super::batch::ActiveSeq;
-use super::core::EngineCore;
+use super::core::{EngineCore, MinTree};
 use super::workflow_rt::drop_prefix;
 use super::TimeKey;
 use crate::serving::report::{request_attains, RunStats};
@@ -26,7 +26,7 @@ pub(super) struct WaitQueue {
     /// fan-outs append released children at completion instants.
     pub(super) arrivals: Vec<Arrival>,
     /// `(arrival_time, arrival_index)` of every not-yet-admitted
-    /// request — the global FCFS-ordered wait queue both cores share.
+    /// request — the global FCFS-ordered wait queue.
     pub(super) untaken: std::collections::BTreeSet<(TimeKey, usize)>,
     /// How many arrivals have occurred by the current boundary
     /// (divergence accounting only).
@@ -59,19 +59,15 @@ impl super::ServingSim {
         let mut outstanding: Vec<std::collections::VecDeque<f64>> =
             vec![std::collections::VecDeque::new(); n];
         // FCFS dispatch is argmin over next-free times with
-        // lowest-index tie-breaks — exactly the lexicographic (time,
-        // index) heap minimum, so a heap with one entry per replica
-        // replaces the O(n) scan per arrival: only the dispatched
-        // replica's key changes, and it is re-pushed right where it
-        // changes. LeastLoaded/SEJ keep the scan — their keys change
-        // for replicas that were *not* dispatched.
-        let mut fcfs_heap: std::collections::BinaryHeap<std::cmp::Reverse<(TimeKey, usize)>> =
-            match self.dispatch {
-                DispatchPolicy::FcfsSingleQueue => (0..n)
-                    .map(|i| std::cmp::Reverse((TimeKey(0.0), i)))
-                    .collect(),
-                _ => std::collections::BinaryHeap::new(),
-            };
+        // lowest-index tie-breaks — exactly the min-tree's lexicographic
+        // (time, slot) root, so a tree keyed by `free` replaces the O(n)
+        // scan per arrival: only the dispatched replica's key changes.
+        // LeastLoaded/SEJ keep the scan — their keys change for
+        // replicas that were *not* dispatched.
+        let mut fcfs = MinTree::new(n);
+        for (i, &f) in free.iter().enumerate() {
+            fcfs.set(i, Some(f));
+        }
         let mut stats = RunStats::new(
             n,
             self.cfg.mix.len(),
@@ -91,15 +87,7 @@ impl super::ServingSim {
             }
 
             let replica = match self.dispatch {
-                DispatchPolicy::FcfsSingleQueue => {
-                    let std::cmp::Reverse((TimeKey(t), i)) =
-                        fcfs_heap.pop().expect("one entry per replica");
-                    // Comparing a *stored* f64 against itself: the heap
-                    // mirrors `free` exactly (the popped entry is
-                    // re-pushed with its new key after dispatch below).
-                    debug_assert_eq!(t, free[i]);
-                    i
-                }
+                DispatchPolicy::FcfsSingleQueue => fcfs.min().expect("one slot per replica").1,
                 DispatchPolicy::LeastLoaded => {
                     let loads = outstanding.iter().map(|q| q.len()).enumerate();
                     super::select_min(loads, usize::cmp)
@@ -127,9 +115,7 @@ impl super::ServingSim {
             let start = now.max(free[replica]);
             let finish = start + s;
             free[replica] = finish;
-            if self.dispatch == DispatchPolicy::FcfsSingleQueue {
-                fcfs_heap.push(std::cmp::Reverse((TimeKey(finish), replica)));
-            }
+            fcfs.set(replica, Some(finish));
             outstanding[replica].push_back(finish);
             stats.busy[replica] += s;
             let ttft = start - now + prefill;

@@ -7,7 +7,8 @@
 //! the draw to a class (flat mix) or template (workflow mix) with the
 //! exact historical comparison order, so the default Poisson stream
 //! reproduces the pre-refactor trace byte for byte, RNG draw for RNG
-//! draw, on both cores and in both scheduling modes.
+//! draw, in both scheduling modes. A tenant with a mix override picks
+//! its own class (or template) over its override weights.
 //!
 //! Because the stream is rebuilt at the start of every run, cloned
 //! engines (rate sweeps, parallel bisection probes) replay identical
@@ -275,16 +276,13 @@ impl ArrivalSpec {
             }
             ArrivalSpec::MultiTenant { ref tenants } => {
                 let total_share: f64 = tenants.iter().map(|t| t.share).sum();
-                let starts: Vec<f64> = (0..weights.len())
-                    .map(|c| weights[..c].iter().sum())
-                    .collect();
                 let tenants = tenants.iter().enumerate().map(|(k, t)| {
                     let tenant_seed = seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     let tenant_rate = rate_hz * t.share / total_share;
                     let own = t.mix_weights.as_deref().unwrap_or(weights);
                     let mut tenant = Tenant {
                         stream: t.inner.stream(tenant_seed, tenant_rate, own),
-                        mix: t.mix_weights.clone().map(|w| (w, starts.clone())),
+                        mix: t.mix_weights.clone(),
                         next_at: 0.0,
                         pending: Draw::default(),
                     };
@@ -302,11 +300,14 @@ impl ArrivalSpec {
 
 /// One step of a [`Stream`]: the wait since the previous arrival, a
 /// uniform draw in `[0, Σweights)` that the trace maps to a class or
-/// template, and the arrival's tenant and burst attribution.
+/// template (unless a tenant's mix override already picked one), and
+/// the arrival's tenant and burst attribution.
 #[derive(Clone, Copy, Default)]
 struct Draw {
     wait: f64,
     draw: f64,
+    /// The class or template a tenant's mix override picked.
+    pick: Option<usize>,
     tenant: u32,
     in_burst: bool,
 }
@@ -353,10 +354,9 @@ enum Stream {
 /// arrival.
 struct Tenant {
     stream: Stream,
-    /// The override's weights, and for each class the sum of the mix
-    /// weights before it: an overridden pick becomes that draw over the
-    /// mix, which the trace's class or template pick maps back.
-    mix: Option<(Vec<f64>, Vec<f64>)>,
+    /// The override's class (or template) weights: each draw is picked
+    /// over them here, in place of the trace's pick over the mix.
+    mix: Option<Vec<f64>>,
     /// Absolute time of the pending arrival.
     next_at: f64,
     pending: Draw,
@@ -366,8 +366,8 @@ impl Tenant {
     /// Advances tenant `k` past one arrival.
     fn advance(&mut self, k: u32) {
         let mut d = self.stream.step();
-        if let Some((weights, starts)) = &self.mix {
-            d.draw = starts[pick_class(weights, d.draw)];
+        if let Some(weights) = &self.mix {
+            d.pick = Some(pick_class(weights, d.draw));
         }
         self.next_at += d.wait;
         self.pending = Draw { tenant: k, ..d };
@@ -460,6 +460,7 @@ impl Stream {
         Draw {
             wait,
             draw: rng.gen_range(0.0..total),
+            pick: None,
             tenant: 0,
             in_burst,
         }
@@ -490,7 +491,7 @@ impl ServingSim {
         self.trace(&weights)
             .zip(0..)
             .map(|((at, d), idx)| {
-                let class = pick_class(&weights, d.draw);
+                let class = d.pick.unwrap_or_else(|| pick_class(&weights, d.draw));
                 let c = &self.cfg.mix[class];
                 Arrival {
                     at,
@@ -526,14 +527,16 @@ impl ServingSim {
         for (inst, (at, d)) in self.trace(&weights).enumerate() {
             // Accumulate-compare, which can part from `pick_class` at
             // float boundaries; the same last-template fallback.
-            let mut acc = 0.0;
-            let t = weights
-                .iter()
-                .position(|&w| {
-                    acc += w;
-                    d.draw < acc
-                })
-                .unwrap_or(weights.len() - 1);
+            let t = d.pick.unwrap_or_else(|| {
+                let mut acc = 0.0;
+                weights
+                    .iter()
+                    .position(|&w| {
+                        acc += w;
+                        d.draw < acc
+                    })
+                    .unwrap_or(weights.len() - 1)
+            });
             let tpl = &ctx.templates[t];
             let mut run = WorkflowRun::new(t, tpl, at);
             total += tpl.node_count() as u64;

@@ -5,15 +5,13 @@
 //! structs ([`WaitQueue`], [`BatchState`], [`KvLedger`], [`LaneClocks`],
 //! [`MigrationState`], [`WorkflowRt`], [`TurnTree`]) plus the shared
 //! scalars, and drives the turn loop: select the next actionable
-//! replica (from two min-trees over replica slots, or by the
-//! linear-scan reference, bit-identically — the only place that knows
-//! the [`CoreMode`]), retire DMA, re-admit swapped work, land
-//! migrants, admit arrivals, relieve KV pressure, execute one
-//! iteration, advance prefill and decoders, and re-index the replica
-//! that moved. Each phase lives in its layer's module as an
+//! replica from two min-trees over replica slots, retire DMA, re-admit
+//! swapped work, land migrants, admit arrivals, relieve KV pressure,
+//! execute one iteration, advance prefill and decoders, and re-index
+//! the replica that moved. Each phase lives in its layer's module as an
 //! `impl EngineCore` block; this module only sequences them.
 //!
-//! The scan's rule is the definition: a replica that
+//! The turn rule is [`scan`]'s, by definition: a replica that
 //! [holds work](EngineCore::holds_work) acts at its own clock, an idle
 //! replica that admits arrivals acts at `max(clock, wait-queue head)`
 //! (never while the queue is empty), and an idle decode-only replica
@@ -22,7 +20,8 @@
 //! and idle admitting clocks in another, and computes the idle side
 //! from the head at selection time, so a head that moves (admissions
 //! move it later, a workflow fan-out can move it earlier) needs no
-//! repair.
+//! repair. Debug builds assert on every turn that the tree picked the
+//! scan's `(time, index)` over the live replica states.
 
 use super::admission::WaitQueue;
 use super::batch::{Batch, BatchState};
@@ -31,7 +30,7 @@ use super::kv_state::{paged_blocks, KvLedger};
 use super::migrate::MigrationState;
 use super::replica::Replicas;
 use super::workflow_rt::{workflow_ctx, WorkflowRt};
-use super::{CoreMode, ServingSim, TimeKey};
+use super::{ServingSim, TimeKey};
 use crate::serving::dma::DmaChannels;
 use crate::serving::kv::{prefix_key, PagedKv};
 use crate::serving::policy::{MigrationPolicy, SchedulerPolicy};
@@ -39,43 +38,6 @@ use crate::serving::report::RunStats;
 use crate::serving::{ReplicaRole, RequestClass};
 use ianus_model::ModelConfig;
 use std::collections::{BTreeSet, HashMap};
-
-/// How the turn loop picks its next replica: the turn tree, or the
-/// step-scan reference that walks every replica each turn. Both select
-/// the same turns; nothing else in the engine depends on which one
-/// runs.
-pub(super) enum Turns {
-    /// [`CoreMode::EventDriven`].
-    Indexed(TurnTree),
-    /// [`CoreMode::StepScan`]: stateless.
-    Scan,
-}
-
-impl Turns {
-    fn new(mode: CoreMode, roles: &[ReplicaRole]) -> Self {
-        match mode {
-            CoreMode::StepScan => Turns::Scan,
-            CoreMode::EventDriven => {
-                let mut tree = TurnTree::new(roles.len());
-                // Every replica starts idle at clock 0; decode-only
-                // replicas never admit arrivals, so they start out of
-                // both trees until a migration wakes them.
-                for (r, role) in roles.iter().enumerate() {
-                    tree.set(r, TurnState::Idle(0.0), *role);
-                }
-                Turns::Indexed(tree)
-            }
-        }
-    }
-
-    /// Wakes replica `r` for a migration pushed toward it: it holds
-    /// work at its own clock `at` from now on. The scan needs no wake.
-    pub(super) fn wake(&mut self, r: usize, at: f64) {
-        if let Turns::Indexed(tree) = self {
-            tree.set(r, TurnState::Busy(at), ReplicaRole::DecodeOnly);
-        }
-    }
-}
 
 /// A replica's state as turn selection sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,12 +59,24 @@ pub(super) struct TurnTree {
 }
 
 impl TurnTree {
-    /// An index over `n` replicas, all out of both trees.
-    fn new(n: usize) -> Self {
-        TurnTree {
-            busy: MinTree::new(n),
-            idle: MinTree::new(n),
+    /// The index at the start of a run over replicas of `roles`: every
+    /// replica idle at clock 0, and decode-only replicas, which never
+    /// admit arrivals, out of both trees until a migration wakes them.
+    fn new(roles: &[ReplicaRole]) -> Self {
+        let mut tree = TurnTree {
+            busy: MinTree::new(roles.len()),
+            idle: MinTree::new(roles.len()),
+        };
+        for (r, &role) in roles.iter().enumerate() {
+            tree.set(r, TurnState::Idle(0.0), role);
         }
+        tree
+    }
+
+    /// Wakes replica `r` for a migration pushed toward it: it holds
+    /// work at its own clock `at` from now on.
+    pub(super) fn wake(&mut self, r: usize, at: f64) {
+        self.set(r, TurnState::Busy(at), ReplicaRole::DecodeOnly);
     }
 
     /// Re-keys replica `r` in state `state`; an idle decode-only
@@ -142,12 +116,40 @@ impl TurnTree {
     }
 }
 
+/// The turn rule by definition, a scan over explicit replica states in
+/// index order: busy replicas act at their clock, idle ones that admit
+/// at `max(clock, head)` (never without a head), idle decode-only ones
+/// not at all; the first strict minimum wins. [`TurnTree::select`] must
+/// agree with it, which debug builds assert on every turn.
+fn scan(
+    states: impl IntoIterator<Item = (TurnState, ReplicaRole)>,
+    head: Option<f64>,
+) -> Option<(f64, usize)> {
+    let mut next: Option<(f64, usize)> = None;
+    for (r, (state, role)) in states.into_iter().enumerate() {
+        let at = match state {
+            TurnState::Busy(clock) => clock,
+            TurnState::Idle(_) if role == ReplicaRole::DecodeOnly => continue,
+            TurnState::Idle(clock) => match head {
+                Some(h) => clock.max(h),
+                None => continue,
+            },
+        };
+        if next.is_none_or(|(best, _)| at < best) {
+            next = Some((at, r));
+        }
+    }
+    next
+}
+
 /// A min-tree over `n` slots in one array: leaves hold each slot's key
 /// (or none), and every inner node the `(key, slot)` minimum of its
 /// subtree, equal keys to the lower slot. The root is the lexicographic
 /// `(key, slot)` minimum; [`set`](Self::set) re-keys one leaf and its
-/// ancestors in O(log n), without allocating.
-struct MinTree {
+/// ancestors in O(log n), without allocating. The turn tree keys
+/// replica clocks with it, and request-level FCFS dispatch each
+/// replica's next-free time.
+pub(super) struct MinTree {
     /// `nodes[1]` is the root, node `k`'s children are `2k` and
     /// `2k + 1`, and slot `s`'s leaf is `width + s`.
     nodes: Vec<(f64, u32)>,
@@ -161,8 +163,9 @@ const NO_SLOT: u32 = u32::MAX;
 const EMPTY: (f64, u32) = (f64::INFINITY, NO_SLOT);
 
 impl MinTree {
-    fn new(n: usize) -> Self {
-        assert!(n < NO_SLOT as usize, "too many replicas for the turn tree");
+    /// A tree over `n` slots, none keyed.
+    pub(super) fn new(n: usize) -> Self {
+        assert!(n < NO_SLOT as usize, "too many slots for a min-tree");
         let width = n.max(1).next_power_of_two();
         MinTree {
             nodes: vec![EMPTY; 2 * width],
@@ -171,7 +174,7 @@ impl MinTree {
     }
 
     /// Sets slot `s`'s key (`None` removes it).
-    fn set(&mut self, s: usize, key: Option<f64>) {
+    pub(super) fn set(&mut self, s: usize, key: Option<f64>) {
         let mut k = self.width + s;
         let leaf = key.map_or(EMPTY, |t| (t, s as u32));
         let old = self.nodes[k];
@@ -191,7 +194,7 @@ impl MinTree {
     }
 
     /// The lexicographic `(key, slot)` minimum, if any slot has a key.
-    fn min(&self) -> Option<(f64, usize)> {
+    pub(super) fn min(&self) -> Option<(f64, usize)> {
         let (t, s) = self.nodes[1];
         (s != NO_SLOT).then_some((t, s as usize))
     }
@@ -250,7 +253,7 @@ pub(super) struct EngineCore<'a> {
     /// Workflow runtime: instance state and fan-out tables.
     pub(super) wf: WorkflowRt,
     /// Turn selection.
-    pub(super) turns: Turns,
+    pub(super) turns: TurnTree,
     /// The run's raw samples and counters.
     pub(super) stats: RunStats,
     /// Requests (or workflow nodes) settled so far.
@@ -334,7 +337,6 @@ impl ServingSim {
             .filter(|&i| self.roles[i] == ReplicaRole::DecodeOnly)
             .collect();
         let stats = RunStats::new(n, mix.len(), total, self.cfg.arrivals.tenant_count());
-        let turns = Turns::new(self.core_mode, &self.roles);
         // Divergence guard (off unless a bound is configured or this
         // run is a rate probe): abort once the arrived-but-unadmitted
         // backlog exceeds the bound.
@@ -390,7 +392,7 @@ impl ServingSim {
                 key_homes: HashMap::new(),
                 inheritance: self.workflow_inheritance,
             },
-            turns,
+            turns: TurnTree::new(&self.roles),
             stats,
             done: 0,
             total,
@@ -414,8 +416,7 @@ impl EngineCore<'_> {
             };
             self.batch.clock[r] = at;
             // The turn body, in a labeled block so the re-index below
-            // always runs (the empty-batch branch breaks out early
-            // where the scan core `continue`d).
+            // always runs (the empty-batch branch breaks out early).
             'body: {
                 self.retire_dma(r);
                 self.readmit_swapped(r);
@@ -436,16 +437,18 @@ impl EngineCore<'_> {
             if cfg!(debug_assertions) {
                 self.batch.batches[r].assert_counters(self.kv.paged[r].as_ref());
             }
-            let state = if self.holds_work(r) {
-                TurnState::Busy(self.batch.clock[r])
-            } else {
-                TurnState::Idle(self.batch.clock[r])
-            };
-            if let Turns::Indexed(tree) = &mut self.turns {
-                tree.set(r, state, self.roles[r]);
-            }
+            self.turns.set(r, self.turn_state(r), self.roles[r]);
         }
         self.finish()
+    }
+
+    /// Replica `r`'s state as turn selection sees it.
+    fn turn_state(&self, r: usize) -> TurnState {
+        if self.holds_work(r) {
+            TurnState::Busy(self.batch.clock[r])
+        } else {
+            TurnState::Idle(self.batch.clock[r])
+        }
     }
 
     /// Whether replica `r` holds work — resident, swapped, or an
@@ -462,39 +465,25 @@ impl EngineCore<'_> {
     /// The next actionable replica: the earliest iteration boundary
     /// among replicas that hold work (resident, swapped or in-flight)
     /// or could admit the earliest pending arrival (idle replicas
-    /// fast-forward to it). Ties break to the lowest replica index in
-    /// both cores. Also advances the divergence guard; returns `None`
-    /// when it fires (the run aborts).
+    /// fast-forward to it), ties to the lowest replica index. Debug
+    /// builds check the pick against [`scan`] over every replica's
+    /// state. Also advances the divergence guard; returns `None` when
+    /// it fires (the run aborts).
     fn select_turn(&mut self) -> Option<(usize, f64)> {
         let head_at = self.wait.untaken.first().map(|&(t, _)| t.0);
-        let (r, at) = match &self.turns {
-            Turns::Indexed(tree) => {
-                let (at, r) = tree
-                    .select(head_at)
-                    .expect("requests outstanding but no replica actionable");
-                (r, at)
-            }
-            Turns::Scan => {
-                let mut next: Option<(usize, f64)> = None;
-                for r in 0..self.batch.batches.len() {
-                    let at = if self.holds_work(r) {
-                        self.batch.clock[r]
-                    } else if self.roles[r] == ReplicaRole::DecodeOnly {
-                        // Empty decode-only replica: nothing to do until
-                        // a migration arrives (arrivals never route here).
-                        continue;
-                    } else if let Some(h) = head_at {
-                        self.batch.clock[r].max(h)
-                    } else {
-                        continue;
-                    };
-                    if next.is_none_or(|(_, best)| at < best) {
-                        next = Some((r, at));
-                    }
-                }
-                next.expect("requests outstanding but no replica actionable")
-            }
-        };
+        let (at, r) = self
+            .turns
+            .select(head_at)
+            .expect("requests outstanding but no replica actionable");
+        if cfg!(debug_assertions) {
+            let states = (0..self.roles.len()).map(|r| (self.turn_state(r), self.roles[r]));
+            let bits = |(t, r): (f64, usize)| (t.to_bits(), r);
+            assert_eq!(
+                Some(bits((at, r))),
+                scan(states, head_at).map(bits),
+                "the turn tree's pick is not the scan's"
+            );
+        }
         // Divergence guard: `arrived` advances monotonically with the
         // selected event time (which never decreases); `admitted`
         // counts admissions, which can transiently outpace `arrived`
@@ -569,28 +558,6 @@ mod tests {
     /// common; one head draw past its end is an empty wait queue.
     const TIMES: [f64; 6] = [0.0, 0.5, 1.0, 2.0, 7.25, 1e6];
 
-    /// The step-scan rule over explicit replica states: busy replicas
-    /// act at their clock, idle ones that admit at `max(clock, head)`
-    /// (never without a head), idle decode-only ones not at all; the
-    /// first strict minimum in index order wins.
-    fn scan(states: &[(TurnState, ReplicaRole)], head: Option<f64>) -> Option<(f64, usize)> {
-        let mut next: Option<(f64, usize)> = None;
-        for (r, &(state, role)) in states.iter().enumerate() {
-            let at = match state {
-                TurnState::Busy(clock) => clock,
-                TurnState::Idle(_) if role == ReplicaRole::DecodeOnly => continue,
-                TurnState::Idle(clock) => match head {
-                    Some(h) => clock.max(h),
-                    None => continue,
-                },
-            };
-            if next.is_none_or(|(best, _)| at < best) {
-                next = Some((at, r));
-            }
-        }
-        next
-    }
-
     /// Applies `ops` — `(replica, state kind, clock, head)` draws — to
     /// a tree over `n` replicas and to a list of explicit states, and
     /// checks after each that the tree selects what the scan does.
@@ -598,7 +565,7 @@ mod tests {
     /// idle decode-only (out of both trees), and a busy replica keeping
     /// its clock (a migration wake).
     fn tree_selects_like_the_scan(n: usize, ops: &[(usize, u8, usize, usize)]) -> bool {
-        let mut tree = TurnTree::new(n);
+        let mut tree = TurnTree::new(&vec![ReplicaRole::DecodeOnly; n]);
         let mut states = vec![(TurnState::Idle(0.0), ReplicaRole::DecodeOnly); n];
         ops.iter().all(|&(pick, kind, clock, head)| {
             let r = pick % n;
@@ -614,7 +581,7 @@ mod tests {
             tree.set(r, states[r].0, states[r].1);
             let head = TIMES.get(head % (TIMES.len() + 1)).copied();
             let bits = |p: Option<(f64, usize)>| p.map(|(t, r)| (t.to_bits(), r));
-            bits(tree.select(head)) == bits(scan(&states, head))
+            bits(tree.select(head)) == bits(scan(states.iter().copied(), head))
         })
     }
 

@@ -15,12 +15,12 @@
 //! | `dma_retire`  | `LaneClocks`       | lane clocks, ordered `LaneQueue`s, retiring |
 //! | `migrate`     | `MigrationState`   | decode pool, prefill→decode handoff         |
 //! | `workflow_rt` | `WorkflowRt`       | workflow instances, completion fan-out      |
-//! | `core`        | `EngineCore`       | layer composition, turn loop, `Turns`       |
+//! | `core`        | `EngineCore`       | layer composition, turn loop, `TurnTree`    |
 //! | `preflight`   | [`ConfigError`]    | `validate`: whether a run can start         |
 //!
 //! This module keeps the public facade: [`ServingSim`] (builders, `run`,
-//! the rate sweeps) and [`CoreMode`]. Behavior is bit-identical to the
-//! pre-split monolith on both cores.
+//! the rate sweeps). Behavior is bit-identical to the pre-split
+//! monolith.
 
 mod admission;
 mod arrivals;
@@ -45,26 +45,9 @@ use super::{DisaggregationConfig, ReplicaRole, Scheduling, ServingConfig, Servin
 use crate::backend::Backend;
 use ianus_model::ModelConfig;
 
-/// How the iteration-level loop selects its next turn. Both cores
-/// produce **bit-identical** reports — [`StepScan`](CoreMode::StepScan)
-/// is the reference implementation the event-driven turn selection is
-/// differential-tested against; it exists for auditability, not for
-/// use. Everything else (DMA retirement, admission, eviction) is one
-/// code path under either mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoreMode {
-    /// Turn-tree selection: two min-trees over replica slots (busy
-    /// and idle clocks), so one step costs O(log replicas) and the
-    /// wait-queue head is read at selection time. The default.
-    #[default]
-    EventDriven,
-    /// The historical linear scan: every step walks all replicas.
-    StepScan,
-}
-
 /// Total order over engine clocks. Clocks are finite and non-negative,
-/// where `total_cmp` agrees with IEEE `<`, so the wait queue and the
-/// request-level dispatch heap order times as IEEE comparisons do.
+/// where `total_cmp` agrees with IEEE `<`, so the wait queue orders
+/// times as IEEE comparisons do.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TimeKey(pub(crate) f64);
 
@@ -105,9 +88,6 @@ pub struct ServingSim {
     /// Paged-KV block size in tokens; 0 (the default) keeps the legacy
     /// contiguous accounting.
     kv_block: u64,
-    /// Which iteration-level core advances the loop (bit-identical
-    /// either way; see [`CoreMode`]).
-    core_mode: CoreMode,
     /// Divergence-guard override: `None` defers to the context (the
     /// auto bound during rate probes, off in direct runs);
     /// `Some(None)` forces the guard off; `Some(Some(d))` aborts a run
@@ -141,7 +121,6 @@ impl ServingSim {
             host_kv_override: None,
             overlap_dma: false,
             kv_block: 0,
-            core_mode: CoreMode::default(),
             divergence: None,
             probe_divergence: false,
             roles: Vec::new(),
@@ -301,16 +280,6 @@ impl ServingSim {
         self
     }
 
-    /// Selects the iteration-level engine core (builder style). The
-    /// default [`CoreMode::EventDriven`] and the reference
-    /// [`CoreMode::StepScan`] produce bit-identical reports; the knob
-    /// exists for differential testing and benchmarking the cores
-    /// against each other.
-    pub fn core_mode(mut self, mode: CoreMode) -> Self {
-        self.core_mode = mode;
-        self
-    }
-
     /// Sets the **divergence guard** (builder style): `Some(d)` aborts
     /// an iteration-level run once more than `d` arrived requests are
     /// waiting unadmitted — the run is hopelessly overloaded, and its
@@ -348,7 +317,6 @@ impl ServingSim {
             host_kv_override: self.host_kv_override,
             overlap_dma: self.overlap_dma,
             kv_block: self.kv_block,
-            core_mode: self.core_mode,
             divergence: self.divergence,
             probe_divergence: self.probe_divergence,
             roles: self.roles.clone(),

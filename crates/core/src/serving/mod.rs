@@ -205,7 +205,7 @@ mod report;
 #[cfg(test)]
 mod tests;
 
-pub use engine::{check_generation, ArrivalSpec, ConfigError, CoreMode, ServingSim, TenantSpec};
+pub use engine::{check_generation, ArrivalSpec, ConfigError, ServingSim, TenantSpec};
 pub use policy::{
     AdmissionPolicy, EvictionMechanism, EvictionPolicy, MigrationPolicy, ReadmissionPolicy,
     SchedulerPolicy,

@@ -558,8 +558,7 @@ pub struct MigrationTarget {
 /// [`ReplicaRole::DecodeOnly`](super::ReplicaRole::DecodeOnly) replica
 /// as a [`MigrationTarget`] and takes the policy-minimal one. Ties
 /// break toward the lower replica index, and comparators must be
-/// deterministic (seeded simulations, and the event-driven and
-/// step-scan cores must pick identical destinations).
+/// deterministic (seeded simulations replay identical placements).
 pub trait MigrationPolicy {
     /// Short stable identifier (report/CLI label).
     fn name(&self) -> &'static str;

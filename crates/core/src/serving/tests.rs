@@ -1400,12 +1400,11 @@ fn three_tenants(override_weights: Vec<f64>) -> ArrivalSpec {
 }
 
 /// A two-replica run of `cfg` on fixed-rate backends.
-fn tenant_report(cfg: ServingConfig, scheduling: Scheduling, mode: CoreMode) -> ServingReport {
+fn tenant_report(cfg: ServingConfig, scheduling: Scheduling) -> ServingReport {
     ServingSim::new(cfg)
         .replica(fixed("a", 20))
         .replica(fixed("b", 30))
         .scheduling(scheduling)
-        .core_mode(mode)
         .run(&ModelConfig::gpt2_m())
 }
 
@@ -1416,28 +1415,45 @@ fn assert_tenants_served(report: &ServingReport) {
     assert_ne!(report.burst_inter_token, LatencyPercentiles::ZERO);
 }
 
-/// The fingerprints were taken before the arrival processes became one
-/// private stream; the override tenant's draws go through the per-tenant
-/// class pick, at both scheduling levels and on both cores.
+/// The override tenant's draws go through the per-tenant class pick,
+/// at both scheduling levels. The fingerprints were re-taken when that
+/// pick stopped being mapped back through the mix's weights.
 #[test]
-fn pinned_tenant_flat_runs_match_on_both_cores() {
+fn pinned_tenant_flat_runs_hold() {
     let cfg = ServingConfig::interactive(40.0, 150).arrivals(three_tenants(vec![0.1, 0.1, 0.8]));
-    let request = tenant_report(cfg.clone(), Scheduling::RequestLevel, CoreMode::EventDriven);
+    let request = tenant_report(cfg.clone(), Scheduling::RequestLevel);
     assert_eq!(request.completed, 150);
     assert_tenants_served(&request);
-    assert_eq!(debug_fnv(&request), 0x311b_5911_44ba_4ee1);
-    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
-        let report = tenant_report(cfg.clone(), Scheduling::iteration(4), mode);
-        assert_eq!(report.completed, 150);
-        assert_tenants_served(&report);
-        assert_eq!(debug_fnv(&report), 0x41d2_b038_88fb_deb7);
-    }
+    assert_eq!(debug_fnv(&request), 0xa642_96be_aacc_6272);
+    let report = tenant_report(cfg, Scheduling::iteration(4));
+    assert_eq!(report.completed, 150);
+    assert_tenants_served(&report);
+    assert_eq!(debug_fnv(&report), 0xdd6f_4600_2968_8644);
+}
+
+/// A tenant whose override puts all but a sliver of its weight on the
+/// last class draws that class, also where the mix's own weights sum
+/// inexactly (the interactive mix's first two sum to 0.899…).
+#[test]
+fn tenant_override_draws_its_own_classes() {
+    let tenant = TenantSpec {
+        share: 1.0,
+        inner: ArrivalSpec::Poisson,
+        mix_weights: Some(vec![1e-9, 1e-9, 1.0]),
+    };
+    let cfg = ServingConfig::interactive(40.0, 200).arrivals(ArrivalSpec::MultiTenant {
+        tenants: vec![tenant],
+    });
+    let report = tenant_report(cfg, Scheduling::RequestLevel);
+    let per_class: Vec<u64> = report.per_class.iter().map(|c| c.completed).collect();
+    assert_eq!(report.completed, 200);
+    assert!(per_class[2] >= 199, "completions per class: {per_class:?}");
 }
 
 /// The same three tenants over a workflow mix: the override tenant's
 /// draws go through the template pick instead.
 #[test]
-fn pinned_tenant_workflow_run_matches_on_both_cores() {
+fn pinned_tenant_workflow_run_holds() {
     let templates = vec![
         WorkflowTemplate::agent_chain(),
         WorkflowTemplate::tool_fanout(),
@@ -1445,12 +1461,10 @@ fn pinned_tenant_workflow_run_matches_on_both_cores() {
     ];
     let cfg = ServingConfig::workflow_mix(20.0, 60, templates)
         .arrivals(three_tenants(vec![0.2, 0.2, 0.6]));
-    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
-        let report = tenant_report(cfg.clone(), Scheduling::iteration(4), mode);
-        assert!(report.completed > 60);
-        assert_tenants_served(&report);
-        assert_eq!(debug_fnv(&report), 0x0a59_32ae_da67_af12);
-    }
+    let report = tenant_report(cfg, Scheduling::iteration(4));
+    assert!(report.completed > 60);
+    assert_tenants_served(&report);
+    assert_eq!(debug_fnv(&report), 0x0a59_32ae_da67_af12);
 }
 
 /// Price-class tests: replicas whose backends price alike share one set
@@ -1942,7 +1956,7 @@ mod cost_blind {
 /// swap-ins land in mid-batch, and the decode pass skips both a
 /// sequence whose recompute re-prefill just completed and one whose
 /// first token came out of this iteration's prefill.
-fn mixed_skip_report(mode: CoreMode) -> ServingReport {
+fn mixed_skip_report() -> ServingReport {
     let mut sim = ServingSim::new(ServingConfig::shared_prefix(100.0, 80));
     for _ in 0..2 {
         sim = sim.replica(IanusSystem::new(SystemConfig::ianus()));
@@ -1956,7 +1970,6 @@ fn mixed_skip_report(mode: CoreMode) -> ServingReport {
     .host_kv_pool(Some(64 << 20))
     .overlap_dma(true)
     .policy(SchedulerPolicy::default().with_mechanism(policy::EvictionMechanism::Cheapest))
-    .core_mode(mode)
     .run(&ModelConfig::gpt2_xl())
 }
 
@@ -1969,19 +1982,15 @@ fn debug_fnv(report: &ServingReport) -> u64 {
         })
 }
 
-/// The fingerprint is the parent engine's (before the batch counters
-/// and the lean decode pass); the step-scan core must match it too.
+/// The fingerprint is the engine's before the batch counters and the
+/// lean decode pass.
 #[test]
-fn pinned_mixed_skip_run_matches_on_both_cores() {
-    let report = mixed_skip_report(CoreMode::EventDriven);
+fn pinned_mixed_skip_run_holds() {
+    let report = mixed_skip_report();
     assert_eq!(report.completed, 80);
     assert!(report.recomputes > 0, "no recompute eviction");
     assert!(report.preemptions > report.recomputes, "no swap eviction");
     assert_eq!(debug_fnv(&report), 0xb105_1364_d2a0_61ce);
-    assert_eq!(
-        debug_fnv(&mixed_skip_report(CoreMode::StepScan)),
-        0xb105_1364_d2a0_61ce
-    );
 }
 
 /// A paged, chunked, preempting run whose interactive tier carries an
@@ -1989,7 +1998,7 @@ fn pinned_mixed_skip_run_matches_on_both_cores() {
 /// per-step decode path every step — while the batch tier's decoders
 /// advance by the batch's decode epoch, under MMPP burst traffic: the
 /// ITL, burst-window and SLO columns all mix both kinds of decoder.
-fn slo_burst_report(mode: CoreMode) -> ServingReport {
+fn slo_burst_report() -> ServingReport {
     let mut cfg = ServingConfig::shared_prefix(60.0, 60);
     cfg.mix[0] = cfg.mix[0].with_slo(Slo::new(Duration::from_ms(2000), Duration::from_ms(140)));
     cfg.arrivals = ArrivalSpec::mmpp(4.0, 0.2, 0.4);
@@ -2005,15 +2014,14 @@ fn slo_burst_report(mode: CoreMode) -> ServingReport {
     .kv_block(16)
     .host_kv_pool(Some(1 << 30))
     .overlap_dma(true)
-    .core_mode(mode)
     .run(&ModelConfig::gpt2_xl())
 }
 
 /// The fingerprint is the engine's before decoders advanced lazily (one
-/// per-sequence step per token); the step-scan core must match it too.
+/// per-sequence step per token).
 #[test]
-fn pinned_slo_burst_run_matches_on_both_cores() {
-    let report = slo_burst_report(CoreMode::EventDriven);
+fn pinned_slo_burst_run_holds() {
+    let report = slo_burst_report();
     assert_eq!(report.completed, 60);
     assert!(report.preemptions > 0, "no eviction");
     assert!(
@@ -2025,10 +2033,6 @@ fn pinned_slo_burst_run_matches_on_both_cores() {
         "SLO class neither all met nor all missed"
     );
     assert_eq!(debug_fnv(&report), 0xeae7_529f_f003_7ebc);
-    assert_eq!(
-        debug_fnv(&slo_burst_report(CoreMode::StepScan)),
-        0xeae7_529f_f003_7ebc
-    );
 }
 
 /// [`ServingSim::validate`]: the rules `run` used to assert, the

@@ -128,7 +128,7 @@ pub mod prelude {
         PriorityAdmission, ShortestPromptAdmission, WidestSubtreeAdmission,
     };
     pub use ianus_core::serving::{
-        AdmissionPolicy, ArrivalSpec, ConfigError, CoreMode, DisaggregationConfig, DispatchPolicy,
+        AdmissionPolicy, ArrivalSpec, ConfigError, DisaggregationConfig, DispatchPolicy,
         EvictionMechanism, EvictionPolicy, LatencyPercentiles, MigrationPolicy, Priority,
         ReadmissionPolicy, ReplicaRole, RequestClass, SchedulerPolicy, Scheduling, ServingConfig,
         ServingReport, ServingSim, Slo, TenantReport, TenantSpec, WorkflowError, WorkflowNode,

@@ -96,3 +96,13 @@ impl Backend for MemNode {
         Some(Box::new(*self))
     }
 }
+
+/// FNV-1a over a report's `Debug` form: a whole-report fingerprint.
+#[allow(dead_code)] // not every suite that shares this module pins one
+pub fn debug_fnv(report: &ServingReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}

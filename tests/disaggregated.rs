@@ -3,15 +3,17 @@
 //! Replica roles and prefill→decode KV migration carry a hard
 //! compatibility contract: none of it exists until asked for, and an
 //! all-[`ReplicaRole::Unified`] cluster must reproduce the
-//! pre-disaggregation engine **bit for bit**, on both cores. This suite pins five whole-report
-//! fingerprints captured on the PR 7 engine (request-level FCFS with
-//! tie-breaks, a heterogeneous cluster, and an iteration-level grid
-//! exercising chunked prefill, preemption, paged KV, and overlapped
-//! DMA), re-asserts the historical 166/351 preemption schedules, and
-//! closes with the liveness property: every sequence that migrates
-//! completes, exactly once per request, identically on both cores.
+//! pre-disaggregation engine **bit for bit**. This suite pins five
+//! report fingerprints captured on the PR 7 engine (request-level FCFS
+//! with tie-breaks, a heterogeneous cluster, and an iteration-level
+//! grid exercising chunked prefill, preemption, paged KV, and
+//! overlapped DMA), re-asserts the historical 166/351 preemption
+//! schedules under whole-report fingerprints, and closes with the
+//! liveness property: every sequence that migrates completes, exactly
+//! once per request. Debug builds check every turn of every run here
+//! against the step-scan rule, migration wakes included.
 
-use common::MemNode;
+use common::{debug_fnv, MemNode};
 use ianus::prelude::*;
 use proptest::prelude::*;
 
@@ -128,61 +130,56 @@ fn request_level_heterogeneous_pinned() {
     assert_inert(&r);
 }
 
-/// Iteration-level grid pins, replayed on both cores: chunked prefill
-/// with preemption, paged KV, and overlapped DMA (C); whole-prompt
-/// prefill with recompute-fallback preemptions (D); and a no-preempt
-/// decode-heavy spread (E). Split H2D/D2H lanes leave every pin here
-/// unchanged.
+/// Iteration-level grid pins: chunked prefill with preemption, paged
+/// KV, and overlapped DMA (C); whole-prompt prefill with
+/// recompute-fallback preemptions (D); and a no-preempt decode-heavy
+/// spread (E). Split H2D/D2H lanes leave every pin here unchanged.
 #[test]
-fn iteration_level_pins_hold_on_both_cores() {
+fn iteration_level_pins_hold() {
     let model = ModelConfig::gpt2_xl();
-    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
-        let c = ServingSim::new(ServingConfig::interactive(40.0, 150))
-            .cluster(2, |_| MemNode::tight())
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 8,
-                prefill_chunk: Some(32),
-                preempt: true,
-            })
-            .overlap_dma(true)
-            .kv_block(64)
-            .core_mode(mode)
-            .run(&model);
-        assert_eq!(fp(&c), PIN_C, "pin C, {mode:?}");
-        assert_inert(&c);
+    let c = ServingSim::new(ServingConfig::interactive(40.0, 150))
+        .cluster(2, |_| MemNode::tight())
+        .scheduling(Scheduling::IterationLevel {
+            max_batch: 8,
+            prefill_chunk: Some(32),
+            preempt: true,
+        })
+        .overlap_dma(true)
+        .kv_block(64)
+        .run(&model);
+    assert_eq!(fp(&c), PIN_C, "pin C");
+    assert_inert(&c);
 
-        let d = ServingSim::new(ServingConfig::long_prompt(16.0, 120))
-            .cluster(1, |_| MemNode {
-                kv_bytes: 512 << 20,
-                ..MemNode::tight()
-            })
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 8,
-                prefill_chunk: None,
-                preempt: true,
-            })
-            .core_mode(mode)
-            .run(&model);
-        assert_eq!(fp(&d), PIN_D, "pin D, {mode:?}");
-        assert_inert(&d);
+    let d = ServingSim::new(ServingConfig::long_prompt(16.0, 120))
+        .cluster(1, |_| MemNode {
+            kv_bytes: 512 << 20,
+            ..MemNode::tight()
+        })
+        .scheduling(Scheduling::IterationLevel {
+            max_batch: 8,
+            prefill_chunk: None,
+            preempt: true,
+        })
+        .run(&model);
+    assert_eq!(fp(&d), PIN_D, "pin D");
+    assert_inert(&d);
 
-        let e = ServingSim::new(ServingConfig::decode_heavy(30.0, 150))
-            .cluster(3, |_| MemNode::tight())
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 4,
-                prefill_chunk: Some(64),
-                preempt: false,
-            })
-            .overlap_dma(true)
-            .core_mode(mode)
-            .run(&model);
-        assert_eq!(fp(&e), PIN_E, "pin E, {mode:?}");
-        assert_inert(&e);
-    }
+    let e = ServingSim::new(ServingConfig::decode_heavy(30.0, 150))
+        .cluster(3, |_| MemNode::tight())
+        .scheduling(Scheduling::IterationLevel {
+            max_batch: 4,
+            prefill_chunk: Some(64),
+            preempt: false,
+        })
+        .overlap_dma(true)
+        .run(&model);
+    assert_eq!(fp(&e), PIN_E, "pin E");
+    assert_inert(&e);
 }
 
 /// The historical 166-preemption schedule survives the role/migration
-/// plumbing, on both cores.
+/// plumbing. The whole-report fingerprint was taken while a step-scan
+/// core still ran beside the turn tree and matched it.
 #[test]
 fn pinned_preemption_scenario_still_166() {
     let shape = RequestShape::new(512, 512);
@@ -197,42 +194,34 @@ fn pinned_preemption_scenario_still_166() {
         workflows: vec![],
         arrivals: Default::default(),
     };
-    let run = |mode| {
-        ServingSim::new(cfg.clone())
-            .replica(IanusSystem::new(SystemConfig::ianus()))
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 32,
-                prefill_chunk: Some(128),
-                preempt: true,
-            })
-            .core_mode(mode)
-            .run(&ModelConfig::gpt2_xl())
-    };
-    let event = run(CoreMode::EventDriven);
-    assert_eq!(event.preemptions, 166, "the pinned schedule");
-    assert_inert(&event);
-    assert_eq!(event, run(CoreMode::StepScan));
+    let r = ServingSim::new(cfg)
+        .replica(IanusSystem::new(SystemConfig::ianus()))
+        .scheduling(Scheduling::IterationLevel {
+            max_batch: 32,
+            prefill_chunk: Some(128),
+            preempt: true,
+        })
+        .run(&ModelConfig::gpt2_xl());
+    assert_eq!(r.preemptions, 166, "the pinned schedule");
+    assert_inert(&r);
+    assert_eq!(debug_fnv(&r), 0x650d_4149_4d1f_d964);
 }
 
 /// Likewise the 351-preemption paged schedule.
 #[test]
 fn pinned_paged_scenario_still_351() {
-    let run = |mode| {
-        ServingSim::new(ServingConfig::shared_prefix(8.0, 200))
-            .replica(IanusSystem::new(SystemConfig::ianus()))
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 48,
-                prefill_chunk: Some(128),
-                preempt: true,
-            })
-            .kv_block(64)
-            .core_mode(mode)
-            .run(&ModelConfig::gpt2_xl())
-    };
-    let event = run(CoreMode::EventDriven);
-    assert_eq!(event.preemptions, 351, "the pinned paged schedule");
-    assert_inert(&event);
-    assert_eq!(event, run(CoreMode::StepScan));
+    let r = ServingSim::new(ServingConfig::shared_prefix(8.0, 200))
+        .replica(IanusSystem::new(SystemConfig::ianus()))
+        .scheduling(Scheduling::IterationLevel {
+            max_batch: 48,
+            prefill_chunk: Some(128),
+            preempt: true,
+        })
+        .kv_block(64)
+        .run(&ModelConfig::gpt2_xl());
+    assert_eq!(r.preemptions, 351, "the pinned paged schedule");
+    assert_inert(&r);
+    assert_eq!(debug_fnv(&r), 0xa54c_5fb4_3e59_106e);
 }
 
 // ---------------------------------------------------------------------
@@ -265,7 +254,6 @@ fn build_disagg(
     preempt: bool,
     overlap: bool,
     kv_block: u64,
-    mode: CoreMode,
 ) -> ServingSim {
     ServingSim::new(cfg.clone())
         .disaggregated(
@@ -280,17 +268,18 @@ fn build_disagg(
         })
         .overlap_dma(overlap)
         .kv_block(kv_block)
-        .core_mode(mode)
 }
 
 proptest! {
-    // Each case is two full disaggregated runs (event + scan).
+    // Each case is one full disaggregated run.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Liveness: under any seed, mix, KV accounting, and DMA overlap
     /// setting, every request admitted to a prefill replica migrates
     /// exactly once, lands on a decode replica, and runs to
-    /// completion — and the whole schedule is core-independent.
+    /// completion; every turn is the step-scan rule's (the engine's
+    /// debug check), so a migration that fails to wake its decode
+    /// replica fails here.
     #[test]
     fn migrated_sequences_always_complete(
         seed in any::<u64>(),
@@ -311,23 +300,20 @@ proptest! {
             workflows: vec![],
             arrivals: Default::default(),
         };
-        let model = ModelConfig::gpt2_xl();
-        let event = build_disagg(&cfg, prefill, decode, chunk, preempt, overlap, kv_block,
-                                 CoreMode::EventDriven).run(&model);
-        let scan = build_disagg(&cfg, prefill, decode, chunk, preempt, overlap, kv_block,
-                                CoreMode::StepScan).run(&model);
+        let report = build_disagg(&cfg, prefill, decode, chunk, preempt, overlap, kv_block)
+            .run(&ModelConfig::gpt2_xl());
 
         // Every request completes, and every request migrated exactly
         // once on its way to a decode replica.
-        prop_assert_eq!(event.completed, 40);
-        prop_assert_eq!(event.migrations, 40);
+        prop_assert_eq!(report.completed, 40);
+        prop_assert_eq!(report.migrations, 40);
 
         // Handoff bookkeeping balances: prefill replicas only emit,
         // decode replicas only receive, and every emitted sequence
         // finished on the decode side.
         let mut out_total = 0;
         let mut in_total = 0;
-        for p in &event.per_replica {
+        for p in &report.per_replica {
             match p.role {
                 ReplicaRole::PrefillOnly => {
                     prop_assert_eq!(p.migrations_in, 0);
@@ -343,16 +329,13 @@ proptest! {
         }
         prop_assert_eq!(out_total, 40);
         prop_assert_eq!(in_total, 40);
-        let decode_completed: u64 = event
+        let decode_completed: u64 = report
             .per_replica
             .iter()
             .filter(|p| p.role == ReplicaRole::DecodeOnly)
             .map(|p| p.completed)
             .sum();
         prop_assert_eq!(decode_completed, 40);
-
-        // And none of it depends on which core ran the schedule.
-        prop_assert_eq!(event, scan);
     }
 }
 

@@ -241,8 +241,7 @@ fn paged_preemption_liveness() {
     // recompute fallback in this scenario). Any engine change that
     // moves this number is reordering the paged preemption schedule —
     // the event-driven-core refactor reproduced it bit-for-bit, and
-    // the differential suite in `tests/event_core.rs` holds both cores
-    // to whole-report equality.
+    // `tests/disaggregated.rs` pins the whole report.
     assert_eq!(r.preemptions, 351, "pinned paged preemption schedule");
     assert_eq!(r.recomputes, 0);
     assert!(r.prefix_share_ratio > 0.5);

@@ -1,10 +1,11 @@
 //! Agentic workflow subsystem (PR 9): DAG validation, runtime
 //! release/cancellation, KV inheritance, and the contract that the
 //! whole layer is *inert* for flat mixes — a single-node workflow is
-//! bit-identical to the equivalent flat mix on both engine cores, and
-//! random DAGs with speculative cancellations settle cleanly (every
-//! node completes or cancels; the engine's end-of-run block-conservation
-//! asserts catch any leaked KV in these debug-build runs).
+//! bit-identical to the equivalent flat mix — and random DAGs with
+//! speculative cancellations settle cleanly (every node completes or
+//! cancels; the engine's end-of-run block-conservation asserts catch
+//! any leaked KV, and its per-turn check holds each turn to the
+//! step-scan rule, in these debug-build runs).
 
 use common::MemNode;
 use ianus::prelude::*;
@@ -12,7 +13,7 @@ use proptest::prelude::*;
 
 mod common;
 
-fn build(cfg: ServingConfig, kv_block: u64, mode: CoreMode) -> ServingSim {
+fn build(cfg: ServingConfig, kv_block: u64) -> ServingSim {
     ServingSim::new(cfg)
         .cluster(2, |_| MemNode::tight())
         .scheduling(Scheduling::IterationLevel {
@@ -21,7 +22,6 @@ fn build(cfg: ServingConfig, kv_block: u64, mode: CoreMode) -> ServingSim {
             preempt: true,
         })
         .kv_block(kv_block)
-        .core_mode(mode)
 }
 
 // ---------------------------------------------------------------------
@@ -78,11 +78,7 @@ fn workflow_mix_rejects_invalid_template_at_preflight() {
         )],
         1.0,
     );
-    let sim = build(
-        ServingConfig::workflow_mix(4.0, 10, vec![cycle]),
-        0,
-        CoreMode::EventDriven,
-    );
+    let sim = build(ServingConfig::workflow_mix(4.0, 10, vec![cycle]), 0);
     let self_edge = WorkflowError::DanglingParent { node: 0, parent: 0 };
     assert_eq!(
         sim.validate(&ModelConfig::gpt2_m()),
@@ -96,11 +92,11 @@ fn workflow_mix_rejects_invalid_template_at_preflight() {
 
 /// A workflow whose every template is one parentless node is the flat
 /// mix with the same shapes and weights: same draws, same admissions,
-/// same report — on both cores, paged and contiguous. Only the
+/// same report — paged and contiguous. Only the
 /// workflow-layer metrics differ (each instance settles as a completed
 /// workflow), so those fields are equalized before the comparison.
 #[test]
-fn single_node_workflows_match_flat_mix_on_both_cores() {
+fn single_node_workflows_match_flat_mix() {
     let shapes = [
         (RequestShape::new(128, 32), 0.7),
         (RequestShape::new(256, 64), 0.3),
@@ -124,19 +120,17 @@ fn single_node_workflows_match_flat_mix_on_both_cores() {
             .map(|&(s, w)| WorkflowTemplate::new(vec![WorkflowNode::new(s)], w))
             .collect(),
     );
-    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
-        for kv_block in [0u64, 64] {
-            let flat = build(flat_cfg.clone(), kv_block, mode).run(&ModelConfig::gpt2_xl());
-            let mut wf = build(wf_cfg.clone(), kv_block, mode).run(&ModelConfig::gpt2_xl());
-            assert_eq!(wf.completed_workflows, 80, "{mode:?} block={kv_block}");
-            assert_eq!(wf.cancelled_nodes, 0);
-            // Single nodes have no parents, so nothing is inheritable.
-            assert_eq!(wf.inherited_prefix_ratio, 0.0);
-            wf.workflow_latency = flat.workflow_latency;
-            wf.workflow_slo_attainment = flat.workflow_slo_attainment;
-            wf.completed_workflows = flat.completed_workflows;
-            assert_eq!(wf, flat, "{mode:?} block={kv_block}");
-        }
+    for kv_block in [0u64, 64] {
+        let flat = build(flat_cfg.clone(), kv_block).run(&ModelConfig::gpt2_xl());
+        let mut wf = build(wf_cfg.clone(), kv_block).run(&ModelConfig::gpt2_xl());
+        assert_eq!(wf.completed_workflows, 80, "block={kv_block}");
+        assert_eq!(wf.cancelled_nodes, 0);
+        // Single nodes have no parents, so nothing is inheritable.
+        assert_eq!(wf.inherited_prefix_ratio, 0.0);
+        wf.workflow_latency = flat.workflow_latency;
+        wf.workflow_slo_attainment = flat.workflow_slo_attainment;
+        wf.completed_workflows = flat.completed_workflows;
+        assert_eq!(wf, flat, "block={kv_block}");
     }
 }
 
@@ -155,22 +149,20 @@ fn speculative_groups_cancel_loser_subtrees() {
     let nodes = tpl.node_count() as u64;
     let instances = 40;
     let cfg = ServingConfig::workflow_mix(6.0, instances, vec![tpl]);
-    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
-        let r = build(cfg.clone(), 64, mode).run(&ModelConfig::gpt2_xl());
-        assert_eq!(r.completed_workflows, instances, "{mode:?}");
-        assert_eq!(
-            r.completed + r.cancelled_nodes,
-            instances * nodes,
-            "every node completes or cancels ({mode:?})"
-        );
-        assert!(
-            r.cancelled_nodes > 0,
-            "first-finisher arbitration must cancel losers ({mode:?})"
-        );
-        // A loser that already started still runs to completion, so
-        // cancellations are at most one branch subtree per instance.
-        assert!(r.cancelled_nodes <= instances * 2, "{mode:?}");
-    }
+    let r = build(cfg, 64).run(&ModelConfig::gpt2_xl());
+    assert_eq!(r.completed_workflows, instances);
+    assert_eq!(
+        r.completed + r.cancelled_nodes,
+        instances * nodes,
+        "every node completes or cancels"
+    );
+    assert!(
+        r.cancelled_nodes > 0,
+        "first-finisher arbitration must cancel losers"
+    );
+    // A loser that already started still runs to completion, so
+    // cancellations are at most one branch subtree per instance.
+    assert!(r.cancelled_nodes <= instances * 2);
 }
 
 /// KV inheritance is real and switchable: under paged accounting an
@@ -180,24 +172,22 @@ fn speculative_groups_cancel_loser_subtrees() {
 #[test]
 fn chain_children_inherit_parent_kv_under_paging() {
     let cfg = ServingConfig::workflow_mix(4.0, 30, vec![WorkflowTemplate::agent_chain()]);
-    for mode in [CoreMode::EventDriven, CoreMode::StepScan] {
-        let inherit = build(cfg.clone(), 64, mode).run(&ModelConfig::gpt2_xl());
-        assert!(
-            inherit.inherited_prefix_ratio > 0.0,
-            "chain children must land on inherited blocks ({mode:?})"
-        );
-        assert!(inherit.prefix_cache_hits > 0, "{mode:?}");
-        let cold = build(cfg.clone(), 64, mode)
-            .workflow_inheritance(false)
-            .run(&ModelConfig::gpt2_xl());
-        assert_eq!(cold.inherited_prefix_ratio, 0.0, "{mode:?}");
-        assert_eq!(cold.completed_workflows, 30, "{mode:?}");
-        assert_eq!(inherit.completed_workflows, 30, "{mode:?}");
-    }
+    let inherit = build(cfg.clone(), 64).run(&ModelConfig::gpt2_xl());
+    assert!(
+        inherit.inherited_prefix_ratio > 0.0,
+        "chain children must land on inherited blocks"
+    );
+    assert!(inherit.prefix_cache_hits > 0);
+    let cold = build(cfg, 64)
+        .workflow_inheritance(false)
+        .run(&ModelConfig::gpt2_xl());
+    assert_eq!(cold.inherited_prefix_ratio, 0.0);
+    assert_eq!(cold.completed_workflows, 30);
+    assert_eq!(inherit.completed_workflows, 30);
 }
 
 // ---------------------------------------------------------------------
-// Property net: random DAGs settle cleanly on both cores
+// Property net: random DAGs settle cleanly
 // ---------------------------------------------------------------------
 
 /// A random DAG template: node `i`'s parents are a subset of `0..i`
@@ -230,14 +220,15 @@ fn random_template(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For any random DAG (with or without a speculative race), any
-    /// paging mode, and both engine cores: the run terminates, every
-    /// instance settles, completions + cancellations account for every
-    /// node drawn, and the two cores agree bit-for-bit. The engine's
-    /// debug asserts (block conservation, empty host pool) make any
-    /// leaked KV a panic in these runs.
+    /// For any random DAG (with or without a speculative race) and any
+    /// paging mode: the run terminates, every instance settles, and
+    /// completions + cancellations account for every node drawn. The
+    /// engine's debug asserts (block conservation, empty host pool, each
+    /// turn the step-scan rule's, also when a fan-out moves the
+    /// wait-queue head backward) make any leaked KV or misordered turn
+    /// a panic in these runs.
     #[test]
-    fn random_dags_settle_cleanly_on_both_cores(
+    fn random_dags_settle_cleanly(
         n_nodes in 1usize..6,
         shape_seed in prop::collection::vec((0u64..96, 0u64..48), 6..7),
         parent_masks in prop::collection::vec(any::<u64>(), 6..7),
@@ -250,14 +241,11 @@ proptest! {
         let nodes = tpl.node_count() as u64;
         let instances = 20u64;
         let cfg = ServingConfig::workflow_mix(rate, instances, vec![tpl]);
-        let model = ModelConfig::gpt2_xl();
-        let event = build(cfg.clone(), kv_block, CoreMode::EventDriven).run(&model);
-        let scan = build(cfg, kv_block, CoreMode::StepScan).run(&model);
-        prop_assert_eq!(&event, &scan);
-        prop_assert_eq!(event.completed_workflows, instances);
-        prop_assert_eq!(event.completed + event.cancelled_nodes, instances * nodes);
+        let report = build(cfg, kv_block).run(&ModelConfig::gpt2_xl());
+        prop_assert_eq!(report.completed_workflows, instances);
+        prop_assert_eq!(report.completed + report.cancelled_nodes, instances * nodes);
         if !speculate {
-            prop_assert_eq!(event.cancelled_nodes, 0);
+            prop_assert_eq!(report.cancelled_nodes, 0);
         }
     }
 }
