@@ -63,13 +63,11 @@ impl Arrival {
     pub(super) fn queued_view(&self) -> crate::serving::policy::QueuedRequest {
         crate::serving::policy::QueuedRequest {
             shape: self.shape,
-            arrival: self.at,
             arrival_idx: self.idx,
             priority: self.priority,
             deadline: self.deadline(),
             workflow_deadline: self.wf.and_then(|w| w.deadline),
             blocked_descendants: self.wf.map_or(0, |w| w.blocked_descendants),
-            tenant: self.tenant,
         }
     }
 }

@@ -134,35 +134,20 @@ impl ActiveSeq {
             .or(self.wf.and_then(|w| w.deadline))
     }
 
-    /// The eviction/re-admission policy view of this sequence, with
-    /// the engine-supplied eviction-cost estimates filled in (NaN when
-    /// the policy does not read them).
-    pub(super) fn view(
-        &self,
-        swap_secs: f64,
-        recompute_secs: f64,
-        kv_blocks: u64,
-        readmit_delay_secs: f64,
-    ) -> SeqView {
+    /// The eviction/re-admission policy view of this sequence, its
+    /// cost fields NaN until the engine prices them.
+    pub(super) fn view(&self) -> SeqView {
         SeqView {
-            shape: self.shape,
-            arrival: self.arrival,
             arrival_idx: self.idx,
             priority: self.priority,
             deadline: self.deadline(),
             kv_tokens: self.past,
-            prefilled: self.prefilled,
             generated: self.shape.generation_steps() - self.remaining,
-            remaining: self.remaining,
-            preemptions: self.preemptions,
             swap_epoch: self.swap_epoch,
-            swap_secs,
-            recompute_secs,
-            kv_blocks,
+            swap_secs: f64::NAN,
+            recompute_secs: f64::NAN,
             shared_tokens: self.shared_tokens,
-            readmit_delay_secs,
-            workflow_deadline: self.wf.and_then(|w| w.deadline),
-            blocked_descendants: self.wf.map_or(0, |w| w.blocked_descendants),
+            readmit_delay_secs: f64::NAN,
         }
     }
 

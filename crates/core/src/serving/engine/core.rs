@@ -226,9 +226,9 @@ pub(super) struct EngineCore<'a> {
     /// Per-replica roles (disaggregation).
     pub(super) roles: &'a [ReplicaRole],
     /// The iteration-level policy bundle.
-    pub(super) scheduler: &'a SchedulerPolicy,
+    pub(super) scheduler: SchedulerPolicy,
     /// Migration target selection (disaggregated clusters).
-    pub(super) migration: &'a dyn MigrationPolicy,
+    pub(super) migration: MigrationPolicy,
     /// The run's effective class list: the flat mix, or one synthetic
     /// class per (template, node) under a workflow mix.
     pub(super) mix: &'a [RequestClass],
@@ -350,8 +350,8 @@ impl ServingSim {
             model,
             replicas: &mut self.replicas,
             roles: &self.roles,
-            scheduler: &self.scheduler,
-            migration: &*self.migration,
+            scheduler: self.scheduler,
+            migration: self.migration,
             mix,
             max_batch,
             chunk_size,

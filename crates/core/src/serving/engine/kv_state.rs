@@ -17,7 +17,7 @@ use super::replica::Replicas;
 use crate::backend::Backend;
 use crate::serving::dma::DmaLane;
 use crate::serving::kv::PagedKv;
-use crate::serving::policy::{EvictionMechanism, SeqView};
+use crate::serving::policy::{EvictionMechanism, EvictionPolicy};
 use crate::serving::RequestClass;
 use ianus_model::{ModelConfig, RequestShape};
 
@@ -107,19 +107,22 @@ pub(super) fn eviction_costs(
     (swap_secs, recompute_secs)
 }
 
-/// The policy view of `seq`, carrying its [`eviction_costs`] when the
-/// policy reads them (`costs` is `Some`) and NaN in both cost fields
-/// otherwise. The sequence's block count and `readmit_delay` pass
-/// through to the view for block-aware policies.
-fn costed_view(
-    seq: &ActiveSeq,
-    paged: Option<&PagedKv>,
-    readmit_delay: f64,
-    costs: Option<(f64, f64)>,
-) -> SeqView {
-    let (swap_secs, recompute_secs) = costs.unwrap_or((f64::NAN, f64::NAN));
-    let kv_blocks = paged.map_or(0, |p| p.blocks_of(seq.slot));
-    seq.view(swap_secs, recompute_secs, kv_blocks, readmit_delay)
+/// Whether the eviction views price their costs: only for a policy
+/// that reads them, or, in tests, whenever [`FORCE_PRICING`] is set.
+fn prices_views(policy: EvictionPolicy) -> bool {
+    #[cfg(test)]
+    if FORCE_PRICING.get() {
+        return true;
+    }
+    policy.reads_costs()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test switch: price every eviction view on this thread, whatever
+    /// the policy, so a cost-blind run can be checked against a fully
+    /// priced one.
+    pub(crate) static FORCE_PRICING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 impl EngineCore<'_> {
@@ -149,31 +152,7 @@ impl EngineCore<'_> {
         while batch.batches[r].len() + lanes.incoming[r].len() < max_batch as usize
             && !kv.swapped[r].is_empty()
         {
-            // What one re-admission-queue slot costs in wall clock
-            // right now (for the cost views; the depth excludes the
-            // candidate itself — it prices the queue it would
-            // re-join on a further eviction).
-            let readmit_delay = if batch.iter_n[r] > 0 {
-                kv.swapped[r].len().saturating_sub(1) as f64 * batch.iter_sum[r]
-                    / batch.iter_n[r] as f64
-            } else {
-                0.0
-            };
-            let paged = kv.paged[r].as_ref();
-            let priced = scheduler.readmission.reads_costs();
-            let views = kv.swapped[r].iter().enumerate().map(|(i, s)| {
-                let costs = priced.then(|| {
-                    // Credit the candidate's own hosted bytes
-                    // back: its swap-side cost must not read as
-                    // "pool full" when the fullness is the
-                    // candidate itself (swapping *in* frees the
-                    // pool).
-                    let headroom = kv.pools[r]
-                        .map(|p| p.saturating_sub(kv.host_used[r].saturating_sub(s.hosted_bytes)));
-                    eviction_costs(s, replicas, r, model, headroom, paged)
-                });
-                (i, costed_view(s, paged, readmit_delay, costs))
-            });
+            let views = kv.swapped[r].iter().map(ActiveSeq::view).enumerate();
             let Some((ci, _)) =
                 super::select_min(views, |a, b| scheduler.readmission.compare(a, b))
             else {
@@ -449,16 +428,20 @@ impl EngineCore<'_> {
                 0.0
             };
             let paged = kv.paged[r].as_ref();
-            let priced = scheduler.eviction.reads_costs();
+            let priced = prices_views(scheduler.eviction);
             let views = batch.batches[r]
                 .settled()
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.decoding())
                 .map(|(i, s)| {
-                    let costs =
-                        priced.then(|| eviction_costs(s, replicas, r, model, headroom, paged));
-                    (i, costed_view(s, paged, readmit_delay, costs))
+                    let mut view = s.view();
+                    if priced {
+                        (view.swap_secs, view.recompute_secs) =
+                            eviction_costs(s, replicas, r, model, headroom, paged);
+                        view.readmit_delay_secs = readmit_delay;
+                    }
+                    (i, view)
                 });
             let victim = super::select_min(views, |a, b| scheduler.eviction.compare(a, b));
             let Some((v, view)) = victim.filter(|_| batch.batches[r].len() > 1) else {

@@ -37,8 +37,11 @@ mod workflow_rt;
 pub use arrivals::{ArrivalSpec, TenantSpec};
 pub use preflight::{check_generation, ConfigError};
 
+#[cfg(test)]
+pub(crate) use kv_state::FORCE_PRICING;
+
 use self::replica::Replicas;
-use super::policy::{LeastLoadedMigration, MigrationPolicy, SchedulerPolicy};
+use super::policy::{MigrationPolicy, SchedulerPolicy};
 use super::report::RunStats;
 use super::DispatchPolicy;
 use super::{DisaggregationConfig, ReplicaRole, Scheduling, ServingConfig, ServingReport};
@@ -100,7 +103,7 @@ pub struct ServingSim {
     /// (all-`Unified` outside disaggregated runs).
     roles: Vec<ReplicaRole>,
     /// Destination choice for prefill→decode KV migrations.
-    migration: std::sync::Arc<dyn MigrationPolicy + Send + Sync>,
+    migration: MigrationPolicy,
     /// Whether workflow children inherit their parent's registered KV
     /// blocks as a shared prefix in paged mode (on by default; the
     /// off switch exists so experiments can measure the cold
@@ -124,7 +127,7 @@ impl ServingSim {
             divergence: None,
             probe_divergence: false,
             roles: Vec::new(),
-            migration: std::sync::Arc::new(LeastLoadedMigration),
+            migration: MigrationPolicy::LeastLoaded,
             workflow_inheritance: true,
         }
     }
@@ -189,10 +192,10 @@ impl ServingSim {
 
     /// Installs the [`MigrationPolicy`] choosing which decode replica
     /// receives each prefill→decode handoff
-    /// ([`LeastLoadedMigration`] by default). Only consulted when the
-    /// cluster has [`ReplicaRole::PrefillOnly`] replicas.
-    pub fn migration(mut self, policy: impl MigrationPolicy + Send + Sync + 'static) -> Self {
-        self.migration = std::sync::Arc::new(policy);
+    /// ([`MigrationPolicy::LeastLoaded`] by default). Only consulted
+    /// when the cluster has [`ReplicaRole::PrefillOnly`] replicas.
+    pub fn migration(mut self, policy: MigrationPolicy) -> Self {
+        self.migration = policy;
         self
     }
 
@@ -312,7 +315,7 @@ impl ServingSim {
             cfg: self.cfg.clone(),
             dispatch: self.dispatch,
             scheduling: self.scheduling,
-            scheduler: self.scheduler.clone(),
+            scheduler: self.scheduler,
             replicas: self.replicas.try_clone()?,
             host_kv_override: self.host_kv_override,
             overlap_dma: self.overlap_dma,
@@ -320,7 +323,7 @@ impl ServingSim {
             divergence: self.divergence,
             probe_divergence: self.probe_divergence,
             roles: self.roles.clone(),
-            migration: self.migration.clone(),
+            migration: self.migration,
             workflow_inheritance: self.workflow_inheritance,
         })
     }

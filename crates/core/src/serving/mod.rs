@@ -1,6 +1,6 @@
 //! Cluster-scale serving simulation over the unified
 //! [`Backend`](crate::backend::Backend) trait, at request or token
-//! granularity, with pluggable scheduler policies.
+//! granularity, with a closed set of scheduler policies.
 //!
 //! [`ServingSim`] simulates a **cluster of replica backends** — any mix
 //! of `IanusSystem`s, device groups, or the analytical baselines — fed by
@@ -54,8 +54,8 @@
 //! KV is dropped and the whole context re-prefilled on re-admission.
 //! Recompute is also selectable outright (or per-victim by cost) via
 //! [`EvictionMechanism`] on the policy bundle, and the
-//! [`CheapestEviction`](policy::CheapestEviction) policy picks victims
-//! by eviction cost per KV token freed. With
+//! [`EvictionPolicy::Cheapest`] policy picks victims by eviction cost
+//! per KV token freed. With
 //! [`ServingSim::overlap_dma`], swap traffic runs on per-replica
 //! H2D/D2H DMA lanes (see [`dma`]; a swap-in never queues behind a
 //! swap-out) that overlap decode: transfers only stall the batch when
@@ -91,16 +91,16 @@
 //!
 //! *Which* request is admitted next, *which* sequence is evicted under
 //! KV pressure, and *which* swapped sequence re-enters first are not
-//! baked into the event loop: they are the three [`policy`] traits —
+//! baked into the event loop: they are the three [`policy`] enums —
 //! [`AdmissionPolicy`], [`EvictionPolicy`], and [`ReadmissionPolicy`] —
 //! bundled into a [`SchedulerPolicy`] and installed with
 //! [`ServingSim::policy`]. The default bundle (FCFS admission,
 //! lowest-[`Priority`]/youngest eviction, FIFO re-admission) reproduces
-//! the historical hard-wired behavior bit-identically; the alternatives
-//! ([`DeadlineAdmission`](policy::DeadlineAdmission),
-//! [`LargestKv`](policy::LargestKv),
-//! [`LeastProgress`](policy::LeastProgress), …) exist to *compare*
-//! victim-selection and SLO-ordering rules under identical traffic.
+//! the historical hard-wired behavior bit-identically; the other
+//! variants ([`AdmissionPolicy::Deadline`],
+//! [`EvictionPolicy::LargestKv`], [`EvictionPolicy::LeastProgress`], …)
+//! exist to *compare* victim-selection and SLO-ordering rules under
+//! identical traffic, and each enum's `ALL` array lists every choice.
 //!
 //! Request classes can carry an [`Slo`] (TTFT and ITL-p99 targets);
 //! the report then scores per-class and aggregate
@@ -164,13 +164,13 @@
 //! assert!(report.peak_batch >= 1 && report.peak_batch <= 4);
 //! ```
 //!
-//! A custom policy bundle with SLOs — deadline-EDF admission, largest-KV
-//! eviction, and goodput scoring:
+//! A non-default policy bundle with SLOs — deadline-EDF admission,
+//! largest-KV eviction, and goodput scoring:
 //!
 //! ```
-//! use ianus_core::serving::policy::{DeadlineAdmission, LargestKv};
 //! use ianus_core::serving::{
-//!     RequestClass, Scheduling, SchedulerPolicy, ServingConfig, ServingSim, Slo,
+//!     AdmissionPolicy, EvictionPolicy, RequestClass, Scheduling, SchedulerPolicy,
+//!     ServingConfig, ServingSim, Slo,
 //! };
 //! use ianus_core::{IanusSystem, SystemConfig};
 //! use ianus_model::{ModelConfig, RequestShape};
@@ -184,8 +184,8 @@
 //!     .scheduling(Scheduling::iteration(4))
 //!     .policy(
 //!         SchedulerPolicy::default()
-//!             .with_admission(DeadlineAdmission)
-//!             .with_eviction(LargestKv),
+//!             .with_admission(AdmissionPolicy::Deadline)
+//!             .with_eviction(EvictionPolicy::LargestKv),
 //!     )
 //!     .run(&ModelConfig::gpt2_m());
 //! assert_eq!(report.completed, 120);
@@ -221,10 +221,9 @@ use ianus_sim::Duration;
 /// Priorities matter to the [`policy`] layer: the default
 /// [`EvictionPolicy`] sheds KV pressure from [`Priority::Batch`]
 /// sequences before [`Priority::Interactive`] ones (and the youngest
-/// sequence within a tier), and
-/// [`PriorityAdmission`](policy::PriorityAdmission) reorders the wait
-/// queue by tier. Under the default FCFS admission the tier decides who
-/// *pays* for overcommit, not who runs first.
+/// sequence within a tier), and [`AdmissionPolicy::Priority`]
+/// reorders the wait queue by tier. Under the default FCFS admission
+/// the tier decides who *pays* for overcommit, not who runs first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Throughput-oriented background work (evicted first).
@@ -240,9 +239,8 @@ pub enum Priority {
 /// own inter-token gaps is at most [`itl_p99`](Self::itl_p99).
 /// Attainment is scored per class and in aggregate in the
 /// [`ServingReport`] (`slo_attainment`, `goodput_rps`); the deadline
-/// that [`DeadlineAdmission`](policy::DeadlineAdmission) and
-/// [`DeadlineReadmission`](policy::DeadlineReadmission) order by is
-/// `arrival + ttft`.
+/// that [`AdmissionPolicy::Deadline`] and
+/// [`ReadmissionPolicy::Deadline`] order by is `arrival + ttft`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     /// Time-to-first-token target (arrival to first output token).

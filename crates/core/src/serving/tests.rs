@@ -1,10 +1,6 @@
 //! Engine-level serving tests (fast synthetic backends plus the real
 //! simulated device where memory pressure matters).
 
-use super::policy::{
-    DeadlineAdmission, DeadlineReadmission, FcfsAdmission, FifoReadmission, LargestKv,
-    LeastProgress, LowestPriorityYoungest, PriorityAdmission, ShortestPromptAdmission,
-};
 use super::*;
 use crate::backend::Backend;
 use crate::{IanusSystem, SystemConfig};
@@ -985,9 +981,9 @@ fn default_policy_bundle_is_bit_identical_to_implicit() {
             .scheduling(scheduling)
             .policy(
                 SchedulerPolicy::default()
-                    .with_admission(FcfsAdmission)
-                    .with_eviction(LowestPriorityYoungest)
-                    .with_readmission(FifoReadmission),
+                    .with_admission(AdmissionPolicy::Fcfs)
+                    .with_eviction(EvictionPolicy::LowestPriorityYoungest)
+                    .with_readmission(ReadmissionPolicy::Fifo),
             )
             .run(&model);
         assert_eq!(implicit, explicit, "{scheduling:?}");
@@ -1011,7 +1007,7 @@ fn priority_admission_favors_interactive_sojourn() {
             .run(&model)
     };
     let fcfs = run(SchedulerPolicy::default());
-    let prio = run(SchedulerPolicy::default().with_admission(PriorityAdmission));
+    let prio = run(SchedulerPolicy::default().with_admission(AdmissionPolicy::Priority));
     assert_eq!(prio.completed, fcfs.completed);
     // per_class[0] is the interactive tier of the long-prompt mix.
     assert!(
@@ -1039,7 +1035,7 @@ fn shortest_prompt_admission_cuts_median_sojourn() {
             .run(&model)
     };
     let fcfs = run(SchedulerPolicy::default());
-    let sjf = run(SchedulerPolicy::default().with_admission(ShortestPromptAdmission));
+    let sjf = run(SchedulerPolicy::default().with_admission(AdmissionPolicy::ShortestPrompt));
     assert!(
         sjf.sojourn.p50 < fcfs.sojourn.p50,
         "SJF should cut the median: {} vs {}",
@@ -1067,7 +1063,7 @@ fn edf_admission_tracks_deadlines() {
     let fcfs = run(&cfg, SchedulerPolicy::default());
     let edf = run(
         &cfg,
-        SchedulerPolicy::default().with_admission(DeadlineAdmission),
+        SchedulerPolicy::default().with_admission(AdmissionPolicy::Deadline),
     );
     assert_eq!(edf.completed, fcfs.completed);
     assert!(
@@ -1109,8 +1105,8 @@ fn eviction_policies_complete_and_differ() {
             .run(&ModelConfig::gpt2_xl())
     };
     let default = run(SchedulerPolicy::default());
-    let largest = run(SchedulerPolicy::default().with_eviction(LargestKv));
-    let least = run(SchedulerPolicy::default().with_eviction(LeastProgress));
+    let largest = run(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv));
+    let least = run(SchedulerPolicy::default().with_eviction(EvictionPolicy::LeastProgress));
     for (name, r) in [
         ("default", &default),
         ("largest-kv", &largest),
@@ -1161,7 +1157,7 @@ fn deadline_readmission_is_live_and_seed_stable() {
                 prefill_chunk: None,
                 preempt: true,
             })
-            .policy(SchedulerPolicy::default().with_readmission(DeadlineReadmission))
+            .policy(SchedulerPolicy::default().with_readmission(ReadmissionPolicy::Deadline))
     };
     let a = build().run(&ModelConfig::gpt2_xl());
     let b = build().run(&ModelConfig::gpt2_xl());
@@ -1715,7 +1711,7 @@ mod price_classes {
                 prefill_chunk: Some(64),
                 preempt: true,
             })
-            .policy(SchedulerPolicy::default().with_eviction(LargestKv))
+            .policy(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv))
             .overlap_dma(true)
             .kv_block(32)
         };
@@ -1784,10 +1780,7 @@ mod price_classes {
 /// policies that read them, and no report may tell the difference.
 mod cost_blind {
     use super::*;
-    use crate::serving::policy::{
-        CheapestEviction, EvictionMechanism, EvictionPolicy, ReadmissionPolicy, SeqView,
-    };
-    use std::cmp::Ordering as CmpOrdering;
+    use crate::serving::engine::FORCE_PRICING;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -1835,47 +1828,13 @@ mod cost_blind {
         }
     }
 
-    /// Forwards `compare` to a built-in and keeps the trait's default
-    /// `reads_costs` (`true`), as any custom policy does: the engine
-    /// then prices every view it offers.
-    struct Priced<P: ?Sized>(Arc<P>);
-
-    impl EvictionPolicy for Priced<dyn EvictionPolicy + Send + Sync> {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn compare(&self, a: &SeqView, b: &SeqView) -> CmpOrdering {
-            self.0.compare(a, b)
-        }
-    }
-
-    impl ReadmissionPolicy for Priced<dyn ReadmissionPolicy + Send + Sync> {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn compare(&self, a: &SeqView, b: &SeqView) -> CmpOrdering {
-            self.0.compare(a, b)
-        }
-    }
-
-    /// `policy` with one member behind the [`Priced`] adapter: the
-    /// eviction policy, or the re-admission policy.
-    fn priced(policy: &SchedulerPolicy, eviction: bool) -> SchedulerPolicy {
-        let mut priced = policy.clone();
-        if eviction {
-            priced.eviction = Arc::new(Priced(policy.eviction.clone()));
-        } else {
-            priced.readmission = Arc::new(Priced(policy.readmission.clone()));
-        }
-        priced
-    }
-
     /// A preempting paged GPT-2 XL run under `policy` behind a tight
-    /// host pool: its report and its (`prefill_time`,
-    /// `kv_transfer_time`) call counts.
-    fn run(policy: SchedulerPolicy) -> (ServingReport, u64, u64) {
+    /// host pool, with every eviction view priced when `force` is set:
+    /// its report and its (`prefill_time`, `kv_transfer_time`) call
+    /// counts.
+    fn run(policy: SchedulerPolicy, force: bool) -> (ServingReport, u64, u64) {
         let (prefills, transfers) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-        let report = ServingSim::new(ServingConfig::shared_prefix(100.0, 60))
+        let mut sim = ServingSim::new(ServingConfig::shared_prefix(100.0, 60))
             .replica(Counting {
                 inner: IanusSystem::new(SystemConfig::ianus()),
                 prefills: prefills.clone(),
@@ -1888,8 +1847,10 @@ mod cost_blind {
             })
             .kv_block(16)
             .host_kv_pool(Some(1 << 30))
-            .policy(policy)
-            .run(&ModelConfig::gpt2_xl());
+            .policy(policy);
+        FORCE_PRICING.set(force);
+        let report = sim.run(&ModelConfig::gpt2_xl());
+        FORCE_PRICING.set(false);
         assert!(report.preemptions > 0, "no KV pressure exercised");
         let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         (report, count(&prefills), count(&transfers))
@@ -1898,33 +1859,15 @@ mod cost_blind {
     #[test]
     fn cost_blind_policies_match_priced_runs_with_fewer_prices() {
         let default = SchedulerPolicy::default();
-        // (bundle, whether its eviction member is the one under test
-        // rather than its re-admission member)
-        let cases = [
-            (default.clone(), true),
-            (default.clone().with_eviction(LargestKv), true),
-            (default.clone().with_eviction(LeastProgress), true),
-            (
-                default.clone().with_mechanism(EvictionMechanism::Cheapest),
-                true,
-            ),
-            (default.clone(), false),
-            (default.with_readmission(DeadlineReadmission), false),
-        ];
-        for (policy, eviction) in cases {
-            let label = format!(
-                "{} ({})",
-                policy.label(),
-                if eviction { "eviction" } else { "readmission" }
-            );
-            let reads_costs = if eviction {
-                policy.eviction.reads_costs()
-            } else {
-                policy.readmission.reads_costs()
-            };
-            assert!(!reads_costs, "{label}");
-            let (blind, blind_prefills, blind_transfers) = run(policy.clone());
-            let (full, full_prefills, full_transfers) = run(priced(&policy, eviction));
+        let cases = EvictionPolicy::ALL
+            .into_iter()
+            .filter(|p| !p.reads_costs())
+            .map(|p| default.with_eviction(p))
+            .chain([default.with_mechanism(EvictionMechanism::Cheapest)]);
+        for policy in cases {
+            let label = policy.label();
+            let (blind, blind_prefills, blind_transfers) = run(policy, false);
+            let (full, full_prefills, full_transfers) = run(policy, true);
             assert_eq!(format!("{blind:?}"), format!("{full:?}"), "{label}");
             assert!(
                 blind_prefills < full_prefills,
@@ -1937,17 +1880,16 @@ mod cost_blind {
         }
     }
 
-    /// A policy that reads costs keeps every candidate priced: behind
-    /// the adapter (which changes nothing for it) it makes exactly the
-    /// same backend calls.
+    /// A policy that reads costs keeps every candidate priced: forcing
+    /// the pricing changes nothing for it, down to its backend calls.
     #[test]
     fn cheapest_eviction_prices_every_candidate() {
-        let policy = SchedulerPolicy::default().with_eviction(CheapestEviction);
+        let policy = SchedulerPolicy::default().with_eviction(EvictionPolicy::Cheapest);
         assert!(policy.eviction.reads_costs());
-        let bare = run(policy.clone());
-        let wrapped = run(priced(&policy, true));
-        assert_eq!(format!("{:?}", bare.0), format!("{:?}", wrapped.0));
-        assert_eq!((bare.1, bare.2), (wrapped.1, wrapped.2));
+        let plain = run(policy, false);
+        let forced = run(policy, true);
+        assert_eq!(format!("{:?}", plain.0), format!("{:?}", forced.0));
+        assert_eq!((plain.1, plain.2), (forced.1, forced.2));
     }
 }
 

@@ -255,7 +255,7 @@ impl WorkflowTemplate {
     /// Per-node count of transitive descendants — how many downstream
     /// nodes a completion (eventually) unblocks. Exposed to admission
     /// policies as `blocked_descendants` so
-    /// [`WidestSubtreeAdmission`](super::policy::WidestSubtreeAdmission)
+    /// [`AdmissionPolicy::WidestSubtree`](super::AdmissionPolicy::WidestSubtree)
     /// can favor nodes that unblock the most work.
     pub fn blocked_descendants(&self) -> Vec<u32> {
         let children = self.children();

@@ -142,11 +142,11 @@ fn main() {
         ("fcfs", SchedulerPolicy::default()),
         (
             "edf",
-            SchedulerPolicy::default().with_admission(DeadlineAdmission),
+            SchedulerPolicy::default().with_admission(AdmissionPolicy::Deadline),
         ),
         (
             "widest-subtree",
-            SchedulerPolicy::default().with_admission(WidestSubtreeAdmission),
+            SchedulerPolicy::default().with_admission(AdmissionPolicy::WidestSubtree),
         ),
     ];
     let mut p99 = Vec::new();

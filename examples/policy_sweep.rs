@@ -70,25 +70,6 @@ fn scenario(requests: u64) -> ServingConfig {
     }
 }
 
-const EVICTIONS: [&str; 4] = [
-    "lowest-priority-youngest",
-    "largest-kv",
-    "least-progress",
-    "cheapest",
-];
-
-fn bundle(eviction: &str) -> SchedulerPolicy {
-    match eviction {
-        "lowest-priority-youngest" => {
-            SchedulerPolicy::default().with_eviction(LowestPriorityYoungest)
-        }
-        "largest-kv" => SchedulerPolicy::default().with_eviction(LargestKv),
-        "least-progress" => SchedulerPolicy::default().with_eviction(LeastProgress),
-        "cheapest" => SchedulerPolicy::default().with_eviction(CheapestEviction),
-        _ => unreachable!(),
-    }
-}
-
 /// One sweep row as a JSON object (no serde in-tree; the report is flat
 /// enough to format by hand). `wall_s` is the engine's wall-clock for
 /// the run — machine-dependent by nature, so the canonical compare
@@ -151,8 +132,9 @@ fn main() {
 
     let mut best: Option<(String, f64)> = None;
     let mut rows = Vec::new();
-    for eviction in EVICTIONS {
-        sim = sim.policy(bundle(eviction));
+    for policy in EvictionPolicy::ALL {
+        sim = sim.policy(SchedulerPolicy::default().with_eviction(policy));
+        let eviction = policy.name();
         let (r, wall_s) = common::timed(|| sim.run(&model));
         rows.push(bench_row(eviction, &r, wall_s));
         assert_eq!(r.completed, requests, "liveness: every request completes");
@@ -227,12 +209,12 @@ fn main() {
     for (label, policy) in [
         (
             "largest-kv + swap",
-            SchedulerPolicy::default().with_eviction(LargestKv),
+            SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv),
         ),
         (
             "cheapest + cheapest (cost-aware)",
             SchedulerPolicy::default()
-                .with_eviction(CheapestEviction)
+                .with_eviction(EvictionPolicy::Cheapest)
                 .with_mechanism(EvictionMechanism::Cheapest),
         ),
     ] {

@@ -98,7 +98,6 @@ use ianus::prelude::*;
 use ianus::system::capacity;
 use ianus::system::serving::check_generation;
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// One row of a choice flag's table: an accepted name and what it
 /// builds. The parser, `usage()`, the `--compare-policies` sweep and the
@@ -106,12 +105,7 @@ use std::sync::Arc;
 /// flag's default.
 type Row<T> = (&'static str, T);
 type Choice<T> = &'static Row<T>;
-/// A stateless policy, shared by every engine built with it.
-type Shared<P> = fn() -> Arc<P>;
-type Admission = Shared<dyn AdmissionPolicy + Send + Sync>;
-type Eviction = Shared<dyn EvictionPolicy + Send + Sync>;
-type Readmission = Shared<dyn ReadmissionPolicy + Send + Sync>;
-/// A cluster step: adds a replica or sets a cluster-wide policy.
+/// A cluster step: adds a replica.
 type Setup = fn(ServingSim) -> ServingSim;
 /// A serving mix: its report label and its config builder over the
 /// rate, the request count and the `--input`/`--output` shape.
@@ -205,31 +199,31 @@ const MIXES: &[Row<Mix>] = &[
         }),
     ),
 ];
-const ADMISSIONS: &[Row<Admission>] = &[
-    ("fcfs", || Arc::new(FcfsAdmission)),
-    ("priority", || Arc::new(PriorityAdmission)),
-    ("shortest-prompt", || Arc::new(ShortestPromptAdmission)),
-    ("edf", || Arc::new(DeadlineAdmission)),
-    ("widest-subtree", || Arc::new(WidestSubtreeAdmission)),
+const ADMISSIONS: &[Row<AdmissionPolicy>] = &[
+    ("fcfs", AdmissionPolicy::Fcfs),
+    ("priority", AdmissionPolicy::Priority),
+    ("shortest-prompt", AdmissionPolicy::ShortestPrompt),
+    ("edf", AdmissionPolicy::Deadline),
+    ("widest-subtree", AdmissionPolicy::WidestSubtree),
 ];
-const EVICTIONS: &[Row<Eviction>] = &[
-    ("lowest-priority", || Arc::new(LowestPriorityYoungest)),
-    ("largest-kv", || Arc::new(LargestKv)),
-    ("least-progress", || Arc::new(LeastProgress)),
-    ("cheapest", || Arc::new(CheapestEviction)),
+const EVICTIONS: &[Row<EvictionPolicy>] = &[
+    ("lowest-priority", EvictionPolicy::LowestPriorityYoungest),
+    ("largest-kv", EvictionPolicy::LargestKv),
+    ("least-progress", EvictionPolicy::LeastProgress),
+    ("cheapest", EvictionPolicy::Cheapest),
 ];
-const READMISSIONS: &[Row<Readmission>] = &[
-    ("fifo", || Arc::new(FifoReadmission)),
-    ("deadline", || Arc::new(DeadlineReadmission)),
+const READMISSIONS: &[Row<ReadmissionPolicy>] = &[
+    ("fifo", ReadmissionPolicy::Fifo),
+    ("deadline", ReadmissionPolicy::Deadline),
 ];
 const MECHANISMS: &[Row<EvictionMechanism>] = &[
     ("swap", EvictionMechanism::Swap),
     ("recompute", EvictionMechanism::Recompute),
     ("cheapest", EvictionMechanism::Cheapest),
 ];
-const MIGRATIONS: &[Row<Setup>] = &[
-    ("least-loaded", |sim| sim.migration(LeastLoadedMigration)),
-    ("freest-kv", |sim| sim.migration(FreestKvMigration)),
+const MIGRATIONS: &[Row<MigrationPolicy>] = &[
+    ("least-loaded", MigrationPolicy::LeastLoaded),
+    ("freest-kv", MigrationPolicy::FreestKv),
 ];
 const ARRIVALS: &[Row<Arrivals>] = &[
     ("poisson", |_, _, _| ArrivalSpec::Poisson),
@@ -304,9 +298,9 @@ struct ServeArgs {
     max_batch: u32,
     prefill_chunk: Option<u64>,
     preempt: bool,
-    admission: Choice<Admission>,
-    eviction: Choice<Eviction>,
-    readmission: Choice<Readmission>,
+    admission: Choice<AdmissionPolicy>,
+    eviction: Choice<EvictionPolicy>,
+    readmission: Choice<ReadmissionPolicy>,
     mechanism: Choice<EvictionMechanism>,
     /// `--slo-ttft-ms`/`--slo-itl-ms` in picoseconds (0 = no target).
     slo_ttft_ps: u64,
@@ -321,7 +315,7 @@ struct ServeArgs {
     /// Prefill/decode pool sizes (replaces `--replicas`).
     disaggregate: Option<(usize, usize)>,
     prefill_system: Option<Choice<Setup>>,
-    migration: Choice<Setup>,
+    migration: Choice<MigrationPolicy>,
     arrivals: Choice<Arrivals>,
     burst_factor: f64,
     tenants: u32,
@@ -336,11 +330,11 @@ impl ServeArgs {
         }
     }
 
-    fn policy(&self, eviction: Eviction) -> SchedulerPolicy {
+    fn policy(&self, eviction: EvictionPolicy) -> SchedulerPolicy {
         SchedulerPolicy {
-            admission: (self.admission.1)(),
-            eviction: eviction(),
-            readmission: (self.readmission.1)(),
+            admission: self.admission.1,
+            eviction,
+            readmission: self.readmission.1,
             mechanism: self.mechanism.1,
         }
     }
@@ -428,7 +422,7 @@ impl ServeArgs {
             };
         }
         let sim = (0..decode).fold(sim, |sim, _| replica(sim, ReplicaRole::DecodeOnly));
-        (self.migration.1)(sim)
+        sim.migration(self.migration.1)
     }
 }
 
@@ -982,16 +976,14 @@ mod tests {
                 assert!(parse_line(&line).is_ok(), "{line}");
             }
         }
-        let serve = parse_line("--serve --model gpt2-m").unwrap().serve.unwrap();
-        for (_, eviction) in EVICTIONS {
-            let _ = serve.policy(*eviction);
+        // Every variant of each policy enum has a row, in `ALL` order.
+        fn values<T: Copy>(table: &[Row<T>]) -> Vec<T> {
+            table.iter().map(|row| row.1).collect()
         }
-        for (_, admission) in ADMISSIONS {
-            let _ = admission();
-        }
-        for (_, readmission) in READMISSIONS {
-            let _ = readmission();
-        }
+        assert_eq!(values(ADMISSIONS), AdmissionPolicy::ALL);
+        assert_eq!(values(EVICTIONS), EvictionPolicy::ALL);
+        assert_eq!(values(READMISSIONS), ReadmissionPolicy::ALL);
+        assert_eq!(values(MIGRATIONS), MigrationPolicy::ALL);
         for (_, system) in SYSTEMS {
             let _ = system();
         }
@@ -1001,7 +993,7 @@ mod tests {
         assert_eq!(SCHEDULES[0].1, pas.schedule);
         let shape = RequestShape::new(128, 64);
         let config = || (MIXES[0].1 .1)(4.0, 10, shape);
-        for (_, setup) in PREFILL_SYSTEMS.iter().chain(MIGRATIONS) {
+        for (_, setup) in PREFILL_SYSTEMS {
             let _ = setup(ServingSim::new(config()));
         }
         for (_, (label, build)) in MIXES {

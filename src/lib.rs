@@ -90,14 +90,15 @@
 //! preemption** (optimistic admission against current KV lengths, with
 //! eviction to a swap queue priced by `Backend::kv_transfer_time`).
 //! *Which* request is admitted next, *which* sequence is evicted, and
-//! *which* swapped sequence returns first are pluggable: a
-//! [`SchedulerPolicy`](prelude::SchedulerPolicy) bundles an admission,
-//! an eviction, and a re-admission policy trait (defaults: FCFS,
-//! lowest-[`Priority`](prelude::Priority)/youngest, FIFO — reproducing
-//! the historical scheduler bit-identically), request classes can carry
-//! an [`Slo`](prelude::Slo) scored as `slo_attainment`/`goodput_rps`,
-//! and `examples/policy_sweep.rs` compares the eviction policies under
-//! identical KV pressure. KV accounting itself is switchable:
+//! *which* swapped sequence returns first are policy choices: a
+//! [`SchedulerPolicy`](prelude::SchedulerPolicy) bundles one variant
+//! each of the admission, eviction, and re-admission policy enums
+//! (defaults: FCFS, lowest-[`Priority`](prelude::Priority)/youngest,
+//! FIFO — reproducing the historical scheduler bit-identically),
+//! request classes can carry an [`Slo`](prelude::Slo) scored as
+//! `slo_attainment`/`goodput_rps`, and `examples/policy_sweep.rs`
+//! compares the eviction policies under identical KV pressure. KV
+//! accounting itself is switchable:
 //! [`ServingSim::kv_block`](prelude::ServingSim::kv_block) replaces the
 //! contiguous reservation arithmetic with a **paged block allocator**
 //! ([`serving::kv`](system::serving::kv)) that shares class-wide prompt
@@ -122,11 +123,6 @@ pub mod prelude {
     pub use ianus_core::capacity::CapacityError;
     pub use ianus_core::pas::{AttnMapping, FcMapping, PasPolicy, Schedule};
     pub use ianus_core::serving::kv::{BlockAllocator, BlockTable, PagedKv, PrefixCache};
-    pub use ianus_core::serving::policy::{
-        CheapestEviction, DeadlineAdmission, DeadlineReadmission, FcfsAdmission, FifoReadmission,
-        FreestKvMigration, LargestKv, LeastLoadedMigration, LeastProgress, LowestPriorityYoungest,
-        PriorityAdmission, ShortestPromptAdmission, WidestSubtreeAdmission,
-    };
     pub use ianus_core::serving::{
         AdmissionPolicy, ArrivalSpec, ConfigError, DisaggregationConfig, DispatchPolicy,
         EvictionMechanism, EvictionPolicy, LatencyPercentiles, MigrationPolicy, Priority,

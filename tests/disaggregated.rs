@@ -339,9 +339,10 @@ proptest! {
     }
 }
 
-/// The migration target policy is pluggable: `FreestKvMigration` picks
-/// the decode replica with the most free KV, `LeastLoadedMigration`
-/// (the default) the one with the fewest resident sequences. Both must
+/// The migration target policy is a choice: `MigrationPolicy::FreestKv`
+/// picks the decode replica with the most free KV,
+/// `MigrationPolicy::LeastLoaded` (the default) the one with the fewest
+/// resident sequences. Both must
 /// preserve liveness; under asymmetric decode capacity they produce
 /// different placements.
 #[test]
@@ -377,8 +378,8 @@ fn migration_policies_preserve_liveness() {
             .kv_block(64)
     };
     let model = ModelConfig::gpt2_xl();
-    let least = build().migration(LeastLoadedMigration).run(&model);
-    let freest = build().migration(FreestKvMigration).run(&model);
+    let least = build().migration(MigrationPolicy::LeastLoaded).run(&model);
+    let freest = build().migration(MigrationPolicy::FreestKv).run(&model);
     for r in [&least, &freest] {
         assert_eq!(r.completed, 80);
         assert_eq!(r.migrations, 80);

@@ -78,7 +78,7 @@ fn utilization_excludes_swap_dma() {
     let r = ServingSim::new(scenario(None))
         .replica(IanusSystem::new(system))
         .scheduling(preemptive())
-        .policy(SchedulerPolicy::default().with_eviction(LargestKv))
+        .policy(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv))
         .run(&ModelConfig::gpt2_xl());
     assert_eq!(r.completed, 120);
     let makespan = r.completed as f64 / r.throughput_rps;
@@ -136,8 +136,8 @@ fn overlap_hides_dma_behind_decode() {
 }
 
 /// The acceptance pin: on a slow (4 GB/s) host link, the cost-aware
-/// bundle — `CheapestEviction` victims with the `Cheapest` mechanism —
-/// beats pure largest-KV (swap mechanism) on goodput. Largest-KV pays
+/// bundle — `EvictionPolicy::Cheapest` victims with the `Cheapest`
+/// mechanism — beats pure largest-KV (swap mechanism) on goodput. Largest-KV pays
 /// the biggest possible transfers over the bottleneck link (~46 s of
 /// serialized stall blows the interactive ITL SLO); the cost-aware
 /// bundle notices recompute is cheaper and avoids the link entirely.
@@ -149,11 +149,11 @@ fn cost_aware_beats_largest_kv_on_slow_host_link() {
     let mut sim = ServingSim::new(scenario(Some(slo)))
         .replica(IanusSystem::new(system))
         .scheduling(preemptive())
-        .policy(SchedulerPolicy::default().with_eviction(LargestKv));
+        .policy(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv));
     let largest = sim.run(&ModelConfig::gpt2_xl());
     sim = sim.policy(
         SchedulerPolicy::default()
-            .with_eviction(CheapestEviction)
+            .with_eviction(EvictionPolicy::Cheapest)
             .with_mechanism(EvictionMechanism::Cheapest),
     );
     let cheapest = sim.run(&ModelConfig::gpt2_xl());

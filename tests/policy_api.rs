@@ -141,8 +141,8 @@ fn unbounded_pool_reduces_to_pinned_baseline() {
 #[test]
 fn non_default_eviction_changes_interactive_tier() {
     let default = run_pr3(SchedulerPolicy::default());
-    let largest = run_pr3(SchedulerPolicy::default().with_eviction(LargestKv));
-    let least = run_pr3(SchedulerPolicy::default().with_eviction(LeastProgress));
+    let largest = run_pr3(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv));
+    let least = run_pr3(SchedulerPolicy::default().with_eviction(EvictionPolicy::LeastProgress));
     for (name, r) in [("largest-kv", &largest), ("least-progress", &least)] {
         assert_eq!(r.completed, 120, "{name}: liveness");
         assert!(r.preemptions > 0, "{name}: pressure must trigger");
@@ -190,7 +190,7 @@ fn eviction_policies_score_differently_under_slo() {
             .run(&ModelConfig::gpt2_xl())
     };
     let default = run(SchedulerPolicy::default());
-    let largest = run(SchedulerPolicy::default().with_eviction(LargestKv));
+    let largest = run(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv));
     // The batch class carries no SLO, so it trivially attains in both.
     assert_eq!(default.per_class[1].slo_attainment, 1.0);
     assert_eq!(largest.per_class[1].slo_attainment, 1.0);
@@ -236,8 +236,8 @@ fn deadline_policies_run_on_gpu_baseline() {
         })
         .policy(
             SchedulerPolicy::default()
-                .with_admission(DeadlineAdmission)
-                .with_readmission(DeadlineReadmission),
+                .with_admission(AdmissionPolicy::Deadline)
+                .with_readmission(ReadmissionPolicy::Deadline),
         )
         .run(&ModelConfig::gpt2_xl());
     assert_eq!(r.completed, 60);
@@ -245,20 +245,13 @@ fn deadline_policies_run_on_gpu_baseline() {
     assert!(r.goodput_rps <= r.throughput_rps + 1e-12);
 }
 
-fn eviction_by_index(i: usize) -> SchedulerPolicy {
-    match i {
-        0 => SchedulerPolicy::default().with_eviction(LowestPriorityYoungest),
-        1 => SchedulerPolicy::default().with_eviction(LargestKv),
-        _ => SchedulerPolicy::default().with_eviction(LeastProgress),
-    }
-}
-
 proptest! {
     // Every case prices a fresh device; keep counts modest.
     #![proptest_config(ProptestConfig::with_cases(9))]
 
     /// The liveness invariants of `tests/chunked_preemption.rs`, for
-    /// **every** built-in eviction policy: however aggressively
+    /// **every** eviction policy (each case runs all of
+    /// [`EvictionPolicy::ALL`] on one warm engine): however aggressively
     /// optimistic admission overcommits and whatever the victim rule,
     /// every sequence — preempted or not — completes, prefilling and
     /// lone sequences are never evicted (observable as: the run
@@ -267,7 +260,6 @@ proptest! {
     /// overcommit.
     #[test]
     fn every_eviction_policy_preserves_liveness(
-        eviction in 0usize..3,
         seed in 0u64..1000,
         rate in prop::sample::select(vec![10.0f64, 30.0, 60.0]),
         max_batch in 8u32..33,
@@ -285,39 +277,44 @@ proptest! {
             workflows: vec![],
             arrivals: Default::default(),
         };
-        let r = ServingSim::new(cfg)
+        let mut sim = ServingSim::new(cfg)
             .replica(IanusSystem::new(SystemConfig::ianus()))
             .scheduling(Scheduling::IterationLevel {
                 max_batch,
                 prefill_chunk: chunk,
                 preempt: true,
-            })
-            .policy(eviction_by_index(eviction))
-            .run(&ModelConfig::gpt2_xl());
-        prop_assert_eq!(r.completed, 24);
-        prop_assert!(r.peak_batch <= max_batch);
-        // Under preemption the report may record documented tolerated
-        // overcommit slightly above 1 (lone/all-prefilling batches).
-        prop_assert!(
-            r.peak_kv_occupancy > 0.0 && r.peak_kv_occupancy < 1.25,
-            "occupancy {} outside (0, 1.25)", r.peak_kv_occupancy
-        );
-        prop_assert!(r.preempted_requests <= r.completed);
-        prop_assert!(r.preemptions >= u64::from(r.max_preemptions));
-        // Class counts partition the total.
-        let by_class: u64 = r.per_class.iter().map(|c| c.preemptions).sum();
-        prop_assert_eq!(by_class, r.preemptions);
-        // Every sequence that finished got a TTFT and its tail is
-        // recorded: max dominates p99 in each distribution.
-        prop_assert!(r.sojourn.max >= r.sojourn.p99);
-        prop_assert!(r.ttft.max >= r.ttft.p99);
-        prop_assert!(r.inter_token.max >= r.inter_token.p99);
+            });
+        for eviction in EvictionPolicy::ALL {
+            let name = eviction.name();
+            sim = sim.policy(SchedulerPolicy::default().with_eviction(eviction));
+            let r = sim.run(&ModelConfig::gpt2_xl());
+            prop_assert!(r.completed == 24, "{name}: {} completed", r.completed);
+            prop_assert!(r.peak_batch <= max_batch, "{name}");
+            // Under preemption the report may record documented
+            // tolerated overcommit slightly above 1 (lone/all-prefilling
+            // batches).
+            prop_assert!(
+                r.peak_kv_occupancy > 0.0 && r.peak_kv_occupancy < 1.25,
+                "{name}: occupancy {} outside (0, 1.25)", r.peak_kv_occupancy
+            );
+            prop_assert!(r.preempted_requests <= r.completed, "{name}");
+            prop_assert!(r.preemptions >= u64::from(r.max_preemptions), "{name}");
+            // Class counts partition the total.
+            let by_class: u64 = r.per_class.iter().map(|c| c.preemptions).sum();
+            prop_assert!(by_class == r.preemptions, "{name}");
+            // Every sequence that finished got a TTFT and its tail is
+            // recorded: max dominates p99 in each distribution.
+            prop_assert!(r.sojourn.max >= r.sojourn.p99, "{name}");
+            prop_assert!(r.ttft.max >= r.ttft.p99, "{name}");
+            prop_assert!(r.inter_token.max >= r.inter_token.p99, "{name}");
+        }
     }
 
     /// Policy sweeps are seed-stable for every eviction policy: same
-    /// bundle, same seed, same report.
+    /// bundle, same seed, same report, for each of
+    /// [`EvictionPolicy::ALL`].
     #[test]
-    fn policy_runs_are_deterministic(eviction in 0usize..3, seed in 0u64..100) {
+    fn policy_runs_are_deterministic(seed in 0u64..100) {
         let cfg = ServingConfig {
             arrival_rate_hz: 30.0,
             requests: 16,
@@ -330,7 +327,7 @@ proptest! {
             workflows: vec![],
             arrivals: Default::default(),
         };
-        let run = || {
+        let run = |eviction| {
             ServingSim::new(cfg.clone())
                 .replica(IanusSystem::new(SystemConfig::ianus()))
                 .scheduling(Scheduling::IterationLevel {
@@ -338,9 +335,11 @@ proptest! {
                     prefill_chunk: Some(128),
                     preempt: true,
                 })
-                .policy(eviction_by_index(eviction))
+                .policy(SchedulerPolicy::default().with_eviction(eviction))
                 .run(&ModelConfig::gpt2_xl())
         };
-        prop_assert_eq!(run(), run());
+        for eviction in EvictionPolicy::ALL {
+            prop_assert!(run(eviction) == run(eviction), "{}", eviction.name());
+        }
     }
 }
