@@ -17,6 +17,16 @@
 //! The naive schedule (Figure 13's ablation) chains every command of a
 //! core to its predecessor, eliminating all intra-core overlap between
 //! PIM computation and NPU work.
+//!
+//! Programs are stored compactly, and [`Program::expanded`] gives back
+//! every command. A stage stores transformer blocks 0-2 and repeats block
+//! 2 for the rest ([`Program::repeat_block`]). Inside a block, every phase
+//! between two barriers (layer norm and attention heads, each FC with its
+//! residual add, each barrier's syncs, and the LM head) runs the same
+//! schedule on every core's own units, so it stores core 0's commands and
+//! mirrors them onto cores 1 to C−1 ([`Program::mirror_block`]) wherever
+//! core 1's commands check out as core 0's on the next core's units.
+//! Core 0 stores two of its heads and repeats the second.
 
 use crate::adaptive::{AdaptivePlanner, FcUnit};
 use crate::energy::Activity;
@@ -40,6 +50,13 @@ const STORED_BLOCKS: usize = 3;
 /// copies: every head reads the core's layer norm and nothing of the
 /// heads before it, so head 1 can repeat head 0.
 const STORED_HEADS: usize = 2;
+
+/// Each core's last command of one block phase, and whether cores 1 to
+/// C−1 mirror core 0's commands ([`Compiler::emit_cores`]).
+struct Phase {
+    last: Vec<Option<CmdId>>,
+    mirrored: bool,
+}
 
 /// A compiled stage: the command program plus its activity counters and
 /// FLOP total.
@@ -82,6 +99,10 @@ pub struct Compiler {
     /// Every GEMV this compiler has priced, for both PIM commands and
     /// Algorithm 1's PIM estimates; lives as long as the compiler.
     pim_cache: Memo<GemvShape, PimOpCost>,
+    /// Algorithm 1's unit for every FC slice this compiler has planned
+    /// under the adaptive mapping, by token count, slice and prefetch;
+    /// lives as long as the compiler.
+    fc_units: Memo<(u64, FcShape, Duration), FcUnit>,
     /// Scratch dependency list reused by multi-command emitters (the
     /// weight-chunk pipeline, barriers), so emission allocates nothing.
     dep_buf: Vec<CmdId>,
@@ -99,6 +120,10 @@ pub struct Compiler {
     head_starts: Vec<CmdId>,
     /// Commands per generation attention head (all heads emit alike).
     head_len: usize,
+    /// The unit map taking each core's units to the next core's
+    /// ([`UnitMap::core_shift`]), if every core has as many heads, so
+    /// that a block phase can mirror core 0's commands onto the others.
+    core_shift: Option<Vec<UnitId>>,
 }
 
 impl Compiler {
@@ -109,10 +134,11 @@ impl Compiler {
         } else {
             None
         };
-        Compiler {
+        let units = UnitMap::new(cfg);
+        let mut compiler = Compiler {
             cfg: *cfg,
             model: *model,
-            units: UnitMap::new(cfg),
+            units,
             mu: MatrixUnit::new(&cfg.npu),
             vu: VectorUnit::new(&cfg.npu),
             dma: DmaEngine::new(&cfg.npu),
@@ -120,6 +146,7 @@ impl Compiler {
             planner: AdaptivePlanner::new(cfg),
             xfer: cfg.transfer_model(),
             pim_cache: Memo::default(),
+            fc_units: Memo::default(),
             dep_buf: Vec::new(),
             prog: Program::new(),
             activity: Activity::new(),
@@ -128,7 +155,13 @@ impl Compiler {
             suspend_naive: false,
             head_starts: Vec::new(),
             head_len: 0,
+            core_shift: None,
+        };
+        let heads = compiler.heads_for_core(0);
+        if cfg.npu.cores > 1 && (1..cfg.npu.cores).all(|c| compiler.heads_for_core(c) == heads) {
+            compiler.core_shift = Some(units.core_shift());
         }
+        compiler
     }
 
     /// The unit map programs are emitted against.
@@ -261,6 +294,64 @@ impl Compiler {
         frontier
     }
 
+    /// Emits one phase of a block on every core through `phase`, which
+    /// emits core `c`'s part and returns its last command. Every core runs
+    /// the same schedule on units of its own (the paper's head- and
+    /// column-parallel mapping), so if `mirror` is set, core 0's part is
+    /// stored and core 1's emitted only to check that it mirrors core 0's
+    /// ([`Program::mirror_block`] under [`UnitMap::core_shift`]): then
+    /// cores 1 to C−1 are mirrored copies of core 0's part, each adding
+    /// its activity, and the copies' heads are not recorded for re-timing
+    /// (core 0's re-time them). Where the check fails, such as where a
+    /// part holds a resource every core shares (a striped stream's memory
+    /// bus), every core is emitted.
+    fn emit_cores(
+        &mut self,
+        mirror: bool,
+        mut phase: impl FnMut(&mut Self, u32) -> CmdId,
+    ) -> Phase {
+        let cores = self.cfg.npu.cores;
+        let (start, before) = (self.prog.next_id(), self.activity);
+        let mut last = Vec::with_capacity(cores as usize);
+        last.push(Some(phase(self, 0)));
+        let (len, heads) = (self.prog.next_id() - start, self.head_starts.len());
+        if mirror && self.core_shift.is_some() && cores > 1 {
+            let one = self.activity.zip(&before, |after, before| after - before);
+            last.push(Some(phase(self, 1)));
+            let two = self.activity.zip(&before, |after, before| after - before);
+            let copies = cores as usize;
+            if two == one.zip(&one, |a, b| a + b)
+                && (self.core_shift.as_deref())
+                    .is_some_and(|sigma| self.prog.mirror_block(start..start + len, sigma, copies))
+            {
+                self.activity = before.zip(&one, |b, one| b + u64::from(cores) * one);
+                self.head_starts.truncate(heads);
+                // Ids the compiler holds into core 0's part move to each
+                // core's copy.
+                let region = start..start + len;
+                for c in 2..copies {
+                    last.push(last[0].map(|id| id + c * len));
+                    for held in [&mut self.naive_last, &mut self.naive_last_pim] {
+                        if let Some(id) = held[0].filter(|id| region.contains(id)) {
+                            held[c] = Some(id + c * len);
+                        }
+                    }
+                }
+                return Phase {
+                    last,
+                    mirrored: true,
+                };
+            }
+        }
+        for c in last.len() as u32..cores {
+            last.push(Some(phase(self, c)));
+        }
+        Phase {
+            last,
+            mirrored: false,
+        }
+    }
+
     /// One block of the FC microbenchmark after `frontier`; returns the
     /// next frontier.
     fn fc_microbench_block(
@@ -271,16 +362,15 @@ impl Compiler {
     ) -> Vec<Option<CmdId>> {
         let ops = self.model.block_ops();
         let part = self.partitions();
-        let mut frontier = frontier.to_vec();
-        for c in 0..self.cfg.npu.cores {
-            let ln = self.vu_cmd(
+        let last = self.emit_cores(true, |this, c| {
+            let ln = this.vu_cmd(
                 c,
                 VuOp::LayerNorm,
                 tokens * ops.embed_dim(),
                 OpClass::LayerNorm,
                 frontier[c as usize].as_slice(),
             );
-            let qkv = self.fc(
+            let qkv = this.fc(
                 c,
                 tokens,
                 ops.qkv_fc().column_slice(part),
@@ -288,9 +378,9 @@ impl Compiler {
                 mapping,
                 OpClass::FcQkv,
                 &[ln],
-                self.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim()),
+                this.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim()),
             );
-            let proj = self.fc(
+            let proj = this.fc(
                 c,
                 tokens,
                 ops.attn_out_fc().column_slice(part),
@@ -300,7 +390,7 @@ impl Compiler {
                 &[qkv],
                 Duration::ZERO,
             );
-            let ffn1 = self.fc(
+            let ffn1 = this.fc(
                 c,
                 tokens,
                 ops.ffn1_fc().column_slice(part),
@@ -310,7 +400,7 @@ impl Compiler {
                 &[proj],
                 Duration::ZERO,
             );
-            let ffn2 = self.fc(
+            this.fc(
                 c,
                 tokens,
                 ops.ffn2_fc().column_slice(part),
@@ -319,124 +409,112 @@ impl Compiler {
                 OpClass::FfnAdd,
                 &[ffn1],
                 Duration::ZERO,
-            );
-            frontier[c as usize] = Some(ffn2);
-        }
-        self.barrier(tokens, &frontier)
+            )
+        });
+        self.barrier(tokens, &last)
     }
 
     fn compile_block(&mut self, stage: &Stage, frontier: &[Option<CmdId>]) -> Vec<Option<CmdId>> {
-        let cores = self.cfg.npu.cores;
         let ops = self.model.block_ops();
         let tokens = stage.batch_tokens();
         let part = self.partitions();
 
         // LayerNorm 1 + multi-head attention per core.
-        let mut after_attn: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for c in 0..cores {
-            let ln1 = self.vu_cmd(
+        let after_attn = self.emit_cores(true, |this, c| {
+            let ln1 = this.vu_cmd(
                 c,
                 VuOp::LayerNorm,
                 tokens * ops.embed_dim(),
                 OpClass::LayerNorm,
                 frontier[c as usize].as_slice(),
             );
-            let attn_last = match stage {
-                Stage::Summarization { .. } => self.summarization_attention(c, stage, ln1),
+            match stage {
+                Stage::Summarization { .. } => this.summarization_attention(c, stage, ln1),
                 Stage::Generation { past_tokens } => {
-                    self.generation_attention(c, *past_tokens, ln1)
+                    this.generation_attention(c, *past_tokens, ln1)
                 }
-            };
-            after_attn[c as usize] = Some(attn_last);
-        }
+            }
+        });
         // Sync 1: after multi-head attention.
         let merged = self.barrier(tokens, &after_attn);
 
         // Attention output FC (column-parallel) + residual add.
-        let mut after_res1: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for c in 0..cores {
-            let fc = self.fc(
+        let after_res1 = self.emit_cores(true, |this, c| {
+            let fc = this.fc(
                 c,
                 tokens,
                 ops.attn_out_fc().column_slice(part),
                 false,
-                self.cfg.pas.fc,
+                this.cfg.pas.fc,
                 OpClass::FcAttnProjAdd,
                 merged[c as usize].as_slice(),
                 Duration::ZERO,
             );
-            let res = self.vu_cmd(
+            this.vu_cmd(
                 c,
                 VuOp::ResidualAdd,
                 tokens * ops.embed_dim().div_ceil(part),
                 OpClass::FcAttnProjAdd,
                 &[fc],
-            );
-            after_res1[c as usize] = Some(res);
-        }
+            )
+        });
         // Sync 2: after the residual addition.
         let merged = self.barrier(tokens, &after_res1);
 
         // LayerNorm 2 + FFN1 (+GELU).
-        let mut after_gelu: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for c in 0..cores {
-            let ln2 = self.vu_cmd(
+        let after_gelu = self.emit_cores(true, |this, c| {
+            let ln2 = this.vu_cmd(
                 c,
                 VuOp::LayerNorm,
                 tokens * ops.embed_dim(),
                 OpClass::LayerNorm,
                 merged[c as usize].as_slice(),
             );
-            let ln2_time = self.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim());
-            let ffn1 = self.fc(
+            let ln2_time = this.vu.op(VuOp::LayerNorm, tokens * ops.embed_dim());
+            this.fc(
                 c,
                 tokens,
                 ops.ffn1_fc().column_slice(part),
                 true,
-                self.cfg.pas.fc,
+                this.cfg.pas.fc,
                 OpClass::FfnAdd,
                 &[ln2],
                 ln2_time,
-            );
-            after_gelu[c as usize] = Some(ffn1);
-        }
+            )
+        });
         // Sync 3: after GELU.
         let merged = self.barrier(tokens, &after_gelu);
 
         // FFN2 + residual add.
-        let mut after_res2: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for c in 0..cores {
-            let fc = self.fc(
+        let after_res2 = self.emit_cores(true, |this, c| {
+            let fc = this.fc(
                 c,
                 tokens,
                 ops.ffn2_fc().column_slice(part),
                 false,
-                self.cfg.pas.fc,
+                this.cfg.pas.fc,
                 OpClass::FfnAdd,
                 merged[c as usize].as_slice(),
                 Duration::ZERO,
             );
-            let res = self.vu_cmd(
+            this.vu_cmd(
                 c,
                 VuOp::ResidualAdd,
                 tokens * ops.embed_dim().div_ceil(part),
                 OpClass::FfnAdd,
                 &[fc],
-            );
-            after_res2[c as usize] = Some(res);
-        }
+            )
+        });
         // Sync 4: after the residual addition.
         self.barrier(tokens, &after_res2)
     }
 
     fn compile_lm_head(&mut self, frontier: &[Option<CmdId>]) {
-        let cores = self.cfg.npu.cores;
         let ops = self.model.block_ops();
         let part = self.partitions();
-        let mut last: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for c in 0..cores {
+        let last = self.emit_cores(true, |this, c| {
             // Final layer norm over the last token, then logits.
-            let ln = self.vu_cmd(
+            let ln = this.vu_cmd(
                 c,
                 VuOp::LayerNorm,
                 ops.embed_dim(),
@@ -444,18 +522,17 @@ impl Compiler {
                 frontier[c as usize].as_slice(),
             );
             // Only the newest token needs logits in both stages.
-            let fc = self.fc(
+            this.fc(
                 c,
                 1,
                 ops.lm_head_fc().column_slice(part),
                 false,
-                self.cfg.pas.fc,
+                this.cfg.pas.fc,
                 OpClass::LmHead,
                 &[ln],
                 Duration::ZERO,
-            );
-            last[c as usize] = Some(fc);
-        }
+            )
+        });
         self.barrier(1, &last);
     }
 
@@ -682,13 +759,18 @@ impl Compiler {
             FcMapping::MatrixUnit => FcUnit::MatrixUnit,
             FcMapping::Pim if self.pim.is_some() => FcUnit::Pim,
             FcMapping::Pim => FcUnit::MatrixUnit,
-            FcMapping::Adaptive => {
-                let pim = self
-                    .pim
-                    .is_some()
-                    .then(|| self.pim_cost(AdaptivePlanner::pim_shape(tokens, fc)).total);
-                self.planner.choose(tokens, fc, prefetch, pim)
-            }
+            FcMapping::Adaptive => match self.fc_units.get(&(tokens, fc, prefetch)) {
+                Some(&unit) => unit,
+                None => {
+                    let pim = self
+                        .pim
+                        .is_some()
+                        .then(|| self.pim_cost(AdaptivePlanner::pim_shape(tokens, fc)).total);
+                    let unit = self.planner.choose(tokens, fc, prefetch, pim);
+                    self.fc_units.insert((tokens, fc, prefetch), unit);
+                    unit
+                }
+            },
         };
         match unit {
             FcUnit::Pim => {
@@ -973,13 +1055,19 @@ impl Compiler {
         self.emit_inner(core, unit, duration, class, deps, token, true)
     }
 
-    /// Emits a full synchronization: every core's next command depends on
-    /// every core's last command; multi-device configurations add a PCIe
-    /// exchange of the activations.
-    fn barrier(&mut self, tokens: u64, last: &[Option<CmdId>]) -> Vec<Option<CmdId>> {
+    /// Emits a full synchronization after `phase`: every core's next
+    /// command depends on every core's last command; multi-device
+    /// configurations add a PCIe exchange of the activations. Returns each
+    /// core's sync. The syncs are mirrored ([`emit_cores`]) only after a
+    /// mirrored phase: after cores that ran apart, their vector units
+    /// free at different times, and mirrored syncs would be timed one by
+    /// one anyway.
+    ///
+    /// [`emit_cores`]: Self::emit_cores
+    fn barrier(&mut self, tokens: u64, phase: &Phase) -> Vec<Option<CmdId>> {
         let mut gate = std::mem::take(&mut self.dep_buf);
         gate.clear();
-        gate.extend(last.iter().flatten());
+        gate.extend(phase.last.iter().flatten());
         if self.cfg.devices > 1 {
             let d = u64::from(self.cfg.devices);
             let bytes = tokens * self.model.embed_dim * 2 * 2 * (d - 1) / d;
@@ -997,14 +1085,12 @@ impl Compiler {
             gate.push(comm);
         }
         let dispatch = self.cfg.npu.dispatch_overhead;
-        let out = (0..self.cfg.npu.cores)
-            .map(|c| {
-                let vu = self.units.vu(c);
-                Some(self.emit(c, vu, dispatch, OpClass::Sync, &gate, None))
-            })
-            .collect();
+        let syncs = self.emit_cores(phase.mirrored, |this, c| {
+            let vu = this.units.vu(c);
+            this.emit(c, vu, dispatch, OpClass::Sync, &gate, None)
+        });
         self.dep_buf = gate;
-        out
+        syncs.last
     }
 }
 
@@ -1017,9 +1103,10 @@ impl Compiler {
 /// on the past, and every head block of a program emits the same
 /// durations and activity. [`lanes`](Self::lanes) therefore re-emits one
 /// head per past through the compiler's own per-head emitter and copies
-/// its durations into that past's lane of every stored head block (which
-/// re-times the copies of a repeated head and of a repeated transformer
-/// block with it), leaving the program as compiled. Each past's activity
+/// its durations into that past's lane of every stored head block: core
+/// 0's, since the other cores mirror core 0's attention phase. That
+/// re-times the mirrored cores, the copies of a repeated head and of a
+/// repeated transformer block with it, leaving the program as compiled. Each past's activity
 /// is the activity outside the heads plus heads × one head's — exact, as
 /// activity counts are integers. Every lane reports what
 /// [`Compiler::compile`] at its past does ([`matches_fresh_compile`]),
@@ -1030,7 +1117,8 @@ pub(crate) struct GenerationTemplate {
     compiler: Compiler,
     /// The stage's program, timed for the past it was compiled at.
     program: Program,
-    /// First command of every stored head block of `program`.
+    /// First command of every stored head block of `program` (core 0's
+    /// where the cores are mirrored).
     head_starts: Vec<CmdId>,
     /// Commands per head block.
     head_len: usize,
@@ -1585,19 +1673,22 @@ pub(crate) mod tests {
     #[test]
     fn steady_state_schedules_three_blocks() {
         // GPT-2 XL generation: 48 blocks of 308 commands, then a
-        // 12-command LM head. A block runs six 11-command heads on each of
-        // its 4 cores: heads 0-1 are stored and heads 2-5 are copies of
-        // head 1. Blocks 0-2 are stored and blocks 3-47 are copies of
-        // block 2. Heads 0 and 1 of each core, and blocks 1 and 2, already
-        // finish one constant shift apart, so every copy is written in
-        // closed form.
+        // 12-command LM head. Every phase of a block, and of the LM head,
+        // runs core 0's commands mirrored on cores 1-3, so a block stores
+        // 77 commands of core 0 and the LM head 3. Core 0 runs six
+        // 11-command heads: heads 0-1 are stored and heads 2-5 are copies
+        // of head 1. Blocks 0-2 are stored and blocks 3-47 are copies of
+        // block 2. Every core sees core 0's inputs, heads 0 and 1 and
+        // blocks 1 and 2 already finish one constant shift apart, so every
+        // copy is written in closed form: the engine schedules the stored
+        // commands alone (408 before cores were mirrored).
         let cfg = SystemConfig::ianus();
         let model = ModelConfig::gpt2_xl();
         let mut c = Compiler::new(&cfg, &model);
         let program = c.compile(&Stage::Generation { past_tokens: 300 }).program;
         assert_eq!(program.len(), 48 * 308 + 12);
         let stored = program.commands().count();
-        assert_eq!(stored, 3 * (308 - 4 * 4 * 11) + 12);
+        assert_eq!(stored, 3 * (308 / 4 - 4 * 11) + 12 / 4);
         let mut engine = Engine::new(c.unit_map().unit_count(), cfg.npu.dispatch_overhead);
         assert_eq!(engine.run(&program).scheduled(), stored);
     }

@@ -23,11 +23,31 @@ const SAMPLE_POINTS: u64 = 25;
 
 /// Generation steps [`IanusSystem::run_request`] prices in one engine
 /// walk, each in a lane of its own (see [`Engine::run_lanes`]). On a
-/// 2-vCPU x86-64 host a walk costs ≈12 ns per stored command plus ≈7 ns
-/// per lane and command, against ≈19 ns for a walk of one lane; four
-/// lanes priced a cold `paper_grid` benchmark pass about as fast as
-/// eight, and sixteen slower (more of each walk is padding).
+/// 2-vCPU x86-64 host a walk of a GPT-2 XL generation program (102
+/// stored commands, its cores mirrored) costs ≈4.5 µs in one lane and
+/// ≈0.8 µs more per lane (≈8 ns per lane and stored command), so eight
+/// lanes price a step for ≈1.4 µs against ≈4.5 µs alone. Sixteen lanes
+/// priced a cold `paper_grid` benchmark pass about as fast as eight
+/// (more of each walk is padding), and four slower.
 const LANES: usize = 8;
+
+/// Work counters of a system's engines: deterministic, like the
+/// engine's own ([`Engine::walks`], [`Engine::scheduled`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct EngineWork {
+    /// Walks of a program.
+    walks: u64,
+    /// Commands those walks scheduled one by one.
+    scheduled: u64,
+}
+
+impl EngineWork {
+    /// Adds the work `engine` has done.
+    fn add(&mut self, engine: &Engine) {
+        self.walks += engine.walks();
+        self.scheduled += engine.scheduled();
+    }
+}
 
 /// Reports of the stages one system has simulated.
 type StageMemo = Memo<(ModelConfig, Stage), StageReport>;
@@ -88,8 +108,8 @@ pub struct IanusSystem {
     /// template recycles it, re-timing only its head blocks. Boxed, so a
     /// system that never walks eight lanes stays small.
     lane_table: Option<Box<(ModelConfig, Vec<[Duration; LANES]>)>>,
-    /// Walks of a program the system's engines have made.
-    walks: u64,
+    /// The work of the system's engines.
+    work: EngineWork,
     /// `"IANUS x{d}"`, formatted on first use so construction allocates
     /// nothing.
     group_name: OnceLock<String>,
@@ -102,7 +122,7 @@ impl std::fmt::Debug for IanusSystem {
             .field("energy_model", &self.energy_model)
             .field("memoized_stages", &self.stages.len())
             .field("generation_templates", &self.templates.len())
-            .field("engine_walks", &self.walks)
+            .field("engine_walks", &self.work.walks)
             .finish()
     }
 }
@@ -116,7 +136,7 @@ impl IanusSystem {
             stages: StageMemo::default(),
             templates: Memo::default(),
             lane_table: None,
-            walks: 0,
+            work: EngineWork::default(),
             group_name: OnceLock::new(),
         }
     }
@@ -166,7 +186,7 @@ impl IanusSystem {
                     &self.energy_model,
                     compiler.unit_map(),
                     &compiled,
-                    &mut self.walks,
+                    &mut self.work,
                 )
             }
         };
@@ -194,7 +214,7 @@ impl IanusSystem {
         let (lanes, stages) = template.lanes::<L>(pasts, recycled);
         let mut engine = Engine::new(units.unit_count(), cfg.npu.dispatch_overhead);
         let schedule = engine.run_lanes(&lanes);
-        self.walks += engine.walks();
+        self.work.add(&engine);
         let reports = (pasts.iter().zip(stages).enumerate())
             .map(|(lane, (&past_tokens, (activity, flops)))| {
                 debug_assert!(
@@ -230,7 +250,7 @@ impl IanusSystem {
             &self.energy_model,
             compiler.unit_map(),
             &compiled,
-            &mut self.walks,
+            &mut self.work,
         )
     }
 
@@ -350,17 +370,17 @@ fn generation_pasts(request: RequestShape) -> Vec<u64> {
 }
 
 /// Runs a compiled stage on the device engine, counting the engine's
-/// walks into `walks`.
+/// work into `work`.
 fn execute(
     cfg: &SystemConfig,
     energy_model: &EnergyModel,
     units: UnitMap,
     compiled: &CompiledStage,
-    walks: &mut u64,
+    work: &mut EngineWork,
 ) -> StageReport {
     let mut engine = Engine::new(units.unit_count(), cfg.npu.dispatch_overhead);
     let schedule = engine.run_lanes(&Lanes::<1>::new(&compiled.program));
-    *walks += engine.walks();
+    work.add(&engine);
     stage_report(
         energy_model,
         &schedule,
@@ -595,18 +615,18 @@ mod tests {
         // the last of them, not with the template's own durations, so
         // they share one walk; the summarization takes another.
         sys.run_stage(&model, &Stage::Generation { past_tokens: 0 });
-        let walks = sys.walks;
+        let walks = sys.work.walks;
         sys.run_request(&model, RequestShape::new(512, 8));
-        assert_eq!(sys.walks - walks, 2);
+        assert_eq!(sys.work.walks - walks, 2);
         // Pasts 45-52 straddle past 49, from which GPT-2 M settles at
         // another copy: after the shared walk, each lane is walked alone.
-        let walks = sys.walks;
+        let walks = sys.work.walks;
         sys.run_request(&model, RequestShape::new(45, 9));
-        assert_eq!(sys.walks - walks, 1 + 1 + LANES as u64);
+        assert_eq!(sys.work.walks - walks, 1 + 1 + LANES as u64);
         // A lone miss walks one lane.
-        let walks = sys.walks;
+        let walks = sys.work.walks;
         sys.run_request(&model, RequestShape::new(45, 10));
-        assert_eq!(sys.walks - walks, 1);
+        assert_eq!(sys.work.walks - walks, 1);
     }
 
     #[test]
@@ -614,8 +634,11 @@ mod tests {
         // perfbench's paper_grid pass in paper order: one IANUS system per
         // model, inputs 128, 256 and 512 with outputs 8 and 512. Each
         // model prices 3 summarizations and 84 generation steps; one walk
-        // per stage made 348 walks.
-        let mut walks = 0;
+        // per stage made 348 walks. The walks schedule 13,524 commands one
+        // by one: 44 generation walks of 102 (core 0's stored commands;
+        // 408 before cores were mirrored) and 12 summarization walks of
+        // 9,036 in all.
+        let mut work = EngineWork::default();
         for model in ModelConfig::gpt2_family() {
             let mut sys = IanusSystem::new(SystemConfig::ianus());
             for input in [128, 256, 512] {
@@ -624,9 +647,10 @@ mod tests {
                 }
             }
             assert!(debug(&sys).contains("memoized_stages: 87"), "{sys:?}");
-            walks += sys.walks;
+            work.walks += sys.work.walks;
+            work.scheduled += sys.work.scheduled;
         }
-        assert_eq!(walks, 56);
+        assert_eq!((work.walks, work.scheduled), (56, 13_524));
     }
 
     #[test]

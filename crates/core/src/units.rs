@@ -122,6 +122,41 @@ impl UnitMap {
         self.unified.then(|| self.mem(self.group_of_core(core)))
     }
 
+    /// The unit map that takes every core's units to the next core's,
+    /// and the last core's to core 0's: its MU, VU and DMA engines and,
+    /// where every core has a PIM group of its own, its PIM pipeline and
+    /// memory-channel token. Every other unit (the NPU memory bus, the
+    /// PCIe link, PIM groups that cores share) maps to itself. Indexed by
+    /// unit, it is the σ by which a program mirrors one core's commands
+    /// onto the others ([`Program::mirror_block`]).
+    ///
+    /// [`Program::mirror_block`]: ianus_npu::scheduler::Program::mirror_block
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ianus_core::{SystemConfig, UnitMap};
+    /// let m = UnitMap::new(&SystemConfig::ianus());
+    /// let sigma = m.core_shift();
+    /// assert_eq!((sigma[m.mu(0)], sigma[m.dma_out(3)]), (m.mu(1), m.dma_out(0)));
+    /// assert_eq!((sigma[m.pim(1)], sigma[m.mem(1)]), (m.pim(2), m.mem(2)));
+    /// assert_eq!(sigma[m.npu_mem()], m.npu_mem());
+    /// ```
+    pub fn core_shift(&self) -> Vec<UnitId> {
+        let mut sigma: Vec<UnitId> = (0..self.unit_count()).collect();
+        for c in 0..self.cores {
+            let next = (c + 1) % self.cores;
+            for unit in [Self::mu, Self::vu, Self::dma_in, Self::dma_out] {
+                sigma[unit(self, c)] = unit(self, next);
+            }
+            if self.groups >= self.cores {
+                sigma[self.pim(c)] = self.pim(next);
+                sigma[self.mem(c)] = self.mem(next);
+            }
+        }
+        sigma
+    }
+
     fn core_base(&self, c: u32) -> UnitId {
         assert!(c < self.cores, "core {c} out of range");
         (c * 4) as UnitId

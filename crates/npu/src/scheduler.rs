@@ -63,6 +63,38 @@
 //! before it plus `k`·δ, and [`ExecutionReport::scheduled`] counts the
 //! commands scheduled one by one.
 //!
+//! # Mirrored copies
+//!
+//! Copies may also run side by side: the cores of an NPU each run one
+//! phase of a block (their heads, their column slice of an FC, their
+//! sync) on units of their own. A compiler stores one core's commands and
+//! mirrors them with [`Program::mirror_block`]: copy `k` has ids `k·L`
+//! later and runs on the units and held resources a unit map σ takes the
+//! block's to `k` times over (σᵏ), which are no other copy's. Its
+//! dependencies inside the block move `k·L` ids on; a dependency on copy
+//! 0 of an earlier mirrored block as wide moves to that block's copy `k`
+//! (a core reads its own core's sync), and every other one stays (a sync
+//! reads every core). Repeats may sit in the block, and a mirrored block
+//! may sit in a repeated one.
+//!
+//! A copy's start times are the same max-plus expressions as copy 0's,
+//! over its own terms: the dispatch-only ready time, its fixed
+//! dependencies (the same for every copy), its linked dependencies, its
+//! own commands' finishes, and the free times of its units. No copy
+//! before it touches its units, so those are the free times they had
+//! before copy 0. If every unit of copy `k` was free when copy 0's
+//! matching unit was, and every linked dependency of copy `k` finished
+//! when copy 0's did, every term of copy `k` equals copy 0's, and so by
+//! induction over its commands does every start and finish: copy `k` is
+//! copy 0 shifted by δ = 0, on σᵏ of copy 0's units. The engine checks
+//! those inputs before it schedules copy 0; if every copy has them, it
+//! writes the copies in closed form (a run of δ = 0: finishes read as
+//! copy 0's, the busy time copy 0 added to each of its units added to
+//! that unit's image in every copy, each image freed when its unit is,
+//! and each tag's busy time added once per copy). Otherwise it schedules
+//! every copy one by one on its own units, so the result is exact either
+//! way. Lanes that differ on the check end the walk, as for repeats.
+//!
 //! # Lanes
 //!
 //! Programs that differ only in durations share the walk of their
@@ -206,9 +238,10 @@ pub struct CommandView<'a> {
 /// command's dependencies and shared resources packed into two
 /// program-wide arrays, so emitting a command allocates nothing beyond
 /// amortized growth of those three vectors. A repeated block is stored
-/// once ([`repeat_block`](Self::repeat_block)); its copies have ids but
-/// no records. Two programs are equal when every stored command and
-/// every repeat is.
+/// once ([`repeat_block`](Self::repeat_block)), and so is a mirrored one
+/// ([`mirror_block`](Self::mirror_block)); their copies have ids but no
+/// records. Two programs are equal when every stored command and every
+/// repeat and mirror is.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     records: Vec<Record>,
@@ -217,14 +250,19 @@ pub struct Program {
     /// Repeated blocks outside any other, in id order; each holds the
     /// repeated blocks inside it.
     repeats: Vec<Repeat>,
+    /// The unit maps of mirrored copies, one list per map σ registered:
+    /// its powers σ¹, σ², …, the unit maps of copies 1, 2, … (see
+    /// [`Side::maps`]).
+    maps: Vec<Vec<Vec<UnitId>>>,
     /// Number of commands, copies included.
     len: usize,
     /// One more than the largest tag.
     tags: usize,
 }
 
-/// A stored block followed by copies of itself; see
-/// [`Program::repeat_block`].
+/// A stored block followed by copies of itself: copies in time (see
+/// [`Program::repeat_block`]) or, with a [`Side`], side by side (see
+/// [`Program::mirror_block`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Repeat {
     /// The block's records, those of the repeats inside it included.
@@ -236,7 +274,8 @@ struct Repeat {
     /// Copies after the block.
     times: usize,
     /// Dependencies on commands before this id are the same in every
-    /// copy.
+    /// copy, but for a mirrored block's links (see [`Side::links`]); a
+    /// mirrored block's anchor is its start.
     anchor: CmdId,
     /// Repeated blocks inside the block, in id order.
     inner: Vec<Repeat>,
@@ -247,8 +286,43 @@ struct Repeat {
     /// Whether every dependency of the block is before `anchor` or
     /// reaches no further back than the copy before its own.
     local: bool,
-    /// The units and held resources of the block's commands, each once.
+    /// The units and held resources of the block's commands in every
+    /// copy in time, each once (a mirrored block's are its side's `own`
+    /// and their images).
     units: Vec<UnitId>,
+    /// How copies side by side map units and dependencies; `None` for
+    /// copies in time, which run on the block's units.
+    side: Option<Side>,
+}
+
+/// What makes copy `k` of a mirrored block the block side by side: its
+/// units, and its dependencies on other mirrored blocks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Side {
+    /// Index in [`Program::maps`] of the powers of the block's map σ:
+    /// copy `k` maps units by the list's entry `k - 1`, σᵏ.
+    maps: usize,
+    /// The copy-0 ids of earlier mirrored blocks as wide that the block's
+    /// dependencies follow, each with its period: copy `k` maps a
+    /// dependency among them to that block's copy `k`.
+    links: Vec<(Range<CmdId>, usize)>,
+    /// The block's dependencies among `links`, each once, with the period
+    /// of its link: the inputs copies may see differently.
+    inputs: Vec<(CmdId, usize)>,
+    /// The units and held resources of the block's own commands (copy
+    /// 0), each once.
+    own: Vec<UnitId>,
+    /// The tags from the block's smallest to its largest.
+    tags: Range<usize>,
+}
+
+/// Dependencies on ids `from..to` move `shift` ids on: how one copy being
+/// timed or emitted maps the dependencies of its stored commands.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    from: CmdId,
+    to: CmdId,
+    shift: usize,
 }
 
 impl Repeat {
@@ -274,17 +348,49 @@ impl Repeat {
             && (self.inner.iter())
                 .zip(&prev.inner)
                 .all(|(r, p)| r.shifted_from(p, records, ids))
+            && match (&self.side, &prev.side) {
+                (None, None) => true,
+                (Some(side), Some(p)) => {
+                    let links = (p.links.iter()).map(|(l, n)| (l.start + ids..l.end + ids, *n));
+                    let inputs = p.inputs.iter().map(|&(d, n)| (d + ids, n));
+                    (side.maps, &side.own) == (p.maps, &p.own)
+                        && links.eq(side.links.iter().cloned())
+                        && inputs.eq(side.inputs.iter().copied())
+                }
+                _ => false,
+            }
+    }
+
+    /// Pushes onto `levels` how copy `k` maps its stored commands'
+    /// dependencies: those at or after the anchor move `k` periods on,
+    /// and those on a linked block's copy 0 move to its copy `k`.
+    fn push_levels(&self, k: usize, levels: &mut Vec<Level>) {
+        let (from, shift) = (self.anchor, k * self.period);
+        levels.push(Level {
+            from,
+            to: CmdId::MAX,
+            shift,
+        });
+        if let Some(side) = &self.side {
+            levels.extend(side.links.iter().map(|(ids, period)| Level {
+                from: ids.start,
+                to: ids.end,
+                shift: k * period,
+            }));
+        }
     }
 }
 
 /// Dependency `d` of a stored command, in the copies `levels` list from
-/// the outermost repeat in: each level maps dependencies on commands at
-/// or after its anchor a shift later.
-fn resolve(levels: &[(CmdId, usize)], d: CmdId) -> CmdId {
-    levels.iter().rev().fold(
-        d,
-        |d, &(anchor, shift)| if d >= anchor { d + shift } else { d },
-    )
+/// the outermost repeat in.
+fn resolve(levels: &[Level], d: CmdId) -> CmdId {
+    levels.iter().rev().fold(d, |d, level| {
+        if (level.from..level.to).contains(&d) {
+            d + level.shift
+        } else {
+            d
+        }
+    })
 }
 
 impl Program {
@@ -344,6 +450,7 @@ impl Program {
         self.deps.clear();
         self.shared.clear();
         self.repeats.clear();
+        self.maps.clear();
         (self.len, self.tags) = (0, 0);
     }
 
@@ -354,6 +461,7 @@ impl Program {
         self.deps.shrink_to_fit();
         self.shared.shrink_to_fit();
         self.repeats.shrink_to_fit();
+        self.maps.shrink_to_fit();
     }
 
     /// Repeats commands `block`, the last ones emitted, `times` more
@@ -438,8 +546,8 @@ impl Program {
         let local = self.deps[self.deps_range(&records)]
             .iter()
             .all(|&d| d < anchor || d + period >= block.start);
-        let units = self.units_of(&records);
         let mut inner = self.repeats.split_off(nested);
+        let units = self.units_of(&records, &inner);
         // The commands before an inner repeat that starts less than one
         // period into the block differ from copy to copy.
         for r in &mut inner {
@@ -456,20 +564,248 @@ impl Program {
             follows,
             local,
             units,
+            side: None,
         });
     }
 
-    /// The units and held resources of records `records`, each once, in
-    /// ascending order: a set over unit ids, read back in order.
-    fn units_of(&self, records: &Range<usize>) -> Vec<UnitId> {
-        let mut used = Vec::new();
+    /// Mirrors commands `block` side by side into `width` copies, if the
+    /// commands emitted right after it, the last ones emitted, are its
+    /// copy 1: keeps `block` as copy 0, drops copy 1's records and returns
+    /// `true`. Copy `k` then has ids `k × block.len()` later than the
+    /// block and runs on the units and held resources `sigma` maps the
+    /// block's to `k` times over (σᵏ); so does copy 1 as emitted.
+    ///
+    /// Copy 1 is the block's copy when, command by command, it has the
+    /// same duration, tag and repeats, its unit and held resources are the
+    /// block's mapped by σ, and each dependency is the block's moved
+    /// `block.len()` ids on if inside the block, the same if before it,
+    /// or, on copy 0 of an earlier mirrored block as wide, that block's
+    /// copy 1; copy `k` then reads its copy `k`, and the link holds for
+    /// every dependency of `block` on that block's copy 0. The block's
+    /// copies must also run on units of their own: a unit or resource of
+    /// the block is never that of another copy, so σ moves every one (a
+    /// resource all copies hold, such as a shared bus, fails this). The
+    /// block may hold repeated blocks of its own but not mirrored ones.
+    /// Otherwise the program is left as it is and `false` returned, and
+    /// the caller emits the other copies itself. [`Engine::run`] writes
+    /// copies whose inputs are copy 0's in closed form (see the [module
+    /// docs](self)), and [`expanded`](Self::expanded) emits them.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ianus_npu::scheduler::{Engine, Program};
+    /// use ianus_sim::Duration;
+    ///
+    /// // Two cores, each a load on its DMA (units 0, 2) and a compute on
+    /// // its matrix unit (units 1, 3) reading it; σ swaps the cores.
+    /// let sigma = [2, 3, 0, 1];
+    /// let mut p = Program::new();
+    /// for core in [0, 2] {
+    ///     let load = p.emit(core, Duration::from_ns(100), 0, [], None);
+    ///     p.emit(core + 1, Duration::from_ns(50), 1, [load], None);
+    /// }
+    /// assert!(p.mirror_block(0..2, &sigma, 2));
+    /// assert_eq!((p.len(), p.commands().count()), (4, 2));
+    /// let report = Engine::new(4, Duration::ZERO).run(&p);
+    /// assert_eq!(report.finish(3).as_ns_f64(), 150.0);
+    /// assert_eq!(report.scheduled(), 2);
+    /// assert_eq!(report, Engine::new(4, Duration::ZERO).run(&p.expanded()));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is less than 2, if `block` is empty, or if
+    /// `sigma` maps a unit past its own length.
+    pub fn mirror_block(&mut self, block: Range<CmdId>, sigma: &[UnitId], width: usize) -> bool {
+        assert!(
+            width >= 2 && !block.is_empty(),
+            "mirror {block:?} {width} wide"
+        );
+        assert!(
+            sigma.iter().all(|&u| u < sigma.len()),
+            "unit map {sigma:?} maps a unit outside itself"
+        );
+        fn mirrors_inside(repeats: &[Repeat]) -> bool {
+            (repeats.iter()).any(|r| r.side.is_some() || mirrors_inside(&r.inner))
+        }
+        let period = block.len();
+        let Some((_, inner, records)) = self.last_block(&(block.start..block.end + period)) else {
+            return false;
+        };
+        let (inner, copy_inner) = inner.split_at(inner.partition_point(|r| r.start < block.end));
+        let unstored: usize = inner.iter().map(Repeat::unstored).sum();
+        let (Some(stored), true) = (
+            period.checked_sub(unstored),
+            inner.iter().all(|r| r.end() <= block.end),
+        ) else {
+            return false;
+        };
+        let (copy, records) = (
+            records.start + stored..records.end,
+            records.start..records.start + stored,
+        );
+        let mapped = |u: UnitId| sigma.get(u).copied().filter(|&m| m != u);
+        let alike = copy.len() == records.len()
+            && copy_inner.len() == inner.len()
+            && self
+                .commands_in(records.clone(), block.start)
+                .zip(self.commands_in(copy.clone(), block.end))
+                .all(|(r, c)| {
+                    (r.duration, r.tag) == (c.duration, c.tag)
+                        && mapped(r.unit) == Some(c.unit)
+                        && r.shared.len() == c.shared.len()
+                        && r.deps.len() == c.deps.len()
+                        && (r.shared.iter())
+                            .zip(c.shared)
+                            .all(|(&s, &t)| mapped(s) == Some(t))
+                })
+            && !mirrors_inside(inner)
+            && (copy_inner.iter())
+                .zip(inner)
+                .all(|(c, r)| c.shifted_from(r, records.len(), period));
+        let (inner, copy_inner) = (inner.len(), copy_inner.len());
+        if !alike {
+            return false;
+        }
+        // Sort every dependency of the block: inside it, fixed, or linked.
+        let (mut links, mut inputs) = (Vec::new(), Vec::new());
+        let deps = || {
+            let (deps, copy_deps) = (self.deps_range(&records), self.deps_range(&copy));
+            self.deps[deps].iter().zip(&self.deps[copy_deps])
+        };
+        for (&d, &c) in deps() {
+            if d >= block.start {
+                if c != d + period {
+                    return false;
+                }
+            } else if c != d {
+                match self.mirror_of(d) {
+                    Some((ids, r)) if r.times + 1 == width && c == d + r.period => {
+                        if !links.contains(&(ids.clone(), r.period)) {
+                            links.push((ids, r.period));
+                        }
+                        if !inputs.contains(&(d, r.period)) {
+                            inputs.push((d, r.period));
+                        }
+                    }
+                    _ => return false,
+                }
+            }
+        }
+        let linked = |d: &CmdId| {
+            links
+                .iter()
+                .any(|(ids, _): &(Range<CmdId>, _)| ids.contains(d))
+        };
+        if deps().any(|(d, c)| d == c && linked(d)) {
+            return false;
+        }
+        // Copy k runs on σᵏ of the block's units: every copy's own.
+        let mut used = vec![false; sigma.len()];
+        let held = self.shared[self.shared_range(&records)].iter().copied();
+        for u in self.records[records.clone()]
+            .iter()
+            .map(|r| r.unit as UnitId)
+            .chain(held)
+        {
+            used[u] = true;
+        }
+        let own: Vec<UnitId> = (0..used.len()).filter(|&u| used[u]).collect();
+        for &u in &own {
+            let mut image = u;
+            for _ in 1..width {
+                image = sigma[image];
+                if std::mem::replace(&mut used[image], true) {
+                    return false;
+                }
+            }
+        }
+        let tags = self.records[records.clone()].iter().map(|r| r.tag as usize);
+        let tags = tags.clone().min().unwrap_or(0)..tags.max().map_or(0, |t| t + 1);
+        // Drop copy 1 and keep the block, its repeats inside it.
+        self.records.truncate(copy.start);
+        self.deps.truncate(self.deps_start(copy.start));
+        self.shared.truncate(self.shared_start(copy.start));
+        let nested = self.repeats.len() - inner - copy_inner;
+        self.repeats.truncate(nested + inner);
+        let inner = self.repeats.split_off(nested);
+        let maps = self.maps_of(sigma, width - 1);
+        self.len = block.start + width * period;
+        self.repeats.push(Repeat {
+            block: records,
+            start: block.start,
+            period,
+            times: width - 1,
+            anchor: block.start,
+            inner,
+            follows: false,
+            local: true,
+            units: Vec::new(),
+            side: Some(Side {
+                maps,
+                links,
+                inputs,
+                own,
+                tags,
+            }),
+        });
+        true
+    }
+
+    /// Index in `maps` of a list of `sigma`'s powers from σ¹ to at least
+    /// σⁿ: an earlier mirror's, or a new one.
+    fn maps_of(&mut self, sigma: &[UnitId], n: usize) -> usize {
+        let found = (self.maps.iter()).position(|powers| powers[0] == sigma && powers.len() >= n);
+        found.unwrap_or_else(|| {
+            let mut powers = vec![sigma.to_vec()];
+            for k in 1..n {
+                powers.push(powers[k - 1].iter().map(|&u| sigma[u]).collect());
+            }
+            self.maps.push(powers);
+            self.maps.len() - 1
+        })
+    }
+
+    /// The mirrored block command `id` is copy 0 of, or a copy in time of
+    /// copy 0 of, if any: the ids of that copy 0 around `id`, and the
+    /// mirror.
+    fn mirror_of(&self, id: CmdId) -> Option<(Range<CmdId>, &Repeat)> {
+        let (mut at, mut level) = (id, &self.repeats[..]);
+        loop {
+            let r = &level[level.partition_point(|r| r.start <= at).checked_sub(1)?];
+            if at >= r.end() {
+                return None;
+            }
+            let offset = at - r.start;
+            if r.side.is_some() {
+                let start = id - offset;
+                return (offset < r.period).then_some((start..start + r.period, r));
+            }
+            (at, level) = (r.start + offset % r.period, &r.inner);
+        }
+    }
+
+    /// The units and held resources of records `records` and of the
+    /// copies of the repeats `inner` among them, each once, in ascending
+    /// order: a set over unit ids, read back in order.
+    fn units_of(&self, records: &Range<usize>, inner: &[Repeat]) -> Vec<UnitId> {
         let units = self.records[records.clone()]
             .iter()
             .map(|r| r.unit as UnitId);
-        for u in units.chain(self.shared[self.shared_range(records)].iter().copied()) {
-            if used.len() <= u {
-                used.resize(u + 1, false);
-            }
+        let held = self.shared[self.shared_range(records)].iter().copied();
+        let copies = inner.iter().flat_map(|r| {
+            let maps: &[Vec<UnitId>] = match &r.side {
+                Some(side) => &self.maps[side.maps][..r.times],
+                None => &[],
+            };
+            let own = r.side.iter().flat_map(|side| &side.own);
+            let images = own.flat_map(move |&u| maps.iter().map(move |map| map[u]));
+            r.units.iter().copied().chain(images)
+        });
+        let all = units.chain(held).chain(copies);
+        let mut used = vec![false; all.clone().max().map_or(0, |u| u + 1)];
+        for u in all {
             used[u] = true;
         }
         (0..used.len()).filter(|&u| used[u]).collect()
@@ -530,7 +866,7 @@ impl Program {
     /// Re-times command `id`, leaving its unit, tag, dependencies and
     /// shared resources as emitted: a compiler re-timing one program to
     /// new operand sizes patches durations instead of emitting again. A
-    /// command of a repeated block is re-timed in every copy.
+    /// command of a repeated or mirrored block is re-timed in every copy.
     ///
     /// # Panics
     ///
@@ -643,53 +979,62 @@ impl Program {
         out.push((record..records.end, id));
     }
 
-    /// The program with every copy of a repeated block emitted: the same
-    /// commands under the same ids, all stored.
+    /// The program with every copy of a repeated or mirrored block
+    /// emitted: the same commands under the same ids, all stored.
     pub fn expanded(&self) -> Program {
         let mut full = Program::new();
         let mut levels = Vec::new();
-        self.expand(&mut full, 0..self.records.len(), &self.repeats, &mut levels);
+        let records = 0..self.records.len();
+        self.expand(&mut full, records, &self.repeats, &mut levels, &[]);
         full
     }
 
     /// Emits records `records` into `full` with every copy of the
     /// repeats `repeats` among them, each dependency mapped through
-    /// `levels`.
+    /// `levels` and each unit through `units` (no map if empty).
     fn expand(
         &self,
         full: &mut Program,
         records: Range<usize>,
         repeats: &[Repeat],
-        levels: &mut Vec<(CmdId, usize)>,
+        levels: &mut Vec<Level>,
+        units: &[UnitId],
     ) {
         let mut record = records.start;
         for r in repeats {
-            full.append(self.commands_in(record..r.block.start, 0), levels);
+            full.append(self.commands_in(record..r.block.start, 0), levels, units);
             for k in 0..=r.times {
-                levels.push((r.anchor, k * r.period));
-                self.expand(full, r.block.clone(), &r.inner, levels);
-                levels.pop();
+                let depth = levels.len();
+                r.push_levels(k, levels);
+                let units = self.copy_units(r, k).unwrap_or(units);
+                self.expand(full, r.block.clone(), &r.inner, levels, units);
+                levels.truncate(depth);
             }
             record = r.block.end;
         }
-        full.append(self.commands_in(record..records.end, 0), levels);
+        full.append(self.commands_in(record..records.end, 0), levels, units);
     }
 
-    /// Emits `cmds`, each dependency mapped through `levels`.
+    /// The unit map of copy `k` of `repeat`, if the copy runs on other
+    /// units than the block: a mirrored block's copy after the first.
+    fn copy_units(&self, repeat: &Repeat, k: usize) -> Option<&[UnitId]> {
+        let side = repeat.side.as_ref().filter(|_| k > 0)?;
+        Some(&self.maps[side.maps][k - 1])
+    }
+
+    /// Emits `cmds`, each dependency mapped through `levels` and each unit
+    /// and held resource through `units` (no map if empty).
     fn append<'p>(
         &mut self,
         cmds: impl Iterator<Item = CommandView<'p>>,
-        levels: &[(CmdId, usize)],
+        levels: &[Level],
+        units: &[UnitId],
     ) {
+        let unit = |u: UnitId| units.get(u).copied().unwrap_or(u);
         for cmd in cmds {
             let deps = cmd.deps.iter().map(|&d| resolve(levels, d));
-            self.emit(
-                cmd.unit,
-                cmd.duration,
-                cmd.tag,
-                deps,
-                cmd.shared.iter().copied(),
-            );
+            let shared = cmd.shared.iter().map(|&s| unit(s));
+            self.emit(unit(cmd.unit), cmd.duration, cmd.tag, deps, shared);
         }
     }
 
@@ -930,10 +1275,10 @@ impl ExecutionReport {
     }
 
     /// Number of commands the engine scheduled one by one; the rest of
-    /// the program's commands were copies of repeated blocks written in
-    /// closed form (see the [module docs](self)). A deterministic work
-    /// counter: it depends only on the program and the engine, never on
-    /// the host.
+    /// the program's commands were copies of repeated or mirrored blocks
+    /// written in closed form (see the [module docs](self)). A
+    /// deterministic work counter: it depends only on the program and the
+    /// engine, never on the host.
     pub fn scheduled(&self) -> usize {
         self.walk.scheduled()
     }
@@ -1048,7 +1393,7 @@ impl<'p, const L: usize> Lanes<'p, L> {
     /// Re-times commands `first..first + durations.len()`, each lane to
     /// its own of each command's durations, as
     /// [`Program::set_durations`] re-times them in a program: a command
-    /// of a repeated block is re-timed in every copy.
+    /// of a repeated or mirrored block is re-timed in every copy.
     ///
     /// # Panics
     ///
@@ -1122,6 +1467,8 @@ struct Shifted<const L: usize> {
     copies: usize,
     /// Each lane's shift between consecutive copies.
     delta: [Duration; L],
+    /// Whether every lane's shift is zero, as for mirrored copies.
+    still: bool,
     /// Index in `scheduled` of the first command after the run.
     resume: usize,
 }
@@ -1130,6 +1477,22 @@ impl<const L: usize> Shifted<L> {
     /// Id of the first command after the run.
     fn end(&self) -> CmdId {
         self.start + self.copies * self.period
+    }
+
+    /// The copy of the run command `id` is in, from 0, and its offset in
+    /// that copy. A run of a few copies (mirrored ones) is walked by
+    /// subtraction, which is cheaper than a division.
+    #[inline(always)]
+    fn copy_of(&self, id: CmdId) -> (usize, usize) {
+        let mut offset = id - self.start;
+        if self.copies > 4 {
+            return (offset / self.period, offset % self.period);
+        }
+        let mut copy = 0;
+        while offset >= self.period {
+            (copy, offset) = (copy + 1, offset - self.period);
+        }
+        (copy, offset)
     }
 }
 
@@ -1149,23 +1512,54 @@ impl<const L: usize> Finishes<L> {
         }
         // A copy in a run finishes a whole number of shifts after the
         // matching command of the copy before the run, which may itself
-        // be in a run (a repeat inside a repeated block).
-        let (mut id, mut shift) = (id, [Duration::ZERO; L]);
+        // be in a run (a repeat inside a repeated block). Runs of mirrored
+        // copies shift by nothing.
+        let (mut id, mut shift) = (id, None);
+        let shifted = |finish, shift: Option<[Duration; L]>| match shift {
+            Some(shift) => after(finish, shift),
+            None => finish,
+        };
         loop {
-            let runs = self.shifted.partition_point(|r| r.start <= id);
-            let Some(run) = runs.checked_sub(1).map(|r| &self.shifted[r]) else {
-                return after(self.scheduled[id], shift);
+            let Some(run) = self.run_at(id) else {
+                return shifted(self.scheduled[id], shift);
             };
-            let offset = id - run.start;
             if id >= run.end() {
-                return after(self.scheduled[run.resume + id - run.end()], shift);
+                return shifted(self.scheduled[run.resume + id - run.end()], shift);
             }
-            add(
-                &mut shift,
-                &run.delta.map(|d| d * (offset / run.period + 1) as u64),
-            );
-            id = run.start - run.period + offset % run.period;
+            let (copy, offset) = run.copy_of(id);
+            if !run.still {
+                let copies = copy as u64 + 1;
+                let sum = shift.get_or_insert([Duration::ZERO; L]);
+                add(sum, &run.delta.map(|d| d * copies));
+            }
+            id = run.start - run.period + offset;
         }
+    }
+
+    /// Whether command `id` and the `copies - 1` commands `period` ids
+    /// apart after it are copies written in closed form of one command,
+    /// the one `period` ids before `id`, with no shift: the copies of a
+    /// mirrored block, which finish with its copy 0.
+    fn mirrored(&self, id: CmdId, period: usize, copies: usize) -> bool {
+        let last = id + (copies - 1) * period;
+        (id < self.tail)
+            .then(|| self.run_at(id))
+            .flatten()
+            .is_some_and(|run| {
+                run.still && run.period == period && id - run.start < period && last < run.end()
+            })
+    }
+
+    /// The last run that starts at or before id `id`. Reads look up runs
+    /// timed lately the most, so the last few are tried first.
+    #[inline(always)]
+    fn run_at(&self, id: CmdId) -> Option<&Shifted<L>> {
+        let recent = self.shifted.iter().rev().take(4);
+        if let Some(run) = recent.clone().find(|r| r.start <= id) {
+            return Some(run);
+        }
+        let runs = self.shifted.partition_point(|r| r.start <= id);
+        runs.checked_sub(1).map(|r| &self.shifted[r])
     }
 
     /// Indices in `scheduled` and `shifted` of the first command and run
@@ -1229,6 +1623,7 @@ impl<const L: usize> Finishes<L> {
             period,
             copies,
             delta,
+            still: delta == [Duration::ZERO; L],
             resume: self.scheduled.len(),
         });
         self.len += copies * period;
@@ -1246,6 +1641,7 @@ impl<const L: usize> Finishes<L> {
                     period: r.period,
                     copies: r.copies,
                     delta: [r.delta[lane]],
+                    still: r.delta[lane] == Duration::ZERO,
                     resume: r.resume,
                 })
                 .collect(),
@@ -1311,6 +1707,8 @@ pub struct Engine {
     dispatch: Duration,
     /// Walks of a program made so far.
     walks: u64,
+    /// Commands those walks scheduled one by one.
+    scheduled: u64,
 }
 
 impl Engine {
@@ -1321,6 +1719,7 @@ impl Engine {
             units,
             dispatch,
             walks: 0,
+            scheduled: 0,
         }
     }
 
@@ -1338,6 +1737,15 @@ impl Engine {
         self.walks
     }
 
+    /// Number of commands the engine's walks have scheduled one by one:
+    /// the sum of their [`ExecutionReport::scheduled`] counts, a walk of
+    /// several lanes counting each command once, and a walk that ends
+    /// when its lanes settle apart counting what it scheduled before. A
+    /// deterministic work counter, like [`walks`](Self::walks).
+    pub fn scheduled(&self) -> u64 {
+        self.scheduled
+    }
+
     /// Executes `program`, every unit free at time zero.
     ///
     /// # Panics
@@ -1352,8 +1760,8 @@ impl Engine {
     }
 
     /// Executes `program` and records one [`Span`] per command, copies of
-    /// repeated blocks included, for timeline inspection / Chrome-trace
-    /// export.
+    /// repeated and mirrored blocks included, for timeline inspection /
+    /// Chrome-trace export.
     pub fn run_traced(&mut self, program: &Program) -> (ExecutionReport, Vec<Span>) {
         let mut spans = Vec::with_capacity(program.len());
         let walk = self.walk(&Lanes::new(program), Some(&mut spans), Kernel::Baseline);
@@ -1428,11 +1836,14 @@ impl Engine {
             },
             tag_busy: vec![[Duration::ZERO; L]; program.tags],
             levels: Vec::new(),
+            units: &[],
             busy_marks: Vec::with_capacity(2 * (self.units + program.tags)),
             spans,
         };
         let records = 0..program.records.len();
-        let makespan = run.region(records, 0, &program.repeats).ok()?;
+        let makespan = run.region(records, 0, &program.repeats);
+        self.scheduled += run.finish.scheduled.len() as u64;
+        let makespan = makespan.ok()?;
         Some(Walk {
             finish: run.finish,
             makespan,
@@ -1522,9 +1933,12 @@ struct Run<'a, const L: usize> {
     busy: Vec<[Duration; L]>,
     finish: Finishes<L>,
     tag_busy: Vec<[Duration; L]>,
-    /// The copies being scheduled one by one, outermost first: each
-    /// repeat's anchor and the shift of its copy.
-    levels: Vec<(CmdId, usize)>,
+    /// How the copies being scheduled one by one map dependencies,
+    /// outermost first.
+    levels: Vec<Level>,
+    /// The unit map of the mirrored copy being scheduled one by one; empty
+    /// outside one.
+    units: &'a [UnitId],
     /// For each repeat being timed, outermost first, the unit and tag
     /// busy times before the block or copy it timed last.
     busy_marks: Vec<[Duration; L]>,
@@ -1546,9 +1960,16 @@ impl<'a, const L: usize> Run<'a, L> {
         for r in repeats {
             let before = self.schedule(record..r.block.start, id);
             id += r.block.start - record;
-            let mark = self.mark_busy();
+            let mark = match &r.side {
+                None => self.mark_busy(),
+                Some(side) => self.mark_side(side),
+            };
+            let alike = r.side.as_ref().map(|side| self.inputs_alike(r, side));
             let block = self.region(r.block.clone(), id, &r.inner)?;
-            let copies = self.repeat(r, id, block, mark)?;
+            let copies = match alike {
+                None => self.repeat(r, id, block, mark)?,
+                Some(alike) => self.mirror(r, id, block, mark, alike)?,
+            };
             latest = later(later(latest, before), copies);
             self.busy_marks.truncate(mark);
             id += (1 + r.times) * r.period;
@@ -1558,11 +1979,18 @@ impl<'a, const L: usize> Run<'a, L> {
     }
 
     /// Schedules records `records`, the first of which is command
-    /// `first`, one by one, each dependency mapped through the levels;
-    /// returns the latest finish. Runs the walk's kernel.
+    /// `first`, one by one, each dependency mapped through the levels and
+    /// each unit through the unit map; returns the latest finish. Runs the
+    /// walk's kernel, or the baseline inside a mirrored copy.
     fn schedule(&mut self, records: Range<usize>, first: CmdId) -> [Time; L] {
+        if records.is_empty() {
+            return [Time::ZERO; L];
+        }
+        if !self.units.is_empty() {
+            return self.schedule_body::<true>(records, first);
+        }
         match self.kernel {
-            Kernel::Baseline => self.schedule_body(records, first),
+            Kernel::Baseline => self.schedule_body::<false>(records, first),
             // SAFETY: a walk runs the AVX2 kernel only where
             // `Kernel::widest` detected AVX2 on the host.
             #[cfg(target_arch = "x86_64")]
@@ -1574,17 +2002,28 @@ impl<'a, const L: usize> Run<'a, L> {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn schedule_avx2(&mut self, records: Range<usize>, first: CmdId) -> [Time; L] {
-        self.schedule_body(records, first)
+        self.schedule_body::<false>(records, first)
     }
 
     /// The body of [`schedule`](Self::schedule), inlined with every
-    /// helper it calls into each kernel.
+    /// helper it calls into each kernel; `MAPPED` maps every unit through
+    /// the unit map.
     #[inline(always)]
-    fn schedule_body(&mut self, records: Range<usize>, first: CmdId) -> [Time; L] {
+    fn schedule_body<const MAPPED: bool>(
+        &mut self,
+        records: Range<usize>,
+        first: CmdId,
+    ) -> [Time; L] {
         let mut latest = [Time::ZERO; L];
         let durations = &self.durations[records.clone()];
+        let units = self.units;
+        let unit = |u: UnitId| if MAPPED { units[u] } else { u };
         for (cmd, duration) in self.program.commands_in(records, first).zip(durations) {
             let id = cmd.id;
+            let cmd = CommandView {
+                unit: unit(cmd.unit),
+                ..cmd
+            };
             let mut start = [Time::ZERO; L];
             for &d in cmd.deps {
                 let d = resolve(&self.levels, d);
@@ -1597,6 +2036,7 @@ impl<'a, const L: usize> Run<'a, L> {
             // Start when the unit and every shared resource are free.
             raise(&mut start, &self.free_at[cmd.unit]);
             for &s in cmd.shared {
+                let s = unit(s);
                 assert!(s != cmd.unit, "shared resource equals unit");
                 raise(&mut start, &self.free_at[s]);
             }
@@ -1605,6 +2045,7 @@ impl<'a, const L: usize> Run<'a, L> {
             add(&mut self.busy[cmd.unit], duration);
             // A resource held twice stays held for twice the duration.
             for &s in cmd.shared {
+                let s = unit(s);
                 let free = &mut self.free_at[s];
                 raise(free, &start);
                 advance(free, duration);
@@ -1659,9 +2100,10 @@ impl<'a, const L: usize> Run<'a, L> {
             copies += 1;
             let shift = copies * repeat.period;
             self.remark_busy(mark);
-            self.levels.push((repeat.anchor, shift));
+            let depth = self.levels.len();
+            repeat.push_levels(copies, &mut self.levels);
             last = self.region(records.clone(), start + shift, &repeat.inner)?;
-            self.levels.pop();
+            self.levels.truncate(depth);
             latest = later(latest, last);
             delta = self.settled(repeat, copies, [true; L])?;
         }
@@ -1698,13 +2140,90 @@ impl<'a, const L: usize> Run<'a, L> {
         }
     }
 
+    /// In each lane, whether every copy of the mirrored `repeat`, with
+    /// side `side`, has copy 0's inputs, before copy 0 is timed: each unit
+    /// of the copy free when the matching unit of copy 0 is, and each
+    /// linked dependency finished when copy 0's is.
+    fn inputs_alike(&self, repeat: &Repeat, side: &Side) -> [bool; L] {
+        debug_assert!(self.units.is_empty(), "mirrored blocks do not nest");
+        let mut alike = [true; L];
+        let mut same = |a: &[Time; L], b: &[Time; L]| {
+            for ((alike, a), b) in alike.iter_mut().zip(a).zip(b) {
+                *alike &= a == b;
+            }
+        };
+        let maps = &self.program.maps[side.maps][..repeat.times];
+        for &u in &side.own {
+            for map in maps {
+                same(&self.free_at[u], &self.free_at[map[u]]);
+            }
+        }
+        for &(d, period) in &side.inputs {
+            // Copies of a block written in closed form finish with its
+            // copy 0, and need no reading.
+            let first = resolve(&self.levels, d);
+            let copies = 1..=repeat.times;
+            let copy = |k: usize| resolve(&self.levels, d + k * period);
+            if copies.clone().all(|k| copy(k) == first + k * period)
+                && self.finish.mirrored(first + period, period, repeat.times)
+            {
+                continue;
+            }
+            let finish = self.finish.get(first);
+            for k in copies {
+                same(&finish, &self.finish.get(copy(k)));
+            }
+        }
+        alike
+    }
+
+    /// Times the copies of the mirrored `repeat`, whose block (copy 0) has
+    /// just been timed from id `start` with latest finish `block`, after
+    /// busy times marked at `mark`; returns the latest finish of the
+    /// copies. Where every copy has copy 0's inputs (`alike`), copy 0's
+    /// schedule on the copy's own units is the copy's, and the copies are
+    /// written in closed form; where none has, they are scheduled one by
+    /// one. Lanes that differ end the walk.
+    fn mirror(
+        &mut self,
+        repeat: &'a Repeat,
+        start: CmdId,
+        block: [Time; L],
+        mark: usize,
+        alike: [bool; L],
+    ) -> Result<[Time; L], Disagree> {
+        if alike.iter().all(|&a| a) {
+            self.extrapolate(repeat, repeat.times, [Duration::ZERO; L], mark);
+            return Ok(block);
+        }
+        if alike.iter().any(|&a| a) {
+            return Err(Disagree);
+        }
+        let mut latest = block;
+        for k in 1..=repeat.times {
+            self.units = self.program.copy_units(repeat, k).expect("a mirrored copy");
+            let depth = self.levels.len();
+            repeat.push_levels(k, &mut self.levels);
+            let copy = self.region(
+                repeat.block.clone(),
+                start + k * repeat.period,
+                &repeat.inner,
+            )?;
+            latest = later(latest, copy);
+            self.levels.truncate(depth);
+        }
+        self.units = &[];
+        Ok(latest)
+    }
+
     /// Writes the last `copies` copies of `repeat` in closed form, each
-    /// the copy timed last shifted by one more of its lane's `delta`, and
-    /// returns the shift of the last: finishes and spans; busy time, each
-    /// copy adding what the copy timed last did since the busy times
-    /// marked at `mark`; and the free time of every unit the block uses,
-    /// which its last user in the copy timed last set and its last user
-    /// in the last copy moves on.
+    /// the copy timed last shifted by one more of its lane's `delta`
+    /// (zero for a mirrored block, whose copies are copy 0 on units of
+    /// their own), and returns the shift of the last: finishes and spans;
+    /// busy time, each copy adding to each of its units what the copy
+    /// timed last did since the busy times marked at `mark`; and the free
+    /// time of every unit of the copies, which its last user in the last
+    /// copy sets.
     fn extrapolate(
         &mut self,
         repeat: &Repeat,
@@ -1713,6 +2232,8 @@ impl<'a, const L: usize> Run<'a, L> {
         mark: usize,
     ) -> [Duration; L] {
         let period = repeat.period;
+        let program = self.program;
+        let map = |k: usize, u: UnitId| program.copy_units(repeat, k).map_or(u, |m| m[u]);
         if let Some(spans) = self.spans.as_deref_mut() {
             let last = spans.len() - period..spans.len();
             for k in 1..=copies {
@@ -1721,6 +2242,7 @@ impl<'a, const L: usize> Run<'a, L> {
                     let s = spans[i];
                     spans.push(Span {
                         cmd: s.cmd + k * period,
+                        unit: map(k, s.unit),
                         start: s.start + shift,
                         end: s.end + shift,
                         ..s
@@ -1730,13 +2252,37 @@ impl<'a, const L: usize> Run<'a, L> {
         }
         let times = copies as u64;
         let to_last = delta.map(|d| d * times);
-        let (units, tags) = self.busy_marks[mark..].split_at(self.busy.len());
-        for &u in &repeat.units {
-            repeat_busy(&mut self.busy[u], &units[u], times);
-            self.free_at[u] = after(self.free_at[u], to_last);
-        }
-        for (busy, before) in self.tag_busy.iter_mut().zip(tags) {
-            repeat_busy(busy, before, times);
+        let marks = &self.busy_marks[mark..];
+        match &repeat.side {
+            None => {
+                let (units, tags) = marks.split_at(self.busy.len());
+                for &u in &repeat.units {
+                    let u = self.units.get(u).copied().unwrap_or(u);
+                    repeat_busy(&mut self.busy[u], &units[u], times);
+                    self.free_at[u] = after(self.free_at[u], to_last);
+                }
+                for (busy, before) in self.tag_busy.iter_mut().zip(tags) {
+                    repeat_busy(busy, before, times);
+                }
+            }
+            Some(side) => {
+                debug_assert!(delta == [Duration::ZERO; L], "mirrored copies shift");
+                let maps = &program.maps[side.maps][..copies];
+                let (units, tags) = marks.split_at(side.own.len());
+                for (busy, before) in self.tag_busy[side.tags.clone()].iter_mut().zip(tags) {
+                    repeat_busy(busy, before, times);
+                }
+                for (&u, before) in side.own.iter().zip(units) {
+                    let mut added = self.busy[u];
+                    for (added, &before) in added.iter_mut().zip(before) {
+                        *added -= before;
+                    }
+                    for map in maps {
+                        add(&mut self.busy[map[u]], &added);
+                        self.free_at[map[u]] = self.free_at[u];
+                    }
+                }
+            }
         }
         self.finish.repeat_last(period, copies, delta);
         to_last
@@ -1747,6 +2293,17 @@ impl<'a, const L: usize> Run<'a, L> {
         let mark = self.busy_marks.len();
         self.busy_marks.extend_from_slice(&self.busy);
         self.busy_marks.extend_from_slice(&self.tag_busy);
+        mark
+    }
+
+    /// Marks the busy times of the units and tags of a mirrored block's
+    /// own commands, `side`'s; returns the mark.
+    fn mark_side(&mut self, side: &Side) -> usize {
+        let mark = self.busy_marks.len();
+        let units = side.own.iter().map(|&u| self.busy[u]);
+        self.busy_marks.extend(units);
+        self.busy_marks
+            .extend_from_slice(&self.tag_busy[side.tags.clone()]);
         mark
     }
 
@@ -2203,6 +2760,51 @@ mod tests {
         p
     }
 
+    /// A random program of three stored blocks, the last repeated, each
+    /// two phases run side by side by two copies on units {0, 1} and
+    /// {2, 3} (σ swaps them), then a sync on unit 4 reading both copies;
+    /// a copy reads its own copy of the phase before, and the prologue
+    /// may busy a unit of either copy.
+    fn random_mirror_program(rng: &mut impl FnMut(u64) -> u64) -> Program {
+        let sigma = [2, 3, 0, 1, 4];
+        let mut p = Program::new();
+        for _ in 0..rng(3) {
+            p.emit(rng(5) as usize, NS(1 + rng(200)), 0, [], None);
+        }
+        let (len, copies) = (1 + rng(4) as usize, rng(8) as usize);
+        let shape: Vec<(u64, u64, bool)> = (0..2 * len)
+            .map(|_| (rng(2), 1 + rng(200), rng(3) == 0))
+            .collect();
+        let (mut prev, mut block) = (None::<CmdId>, 0..0);
+        for _ in 0..3 {
+            let start = p.next_id();
+            for phase in shape.chunks(len) {
+                let first = p.next_id();
+                for copy in 0..2 {
+                    let base = 2 * copy;
+                    for (i, &(unit, ns, hold)) in phase.iter().enumerate() {
+                        let own = (i > 0).then(|| p.next_id() - 1);
+                        let read = prev.filter(|_| i == 0);
+                        let held = hold.then_some(base + 1 - unit as usize);
+                        p.emit(
+                            base + unit as usize,
+                            NS(ns),
+                            i,
+                            own.into_iter().chain(read),
+                            held,
+                        );
+                    }
+                }
+                assert!(p.mirror_block(first..first + len, &sigma, 2));
+                let sync = p.emit(4, NS(3), 7, [first + len - 1, first + 2 * len - 1], None);
+                prev = Some(sync);
+            }
+            block = start..p.next_id();
+        }
+        p.repeat_block(block, 0, copies);
+        p
+    }
+
     #[test]
     fn every_kernel_schedules_random_lanes_alike() {
         // Kernels compute the same integer maxes and sums, so every lane's
@@ -2217,8 +2819,15 @@ mod tests {
             (state >> 33) % n
         };
         let (mut closed, mut shared, mut apart) = (0, 0, 0);
-        for _ in 0..256 {
-            let program = random_block_program(&mut rng);
+        for i in 0..384 {
+            let program = match i % 3 {
+                2 => random_mirror_program(&mut rng),
+                _ => random_block_program(&mut rng),
+            };
+            assert_eq!(
+                Engine::new(5, NS(1)).run(&program),
+                Engine::new(5, NS(1)).run(&program.expanded())
+            );
             let mut lanes = Lanes::<8>::new(&program);
             let stored: Vec<(CmdId, Duration)> =
                 program.commands().map(|c| (c.id, c.duration)).collect();

@@ -1,8 +1,9 @@
 //! Property tests stressing the command-scheduler engine with random
 //! programs: the schedule must respect fundamental bounds regardless of
-//! structure, programs with repeated blocks, and with heads repeated
-//! inside them, must schedule exactly as their expansions, and every lane
-//! of a multi-lane run must schedule exactly as its own program.
+//! structure, programs with repeated blocks, with heads repeated inside
+//! them, and with phases mirrored side by side on every copy's own units
+//! must schedule exactly as their expansions, and every lane of a
+//! multi-lane run must schedule exactly as its own program.
 
 use ianus_npu::scheduler::{CmdId, Command, Engine, Lanes, Program};
 use ianus_sim::{Duration, Time};
@@ -622,4 +623,355 @@ fn non_settling_repeat_is_scheduled_copy_by_copy() {
     assert_eq!(compact, full);
     assert_eq!(compact.0.scheduled(), p.len());
     assert_eq!(compact.0.makespan(), Time::from_ns(100 + 20 * 150));
+}
+
+/// One command of a phase that runs side by side on every copy of a
+/// [`MirrorProgram`]: copy `c` runs it on its own units.
+#[derive(Debug, Clone)]
+struct MirrorCmd {
+    /// The copy's own unit, by index among its units.
+    unit: usize,
+    dur_ns: u64,
+    tag: usize,
+    /// Earlier commands of the same copy, by offset back.
+    own: Vec<usize>,
+    /// A command of the same copy of the phase before, by index (linked
+    /// when that phase is mirrored).
+    prev: Option<usize>,
+    /// Whether it reads the last command of every copy of the phase
+    /// before, as a barrier does (a fixed dependency).
+    all: bool,
+    hold: Option<Hold>,
+}
+
+/// A resource a [`MirrorCmd`] holds besides its unit.
+#[derive(Debug, Clone, Copy)]
+enum Hold {
+    /// Another unit of the copy's own, by index.
+    Own(usize),
+    /// A resource every copy shares, by index: no copy can mirror it.
+    Shared(usize),
+}
+
+fn mirror_cmd() -> impl Strategy<Value = MirrorCmd> {
+    (
+        (0usize..3, 1u64..300, 0usize..4),
+        prop::collection::vec(1usize..4, 0..2),
+        prop::option::of(0usize..8),
+        0usize..4,
+        (0usize..16, 0usize..3),
+    )
+        .prop_map(
+            |((unit, dur_ns, tag), own, prev, all, (hold, which))| MirrorCmd {
+                unit,
+                dur_ns,
+                tag,
+                own,
+                prev,
+                all: all == 0,
+                // One command in 16 holds a shared resource.
+                hold: match hold {
+                    0 => Some(Hold::Shared(which % SHARED)),
+                    1..=5 if which != unit => Some(Hold::Own(which)),
+                    _ => None,
+                },
+            },
+        )
+}
+
+/// Units per copy and resources every copy shares in a
+/// [`MirrorProgram`].
+const LOCAL: usize = 3;
+const SHARED: usize = 2;
+
+/// A prologue, then blocks of phases, each run side by side by `width`
+/// copies on disjoint units (the cores of a compiled stage), the last
+/// stored block repeated in time, and an epilogue. The first phase of a
+/// block ends with heads, a repeat inside each copy. A compact program
+/// stores copy 0 of each phase that copy 1 mirrors
+/// ([`Program::mirror_block`]).
+#[derive(Debug, Clone)]
+struct MirrorProgram {
+    width: usize,
+    /// Copy `c`'s unit `j` is unit `layout[c * LOCAL + j]`; the shared
+    /// resources follow.
+    layout: Vec<usize>,
+    /// Commands on any unit, shared ones included: one on a unit of a
+    /// copy other than 0 gives that copy other inputs than copy 0's.
+    prologue: Vec<(usize, u64)>,
+    phases: Vec<Vec<MirrorCmd>>,
+    head: Vec<MirrorCmd>,
+    heads: usize,
+    blocks: usize,
+    stored: usize,
+    dispatch_ns: u64,
+}
+
+fn mirror_program() -> impl Strategy<Value = MirrorProgram> {
+    (
+        (2usize..5, any::<u64>()),
+        prop::collection::vec((0usize..4 * LOCAL + SHARED, 1u64..400), 0..3),
+        prop::collection::vec(prop::collection::vec(mirror_cmd(), 1..4), 1..4),
+        (prop::collection::vec(mirror_cmd(), 0..3), 2usize..6),
+        (1usize..9, 1usize..5),
+        0u64..3,
+    )
+        .prop_map(
+            |((width, seed), prologue, phases, (head, heads), (blocks, stored), dispatch_ns)| {
+                // A seeded shuffle lays the copies out over the units.
+                let mut layout: Vec<usize> = (0..width * LOCAL).collect();
+                let mut state = seed;
+                for i in (1..layout.len()).rev() {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    layout.swap(i, (state >> 33) as usize % (i + 1));
+                }
+                layout.extend(width * LOCAL..width * LOCAL + SHARED);
+                let units = layout.len();
+                MirrorProgram {
+                    width,
+                    layout,
+                    prologue: prologue.into_iter().map(|(u, d)| (u % units, d)).collect(),
+                    phases,
+                    head,
+                    heads,
+                    blocks,
+                    stored,
+                    dispatch_ns,
+                }
+            },
+        )
+}
+
+impl MirrorProgram {
+    fn units(&self) -> usize {
+        self.layout.len()
+    }
+
+    /// σ: each copy's units to the next copy's, the last copy's to copy
+    /// 0's; shared resources stay.
+    fn sigma(&self) -> Vec<usize> {
+        let mut sigma: Vec<usize> = (0..self.units()).collect();
+        for c in 0..self.width {
+            let next = (c + 1) % self.width;
+            for j in 0..LOCAL {
+                sigma[self.layout[c * LOCAL + j]] = self.layout[next * LOCAL + j];
+            }
+        }
+        sigma
+    }
+
+    /// Emits the program, mirroring each phase that copy 1 mirrors if
+    /// `compact`, or every copy stored.
+    fn emit(&self) -> [Program; 2] {
+        [true, false].map(|compact| {
+            let mut p = Program::new();
+            for &(unit, dur) in &self.prologue {
+                p.emit(unit, Duration::from_ns(dur), 0, [], None);
+            }
+            let stored = self.stored.min(self.blocks);
+            let (mut prev, mut last_block) = (None, None);
+            for _ in 0..stored {
+                let start = p.next_id();
+                for (i, phase) in self.phases.iter().enumerate() {
+                    let heads = (i == 0).then_some((&self.head[..], self.heads));
+                    prev = Some(self.emit_phase(&mut p, phase, heads, prev, compact));
+                }
+                last_block = Some(start..p.next_id());
+            }
+            if let Some(block) = last_block {
+                let period = block.len();
+                p.repeat_block(block, 0, self.blocks - stored);
+                prev = prev.map(|(starts, len): (Vec<CmdId>, usize)| {
+                    let shift = (self.blocks - stored) * period;
+                    (starts.iter().map(|s| s + shift).collect(), len)
+                });
+            }
+            if let Some((starts, len)) = prev {
+                let reads: Vec<CmdId> = starts.iter().map(|s| s + len - 1).collect();
+                p.emit(self.layout[0], Duration::from_ns(5), 1, reads, None);
+            }
+            p
+        })
+    }
+
+    /// Emits one phase on every copy after the phase `prev` (each copy's
+    /// first id, and the commands per copy), with `heads` at the end of
+    /// each copy; returns this phase's copies.
+    fn emit_phase(
+        &self,
+        p: &mut Program,
+        phase: &[MirrorCmd],
+        heads: Option<(&[MirrorCmd], usize)>,
+        prev: Option<(Vec<CmdId>, usize)>,
+        compact: bool,
+    ) -> (Vec<CmdId>, usize) {
+        let mut starts = vec![p.next_id()];
+        self.emit_copy(p, 0, phase, heads, prev.as_ref());
+        let len = p.next_id() - starts[0];
+        for c in 1..self.width {
+            starts.push(p.next_id());
+            self.emit_copy(p, c, phase, heads, prev.as_ref());
+            if c == 1 && compact && p.mirror_block(starts[0]..starts[1], &self.sigma(), self.width)
+            {
+                let first = starts[0];
+                starts.extend((2..self.width).map(|c| first + c * len));
+                break;
+            }
+        }
+        (starts, len)
+    }
+
+    /// Emits copy `c` of a phase.
+    fn emit_copy(
+        &self,
+        p: &mut Program,
+        c: usize,
+        phase: &[MirrorCmd],
+        heads: Option<(&[MirrorCmd], usize)>,
+        prev: Option<&(Vec<CmdId>, usize)>,
+    ) {
+        let start = p.next_id();
+        self.emit_cmds(p, c, phase, start, prev);
+        let Some((head, heads)) = heads.filter(|(head, _)| !head.is_empty()) else {
+            return;
+        };
+        // Heads 0 and 1 stored, the rest copies of head 1; every head
+        // reads its copy's first command.
+        let anchor = p.next_id();
+        for _ in 0..2 {
+            let head_start = p.next_id();
+            self.emit_cmds(p, c, head, head_start, Some(&(vec![start; self.width], 1)));
+        }
+        let len = head.len();
+        p.repeat_block(anchor + len..anchor + 2 * len, anchor, heads - 2);
+    }
+
+    /// Emits `cmds` for copy `c` from id `start`, `prev` the phase before.
+    fn emit_cmds(
+        &self,
+        p: &mut Program,
+        c: usize,
+        cmds: &[MirrorCmd],
+        start: CmdId,
+        prev: Option<&(Vec<CmdId>, usize)>,
+    ) {
+        let unit = |j: usize| self.layout[c * LOCAL + j];
+        for (i, cmd) in cmds.iter().enumerate() {
+            let own = cmd
+                .own
+                .iter()
+                .filter(|&&off| off <= i)
+                .map(|off| start + i - off);
+            let (same, all) = match prev {
+                Some((starts, len)) => (
+                    cmd.prev.map(|j| starts[c] + j % len),
+                    cmd.all
+                        .then(|| starts.iter().map(|s| s + len - 1).collect::<Vec<_>>()),
+                ),
+                None => (None, None),
+            };
+            let deps = own.chain(same).chain(all.into_iter().flatten());
+            let hold = cmd.hold.map(|hold| match hold {
+                Hold::Own(j) => unit(j),
+                Hold::Shared(s) => self.width * LOCAL + s,
+            });
+            let duration = Duration::from_ns(cmd.dur_ns);
+            p.emit(unit(cmd.unit), duration, cmd.tag, deps, hold);
+        }
+    }
+
+    fn engine(&self) -> Engine {
+        Engine::new(self.units(), Duration::from_ns(self.dispatch_ns))
+    }
+}
+
+/// Lane `l`'s duration of a command lasting `d`: scaled in lanes 0-3,
+/// shifted in lanes 4-7, so every copy of a command is timed alike.
+fn mirror_lane(d: Duration, l: usize) -> Duration {
+    match l {
+        0..=3 => d * (l as u64 + 1),
+        _ => d + Duration::from_ns(l as u64 * 3),
+    }
+}
+
+/// `program` in eight lanes, lane `l` timed by [`mirror_lane`].
+fn mirror_lanes(program: &Program) -> Lanes<'_, 8> {
+    let mut lanes = Lanes::new(program);
+    let stored: Vec<(CmdId, Duration)> = program.commands().map(|c| (c.id, c.duration)).collect();
+    for (id, d) in stored {
+        lanes.set_durations(id, &[std::array::from_fn(|l| mirror_lane(d, l))]);
+    }
+    lanes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn mirrored_copies_schedule_as_expanded(mp in mirror_program()) {
+        let [compact, full] = mp.emit();
+        let expanded = compact.expanded();
+        prop_assert_eq!(&expanded, &full.expanded());
+        // One lane, traced: finishes, makespan, unit and tag busy times
+        // and spans.
+        let fast = mp.engine().run_traced(&compact);
+        let slow = mp.engine().run_traced(&expanded);
+        prop_assert_eq!(&fast, &slow);
+        prop_assert_eq!(mp.engine().run(&compact), slow.0);
+        // Eight lanes on the host's widest kernel, each lane against the
+        // expansion's lane and, for the work count, the compact program
+        // alone in that lane.
+        let schedule = mp.engine().run_lanes(&mirror_lanes(&compact));
+        let expected = mp.engine().run_lanes(&mirror_lanes(&expanded));
+        for lane in 0..8 {
+            let report = schedule.report(lane);
+            prop_assert_eq!((lane, &report), (lane, &expected.report(lane)));
+            let mut alone = compact.clone();
+            for cmd in compact.commands() {
+                alone.set_duration(cmd.id, mirror_lane(cmd.duration, lane));
+            }
+            let alone = mp.engine().run(&alone);
+            prop_assert_eq!(
+                (lane, report.scheduled(), schedule.scheduled(lane)),
+                (lane, alone.scheduled(), alone.scheduled())
+            );
+            prop_assert_eq!(schedule.makespan(lane), alone.makespan());
+        }
+    }
+}
+
+#[test]
+fn random_mirrors_take_every_path() {
+    // Guards the property above against testing one path only: among
+    // generated programs, some mirror copies that are written in closed
+    // form, some mirror copies whose inputs differ (scheduled one by
+    // one), and some mirror no phase at all.
+    let strategy = mirror_program();
+    let mut rng = TestRng::from_name("random_mirrors_take_every_path");
+    let (mut closed, mut apart, mut none) = (0, 0, 0);
+    for _ in 0..512 {
+        let mp = strategy.generate(&mut rng);
+        let [compact, full] = mp.emit();
+        let stored = compact.commands().count();
+        if stored == full.commands().count() {
+            none += 1;
+            continue;
+        }
+        // Without a prologue every copy starts from the same state.
+        let report = mp.engine().run(&compact);
+        let mirrored_prologue = MirrorProgram {
+            prologue: Vec::new(),
+            ..mp.clone()
+        };
+        let [quiet, _] = mirrored_prologue.emit();
+        let quiet_report = mirrored_prologue.engine().run(&quiet);
+        closed += usize::from(quiet_report.scheduled() < quiet.len());
+        apart += usize::from(report.scheduled() > quiet_report.scheduled());
+    }
+    assert!(
+        closed > 256 && apart > 64 && none > 16,
+        "{closed} closed-form, {apart} with other inputs, {none} unmirrored"
+    );
 }

@@ -122,14 +122,14 @@ impl Duration {
     /// nearest picosecond.
     pub fn from_ns_f64(ns: f64) -> Self {
         debug_assert!(ns >= 0.0, "negative duration");
-        Duration((ns * 1e3).round() as u64)
+        Duration(round_to_u64(ns * 1e3))
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// picosecond.
     pub fn from_secs_f64(secs: f64) -> Self {
         debug_assert!(secs >= 0.0, "negative duration");
-        Duration((secs * 1e12).round() as u64)
+        Duration(round_to_u64(secs * 1e12))
     }
 
     /// Raw picosecond value.
@@ -207,6 +207,21 @@ impl AddAssign for Duration {
     fn add_assign(&mut self, rhs: Duration) {
         self.0 += rhs.0;
     }
+}
+
+/// `x.round() as u64` without the libm call: `x` rounded to the nearest
+/// integer, halves away from zero, saturating at 0 (negative values and
+/// NaN) and `u64::MAX`. From 2⁵² on every `f64` is an integer already;
+/// below, `x - ⌊x⌋` is exact, so comparing it with one half rounds
+/// exactly.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const INTEGRAL: f64 = (1u64 << 52) as f64;
+    if x >= INTEGRAL {
+        return x as u64;
+    }
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Sub for Duration {
@@ -310,7 +325,7 @@ impl Frequency {
 
     /// Duration of `n` clock cycles, rounded to the nearest picosecond.
     pub fn cycles(self, n: u64) -> Duration {
-        Duration::from_ps((n as f64 * 1e12 / self.hz).round() as u64)
+        Duration::from_ps(round_to_u64(n as f64 * 1e12 / self.hz))
     }
 
     /// Period of one clock cycle.
@@ -358,6 +373,57 @@ mod tests {
         assert_eq!(format!("{}", Duration::from_ns(12)), "12.000 ns");
         assert_eq!(format!("{}", Duration::from_us(12)), "12.000 us");
         assert_eq!(format!("{}", Duration::from_us(12_000)), "12.000 ms");
+    }
+
+    #[test]
+    fn rounding_matches_libm_round() {
+        let check = |x: f64| {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        let around = |x: f64| {
+            [
+                f64::from_bits(x.to_bits() - 1),
+                x,
+                f64::from_bits(x.to_bits() + 1),
+            ]
+        };
+        for x in [
+            0.0,
+            0.49999999999999994,
+            f64::INFINITY,
+            f64::NAN,
+            -0.5,
+            -1.5,
+        ] {
+            check(x);
+        }
+        for k in 0..1u64 << 20 {
+            around(k as f64 + 0.5).into_iter().for_each(check);
+        }
+        for p in [52, 53, 64] {
+            let x = (p as f64).exp2();
+            for y in [x - 1.5, x - 1.0, x - 0.5, x, x + 1.0, x + 2.0] {
+                around(y).into_iter().for_each(check);
+            }
+        }
+        // Seeded random values: magnitudes across the whole range, and
+        // values below 2²⁰ with random fractions.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state ^ (state >> 29)
+        };
+        for _ in 0..5_000_000 {
+            check(f64::from_bits(next() >> 1));
+            check((next() >> 11) as f64 / (1u64 << 33) as f64);
+        }
     }
 
     #[test]
