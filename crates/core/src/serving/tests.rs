@@ -1395,38 +1395,6 @@ fn three_tenants(override_weights: Vec<f64>) -> ArrivalSpec {
     }
 }
 
-/// A two-replica run of `cfg` on fixed-rate backends.
-fn tenant_report(cfg: ServingConfig, scheduling: Scheduling) -> ServingReport {
-    ServingSim::new(cfg)
-        .replica(fixed("a", 20))
-        .replica(fixed("b", 30))
-        .scheduling(scheduling)
-        .run(&ModelConfig::gpt2_m())
-}
-
-/// Every tenant completed work, and some of it decoded in a burst.
-fn assert_tenants_served(report: &ServingReport) {
-    assert_eq!(report.per_tenant.len(), 3);
-    assert!(report.per_tenant.iter().all(|t| t.completed > 0));
-    assert_ne!(report.burst_inter_token, LatencyPercentiles::ZERO);
-}
-
-/// The override tenant's draws go through the per-tenant class pick,
-/// at both scheduling levels. The fingerprints were re-taken when that
-/// pick stopped being mapped back through the mix's weights.
-#[test]
-fn pinned_tenant_flat_runs_hold() {
-    let cfg = ServingConfig::interactive(40.0, 150).arrivals(three_tenants(vec![0.1, 0.1, 0.8]));
-    let request = tenant_report(cfg.clone(), Scheduling::RequestLevel);
-    assert_eq!(request.completed, 150);
-    assert_tenants_served(&request);
-    assert_eq!(debug_fnv(&request), 0xa642_96be_aacc_6272);
-    let report = tenant_report(cfg, Scheduling::iteration(4));
-    assert_eq!(report.completed, 150);
-    assert_tenants_served(&report);
-    assert_eq!(debug_fnv(&report), 0xdd6f_4600_2968_8644);
-}
-
 /// A tenant whose override puts all but a sliver of its weight on the
 /// last class draws that class, also where the mix's own weights sum
 /// inexactly (the interactive mix's first two sum to 0.899…).
@@ -1440,27 +1408,14 @@ fn tenant_override_draws_its_own_classes() {
     let cfg = ServingConfig::interactive(40.0, 200).arrivals(ArrivalSpec::MultiTenant {
         tenants: vec![tenant],
     });
-    let report = tenant_report(cfg, Scheduling::RequestLevel);
+    let report = ServingSim::new(cfg)
+        .replica(fixed("a", 20))
+        .replica(fixed("b", 30))
+        .scheduling(Scheduling::RequestLevel)
+        .run(&ModelConfig::gpt2_m());
     let per_class: Vec<u64> = report.per_class.iter().map(|c| c.completed).collect();
     assert_eq!(report.completed, 200);
     assert!(per_class[2] >= 199, "completions per class: {per_class:?}");
-}
-
-/// The same three tenants over a workflow mix: the override tenant's
-/// draws go through the template pick instead.
-#[test]
-fn pinned_tenant_workflow_run_holds() {
-    let templates = vec![
-        WorkflowTemplate::agent_chain(),
-        WorkflowTemplate::tool_fanout(),
-        WorkflowTemplate::speculative(),
-    ];
-    let cfg = ServingConfig::workflow_mix(20.0, 60, templates)
-        .arrivals(three_tenants(vec![0.2, 0.2, 0.6]));
-    let report = tenant_report(cfg, Scheduling::iteration(4));
-    assert!(report.completed > 60);
-    assert_tenants_served(&report);
-    assert_eq!(debug_fnv(&report), 0x0a59_32ae_da67_af12);
 }
 
 /// Price-class tests: replicas whose backends price alike share one set
@@ -1891,90 +1846,6 @@ mod cost_blind {
         assert_eq!(format!("{:?}", plain.0), format!("{:?}", forced.0));
         assert_eq!((plain.1, plain.2), (forced.1, forced.2));
     }
-}
-
-/// A paged, chunked, preempting run on two GPT-2 XL replicas with
-/// overlapped DMA, cheapest-mechanism eviction and a tight host pool:
-/// swap-ins land in mid-batch, and the decode pass skips both a
-/// sequence whose recompute re-prefill just completed and one whose
-/// first token came out of this iteration's prefill.
-fn mixed_skip_report() -> ServingReport {
-    let mut sim = ServingSim::new(ServingConfig::shared_prefix(100.0, 80));
-    for _ in 0..2 {
-        sim = sim.replica(IanusSystem::new(SystemConfig::ianus()));
-    }
-    sim.scheduling(Scheduling::IterationLevel {
-        max_batch: 32,
-        prefill_chunk: Some(64),
-        preempt: true,
-    })
-    .kv_block(16)
-    .host_kv_pool(Some(64 << 20))
-    .overlap_dma(true)
-    .policy(SchedulerPolicy::default().with_mechanism(policy::EvictionMechanism::Cheapest))
-    .run(&ModelConfig::gpt2_xl())
-}
-
-/// FNV-1a over a report's `Debug` form.
-fn debug_fnv(report: &ServingReport) -> u64 {
-    format!("{report:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-}
-
-/// The fingerprint is the engine's before the batch counters and the
-/// lean decode pass.
-#[test]
-fn pinned_mixed_skip_run_holds() {
-    let report = mixed_skip_report();
-    assert_eq!(report.completed, 80);
-    assert!(report.recomputes > 0, "no recompute eviction");
-    assert!(report.preemptions > report.recomputes, "no swap eviction");
-    assert_eq!(debug_fnv(&report), 0xb105_1364_d2a0_61ce);
-}
-
-/// A paged, chunked, preempting run whose interactive tier carries an
-/// SLO — its decoders keep per-sequence gap logs, so they take the
-/// per-step decode path every step — while the batch tier's decoders
-/// advance by the batch's decode epoch, under MMPP burst traffic: the
-/// ITL, burst-window and SLO columns all mix both kinds of decoder.
-fn slo_burst_report() -> ServingReport {
-    let mut cfg = ServingConfig::shared_prefix(60.0, 60);
-    cfg.mix[0] = cfg.mix[0].with_slo(Slo::new(Duration::from_ms(2000), Duration::from_ms(140)));
-    cfg.arrivals = ArrivalSpec::mmpp(4.0, 0.2, 0.4);
-    let mut sim = ServingSim::new(cfg);
-    for _ in 0..2 {
-        sim = sim.replica(IanusSystem::new(SystemConfig::ianus()));
-    }
-    sim.scheduling(Scheduling::IterationLevel {
-        max_batch: 32,
-        prefill_chunk: Some(64),
-        preempt: true,
-    })
-    .kv_block(16)
-    .host_kv_pool(Some(1 << 30))
-    .overlap_dma(true)
-    .run(&ModelConfig::gpt2_xl())
-}
-
-/// The fingerprint is the engine's before decoders advanced lazily (one
-/// per-sequence step per token).
-#[test]
-fn pinned_slo_burst_run_holds() {
-    let report = slo_burst_report();
-    assert_eq!(report.completed, 60);
-    assert!(report.preemptions > 0, "no eviction");
-    assert!(
-        report.burst_inter_token != LatencyPercentiles::ZERO,
-        "no burst-window decode"
-    );
-    assert!(
-        report.slo_attainment > 0.0 && report.slo_attainment < 1.0,
-        "SLO class neither all met nor all missed"
-    );
-    assert_eq!(debug_fnv(&report), 0xeae7_529f_f003_7ebc);
 }
 
 /// [`ServingSim::validate`]: the rules `run` used to assert, the

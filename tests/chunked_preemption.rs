@@ -5,8 +5,11 @@
 //! criterion, chunked prefill beating monolithic ITL tails on a
 //! long-prompt priority mix at equal arrival rate.
 
+use common::{chunked, pr3_scenario};
 use ianus::prelude::*;
 use proptest::prelude::*;
+
+pub mod common;
 
 proptest! {
     // Every case prices a fresh device; keep counts modest.
@@ -169,28 +172,18 @@ fn chunked_prefill_beats_monolithic_itl_on_ianus() {
 /// than IANUS's.
 #[test]
 fn preemption_runs_on_gpu_baseline_with_priorities() {
-    let shape = RequestShape::new(512, 512);
     let cfg = ServingConfig {
         arrival_rate_hz: 60.0,
         requests: 60,
         seed: 3,
-        mix: vec![
-            RequestClass::new(shape, 0.5),
-            RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
-        ],
-        workflows: vec![],
-        arrivals: Default::default(),
+        ..pr3_scenario()
     };
     // GPT-2 XL KV on 80 GB HBM is roomy; shrink the pressure window by
     // packing many sequences (A100 fits ~250 of these at final length,
     // so overcommit needs a deep slot budget to show).
     let r = ServingSim::new(cfg)
         .replica(GpuModel::a100())
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 512,
-            prefill_chunk: Some(256),
-            preempt: true,
-        })
+        .scheduling(chunked(512, 256))
         .run(&ModelConfig::gpt2_xl());
     assert_eq!(r.completed, 60);
     // 60 sequences of ~300 MB KV against 80 GB never actually build

@@ -1,4 +1,7 @@
-//! Shared test backend for the engine regression suites.
+//! Shared backends and scenarios for the engine regression suites.
+//!
+//! Suites declare it `pub mod common;`: each uses a different part of
+//! it, and a public module's unused items are not dead code.
 
 use ianus::prelude::*;
 
@@ -9,9 +12,8 @@ use ianus::prelude::*;
 /// grids fast, and it clones, which lets the sweep tests take the
 /// parallel path.
 ///
-/// The fingerprints in `tests/disaggregated.rs` and `tests/workflows.rs`
-/// were captured with this backend. Do not retune it: every constant
-/// participates in the pins.
+/// Most rows of the pin ledger (`tests/pins.rs`) run on this backend.
+/// Do not retune it: every constant participates in the pins.
 #[derive(Debug, Clone, Copy)]
 pub struct MemNode {
     /// Device bytes available for KV.
@@ -97,12 +99,53 @@ impl Backend for MemNode {
     }
 }
 
-/// FNV-1a over a report's `Debug` form: a whole-report fingerprint.
-#[allow(dead_code)] // not every suite that shares this module pins one
-pub fn debug_fnv(report: &ServingReport) -> u64 {
-    format!("{report:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+/// Fixed-rate synthetic backend: service time is
+/// `per_token × (input + output)`, and every other cost is the
+/// [`Backend`] default.
+pub struct FixedRate {
+    pub name: &'static str,
+    pub per_token: Duration,
+}
+
+impl Backend for FixedRate {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn service_time(&mut self, _: &ModelConfig, shape: RequestShape) -> Duration {
+        Duration::from_ns_f64(self.per_token.as_ns_f64() * (shape.input + shape.output) as f64)
+    }
+
+    fn fits(&self, _: &ModelConfig) -> Result<(), CapacityError> {
+        Ok(())
+    }
+}
+
+/// Iteration-level scheduling with `chunk`-token prefill chunks and
+/// preemption.
+pub fn chunked(max_batch: u32, chunk: u64) -> Scheduling {
+    Scheduling::IterationLevel {
+        max_batch,
+        prefill_chunk: Some(chunk),
+        preempt: true,
+    }
+}
+
+/// The historical preemption scenario, named for the change that
+/// brought preemption in (the subject of `examples/policy_sweep.rs`):
+/// GPT-2 XL (512, 512) requests in equal interactive and batch tiers,
+/// overloading one 8 GB IANUS device.
+pub fn pr3_scenario() -> ServingConfig {
+    let shape = RequestShape::new(512, 512);
+    ServingConfig {
+        arrival_rate_hz: 4.0,
+        requests: 120,
+        seed: 0x5EED,
+        mix: vec![
+            RequestClass::new(shape, 0.5),
+            RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
+        ],
+        workflows: vec![],
+        arrivals: Default::default(),
+    }
 }

@@ -1,232 +1,17 @@
-//! Disaggregated-cluster regression net.
-//!
-//! Replica roles and prefill→decode KV migration carry a hard
-//! compatibility contract: none of it exists until asked for, and an
-//! all-[`ReplicaRole::Unified`] cluster must reproduce the
-//! pre-disaggregation engine **bit for bit**. This suite pins five
-//! report fingerprints captured on the PR 7 engine (request-level FCFS
-//! with tie-breaks, a heterogeneous cluster, and an iteration-level
-//! grid exercising chunked prefill, preemption, paged KV, and
-//! overlapped DMA), re-asserts the historical 166/351 preemption
-//! schedules under whole-report fingerprints, and closes with the
-//! liveness property: every sequence that migrates completes, exactly
-//! once per request. Debug builds check every turn of every run here
-//! against the step-scan rule, migration wakes included.
+//! Disaggregated-cluster regression net: the liveness of prefill→decode
+//! KV migration. Every sequence that migrates completes, exactly once
+//! per request, under any seed, mix, KV accounting and DMA overlap, and
+//! the migration target policies place sequences differently under
+//! asymmetric decode capacity. Debug builds check every turn of every
+//! run here against the step-scan rule, migration wakes included. The
+//! pin ledger (`tests/pins.rs`) holds the all-`Unified` clusters that
+//! must reproduce the pre-disaggregation engine bit for bit.
 
-use common::{debug_fnv, MemNode};
+use common::MemNode;
 use ianus::prelude::*;
 use proptest::prelude::*;
 
-mod common;
-
-// ---------------------------------------------------------------------
-// Fingerprints
-// ---------------------------------------------------------------------
-
-/// Bit-exact fingerprint over the PR 7 report surface. Fields added in
-/// PR 8 (`migrations`, `migration_stall`, per-replica roles and in/out
-/// counts) are deliberately excluded — they did not exist when the
-/// pins were captured — and are asserted separately to be inert.
-fn fp(r: &ServingReport) -> String {
-    let per_replica: Vec<String> = r
-        .per_replica
-        .iter()
-        .map(|p| {
-            format!(
-                "{{{:?} {} {:?} {:?}}}",
-                p.name, p.completed, p.utilization, p.kv_dma
-            )
-        })
-        .collect();
-    format!(
-        "{} {:?} {:?} {:?} {:?} {} {:?} {} {} {} {} {} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {} {:?} {:?} {:?} {:?} {}",
-        r.completed,
-        r.mean_service,
-        r.sojourn,
-        r.ttft,
-        r.inter_token,
-        r.peak_batch,
-        r.peak_kv_occupancy,
-        r.preemptions,
-        r.recomputes,
-        r.preempted_requests,
-        r.max_preemptions,
-        r.host_kv_peak_bytes,
-        r.host_kv_peak_occupancy,
-        r.kv_dma,
-        r.swap_stall,
-        r.slo_attainment,
-        r.utilization,
-        r.throughput_rps,
-        r.goodput_rps,
-        r.fragmentation,
-        r.prefix_share_ratio,
-        r.prefix_cache_hits,
-        r.ttft_cache_hit,
-        r.ttft_cold,
-        r.per_class,
-        per_replica,
-        r.diverged,
-    )
-}
-
-/// The disaggregation layer must be inert unless roles were assigned.
-fn assert_inert(r: &ServingReport) {
-    assert_eq!(r.migrations, 0, "all-Unified cluster must not migrate");
-    assert_eq!(r.migration_stall, Duration::ZERO);
-    for p in &r.per_replica {
-        assert_eq!(p.role, ReplicaRole::Unified);
-        assert_eq!(p.migrations_in, 0);
-        assert_eq!(p.migrations_out, 0);
-    }
-}
-
-// Whole-report fingerprints captured on the PR 7 engine (commit
-// 66befce) with the exact scenarios below. Regenerate only if a later
-// PR *intentionally* changes scheduling semantics.
-const PIN_A: &str = r#"400 Duration(13660400000) LatencyPercentiles { p50: Duration(7210000000), p95: Duration(48490000000), p99: Duration(48490000000), max: Duration(48490000000) } LatencyPercentiles { p50: Duration(2560000000), p95: Duration(10240000000), p99: Duration(10240000000), max: Duration(10240000000) } LatencyPercentiles { p50: Duration(150000000), p95: Duration(150000000), p99: Duration(150000000), max: Duration(150000000) } 1 0.0 0 0 0 0 0 0.0 Duration(0) Duration(0) 1.0 0.04014159075970234 11.754147978010122 11.754147978010122 0.0 0.0 0 LatencyPercentiles { p50: Duration(0), p95: Duration(0), p99: Duration(0), max: Duration(0) } LatencyPercentiles { p50: Duration(2560000000), p95: Duration(10240000000), p99: Duration(10240000000), max: Duration(10240000000) } [ClassReport { shape: RequestShape { input: 128, output: 32 }, completed: 243, sojourn: LatencyPercentiles { p50: Duration(7210000000), p95: Duration(7210000000), p99: Duration(7210000000), max: Duration(7210000000) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 256, output: 64 }, completed: 115, sojourn: LatencyPercentiles { p50: Duration(14570000000), p95: Duration(14570000000), p99: Duration(14570000000), max: Duration(14570000000) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 512, output: 256 }, completed: 42, sojourn: LatencyPercentiles { p50: Duration(48490000000), p95: Duration(48490000000), p99: Duration(48490000000), max: Duration(48490000000) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }] ["{\"mem node\" 100 0.03829148786796355 Duration(0)}", "{\"mem node\" 101 0.038888892438945916 Duration(0)}", "{\"mem node\" 100 0.043011953695932414 Duration(0)}", "{\"mem node\" 99 0.0403740290359675 Duration(0)}"] false"#;
-
-const PIN_B: &str = r#"300 Duration(676369495501) LatencyPercentiles { p50: Duration(7776766426654), p95: Duration(17528467160973), p99: Duration(19270075281971), max: Duration(21179772426384) } LatencyPercentiles { p50: Duration(7044192104269), p95: Duration(17318857563276), p99: Duration(18280700328498), max: Duration(19449573207143) } LatencyPercentiles { p50: Duration(4348129827), p95: Duration(28289755363), p99: Duration(28289755363), max: Duration(28289755363) } 1 0.0 0 0 0 0 0 0.0 Duration(0) Duration(0) 1.0 0.9457017295652793 4.194608431585195 4.194608431585195 0.0 0.0 0 LatencyPercentiles { p50: Duration(0), p95: Duration(0), p99: Duration(0), max: Duration(0) } LatencyPercentiles { p50: Duration(7044192104269), p95: Duration(17318857563276), p99: Duration(18280700328498), max: Duration(19449573207143) } [ClassReport { shape: RequestShape { input: 128, output: 32 }, completed: 180, sojourn: LatencyPercentiles { p50: Duration(6440967311708), p95: Duration(17460829164002), p99: Duration(18393139298714), max: Duration(18470211739710) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 256, output: 64 }, completed: 86, sojourn: LatencyPercentiles { p50: Duration(8399953012486), p95: Duration(17533687660215), p99: Duration(19470345062061), max: Duration(19886610176078) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 512, output: 256 }, completed: 34, sojourn: LatencyPercentiles { p50: Duration(9923659535475), p95: Duration(18308052173794), p99: Duration(21179772426384), max: Duration(21179772426384) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }] ["{\"IANUS\" 231 0.9154203078082104 Duration(0)}", "{\"A100 (eager)\" 34 0.9597889002081184 Duration(0)}", "{\"DFX (4-FPGA)\" 35 0.9618959806795089 Duration(0)}"] false"#;
-
-// PIN_C regenerated in PR 9: swap-outs now debit the host pool in
-// whole `kv_block` units (block-granular accounting), raising
-// host_kv_peak_bytes 80216064 -> 94371840 and host_kv_peak_occupancy
-// 0.59765625 -> 0.703125. Every other field is bit-identical to the
-// PR 7 capture; swap *timing* still prices raw moved tokens.
-const PIN_C: &str = r#"150 Duration(12426284667) LatencyPercentiles { p50: Duration(6129650000), p95: Duration(46667796394), p99: Duration(61080658000), max: Duration(61307184634) } LatencyPercentiles { p50: Duration(2560000000), p95: Duration(10240000000), p99: Duration(10980546394), max: Duration(13522454372) } LatencyPercentiles { p50: Duration(123700000), p95: Duration(145200000), p99: Duration(754650000), max: Duration(47211666000) } 3 1.0 3 0 3 1 94371840 0.703125 Duration(48439296000) Duration(41365596000) 1.0 0.20373942594967082 33.34035055353948 33.34035055353948 0.11973341815078062 0.0 0 LatencyPercentiles { p50: Duration(0), p95: Duration(0), p99: Duration(0), max: Duration(0) } LatencyPercentiles { p50: Duration(2560000000), p95: Duration(10240000000), p99: Duration(10980546394), max: Duration(13522454372) } [ClassReport { shape: RequestShape { input: 128, output: 32 }, completed: 93, sojourn: LatencyPercentiles { p50: Duration(6129650000), p95: Duration(9405932788), p99: Duration(11423250000), max: Duration(25433577376) }, preemptions: 1, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 256, output: 64 }, completed: 40, sojourn: LatencyPercentiles { p50: Duration(12828050000), p95: Duration(24562196345), p99: Duration(61307184634), max: Duration(61307184634) }, preemptions: 2, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 512, output: 256 }, completed: 17, sojourn: LatencyPercentiles { p50: Duration(45927250000), p95: Duration(53410734000), p99: Duration(61080658000), max: Duration(61080658000) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }] ["{\"mem node\" 111 0.29925615179670445 Duration(0)}", "{\"mem node\" 39 0.10822270010263718 Duration(48439296000)}"] false"#;
-
-const PIN_D: &str = r#"120 Duration(11328963333) LatencyPercentiles { p50: Duration(6129650000), p95: Duration(31949885640), p99: Duration(67802203257), max: Duration(73213516350) } LatencyPercentiles { p50: Duration(2560000000), p95: Duration(17920000000), p99: Duration(30012803257), max: Duration(33786966350) } LatencyPercentiles { p50: Duration(122900000), p95: Duration(155650000), p99: Duration(161150000), max: Duration(29855300000) } 3 0.99920654296875 3 3 3 1 0 0.0 Duration(0) Duration(0) 1.0 0.14884919911898253 13.095185136010945 13.095185136010945 0.0 0.0 0 LatencyPercentiles { p50: Duration(0), p95: Duration(0), p99: Duration(0), max: Duration(0) } LatencyPercentiles { p50: Duration(2560000000), p95: Duration(17920000000), p99: Duration(30012803257), max: Duration(33786966350) } [ClassReport { shape: RequestShape { input: 128, output: 32 }, completed: 91, sojourn: LatencyPercentiles { p50: Duration(6129650000), p95: Duration(15119346873), p99: Duration(23644308683), max: Duration(31949885640) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 896, output: 64 }, completed: 29, sojourn: LatencyPercentiles { p50: Duration(27644050000), p95: Duration(67802203257), p99: Duration(73213516350), max: Duration(73213516350) }, preemptions: 3, recomputes: 3, slo_attainment: 1.0 }] ["{\"mem node\" 120 0.14884919911898253 Duration(0)}"] false"#;
-
-const PIN_E: &str = r#"150 Duration(28477234000) LatencyPercentiles { p50: Duration(16347534012), p95: Duration(67533650000), p99: Duration(67533650000), max: Duration(82218544708) } LatencyPercentiles { p50: Duration(640000000), p95: Duration(2560000000), p99: Duration(2560000000), max: Duration(17244894708) } LatencyPercentiles { p50: Duration(117700000), p95: Duration(136350000), p99: Duration(139200000), max: Duration(1405150000) } 3 0.8756103515625 0 0 0 0 0 0.0 Duration(0) Duration(0) 1.0 0.23478419575488851 24.977006377969623 24.977006377969623 0.0 0.0 0 LatencyPercentiles { p50: Duration(0), p95: Duration(0), p99: Duration(0), max: Duration(0) } LatencyPercentiles { p50: Duration(640000000), p95: Duration(2560000000), p99: Duration(2560000000), max: Duration(17244894708) } [ClassReport { shape: RequestShape { input: 32, output: 128 }, completed: 79, sojourn: LatencyPercentiles { p50: Duration(14959250000), p95: Duration(14959250000), p99: Duration(16543000000), max: Duration(17815734464) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 64, output: 256 }, completed: 47, sojourn: LatencyPercentiles { p50: Duration(31255250000), p95: Duration(32669950000), p99: Duration(33345050000), max: Duration(33345050000) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }, ClassReport { shape: RequestShape { input: 128, output: 512 }, completed: 24, sojourn: LatencyPercentiles { p50: Duration(67533650000), p95: Duration(67533650000), p99: Duration(82218544708), max: Duration(82218544708) }, preemptions: 0, recomputes: 0, slo_attainment: 1.0 }] ["{\"mem node\" 87 0.40573462578214714 Duration(0)}", "{\"mem node\" 46 0.2072293763787766 Duration(0)}", "{\"mem node\" 17 0.0913885851037417 Duration(0)}"] false"#;
-
-// ---------------------------------------------------------------------
-// All-Unified clusters reproduce the PR 7 engine bit for bit
-// ---------------------------------------------------------------------
-
-/// Request-level FCFS over four identical replicas: the heaped
-/// dispatch argmin must reproduce the linear scan's tie-breaks (lowest
-/// index wins on equal free-times) exactly.
-#[test]
-fn request_level_fcfs_tiebreaks_pinned() {
-    let r = ServingSim::new(ServingConfig::interactive(12.0, 400))
-        .cluster(4, |_| MemNode::tight())
-        .dispatch(DispatchPolicy::FcfsSingleQueue)
-        .run(&ModelConfig::gpt2_xl());
-    assert_eq!(fp(&r), PIN_A);
-    assert_inert(&r);
-}
-
-/// Request-level FCFS over a heterogeneous cluster (IANUS + A100 +
-/// DFX): different service times make the heap ordering non-trivial.
-#[test]
-fn request_level_heterogeneous_pinned() {
-    let r = ServingSim::new(ServingConfig::interactive(6.0, 300))
-        .replica(IanusSystem::new(SystemConfig::ianus()))
-        .replica(GpuModel::a100())
-        .replica(DfxModel::four_fpga())
-        .dispatch(DispatchPolicy::FcfsSingleQueue)
-        .run(&ModelConfig::gpt2_xl());
-    assert_eq!(fp(&r), PIN_B);
-    assert_inert(&r);
-}
-
-/// Iteration-level grid pins: chunked prefill with preemption, paged
-/// KV, and overlapped DMA (C); whole-prompt prefill with
-/// recompute-fallback preemptions (D); and a no-preempt decode-heavy
-/// spread (E). Split H2D/D2H lanes leave every pin here unchanged.
-#[test]
-fn iteration_level_pins_hold() {
-    let model = ModelConfig::gpt2_xl();
-    let c = ServingSim::new(ServingConfig::interactive(40.0, 150))
-        .cluster(2, |_| MemNode::tight())
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 8,
-            prefill_chunk: Some(32),
-            preempt: true,
-        })
-        .overlap_dma(true)
-        .kv_block(64)
-        .run(&model);
-    assert_eq!(fp(&c), PIN_C, "pin C");
-    assert_inert(&c);
-
-    let d = ServingSim::new(ServingConfig::long_prompt(16.0, 120))
-        .cluster(1, |_| MemNode {
-            kv_bytes: 512 << 20,
-            ..MemNode::tight()
-        })
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 8,
-            prefill_chunk: None,
-            preempt: true,
-        })
-        .run(&model);
-    assert_eq!(fp(&d), PIN_D, "pin D");
-    assert_inert(&d);
-
-    let e = ServingSim::new(ServingConfig::decode_heavy(30.0, 150))
-        .cluster(3, |_| MemNode::tight())
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 4,
-            prefill_chunk: Some(64),
-            preempt: false,
-        })
-        .overlap_dma(true)
-        .run(&model);
-    assert_eq!(fp(&e), PIN_E, "pin E");
-    assert_inert(&e);
-}
-
-/// The historical 166-preemption schedule survives the role/migration
-/// plumbing. The whole-report fingerprint was taken while a step-scan
-/// core still ran beside the turn tree and matched it.
-#[test]
-fn pinned_preemption_scenario_still_166() {
-    let shape = RequestShape::new(512, 512);
-    let cfg = ServingConfig {
-        arrival_rate_hz: 4.0,
-        requests: 120,
-        seed: 0x5EED,
-        mix: vec![
-            RequestClass::new(shape, 0.5),
-            RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
-        ],
-        workflows: vec![],
-        arrivals: Default::default(),
-    };
-    let r = ServingSim::new(cfg)
-        .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 32,
-            prefill_chunk: Some(128),
-            preempt: true,
-        })
-        .run(&ModelConfig::gpt2_xl());
-    assert_eq!(r.preemptions, 166, "the pinned schedule");
-    assert_inert(&r);
-    assert_eq!(debug_fnv(&r), 0x650d_4149_4d1f_d964);
-}
-
-/// Likewise the 351-preemption paged schedule.
-#[test]
-fn pinned_paged_scenario_still_351() {
-    let r = ServingSim::new(ServingConfig::shared_prefix(8.0, 200))
-        .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 48,
-            prefill_chunk: Some(128),
-            preempt: true,
-        })
-        .kv_block(64)
-        .run(&ModelConfig::gpt2_xl());
-    assert_eq!(r.preemptions, 351, "the pinned paged schedule");
-    assert_inert(&r);
-    assert_eq!(debug_fnv(&r), 0xa54c_5fb4_3e59_106e);
-}
-
-// ---------------------------------------------------------------------
-// Migration liveness
-// ---------------------------------------------------------------------
+pub mod common;
 
 fn mixes() -> Vec<Vec<RequestClass>> {
     let small = RequestShape::new(64, 32);

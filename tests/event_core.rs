@@ -5,18 +5,18 @@
 //! assert on every turn that the tree picked what the step-scan rule
 //! picks over the live replica states, so every run in this suite
 //! checks turn selection across the engine's feature grid and every
-//! arrival shape; the workflow runs also pin whole-report
-//! fingerprints, which release builds check too. The suite also pins
+//! arrival shape (the pin ledger, `tests/pins.rs`, holds a workflow
+//! mix under each shape, in release builds too). The suite also pins
 //! the parallel-sweep determinism contract (`sweep_rates` parallel ==
 //! serial, result order preserved) and covers the divergence guard: an
 //! aborted probe reports `diverged` and never perturbs the rate a
 //! bisection returns.
 
-use common::{debug_fnv, MemNode};
+use common::{chunked, MemNode};
 use ianus::prelude::*;
 use proptest::prelude::*;
 
-mod common;
+pub mod common;
 
 /// A `MemNode` that refuses to clone — forces the serial sweep path.
 #[derive(Debug, Clone, Copy)]
@@ -164,11 +164,7 @@ fn sweep_rates_parallel_matches_serial() {
     let rates = [0.5, 2.0, 6.0, 12.0];
     let mut sim = ServingSim::new(sweep_cfg())
         .cluster(2, |_| MemNode::tight())
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 8,
-            prefill_chunk: Some(32),
-            preempt: true,
-        })
+        .scheduling(chunked(8, 32))
         .kv_block(64);
     assert!(sim.try_clone().is_some(), "MemNode clones");
     let parallel = sim.sweep_rates(&model, &rates);
@@ -179,11 +175,7 @@ fn sweep_rates_parallel_matches_serial() {
             cfg.arrival_rate_hz = rate;
             ServingSim::new(cfg)
                 .cluster(2, |_| MemNode::tight())
-                .scheduling(Scheduling::IterationLevel {
-                    max_batch: 8,
-                    prefill_chunk: Some(32),
-                    preempt: true,
-                })
+                .scheduling(chunked(8, 32))
                 .kv_block(64)
                 .run(&model)
         })
@@ -347,41 +339,6 @@ proptest! {
     }
 }
 
-/// Workflow mode crossed with every arrival shape: DAG instances drawn
-/// off a diurnal/MMPP/multi-tenant stream (children inherit the root's
-/// tenant and burst attribution; fan-outs can move the wait-queue head
-/// backward). Each run's whole-report fingerprint was taken while a
-/// step-scan core still ran beside the turn tree and matched it.
-#[test]
-fn workflow_mix_pinned_across_arrival_shapes() {
-    let model = ModelConfig::gpt2_xl();
-    let templates = vec![
-        WorkflowTemplate::agent_chain(),
-        WorkflowTemplate::tool_fanout(),
-        WorkflowTemplate::speculative(),
-    ];
-    let pins = [
-        0x9787_d1db_5a17_4c4c,
-        0x4967_1b1f_317d_087e,
-        0x656d_9660_38bd_7c67,
-        0x8155_3d3f_8bd4_df2c,
-    ];
-    for (spec, pin) in arrival_specs().into_iter().zip(pins) {
-        let cfg = ServingConfig::workflow_mix(3.0, 16, templates.clone()).arrivals(spec.clone());
-        let report = ServingSim::new(cfg)
-            .cluster(2, |_| MemNode::tight())
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 8,
-                prefill_chunk: Some(32),
-                preempt: true,
-            })
-            .kv_block(64)
-            .workflow_inheritance(true)
-            .run(&model);
-        assert_eq!(debug_fnv(&report), pin, "workflow run moved under {spec:?}");
-    }
-}
-
 /// `sweep_rates` keeps its parallel ≡ serial contract when the trace
 /// is a multi-tenant merge: every probe rebuilds the merged per-tenant
 /// processes from (spec, seed, rate) alone, so cloned engines replay
@@ -392,14 +349,9 @@ fn sweep_rates_parallel_matches_serial_under_multi_tenant() {
     let rates = [0.5, 2.0, 6.0];
     let spec = ArrivalSpec::multi_tenant(3);
     let cfg = || sweep_cfg().arrivals(spec.clone());
-    let sched = || Scheduling::IterationLevel {
-        max_batch: 8,
-        prefill_chunk: Some(32),
-        preempt: true,
-    };
     let mut sim = ServingSim::new(cfg())
         .cluster(2, |_| MemNode::tight())
-        .scheduling(sched())
+        .scheduling(chunked(8, 32))
         .kv_block(64);
     assert!(sim.try_clone().is_some(), "MemNode clones");
     let parallel = sim.sweep_rates(&model, &rates);
@@ -411,7 +363,7 @@ fn sweep_rates_parallel_matches_serial_under_multi_tenant() {
                 ..cfg()
             })
             .cluster(2, |_| MemNode::tight())
-            .scheduling(sched())
+            .scheduling(chunked(8, 32))
             .kv_block(64)
             .run(&model)
         })

@@ -4,47 +4,20 @@
 //! the acceptance pin, a cost-aware victim policy beating pure
 //! largest-KV on goodput when the host link is the bottleneck.
 
+use common::{chunked, pr3_scenario};
 use ianus::prelude::*;
 use proptest::prelude::*;
 
-/// The pinned preemption scenario (PR 3/4): GPT-2 XL (512,512) drafts,
-/// 50/50 interactive/batch tiers, one 8 GB IANUS device, heavy
-/// overload — with an SLO on the interactive tier when `slo` is set.
-fn scenario(slo: Option<Slo>) -> ServingConfig {
-    let shape = RequestShape::new(512, 512);
-    let mut interactive = RequestClass::new(shape, 0.5);
-    if let Some(slo) = slo {
-        interactive = interactive.with_slo(slo);
-    }
-    ServingConfig {
-        arrival_rate_hz: 4.0,
-        requests: 120,
-        seed: 0x5EED,
-        mix: vec![
-            interactive,
-            RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
-        ],
-        workflows: vec![],
-        arrivals: Default::default(),
-    }
-}
-
-fn preemptive() -> Scheduling {
-    Scheduling::IterationLevel {
-        max_batch: 32,
-        prefill_chunk: Some(128),
-        preempt: true,
-    }
-}
+pub mod common;
 
 /// A 1 GiB host pool cannot hold the scenario's ~3.2 GiB of swapped KV:
 /// overcommit forces recompute-based evictions, and the pool bound
 /// holds exactly (occupancy never exceeds 1).
 #[test]
 fn finite_pool_forces_recompute_and_stays_bounded() {
-    let r = ServingSim::new(scenario(None))
+    let r = ServingSim::new(pr3_scenario())
         .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(preemptive())
+        .scheduling(chunked(32, 128))
         .host_kv_pool(Some(1 << 30))
         .run(&ModelConfig::gpt2_xl());
     assert_eq!(r.completed, 120, "liveness under a tight pool");
@@ -75,9 +48,9 @@ fn finite_pool_forces_recompute_and_stays_bounded() {
 fn utilization_excludes_swap_dma() {
     let mut system = SystemConfig::ianus();
     system.pcie_gbps = 2.0;
-    let r = ServingSim::new(scenario(None))
+    let r = ServingSim::new(pr3_scenario())
         .replica(IanusSystem::new(system))
-        .scheduling(preemptive())
+        .scheduling(chunked(32, 128))
         .policy(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv))
         .run(&ModelConfig::gpt2_xl());
     assert_eq!(r.completed, 120);
@@ -102,9 +75,9 @@ fn utilization_excludes_swap_dma() {
 #[test]
 fn overlap_hides_dma_behind_decode() {
     let run = |overlap: bool| {
-        ServingSim::new(scenario(None))
+        ServingSim::new(pr3_scenario())
             .replica(IanusSystem::new(SystemConfig::ianus()))
-            .scheduling(preemptive())
+            .scheduling(chunked(32, 128))
             .overlap_dma(overlap)
             .run(&ModelConfig::gpt2_xl())
     };
@@ -144,11 +117,13 @@ fn overlap_hides_dma_behind_decode() {
 #[test]
 fn cost_aware_beats_largest_kv_on_slow_host_link() {
     let slo = Slo::new(Duration::from_secs_f64(60.0), Duration::from_ms(150));
+    let mut cfg = pr3_scenario();
+    cfg.mix[0] = cfg.mix[0].with_slo(slo);
     let mut system = SystemConfig::ianus();
     system.pcie_gbps = 4.0;
-    let mut sim = ServingSim::new(scenario(Some(slo)))
+    let mut sim = ServingSim::new(cfg)
         .replica(IanusSystem::new(system))
-        .scheduling(preemptive())
+        .scheduling(chunked(32, 128))
         .policy(SchedulerPolicy::default().with_eviction(EvictionPolicy::LargestKv));
     let largest = sim.run(&ModelConfig::gpt2_xl());
     sim = sim.policy(
@@ -184,9 +159,9 @@ fn cost_aware_beats_largest_kv_on_slow_host_link() {
 fn paged_swap_debits_whole_blocks_contiguous_unchanged() {
     let model = ModelConfig::gpt2_xl();
     let run = |block: u64| {
-        ServingSim::new(scenario(None))
+        ServingSim::new(pr3_scenario())
             .replica(IanusSystem::new(SystemConfig::ianus()))
-            .scheduling(preemptive())
+            .scheduling(chunked(32, 128))
             .host_kv_pool(Some(4 << 30))
             .kv_block(block)
             .run(&model)
@@ -240,21 +215,11 @@ proptest! {
             arrival_rate_hz: rate,
             requests: 24,
             seed,
-            mix: vec![
-                RequestClass::new(RequestShape::new(512, 512), 0.5),
-                RequestClass::new(RequestShape::new(512, 512), 0.5)
-                    .with_priority(Priority::Batch),
-            ],
-            workflows: vec![],
-            arrivals: Default::default(),
+            ..pr3_scenario()
         };
         let r = ServingSim::new(cfg)
             .replica(IanusSystem::new(SystemConfig::ianus()))
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 24,
-                prefill_chunk: Some(128),
-                preempt: true,
-            })
+            .scheduling(chunked(24, 128))
             .policy(SchedulerPolicy::default().with_mechanism(mechanism_by_index(mechanism)))
             .host_kv_pool(Some(pool_mb << 20))
             .overlap_dma(overlap)
@@ -308,11 +273,7 @@ proptest! {
         let run = || {
             ServingSim::new(cfg.clone())
                 .replica(IanusSystem::new(SystemConfig::ianus()))
-                .scheduling(Scheduling::IterationLevel {
-                    max_batch: 16,
-                    prefill_chunk: Some(128),
-                    preempt: true,
-                })
+                .scheduling(chunked(16, 128))
                 .policy(SchedulerPolicy::default().with_mechanism(mechanism_by_index(mechanism)))
                 .host_kv_pool(Some(1 << 30))
                 .overlap_dma(overlap)

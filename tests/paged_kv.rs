@@ -5,9 +5,12 @@
 //! copy-on-write prefix cache (share ratio, hit-vs-cold TTFT, liveness
 //! under preemption, determinism).
 
+use common::chunked;
 use ianus::prelude::*;
 use ianus::system::serving::kv::BlockId;
 use proptest::prelude::*;
+
+pub mod common;
 
 // ---------------------------------------------------------------------
 // Allocator invariants
@@ -170,11 +173,7 @@ fn retain_of_free_block_panics() {
 fn paged_sim(rate: f64, requests: u64, max_batch: u32, kv_block: u64) -> ServingSim {
     ServingSim::new(ServingConfig::shared_prefix(rate, requests))
         .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(Scheduling::IterationLevel {
-            max_batch,
-            prefill_chunk: Some(128),
-            preempt: true,
-        })
+        .scheduling(chunked(max_batch, 128))
         .kv_block(kv_block)
 }
 
@@ -186,26 +185,12 @@ fn kv_block_zero_is_bit_identical_to_legacy() {
     let model = ModelConfig::gpt2_xl();
     let legacy = ServingSim::new(ServingConfig::shared_prefix(4.0, 60))
         .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 32,
-            prefill_chunk: Some(128),
-            preempt: true,
-        })
+        .scheduling(chunked(32, 128))
         .run(&model);
     let gated = paged_sim(4.0, 60, 32, 0).run(&model);
     assert_eq!(legacy, gated);
     assert_eq!(legacy.prefix_cache_hits, 0);
     assert_eq!(legacy.prefix_share_ratio, 0.0);
-}
-
-/// The PR 5 preemption pin survives the rewiring: the shared-prefix mix
-/// has the same shapes as the historical custom mix, so in legacy mode
-/// the pinned scenario still preempts exactly 166 times.
-#[test]
-fn legacy_preemption_pin_holds() {
-    let r = paged_sim(4.0, 120, 32, 0).run(&ModelConfig::gpt2_xl());
-    assert_eq!(r.completed, 120);
-    assert_eq!(r.preemptions, 166, "PR 5 pinned preemption count");
 }
 
 /// The headline scenario at a stable rate: near-universal cache hits,
@@ -237,12 +222,9 @@ fn prefix_cache_lowers_ttft() {
 fn paged_preemption_liveness() {
     let r = paged_sim(8.0, 200, 48, 64).run(&ModelConfig::gpt2_xl());
     assert_eq!(r.completed, 200);
-    // The full pinned schedule: 351 preemptions, all swaps (no
-    // recompute fallback in this scenario). Any engine change that
-    // moves this number is reordering the paged preemption schedule —
-    // the event-driven-core refactor reproduced it bit-for-bit, and
-    // `tests/disaggregated.rs` pins the whole report.
-    assert_eq!(r.preemptions, 351, "pinned paged preemption schedule");
+    // Every eviction swaps: no recompute fallback in this scenario. The
+    // pin ledger's `shared_prefix_paged` row holds the whole schedule.
+    assert!(r.preemptions > 0);
     assert_eq!(r.recomputes, 0);
     assert!(r.prefix_share_ratio > 0.5);
 }

@@ -1,113 +1,23 @@
-//! Scheduler-policy API acceptance: the default bundle reproduces the
-//! pre-policy (PR 3) scheduler bit-identically on the pinned preemption
-//! scenario, non-default eviction policies measurably change the
-//! interactive tier's preemption distribution and tails, and *every*
-//! built-in eviction policy preserves the liveness invariants of
+//! Scheduler-policy API acceptance: an unbounded host pool leaves the
+//! default bundle's preemption schedule unchanged (the pin ledger,
+//! `tests/pins.rs`, holds that schedule bit for bit), non-default
+//! eviction policies measurably change the interactive tier's
+//! preemption distribution and tails, and *every* built-in eviction
+//! policy preserves the liveness invariants of
 //! `tests/chunked_preemption.rs`.
 
+use common::{chunked, pr3_scenario};
 use ianus::prelude::*;
 use proptest::prelude::*;
 
-/// The PR 3 preemption scenario (`serving_queue`'s closing section,
-/// `examples/policy_sweep.rs`'s subject): GPT-2 XL (512,512) drafts,
-/// 50/50 interactive/batch tiers, one 8 GB IANUS device, heavy
-/// overload.
-fn pr3_scenario() -> ServingConfig {
-    let shape = RequestShape::new(512, 512);
-    ServingConfig {
-        arrival_rate_hz: 4.0,
-        requests: 120,
-        seed: 0x5EED,
-        mix: vec![
-            RequestClass::new(shape, 0.5),
-            RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
-        ],
-        workflows: vec![],
-        arrivals: Default::default(),
-    }
-}
+pub mod common;
 
 fn run_pr3(policy: SchedulerPolicy) -> ServingReport {
     ServingSim::new(pr3_scenario())
         .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 32,
-            prefill_chunk: Some(128),
-            preempt: true,
-        })
+        .scheduling(chunked(32, 128))
         .policy(policy)
         .run(&ModelConfig::gpt2_xl())
-}
-
-/// The refactor contract: the engine under the default bundle — swap
-/// eviction mechanism, serialized (non-overlapped) DMA, a host pool
-/// the scenario never fills — reproduces the pinned schedule
-/// **bit-identically**: the integer counters (the PR 3/PR 4 values,
-/// unchanged) are exact and the latency pins hold to sub-nanosecond.
-/// The latency/throughput pins were refreshed in PR 5 for two bugfixes
-/// that legitimately moved them: the heterogeneous-batch decode mean is
-/// now rounded instead of floored, and utilization stopped counting
-/// swap DMA as compute (0.9971 → 0.9939 here; the schedule itself is
-/// unchanged — every count and the tier split are still exactly PR 3).
-#[test]
-fn default_bundle_reproduces_pinned_numbers_bit_identically() {
-    let r = run_pr3(SchedulerPolicy::default());
-    assert_eq!(r.completed, 120);
-    assert_eq!(r.preemptions, 166);
-    assert_eq!(r.preempted_requests, 55);
-    assert_eq!(r.max_preemptions, 7);
-    assert_eq!(r.peak_batch, 32);
-    assert_eq!(r.per_class[0].preemptions, 1);
-    assert_eq!(r.per_class[1].preemptions, 165);
-    assert_eq!(r.per_class[0].completed, 63);
-    assert_eq!(r.per_class[1].completed, 57);
-    let pins = [
-        (
-            r.sojourn.p50.as_ns_f64(),
-            156_044_606_306.706,
-            "p50 sojourn",
-        ),
-        (
-            r.sojourn.p99.as_ns_f64(),
-            249_635_468_799.372,
-            "p99 sojourn",
-        ),
-        (r.ttft.p99.as_ns_f64(), 202_167_897_121.038, "ttft p99"),
-        (r.inter_token.p50.as_ns_f64(), 109_027_501.291, "itl p50"),
-        (r.inter_token.p99.as_ns_f64(), 144_886_619.462, "itl p99"),
-        (
-            r.mean_service.as_ns_f64(),
-            2_346_781_227.852,
-            "mean service",
-        ),
-        (
-            r.per_class[0].sojourn.p99.as_ns_f64(),
-            246_155_686_630.681,
-            "interactive p99",
-        ),
-    ];
-    for (got, want, what) in pins {
-        assert!(
-            (got - want).abs() < 0.5,
-            "{what}: {got} ns vs pinned {want} ns"
-        );
-    }
-    assert!((r.peak_kv_occupancy - 0.999_997_258_186_340_3).abs() < 1e-12);
-    assert!((r.throughput_rps - 0.421_288_248_707_171_13).abs() < 1e-12);
-    assert!((r.utilization - 0.993_946_396_393_345).abs() < 1e-12);
-    // No SLOs in the mix: attainment is vacuous, goodput == throughput.
-    assert_eq!(r.slo_attainment, 1.0);
-    assert!((r.goodput_rps - r.throughput_rps).abs() < 1e-12);
-    // Swap accounting: all 332 transfers (166 each way) are DMA, every
-    // one stalls the serialized clock, none counts as compute.
-    assert!((r.kv_dma.as_secs_f64() - 0.912_292_176).abs() < 1e-6);
-    assert_eq!(r.kv_dma, r.swap_stall, "no overlap: every transfer stalls");
-    assert_eq!(r.per_replica[0].kv_dma, r.kv_dma);
-    // The 32 GiB default IANUS host pool absorbs the ~3.2 GiB of
-    // swapped KV without ever forcing a recompute.
-    assert_eq!(r.recomputes, 0);
-    assert_eq!(r.host_kv_peak_bytes, 3_386_769_408);
-    assert!((r.host_kv_peak_occupancy - 0.098_567_963).abs() < 1e-6);
 }
 
 /// The tentpole's reduction contract: forcing an **unbounded host
@@ -119,11 +29,7 @@ fn unbounded_pool_reduces_to_pinned_baseline() {
     let mut bounded = run_pr3(SchedulerPolicy::default());
     let unbounded = ServingSim::new(pr3_scenario())
         .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 32,
-            prefill_chunk: Some(128),
-            preempt: true,
-        })
+        .scheduling(chunked(32, 128))
         .host_kv_pool(None)
         .run(&ModelConfig::gpt2_xl());
     // An unbounded pool reports no occupancy; everything else is
@@ -181,11 +87,7 @@ fn eviction_policies_score_differently_under_slo() {
     let run = |policy: SchedulerPolicy| {
         ServingSim::new(cfg.clone())
             .replica(IanusSystem::new(SystemConfig::ianus()))
-            .scheduling(Scheduling::IterationLevel {
-                max_batch: 32,
-                prefill_chunk: Some(128),
-                preempt: true,
-            })
+            .scheduling(chunked(32, 128))
             .policy(policy)
             .run(&ModelConfig::gpt2_xl())
     };
@@ -214,26 +116,17 @@ fn eviction_policies_score_differently_under_slo() {
 /// too (policies are engine-level, not IANUS-specific).
 #[test]
 fn deadline_policies_run_on_gpu_baseline() {
-    let shape = RequestShape::new(512, 512);
     let slo = Slo::new(Duration::from_secs_f64(30.0), Duration::from_ms(100));
-    let cfg = ServingConfig {
+    let mut cfg = ServingConfig {
         arrival_rate_hz: 60.0,
         requests: 60,
         seed: 3,
-        mix: vec![
-            RequestClass::new(shape, 0.5).with_slo(slo),
-            RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
-        ],
-        workflows: vec![],
-        arrivals: Default::default(),
+        ..pr3_scenario()
     };
+    cfg.mix[0] = cfg.mix[0].with_slo(slo);
     let r = ServingSim::new(cfg)
         .replica(GpuModel::a100())
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 512,
-            prefill_chunk: Some(256),
-            preempt: true,
-        })
+        .scheduling(chunked(512, 256))
         .policy(
             SchedulerPolicy::default()
                 .with_admission(AdmissionPolicy::Deadline)
@@ -269,13 +162,7 @@ proptest! {
             arrival_rate_hz: rate,
             requests: 24,
             seed,
-            mix: vec![
-                RequestClass::new(RequestShape::new(512, 512), 0.5),
-                RequestClass::new(RequestShape::new(512, 512), 0.5)
-                    .with_priority(Priority::Batch),
-            ],
-            workflows: vec![],
-            arrivals: Default::default(),
+            ..pr3_scenario()
         };
         let mut sim = ServingSim::new(cfg)
             .replica(IanusSystem::new(SystemConfig::ianus()))
@@ -319,22 +206,12 @@ proptest! {
             arrival_rate_hz: 30.0,
             requests: 16,
             seed,
-            mix: vec![
-                RequestClass::new(RequestShape::new(512, 512), 0.5),
-                RequestClass::new(RequestShape::new(512, 512), 0.5)
-                    .with_priority(Priority::Batch),
-            ],
-            workflows: vec![],
-            arrivals: Default::default(),
+            ..pr3_scenario()
         };
         let run = |eviction| {
             ServingSim::new(cfg.clone())
                 .replica(IanusSystem::new(SystemConfig::ianus()))
-                .scheduling(Scheduling::IterationLevel {
-                    max_batch: 16,
-                    prefill_chunk: Some(128),
-                    preempt: true,
-                })
+                .scheduling(chunked(16, 128))
                 .policy(SchedulerPolicy::default().with_eviction(eviction))
                 .run(&ModelConfig::gpt2_xl())
         };

@@ -8,8 +8,11 @@
 //! traffic never queues behind D2H writebacks — and within a lane
 //! transfers never reorder.
 
+use common::{chunked, pr3_scenario};
 use ianus::prelude::*;
 use ianus::system::serving::dma::{DmaChannels, DmaLane};
+
+pub mod common;
 
 // ---------------------------------------------------------------------
 // Lane discipline (unit level, public API)
@@ -64,59 +67,17 @@ fn intra_lane_completions_never_reorder() {
 // Report-level consequences on the swap path
 // ---------------------------------------------------------------------
 
-/// The PR 3/4 pinned preemption scenario: heavy KV overload on one
-/// 8 GB IANUS device, the same workload `tests/host_pool.rs` pins its
-/// swap accounting against.
-fn swap_heavy() -> ServingConfig {
-    let shape = RequestShape::new(512, 512);
-    ServingConfig {
-        arrival_rate_hz: 4.0,
-        requests: 120,
-        seed: 0x5EED,
-        mix: vec![
-            RequestClass::new(shape, 0.5),
-            RequestClass::new(shape, 0.5).with_priority(Priority::Batch),
-        ],
-        workflows: vec![],
-        arrivals: Default::default(),
-    }
-}
-
-fn run(overlap: bool) -> ServingReport {
-    ServingSim::new(swap_heavy())
-        .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 32,
-            prefill_chunk: Some(128),
-            preempt: true,
-        })
-        .overlap_dma(overlap)
-        .run(&ModelConfig::gpt2_xl())
-}
-
 /// Serialized (non-overlapped) DMA stalls compute for every transfer,
-/// so the lanes cannot hide anything: `swap_stall == kv_dma`, the
-/// equality `tests/host_pool.rs` pins.
+/// so the lanes cannot hide anything: `swap_stall == kv_dma` on the
+/// historical preemption scenario (the pin ledger's
+/// `pr3_serialized_dma` row; its `pr3_overlapped_dma` row is the same
+/// run with overlap, whose stall is less than its DMA time).
 #[test]
 fn serialized_dma_stalls_for_every_transfer() {
-    let r = run(false);
+    let r = ServingSim::new(pr3_scenario())
+        .replica(IanusSystem::new(SystemConfig::ianus()))
+        .scheduling(chunked(32, 128))
+        .run(&ModelConfig::gpt2_xl());
     assert_eq!(r.completed, 120);
     assert_eq!(r.swap_stall, r.kv_dma, "serialized: all DMA stalls");
-}
-
-/// Overlapped DMA is where the second lane pays: swap-ins never queue
-/// behind writebacks, so compute stalls for less than the DMA time
-/// moved. Pins the stall of the swap-heavy run.
-#[test]
-fn overlapped_swap_heavy_run_is_pinned() {
-    let r = run(true);
-    assert_eq!(r.completed, 120);
-    // 396.197 ms.
-    assert_eq!(r.swap_stall, Duration::from_ps(396_196_764_000));
-    assert!(
-        r.swap_stall < r.kv_dma,
-        "overlap must hide some DMA: {} vs {}",
-        r.swap_stall,
-        r.kv_dma
-    );
 }

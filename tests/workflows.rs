@@ -7,20 +7,16 @@
 //! any leaked KV, and its per-turn check holds each turn to the
 //! step-scan rule, in these debug-build runs).
 
-use common::MemNode;
+use common::{chunked, MemNode};
 use ianus::prelude::*;
 use proptest::prelude::*;
 
-mod common;
+pub mod common;
 
 fn build(cfg: ServingConfig, kv_block: u64) -> ServingSim {
     ServingSim::new(cfg)
         .cluster(2, |_| MemNode::tight())
-        .scheduling(Scheduling::IterationLevel {
-            max_batch: 8,
-            prefill_chunk: Some(64),
-            preempt: true,
-        })
+        .scheduling(chunked(8, 64))
         .kv_block(kv_block)
 }
 
