@@ -1,12 +1,13 @@
 //! Admission layer: the global wait queue and both admission paths.
 //!
 //! This layer owns the arrival vector and the time-ordered wait queue
-//! ([`WaitQueue`]), and decides when queued work becomes resident:
+//! ([`WaitQueue`]), and decides which queued work is offered a batch:
 //! [`EngineCore::admit_arrivals`] runs the iteration-level admission
-//! policy at every boundary (KV-gated, batch-slot-bounded), while
-//! [`ServingSim::run_request_level`] is the whole request-level
-//! scheduling mode — there a "batch" is one request and admission is
-//! just dispatch, so no engine core is needed.
+//! policy at every boundary, batch-slot-bounded; whether the policy's
+//! head fits, the prefix it maps and its batch entry are the KV layer's
+//! (`kv_state`). [`ServingSim::run_request_level`] is the whole
+//! request-level scheduling mode — there a "batch" is one request and
+//! admission is just dispatch, so no engine core is needed.
 
 use super::arrivals::Arrival;
 use super::batch::ActiveSeq;
@@ -16,7 +17,6 @@ use super::TimeKey;
 use crate::serving::report::{request_attains, RunStats};
 use crate::serving::DispatchPolicy;
 use crate::serving::ReplicaRole;
-use ianus_model::RequestShape;
 
 /// The wait-queue layer: every generated arrival, the subset not yet
 /// admitted (ordered by arrival time, then index), and the divergence
@@ -154,168 +154,68 @@ impl super::ServingSim {
 impl EngineCore<'_> {
     /// Admission at the iteration boundary: the admission
     /// policy's order over the already-arrived slice of the
-    /// queue, bounded by batch slots and KV residency — the
-    /// residents' *final* lengths normally, their *current*
-    /// lengths (optimistic overcommit) under preemption.
-    /// Decode-only replicas never admit arrivals.
+    /// queue, bounded by batch slots and the arrival gate
+    /// ([`arrival_fits`](EngineCore::arrival_fits)). Decode-only
+    /// replicas never admit arrivals.
     pub(super) fn admit_arrivals(&mut self, r: usize) {
-        let model = self.model;
-        let max_batch = self.max_batch;
-        let preempt = self.preempt;
-        let scheduler = self.scheduler;
-        let replicas = &mut *self.replicas;
-        let kv = &mut self.kv;
-        let lanes = &mut self.lanes;
-        let batch = &mut self.batch;
-        let wait = &mut self.wait;
-        let wf = &mut self.wf;
-        let stats = &mut self.stats;
         while self.roles[r] != ReplicaRole::DecodeOnly
-            && batch.batches[r].len() + lanes.incoming[r].len() < max_batch as usize
+            && self.batch.batches[r].len() + self.lanes.incoming[r].len() < self.max_batch as usize
         {
             // The arrived slice of the queue, in (time, index) order.
+            let (wait, clock, admission) =
+                (&self.wait, self.batch.clock[r], self.scheduler.admission);
             let window = wait.untaken.iter().map_while(|&(_, i)| {
                 let a = &wait.arrivals[i];
-                (a.at <= batch.clock[r]).then(|| (i, a.queued_view()))
+                (a.at <= clock).then(|| (i, a.queued_view()))
             });
-            let Some((pi, _)) = super::select_min(window, |a, b| scheduler.admission.compare(a, b))
-            else {
+            let Some((pi, _)) = super::select_min(window, |a, b| admission.compare(a, b)) else {
                 break;
             };
-            let cand = &wait.arrivals[pi];
-            // An invariant: `validate` admitted every class on an
-            // empty replica. A refusal there would block the queue
-            // (non-preempt) or admit an eviction storm (preempt).
-            if let Err(e) = replicas
-                .backend(r)
-                .batch_fits(model, std::slice::from_ref(&cand.shape))
-            {
-                assert!(
-                    !(batch.batches[r].is_empty()
-                        && kv.swapped[r].is_empty()
-                        && lanes.incoming[r].is_empty()),
-                    "request {:?} can never be admitted on replica {} ({}): {}",
-                    cand.shape,
-                    r,
-                    replicas.backend(r).name(),
-                    e
-                );
-                break;
-            }
-            let fits = if let Some(p) = kv.paged[r].as_mut() {
-                // Block arithmetic. The candidate's need is its
-                // footprint minus whatever the prefix cache already
-                // holds (capped below the whole prompt so at least
-                // one token always prefills — TTFT stays
-                // measurable): the imminent prompt under preemptive
-                // overcommit, the final length otherwise — plus, in
-                // the final-length mode, every resident's residual
-                // growth to completion.
-                // Workflow children gate on their inherited
-                // parent prefix; flat classes on their class
-                // prefix (a workflow node's synthetic class
-                // never declares one).
-                let cand_key = cand
-                    .wf
-                    .and_then(|w| w.inherit)
-                    .or(kv.class_keys[cand.class]);
-                let hit_tokens = cand_key.map_or(0, |key| {
-                    p.prefix_hit_tokens(key, cand.shape.input.saturating_sub(1))
-                });
-                let mut need = if preempt {
-                    p.blocks_for(cand.shape.input)
-                } else {
-                    p.blocks_for(cand.shape.total_tokens())
-                }
-                .saturating_sub(p.blocks_for(hit_tokens));
-                if !preempt {
-                    for s in batch.batches[r].seqs() {
-                        need += p.growth(s.slot, s.shape.total_tokens());
-                    }
-                }
-                p.reclaim(need);
-                if need <= p.free_blocks() {
-                    stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(p.occupancy_plus(need));
-                    true
-                } else {
-                    false
-                }
-            } else {
-                let resident: Vec<RequestShape> = if preempt {
-                    // In-flight KV holds device memory too: reserved
-                    // swap-ins, and swap-outs not yet drained.
-                    let mut v: Vec<RequestShape> = batch.batches[r]
-                        .settled()
-                        .iter()
-                        .map(|s| ActiveSeq::kv_shape(s.past))
-                        .chain(lanes.in_flight_shapes(r))
-                        .collect();
-                    // The candidate's imminent footprint: its whole
-                    // prompt's KV, at prefill activation width.
-                    v.push(RequestShape {
-                        input: cand.shape.input.max(1),
-                        output: 1,
-                    });
-                    v
-                } else {
-                    let mut v: Vec<RequestShape> =
-                        batch.batches[r].seqs().iter().map(|s| s.shape).collect();
-                    v.push(cand.shape);
-                    v
-                };
-                match replicas.backend(r).batch_fits(model, &resident) {
-                    Ok(occupancy) => {
-                        stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(occupancy);
-                        true
-                    }
-                    Err(_) => false,
-                }
-            };
+            let arrival = self.wait.arrivals[pi];
             // Head-of-line blocking (in policy order) is faithful
-            // to the policy; the lone-request check above already
-            // ruled out a never-admittable head.
-            if !fits {
+            // to the policy; the gate rules out a never-admittable
+            // head.
+            if !self.arrival_fits(r, arrival) {
                 break;
             }
-            wait.untaken.remove(&(TimeKey(wait.arrivals[pi].at), pi));
-            wait.admitted += 1;
-            let arrival = wait.arrivals[pi];
-            let service = replicas.pricer(r).ideal_service_secs(arrival.shape);
+            self.wait.untaken.remove(&(TimeKey(arrival.at), pi));
+            self.wait.admitted += 1;
+            let service = self.replicas.pricer(r).ideal_service_secs(arrival.shape);
             // Map the shared prefix (if the class opted in and the
             // cache holds it): the sequence starts with those
             // tokens already built and prefills only the suffix.
-            let (mut slot, mut shared_tokens) = (0, 0u64);
-            if let Some(p) = kv.paged[r].as_mut() {
-                let inherit_key = arrival.wf.and_then(|w| w.inherit);
-                (slot, shared_tokens) = p.admit(
-                    inherit_key.or(kv.class_keys[arrival.class]),
-                    arrival.shape.input.saturating_sub(1),
-                    arrival.shape.total_tokens(),
-                );
-                stats.prompt_tokens += arrival.shape.input;
-                if shared_tokens > 0 {
-                    stats.prefix_hits += 1;
-                    stats.shared_prompt_tokens += shared_tokens;
-                }
-                if inherit_key.is_some() {
-                    // Cross-node inheritance accounting: how much
-                    // of this child's prompt its parent's KV
-                    // covered (0 on a cross-replica miss).
-                    stats.inheritable_tokens += arrival.shape.input;
-                    stats.inherited_tokens += shared_tokens;
-                }
-            }
+            let inherit = arrival.wf.and_then(|w| w.inherit);
+            let (slot, shared_tokens) =
+                match self.kv.admit(r, arrival.class, inherit, arrival.shape) {
+                    Some((slot, shared)) => {
+                        let stats = &mut self.stats;
+                        stats.prompt_tokens += arrival.shape.input;
+                        if shared > 0 {
+                            stats.prefix_hits += 1;
+                            stats.shared_prompt_tokens += shared;
+                        }
+                        if inherit.is_some() {
+                            // Cross-node inheritance accounting: how much
+                            // of this child's prompt its parent's KV
+                            // covered (0 on a cross-replica miss).
+                            stats.inheritable_tokens += arrival.shape.input;
+                            stats.inherited_tokens += shared;
+                        }
+                        (slot, shared)
+                    }
+                    None => (0, 0),
+                };
             // The child has claimed (or forfeited, on a miss) its
             // slot on the parent's published prefix; drop the
             // parent's cache entry once its last consumer is in.
             if let Some(w) = arrival.wf {
+                let wf = &mut self.wf;
                 let run = &mut wf.runs[w.inst];
                 let tpl = &wf.ctx.templates[run.template];
                 if let Some(parent) = run.consume_key(tpl, w.node) {
-                    drop_prefix(&mut wf.key_homes, &mut kv.paged, w.inst, parent);
+                    drop_prefix(&mut wf.key_homes, &mut self.kv.paged, w.inst, parent);
                 }
             }
-            stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
             let seq = ActiveSeq {
                 shape: arrival.shape,
                 arrival: arrival.at,
@@ -328,7 +228,7 @@ impl EngineCore<'_> {
                 prefill_target: arrival.shape.input,
                 past: shared_tokens,
                 remaining: arrival.shape.generation_steps(),
-                last_token: batch.clock[r],
+                last_token: self.batch.clock[r],
                 ttft: 0.0,
                 gaps: Vec::new(),
                 preemptions: 0,
@@ -345,7 +245,7 @@ impl EngineCore<'_> {
                 growth: 0,
                 steady: None,
             };
-            batch.batches[r].push(seq, kv.paged[r].as_ref());
+            self.enter_batch(r, seq);
         }
     }
 }

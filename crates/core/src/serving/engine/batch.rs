@@ -481,17 +481,8 @@ impl EngineCore<'_> {
         if !seq.decoding() {
             return;
         }
-        if let (Some(p), Some(key)) = (self.kv.paged[r].as_mut(), self.kv.class_keys[seq.class]) {
-            // The prompt's full prefix blocks are now built: publish
-            // them to the class's cache entry (first completer wins;
-            // later ones find the entry already present).
-            let prefix = self.mix[seq.class]
-                .prefix_tokens
-                .min(seq.shape.input.saturating_sub(1));
-            if let Some(shared) = p.register_prefix(seq.slot, key, prefix) {
-                seq.shared_tokens = seq.shared_tokens.max(shared);
-            }
-        }
+        // The prompt's full prefix blocks are now built: publish them.
+        self.kv.publish_prefix(r, seq, self.mix);
         if seq.recomputes > 0 {
             // No token emitted: skip this sequence's decode advance
             // once, keeping `last_token` so the whole eviction dwell

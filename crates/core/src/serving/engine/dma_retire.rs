@@ -114,13 +114,8 @@ impl EngineCore<'_> {
     /// exactly a front prefix.
     pub(super) fn retire_dma(&mut self, r: usize) {
         self.retire_swap_outs(r);
-        let kv = &mut self.kv;
-        let batch = &mut self.batch;
-        while let Some((_, mut seq)) = self.lanes.incoming[r].pop_due(batch.clock[r]) {
-            kv.host_used[r] = kv.host_used[r].saturating_sub(seq.hosted_bytes);
-            seq.hosted_bytes = 0;
-            self.stats.peak_batch = self.stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-            batch.batches[r].push(seq, kv.paged[r].as_ref());
+        while let Some((_, seq)) = self.lanes.incoming[r].pop_due(self.batch.clock[r]) {
+            self.land_swap_in(r, seq);
         }
     }
 

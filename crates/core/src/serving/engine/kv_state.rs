@@ -1,22 +1,29 @@
-//! KV-state layer: paged/contiguous KV accounting, swapped-sequence
-//! re-admission, and the pressure/eviction loop.
+//! KV-state layer: paged/contiguous KV accounting, how a sequence
+//! enters a batch, swapped-sequence re-admission, and the
+//! pressure/eviction loop.
 //!
 //! This layer owns everything about *where KV lives*: the per-replica
 //! paged pools (or contiguous accounting when `kv_block` is 0), the
 //! swapped-out queues, the host-pool byte ledger, and the monotone
-//! swap-epoch counter. Its two phase entry points are called by the
-//! engine core each turn: [`EngineCore::readmit_swapped`] offers freed
-//! slots to preempted sequences before new admissions, and
-//! [`EngineCore::relieve_pressure`] projects one iteration of KV
-//! growth and evicts the eviction policy's victims until it fits.
+//! swap-epoch counter. It owns the one KV fit rule too (`kv_fits`,
+//! behind the arrival, re-admission and migrant gates), the class
+//! prefix cache's lookup, mapping and publication ([`KvLedger`]
+//! methods), and batch entry ([`EngineCore::enter_batch`]). Its two
+//! phase entry points are called by the engine core each turn:
+//! [`EngineCore::readmit_swapped`] offers freed slots to preempted
+//! sequences before new admissions, and
+//! [`EngineCore::relieve_pressure`] projects one iteration of KV growth
+//! and evicts the eviction policy's victims until it fits.
 
-use super::batch::ActiveSeq;
+use super::arrivals::Arrival;
+use super::batch::{ActiveSeq, Batch};
 use super::core::EngineCore;
+use super::dma_retire::LaneClocks;
 use super::preflight::ConfigError;
 use super::replica::Replicas;
 use crate::backend::Backend;
 use crate::serving::dma::DmaLane;
-use crate::serving::kv::PagedKv;
+use crate::serving::kv::{KvSlot, PagedKv};
 use crate::serving::policy::{EvictionMechanism, EvictionPolicy};
 use crate::serving::RequestClass;
 use ianus_model::{ModelConfig, RequestShape};
@@ -125,7 +132,208 @@ thread_local! {
     pub(crate) static FORCE_PRICING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+impl KvLedger {
+    /// Tokens of the cached prefix that replica `r`'s pool could map for
+    /// a sequence of `class` with an `input`-token prompt (the lookup
+    /// [`admit`](Self::admit) maps): its workflow parent's published
+    /// prefix when it `inherit`s one, else its class prefix, capped below
+    /// the whole prompt so at least one token always prefills (TTFT stays
+    /// measurable). 0 on a miss and under contiguous accounting.
+    fn prefix_hit(&self, r: usize, class: usize, inherit: Option<u64>, input: u64) -> u64 {
+        match (&self.paged[r], inherit.or(self.class_keys[class])) {
+            (Some(p), Some(key)) => p.prefix_hit_tokens(key, input.saturating_sub(1)),
+            _ => 0,
+        }
+    }
+
+    /// Opens a block table in replica `r`'s pool for a sequence of
+    /// `class` and `shape`, with room for its final context, mapping the
+    /// prefix [`prefix_hit`](Self::prefix_hit) looks up. Returns the slot
+    /// and the shared tokens mapped (0 = cold); `None` under contiguous
+    /// accounting.
+    pub(super) fn admit(
+        &mut self,
+        r: usize,
+        class: usize,
+        inherit: Option<u64>,
+        shape: RequestShape,
+    ) -> Option<(KvSlot, u64)> {
+        let key = inherit.or(self.class_keys[class]);
+        let p = self.paged[r].as_mut()?;
+        Some(p.admit(key, shape.input.saturating_sub(1), shape.total_tokens()))
+    }
+
+    /// Publishes the prompt prefix `seq` has built on replica `r` under
+    /// its class's key (the first publisher wins; later ones find the
+    /// entry present) and marks the tokens it now shares. The prefix is
+    /// the class's, capped below the whole prompt. A no-op under
+    /// contiguous accounting or for a class without a prefix.
+    pub(super) fn publish_prefix(&mut self, r: usize, seq: &mut ActiveSeq, mix: &[RequestClass]) {
+        if let (Some(p), Some(key)) = (self.paged[r].as_mut(), self.class_keys[seq.class]) {
+            let prefix = mix[seq.class]
+                .prefix_tokens
+                .min(seq.shape.input.saturating_sub(1));
+            if let Some(shared) = p.register_prefix(seq.slot, key, prefix) {
+                seq.shared_tokens = seq.shared_tokens.max(shared);
+            }
+        }
+    }
+}
+
+/// How a contiguous projection counts a replica's residents.
+enum Residents {
+    /// Each at its final shape, with nothing in flight: non-preemptive
+    /// admission reserves every resident's whole context.
+    Final,
+    /// Each at `context(s)` tokens, then the in-flight transfers' KV.
+    Context(fn(&ActiveSeq) -> u64),
+}
+
+/// Replica `r`'s contiguous KV projection: every resident of `batch`,
+/// settled, at `context(s)` tokens, then the KV its in-flight transfers
+/// hold on device (reserved swap-ins, then swap-outs not yet drained).
+fn projection(
+    batch: &mut Batch,
+    lanes: &LaneClocks,
+    r: usize,
+    context: impl Fn(&ActiveSeq) -> u64,
+) -> Vec<RequestShape> {
+    batch
+        .settled()
+        .iter()
+        .map(|s| ActiveSeq::kv_shape(context(s)))
+        .chain(lanes.in_flight_shapes(r))
+        .collect()
+}
+
 impl EngineCore<'_> {
+    /// The KV fit rule every gate asks before a sequence becomes
+    /// resident on replica `r`. On a paged replica the candidate needs
+    /// `need` more blocks, free once idle prefix-cache entries are
+    /// reclaimed; under contiguous accounting the backend's `batch_fits`
+    /// must hold the `residents` plus the candidate's KV shape `cand`.
+    /// Records the projected occupancy when the candidate fits.
+    fn kv_fits(
+        &mut self,
+        r: usize,
+        need: Option<u64>,
+        cand: RequestShape,
+        residents: Residents,
+    ) -> bool {
+        let occupancy = if let Some(need) = need {
+            let p = self.kv.paged[r]
+                .as_mut()
+                .expect("blocks count on a paged replica");
+            p.reclaim(need);
+            (need <= p.free_blocks()).then(|| p.occupancy_plus(need))
+        } else {
+            let batch = &mut self.batch.batches[r];
+            let mut shapes = match residents {
+                Residents::Final => batch.seqs().iter().map(|s| s.shape).collect(),
+                Residents::Context(context) => projection(batch, &self.lanes, r, context),
+            };
+            shapes.push(cand);
+            self.replicas
+                .backend(r)
+                .batch_fits(self.model, &shapes)
+                .ok()
+        };
+        if let Some(occupancy) = occupancy {
+            self.stats.peak_kv_occupancy = self.stats.peak_kv_occupancy.max(occupancy);
+        }
+        occupancy.is_some()
+    }
+
+    /// The arrival gate: whether `cand` may join replica `r`'s batch —
+    /// the residents' *final* lengths normally, their *current* lengths
+    /// (optimistic overcommit) under preemption. Paged, the candidate
+    /// needs its footprint less the blocks of its prefix-cache hit: the
+    /// imminent prompt under preemption; otherwise its final length plus
+    /// every resident's residual growth to completion. Contiguous, its
+    /// imminent footprint (the whole prompt's KV at prefill activation
+    /// width) joins the residents' current context and in-flight KV
+    /// under preemption; its final shape joins theirs otherwise.
+    pub(super) fn arrival_fits(&mut self, r: usize, cand: Arrival) -> bool {
+        // An invariant: `validate` admitted every class on an empty
+        // replica. A refusal there would block the queue (non-preempt)
+        // or admit an eviction storm (preempt).
+        let backend = self.replicas.backend(r);
+        if let Err(e) = backend.batch_fits(self.model, std::slice::from_ref(&cand.shape)) {
+            assert!(
+                !(self.batch.batches[r].is_empty()
+                    && self.kv.swapped[r].is_empty()
+                    && self.lanes.incoming[r].is_empty()),
+                "request {:?} can never be admitted on replica {} ({}): {}",
+                cand.shape,
+                r,
+                backend.name(),
+                e
+            );
+            return false;
+        }
+        let preempt = self.preempt;
+        let need = self.kv.paged[r].as_ref().map(|p| {
+            let inherit = cand.wf.and_then(|w| w.inherit);
+            let hit = self.kv.prefix_hit(r, cand.class, inherit, cand.shape.input);
+            let own = if preempt {
+                cand.shape.input
+            } else {
+                cand.shape.total_tokens()
+            };
+            let mut need = p.blocks_for(own).saturating_sub(p.blocks_for(hit));
+            if !preempt {
+                for s in self.batch.batches[r].seqs() {
+                    need += p.growth(s.slot, s.shape.total_tokens());
+                }
+            }
+            need
+        });
+        if preempt {
+            let imminent = RequestShape {
+                input: cand.shape.input.max(1),
+                output: 1,
+            };
+            self.kv_fits(r, need, imminent, Residents::Context(|s| s.past))
+        } else {
+            self.kv_fits(r, need, cand.shape, Residents::Final)
+        }
+    }
+
+    /// The migrant gate: whether the earliest landed migrant fits on
+    /// replica `r`. Migrants arrive fully prefilled, so it is residency
+    /// over their current context: paged, the blocks of that context
+    /// beyond the class prefix this replica's cache could map;
+    /// contiguous, that context beside the residents' current context
+    /// and the in-flight KV.
+    pub(super) fn migrant_fits(&mut self, r: usize) -> bool {
+        let (_, cand) = self.mig.migrating[r]
+            .iter()
+            .next()
+            .expect("a migrant landed");
+        let need = self.kv.paged[r].as_ref().map(|p| {
+            let hit = self.kv.prefix_hit(r, cand.class, None, cand.shape.input);
+            p.blocks_for(cand.past).saturating_sub(p.blocks_for(hit))
+        });
+        let shape = ActiveSeq::kv_shape(cand.past);
+        self.kv_fits(r, need, shape, Residents::Context(|s| s.past))
+    }
+
+    /// Batch entry: `seq` joins replica `r`'s batch, counted against its
+    /// pool, and the peak batch width is recorded.
+    pub(super) fn enter_batch(&mut self, r: usize, seq: ActiveSeq) {
+        let batch = &mut self.batch.batches[r];
+        self.stats.peak_batch = self.stats.peak_batch.max(batch.len() as u32 + 1);
+        batch.push(seq, self.kv.paged[r].as_ref());
+    }
+
+    /// A landed swap-in: its host-pool bytes are released and it
+    /// re-enters replica `r`'s batch.
+    pub(super) fn land_swap_in(&mut self, r: usize, mut seq: ActiveSeq) {
+        self.kv.host_used[r] = self.kv.host_used[r].saturating_sub(seq.hosted_bytes);
+        seq.hosted_bytes = 0;
+        self.enter_batch(r, seq);
+    }
+
     /// Swap-ins first: preempted sequences are older than
     /// anything still queued, so they are *offered* freed slots
     /// before new admissions at every boundary (a policy head
@@ -140,130 +348,88 @@ impl EngineCore<'_> {
     /// replica is empty it re-enters unconditionally, which
     /// guarantees every preempted sequence eventually completes.
     pub(super) fn readmit_swapped(&mut self, r: usize) {
-        let model = self.model;
-        let max_batch = self.max_batch;
-        let overlap = self.overlap;
-        let scheduler = self.scheduler;
-        let replicas = &mut *self.replicas;
-        let kv = &mut self.kv;
-        let lanes = &mut self.lanes;
-        let batch = &mut self.batch;
-        let stats = &mut self.stats;
-        while batch.batches[r].len() + lanes.incoming[r].len() < max_batch as usize
-            && !kv.swapped[r].is_empty()
+        while self.batch.batches[r].len() + self.lanes.incoming[r].len() < self.max_batch as usize
+            && !self.kv.swapped[r].is_empty()
         {
-            let views = kv.swapped[r].iter().map(ActiveSeq::view).enumerate();
-            let Some((ci, _)) =
-                super::select_min(views, |a, b| scheduler.readmission.compare(a, b))
-            else {
+            let readmission = self.scheduler.readmission;
+            let views = self.kv.swapped[r].iter().map(ActiveSeq::view).enumerate();
+            let Some((ci, _)) = super::select_min(views, |a, b| readmission.compare(a, b)) else {
                 break;
             };
-            let force = batch.batches[r].is_empty() && lanes.incoming[r].is_empty();
+            let force = self.batch.batches[r].is_empty() && self.lanes.incoming[r].is_empty();
             if !force {
-                let grown_tokens = |s: &ActiveSeq| {
+                let grown = |s: &ActiveSeq| {
                     if s.decoding() && s.remaining > 0 {
                         s.past + 1
                     } else {
                         s.past
                     }
                 };
-                let fits = if let Some(p) = kv.paged[r].as_mut() {
-                    // Block arithmetic: residents' one-iteration
-                    // growth plus whatever the candidate must
-                    // reacquire beyond the (shared) blocks it still
-                    // holds — its context for a hosted victim, its
-                    // imminent re-prefill target for a recompute
-                    // victim (gating on the vacuously small current
-                    // cache would invite recompute thrash).
-                    let cand = &kv.swapped[r][ci];
-                    let target = if cand.decoding() {
-                        grown_tokens(cand)
-                    } else {
-                        cand.prefill_target.max(1)
-                    };
-                    let need = p.growth(cand.slot, target) + batch.batches[r].decode_growth();
-                    p.reclaim(need);
-                    if need <= p.free_blocks() {
-                        stats.peak_kv_occupancy =
-                            stats.peak_kv_occupancy.max(p.occupancy_plus(need));
-                        true
-                    } else {
-                        false
-                    }
+                // The candidate must reacquire its grown context if
+                // hosted; a recompute victim holds no KV *yet*, but
+                // will immediately re-prefill its whole context, so it
+                // gates on that imminent footprint (like fresh
+                // admission does on the prompt), not on its vacuously
+                // empty cache, which would invite recompute thrash.
+                // Paged, only what lies beyond the (shared) blocks it
+                // still holds counts, plus the residents' growth.
+                let cand = &self.kv.swapped[r][ci];
+                let (tokens, shape) = if cand.decoding() {
+                    let tokens = grown(cand);
+                    (tokens, ActiveSeq::kv_shape(tokens))
                 } else {
-                    let grown = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
-                    let mut projected: Vec<RequestShape> = batch.batches[r]
-                        .settled()
-                        .iter()
-                        .map(grown)
-                        .chain(lanes.in_flight_shapes(r))
-                        .collect();
-                    let cand = &kv.swapped[r][ci];
-                    if cand.decoding() {
-                        projected.push(grown(cand));
-                    } else {
-                        // A recompute victim holds no KV *yet*, but
-                        // will immediately re-prefill its whole
-                        // context: gate on that imminent footprint
-                        // (like fresh admission does on the prompt),
-                        // not on its vacuously empty cache — otherwise
-                        // it re-enters a full device and the pressure
-                        // check just evicts someone else (recompute
-                        // thrash).
-                        projected.push(RequestShape {
-                            input: cand.prefill_target.max(1),
-                            output: 1,
-                        });
-                    }
-                    match replicas.backend(r).batch_fits(model, &projected) {
-                        Ok(occupancy) => {
-                            stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(occupancy);
-                            true
-                        }
-                        Err(_) => false,
-                    }
+                    let tokens = cand.prefill_target.max(1);
+                    let shape = RequestShape {
+                        input: tokens,
+                        output: 1,
+                    };
+                    (tokens, shape)
                 };
-                if !fits {
+                let need = self.kv.paged[r]
+                    .as_ref()
+                    .map(|p| p.growth(cand.slot, tokens) + self.batch.batches[r].decode_growth());
+                if !self.kv_fits(r, need, shape, Residents::Context(grown)) {
                     break;
                 }
             }
-            let mut seq = kv.swapped[r].remove(ci);
-            if let Some(p) = kv.paged[r].as_mut() {
+            let seq = self.kv.swapped[r].remove(ci);
+            if let Some(p) = self.kv.paged[r].as_mut() {
                 // A victim whose swap-out DMA is still draining
                 // never really left the device: cancel the pending
                 // retire (which would free blocks now live again)
                 // and regrow the table to its context — a no-op
                 // when the blocks were never dropped. Recompute
                 // victims reacquire blocks lazily, chunk by chunk.
-                lanes.outgoing[r].retain(|&(_, slot)| slot != seq.slot);
+                // Contiguous slots are all 0, so this cancel is
+                // paged-only.
+                self.lanes.outgoing[r].retain(|&(_, slot)| slot != seq.slot);
                 p.grow(seq.slot, seq.past);
             }
             if seq.hosted_bytes == 0 {
                 // Recompute victim: nothing to restore over the
                 // link — it rejoins the batch and re-prefills its
                 // context through the chunk machinery.
-                stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-                batch.batches[r].push(seq, kv.paged[r].as_ref());
+                self.enter_batch(r, seq);
                 continue;
             }
             // Restore what the swap-out moved: the unshared
             // context (everything, under contiguous accounting).
-            let swap_in = replicas.kv_transfer_secs(r, model, seq.past - seq.shared_tokens);
-            stats.dma[r] += swap_in;
-            let ready = lanes.dma[r].issue(DmaLane::H2D, batch.clock[r], swap_in);
-            if overlap && !force {
+            let swap_in =
+                self.replicas
+                    .kv_transfer_secs(r, self.model, seq.past - seq.shared_tokens);
+            self.stats.dma[r] += swap_in;
+            let clock = self.batch.clock[r];
+            let ready = self.lanes.dma[r].issue(DmaLane::H2D, clock, swap_in);
+            if self.overlap && !force {
                 // Decode continues around the transfer; the
                 // sequence re-enters when its DMA completes.
-                lanes.incoming[r].push(ready, seq);
+                self.lanes.incoming[r].push(ready, seq);
             } else {
                 // Serialized (or forced restart of an empty
                 // replica): the compute clock waits out the DMA.
-                stats.stall[r] += ready - batch.clock[r];
-                batch.clock[r] = ready;
-                kv.host_used[r] = kv.host_used[r].saturating_sub(seq.hosted_bytes);
-                seq.hosted_bytes = 0;
-                stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-                batch.batches[r].push(seq, kv.paged[r].as_ref());
+                self.stats.stall[r] += ready - clock;
+                self.batch.clock[r] = ready;
+                self.land_swap_in(r, seq);
             }
         }
     }
@@ -358,16 +524,10 @@ impl EngineCore<'_> {
                     Pressure::Evict(Some(p.occupancy_plus(growth)))
                 }
             } else {
-                let grown_shape = |s: &ActiveSeq| ActiveSeq::kv_shape(grown_tokens(s));
                 // The current projection: residents grown, then
                 // in-flight swap-ins and draining swap-outs. Its
                 // prefix without the swap-outs is the eventual one.
-                let mut current: Vec<RequestShape> = batch.batches[r]
-                    .settled()
-                    .iter()
-                    .map(grown_shape)
-                    .chain(lanes.in_flight_shapes(r))
-                    .collect();
+                let mut current = projection(&mut batch.batches[r], lanes, r, grown_tokens);
                 let eventual = current.len() - lanes.outgoing[r].len();
                 match replicas.backend(r).batch_fits(model, &current[..eventual]) {
                     Ok(_) => {

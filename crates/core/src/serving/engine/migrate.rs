@@ -6,9 +6,10 @@
 //! decode-pool route table and the per-replica inbound lane queues,
 //! and the two phase entry points around them:
 //! [`EngineCore::admit_migrants`] lands arrived migrants into the
-//! destination batch, and [`EngineCore::migrate_after_prefill`] prices
-//! and launches the two-leg transfer when the batch layer hands it a
-//! finished prefill.
+//! destination batch, through the KV layer's migrant gate, prefix
+//! mapping and batch entry (`kv_state`), and
+//! [`EngineCore::migrate_after_prefill`] prices and launches the
+//! two-leg transfer when the batch layer hands it a finished prefill.
 
 use super::batch::ActiveSeq;
 use super::core::EngineCore;
@@ -16,7 +17,6 @@ use super::dma_retire::LaneQueue;
 use crate::serving::dma::DmaLane;
 use crate::serving::kv::PagedKv;
 use crate::serving::policy::MigrationTarget;
-use ianus_model::RequestShape;
 
 /// The migration layer's state: which replicas decode, and what is in
 /// flight toward each.
@@ -35,8 +35,9 @@ impl EngineCore<'_> {
     /// DMA has landed join the batch next — after this
     /// replica's own swapped sequences (they are older work)
     /// but ahead of new arrivals, FIFO by DMA-completion
-    /// time. Migrants arrive fully prefilled, so the gate is
-    /// the destination's residency check over their current
+    /// time. Migrants arrive fully prefilled, so the gate
+    /// ([`migrant_fits`](EngineCore::migrant_fits)) is the
+    /// destination's residency check over their current
     /// context; like swap-ins, an empty replica admits its
     /// head unconditionally (liveness: a migrant too big for
     /// a busy replica is guaranteed a slot once the batch
@@ -44,92 +45,35 @@ impl EngineCore<'_> {
     /// no-op in all-`Unified` clusters (the queue is never
     /// pushed).
     pub(super) fn admit_migrants(&mut self, r: usize) {
-        let model = self.model;
-        let max_batch = self.max_batch;
-        let mix = &self.mix;
-        let replicas = &mut *self.replicas;
-        let kv = &mut self.kv;
-        let lanes = &mut self.lanes;
-        let mig = &mut self.mig;
-        let batch = &mut self.batch;
-        let stats = &mut self.stats;
-        while batch.batches[r].len() + lanes.incoming[r].len() < max_batch as usize
-            && mig.migrating[r]
+        while self.batch.batches[r].len() + self.lanes.incoming[r].len() < self.max_batch as usize
+            && self.mig.migrating[r]
                 .next_at()
-                .is_some_and(|t| t <= batch.clock[r])
+                .is_some_and(|t| t <= self.batch.clock[r])
         {
-            let force = batch.batches[r].is_empty() && lanes.incoming[r].is_empty();
-            if !force {
-                let (_, cand) = mig.migrating[r].iter().next().expect("head was checked");
-                let fits = if let Some(p) = kv.paged[r].as_mut() {
-                    let hit_tokens = kv.class_keys[cand.class].map_or(0, |key| {
-                        p.prefix_hit_tokens(key, cand.shape.input.saturating_sub(1))
-                    });
-                    let need = p
-                        .blocks_for(cand.past)
-                        .saturating_sub(p.blocks_for(hit_tokens));
-                    p.reclaim(need);
-                    if need <= p.free_blocks() {
-                        stats.peak_kv_occupancy =
-                            stats.peak_kv_occupancy.max(p.occupancy_plus(need));
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    let mut resident: Vec<RequestShape> = batch.batches[r]
-                        .settled()
-                        .iter()
-                        .map(|s| ActiveSeq::kv_shape(s.past))
-                        .chain(lanes.in_flight_shapes(r))
-                        .collect();
-                    resident.push(ActiveSeq::kv_shape(cand.past));
-                    match replicas.backend(r).batch_fits(model, &resident) {
-                        Ok(occupancy) => {
-                            stats.peak_kv_occupancy = stats.peak_kv_occupancy.max(occupancy);
-                            true
-                        }
-                        Err(_) => false,
-                    }
-                };
-                if !fits {
-                    break;
-                }
+            let force = self.batch.batches[r].is_empty() && self.lanes.incoming[r].is_empty();
+            if !force && !self.migrant_fits(r) {
+                break;
             }
-            let (ready, mut seq) = mig.migrating[r]
-                .pop_due(batch.clock[r])
+            let (ready, mut seq) = self.mig.migrating[r]
+                .pop_due(self.batch.clock[r])
                 .expect("head was checked");
             // DMA landed at `ready`; the batch had no slot (or
             // the replica no turn) until now.
-            stats.migration_stall += batch.clock[r] - ready;
-            if let Some(p) = kv.paged[r].as_mut() {
-                // Fresh block accounting on the destination: map
-                // the class prefix from the local cache if this
-                // replica holds it, acquire the rest, and
-                // publish the prefix for later admissions (the
-                // migrant arrives fully prefilled, so its blocks
-                // are publishable immediately).
-                let (slot, shared) = p.admit(
-                    kv.class_keys[seq.class],
-                    seq.shape.input.saturating_sub(1),
-                    seq.shape.total_tokens(),
-                );
-                seq.slot = slot;
-                seq.shared_tokens = shared;
+            self.stats.migration_stall += self.batch.clock[r] - ready;
+            // Fresh block accounting on the destination: map the
+            // class prefix from the local cache if this replica
+            // holds it, acquire the rest, and publish the prefix
+            // for later admissions (the migrant arrives fully
+            // prefilled, so its blocks are publishable
+            // immediately). Contiguous accounting shares nothing.
+            seq.shared_tokens = 0;
+            if let Some((slot, shared)) = self.kv.admit(r, seq.class, None, seq.shape) {
+                (seq.slot, seq.shared_tokens) = (slot, shared);
+                let p = self.kv.paged[r].as_mut().expect("admitted to a paged pool");
                 p.grow(seq.slot, seq.past);
-                if let Some(key) = kv.class_keys[seq.class] {
-                    let prefix = mix[seq.class]
-                        .prefix_tokens
-                        .min(seq.shape.input.saturating_sub(1));
-                    if let Some(s2) = p.register_prefix(seq.slot, key, prefix) {
-                        seq.shared_tokens = seq.shared_tokens.max(s2);
-                    }
-                }
-            } else {
-                seq.shared_tokens = 0;
+                self.kv.publish_prefix(r, &mut seq, self.mix);
             }
-            stats.peak_batch = stats.peak_batch.max(batch.batches[r].len() as u32 + 1);
-            batch.batches[r].push(seq, kv.paged[r].as_ref());
+            self.enter_batch(r, seq);
         }
     }
 

@@ -8,10 +8,10 @@
 //! |---------------|--------------------|---------------------------------------------|
 //! | `replica`     | `Replicas`         | backends + per-price-class cost memos       |
 //! | `arrivals`    | [`ArrivalSpec`]    | one trace stream per run (Poisson/MMPP/...) |
-//! | `admission`   | `WaitQueue`        | arrival vector, wait queue, admission       |
+//! | `admission`   | `WaitQueue`        | arrival vector, wait queue, admission order |
 //! | `batch`       | `BatchState`       | counted `Batch`es, clocks, execute/advance  |
 //! | `decode`      | `DecodeEpoch`      | decoder counters, steady set, decode steps  |
-//! | `kv_state`    | `KvLedger`         | paged pools, swap queues, pressure/eviction |
+//! | `kv_state`    | `KvLedger`         | KV pools, fit rule, batch entry, eviction   |
 //! | `dma_retire`  | `LaneClocks`       | lane clocks, ordered `LaneQueue`s, retiring |
 //! | `migrate`     | `MigrationState`   | decode pool, prefill→decode handoff         |
 //! | `workflow_rt` | `WorkflowRt`       | workflow instances, completion fan-out      |
@@ -19,8 +19,7 @@
 //! | `preflight`   | [`ConfigError`]    | `validate`: whether a run can start         |
 //!
 //! This module keeps the public facade: [`ServingSim`] (builders, `run`,
-//! the rate sweeps). Behavior is bit-identical to the pre-split
-//! monolith.
+//! the rate sweeps).
 
 mod admission;
 mod arrivals;

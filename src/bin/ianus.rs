@@ -944,7 +944,7 @@ mod tests {
         let source = include_str!("ianus.rs").lines();
         let doc = ianus_command_lines(source.filter(|l| l.starts_with("//!")));
         let ci = ianus_command_lines(include_str!("../../.github/workflows/ci.yml").lines());
-        assert_eq!((doc.len(), ci.len()), (9, 5), "{doc:#?}\n{ci:#?}");
+        assert_eq!((doc.len(), ci.len()), (9, 6), "{doc:#?}\n{ci:#?}");
         for line in doc.iter().chain(&ci) {
             assert_eq!(error(line), "", "{line}");
         }

@@ -85,8 +85,6 @@ fn overlap_hides_dma_behind_decode() {
     let overlapped = run(true);
     assert_eq!(serial.completed, 120);
     assert_eq!(overlapped.completed, 120);
-    // Serialized: every transfer stalls the clock, by definition.
-    assert_eq!(serial.swap_stall, serial.kv_dma);
     // Overlapped: a real fraction of the DMA hides under decode.
     assert!(
         overlapped.swap_stall.as_secs_f64() < 0.7 * overlapped.kv_dma.as_secs_f64(),

@@ -3,10 +3,10 @@
 //!
 //! Each row is a named scenario run through the public API and printed
 //! as `name completed preemptions recomputes fingerprint`, where the
-//! fingerprint is FNV-1a over every field of the report. No row assigns
-//! replica roles, so every row must leave the disaggregation layer
-//! inert; a row may also assert what its run is about (DMA overlap that
-//! hides some stall, every tenant served). Debug builds check every
+//! fingerprint is FNV-1a over every field of the report. A row whose
+//! replicas are all `Unified` must leave the disaggregation layer inert;
+//! a row may also assert what its run is about (DMA overlap that hides
+//! some stall, every tenant served). Debug builds check every
 //! turn of every row against the step-scan rule; release builds compile
 //! that check out, and the fingerprints stand in for it.
 //!
@@ -61,6 +61,7 @@ const LEDGER: &[Row] = &[
     ("tenants_workflow", tenants_workflow),
     ("mixed_skip", mixed_skip),
     ("slo_burst", slo_burst),
+    ("disaggregated_paged_freest", disaggregated_paged_freest),
 ];
 
 #[test]
@@ -68,7 +69,9 @@ fn ledger_matches_benches_pins() {
     let mut actual = String::from("# name completed preemptions recomputes fingerprint\n");
     for (name, run) in LEDGER {
         let r = run();
-        assert_inert(&r);
+        if r.per_replica.iter().all(|p| p.role == ReplicaRole::Unified) {
+            assert_inert(&r);
+        }
         let fp = fingerprint(&r);
         actual += &format!(
             "{name} {} {} {} {fp:016x}\n",
@@ -262,13 +265,11 @@ impl Fnv {
     }
 }
 
-/// No row assigns replica roles, so the disaggregation layer must stay
-/// inert in every one.
+/// An all-`Unified` cluster must leave the disaggregation layer inert.
 fn assert_inert(r: &ServingReport) {
     assert_eq!(r.migrations, 0, "all-Unified cluster must not migrate");
     assert_eq!(r.migration_stall, Duration::ZERO);
     for p in &r.per_replica {
-        assert_eq!(p.role, ReplicaRole::Unified);
         assert_eq!(p.migrations_in, 0);
         assert_eq!(p.migrations_out, 0);
     }
@@ -337,7 +338,8 @@ fn unified_decode_heavy() -> ServingReport {
 /// the 32 GiB default host pool) under the default scheduler policy,
 /// with serialized or overlapped DMA. No class has an SLO, so
 /// attainment is vacuous; utilization counts compute only, so the swap
-/// DMA sits in `kv_dma`, and overlap hides part of its stall.
+/// DMA sits in `kv_dma`. Serialized DMA stalls compute for every
+/// transfer; overlap hides part of that stall.
 fn pr3(overlap: bool) -> ServingReport {
     let r = ServingSim::new(pr3_scenario())
         .replica(IanusSystem::new(SystemConfig::ianus()))
@@ -349,6 +351,8 @@ fn pr3(overlap: bool) -> ServingReport {
     assert_eq!(r.per_replica[0].kv_dma, r.kv_dma);
     if overlap {
         assert!(r.swap_stall < r.kv_dma, "overlap must hide some DMA");
+    } else {
+        assert_eq!(r.swap_stall, r.kv_dma, "serialized: all DMA stalls");
     }
     r
 }
@@ -487,5 +491,42 @@ fn slo_burst() -> ServingReport {
         r.slo_attainment > 0.0 && r.slo_attainment < 1.0,
         "SLO class neither all met nor all missed"
     );
+    r
+}
+
+/// A disaggregated, paged, preempting run: one prefill replica hands
+/// every sequence to two decode replicas of unequal KV, placed by
+/// `MigrationPolicy::FreestKv`. Long outputs keep the decode replicas
+/// busy, so migrants queue at the paged migrant gate (which refuses
+/// some), and the class's shared prefix is credited there once a decode
+/// replica has cached it.
+fn disaggregated_paged_freest() -> ServingReport {
+    let cfg = ServingConfig {
+        arrival_rate_hz: 30.0,
+        requests: 80,
+        seed: 0xD15A,
+        mix: vec![RequestClass::new(RequestShape::new(128, 512), 1.0).with_shared_prefix(64)],
+        workflows: vec![],
+        arrivals: Default::default(),
+    };
+    let r = ServingSim::new(cfg)
+        .replica_with_role(MemNode::tight(), ReplicaRole::PrefillOnly)
+        .replica_with_role(
+            MemNode {
+                kv_bytes: 512 << 20,
+                ..MemNode::tight()
+            },
+            ReplicaRole::DecodeOnly,
+        )
+        .replica_with_role(MemNode::tight(), ReplicaRole::DecodeOnly)
+        .scheduling(Scheduling::IterationLevel {
+            max_batch: 8,
+            prefill_chunk: None,
+            preempt: true,
+        })
+        .kv_block(64)
+        .migration(MigrationPolicy::FreestKv)
+        .run(&ModelConfig::gpt2_xl());
+    assert_eq!(r.migrations, 80);
     r
 }

@@ -1,22 +1,16 @@
 //! Two-lane DMA semantics: lane discipline at the unit level
-//! (`serving::dma`) and its report-level consequences on the swap
-//! path.
+//! (`serving::dma`).
 //!
 //! The lane pair models a full-duplex host link: one H2D lane
 //! (swap-ins, inbound migrations) and one D2H lane (swap-outs,
 //! outbound migration legs). "Swap-in priority" is structural — H2D
 //! traffic never queues behind D2H writebacks — and within a lane
-//! transfers never reorder.
+//! transfers never reorder. The report-level consequence on the swap
+//! path, that serialized DMA stalls compute for every transfer while
+//! overlap hides part of it, is asserted by the pin ledger's
+//! `pr3_serialized_dma` and `pr3_overlapped_dma` rows (`tests/pins.rs`).
 
-use common::{chunked, pr3_scenario};
-use ianus::prelude::*;
 use ianus::system::serving::dma::{DmaChannels, DmaLane};
-
-pub mod common;
-
-// ---------------------------------------------------------------------
-// Lane discipline (unit level, public API)
-// ---------------------------------------------------------------------
 
 /// Swap-in priority: an H2D transfer issued while the D2H lane is
 /// saturated starts immediately.
@@ -61,23 +55,4 @@ fn intra_lane_completions_never_reorder() {
             last = done;
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Report-level consequences on the swap path
-// ---------------------------------------------------------------------
-
-/// Serialized (non-overlapped) DMA stalls compute for every transfer,
-/// so the lanes cannot hide anything: `swap_stall == kv_dma` on the
-/// historical preemption scenario (the pin ledger's
-/// `pr3_serialized_dma` row; its `pr3_overlapped_dma` row is the same
-/// run with overlap, whose stall is less than its DMA time).
-#[test]
-fn serialized_dma_stalls_for_every_transfer() {
-    let r = ServingSim::new(pr3_scenario())
-        .replica(IanusSystem::new(SystemConfig::ianus()))
-        .scheduling(chunked(32, 128))
-        .run(&ModelConfig::gpt2_xl());
-    assert_eq!(r.completed, 120);
-    assert_eq!(r.swap_stall, r.kv_dma, "serialized: all DMA stalls");
 }
