@@ -14,7 +14,7 @@ use super::batch::ActiveSeq;
 use super::core::{EngineCore, MinTree};
 use super::workflow_rt::drop_prefix;
 use super::TimeKey;
-use crate::serving::report::{request_attains, RunStats};
+use crate::serving::report::{request_attains, Completion, RunStats};
 use crate::serving::DispatchPolicy;
 use crate::serving::ReplicaRole;
 
@@ -68,12 +68,7 @@ impl super::ServingSim {
         for (i, &f) in free.iter().enumerate() {
             fcfs.set(i, Some(f));
         }
-        let mut stats = RunStats::new(
-            n,
-            self.cfg.mix.len(),
-            self.cfg.requests,
-            self.cfg.arrivals.tenant_count(),
-        );
+        let mut stats = RunStats::new(n, self.cfg.requests, self.cfg.arrivals.tenant_count());
         stats.peak_batch = 1;
 
         for arrival in self.generate_arrivals() {
@@ -119,7 +114,6 @@ impl super::ServingSim {
             outstanding[replica].push_back(finish);
             stats.busy[replica] += s;
             let ttft = start - now + prefill;
-            stats.ttfts.push(ttft);
             // Request-level scheduling has no prefix cache: every TTFT
             // is a cold one.
             stats.ttft_colds.push(ttft);
@@ -134,18 +128,17 @@ impl super::ServingSim {
             } else {
                 request_attains(arrival.slo, ttft, &mut [])
             };
-            stats.complete(
-                replica,
-                arrival.class,
-                now,
-                s,
-                finish,
-                0,
-                0,
+            let completion = Completion {
+                sojourn: finish - now,
+                replica: replica as u32,
+                class: arrival.class as u32,
+                tenant: arrival.tenant,
+                preemptions: 0,
+                recomputes: 0,
                 attained,
-                arrival.tenant,
-                arrival.in_burst,
-            );
+                in_burst: arrival.in_burst,
+            };
+            stats.complete(completion, finish, s);
         }
         stats
     }

@@ -24,7 +24,7 @@ use super::decode::{position, unlist, DecodeEpoch, GapRuns};
 use super::workflow_rt::{WfTag, WfWorld};
 use crate::serving::kv::{KvSlot, PagedKv};
 use crate::serving::policy::SeqView;
-use crate::serving::report::request_attains;
+use crate::serving::report::{request_attains, Completion};
 use crate::serving::ReplicaRole;
 use crate::serving::{Priority, Slo};
 use ianus_model::RequestShape;
@@ -493,7 +493,6 @@ impl EngineCore<'_> {
         seq.ttft = now - seq.arrival;
         seq.last_token = now;
         let (ttft, cache_hit, remaining) = (seq.ttft, seq.cache_hit, seq.remaining);
-        self.stats.ttfts.push(ttft);
         if cache_hit {
             self.stats.ttft_hits.push(ttft);
         } else {
@@ -549,24 +548,22 @@ impl EngineCore<'_> {
                 key_homes: &mut self.wf.key_homes,
                 inheritance: self.wf.inheritance,
             }
-            .on_node_complete(&seq, r, now, &mut self.stats, &mut self.done);
+            .on_node_complete(&seq, r, now, &mut self.stats);
         }
         if let Some(p) = self.kv.paged[r].as_mut() {
             p.complete(seq.slot);
         }
         let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
-        self.stats.complete(
-            r,
-            seq.class,
-            seq.arrival,
-            seq.service,
-            now,
-            seq.preemptions,
-            seq.recomputes,
+        let completion = Completion {
+            sojourn: now - seq.arrival,
+            replica: r as u32,
+            class: seq.class as u32,
+            tenant: seq.tenant,
+            preemptions: seq.preemptions,
+            recomputes: seq.recomputes,
             attained,
-            seq.tenant,
-            seq.in_burst,
-        );
-        self.done += 1;
+            in_burst: seq.in_burst,
+        };
+        self.stats.complete(completion, now, seq.service);
     }
 }

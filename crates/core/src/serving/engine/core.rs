@@ -256,9 +256,8 @@ pub(super) struct EngineCore<'a> {
     pub(super) turns: TurnTree,
     /// The run's raw samples and counters.
     pub(super) stats: RunStats,
-    /// Requests (or workflow nodes) settled so far.
-    pub(super) done: u64,
-    /// Requests (or workflow nodes) the run must settle.
+    /// Requests (or workflow nodes) the run must settle: complete, or
+    /// cancel by speculative-group arbitration.
     pub(super) total: u64,
     /// Divergence guard: abort once the arrived-but-unadmitted backlog
     /// exceeds this.
@@ -336,7 +335,7 @@ impl ServingSim {
         let decode_pool: Vec<usize> = (0..n)
             .filter(|&i| self.roles[i] == ReplicaRole::DecodeOnly)
             .collect();
-        let stats = RunStats::new(n, mix.len(), total, self.cfg.arrivals.tenant_count());
+        let stats = RunStats::new(n, total, self.cfg.arrivals.tenant_count());
         // Divergence guard (off unless a bound is configured or this
         // run is a rate probe): abort once the arrived-but-unadmitted
         // backlog exceeds the bound.
@@ -375,7 +374,6 @@ impl ServingSim {
                 host_used: vec![0u64; n],
                 pools,
                 class_keys,
-                swap_count: 0,
             },
             lanes: LaneClocks {
                 dma: vec![DmaChannels::new(); n],
@@ -394,7 +392,6 @@ impl ServingSim {
             },
             turns: TurnTree::new(&self.roles),
             stats,
-            done: 0,
             total,
             divergence_bound,
             aborted: false,
@@ -409,7 +406,7 @@ impl EngineCore<'_> {
     /// executed inline), re-index, repeat until every request settles
     /// or the divergence guard aborts.
     pub(super) fn run(mut self) -> RunStats {
-        while self.done < self.total {
+        while self.stats.completed.len() as u64 + self.stats.cancelled_nodes < self.total {
             let Some((r, at)) = self.select_turn() else {
                 // Divergence guard fired.
                 break;

@@ -171,9 +171,14 @@ impl EngineCore<'_> {
         // Idle-waiting on an inbound migration is
         // migration stall; waiting on swap DMA is
         // swap stall (a tie goes to the swap side —
-        // both transfers are then due at once).
+        // both transfers are then due at once), from
+        // the landing migrant's handoff at the latest.
         if swap_event.is_none_or(|s| event < s) {
-            self.stats.migration_stall += event - clock;
+            let handoff = self.mig.migrating[r]
+                .iter()
+                .next()
+                .map_or(clock, |m| m.1.last_token);
+            self.stats.migration_stall += event - clock.max(handoff);
         } else {
             self.stats.stall[r] += event - clock;
         }

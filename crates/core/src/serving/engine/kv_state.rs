@@ -30,7 +30,7 @@ use ianus_model::{ModelConfig, RequestShape};
 
 /// The KV ledger: every byte/block of KV the cluster holds outside the
 /// compute path — paged pools, swapped-out sequences, host-pool usage —
-/// plus the per-class prefix keys and the swap-epoch counter.
+/// plus the per-class prefix keys.
 pub(super) struct KvLedger {
     /// Paged-KV state per replica when a block size is set and the
     /// backend reports a block budget; `None` keeps the legacy
@@ -46,8 +46,6 @@ pub(super) struct KvLedger {
     pub(super) pools: Vec<Option<u64>>,
     /// Per-class prefix-cache keys (`None` when the class opted out).
     pub(super) class_keys: Vec<Option<u64>>,
-    /// Monotone swap-out counter (FIFO re-admission's order).
-    pub(super) swap_count: u64,
 }
 
 /// Replica `r`'s paged block count, or `None` to keep contiguous
@@ -616,9 +614,9 @@ impl EngineCore<'_> {
             };
             let mut seq = batch.batches[r].remove(v, kv.paged[r].as_mut());
             seq.preemptions += 1;
-            kv.swap_count += 1;
-            seq.swap_epoch = kv.swap_count;
             stats.preemptions += 1;
+            // The run's eviction count so far orders FIFO re-admission.
+            seq.swap_epoch = stats.preemptions;
             // Only the *unshared* context moves (or drops):
             // shared prefix blocks stay resident under the
             // cache's reference. Contiguous mode has no shared

@@ -120,7 +120,6 @@ impl EngineCore<'_> {
         self.stats.dma[dst] += in_secs;
         let out_done = self.lanes.dma[r].issue(DmaLane::D2H, now, out_secs);
         let ready = self.lanes.dma[dst].issue(DmaLane::H2D, out_done, in_secs);
-        self.stats.migrations += 1;
         self.stats.migrated_out[r] += 1;
         self.stats.migrated_in[dst] += 1;
         self.mig.migrating[dst].push(ready, seq);

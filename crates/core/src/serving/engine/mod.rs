@@ -378,8 +378,7 @@ impl ServingSim {
         }
         let mix = workflow_rt::effective_mix(&self.cfg);
         let stats = if self.cfg.requests == 0 {
-            let tenants = self.cfg.arrivals.tenant_count();
-            RunStats::new(self.replicas.len(), mix.len(), 0, tenants)
+            RunStats::new(self.replicas.len(), 0, self.cfg.arrivals.tenant_count())
         } else {
             self.replicas.group();
             self.replicas.resolve(model);

@@ -155,7 +155,6 @@ impl WfWorld<'_> {
         replica: usize,
         now: f64,
         stats: &mut RunStats,
-        done: &mut u64,
     ) {
         let tag = seq.wf.expect("a workflow node completed");
         let ctx = self.ctx;
@@ -180,7 +179,6 @@ impl WfWorld<'_> {
         // Waiting nodes cancelled outright never reach the engine; they
         // settle here.
         stats.cancelled_nodes += out.cancelled.len() as u64;
-        *done += out.cancelled.len() as u64;
         // Released speculative losers: still queued → cancel in place;
         // already admitted → run to completion (their children are
         // cancelled, so the late completion fans out to nothing).
@@ -190,7 +188,6 @@ impl WfWorld<'_> {
             let ai = run.node_arrival[n].expect("released node has an arrival slot");
             if self.untaken.remove(&(TimeKey(self.arrivals[ai].at), ai)) {
                 stats.cancelled_nodes += 1;
-                *done += 1;
                 settled |= run.confirm_cancel(tpl, n, &mut out);
             } else {
                 run.keep_running(n);

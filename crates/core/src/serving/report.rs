@@ -335,9 +335,11 @@ pub struct ServingReport {
     pub migrations: u64,
     /// Total decode-side wall-clock lost to migration: idle time a
     /// decode replica spent waiting for an inbound migration's DMA to
-    /// land, plus time DMA-complete migrants waited for a batch slot.
-    /// The two parts are non-overlapping by construction (the wait for
-    /// DMA ends exactly where slot-waiting can begin).
+    /// land, counted from the migrant's handoff (the end of its prefill
+    /// on the prefill replica; idle time before it is not stall), plus
+    /// time DMA-complete migrants waited for a batch slot. The two
+    /// parts are non-overlapping by construction (the wait for DMA ends
+    /// exactly where slot-waiting can begin).
     pub migration_stall: Duration,
     /// Fraction of completed requests that met their class
     /// [`Slo`](super::Slo). Requests whose class has no SLO trivially
@@ -468,12 +470,74 @@ fn attainment(attained: u64, completed: u64) -> f64 {
     attained as f64 / completed as f64
 }
 
+/// One completed request, recorded once. Every per-class, per-tenant,
+/// per-replica, burst and whole-run completion figure of the report is
+/// folded from these records, so each partition's totals sum to the
+/// run's by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Completion {
+    /// Arrival to completion, in seconds.
+    pub sojourn: f64,
+    /// Replica, class (in the run's effective mix) and tenant indices.
+    pub replica: u32,
+    pub class: u32,
+    pub tenant: u32,
+    /// Evictions it suffered, and the subset resolved by recompute.
+    pub preemptions: u32,
+    pub recomputes: u32,
+    /// Whether it met its class SLO (no SLO counts as met).
+    pub attained: bool,
+    /// Whether it arrived inside a burst window.
+    pub in_burst: bool,
+}
+
+// A 50,000-request run holds 50,000 records until its report.
+const _: () = assert!(std::mem::size_of::<Completion>() <= 32);
+
+/// The completion totals and sojourn percentiles of one partition of
+/// the records.
+struct Partition {
+    completed: u64,
+    attained: u64,
+    preemptions: u64,
+    recomputes: u64,
+    sojourn: LatencyPercentiles,
+}
+
+impl Partition {
+    /// The partition of `done` that `member` selects, its sojourn
+    /// sample in completion order.
+    fn of(done: &[Completion], member: impl Fn(&Completion) -> bool) -> Self {
+        let (mut attained, mut preemptions, mut recomputes) = (0, 0, 0);
+        let mut sojourns = Vec::new();
+        for c in done.iter().filter(|c| member(c)) {
+            sojourns.push(c.sojourn);
+            attained += u64::from(c.attained);
+            preemptions += u64::from(c.preemptions);
+            recomputes += u64::from(c.recomputes);
+        }
+        Partition {
+            completed: sojourns.len() as u64,
+            attained,
+            preemptions,
+            recomputes,
+            sojourn: LatencyPercentiles::of(&mut sojourns),
+        }
+    }
+
+    /// The share of the partition that met its SLO.
+    fn attainment(&self) -> f64 {
+        attainment(self.attained, self.completed)
+    }
+}
+
 /// Raw samples out of either scheduling engine, before percentile
 /// assembly.
 pub(crate) struct RunStats {
-    pub sojourns: Vec<f64>,
-    pub class_sojourns: Vec<Vec<f64>>,
-    pub ttfts: Vec<f64>,
+    /// Every completed request, in completion order.
+    pub completed: Vec<Completion>,
+    /// Tenant count of the arrival spec (one row per tenant).
+    tenants: u32,
     /// Inter-token-latency samples, one per generated token, stored as
     /// runs.
     pub itls: RunSample,
@@ -485,15 +549,12 @@ pub(crate) struct RunStats {
     pub dma: Vec<f64>,
     /// Per-replica compute-clock time stalled on swap DMA.
     pub stall: Vec<f64>,
-    /// Prefill→decode migration counters: total handoffs, decode-side
-    /// wall-clock lost to them (see
+    /// Decode-side wall-clock lost to prefill→decode migrations (see
     /// [`ServingReport::migration_stall`]), and per-replica in/out
     /// counts (recorded at handoff time).
-    pub migrations: u64,
     pub migration_stall: f64,
     pub migrated_in: Vec<u64>,
     pub migrated_out: Vec<u64>,
-    pub served: Vec<u64>,
     /// Sum of per-request *unloaded* service times: the whole-request
     /// device time under request-level scheduling, and the memoized
     /// batch-1 prefill + decode-step sum under iteration-level (the two
@@ -501,25 +562,22 @@ pub(crate) struct RunStats {
     /// batch-stretch *out* of this sum means [`ServingReport::stable`]'s
     /// `p99 < 20 × mean_service` bound is equally strict in both modes —
     /// pricing residency here instead lets finite-horizon overload pass
-    /// as "stable" once batching inflates the denominator.
+    /// as "stable" once batching inflates the denominator. Summed in
+    /// completion order, as a running scalar: another order can round
+    /// differently.
     pub service_sum: f64,
     pub last_finish: f64,
     pub peak_batch: u32,
     pub peak_kv_occupancy: f64,
+    /// Eviction events and the recompute subset, counted when they
+    /// happen: a request the divergence guard left unfinished counts
+    /// here and in no [`Completion`].
     pub preemptions: u64,
     pub recomputes: u64,
-    pub class_preemptions: Vec<u64>,
-    pub class_recomputes: Vec<u64>,
-    pub preempted_requests: u64,
-    pub max_preemptions: u32,
     /// Peak bytes of swapped KV in any replica's host pool, and that
     /// peak as a fraction of the tightest finite pool it hit.
     pub host_peak_bytes: u64,
     pub host_peak_occupancy: f64,
-    /// Completed requests that met their class SLO (requests without an
-    /// SLO count as attained).
-    pub attained: u64,
-    pub class_attained: Vec<u64>,
     /// Paged-KV fragmentation samples (one per executed iteration):
     /// their sum and count, averaged at assembly.
     pub frag_sum: f64,
@@ -530,14 +588,11 @@ pub(crate) struct RunStats {
     /// tokens (the share ratio's numerator and denominator).
     pub shared_prompt_tokens: u64,
     pub prompt_tokens: u64,
-    /// TTFT samples split by prefix-cache outcome (cold = no shared
-    /// blocks mapped; every request is cold in contiguous mode).
+    /// TTFT samples, taken at first token and split by prefix-cache
+    /// outcome (cold = no shared blocks mapped; every request is cold
+    /// in contiguous mode). The run-wide TTFT reads their union.
     pub ttft_hits: Vec<f64>,
     pub ttft_colds: Vec<f64>,
-    /// Requests actually completed ([`complete`](Self::complete) calls)
-    /// — equals the configured request count except when the divergence
-    /// guard cut the run short.
-    pub completions: u64,
     /// Whole-workflow latency samples (root arrival → instance
     /// settled) and how many of those met their template deadline.
     /// Empty on flat runs.
@@ -550,53 +605,36 @@ pub(crate) struct RunStats {
     /// registered KV, over all their prompt tokens.
     pub inherited_tokens: u64,
     pub inheritable_tokens: u64,
-    /// Per-tenant sojourn samples and SLO-attained counts, indexed by
-    /// tenant (length = the arrival spec's tenant count).
-    pub tenant_sojourns: Vec<Vec<f64>>,
-    pub tenant_attained: Vec<u64>,
     /// ITL samples of tokens emitted by requests that arrived inside a
     /// burst window — a separate sample pushed alongside
     /// [`itls`](Self::itls). Percentiles do not depend on push order, so
     /// neither sample's runs affect the other's report.
     pub burst_itls: RunSample,
-    /// Completions (and SLO-attained completions) of requests that
-    /// arrived inside a burst window.
-    pub burst_completed: u64,
-    pub burst_attained: u64,
     /// Whether the divergence guard fired (see
     /// [`ServingReport::diverged`]).
     pub diverged: bool,
 }
 
 impl RunStats {
-    pub fn new(replicas: usize, classes: usize, requests: u64, tenants: u32) -> Self {
+    pub fn new(replicas: usize, requests: u64, tenants: u32) -> Self {
         RunStats {
-            sojourns: Vec::with_capacity(requests as usize),
-            class_sojourns: vec![Vec::new(); classes],
-            ttfts: Vec::with_capacity(requests as usize),
+            completed: Vec::with_capacity(requests as usize),
+            tenants: tenants.max(1),
             itls: RunSample::default(),
             busy: vec![0.0; replicas],
             dma: vec![0.0; replicas],
             stall: vec![0.0; replicas],
-            migrations: 0,
             migration_stall: 0.0,
             migrated_in: vec![0u64; replicas],
             migrated_out: vec![0u64; replicas],
-            served: vec![0u64; replicas],
             service_sum: 0.0,
             last_finish: 0.0,
             peak_batch: 0,
             peak_kv_occupancy: 0.0,
             preemptions: 0,
             recomputes: 0,
-            class_preemptions: vec![0u64; classes],
-            class_recomputes: vec![0u64; classes],
-            preempted_requests: 0,
-            max_preemptions: 0,
             host_peak_bytes: 0,
             host_peak_occupancy: 0.0,
-            attained: 0,
-            class_attained: vec![0u64; classes],
             frag_sum: 0.0,
             frag_samples: 0,
             prefix_hits: 0,
@@ -604,63 +642,22 @@ impl RunStats {
             prompt_tokens: 0,
             ttft_hits: Vec::new(),
             ttft_colds: Vec::with_capacity(requests as usize),
-            completions: 0,
             workflow_latencies: Vec::new(),
             workflow_attained: 0,
             cancelled_nodes: 0,
             inherited_tokens: 0,
             inheritable_tokens: 0,
-            tenant_sojourns: vec![Vec::new(); tenants.max(1) as usize],
-            tenant_attained: vec![0u64; tenants.max(1) as usize],
             burst_itls: RunSample::default(),
-            burst_completed: 0,
-            burst_attained: 0,
             diverged: false,
         }
     }
 
-    /// Records one completed request: its unloaded service time, how
-    /// often it was preempted (and recompute-preempted) along the way,
-    /// whether it met its class SLO, which tenant submitted it, and
-    /// whether it arrived inside a burst window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn complete(
-        &mut self,
-        replica: usize,
-        class: usize,
-        arrival: f64,
-        service: f64,
-        finish: f64,
-        preemptions: u32,
-        recomputes: u32,
-        attained: bool,
-        tenant: u32,
-        in_burst: bool,
-    ) {
-        self.completions += 1;
-        self.sojourns.push(finish - arrival);
-        self.class_sojourns[class].push(finish - arrival);
-        self.tenant_sojourns[tenant as usize].push(finish - arrival);
+    /// Records one completed request, which finished at `finish` and
+    /// would have taken `service` alone on its replica.
+    pub fn complete(&mut self, completion: Completion, finish: f64, service: f64) {
+        self.completed.push(completion);
         self.service_sum += service;
-        self.served[replica] += 1;
         self.last_finish = self.last_finish.max(finish);
-        self.class_preemptions[class] += u64::from(preemptions);
-        self.class_recomputes[class] += u64::from(recomputes);
-        if preemptions > 0 {
-            self.preempted_requests += 1;
-            self.max_preemptions = self.max_preemptions.max(preemptions);
-        }
-        if in_burst {
-            self.burst_completed += 1;
-        }
-        if attained {
-            self.attained += 1;
-            self.class_attained[class] += 1;
-            self.tenant_attained[tenant as usize] += 1;
-            if in_burst {
-                self.burst_attained += 1;
-            }
-        }
     }
 
     /// Builds the report from either engine's raw samples. `mix` is the
@@ -672,6 +669,7 @@ impl RunStats {
         replicas: Vec<(String, ReplicaRole)>,
     ) -> ServingReport {
         let n = replicas.len();
+        let done = &self.completed;
         // Rates over the run's span; an empty span has none.
         let span = self.last_finish;
         let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
@@ -679,25 +677,28 @@ impl RunStats {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let cs = &mut self.class_sojourns[i];
-                let completed = cs.len() as u64;
+                let p = Partition::of(done, |d| d.class as usize == i);
                 ClassReport {
                     shape: c.shape,
-                    completed,
-                    sojourn: LatencyPercentiles::of(cs),
-                    preemptions: self.class_preemptions[i],
-                    recomputes: self.class_recomputes[i],
-                    slo_attainment: attainment(self.class_attained[i], completed),
+                    completed: p.completed,
+                    sojourn: p.sojourn,
+                    preemptions: p.preemptions,
+                    recomputes: p.recomputes,
+                    slo_attainment: p.attainment(),
                 }
             })
             .collect();
+        let mut served = vec![0u64; n];
+        for c in done {
+            served[c.replica as usize] += 1;
+        }
         let per_replica = replicas
             .into_iter()
             .enumerate()
             .map(|(i, (name, role))| ReplicaReport {
                 name,
                 role,
-                completed: self.served[i],
+                completed: served[i],
                 utilization: per_sec(self.busy[i]).min(1.0),
                 kv_dma: Duration::from_secs_f64(self.dma[i]),
                 migrations_in: self.migrated_in[i],
@@ -708,18 +709,15 @@ impl RunStats {
         // excluded from the fairness ratio — it contributes no goodput
         // evidence, and including it would make every partial run
         // (or the divergence-guard prefix) read as infinitely unfair.
-        let per_tenant: Vec<TenantReport> = self
-            .tenant_sojourns
-            .iter_mut()
-            .enumerate()
-            .map(|(t, ts)| {
-                let completed = ts.len() as u64;
+        let per_tenant: Vec<TenantReport> = (0..self.tenants)
+            .map(|t| {
+                let p = Partition::of(done, |d| d.tenant == t);
                 TenantReport {
-                    tenant: t as u32,
-                    completed,
-                    sojourn: LatencyPercentiles::of(ts),
-                    slo_attainment: attainment(self.tenant_attained[t], completed),
-                    goodput_rps: per_sec(self.tenant_attained[t] as f64),
+                    tenant: t,
+                    completed: p.completed,
+                    sojourn: p.sojourn,
+                    slo_attainment: p.attainment(),
+                    goodput_rps: per_sec(p.attained as f64),
                 }
             })
             .collect();
@@ -744,27 +742,29 @@ impl RunStats {
             }
         };
         // On a completed run every configured request finishes, so the
-        // observed count equals `cfg.requests`; a divergence abort
+        // record count equals `cfg.requests`; a divergence abort
         // reports the prefix that actually completed. `max(1)` and the
         // span guards only matter on an abort before any completion.
-        let completions = self.completions;
+        let run = Partition::of(done, |_| true);
+        let burst = Partition::of(done, |c| c.in_burst);
+        let mut ttfts = [&self.ttft_hits[..], &self.ttft_colds].concat();
         ServingReport {
-            completed: completions,
-            mean_service: Duration::from_secs_f64(self.service_sum / completions.max(1) as f64),
-            sojourn: LatencyPercentiles::of(&mut self.sojourns),
-            ttft: LatencyPercentiles::of(&mut self.ttfts),
+            completed: run.completed,
+            mean_service: Duration::from_secs_f64(self.service_sum / run.completed.max(1) as f64),
+            sojourn: run.sojourn,
+            ttft: LatencyPercentiles::of(&mut ttfts),
             inter_token: self.itls.percentiles(),
             peak_batch: self.peak_batch,
             peak_kv_occupancy: self.peak_kv_occupancy,
             preemptions: self.preemptions,
             recomputes: self.recomputes,
-            preempted_requests: self.preempted_requests,
-            max_preemptions: self.max_preemptions,
+            preempted_requests: done.iter().filter(|c| c.preemptions > 0).count() as u64,
+            max_preemptions: done.iter().map(|c| c.preemptions).max().unwrap_or(0),
             host_kv_peak_bytes: self.host_peak_bytes,
             host_kv_peak_occupancy: self.host_peak_occupancy,
             kv_dma: Duration::from_secs_f64(self.dma.iter().sum()),
             swap_stall: Duration::from_secs_f64(self.stall.iter().sum()),
-            migrations: self.migrations,
+            migrations: self.migrated_out.iter().sum(),
             migration_stall: Duration::from_secs_f64(self.migration_stall),
             fragmentation: if self.frag_samples > 0 {
                 self.frag_sum / self.frag_samples as f64
@@ -779,7 +779,7 @@ impl RunStats {
             prefix_cache_hits: self.prefix_hits,
             ttft_cache_hit: LatencyPercentiles::of(&mut self.ttft_hits),
             ttft_cold: LatencyPercentiles::of(&mut self.ttft_colds),
-            slo_attainment: attainment(self.attained, completions),
+            slo_attainment: run.attainment(),
             workflow_latency: LatencyPercentiles::of(&mut self.workflow_latencies),
             workflow_slo_attainment: attainment(
                 self.workflow_attained,
@@ -793,7 +793,7 @@ impl RunStats {
                 0.0
             },
             burst_inter_token: self.burst_itls.percentiles(),
-            burst_slo_attainment: attainment(self.burst_attained, self.burst_completed),
+            burst_slo_attainment: burst.attainment(),
             tenant_fairness,
             per_tenant,
             utilization: if self.last_finish > 0.0 {
@@ -801,8 +801,8 @@ impl RunStats {
             } else {
                 0.0
             },
-            throughput_rps: per_sec(completions as f64),
-            goodput_rps: per_sec(self.attained as f64),
+            throughput_rps: per_sec(run.completed as f64),
+            goodput_rps: per_sec(run.attained as f64),
             diverged: self.diverged,
             per_class,
             per_replica,

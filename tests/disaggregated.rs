@@ -181,3 +181,29 @@ fn migration_policies_preserve_liveness() {
         "Freest must favor the big-KV decode replica"
     );
 }
+
+/// A decode replica idles until its first migrant is handed off, and
+/// that idle time is not migration stall: the stall counts from each
+/// landing migrant's handoff, so it stays within what the completed
+/// requests' sojourns can hold. The run is the shape of `ianus --serve
+/// --model gpt2-m --requests 40 --disaggregate 1:2`, where the stall
+/// once counted every idle second since the run began (21 s over a
+/// trace of about 10 s).
+#[test]
+fn migration_stall_counts_from_the_handoff() {
+    let r = ServingSim::new(ServingConfig::interactive(4.0, 40))
+        .disaggregated(
+            DisaggregationConfig::by_count(1, 2),
+            |_| IanusSystem::new(SystemConfig::ianus()),
+            |_| IanusSystem::new(SystemConfig::ianus()),
+        )
+        .scheduling(Scheduling::iteration(8))
+        .run(&ModelConfig::gpt2_m());
+    assert_eq!((r.completed, r.migrations), (40, 40));
+    let bound = r.completed as f64 * r.sojourn.max.as_secs_f64();
+    assert!(
+        r.migration_stall.as_secs_f64() <= bound,
+        "migration stall {} above completed × max sojourn ({bound} s)",
+        r.migration_stall
+    );
+}

@@ -6,7 +6,10 @@
 //! fingerprint is FNV-1a over every field of the report. A row whose
 //! replicas are all `Unified` must leave the disaggregation layer inert;
 //! a row may also assert what its run is about (DMA overlap that hides
-//! some stall, every tenant served). Debug builds check every
+//! some stall, every tenant served), and the ledger compares rows that
+//! differ in one knob (the two `pr3` rows: serialized and overlapped
+//! DMA). Every row's migration stall is at most its completions times
+//! its longest sojourn. Debug builds check every
 //! turn of every row against the step-scan rule; release builds compile
 //! that check out, and the fingerprints stand in for it.
 //!
@@ -18,7 +21,7 @@
 use common::{chunked, pr3_scenario, FixedRate, MemNode};
 use ianus::prelude::*;
 use ianus::system::serving::{ClassReport, ReplicaReport};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 pub mod common;
@@ -62,22 +65,30 @@ const LEDGER: &[Row] = &[
     ("mixed_skip", mixed_skip),
     ("slo_burst", slo_burst),
     ("disaggregated_paged_freest", disaggregated_paged_freest),
+    ("diverged_preempting", diverged_preempting),
 ];
 
 #[test]
 fn ledger_matches_benches_pins() {
     let mut actual = String::from("# name completed preemptions recomputes fingerprint\n");
+    let mut reports = BTreeMap::new();
     for (name, run) in LEDGER {
         let r = run();
         if r.per_replica.iter().all(|p| p.role == ReplicaRole::Unified) {
             assert_inert(&r);
         }
+        assert_migration_stall_bounded(name, &r);
         let fp = fingerprint(&r);
         actual += &format!(
             "{name} {} {} {} {fp:016x}\n",
             r.completed, r.preemptions, r.recomputes
         );
+        reports.insert(*name, r);
     }
+    overlap_hides_dma_behind_decode(
+        &reports["pr3_serialized_dma"],
+        &reports["pr3_overlapped_dma"],
+    );
     let expected = include_str!("../benches/pins.txt");
     if actual == expected {
         return;
@@ -273,6 +284,41 @@ fn assert_inert(r: &ServingReport) {
         assert_eq!(p.migrations_in, 0);
         assert_eq!(p.migrations_out, 0);
     }
+}
+
+/// Migration stall counts from each migrant's handoff, so no request
+/// can add more than its own sojourn to it.
+fn assert_migration_stall_bounded(name: &str, r: &ServingReport) {
+    let bound = r.sojourn.max.as_secs_f64() * r.completed as f64;
+    assert!(
+        r.migration_stall.as_secs_f64() <= bound,
+        "{name}: migration stall {} above completed × max sojourn ({bound} s)",
+        r.migration_stall
+    );
+}
+
+/// The two `pr3` rows differ only in DMA overlap: overlapped DMA hides
+/// a real fraction of the swap transfers behind decode, stalls less
+/// than the serialized run, and costs no throughput.
+fn overlap_hides_dma_behind_decode(serial: &ServingReport, overlapped: &ServingReport) {
+    assert!(
+        overlapped.swap_stall.as_secs_f64() < 0.7 * overlapped.kv_dma.as_secs_f64(),
+        "stall {} vs dma {}",
+        overlapped.swap_stall,
+        overlapped.kv_dma
+    );
+    assert!(
+        overlapped.swap_stall < serial.swap_stall,
+        "overlap must reduce stall: {} vs {}",
+        overlapped.swap_stall,
+        serial.swap_stall
+    );
+    assert!(
+        overlapped.throughput_rps >= serial.throughput_rps * 0.999,
+        "hiding transfers must not cost throughput: {} vs {}",
+        overlapped.throughput_rps,
+        serial.throughput_rps
+    );
 }
 
 /// Request-level FCFS over four identical replicas: the dispatch
@@ -528,5 +574,36 @@ fn disaggregated_paged_freest() -> ServingReport {
         .migration(MigrationPolicy::FreestKv)
         .run(&ModelConfig::gpt2_xl());
     assert_eq!(r.migrations, 80);
+    r
+}
+
+/// A preempting run the divergence guard cuts short: its report covers
+/// the simulated prefix only. Evictions are counted when they happen,
+/// so requests left unfinished count in `preemptions` and in no
+/// completion: the run-wide count exceeds the per-class sum.
+fn diverged_preempting() -> ServingReport {
+    let cfg = ServingConfig {
+        arrival_rate_hz: 500.0,
+        requests: 400,
+        seed: 7,
+        mix: vec![RequestClass::new(RequestShape::new(128, 64), 1.0)],
+        workflows: vec![],
+        arrivals: Default::default(),
+    };
+    let r = ServingSim::new(cfg)
+        .replica(MemNode::tight())
+        .scheduling(Scheduling::IterationLevel {
+            max_batch: 8,
+            prefill_chunk: None,
+            preempt: true,
+        })
+        .divergence_depth(Some(128))
+        .run(&ModelConfig::gpt2_xl());
+    assert!(r.diverged, "the backlog outgrows the bound");
+    let per_class: u64 = r.per_class.iter().map(|c| c.preemptions).sum();
+    assert!(
+        per_class < r.preemptions,
+        "unfinished requests were evicted too"
+    );
     r
 }
