@@ -14,7 +14,7 @@ use super::batch::ActiveSeq;
 use super::core::{EngineCore, MinTree};
 use super::workflow_rt::drop_prefix;
 use super::TimeKey;
-use crate::serving::report::{request_attains, Completion, RunStats};
+use crate::serving::report::{request_attains, Completion, RunSample, RunStats};
 use crate::serving::DispatchPolicy;
 use crate::serving::ReplicaRole;
 
@@ -116,18 +116,18 @@ impl super::ServingSim {
             let ttft = start - now + prefill;
             // Request-level scheduling has no prefix cache: every TTFT
             // is a cold one.
-            stats.ttft_colds.push(ttft);
+            stats.ttft_colds.push_n(ttft, 1);
+            // Every step waits the mean gap: one run of `steps` samples
+            // (none for a single-token request), kept for the request's
+            // own ITL check only when it has an SLO.
             let steps = shape.generation_steps();
-            let attained = if steps > 0 {
-                let itl = (s - prefill).max(0.0) / steps as f64;
-                stats.itls.push_n(itl, steps);
-                if arrival.in_burst {
-                    stats.burst_itls.push_n(itl, steps);
-                }
-                request_attains(arrival.slo, ttft, &mut [itl])
-            } else {
-                request_attains(arrival.slo, ttft, &mut [])
-            };
+            let itl = (s - prefill).max(0.0) / steps.max(1) as f64;
+            stats
+                .itls
+                .push_n(itl, steps, steps * u64::from(arrival.in_burst));
+            let mut gaps = RunSample::default();
+            gaps.push_n(itl, steps * u64::from(arrival.slo.is_some()));
+            let attained = request_attains(arrival.slo, ttft, &mut gaps);
             let completion = Completion {
                 sojourn: finish - now,
                 replica: replica as u32,
@@ -223,7 +223,7 @@ impl EngineCore<'_> {
                 remaining: arrival.shape.generation_steps(),
                 last_token: self.batch.clock[r],
                 ttft: 0.0,
-                gaps: Vec::new(),
+                gaps: RunSample::default(),
                 preemptions: 0,
                 recomputes: 0,
                 swap_epoch: 0,

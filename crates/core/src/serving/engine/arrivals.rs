@@ -24,6 +24,16 @@ use ianus_model::RequestShape;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// TTFT deadline in seconds of a request that arrived at `arrival`:
+/// the class SLO's `arrival + ttft`, or — for workflow nodes without
+/// one — the instance deadline, so deadline-ordered policies stay
+/// meaningful in workflow mode. Waiting and resident requests read it
+/// alike.
+pub(super) fn ttft_deadline(arrival: f64, slo: Option<Slo>, wf: Option<WfTag>) -> Option<f64> {
+    slo.map(|s| arrival + s.ttft.as_secs_f64())
+        .or(wf.and_then(|w| w.deadline))
+}
+
 /// One generated arrival of the trace.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Arrival {
@@ -50,22 +60,13 @@ pub(super) struct Arrival {
 }
 
 impl Arrival {
-    /// TTFT deadline in seconds: the class SLO's `arrival + ttft`, or —
-    /// for workflow nodes without one — the instance deadline, so
-    /// deadline-ordered policies stay meaningful in workflow mode.
-    pub(super) fn deadline(&self) -> Option<f64> {
-        self.slo
-            .map(|s| self.at + s.ttft.as_secs_f64())
-            .or(self.wf.and_then(|w| w.deadline))
-    }
-
     /// The admission-policy view of this waiting request.
     pub(super) fn queued_view(&self) -> crate::serving::policy::QueuedRequest {
         crate::serving::policy::QueuedRequest {
             shape: self.shape,
             arrival_idx: self.idx,
             priority: self.priority,
-            deadline: self.deadline(),
+            deadline: ttft_deadline(self.at, self.slo, self.wf),
             workflow_deadline: self.wf.and_then(|w| w.deadline),
             blocked_descendants: self.wf.map_or(0, |w| w.blocked_descendants),
         }

@@ -19,12 +19,13 @@
 //! ([`DecodeEpoch`]), so a decode step touches only the decoders whose
 //! step is not the steady one: no per-turn phase walks the batch.
 
+use super::arrivals::ttft_deadline;
 use super::core::EngineCore;
-use super::decode::{position, unlist, DecodeEpoch, GapRuns};
+use super::decode::{position, unlist, DecodeEpoch};
 use super::workflow_rt::{WfTag, WfWorld};
 use crate::serving::kv::{KvSlot, PagedKv};
 use crate::serving::policy::SeqView;
-use crate::serving::report::{request_attains, Completion};
+use crate::serving::report::{request_attains, Completion, Itls, RunSample};
 use crate::serving::ReplicaRole;
 use crate::serving::{Priority, Slo};
 use ianus_model::RequestShape;
@@ -72,7 +73,7 @@ pub(super) struct ActiveSeq {
     /// This sequence's own inter-token gaps, recorded only when it has
     /// an SLO (they exist for per-request attainment scoring; the same
     /// samples always land in the global ITL pool).
-    pub(super) gaps: Vec<f64>,
+    pub(super) gaps: RunSample,
     /// KV evictions suffered so far (swap-outs plus recompute drops).
     pub(super) preemptions: u32,
     /// Recompute-based evictions suffered so far (subset of
@@ -126,21 +127,13 @@ impl ActiveSeq {
         self.prefilled >= self.prefill_target
     }
 
-    /// TTFT deadline in seconds: the class SLO's `arrival + ttft`, or —
-    /// for workflow nodes without one — the instance deadline.
-    fn deadline(&self) -> Option<f64> {
-        self.slo
-            .map(|s| self.arrival + s.ttft.as_secs_f64())
-            .or(self.wf.and_then(|w| w.deadline))
-    }
-
     /// The eviction/re-admission policy view of this sequence, its
     /// cost fields NaN until the engine prices them.
     pub(super) fn view(&self) -> SeqView {
         SeqView {
             arrival_idx: self.idx,
             priority: self.priority,
-            deadline: self.deadline(),
+            deadline: ttft_deadline(self.arrival, self.slo, self.wf),
             kv_tokens: self.past,
             generated: self.shape.generation_steps() - self.remaining,
             swap_epoch: self.swap_epoch,
@@ -319,19 +312,14 @@ impl Batch {
 
     /// Starts the decode step at `now` (see [`DecodeEpoch::begin`]):
     /// the steady decoders advance in aggregate, their shared gap goes
-    /// to `gaps`, and the step's other decoders wait for
+    /// to `itls` as one run, and the step's other decoders wait for
     /// [`decode_until_finish`](Self::decode_until_finish).
-    pub(super) fn begin_decode(
-        &mut self,
-        now: f64,
-        paged: Option<&mut PagedKv>,
-        gaps: &mut GapRuns,
-    ) {
-        self.decode.begin(now, paged, gaps);
+    pub(super) fn begin_decode(&mut self, now: f64, paged: Option<&mut PagedKv>, itls: &mut Itls) {
+        self.decode.begin(now, paged, itls);
     }
 
     /// Continues the decode step at `now` over its touched decoders, in
-    /// batch order ([`DecodeEpoch::advance`]): gaps go to `gaps`, tables
+    /// batch order ([`DecodeEpoch::advance`]): gaps go to `itls`, tables
     /// grow in `paged`. Stops at the first sequence that emits its last
     /// token and returns its position — it is advanced but still
     /// resident and counted, for the caller to [`remove`](Self::remove)
@@ -340,13 +328,13 @@ impl Batch {
         &mut self,
         now: f64,
         mut paged: Option<&mut PagedKv>,
-        gaps: &mut GapRuns,
+        itls: &mut Itls,
     ) -> Option<usize> {
         while let Some(order) = self.decode.next(paged.as_deref_mut()) {
             let i = position(&self.orders, order);
             if self
                 .decode
-                .advance(&mut self.seqs[i], order, now, paged.as_deref_mut(), gaps)
+                .advance(&mut self.seqs[i], order, now, paged.as_deref_mut(), itls)
             {
                 return Some(i);
             }
@@ -494,9 +482,9 @@ impl EngineCore<'_> {
         seq.last_token = now;
         let (ttft, cache_hit, remaining) = (seq.ttft, seq.cache_hit, seq.remaining);
         if cache_hit {
-            self.stats.ttft_hits.push(ttft);
+            self.stats.ttft_hits.push_n(ttft, 1);
         } else {
-            self.stats.ttft_colds.push(ttft);
+            self.stats.ttft_colds.push_n(ttft, 1);
         }
         if remaining == 0 {
             // Single-token request: the prefill is the request.
@@ -513,21 +501,14 @@ impl EngineCore<'_> {
     /// order, leaving the pass only to complete a sequence that emitted
     /// its last token.
     pub(super) fn advance_decoders(&mut self, r: usize, now: f64) {
-        let mut gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
-        self.batch.batches[r].begin_decode(now, self.kv.paged[r].as_mut(), &mut gaps);
-        loop {
-            let finished = self.batch.batches[r].decode_until_finish(
-                now,
-                self.kv.paged[r].as_mut(),
-                &mut gaps,
-            );
-            gaps.flush();
-            let Some(i) = finished else {
-                break;
-            };
+        self.batch.batches[r].begin_decode(now, self.kv.paged[r].as_mut(), &mut self.stats.itls);
+        while let Some(i) = self.batch.batches[r].decode_until_finish(
+            now,
+            self.kv.paged[r].as_mut(),
+            &mut self.stats.itls,
+        ) {
             let seq = self.batch.batches[r].remove(i, self.kv.paged[r].as_mut());
             self.complete(r, seq, now);
-            gaps = GapRuns::new(&mut self.stats.itls, &mut self.stats.burst_itls);
         }
         self.batch.batches[r].end_decode(now, self.kv.paged[r].as_ref());
     }

@@ -12,9 +12,9 @@
 //! it joined at and the values it had then. One decode step costs O(1)
 //! plus the few sequences it must touch:
 //!
-//! * the past-length sum, the ITL samples (one run of the shared gap)
-//!   and the paged pool's slack ([`PagedKv::fill_tails`]) move in
-//!   aggregate;
+//! * the past-length sum, the run's ITL samples (one run of the shared
+//!   gap, written straight into the owned [`Itls`] pair) and the paged
+//!   pool's slack ([`PagedKv::fill_tails`]) move in aggregate;
 //! * a steady decoder whose next token crosses into a new block sits in
 //!   the bucket of the epochs `≡ k (mod block_tokens)` at which its
 //!   table fills, so a step touches `1/block_tokens` of them — and only
@@ -37,7 +37,7 @@
 
 use super::batch::ActiveSeq;
 use crate::serving::kv::{KvSlot, PagedKv};
-use crate::serving::report::RunSample;
+use crate::serving::report::Itls;
 use std::collections::BTreeSet;
 
 /// The decoders of one batch: the running counters every turn reads
@@ -178,7 +178,7 @@ impl DecodeEpoch {
     /// touched decoders (per-step ones, steady ones crossing into a new
     /// block, and steady ones emitting their last token) are queued for
     /// [`next`](Self::next) in batch order.
-    pub(super) fn begin(&mut self, now: f64, paged: Option<&mut PagedKv>, gaps: &mut GapRuns) {
+    pub(super) fn begin(&mut self, now: f64, paged: Option<&mut PagedKv>, itls: &mut Itls) {
         debug_assert_eq!(self.cursor, self.touched.len(), "previous step unfinished");
         debug_assert!(now >= self.at, "decode steps go back in time");
         self.touched.clear();
@@ -192,7 +192,7 @@ impl DecodeEpoch {
             }
             self.at = now;
             if self.steady > 0 {
-                gaps.push_n(gap, self.steady, self.steady_burst);
+                itls.push_n(gap, self.steady, self.steady_burst);
                 self.past_sum += self.steady;
                 if let Some(bucket) = self.crossing.get(self.bucket) {
                     self.touched.extend(bucket.iter().map(|&c| Touch::Cross(c)));
@@ -252,7 +252,7 @@ impl DecodeEpoch {
     /// its recompute re-prefill completed this iteration
     /// (`just_prefilled`, cleared here) or it already emitted at `now`
     /// (its first token came out of this iteration's prefill); its gap
-    /// goes to `gaps` (and its own log, under an SLO) and its table
+    /// goes to `itls` (and its own log, under an SLO) and its table
     /// grows in `paged`.
     pub(super) fn advance(
         &mut self,
@@ -260,7 +260,7 @@ impl DecodeEpoch {
         order: u64,
         now: f64,
         paged: Option<&mut PagedKv>,
-        gaps: &mut GapRuns,
+        itls: &mut Itls,
     ) -> bool {
         if let Some(since) = s.steady {
             debug_assert_eq!(
@@ -284,9 +284,9 @@ impl DecodeEpoch {
         // co-scheduled prefill chunks and swap traffic that stalled the
         // batch, not just this iteration's decode.
         let gap = now - s.last_token;
-        gaps.push_n(gap, 1, u64::from(s.in_burst));
+        itls.push_n(gap, 1, u64::from(s.in_burst));
         if s.slo.is_some() {
-            s.gaps.push(gap);
+            s.gaps.push_n(gap, 1);
         }
         s.last_token = now;
         s.past += 1;
@@ -467,57 +467,12 @@ pub(super) fn unlist(list: &mut Vec<u64>, key: u64) {
     list.swap_remove(j);
 }
 
-/// Inter-token gaps of one stretch of a decode step, counted locally in
-/// runs of equal gaps (the steady set's shared gap is one run) and
-/// written to the run's samples with [`RunSample::push_n`] when the gap
-/// changes and at [`flush`](Self::flush). Percentiles read only the
-/// multiset of samples, so the samples read exactly as one
-/// `push_n(gap, 1)` per token would leave them.
-pub(super) struct GapRuns<'a> {
-    itls: &'a mut RunSample,
-    burst_itls: &'a mut RunSample,
-    /// The current run: its gap, its samples, and how many of them came
-    /// from burst-window requests.
-    run: (f64, u64, u64),
-}
-
-impl<'a> GapRuns<'a> {
-    pub(super) fn new(itls: &'a mut RunSample, burst_itls: &'a mut RunSample) -> Self {
-        GapRuns {
-            itls,
-            burst_itls,
-            run: (0.0, 0, 0),
-        }
-    }
-
-    /// Counts `n` samples of `gap`, `burst` of them from burst-window
-    /// requests.
-    fn push_n(&mut self, gap: f64, n: u64, burst: u64) {
-        if self.run.0.to_bits() != gap.to_bits() {
-            self.write();
-            self.run = (gap, 0, 0);
-        }
-        self.run.1 += n;
-        self.run.2 += burst;
-    }
-
-    fn write(&mut self) {
-        let (gap, n, burst) = self.run;
-        self.itls.push_n(gap, n);
-        self.burst_itls.push_n(gap, burst);
-    }
-
-    /// Writes the last run.
-    pub(super) fn flush(mut self) {
-        self.write();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serving::engine::batch::Batch;
     use crate::serving::kv::prefix_key;
+    use crate::serving::report::RunSample;
     use crate::serving::{Priority, Slo};
     use ianus_model::RequestShape;
     use ianus_sim::Duration;
@@ -542,7 +497,7 @@ mod tests {
             remaining: shape.generation_steps(),
             last_token: 0.0,
             ttft: 0.0,
-            gaps: Vec::new(),
+            gaps: RunSample::default(),
             preemptions: 0,
             recomputes: 0,
             swap_epoch: 0,
@@ -568,7 +523,7 @@ mod tests {
         seqs: &mut Vec<ActiveSeq>,
         q: &mut PagedKv,
         now: f64,
-        itls: (&mut RunSample, &mut RunSample),
+        itls: &mut Itls,
         done: &mut Vec<(u64, u64)>,
     ) {
         let mut i = 0;
@@ -579,10 +534,10 @@ mod tests {
                 continue;
             }
             let gap = now - s.last_token;
-            itls.0.push_n(gap, 1);
-            itls.1.push_n(gap, u64::from(s.in_burst));
+            itls.all.push_n(gap, 1);
+            itls.burst.push_n(gap, u64::from(s.in_burst));
             if s.slo.is_some() {
-                s.gaps.push(gap);
+                s.gaps.push_n(gap, 1);
             }
             s.last_token = now;
             s.past += 1;
@@ -599,7 +554,7 @@ mod tests {
     }
 
     /// The fields a settled sequence shares with its per-step twin.
-    fn fields(s: &ActiveSeq) -> (u64, u64, u64, u64, u64, Vec<f64>, u64, u32) {
+    fn fields(s: &ActiveSeq) -> (u64, u64, u64, u64, u64, RunSample, u64, u32) {
         let last = s.last_token.to_bits();
         (
             s.idx,
@@ -638,8 +593,7 @@ mod tests {
             let mut batch = Batch::default();
             let mut twin: Vec<ActiveSeq> = Vec::new();
             let mut swapped: Vec<ActiveSeq> = Vec::new();
-            let (mut itls, mut burst_itls) = (RunSample::default(), RunSample::default());
-            let (mut want_itls, mut want_burst) = (RunSample::default(), RunSample::default());
+            let (mut itls, mut want_itls) = (Itls::default(), Itls::default());
             let (mut next_idx, mut now) = (0u64, 0.0f64);
             let key = prefix_key(0, 8);
             for (op, pick, n) in ops {
@@ -685,15 +639,13 @@ mod tests {
                             now += 1.0 + (pick % 3) as f64;
                         }
                         let (mut done, mut want_done) = (Vec::new(), Vec::new());
-                        eager_step(&mut twin, &mut q, now, (&mut want_itls, &mut want_burst), &mut want_done);
-                        let mut gaps = GapRuns::new(&mut itls, &mut burst_itls);
-                        batch.begin_decode(now, Some(&mut p), &mut gaps);
-                        while let Some(i) = batch.decode_until_finish(now, Some(&mut p), &mut gaps) {
+                        eager_step(&mut twin, &mut q, now, &mut want_itls, &mut want_done);
+                        batch.begin_decode(now, Some(&mut p), &mut itls);
+                        while let Some(i) = batch.decode_until_finish(now, Some(&mut p), &mut itls) {
                             let seq = batch.remove(i, Some(&mut p));
                             done.push((seq.idx, p.tokens_of(seq.slot)));
                             p.complete(seq.slot);
                         }
-                        gaps.flush();
                         batch.end_decode(now, Some(&p));
                         prop_assert_eq!(done, want_done);
                     }
@@ -756,8 +708,8 @@ mod tests {
                 (batch.decode_width(), batch.past_sum(), batch.decode_growth(), batch.chunk_target()),
                 (0, 0, 0, None)
             );
-            prop_assert_eq!(itls.sorted_runs(), want_itls.sorted_runs());
-            prop_assert_eq!(burst_itls.sorted_runs(), want_burst.sorted_runs());
+            prop_assert_eq!(itls.all.sorted_runs(), want_itls.all.sorted_runs());
+            prop_assert_eq!(itls.burst.sorted_runs(), want_itls.burst.sorted_runs());
             p.finish();
         }
     }

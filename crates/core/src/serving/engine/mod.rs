@@ -184,11 +184,6 @@ impl ServingSim {
         self
     }
 
-    /// The per-replica roles, in replica order.
-    pub fn roles(&self) -> &[ReplicaRole] {
-        &self.roles
-    }
-
     /// Installs the [`MigrationPolicy`] choosing which decode replica
     /// receives each prefill→decode handoff
     /// ([`MigrationPolicy::LeastLoaded`] by default). Only consulted

@@ -222,7 +222,7 @@ impl WfWorld<'_> {
         if settled {
             let run = &self.runs[tag.inst];
             debug_assert!(run.done(), "a settled instance owes no node an outcome");
-            stats.workflow_latencies.push(now - run.start);
+            stats.workflow_latencies.push_n(now - run.start, 1);
             if run.deadline.is_none_or(|d| now <= d) {
                 stats.workflow_attained += 1;
             }

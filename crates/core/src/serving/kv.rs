@@ -345,13 +345,16 @@ impl BlockTable {
 /// the class index is part of the identity (different classes model
 /// different system prompts even at equal length).
 pub fn prefix_key(class: usize, prefix_tokens: u64) -> u64 {
-    // FNV-1a over the two identity words; any stable mix works.
+    fnv1a(&[class as u64, prefix_tokens])
+}
+
+/// FNV-1a over the little-endian bytes of `words`: the stable mix
+/// behind every prefix-cache key.
+pub(crate) fn fnv1a(words: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in [class as u64, prefix_tokens] {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
@@ -1072,5 +1075,15 @@ mod tests {
         assert_ne!(prefix_key(0, 384), prefix_key(1, 384));
         assert_ne!(prefix_key(0, 384), prefix_key(0, 256));
         assert_eq!(prefix_key(3, 128), prefix_key(3, 128));
+    }
+
+    /// Key values order the cache's reclaim walk, so they are pinned:
+    /// FNV-1a over each word's little-endian bytes.
+    #[test]
+    fn prefix_keys_are_pinned() {
+        assert_eq!(prefix_key(0, 384), 0x456a_1fa9_9786_810a);
+        assert_eq!(prefix_key(3, 128), 0x59ba_b0fb_fc6f_6c26);
+        let workflow = crate::serving::workflow::workflow_prefix_key(5, 2);
+        assert_eq!(workflow, 0x04b5_6a85_a403_afd3);
     }
 }

@@ -617,20 +617,6 @@ impl DisaggregationConfig {
         }
     }
 
-    /// Total replica count across both pools.
-    pub fn total(self) -> usize {
-        self.prefill + self.decode
-    }
-
-    /// The role vector this config instantiates: `prefill` leading
-    /// [`ReplicaRole::PrefillOnly`] entries, then `decode`
-    /// [`ReplicaRole::DecodeOnly`] entries.
-    pub fn roles(self) -> Vec<ReplicaRole> {
-        let mut v = vec![ReplicaRole::PrefillOnly; self.prefill];
-        v.resize(self.total(), ReplicaRole::DecodeOnly);
-        v
-    }
-
     /// Realized hardware cost of the cluster given per-device costs.
     pub fn cost_units(self, prefill_unit_cost: f64, decode_unit_cost: f64) -> f64 {
         self.prefill as f64 * prefill_unit_cost + self.decode as f64 * decode_unit_cost

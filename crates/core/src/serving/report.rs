@@ -1,4 +1,8 @@
 //! Serving-report types and the raw-sample assembly behind them.
+//!
+//! Every latency sample is a [`RunSample`] and every
+//! [`LatencyPercentiles`] of a report is read by
+//! [`RunSample::percentiles`], the one rank-selection routine.
 
 use super::{ReplicaRole, RequestClass};
 use ianus_sim::Duration;
@@ -25,39 +29,6 @@ impl LatencyPercentiles {
         p99: Duration::ZERO,
         max: Duration::ZERO,
     };
-
-    /// Percentiles of a sample of seconds: the values at ranks
-    /// [`rank`]`(len, p)` of its ascending [`f64::total_cmp`] order, each
-    /// selected in place rather than sorted for (`samples` is left
-    /// reordered). Equal-ranked finite values are bit-identical under
-    /// `total_cmp`, so this reads exactly what a full sort would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sample is not finite.
-    pub(crate) fn of(samples: &mut [f64]) -> Self {
-        assert!(samples.iter().all(|x| x.is_finite()), "samples are finite");
-        if samples.is_empty() {
-            return LatencyPercentiles::ZERO;
-        }
-        // Each rank is at or above the previous one, so each selection
-        // searches only the upper part the previous one left behind.
-        let mut lo = 0;
-        let mut select = |p: f64| {
-            let idx = rank(samples.len(), p);
-            samples[lo..].select_nth_unstable_by(idx - lo, f64::total_cmp);
-            lo = idx;
-            Duration::from_secs_f64(samples[idx])
-        };
-        let (p50, p95, p99) = (select(0.50), select(0.95), select(0.99));
-        let max = samples[lo..].iter().copied().fold(samples[lo], f64::max);
-        LatencyPercentiles {
-            p50,
-            p95,
-            p99,
-            max: Duration::from_secs_f64(max),
-        }
-    }
 }
 
 /// A latency sample stored as runs of bit-equal values: `(seconds,
@@ -66,10 +37,13 @@ impl LatencyPercentiles {
 /// sequences all waited the same gap stores one run, not one value per
 /// token.
 ///
-/// The value at each rank of a multiset does not depend on how it is
-/// stored, so [`percentiles`](Self::percentiles) reads exactly what
-/// [`LatencyPercentiles::of`] reads over the expanded samples.
-#[derive(Debug, Clone, Default)]
+/// Every latency sample of a run is one of these — sojourns, TTFTs,
+/// ITLs, workflow latencies and each SLO request's own gaps — and every
+/// [`LatencyPercentiles`] of a report is read by
+/// [`percentiles`](Self::percentiles). The value at each rank of a
+/// multiset does not depend on how it is stored, so the runs read
+/// exactly what the expanded samples would.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RunSample {
     runs: Vec<(f64, u64)>,
 }
@@ -83,6 +57,18 @@ impl RunSample {
         match self.runs.last_mut() {
             Some((last, n)) if last.to_bits() == secs.to_bits() => *n += count,
             _ => self.runs.push((secs, count)),
+        }
+    }
+
+    /// Samples held: the runs' counts summed.
+    pub fn count(&self) -> u64 {
+        self.runs.iter().map(|&(_, n)| n).sum()
+    }
+
+    /// The union of this sample and `other`.
+    pub fn union(&self, other: &RunSample) -> RunSample {
+        RunSample {
+            runs: [&self.runs[..], &other.runs].concat(),
         }
     }
 
@@ -102,7 +88,7 @@ impl RunSample {
         if self.runs.is_empty() {
             return LatencyPercentiles::ZERO;
         }
-        let len: u64 = self.runs.iter().map(|&(_, n)| n).sum();
+        let len = self.count();
         // Each rank is at or above the previous one, and a selection
         // leaves every run before the selected one no larger and every
         // run after it no smaller, so each search resumes there.
@@ -125,6 +111,25 @@ impl RunSample {
             p99,
             max: Duration::from_secs_f64(max),
         }
+    }
+}
+
+/// The run's inter-token-latency samples: one per generated token in
+/// `all`, and those of requests that arrived inside a burst window
+/// again in `burst`. Percentiles do not depend on push order, so
+/// neither sample's runs affect the other's report.
+#[derive(Debug, Default)]
+pub(crate) struct Itls {
+    pub all: RunSample,
+    pub burst: RunSample,
+}
+
+impl Itls {
+    /// Records `n` samples of `gap`, `burst` of them from burst-window
+    /// requests.
+    pub fn push_n(&mut self, gap: f64, n: u64, burst: u64) {
+        self.all.push_n(gap, n);
+        self.burst.push_n(gap, burst);
     }
 }
 
@@ -509,19 +514,19 @@ impl Partition {
     /// sample in completion order.
     fn of(done: &[Completion], member: impl Fn(&Completion) -> bool) -> Self {
         let (mut attained, mut preemptions, mut recomputes) = (0, 0, 0);
-        let mut sojourns = Vec::new();
+        let mut sojourns = RunSample::default();
         for c in done.iter().filter(|c| member(c)) {
-            sojourns.push(c.sojourn);
+            sojourns.push_n(c.sojourn, 1);
             attained += u64::from(c.attained);
             preemptions += u64::from(c.preemptions);
             recomputes += u64::from(c.recomputes);
         }
         Partition {
-            completed: sojourns.len() as u64,
+            completed: sojourns.count(),
             attained,
             preemptions,
             recomputes,
-            sojourn: LatencyPercentiles::of(&mut sojourns),
+            sojourn: sojourns.percentiles(),
         }
     }
 
@@ -538,9 +543,8 @@ pub(crate) struct RunStats {
     pub completed: Vec<Completion>,
     /// Tenant count of the arrival spec (one row per tenant).
     tenants: u32,
-    /// Inter-token-latency samples, one per generated token, stored as
-    /// runs.
-    pub itls: RunSample,
+    /// Inter-token-latency samples, run-wide and burst-window.
+    pub itls: Itls,
     /// Per-replica **compute** time (prefill + decode iterations only;
     /// KV swap DMA goes to [`dma`](Self::dma) so utilization keeps
     /// meaning compute-busy).
@@ -591,12 +595,12 @@ pub(crate) struct RunStats {
     /// TTFT samples, taken at first token and split by prefix-cache
     /// outcome (cold = no shared blocks mapped; every request is cold
     /// in contiguous mode). The run-wide TTFT reads their union.
-    pub ttft_hits: Vec<f64>,
-    pub ttft_colds: Vec<f64>,
+    pub ttft_hits: RunSample,
+    pub ttft_colds: RunSample,
     /// Whole-workflow latency samples (root arrival → instance
     /// settled) and how many of those met their template deadline.
     /// Empty on flat runs.
-    pub workflow_latencies: Vec<f64>,
+    pub workflow_latencies: RunSample,
     pub workflow_attained: u64,
     /// Nodes retired by speculative-group cancellation.
     pub cancelled_nodes: u64,
@@ -605,11 +609,6 @@ pub(crate) struct RunStats {
     /// registered KV, over all their prompt tokens.
     pub inherited_tokens: u64,
     pub inheritable_tokens: u64,
-    /// ITL samples of tokens emitted by requests that arrived inside a
-    /// burst window — a separate sample pushed alongside
-    /// [`itls`](Self::itls). Percentiles do not depend on push order, so
-    /// neither sample's runs affect the other's report.
-    pub burst_itls: RunSample,
     /// Whether the divergence guard fired (see
     /// [`ServingReport::diverged`]).
     pub diverged: bool,
@@ -620,7 +619,7 @@ impl RunStats {
         RunStats {
             completed: Vec::with_capacity(requests as usize),
             tenants: tenants.max(1),
-            itls: RunSample::default(),
+            itls: Itls::default(),
             busy: vec![0.0; replicas],
             dma: vec![0.0; replicas],
             stall: vec![0.0; replicas],
@@ -640,14 +639,13 @@ impl RunStats {
             prefix_hits: 0,
             shared_prompt_tokens: 0,
             prompt_tokens: 0,
-            ttft_hits: Vec::new(),
-            ttft_colds: Vec::with_capacity(requests as usize),
-            workflow_latencies: Vec::new(),
+            ttft_hits: RunSample::default(),
+            ttft_colds: RunSample::default(),
+            workflow_latencies: RunSample::default(),
             workflow_attained: 0,
             cancelled_nodes: 0,
             inherited_tokens: 0,
             inheritable_tokens: 0,
-            burst_itls: RunSample::default(),
             diverged: false,
         }
     }
@@ -747,13 +745,13 @@ impl RunStats {
         // span guards only matter on an abort before any completion.
         let run = Partition::of(done, |_| true);
         let burst = Partition::of(done, |c| c.in_burst);
-        let mut ttfts = [&self.ttft_hits[..], &self.ttft_colds].concat();
+        let workflows = self.workflow_latencies.count();
         ServingReport {
             completed: run.completed,
             mean_service: Duration::from_secs_f64(self.service_sum / run.completed.max(1) as f64),
             sojourn: run.sojourn,
-            ttft: LatencyPercentiles::of(&mut ttfts),
-            inter_token: self.itls.percentiles(),
+            ttft: self.ttft_hits.union(&self.ttft_colds).percentiles(),
+            inter_token: self.itls.all.percentiles(),
             peak_batch: self.peak_batch,
             peak_kv_occupancy: self.peak_kv_occupancy,
             preemptions: self.preemptions,
@@ -777,22 +775,19 @@ impl RunStats {
                 0.0
             },
             prefix_cache_hits: self.prefix_hits,
-            ttft_cache_hit: LatencyPercentiles::of(&mut self.ttft_hits),
-            ttft_cold: LatencyPercentiles::of(&mut self.ttft_colds),
+            ttft_cache_hit: self.ttft_hits.percentiles(),
+            ttft_cold: self.ttft_colds.percentiles(),
             slo_attainment: run.attainment(),
-            workflow_latency: LatencyPercentiles::of(&mut self.workflow_latencies),
-            workflow_slo_attainment: attainment(
-                self.workflow_attained,
-                self.workflow_latencies.len() as u64,
-            ),
-            completed_workflows: self.workflow_latencies.len() as u64,
+            workflow_latency: self.workflow_latencies.percentiles(),
+            workflow_slo_attainment: attainment(self.workflow_attained, workflows),
+            completed_workflows: workflows,
             cancelled_nodes: self.cancelled_nodes,
             inherited_prefix_ratio: if self.inheritable_tokens > 0 {
                 self.inherited_tokens as f64 / self.inheritable_tokens as f64
             } else {
                 0.0
             },
-            burst_inter_token: self.burst_itls.percentiles(),
+            burst_inter_token: self.itls.burst.percentiles(),
             burst_slo_attainment: burst.attainment(),
             tenant_fairness,
             per_tenant,
@@ -811,15 +806,18 @@ impl RunStats {
 }
 
 /// Whether a completed request met `slo`: TTFT within target and the
-/// p99 of its own inter-token gaps within target. `gaps` need not be
-/// sorted (the p99 is selected in place, reordering them); an empty gap
-/// set (single-token request) trivially meets the ITL half.
-pub(crate) fn request_attains(slo: Option<super::Slo>, ttft_secs: f64, gaps: &mut [f64]) -> bool {
+/// p99 of its own inter-token gaps within target. An empty gap sample
+/// (single-token request) trivially meets the ITL half.
+pub(crate) fn request_attains(
+    slo: Option<super::Slo>,
+    ttft_secs: f64,
+    gaps: &mut RunSample,
+) -> bool {
     let Some(slo) = slo else { return true };
     if ttft_secs > slo.ttft.as_secs_f64() {
         return false;
     }
-    LatencyPercentiles::of(gaps).p99.as_secs_f64() <= slo.itl_p99.as_secs_f64()
+    gaps.percentiles().p99.as_secs_f64() <= slo.itl_p99.as_secs_f64()
 }
 
 /// Index of the `p` quantile in an ascending sample of `len` values:
@@ -857,52 +855,51 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Rank selection reads exactly what a full sort reads, on
-        /// samples full of duplicates and signed zeros.
+        /// Run-length percentiles read exactly what a full sort of the
+        /// expanded samples reads, bit for bit, however the samples were
+        /// pushed: one at a time or as `push_n` runs (some thousands
+        /// long), in random order, over a handful of values with signed
+        /// zeros among them, each value in many separate runs, then up
+        /// to 101 single samples over as many distinct values. The same
+        /// draws split across two samples read alike through their
+        /// union (the run-wide TTFT's path).
         #[test]
-        fn rank_selection_matches_full_sort(
+        fn run_length_percentiles_match_expanded_samples(
+            draws in prop::collection::vec((0u8..6, 0u64..9, 0u8..2, 0u8..2), 0..40),
             len in prop::sample::select(vec![0usize, 1, 2, 3, 100, 101]),
-            draws in prop::collection::vec((0u8..6, 0u32..1000), 101..102),
+            distinct in prop::collection::vec((0u8..6, 0u32..1000), 101..102),
         ) {
-            let samples: Vec<f64> = draws[..len]
-                .iter()
-                .map(|&(kind, v)| match kind {
+            let mut runs = RunSample::default();
+            let mut halves = [RunSample::default(), RunSample::default()];
+            let mut expanded = Vec::new();
+            for (kind, count, singles, half) in draws {
+                let v = [-0.0, 0.0, 0.25, 0.5, 1e-3, 0.75][kind as usize];
+                let count = if count < 5 { count } else { count * 500 - kind as u64 };
+                for sample in [&mut runs, &mut halves[half as usize]] {
+                    if singles == 1 && count < 5 {
+                        (0..count).for_each(|_| sample.push_n(v, 1));
+                    } else {
+                        sample.push_n(v, count);
+                    }
+                }
+                expanded.extend(std::iter::repeat_n(v, count as usize));
+            }
+            for (i, &(kind, v)) in distinct[..len].iter().enumerate() {
+                let v = match kind {
                     0 => -0.0,
                     1 => 0.0,
                     2 | 3 => f64::from(v % 4) * 0.25,
                     _ => f64::from(v) * 1e-3,
-                })
-                .collect();
-            let mut selected = samples.clone();
-            prop_assert_eq!(LatencyPercentiles::of(&mut selected), sorted_percentiles(&samples));
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Run-length percentiles read exactly what `of` reads over the
-        /// expanded samples, bit for bit, however the samples were
-        /// pushed: one at a time or as `push_n` runs (some thousands
-        /// long), in random order, over a handful of values with signed
-        /// zeros among them, each value in many separate runs.
-        #[test]
-        fn run_length_percentiles_match_expanded_samples(
-            draws in prop::collection::vec((0u8..6, 0u64..9, 0u8..2), 0..40),
-        ) {
-            let mut runs = RunSample::default();
-            let mut expanded = Vec::new();
-            for (kind, count, singles) in draws {
-                let v = [-0.0, 0.0, 0.25, 0.5, 1e-3, 0.75][kind as usize];
-                let count = if count < 5 { count } else { count * 500 - kind as u64 };
-                if singles == 1 && count < 5 {
-                    (0..count).for_each(|_| runs.push_n(v, 1));
-                } else {
-                    runs.push_n(v, count);
-                }
-                expanded.extend(std::iter::repeat_n(v, count as usize));
+                };
+                runs.push_n(v, 1);
+                halves[i % 2].push_n(v, 1);
+                expanded.push(v);
             }
-            prop_assert_eq!(runs.percentiles(), LatencyPercentiles::of(&mut expanded));
+            let want = sorted_percentiles(&expanded);
+            let mut union = halves[0].union(&halves[1]);
+            prop_assert_eq!(union.count(), expanded.len() as u64);
+            prop_assert_eq!(union.percentiles(), want);
+            prop_assert_eq!(runs.percentiles(), want);
         }
     }
 
@@ -941,25 +938,24 @@ mod tests {
         runs.percentiles();
     }
 
-    #[test]
-    #[should_panic(expected = "samples are finite")]
-    fn non_finite_samples_panic() {
-        LatencyPercentiles::of(&mut [1.0, f64::NAN]);
-    }
-
     /// A request whose p99 gap sits exactly on the ITL target attains;
     /// one picosecond above it, it does not.
     #[test]
     fn p99_gap_on_the_target_attains() {
         let slo = Slo::new(Duration::from_secs_f64(1.0), Duration::from_ms(50));
         // 101 gaps: the p99 rank is 99, the second-largest value.
-        let mut gaps: Vec<f64> = (0..99).map(|i| f64::from(i) * 1e-4).collect();
-        gaps.extend([0.050, 3.0]);
-        assert!(request_attains(Some(slo), 0.5, &mut gaps.clone()));
-        gaps[99] = 0.050 + 1e-12;
-        assert!(!request_attains(Some(slo), 0.5, &mut gaps.clone()));
+        let gaps = |second: f64| {
+            let mut gaps = RunSample::default();
+            (0..99).for_each(|i| gaps.push_n(f64::from(i) * 1e-4, 1));
+            [second, 3.0].into_iter().for_each(|v| gaps.push_n(v, 1));
+            gaps
+        };
+        assert!(request_attains(Some(slo), 0.5, &mut gaps(0.050)));
+        assert!(!request_attains(Some(slo), 0.5, &mut gaps(0.050 + 1e-12)));
         // The TTFT half still gates, and no SLO always attains.
-        assert!(!request_attains(Some(slo), 1.5, &mut []));
-        assert!(request_attains(None, 1e9, &mut [f64::NAN]));
+        assert!(!request_attains(Some(slo), 1.5, &mut RunSample::default()));
+        let mut nan = RunSample::default();
+        nan.push_n(f64::NAN, 1);
+        assert!(request_attains(None, 1e9, &mut nan));
     }
 }

@@ -348,20 +348,13 @@ impl WorkflowTemplate {
     }
 }
 
-/// Prefix-cache key for a workflow node's published KV, in the FNV-1a
-/// idiom of [`kv::prefix_key`](super::kv::prefix_key) but salted and
-/// over three words so workflow keys can never collide with per-class
-/// keys (which hash exactly two words).
+/// Prefix-cache key for a workflow node's published KV: the
+/// [`fnv1a`](super::kv::fnv1a) hash of [`kv::prefix_key`](super::kv::prefix_key),
+/// but salted and over three words so workflow keys can never collide
+/// with per-class keys (which hash exactly two words).
 pub(crate) fn workflow_prefix_key(instance: u64, node: usize) -> u64 {
     const SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for word in [SALT, instance, node as u64] {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    super::kv::fnv1a(&[SALT, instance, node as u64])
 }
 
 /// Lifecycle of one node inside a running instance.

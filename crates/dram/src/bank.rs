@@ -99,14 +99,6 @@ impl BankState {
         }
     }
 
-    /// Currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        match self.state {
-            RowState::Idle => None,
-            RowState::Active(r) => Some(r),
-        }
-    }
-
     /// Total commands issued.
     pub fn issued(&self) -> u64 {
         self.issued

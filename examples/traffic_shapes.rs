@@ -63,7 +63,6 @@ fn sim(cfg: ServingConfig) -> ServingSim {
 
 /// One result row as a JSON object (no serde in-tree). `wall_s` is
 /// machine-dependent; the canonical compare strips it.
-#[allow(clippy::too_many_arguments)]
 fn bench_row(shape: &str, r: &ServingReport, wall_s: f64) -> String {
     format!(
         "    {{\"shape\": {shape:?}, \"completed\": {}, \"itl_p50_ms\": {:.4}, \
