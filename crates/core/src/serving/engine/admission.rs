@@ -5,16 +5,17 @@
 //! [`EngineCore::admit_arrivals`] runs the iteration-level admission
 //! policy at every boundary, batch-slot-bounded; whether the policy's
 //! head fits, the prefix it maps and its batch entry are the KV layer's
-//! (`kv_state`). [`ServingSim::run_request_level`] is the whole
-//! request-level scheduling mode — there a "batch" is one request and
-//! admission is just dispatch, so no engine core is needed.
+//! (`kv_state`).
+//! [`run_request_level`](super::ServingSim::run_request_level) is the
+//! whole request-level scheduling mode — there a "batch" is one request
+//! and admission is just dispatch, so no engine core is needed.
 
 use super::arrivals::Arrival;
 use super::batch::ActiveSeq;
 use super::core::{EngineCore, MinTree};
 use super::workflow_rt::drop_prefix;
 use super::TimeKey;
-use crate::serving::report::{request_attains, Completion, RunSample, RunStats};
+use crate::serving::report::{request_attains, RunSample, RunStats};
 use crate::serving::DispatchPolicy;
 use crate::serving::ReplicaRole;
 
@@ -128,16 +129,7 @@ impl super::ServingSim {
             let mut gaps = RunSample::default();
             gaps.push_n(itl, steps * u64::from(arrival.slo.is_some()));
             let attained = request_attains(arrival.slo, ttft, &mut gaps);
-            let completion = Completion {
-                sojourn: finish - now,
-                replica: replica as u32,
-                class: arrival.class as u32,
-                tenant: arrival.tenant,
-                preemptions: 0,
-                recomputes: 0,
-                attained,
-                in_burst: arrival.in_burst,
-            };
+            let completion = arrival.completion(finish, replica, 0, 0, attained);
             stats.complete(completion, finish, s);
         }
         stats
@@ -209,35 +201,8 @@ impl EngineCore<'_> {
                     drop_prefix(&mut wf.key_homes, &mut self.kv.paged, w.inst, parent);
                 }
             }
-            let seq = ActiveSeq {
-                shape: arrival.shape,
-                arrival: arrival.at,
-                idx: arrival.idx,
-                service,
-                class: arrival.class,
-                priority: arrival.priority,
-                slo: arrival.slo,
-                prefilled: shared_tokens,
-                prefill_target: arrival.shape.input,
-                past: shared_tokens,
-                remaining: arrival.shape.generation_steps(),
-                last_token: self.batch.clock[r],
-                ttft: 0.0,
-                gaps: RunSample::default(),
-                preemptions: 0,
-                recomputes: 0,
-                swap_epoch: 0,
-                hosted_bytes: 0,
-                just_prefilled: false,
-                shared_tokens,
-                cache_hit: shared_tokens > 0,
-                tenant: arrival.tenant,
-                in_burst: arrival.in_burst,
-                wf: arrival.wf,
-                slot,
-                growth: 0,
-                steady: None,
-            };
+            let clock = self.batch.clock[r];
+            let seq = ActiveSeq::admitted(arrival, service, slot, shared_tokens, clock);
             self.enter_batch(r, seq);
         }
     }

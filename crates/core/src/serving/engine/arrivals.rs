@@ -18,23 +18,16 @@
 use super::preflight::{positive, ConfigError};
 use super::workflow_rt::{WfCtx, WfTag};
 use super::ServingSim;
+use crate::serving::report::Completion;
 use crate::serving::workflow::WorkflowRun;
 use crate::serving::{pick_class, Priority, Slo};
 use ianus_model::RequestShape;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// TTFT deadline in seconds of a request that arrived at `arrival`:
-/// the class SLO's `arrival + ttft`, or — for workflow nodes without
-/// one — the instance deadline, so deadline-ordered policies stay
-/// meaningful in workflow mode. Waiting and resident requests read it
-/// alike.
-pub(super) fn ttft_deadline(arrival: f64, slo: Option<Slo>, wf: Option<WfTag>) -> Option<f64> {
-    slo.map(|s| arrival + s.ttft.as_secs_f64())
-        .or(wf.and_then(|w| w.deadline))
-}
-
-/// One generated arrival of the trace.
+/// One generated arrival of the trace, and the identity its admitted
+/// sequence carries to completion
+/// ([`ActiveSeq::req`](super::batch::ActiveSeq::req)).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Arrival {
     /// Arrival time in seconds.
@@ -66,9 +59,42 @@ impl Arrival {
             shape: self.shape,
             arrival_idx: self.idx,
             priority: self.priority,
-            deadline: ttft_deadline(self.at, self.slo, self.wf),
+            deadline: self.ttft_deadline(),
             workflow_deadline: self.wf.and_then(|w| w.deadline),
             blocked_descendants: self.wf.map_or(0, |w| w.blocked_descendants),
+        }
+    }
+
+    /// TTFT deadline in seconds: the SLO's `at + ttft`, else a workflow
+    /// node's instance deadline (so deadline-ordered policies stay
+    /// meaningful in workflow mode). Both policy views read it.
+    pub(super) fn ttft_deadline(&self) -> Option<f64> {
+        self.slo
+            .map(|s| self.at + s.ttft.as_secs_f64())
+            .or(self.wf.and_then(|w| w.deadline))
+    }
+
+    /// This request's completion record, finished at `finish` on
+    /// `replica` after `preemptions` evictions (`recomputes` of them by
+    /// recompute); `attained` is whether it met its SLO. Both scheduling
+    /// modes record every completion through here.
+    pub(super) fn completion(
+        &self,
+        finish: f64,
+        replica: usize,
+        preemptions: u32,
+        recomputes: u32,
+        attained: bool,
+    ) -> Completion {
+        Completion {
+            sojourn: finish - self.at,
+            replica: replica as u32,
+            class: self.class as u32,
+            tenant: self.tenant,
+            preemptions,
+            recomputes,
+            attained,
+            in_burst: self.in_burst,
         }
     }
 }
@@ -552,6 +578,45 @@ impl ServingSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::engine::batch::ActiveSeq;
+    use ianus_sim::Duration;
+
+    #[test]
+    fn waiting_and_admitted_views_share_the_ttft_deadline() {
+        // Admission reads a waiting request's deadline; eviction and
+        // re-admission read its admitted sequence's.
+        let slo = Slo::new(Duration::from_ms(250), Duration::from_ms(50));
+        let tag = WfTag {
+            inst: 0,
+            node: 1,
+            inherit: None,
+            deadline: Some(9.5),
+            blocked_descendants: 2,
+        };
+        let base = Arrival {
+            at: 1.25,
+            idx: 3,
+            class: 0,
+            shape: RequestShape::new(64, 8),
+            priority: Priority::Interactive,
+            slo: None,
+            tenant: 0,
+            in_burst: false,
+            wf: None,
+        };
+        // An SLO's `at + ttft`, a workflow node's instance deadline, none.
+        let cases = [
+            (Some(slo), None, Some(1.5)),
+            (None, Some(tag), Some(9.5)),
+            (None, None, None),
+        ];
+        for (slo, wf, want) in cases {
+            let req = Arrival { slo, wf, ..base };
+            let seq = ActiveSeq::admitted(req, 0.1, 0, 0, 2.0);
+            assert_eq!(req.queued_view().deadline, want);
+            assert_eq!(seq.view().deadline, want);
+        }
+    }
 
     #[test]
     fn poisson_process_matches_legacy_inline_recipe() {

@@ -9,9 +9,9 @@
 //! forward (emitting TTFT, completing single-token requests, or handing
 //! a finished prefill to the migration layer), and
 //! [`EngineCore::advance_decoders`] emits one token per decoder and
-//! completes finished sequences. Workflow completions fan out through
-//! [`WfWorld`](super::workflow_rt::WfWorld) before the paged pool frees
-//! the block table.
+//! completes finished sequences. A completing workflow node fans out
+//! ([`EngineCore::on_node_complete`]) before the paged pool frees its
+//! block table.
 //!
 //! A [`Batch`] keeps running counters over its sequences — decode
 //! width, past-length sum, next-step block growth, and the prefilling
@@ -19,35 +19,25 @@
 //! ([`DecodeEpoch`]), so a decode step touches only the decoders whose
 //! step is not the steady one: no per-turn phase walks the batch.
 
-use super::arrivals::ttft_deadline;
+use super::arrivals::Arrival;
 use super::core::EngineCore;
 use super::decode::{position, unlist, DecodeEpoch};
-use super::workflow_rt::{WfTag, WfWorld};
 use crate::serving::kv::{KvSlot, PagedKv};
 use crate::serving::policy::SeqView;
-use crate::serving::report::{request_attains, Completion, Itls, RunSample};
+use crate::serving::report::{request_attains, Itls, RunSample};
 use crate::serving::ReplicaRole;
-use crate::serving::{Priority, Slo};
 use ianus_model::RequestShape;
 
 /// One sequence resident in a replica's batch (prefilling or decoding)
 /// or parked in its swap queue.
 #[derive(Debug, Clone)]
 pub(super) struct ActiveSeq {
-    pub(super) shape: RequestShape,
-    /// Arrival time (for sojourn accounting).
-    pub(super) arrival: f64,
-    /// Global arrival index (admission order; the default eviction's
-    /// "youngest").
-    pub(super) idx: u64,
+    /// The request it serves, as it arrived: shape, arrival time and
+    /// index (admission order; the default eviction's "youngest"),
+    /// class, tier, SLO, tenant, burst flag and workflow identity.
+    pub(super) req: Arrival,
     /// Its unloaded batch-1 service time (for `mean_service`).
     pub(super) service: f64,
-    /// Index into the config's mix.
-    pub(super) class: usize,
-    /// Scheduling tier.
-    pub(super) priority: Priority,
-    /// The class SLO (for attainment scoring and deadline policies).
-    pub(super) slo: Option<Slo>,
     /// Prompt tokens prefilled so far; the sequence is *prefilling*
     /// until this reaches [`prefill_target`](Self::prefill_target),
     /// then *decoding*.
@@ -98,14 +88,6 @@ pub(super) struct ActiveSeq {
     /// Whether admission hit the prefix cache (routes the TTFT sample
     /// into the cache-hit pool instead of the cold one).
     pub(super) cache_hit: bool,
-    /// Tenant that issued the request (0 outside multi-tenant traffic).
-    pub(super) tenant: u32,
-    /// Whether the request arrived inside a burst window (per-window
-    /// SLO attribution; always `false` under pure Poisson traffic).
-    pub(super) in_burst: bool,
-    /// Workflow identity (`None` for flat-mix sequences). Completion
-    /// fans out through this to release children and decide races.
-    pub(super) wf: Option<WfTag>,
     /// Slot of its block table in the replica's paged pool (unused
     /// under contiguous accounting).
     pub(super) slot: KvSlot,
@@ -122,6 +104,39 @@ pub(super) struct ActiveSeq {
 }
 
 impl ActiveSeq {
+    /// `req` as admitted at `now` into `slot`, with its first `shared`
+    /// prompt tokens mapped from the prefix cache and unloaded batch-1
+    /// service time `service`: it prefills the rest of its prompt next.
+    pub(super) fn admitted(
+        req: Arrival,
+        service: f64,
+        slot: KvSlot,
+        shared: u64,
+        now: f64,
+    ) -> Self {
+        ActiveSeq {
+            req,
+            service,
+            prefilled: shared,
+            prefill_target: req.shape.input,
+            past: shared,
+            remaining: req.shape.generation_steps(),
+            last_token: now,
+            ttft: 0.0,
+            gaps: RunSample::default(),
+            preemptions: 0,
+            recomputes: 0,
+            swap_epoch: 0,
+            hosted_bytes: 0,
+            just_prefilled: false,
+            shared_tokens: shared,
+            cache_hit: shared > 0,
+            slot,
+            growth: 0,
+            steady: None,
+        }
+    }
+
     /// Whether the context is fully (re)built (the sequence decodes).
     pub(super) fn decoding(&self) -> bool {
         self.prefilled >= self.prefill_target
@@ -131,11 +146,11 @@ impl ActiveSeq {
     /// cost fields NaN until the engine prices them.
     pub(super) fn view(&self) -> SeqView {
         SeqView {
-            arrival_idx: self.idx,
-            priority: self.priority,
-            deadline: ttft_deadline(self.arrival, self.slo, self.wf),
+            arrival_idx: self.req.idx,
+            priority: self.req.priority,
+            deadline: self.req.ttft_deadline(),
             kv_tokens: self.past,
-            generated: self.shape.generation_steps() - self.remaining,
+            generated: self.req.shape.generation_steps() - self.remaining,
             swap_epoch: self.swap_epoch,
             swap_secs: f64::NAN,
             recompute_secs: f64::NAN,
@@ -144,12 +159,25 @@ impl ActiveSeq {
         }
     }
 
-    /// Blocks its table must add for the next decode step: one more
-    /// token for a decoder with tokens left, nothing otherwise (and
-    /// nothing under contiguous accounting).
+    /// Its context after the next decode step: one more token for a
+    /// decoder with tokens left, `past` otherwise.
+    pub(super) fn next_past(&self) -> u64 {
+        self.past + u64::from(self.decoding() && self.remaining > 0)
+    }
+
+    /// Context tokens outside the shared prefix: what an eviction moves
+    /// or drops and a migration carries (the whole context under
+    /// contiguous accounting, which shares nothing).
+    pub(super) fn unshared(&self) -> u64 {
+        self.past - self.shared_tokens
+    }
+
+    /// Blocks its table must add for the next decode step (see
+    /// [`next_past`](Self::next_past); nothing under contiguous
+    /// accounting).
     pub(super) fn growth_term(&self, paged: Option<&PagedKv>) -> u64 {
         match paged {
-            Some(p) if self.decoding() && self.remaining > 0 => p.growth(self.slot, self.past + 1),
+            Some(p) if self.next_past() > self.past => p.growth(self.slot, self.next_past()),
             _ => 0,
         }
     }
@@ -181,11 +209,11 @@ impl ActiveSeq {
 }
 
 /// One replica's resident sequences (order is batch position; stable
-/// ids live in [`ActiveSeq::idx`]) and the running counters each turn
-/// reads instead of walking them. Every change to a counted field —
-/// decode state, `past`, `remaining`, the KV table's blocks — goes
-/// through a `Batch` method, which keeps the counters exact (they are
-/// integer sums). Steady decoders' per-token fields lag until read
+/// ids are their requests' [`Arrival::idx`]) and the running counters
+/// each turn reads instead of walking them. Every change to a counted
+/// field — decode state, `past`, `remaining`, the KV table's blocks —
+/// goes through a `Batch` method, which keeps the counters exact (they
+/// are integer sums). Steady decoders' per-token fields lag until read
 /// through [`settled`](Self::settled).
 #[derive(Default)]
 pub(super) struct Batch {
@@ -255,7 +283,7 @@ impl Batch {
     /// Prefilling sequences are pushed late, so the search runs from
     /// the back.
     pub(super) fn position(&self, idx: u64) -> Option<usize> {
-        self.seqs.iter().rposition(|s| s.idx == idx)
+        self.seqs.iter().rposition(|s| s.req.idx == idx)
     }
 
     /// Adds `seq` at the back, counting it against `paged`, the
@@ -267,7 +295,7 @@ impl Batch {
         if seq.decoding() {
             self.decode.add(&mut seq, order, paged);
         } else {
-            self.prefilling.push(seq.idx);
+            self.prefilling.push(seq.req.idx);
             seq.growth = 0;
         }
         self.seqs.push(seq);
@@ -282,7 +310,7 @@ impl Batch {
         if seq.decoding() {
             self.decode.remove(&mut seq, order, paged);
         } else {
-            unlist(&mut self.prefilling, seq.idx);
+            unlist(&mut self.prefilling, seq.req.idx);
         }
         seq
     }
@@ -304,7 +332,7 @@ impl Batch {
             &*p
         });
         if seq.decoding() {
-            unlist(&mut self.prefilling, seq.idx);
+            unlist(&mut self.prefilling, seq.req.idx);
             self.decode.add(seq, self.orders[i], paged);
         }
         seq
@@ -354,7 +382,7 @@ impl Batch {
     pub(super) fn assert_counters(&self, paged: Option<&PagedKv>) {
         let mut prefilling = Vec::new();
         for s in self.seqs.iter().filter(|s| !s.decoding()) {
-            prefilling.push(s.idx);
+            prefilling.push(s.req.idx);
             // A sequence that does not decode next step holds its
             // whole context already.
             if let Some(p) = paged {
@@ -362,7 +390,7 @@ impl Batch {
                     p.growth(s.slot, s.past),
                     0,
                     "seq {} short of its context",
-                    s.idx
+                    s.req.idx
                 );
             }
         }
@@ -478,7 +506,7 @@ impl EngineCore<'_> {
             seq.just_prefilled = true;
             return;
         }
-        seq.ttft = now - seq.arrival;
+        seq.ttft = now - seq.req.at;
         seq.last_token = now;
         let (ttft, cache_hit, remaining) = (seq.ttft, seq.cache_hit, seq.remaining);
         if cache_hit {
@@ -517,34 +545,18 @@ impl EngineCore<'_> {
     /// and has left the batch: a workflow node fans out, the paged pool
     /// frees its table, and the run records the completion.
     fn complete(&mut self, r: usize, mut seq: ActiveSeq, now: f64) {
-        if seq.wf.is_some() {
-            // Fan out before `complete` frees the block table:
-            // children inherit this node's KV as a shared prefix.
-            WfWorld {
-                ctx: &self.wf.ctx,
-                runs: &mut self.wf.runs,
-                arrivals: &mut self.wait.arrivals,
-                untaken: &mut self.wait.untaken,
-                paged: &mut self.kv.paged,
-                key_homes: &mut self.wf.key_homes,
-                inheritance: self.wf.inheritance,
-            }
-            .on_node_complete(&seq, r, now, &mut self.stats);
+        if seq.req.wf.is_some() {
+            // Fan out before the pool frees the block table: children
+            // inherit this node's KV as a shared prefix.
+            self.on_node_complete(&seq, r, now);
         }
         if let Some(p) = self.kv.paged[r].as_mut() {
             p.complete(seq.slot);
         }
-        let attained = request_attains(seq.slo, seq.ttft, &mut seq.gaps);
-        let completion = Completion {
-            sojourn: now - seq.arrival,
-            replica: r as u32,
-            class: seq.class as u32,
-            tenant: seq.tenant,
-            preemptions: seq.preemptions,
-            recomputes: seq.recomputes,
-            attained,
-            in_burst: seq.in_burst,
-        };
-        self.stats.complete(completion, now, seq.service);
+        let attained = request_attains(seq.req.slo, seq.ttft, &mut seq.gaps);
+        let record = seq
+            .req
+            .completion(now, r, seq.preemptions, seq.recomputes, attained);
+        self.stats.complete(record, now, seq.service);
     }
 }

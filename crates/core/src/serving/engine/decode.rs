@@ -284,8 +284,8 @@ impl DecodeEpoch {
         // co-scheduled prefill chunks and swap traffic that stalled the
         // batch, not just this iteration's decode.
         let gap = now - s.last_token;
-        itls.push_n(gap, 1, u64::from(s.in_burst));
-        if s.slo.is_some() {
+        itls.push_n(gap, 1, u64::from(s.req.in_burst));
+        if s.req.slo.is_some() {
             s.gaps.push_n(gap, 1);
         }
         s.last_token = now;
@@ -319,7 +319,7 @@ impl DecodeEpoch {
         while j < self.eager.len() {
             let order = self.eager[j];
             let s = &mut seqs[position(orders, order)];
-            if s.last_token == now && s.slo.is_none() && s.remaining > 0 {
+            if s.last_token == now && s.req.slo.is_none() && s.remaining > 0 {
                 self.growth -= std::mem::take(&mut s.growth);
                 s.steady = Some(self.epoch);
                 self.link(s, order, paged);
@@ -334,7 +334,7 @@ impl DecodeEpoch {
     /// and its crossing bucket.
     fn link(&mut self, s: &ActiveSeq, order: u64, paged: Option<&PagedKv>) {
         self.steady += 1;
-        self.steady_burst += u64::from(s.in_burst);
+        self.steady_burst += u64::from(s.req.in_burst);
         let finish = self.epoch + s.remaining;
         self.finish.insert((finish, order));
         self.next_finish = Some(self.next_finish.map_or(finish, |e| e.min(finish)));
@@ -357,7 +357,7 @@ impl DecodeEpoch {
     fn unlink(&mut self, s: &ActiveSeq, order: u64, paged: Option<&PagedKv>) {
         let since = s.steady.expect("steady");
         self.steady -= 1;
-        self.steady_burst -= u64::from(s.in_burst);
+        self.steady_burst -= u64::from(s.req.in_burst);
         let listed = self.finish.remove(&(since + s.remaining, order));
         debug_assert!(listed, "steady decoder off the calendar");
         self.next_finish = self.finish.first().map(|&(e, _)| e);
@@ -391,8 +391,8 @@ impl DecodeEpoch {
             growth += v.growth_term(paged);
             if let Some(since) = s.steady {
                 steady += 1;
-                burst += u64::from(s.in_burst);
-                assert!(s.slo.is_none() && s.growth == 0 && v.last_token == self.at);
+                burst += u64::from(s.req.in_burst);
+                assert!(s.req.slo.is_none() && s.growth == 0 && v.last_token == self.at);
                 assert!(self.finish.contains(&(since + s.remaining, order)));
                 if let Some(p) = paged {
                     let crosser = Crosser {
@@ -408,7 +408,7 @@ impl DecodeEpoch {
                     s.growth,
                     s.growth_term(paged),
                     "stale growth of seq {}",
-                    s.idx
+                    s.req.idx
                 );
                 eager.push(order);
             }
@@ -470,6 +470,7 @@ pub(super) fn unlist(list: &mut Vec<u64>, key: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::engine::arrivals::Arrival;
     use crate::serving::engine::batch::Batch;
     use crate::serving::kv::prefix_key;
     use crate::serving::report::RunSample;
@@ -483,35 +484,18 @@ mod tests {
     /// log).
     fn admitted(idx: u64, shape: RequestShape, slot: KvSlot, shared: u64) -> ActiveSeq {
         let slo = Slo::new(Duration::from_ms(1), Duration::from_ms(1));
-        ActiveSeq {
-            shape,
-            arrival: 0.0,
+        let req = Arrival {
+            at: 0.0,
             idx,
-            service: 0.0,
             class: 0,
+            shape,
             priority: Priority::Interactive,
             slo: idx.is_multiple_of(5).then_some(slo),
-            prefilled: shared,
-            prefill_target: shape.input,
-            past: shared,
-            remaining: shape.generation_steps(),
-            last_token: 0.0,
-            ttft: 0.0,
-            gaps: RunSample::default(),
-            preemptions: 0,
-            recomputes: 0,
-            swap_epoch: 0,
-            hosted_bytes: 0,
-            just_prefilled: false,
-            shared_tokens: shared,
-            cache_hit: shared > 0,
             tenant: 0,
             in_burst: idx.is_multiple_of(3),
             wf: None,
-            slot,
-            growth: 0,
-            steady: None,
-        }
+        };
+        ActiveSeq::admitted(req, 0.0, slot, shared, 0.0)
     }
 
     /// The per-step reference: every decoder of `seqs`, in batch order,
@@ -535,8 +519,8 @@ mod tests {
             }
             let gap = now - s.last_token;
             itls.all.push_n(gap, 1);
-            itls.burst.push_n(gap, u64::from(s.in_burst));
-            if s.slo.is_some() {
+            itls.burst.push_n(gap, u64::from(s.req.in_burst));
+            if s.req.slo.is_some() {
                 s.gaps.push_n(gap, 1);
             }
             s.last_token = now;
@@ -544,7 +528,7 @@ mod tests {
             s.remaining -= 1;
             if s.remaining == 0 {
                 let s = seqs.remove(i);
-                done.push((s.idx, q.tokens_of(s.slot)));
+                done.push((s.req.idx, q.tokens_of(s.slot)));
                 q.complete(s.slot);
                 continue;
             }
@@ -557,7 +541,7 @@ mod tests {
     fn fields(s: &ActiveSeq) -> (u64, u64, u64, u64, u64, RunSample, u64, u32) {
         let last = s.last_token.to_bits();
         (
-            s.idx,
+            s.req.idx,
             s.past,
             s.remaining,
             last,
@@ -643,7 +627,7 @@ mod tests {
                         batch.begin_decode(now, Some(&mut p), &mut itls);
                         while let Some(i) = batch.decode_until_finish(now, Some(&mut p), &mut itls) {
                             let seq = batch.remove(i, Some(&mut p));
-                            done.push((seq.idx, p.tokens_of(seq.slot)));
+                            done.push((seq.req.idx, p.tokens_of(seq.slot)));
                             p.complete(seq.slot);
                         }
                         batch.end_decode(now, Some(&p));

@@ -77,15 +77,25 @@ pub(super) fn paged_blocks(
     Ok(Some(blocks))
 }
 
+/// The host-pool bytes a swap-out of `moved` tokens debits. The pool
+/// parks whole blocks when the replica keeps `paged` KV — a partially
+/// filled tail block occupies a full block host-side too — so the debit
+/// rounds `moved` up to the block size; contiguous accounting keeps the
+/// exact charge. (The DMA transfer still prices the tokens moved.)
+fn host_charge(model: &ModelConfig, moved: u64, paged: Option<&PagedKv>) -> u64 {
+    let tokens = match paged {
+        Some(p) => moved.div_ceil(p.block_tokens()) * p.block_tokens(),
+        None => moved,
+    };
+    crate::capacity::kv_swap_bytes(model, tokens)
+}
+
 /// The eviction-cost estimates of `seq` on replica `r`, as
 /// `(swap_secs, recompute_secs)`: one-way swap time (infinite when the
-/// replica's host-pool `headroom` cannot take the sequence's KV bytes)
-/// and the grid-estimated re-prefill cost. Both price only the
-/// *unshared* context — shared prefix blocks neither move nor recompute
-/// (everything is unshared under contiguous accounting). The headroom
-/// check charges whole blocks when replica `r` keeps `paged` KV,
-/// matching the engine's block-granular pool debit; contiguous
-/// accounting keeps the exact charge. Both prices are pure functions of
+/// replica's host-pool `headroom` cannot take the sequence's
+/// [`host_charge`]) and the grid-estimated re-prefill cost. Both price
+/// only the [unshared](ActiveSeq::unshared) context — shared prefix
+/// blocks neither move nor recompute. Both prices are pure functions of
 /// their memo keys, so skipping the ones no policy reads changes no
 /// report.
 pub(super) fn eviction_costs(
@@ -96,16 +106,9 @@ pub(super) fn eviction_costs(
     headroom: Option<u64>,
     paged: Option<&PagedKv>,
 ) -> (f64, f64) {
-    let block_tokens = paged.map_or(0, |p| p.block_tokens());
-    let moved = seq.past - seq.shared_tokens;
-    let pool_tokens = if block_tokens > 0 {
-        moved.div_ceil(block_tokens) * block_tokens
-    } else {
-        moved
-    };
-    let bytes = crate::capacity::kv_swap_bytes(model, pool_tokens);
+    let moved = seq.unshared();
     let swap_secs = match headroom {
-        Some(h) if bytes > h => f64::INFINITY,
+        Some(h) if host_charge(model, moved, paged) > h => f64::INFINITY,
         _ => replicas.kv_transfer_secs(r, model, moved),
     };
     let recompute_secs = replicas.pricer(r).prefill_est_secs(moved);
@@ -113,7 +116,7 @@ pub(super) fn eviction_costs(
 }
 
 /// Whether the eviction views price their costs: only for a policy
-/// that reads them, or, in tests, whenever [`FORCE_PRICING`] is set.
+/// that reads them, or, in tests, whenever `FORCE_PRICING` is set.
 fn prices_views(policy: EvictionPolicy) -> bool {
     #[cfg(test)]
     if FORCE_PRICING.get() {
@@ -167,10 +170,9 @@ impl KvLedger {
     /// the class's, capped below the whole prompt. A no-op under
     /// contiguous accounting or for a class without a prefix.
     pub(super) fn publish_prefix(&mut self, r: usize, seq: &mut ActiveSeq, mix: &[RequestClass]) {
-        if let (Some(p), Some(key)) = (self.paged[r].as_mut(), self.class_keys[seq.class]) {
-            let prefix = mix[seq.class]
-                .prefix_tokens
-                .min(seq.shape.input.saturating_sub(1));
+        let (class, input) = (seq.req.class, seq.req.shape.input);
+        if let (Some(p), Some(key)) = (self.paged[r].as_mut(), self.class_keys[class]) {
+            let prefix = mix[class].prefix_tokens.min(input.saturating_sub(1));
             if let Some(shared) = p.register_prefix(seq.slot, key, prefix) {
                 seq.shared_tokens = seq.shared_tokens.max(shared);
             }
@@ -227,7 +229,7 @@ impl EngineCore<'_> {
         } else {
             let batch = &mut self.batch.batches[r];
             let mut shapes = match residents {
-                Residents::Final => batch.seqs().iter().map(|s| s.shape).collect(),
+                Residents::Final => batch.seqs().iter().map(|s| s.req.shape).collect(),
                 Residents::Context(context) => projection(batch, &self.lanes, r, context),
             };
             shapes.push(cand);
@@ -281,7 +283,7 @@ impl EngineCore<'_> {
             let mut need = p.blocks_for(own).saturating_sub(p.blocks_for(hit));
             if !preempt {
                 for s in self.batch.batches[r].seqs() {
-                    need += p.growth(s.slot, s.shape.total_tokens());
+                    need += p.growth(s.slot, s.req.shape.total_tokens());
                 }
             }
             need
@@ -309,7 +311,9 @@ impl EngineCore<'_> {
             .next()
             .expect("a migrant landed");
         let need = self.kv.paged[r].as_ref().map(|p| {
-            let hit = self.kv.prefix_hit(r, cand.class, None, cand.shape.input);
+            let hit = self
+                .kv
+                .prefix_hit(r, cand.req.class, None, cand.req.shape.input);
             p.blocks_for(cand.past).saturating_sub(p.blocks_for(hit))
         });
         let shape = ActiveSeq::kv_shape(cand.past);
@@ -356,13 +360,6 @@ impl EngineCore<'_> {
             };
             let force = self.batch.batches[r].is_empty() && self.lanes.incoming[r].is_empty();
             if !force {
-                let grown = |s: &ActiveSeq| {
-                    if s.decoding() && s.remaining > 0 {
-                        s.past + 1
-                    } else {
-                        s.past
-                    }
-                };
                 // The candidate must reacquire its grown context if
                 // hosted; a recompute victim holds no KV *yet*, but
                 // will immediately re-prefill its whole context, so it
@@ -373,7 +370,7 @@ impl EngineCore<'_> {
                 // still holds counts, plus the residents' growth.
                 let cand = &self.kv.swapped[r][ci];
                 let (tokens, shape) = if cand.decoding() {
-                    let tokens = grown(cand);
+                    let tokens = cand.next_past();
                     (tokens, ActiveSeq::kv_shape(tokens))
                 } else {
                     let tokens = cand.prefill_target.max(1);
@@ -386,7 +383,7 @@ impl EngineCore<'_> {
                 let need = self.kv.paged[r]
                     .as_ref()
                     .map(|p| p.growth(cand.slot, tokens) + self.batch.batches[r].decode_growth());
-                if !self.kv_fits(r, need, shape, Residents::Context(grown)) {
+                if !self.kv_fits(r, need, shape, Residents::Context(ActiveSeq::next_past)) {
                     break;
                 }
             }
@@ -410,11 +407,10 @@ impl EngineCore<'_> {
                 self.enter_batch(r, seq);
                 continue;
             }
-            // Restore what the swap-out moved: the unshared
-            // context (everything, under contiguous accounting).
-            let swap_in =
-                self.replicas
-                    .kv_transfer_secs(r, self.model, seq.past - seq.shared_tokens);
+            // Restore what the swap-out moved: the unshared context.
+            let swap_in = self
+                .replicas
+                .kv_transfer_secs(r, self.model, seq.unshared());
             self.stats.dma[r] += swap_in;
             let clock = self.batch.clock[r];
             let ready = self.lanes.dma[r].issue(DmaLane::H2D, clock, swap_in);
@@ -475,12 +471,10 @@ impl EngineCore<'_> {
         }
         loop {
             let grown_tokens = |s: &ActiveSeq| {
-                if chunk_target == Some(s.idx) {
+                if chunk_target == Some(s.req.idx) {
                     s.past + chunk_tokens(s)
-                } else if s.decoding() && s.remaining > 0 {
-                    s.past + 1
                 } else {
-                    s.past
+                    s.next_past()
                 }
             };
             let pressure = if let Some(p) = kv.paged[r].as_mut() {
@@ -619,20 +613,9 @@ impl EngineCore<'_> {
             seq.swap_epoch = stats.preemptions;
             // Only the *unshared* context moves (or drops):
             // shared prefix blocks stay resident under the
-            // cache's reference. Contiguous mode has no shared
-            // tokens, so this is the whole context there.
-            let moved = seq.past - seq.shared_tokens;
-            // The host pool parks whole blocks in paged mode
-            // — a partially filled tail block occupies a full
-            // block host-side too — so the pool debit rounds
-            // `moved` up to the block size. The DMA transfer
-            // below still prices the actual tokens moved;
-            // contiguous mode stays exact (and bit-identical).
-            let pool_tokens = match kv.paged[r].as_ref() {
-                Some(p) => moved.div_ceil(p.block_tokens()) * p.block_tokens(),
-                None => moved,
-            };
-            let bytes = crate::capacity::kv_swap_bytes(model, pool_tokens);
+            // cache's reference.
+            let moved = seq.unshared();
+            let bytes = host_charge(model, moved, kv.paged[r].as_ref());
             let pool_takes = headroom.is_none_or(|h| bytes <= h);
             let by_swap = match scheduler.mechanism {
                 EvictionMechanism::Swap => pool_takes,

@@ -67,7 +67,7 @@ impl EngineCore<'_> {
             // prefilled, so its blocks are publishable
             // immediately). Contiguous accounting shares nothing.
             seq.shared_tokens = 0;
-            if let Some((slot, shared)) = self.kv.admit(r, seq.class, None, seq.shape) {
+            if let Some((slot, shared)) = self.kv.admit(r, seq.req.class, None, seq.req.shape) {
                 (seq.slot, seq.shared_tokens) = (slot, shared);
                 let p = self.kv.paged[r].as_mut().expect("admitted to a paged pool");
                 p.grow(seq.slot, seq.past);
@@ -94,7 +94,7 @@ impl EngineCore<'_> {
     /// batch; requires a non-empty decode pool.
     pub(super) fn migrate_after_prefill(&mut self, r: usize, seq: ActiveSeq, now: f64) {
         let model = self.model;
-        let moved = seq.past - seq.shared_tokens;
+        let moved = seq.unshared();
         // No decoders ever reside here (every
         // one migrates the turn it appears), so
         // nothing was ever evicted or hosted.

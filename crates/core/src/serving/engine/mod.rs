@@ -265,7 +265,7 @@ impl ServingSim {
     /// `tokens` tokens each (0, the default, keeps the legacy
     /// contiguous accounting, bit-identically). Each replica's block
     /// budget comes from its backend's
-    /// [`Backend::kv_budget_bytes`](crate::backend::Backend::kv_budget_bytes);
+    /// [`Backend::kv_budget_bytes`];
     /// a backend that reports no budget stays contiguous. Paged mode
     /// gates admission and pressure on free *blocks*, shares
     /// full-block prompt prefixes copy-on-write across requests of the

@@ -3,22 +3,23 @@
 //!
 //! A workflow mix replaces the flat request mix with DAG instances.
 //! This layer owns the immutable per-template tables ([`WfCtx`]), the
-//! per-arrival workflow identity ([`WfTag`]), and the cross-layer
-//! fan-out contract ([`WfWorld`]): when a node completes, the batch
-//! layer hands this layer mutable views of the wait queue and the paged
-//! pools, and gets back newly released child arrivals, settled
-//! cancellations, and published prefix keys. No other layer inspects
-//! workflow state.
+//! per-arrival workflow identity ([`WfTag`]), the run state
+//! ([`WorkflowRt`]), and the completion fan-out
+//! ([`EngineCore::on_node_complete`]): when a node completes, the batch
+//! layer calls it, and it publishes the node's KV in the paged pool,
+//! settles cancellations in the wait queue, and appends newly released
+//! children to the arrival vector and the wait queue. No other layer
+//! inspects workflow state.
 
 use super::arrivals::Arrival;
 use super::batch::ActiveSeq;
+use super::core::EngineCore;
 use super::TimeKey;
 use crate::serving::kv::PagedKv;
-use crate::serving::report::RunStats;
 use crate::serving::workflow::{workflow_prefix_key, NodeState, WorkflowRun, WorkflowTemplate};
 use crate::serving::{RequestClass, ServingConfig};
 use ianus_model::RequestShape;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Workflow identity of an arrival / active sequence: which node of
 /// which instance it serves, plus the denormalized workflow context the
@@ -62,24 +63,6 @@ pub(super) struct WorkflowRt {
     pub(super) runs: Vec<WorkflowRun>,
     /// Which replica holds each live workflow prefix key's blocks.
     pub(super) key_homes: HashMap<u64, usize>,
-    /// Whether children admit with inherited parent KV (the engine's
-    /// `workflow_inheritance` knob gated on paged mode).
-    pub(super) inheritance: bool,
-}
-
-/// Everything one workflow-node completion touches outside the
-/// completing replica: the instance's run state, the arrival vector and
-/// wait queue (released children are appended as new arrivals), the
-/// paged pools (prefix registration and expired-key drops), the
-/// key→replica home table, and the run counters.
-pub(super) struct WfWorld<'a> {
-    pub(super) ctx: &'a WfCtx,
-    pub(super) runs: &'a mut [WorkflowRun],
-    pub(super) arrivals: &'a mut Vec<Arrival>,
-    pub(super) untaken: &'a mut BTreeSet<(TimeKey, usize)>,
-    pub(super) paged: &'a mut [Option<PagedKv>],
-    /// Which replica holds each live workflow prefix key's blocks.
-    pub(super) key_homes: &'a mut HashMap<u64, usize>,
     /// Whether children admit with inherited parent KV (the engine's
     /// `workflow_inheritance` knob gated on paged mode).
     pub(super) inheritance: bool,
@@ -142,39 +125,35 @@ pub(super) fn drop_prefix(
     }
 }
 
-impl WfWorld<'_> {
-    /// Fans out `seq`, a completed workflow node: publishes its KV for
-    /// inheriting children (must run *before* the caller completes the
-    /// sequence in the paged pool, while its table is still live),
-    /// settles speculative cancellations, appends newly released
-    /// children to the arrival vector at `now`, and records finished
-    /// instances.
-    pub(super) fn on_node_complete(
-        &mut self,
-        seq: &ActiveSeq,
-        replica: usize,
-        now: f64,
-        stats: &mut RunStats,
-    ) {
-        let tag = seq.wf.expect("a workflow node completed");
-        let ctx = self.ctx;
-        let tpl = &ctx.templates[self.runs[tag.inst].template];
+impl EngineCore<'_> {
+    /// Fans out `seq`, a completed workflow node on `replica`: publishes
+    /// its KV for inheriting children (must run *before* the caller
+    /// completes the sequence in the paged pool, while its table is
+    /// still live), settles speculative cancellations, appends newly
+    /// released children to the arrival vector and wait queue at `now`,
+    /// and records finished instances.
+    pub(super) fn on_node_complete(&mut self, seq: &ActiveSeq, replica: usize, now: f64) {
+        let tag = seq.req.wf.expect("a workflow node completed");
+        let (wf, wait) = (&mut self.wf, &mut self.wait);
+        let (paged, stats) = (&mut self.kv.paged, &mut self.stats);
+        let ctx = &wf.ctx;
+        let tpl = &ctx.templates[wf.runs[tag.inst].template];
         // Publish this node's output KV under its per-(instance, node)
         // key while the sequence's block table is still alive. Only
         // nodes with *live* consumers publish — a speculative loser
         // whose children were all cancelled before it finished has
         // nothing left to feed.
-        if self.inheritance && self.runs[tag.inst].live_consumers(tag.node) > 0 {
-            if let Some(p) = self.paged[replica].as_mut() {
+        if wf.inheritance && wf.runs[tag.inst].live_consumers(tag.node) > 0 {
+            if let Some(p) = paged[replica].as_mut() {
                 let key = workflow_prefix_key(tag.inst as u64, tag.node);
                 if p.register_prefix(seq.slot, key, tpl.nodes[tag.node].shape.output)
                     .is_some()
                 {
-                    self.key_homes.insert(key, replica);
+                    wf.key_homes.insert(key, replica);
                 }
             }
         }
-        let mut out = self.runs[tag.inst].on_complete(tpl, tag.node);
+        let mut out = wf.runs[tag.inst].on_complete(tpl, tag.node);
         let mut settled = out.workflow_done;
         // Waiting nodes cancelled outright never reach the engine; they
         // settle here.
@@ -184,9 +163,9 @@ impl WfWorld<'_> {
         // cancelled, so the late completion fans out to nothing).
         for i in 0..out.cancel_released.len() {
             let n = out.cancel_released[i];
-            let run = &mut self.runs[tag.inst];
+            let run = &mut wf.runs[tag.inst];
             let ai = run.node_arrival[n].expect("released node has an arrival slot");
-            if self.untaken.remove(&(TimeKey(self.arrivals[ai].at), ai)) {
+            if wait.untaken.remove(&(TimeKey(wait.arrivals[ai].at), ai)) {
                 stats.cancelled_nodes += 1;
                 settled |= run.confirm_cancel(tpl, n, &mut out);
             } else {
@@ -194,13 +173,13 @@ impl WfWorld<'_> {
             }
         }
         for i in 0..out.expired_keys.len() {
-            drop_prefix(self.key_homes, self.paged, tag.inst, out.expired_keys[i]);
+            drop_prefix(&mut wf.key_homes, paged, tag.inst, out.expired_keys[i]);
         }
         // Release ready children as fresh arrivals at the completion
         // instant.
         for &c in &out.released {
-            let run = &mut self.runs[tag.inst];
-            let inherit = if self.inheritance {
+            let run = &mut wf.runs[tag.inst];
+            let inherit = if wf.inheritance {
                 tpl.nodes[c]
                     .parents
                     .iter()
@@ -209,18 +188,18 @@ impl WfWorld<'_> {
             } else {
                 None
             };
-            let origin = (now, seq.tenant, seq.in_burst);
-            let ai = ctx.push_node(self.arrivals, run, tag.inst, c, inherit, origin);
-            self.untaken.insert((TimeKey(now), ai));
+            let origin = (now, seq.req.tenant, seq.req.in_burst);
+            let ai = ctx.push_node(&mut wait.arrivals, run, tag.inst, c, inherit, origin);
+            wait.untaken.insert((TimeKey(now), ai));
         }
         debug_assert!(
             out.released
                 .iter()
-                .all(|&c| self.runs[tag.inst].state(c) == NodeState::Released),
+                .all(|&c| wf.runs[tag.inst].state(c) == NodeState::Released),
             "fan-out queued a node that is not in the Released state"
         );
         if settled {
-            let run = &self.runs[tag.inst];
+            let run = &wf.runs[tag.inst];
             debug_assert!(run.done(), "a settled instance owes no node an outcome");
             stats.workflow_latencies.push_n(now - run.start, 1);
             if run.deadline.is_none_or(|d| now <= d) {

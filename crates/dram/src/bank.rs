@@ -13,7 +13,8 @@ use std::fmt;
 /// Commands understood by a single bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BankCommand {
-    /// Open `row`.
+    /// Open `row`. The bank times rows alike, so it records only that a
+    /// row is open, not which.
     Activate { row: u64 },
     /// Column read burst (also models a PIM `MAC` read, which shares read
     /// timing).
@@ -29,7 +30,7 @@ pub enum BankCommand {
 pub enum TimingError {
     /// Activate issued while a row is already open.
     RowAlreadyOpen,
-    /// Read/write issued with no open row, or to the wrong row.
+    /// Read/write issued with no open row.
     RowNotOpen,
     /// Precharge with no row open.
     NothingToPrecharge,
@@ -39,19 +40,13 @@ impl fmt::Display for TimingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TimingError::RowAlreadyOpen => write!(f, "activate while a row is open"),
-            TimingError::RowNotOpen => write!(f, "column access to a closed or different row"),
+            TimingError::RowNotOpen => write!(f, "column access with no open row"),
             TimingError::NothingToPrecharge => write!(f, "precharge with no open row"),
         }
     }
 }
 
 impl std::error::Error for TimingError {}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowState {
-    Idle,
-    Active(u64),
-}
 
 /// Timing state of one DRAM bank.
 ///
@@ -74,7 +69,8 @@ enum RowState {
 #[derive(Debug, Clone)]
 pub struct BankState {
     timings: GddrTimings,
-    state: RowState,
+    /// Whether a row is open (activated and not yet precharged).
+    open: bool,
     last_activate: Time,
     last_read: Time,
     last_write: Time,
@@ -89,7 +85,7 @@ impl BankState {
     pub fn new(timings: GddrTimings) -> Self {
         BankState {
             timings,
-            state: RowState::Idle,
+            open: false,
             last_activate: Time::ZERO,
             last_read: Time::ZERO,
             last_write: Time::ZERO,
@@ -113,19 +109,19 @@ impl BankState {
     pub fn issue(&mut self, want: Time, cmd: BankCommand) -> Result<Time, TimingError> {
         let t = self.timings;
         let at = match cmd {
-            BankCommand::Activate { row } => {
-                if self.state != RowState::Idle {
+            BankCommand::Activate { .. } => {
+                if self.open {
                     return Err(TimingError::RowAlreadyOpen);
                 }
                 let at = want.max(self.activate_ready);
-                self.state = RowState::Active(row);
+                self.open = true;
                 self.last_activate = at;
                 // tRAS lower-bounds the next precharge.
                 self.precharge_ready = at + t.t_ras;
                 at
             }
             BankCommand::Read => {
-                if self.state == RowState::Idle {
+                if !self.open {
                     return Err(TimingError::RowNotOpen);
                 }
                 let at = want
@@ -136,7 +132,7 @@ impl BankState {
                 at
             }
             BankCommand::Write => {
-                if self.state == RowState::Idle {
+                if !self.open {
                     return Err(TimingError::RowNotOpen);
                 }
                 let at = want
@@ -149,11 +145,11 @@ impl BankState {
                 at
             }
             BankCommand::Precharge => {
-                if self.state == RowState::Idle {
+                if !self.open {
                     return Err(TimingError::NothingToPrecharge);
                 }
                 let at = want.max(self.precharge_ready);
-                self.state = RowState::Idle;
+                self.open = false;
                 self.activate_ready = at + t.t_rp;
                 at
             }
